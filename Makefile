@@ -64,9 +64,13 @@ check:
 # the committed AUDIT_1.json ledger (same fingerprint, contract still
 # met), and a domains-vs-seq audit differential: the two documents must
 # be byte-identical and their merged telemetry counters exactly equal.
+# Last, the ledger byte-identity gate: AUDIT_1.json is regenerated with
+# the command EXPERIMENTS.md documents and must match the committed
+# file byte for byte, so any change to the estimators' rng stream or
+# arithmetic fails CI instead of passing on fingerprint and verdict.
 # Throwaway artifacts go to _build/.
 ci: check
-	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_1.json
+	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_8.json
 	dune exec bin/spatialdb.exe -- report --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 \
 	  -o _build/report_smoke.json
@@ -154,6 +158,10 @@ ci: check
 	cmp _build/ci_audit_par_doc.json _build/ci_audit_seq_doc.json
 	dune exec bench/validate_status.exe -- \
 	  --compare-counters _build/ci_audit_par.json _build/ci_audit_seq.json
+	dune exec bin/spatialdb.exe -- audit -v x,y \
+	  -f "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
+	  --seed 42 --runs 60 --jobs 4 --oracle exact -o _build/AUDIT_ledger.json > /dev/null
+	cmp _build/AUDIT_ledger.json AUDIT_1.json
 
 clean:
 	dune clean

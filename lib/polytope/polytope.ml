@@ -177,10 +177,11 @@ let sandwich t =
           done;
           Some (centre, r_inf, sqrt !r_sup))
 
-let line_intersection t x dir =
+let line_intersection_into t x dir range =
   (* a_i·(x + s·dir) <= b_i  ⇔  s·(a_i·dir) <= b_i − a_i·x. *)
   check_point t x;
   check_point t dir;
+  if Array.length range < 2 then invalid_arg "Polytope.line_intersection_into: range too short";
   let m = Array.length t.b in
   let tmin = ref neg_infinity and tmax = ref infinity in
   for i = 0 to m - 1 do
@@ -195,7 +196,13 @@ let line_intersection t x dir =
     else if denom > 0.0 then tmax := Float.min !tmax (slack /. denom)
     else tmin := Float.max !tmin (slack /. denom)
   done;
-  if !tmin > !tmax then None else Some (!tmin, !tmax)
+  Array.unsafe_set range 0 !tmin;
+  Array.unsafe_set range 1 !tmax;
+  not (!tmin > !tmax)
+
+let line_intersection t x dir =
+  let range = [| 0.0; 0.0 |] in
+  if line_intersection_into t x dir range then Some (range.(0), range.(1)) else None
 
 module Kernel = struct
   type cursor = {

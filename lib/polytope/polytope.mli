@@ -76,7 +76,16 @@ val sandwich : t -> (Vec.t * float * float) option
 val line_intersection : t -> Vec.t -> Vec.t -> (float * float) option
 (** [line_intersection p x dir]: the parameter interval [(tmin, tmax)]
     of [{t | x + t·dir ∈ p}], or [None] when empty.  Central to
-    hit-and-run sampling. *)
+    hit-and-run sampling.  A wrapper over {!line_intersection_into}. *)
+
+val line_intersection_into : t -> Vec.t -> Vec.t -> float array -> bool
+(** [line_intersection_into p x dir range]: the same chord, same
+    arithmetic, written to [range.(0)] ([tmin]) and [range.(1)]
+    ([tmax]) of a caller-owned buffer instead of an allocated option.
+    Returns [false] exactly when {!line_intersection} returns [None];
+    the buffer is written either way.  Allocation-free.
+    @raise Invalid_argument on dimension mismatch or a buffer shorter
+    than 2. *)
 
 (** Incremental walk kernel.
 

@@ -73,6 +73,67 @@ let sample ?monitor rng ~chord ~start ~steps =
   warn_stuck ~steps ~dim ~degenerate:!degenerate;
   !current
 
+(* Chord of [poly ∩ B(0, radius)] into [range]: the value of
+   [intersect_chords [polytope_chord poly; ball_chord ~centre:0 ~radius]]
+   with the same floating-point operations in the same order.  The
+   [x − 0] centring is exact, so [x] stands in for [delta]; the three
+   dot products accumulate index-ascending from [0.0] like [Vec.dot];
+   [intersect_chords]' identity fold-in of the polytope chord
+   ([Float.max neg_infinity tmin], [Float.min infinity tmax]) returns
+   its operand's bits and is elided. *)
+let ball_polytope_chord_into poly ~radius x dir range =
+  Polytope.line_intersection_into poly x dir range
+  && begin
+       let aa = ref 0.0 and xd = ref 0.0 and xx = ref 0.0 in
+       for i = 0 to Array.length dir - 1 do
+         let di = Array.unsafe_get dir i and xi = Array.unsafe_get x i in
+         aa := !aa +. (di *. di);
+         xd := !xd +. (xi *. di);
+         xx := !xx +. (xi *. xi)
+       done;
+       let a = !aa in
+       let b = 2.0 *. !xd in
+       let c = !xx -. (radius *. radius) in
+       let disc = (b *. b) -. (4.0 *. a *. c) in
+       if disc < 0.0 || a = 0.0 then false
+       else begin
+         let s = sqrt disc in
+         let lo = Float.max (Array.unsafe_get range 0) (((-.b) -. s) /. (2.0 *. a))
+         and hi = Float.min (Array.unsafe_get range 1) (((-.b) +. s) /. (2.0 *. a)) in
+         Array.unsafe_set range 0 lo;
+         Array.unsafe_set range 1 hi;
+         not (lo > hi)
+       end
+     end
+
+(* The volume estimator's phase walk: [sample] with the chord above,
+   advancing the caller's [pos] in place with caller-owned [dir] and
+   [range] scratch.  Same rng draws, same position update
+   ([Vec.axpy]'s [u·dir_i + x_i]) and same accounting as [sample], so
+   the two are interchangeable bit-for-bit. *)
+let phase_walk rng poly ~radius ~pos ~dir ~range ~steps =
+  Tel.Counter.incr tel_samples;
+  Tel.Counter.add tel_steps steps;
+  Progress.add_steps steps;
+  let dim = Vec.dim pos in
+  let degenerate = ref 0 in
+  for _ = 1 to steps do
+    Rng.unit_vector_into rng dir;
+    if ball_polytope_chord_into poly ~radius pos dir range then begin
+      let lo = Array.unsafe_get range 0 and hi = Array.unsafe_get range 1 in
+      if hi > lo && Float.is_finite lo && Float.is_finite hi then begin
+        let u = Rng.uniform rng lo hi in
+        for i = 0 to dim - 1 do
+          Array.unsafe_set pos i ((u *. Array.unsafe_get dir i) +. Array.unsafe_get pos i)
+        done
+      end
+      else incr degenerate
+    end
+    else incr degenerate
+  done;
+  Tel.Counter.add tel_degenerate !degenerate;
+  warn_stuck ~steps ~dim ~degenerate:!degenerate
+
 (* Polytope specialization on the incremental kernel: the cached-product
    cursor replaces the O(m·d) chord recomputation by one O(m·d) pass
    for A·dir plus an O(m) cache update, and the preallocated direction

@@ -26,6 +26,27 @@ val sample :
     [monitor] is attached, every step feeds it the current position and
     an accept (moved) or reject (degenerate chord) event. *)
 
+val phase_walk :
+  Rng.t ->
+  Polytope.t ->
+  radius:float ->
+  pos:Vec.t ->
+  dir:Vec.t ->
+  range:float array ->
+  steps:int ->
+  unit
+(** The multi-phase volume estimator's walk on [poly ∩ B(0, radius)]:
+    [steps] hit-and-run moves advancing [pos] in place, with [dir] (the
+    body's dimension) and [range] (length >= 2) as caller-owned
+    scratch.  Bit-identical to
+    [sample ~chord:(intersect_chords [polytope_chord poly; ball_chord
+    ~centre:0 ~radius]) ~start:pos] — same rng draws, positions,
+    telemetry, progress steps and stuck warning — without the per-step
+    allocation of the closure-built chord.  The chord arithmetic is
+    {!Polytope.line_intersection_into}'s, not the incremental cursor's,
+    whose cached products round differently.
+    @raise Invalid_argument on dimension mismatch. *)
+
 val sample_polytope :
   ?monitor:Scdb_diag.Diag.Monitor.t -> Rng.t -> Polytope.t -> start:Vec.t -> steps:int -> Vec.t
 (** Like [sample] with [polytope_chord], but runs on the incremental

@@ -25,23 +25,21 @@ let rec ball_volume ~dim ~radius =
   | 1 -> 2.0 *. radius
   | d -> ball_volume ~dim:(d - 2) ~radius *. 2.0 *. Float.pi *. radius *. radius /. float_of_int d
 
-(* Sample one point of [poly ∩ B(0, radius)], warm-started. *)
-let phase_sample rng ~sampler ~poly ~radius ~walk_steps ~grid_gamma start =
+(* Move the warm start [pos] in place to one point of
+   [poly ∩ B(0, radius)].  [dir] and [range] are the hit-and-run
+   walk's scratch, owned by the estimate. *)
+let phase_sample rng ~sampler ~poly ~radius ~walk_steps ~grid_gamma ~dir ~range pos =
   match sampler with
-  | Hit_and_run ->
-      let chord =
-        Hit_and_run.intersect_chords
-          [ Hit_and_run.polytope_chord poly; Hit_and_run.ball_chord ~centre:(Vec.create (Polytope.dim poly)) ~radius ]
-      in
-      Hit_and_run.sample rng ~chord ~start ~steps:walk_steps
+  | Hit_and_run -> Hit_and_run.phase_walk rng poly ~radius ~pos ~dir ~range ~steps:walk_steps
   | Grid_walk ->
       let dim = Polytope.dim poly in
       let grid = Grid.step_for ~gamma:grid_gamma ~dim ~scale:radius in
       let mem x = Polytope.mem poly x && Vec.norm x <= radius in
       (* The origin is interior (inscribed unit ball), so its lattice
          vertex is a valid start. *)
-      let start = if mem (Grid.round_to_grid grid start) then start else Vec.create dim in
-      Walk.sample rng ~grid ~mem ~start ~steps:walk_steps
+      let start = if mem (Grid.round_to_grid grid pos) then pos else Vec.create dim in
+      let p = Walk.sample rng ~grid ~mem ~start ~steps:walk_steps in
+      Array.blit p 0 pos 0 dim
 
 let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget = Rigorous)
     ?walk_steps ?rounding_rounds poly =
@@ -90,7 +88,7 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
         Trace.add_attr_int "samples_per_phase" samples_per_phase;
         Trace.add_attr_int "walk_steps" walk_steps;
         let product = ref 1.0 in
-        let start = ref (Vec.create d) in
+        let pos = Vec.create d and dir = Vec.create d and range = Array.make 2 0.0 in
         for i = 1 to q do
           let r_small = radius (i - 1) and r_big = Float.min rq (radius i) in
           let sp_phase = Trace.start "volume.phase" in
@@ -98,11 +96,9 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
           Trace.add_attr_float "radius" r_big;
           let hits = ref 0 in
           for _ = 1 to samples_per_phase do
-            let p =
-              phase_sample rng ~sampler ~poly:body ~radius:r_big ~walk_steps ~grid_gamma:eps !start
-            in
-            start := p;
-            if Vec.norm p <= r_small then incr hits
+            phase_sample rng ~sampler ~poly:body ~radius:r_big ~walk_steps ~grid_gamma:eps ~dir
+              ~range pos;
+            if Vec.norm pos <= r_small then incr hits
           done;
           (* The telescoping product needs every phase ratio ≥ ~1/2; a
              zero-hit phase means the walk never reached the inner ball

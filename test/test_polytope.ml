@@ -266,6 +266,52 @@ let kernel_tests =
           | Some _, false -> Alcotest.fail "kernel missed a chord"
           | None, true -> Alcotest.fail "kernel invented a chord"
         done);
+    t "line_intersection and line_intersection_into agree bitwise" (fun () ->
+        (* One chord implementation: the option-returning form is a
+           wrapper, so every endpoint — signed zeros and infinities
+           included — must carry the same bits, and an empty chord must
+           be [None] exactly when the buffer form returns [false]. *)
+        let bits = Int64.bits_of_float in
+        let same name poly x dir =
+          let range = [| nan; nan |] in
+          let hit = P.line_intersection_into poly x dir range in
+          match P.line_intersection poly x dir with
+          | Some (lo, hi) ->
+              Alcotest.(check bool) (name ^ ": non-empty") true hit;
+              Alcotest.(check int64) (name ^ ": tmin bits") (bits lo) (bits range.(0));
+              Alcotest.(check int64) (name ^ ": tmax bits") (bits hi) (bits range.(1))
+          | None -> Alcotest.(check bool) (name ^ ": empty") false hit
+        in
+        let square = P.cube 2 1.0 in
+        (* Parallel to the violated row x <= 1: empty, and no later row
+           may reopen it. *)
+        same "parallel violated" square [| 5.; 0. |] [| 0.; 1. |];
+        Alcotest.(check bool) "parallel violated is empty" false
+          (P.line_intersection_into square [| 5.; 0. |] [| 0.; 1. |] (Array.make 2 0.0));
+        (* Unbounded along dir on one side, then on both. *)
+        let half = P.make ~dim:2 [| [| 1.; 0. |] |] [| 1. |] in
+        same "one-sided" half [| 0.; 0. |] [| 1.; 0. |];
+        same "unbounded" half [| 0.; 0. |] [| 0.; 1. |];
+        let range = Array.make 2 0.0 in
+        Alcotest.(check bool) "unbounded is non-empty" true
+          (P.line_intersection_into half [| 0.; 0. |] [| 0.; 1. |] range);
+        Alcotest.(check bool) "unbounded endpoints" true
+          (range.(0) = neg_infinity && range.(1) = infinity);
+        (* Corner of the square along the anti-diagonal: tmin = tmax
+           (as -0 and +0). *)
+        same "tmin = tmax" square [| 1.; 1. |] [| 1.; -1. |];
+        Alcotest.(check bool) "point chord" true
+          (P.line_intersection_into square [| 1.; 1. |] [| 1.; -1. |] range
+          && range.(0) = range.(1));
+        let rng = Rng.create 23 in
+        let poly = ref (P.cube 4 1.0) in
+        for _ = 1 to 12 do
+          poly := P.add_halfspace !poly (Rng.unit_vector rng 4) 0.6
+        done;
+        for k = 1 to 200 do
+          let x = Array.init 4 (fun _ -> Rng.uniform rng (-1.5) 1.5) in
+          same (Printf.sprintf "random %d" k) !poly x (Rng.unit_vector rng 4)
+        done);
     t "cached products stay coherent across advances" (fun () ->
         let rng = Rng.create 22 in
         let poly = ref (P.cube 4 1.0) in

@@ -574,6 +574,246 @@ let kernel_tests =
         Alcotest.(check (float 0.1)) "mean y" 0.0 (!sy /. float_of_int n));
   ]
 
+(* The volume estimator's in-place phase walk against the loop it
+   replaced.  [Reference_volume] is a verbatim copy of the estimator's
+   hit-and-run path as it ran on the generic closure chord
+   ([HR.sample] over [intersect_chords [polytope_chord; ball_chord
+   ~centre:0]], a fresh position per sample), kept here as the oracle:
+   the in-place walk must make the same rng draws and return the same
+   volume bits, with the same telemetry, progress and warnings. *)
+module Reference_volume = struct
+  module Tel = Scdb_telemetry.Telemetry
+
+  (* Same names, hence the same registry entries, as [Volume]'s. *)
+  let tel_estimates = Tel.Counter.make "volume.estimates"
+  let tel_phases = Tel.Counter.make "volume.phases"
+  let tel_samples = Tel.Counter.make "volume.samples"
+  let tel_ratio = Tel.Histogram.make "volume.phase_ratio"
+
+  let phase_sample rng ~poly ~radius ~walk_steps start =
+    let chord =
+      HR.intersect_chords
+        [ HR.polytope_chord poly; HR.ball_chord ~centre:(Vec.create (P.dim poly)) ~radius ]
+    in
+    HR.sample rng ~chord ~start ~steps:walk_steps
+
+  let estimate rng ~samples_per_phase poly =
+    let d = P.dim poly in
+    match Ro.round rng poly with
+    | None -> None
+    | Some rounded ->
+        let body = rounded.Ro.rounded in
+        let r0 = rounded.Ro.r_inf and rq = rounded.Ro.r_sup in
+        let q =
+          if rq <= r0 then 0
+          else int_of_float (ceil (float_of_int d *. (log (rq /. r0) /. log 2.0)))
+        in
+        let radius i = r0 *. (2.0 ** (float_of_int i /. float_of_int d)) in
+        let walk_steps = HR.default_steps ~dim:d in
+        Tel.Counter.incr tel_estimates;
+        Tel.Counter.add tel_phases q;
+        Tel.Counter.add tel_samples (q * samples_per_phase);
+        let product = ref 1.0 in
+        let start = ref (Vec.create d) in
+        for i = 1 to q do
+          let r_small = radius (i - 1) and r_big = Float.min rq (radius i) in
+          let hits = ref 0 in
+          for _ = 1 to samples_per_phase do
+            let p = phase_sample rng ~poly:body ~radius:r_big ~walk_steps !start in
+            start := p;
+            if Vec.norm p <= r_small then incr hits
+          done;
+          let ratio =
+            if samples_per_phase = 0 then 1.0
+            else Float.max (float_of_int !hits /. float_of_int samples_per_phase) 1e-9
+          in
+          Tel.Histogram.observe tel_ratio ratio;
+          product := !product /. ratio
+        done;
+        let inner = Vol.ball_volume ~dim:d ~radius:r0 in
+        Some (inner *. !product /. Affine.volume_scale rounded.Ro.transform)
+end
+
+(* Everything a phase walk leaves behind besides its result: counter
+   totals, the phase-ratio histogram, progress steps and warnings, each
+   read from stores private to one run. *)
+type footprint = {
+  counters : (string * int option) list;
+  ratio_hist : int * float;
+  progress_steps : float;
+  warns : int;
+  stuck_warns : int;
+}
+
+let observed f =
+  let module Tel = Scdb_telemetry.Telemetry in
+  let module Log = Scdb_log.Log in
+  let module Progress = Scdb_progress.Progress in
+  let reg = Tel.Registry.create () in
+  let sink = Log.Sink.create ~stderr:false () in
+  let bus = Progress.Bus.create () in
+  let tel_was = Tel.enabled () and log_was = Log.enabled () and level_was = Log.level () in
+  Tel.set_enabled true;
+  Log.set_enabled true;
+  Log.set_level Log.Warn;
+  Fun.protect ~finally:(fun () ->
+      Tel.set_enabled tel_was;
+      Log.set_enabled log_was;
+      Log.set_level level_was)
+  @@ fun () ->
+  Tel.with_registry reg @@ fun () ->
+  Log.with_sink sink @@ fun () ->
+  Progress.with_bus bus @@ fun () ->
+  Progress.start ~rows:[| (0, "root", 0.0) |] ();
+  let r = Fun.protect ~finally:Progress.stop f in
+  let names =
+    [
+      "hit_and_run.samples"; "hit_and_run.steps"; "hit_and_run.chord_degenerate";
+      "volume.estimates"; "volume.phases"; "volume.samples";
+    ]
+  in
+  let contains needle line =
+    let n = String.length needle and l = String.length line in
+    let rec scan i = i + n <= l && (String.sub line i n = needle || scan (i + 1)) in
+    scan 0
+  in
+  ( r,
+    {
+      counters = List.map (fun n -> (n, Tel.counter_value ~reg n)) names;
+      ratio_hist =
+        (let h = Tel.Histogram.make "volume.phase_ratio" in
+         (Tel.Histogram.count h, Tel.Histogram.sum h));
+      progress_steps = Progress.Bus.steps bus;
+      warns = Log.Sink.warn_count sink;
+      stuck_warns =
+        List.length (List.filter (contains "hit_and_run.stuck") (Log.Sink.tail sink));
+    } )
+
+let check_footprint name (a : footprint) (b : footprint) =
+  List.iter2
+    (fun (n, x) (_, y) -> Alcotest.(check (option int)) (name ^ ": " ^ n) x y)
+    a.counters b.counters;
+  Alcotest.(check int) (name ^ ": phase ratios") (fst a.ratio_hist) (fst b.ratio_hist);
+  Alcotest.(check int64) (name ^ ": ratio sum bits")
+    (Int64.bits_of_float (snd a.ratio_hist))
+    (Int64.bits_of_float (snd b.ratio_hist));
+  Alcotest.(check (float 0.0)) (name ^ ": progress steps") a.progress_steps b.progress_steps;
+  Alcotest.(check int) (name ^ ": warnings") a.warns b.warns;
+  Alcotest.(check int) (name ^ ": stuck warnings") a.stuck_warns b.stuck_warns
+
+let fig1_tuples =
+  let formula =
+    "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+  in
+  let rel = Relation.of_formula ~dim:2 (Parser.parse ~vars:[ "x"; "y" ] formula) in
+  List.mapi
+    (fun i tuple -> (Printf.sprintf "fig1 tuple %d" i, P.of_tuple ~dim:2 tuple))
+    (Relation.tuples rel)
+
+let random_body () =
+  (* 6 cube facets + 14 random cuts = 20 halfspaces. *)
+  let rng = Rng.create 2020 in
+  let poly = ref (P.cube 3 1.0) in
+  for _ = 1 to 14 do
+    poly := P.add_halfspace !poly (Rng.unit_vector rng 3) 0.75
+  done;
+  !poly
+
+(* Reference phase loop and in-place phase walk over the same [steps]
+   from the origin, each on its own rng: minor words per step. *)
+let walk_words poly ~radius ~steps =
+  let d = P.dim poly in
+  let w0 = Gc.minor_words () in
+  ignore (Reference_volume.phase_sample (Rng.create 1) ~poly ~radius ~walk_steps:steps (Vec.create d));
+  let w1 = Gc.minor_words () in
+  HR.phase_walk (Rng.create 1) poly ~radius ~pos:(Vec.create d) ~dir:(Vec.create d)
+    ~range:(Array.make 2 0.0) ~steps;
+  let w2 = Gc.minor_words () in
+  ((w1 -. w0) /. float_of_int steps, (w2 -. w1) /. float_of_int steps)
+
+let phase_walk_tests =
+  [
+    t "in-place phase walk is bit-identical to the reference estimate" (fun () ->
+        let bodies =
+          [
+            ("simplex2", P.simplex 2); ("simplex3", P.simplex 3); ("simplex4", P.simplex 4);
+            ("simplex5", P.simplex 5); ("cube3", P.unit_cube 3);
+            ("cross3", P.cross_polytope 3 1.0); ("random20", random_body ());
+          ]
+          @ fig1_tuples
+        in
+        List.iter
+          (fun (name, poly) ->
+            List.iter
+              (fun seed ->
+                let name = Printf.sprintf "%s seed %d" name seed in
+                let n = 60 in
+                let rng_ref = Rng.create seed and rng_new = Rng.create seed in
+                let v_ref, fp_ref =
+                  observed (fun () -> Reference_volume.estimate rng_ref ~samples_per_phase:n poly)
+                in
+                let v_new, fp_new =
+                  observed (fun () ->
+                      Option.map
+                        (fun r -> r.Vol.volume)
+                        (Vol.estimate rng_new ~budget:(Vol.Practical n) poly))
+                in
+                (match (v_ref, v_new) with
+                | Some a, Some b ->
+                    Alcotest.(check int64) (name ^ ": volume bits") (Int64.bits_of_float a)
+                      (Int64.bits_of_float b)
+                | _ -> Alcotest.fail (name ^ ": estimation failed"));
+                Alcotest.(check int) (name ^ ": rng draws") (Rng.draw_count rng_ref)
+                  (Rng.draw_count rng_new);
+                check_footprint name fp_ref fp_new)
+              [ 1; 42; 2024 ])
+          bodies);
+    t "phase walk from outside the body stays put like the reference" (fun () ->
+        (* The box [2,3]×[0,1] misses B(0, 1), so the walked body is
+           empty: every chord through the outside start is degenerate,
+           neither walk moves, and both warn once. *)
+        let poly = P.box [| 2.0; 0.0 |] [| 3.0; 1.0 |] in
+        let start = [| 5.0; 5.0 |] in
+        let steps = 64 in
+        let rng_ref = Rng.create 9 and rng_new = Rng.create 9 in
+        let p_ref, fp_ref =
+          observed (fun () ->
+              Reference_volume.phase_sample rng_ref ~poly ~radius:1.0 ~walk_steps:steps start)
+        in
+        let pos = Vec.copy start in
+        let (), fp_new =
+          observed (fun () ->
+              HR.phase_walk rng_new poly ~radius:1.0 ~pos ~dir:(Vec.create 2)
+                ~range:(Array.make 2 0.0) ~steps)
+        in
+        Array.iteri
+          (fun i x ->
+            Alcotest.(check int64) (Printf.sprintf "coordinate %d bits" i)
+              (Int64.bits_of_float x) (Int64.bits_of_float pos.(i)))
+          p_ref;
+        Alcotest.(check (option int)) "every chord degenerate" (Some steps)
+          (List.assoc "hit_and_run.chord_degenerate" fp_new.counters);
+        Alcotest.(check int) "stuck warning" 1 fp_new.stuck_warns;
+        Alcotest.(check int) "rng draws" (Rng.draw_count rng_ref) (Rng.draw_count rng_new);
+        check_footprint "outside" fp_ref fp_new);
+    t "phase walk allocates 3x fewer minor words per step" (fun () ->
+        List.iter
+          (fun (name, poly, radius) ->
+            ignore (walk_words poly ~radius ~steps:100);
+            let w_ref, w_new = walk_words poly ~radius ~steps:20_000 in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %.1f -> %.1f words/step" name w_ref w_new)
+              true
+              (w_new *. 3.0 <= w_ref))
+          (List.map
+             (fun d ->
+               (* The rounded body holds the unit ball at the origin, so
+                  the walks start inside poly ∩ B(0, 2). *)
+               let rounded = Option.get (Ro.round (Rng.create 3) (P.simplex d)) in
+               (Printf.sprintf "simplex%d" d, rounded.Ro.rounded, 2.0))
+             [ 2; 4 ]));
+  ]
+
 (* The batched structure-of-arrays kernel: per-chain trajectories must
    be bit-identical to the single-chain incremental kernel (Compat
    direction mode), and the batched chord machinery must not allocate
@@ -727,6 +967,7 @@ let suites =
     ("sampling.walk", walk_tests);
     ("sampling.kernel", kernel_tests);
     ("sampling.batch", batch_tests);
+    ("sampling.phase_walk", phase_walk_tests);
     ("sampling.hit_and_run", hit_and_run_tests);
     ("sampling.rejection", rejection_tests);
     ("sampling.chernoff", chernoff_tests);
