@@ -35,7 +35,10 @@ check:
 # diagnostics), then a cost-model smoke: `spatialdb explain` of the
 # Figure 1 triangle plus a short progressed sample run, with the plan
 # JSON schema-validated and every executed node required to have a
-# finite actual/predicted ratio, then an observability smoke: a
+# finite actual/predicted ratio, and the plan the report ran must have
+# the node ids, ops and dims explain predicted (explain ≡ run, also on
+# a union whose segment tuple the run drops as lower-dimensional),
+# then an observability smoke: a
 # recorded sample run with structured logging and a Prometheus
 # snapshot, both validated, and the flight record replayed
 # bit-for-bit.  A second recorded run drives the batched multi-chain
@@ -83,6 +86,14 @@ ci: check
 	  --progress > /dev/null
 	dune exec bench/validate_plan.exe -- --plan _build/plan_smoke.json \
 	  --report _build/report_smoke.json
+	dune exec bin/spatialdb.exe -- explain --vars x,y \
+	  --formula "(0 <= x and x <= 1 and y = 0) or (0 <= x and x <= 1 and 0 <= y and y <= 1)" \
+	  --task report --format json > _build/plan_lowdim.json
+	dune exec bin/spatialdb.exe -- report --vars x,y \
+	  --formula "(0 <= x and x <= 1 and y = 0) or (0 <= x and x <= 1 and 0 <= y and y <= 1)" \
+	  --seed 42 -o _build/report_lowdim.json
+	dune exec bench/validate_plan.exe -- --plan _build/plan_lowdim.json \
+	  --report _build/report_lowdim.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 -n 5 \
 	  --log-level debug --log-out _build/ci_log.jsonl \

@@ -13,10 +13,14 @@
    - with --report, the report document must be spatialdb-report/4 and
      every cost_attribution row for a node that ran (actual > 0) must
      carry a finite positive ratio — a NaN serializes as null and
-     fails, and a missing ratio key fails.
+     fails, and a missing ratio key fails;
+   - with both, the plan the report embeds (the plan that ran) must
+     have the same node ids, ops and dims as the plan file (the plan
+     `spatialdb explain` predicted).
 
-   `make ci` runs this on a fresh `spatialdb explain` plan of the
-   Figure 1 triangle plus the smoke report. *)
+   `make ci` runs this on fresh `spatialdb explain` plans and reports
+   of the Figure 1 triangle and of a union with a lower-dimensional
+   tuple. *)
 
 module J = Scdb_trace.Json_min
 module Plan = Scdb_plan.Plan
@@ -36,13 +40,14 @@ let read_file file =
   close_in ic;
   s
 
+let parse_plan file doc =
+  match Plan.of_json doc with Ok p -> p | Error m -> fail "%s: %s" file m
+
 let check_plan file =
   let doc =
     try J.parse (read_file file) with J.Parse_error m -> fail "%s: invalid JSON: %s" file m
   in
-  let plan =
-    match Plan.of_json doc with Ok p -> p | Error m -> fail "%s: %s" file m
-  in
+  let plan = parse_plan file doc in
   if plan.Plan.node_count < 1 then fail "%s: empty plan" file;
   if not (Float.is_finite plan.Plan.total_work && plan.Plan.total_work > 0.0) then
     fail "%s: total_work %g is not finite positive" file plan.Plan.total_work;
@@ -55,7 +60,8 @@ let check_plan file =
   if plan.Plan.budgets.(plan.Plan.root.Plan.id) <= 0.0 then
     fail "%s: root budget is not positive" file;
   Printf.printf "validate_plan: %s ok (%d nodes, total predicted work %g)\n" file
-    plan.Plan.node_count plan.Plan.total_work
+    plan.Plan.node_count plan.Plan.total_work;
+  (file, plan)
 
 let check_report file =
   let doc =
@@ -86,7 +92,26 @@ let check_report file =
     rows;
   if !executed = 0 then fail "%s: no cost_attribution row has actual > 0" file;
   Printf.printf "validate_plan: %s attribution ok (%d rows, %d executed)\n" file
-    (List.length rows) !executed
+    (List.length rows) !executed;
+  (file, parse_plan (file ^ " plan") (get "plan" (J.member "plan" doc)))
+
+(* Node ids, ops and dims in id order: the shape explain predicted must
+   be the shape that ran. *)
+let shape plan =
+  let nodes = ref [] in
+  Plan.iter_nodes
+    (fun n -> nodes := (n.Plan.id, Plan.op_name n.Plan.op, n.Plan.dim) :: !nodes)
+    plan;
+  List.sort compare !nodes
+
+let check_same_plan (plan_file, predicted) (report_file, ran) =
+  let show (id, op, dim) = Printf.sprintf "#%d %s dim=%d" id op dim in
+  let render nodes = String.concat ", " (List.map show nodes) in
+  let a = shape predicted and b = shape ran in
+  if a <> b then
+    fail "%s plans [%s] but %s ran [%s]" plan_file (render a) report_file (render b);
+  Printf.printf "validate_plan: %s matches the plan %s ran (%d nodes)\n" plan_file report_file
+    (List.length a)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -99,5 +124,6 @@ let () =
   let report = after "--report" args in
   if plan = None && report = None then
     fail "usage: validate_plan --plan FILE [--report FILE]";
-  Option.iter check_plan plan;
-  Option.iter check_report report
+  match (Option.map check_plan plan, Option.map check_report report) with
+  | Some predicted, Some ran -> check_same_plan predicted ran
+  | _ -> ()

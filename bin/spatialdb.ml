@@ -91,15 +91,11 @@ let usage_die what got valid =
     (String.concat ", " valid);
   exit 2
 
-let methods = [ "walk"; "grid"; "rejection" ]
-
 let check_method m =
-  if not (List.mem m methods) then usage_die "method" m methods
-
-let engines = [ "interp"; "vm"; "vm-opt" ]
+  if not (List.mem m Flight.methods) then usage_die "method" m Flight.methods
 
 let check_engine e =
-  if not (List.mem e engines) then usage_die "engine" e engines
+  if not (List.mem e Flight.engines) then usage_die "engine" e Flight.engines
 
 let engine_arg =
   let doc =
@@ -217,19 +213,9 @@ let setup_obs o =
       if o.metrics_interval > 0.0 then
         Metrics.start_periodic ~path ~interval_s:o.metrics_interval
 
-let split_vars s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
-
 let parse_relation vars_s formula =
-  let vars = split_vars vars_s in
-  if vars = [] then Error "no variables given"
-  else begin
-    match Parser.parse ~vars formula with
-    | f ->
-        let f = if Formula.is_quantifier_free f then f else FM.eliminate f in
-        Ok (vars, Relation.of_formula ~dim:(List.length vars) f)
-    | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-    | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m)
-  end
+  let vars = Flight.split_vars vars_s in
+  (vars, or_die (Flight.parse_relation ~vars formula))
 
 (* ---------------- sample ---------------- *)
 
@@ -312,7 +298,9 @@ let sample_cmd =
       Log.set_enabled true;
       Log.set_level Log.Warn
     end;
-    let args = { Flight.vars = split_vars vars_s; formula; n; seed; eps; delta; method_; engine } in
+    let args =
+      { Flight.vars = Flight.split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
+    in
     let track = record <> None || record_anomaly <> None in
     let emit_points (outcome : Flight.outcome) =
       List.iter
@@ -481,7 +469,7 @@ let volume_cmd =
   let run vars_s formula mode seed eps delta stats stats_out o progress overrun_factor =
     enable_stats ?stats_out stats;
     setup_obs o;
-    let _, relation = or_die (parse_relation vars_s formula) in
+    let _, relation = parse_relation vars_s formula in
     let rng = Rng.create seed in
     match mode with
     | "exact" -> (
@@ -494,7 +482,7 @@ let volume_cmd =
           Scdb_gis.Plan_exec.observable_of_relation ~gamma:Flight.gamma ~eps ~delta
             ~task:Scdb_plan.Plan.Volume rng relation
         with
-        | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
+        | None -> or_die (Error Flight.empty_relation)
         | Some (plan, obs) -> (
             if progress then begin
               Scdb_gis.Plan_exec.arm ~overrun_factor plan;
@@ -527,15 +515,10 @@ let volume_cmd =
 
 let qe_cmd =
   let run vars_s formula =
-    let vars = split_vars vars_s in
-    match Parser.parse ~vars formula with
-    | f ->
-        let g = FM.eliminate f in
-        let name i = try List.nth vars i with _ -> Printf.sprintf "x%d" i in
-        Format.printf "%a@." (Formula.pp_named name) g
-    | exception Parser.Parse_error m -> or_die (Error ("parse error: " ^ m))
-    | exception Lexer.Lex_error (m, pos) ->
-        or_die (Error (Printf.sprintf "lex error at %d: %s" pos m))
+    let vars = Flight.split_vars vars_s in
+    let g = FM.eliminate (or_die (Flight.parse_formula ~vars formula)) in
+    let name i = try List.nth vars i with _ -> Printf.sprintf "x%d" i in
+    Format.printf "%a@." (Formula.pp_named name) g
   in
   let doc = "Eliminate quantifiers (Fourier-Motzkin with LP pruning) and print the result." in
   Cmd.v (Cmd.info "qe" ~doc) Term.(const run $ vars_arg $ formula_arg)
@@ -548,15 +531,13 @@ let reconstruct_cmd =
   in
   let run vars_s formula n seed stats stats_out =
     enable_stats ?stats_out stats;
-    let vars, relation = or_die (parse_relation vars_s formula) in
+    let vars, relation = parse_relation vars_s formula in
     if List.length vars <> 2 then or_die (Error "reconstruct prints polygons: exactly 2 variables required");
     let rng = Rng.create seed in
     let pieces =
-      List.filter_map
-        (fun tuple ->
-          Convex_obs.make ~config:Convex_obs.practical_config rng
-            (Relation.make ~dim:2 [ tuple ]))
-        (Relation.tuples relation)
+      List.map
+        (fun (_, p) -> Convex_obs.observe p)
+        (Convex_obs.prepare_tuples ~config:Convex_obs.practical_config rng relation)
     in
     if pieces = [] then or_die (Error "no full-dimensional convex piece to reconstruct");
     let r = Reconstruct.union_estimate rng pieces ~n in
@@ -608,7 +589,7 @@ let report_cmd =
     check_engine engine;
     if not (List.mem format [ "json"; "trace"; "tree" ]) then
       usage_die "format" format [ "json"; "trace"; "tree" ];
-    let vars = split_vars vars_s in
+    let vars = Flight.split_vars vars_s in
     let report =
       or_die
         (Scdb_gis.Report.generate ~eps ~delta ~samples:n ~chains ~progress ~overrun_factor
@@ -731,7 +712,7 @@ let audit_cmd =
     let mode = if jobs_mode = "seq" then A.Seq else A.Domains in
     enable_stats ?stats_out stats;
     setup_obs o;
-    let vars, relation = or_die (parse_relation vars_s formula) in
+    let vars, relation = parse_relation vars_s formula in
     let a =
       or_die
         (A.run ~gamma ~jobs ~mode ~confidence ~oracle:oracle_v ?walk_steps ?phase_samples
@@ -795,13 +776,13 @@ let profile_cmd =
   in
   let run vars_s formula n seed eps delta method_ engine mode_s out top stats stats_out o =
     check_method method_;
-    if not (List.mem engine [ "vm"; "vm-opt" ]) then
-      usage_die "engine" engine [ "vm"; "vm-opt" ];
+    let compiled = List.filter (( <> ) "interp") Flight.engines in
+    if not (List.mem engine compiled) then usage_die "engine" engine compiled;
     let mode = profile_mode_of_string mode_s in
     enable_stats ?stats_out stats;
     setup_obs o;
     let args =
-      { Flight.vars = split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
+      { Flight.vars = Flight.split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
     in
     let outcome = or_die (Flight.run ~profile_mode:mode args) in
     let plan = outcome.Flight.plan in
@@ -943,35 +924,25 @@ let status_cmd =
 
 let plan_cmd =
   let run vars_s formula eps delta =
-    let vars = split_vars vars_s in
-    (* Wrap the bare formula as a single-relation database so the
-       planner's cost model applies. *)
-    match Parser.parse ~vars formula with
-    | exception Parser.Parse_error m -> or_die (Error ("parse error: " ^ m))
-    | f ->
-        let module Gis = Scdb_gis in
-        let free_dim = List.length vars in
-        let qf = if Formula.is_quantifier_free f then f else f in
-        let schema = Gis.Schema.of_list [ ("Q", free_dim) ] in
-        let inst =
-          match Formula.is_quantifier_free qf with
-          | true -> Gis.Instance.set (Gis.Instance.create schema) "Q" (Relation.of_formula ~dim:free_dim qf)
-          | false ->
-              Gis.Instance.set (Gis.Instance.create schema) "Q"
-                (Relation.of_formula ~dim:free_dim (Scdb_qe.Fourier_motzkin.eliminate qf))
-        in
-        let query = Gis.Query.rel "Q" (List.init free_dim Fun.id) in
-        let est = Gis.Planner.plan ~eps ~delta inst ~free_dim query in
-        let strategy =
-          match est.Gis.Planner.strategy with
-          | Gis.Planner.Use_exact -> "exact (symbolic QE + Lasserre volume)"
-          | Gis.Planner.Use_grid g -> Printf.sprintf "grid (gamma = %g)" g
-          | Gis.Planner.Use_sampling { eps; delta } ->
-              Printf.sprintf "sampling (eps = %g, delta = %g)" eps delta
-        in
-        Printf.printf "strategy      : %s\n" strategy;
-        Printf.printf "predicted cost: %.3g work units\n" est.Gis.Planner.predicted_cost;
-        Printf.printf "reason        : %s\n" est.Gis.Planner.reason
+    let vars, relation = parse_relation vars_s formula in
+    (* Wrap the relation as a single-relation database so the planner's
+       cost model applies. *)
+    let module Gis = Scdb_gis in
+    let free_dim = List.length vars in
+    let schema = Gis.Schema.of_list [ ("Q", free_dim) ] in
+    let inst = Gis.Instance.set (Gis.Instance.create schema) "Q" relation in
+    let query = Gis.Query.rel "Q" (List.init free_dim Fun.id) in
+    let est = Gis.Planner.plan ~eps ~delta inst ~free_dim query in
+    let strategy =
+      match est.Gis.Planner.strategy with
+      | Gis.Planner.Use_exact -> "exact (symbolic QE + Lasserre volume)"
+      | Gis.Planner.Use_grid g -> Printf.sprintf "grid (gamma = %g)" g
+      | Gis.Planner.Use_sampling { eps; delta } ->
+          Printf.sprintf "sampling (eps = %g, delta = %g)" eps delta
+    in
+    Printf.printf "strategy      : %s\n" strategy;
+    Printf.printf "predicted cost: %.3g work units\n" est.Gis.Planner.predicted_cost;
+    Printf.printf "reason        : %s\n" est.Gis.Planner.reason
   in
   let doc = "Show which evaluation strategy the cost model would choose for the formula." in
   Cmd.v (Cmd.info "plan" ~doc) Term.(const run $ vars_arg $ formula_arg $ eps_arg $ delta_arg)
@@ -1011,33 +982,27 @@ let explain_cmd =
       | "report" -> Scdb_plan.Plan.Report n
       | t -> usage_die "task" t [ "sample"; "volume"; "report" ]
     in
-    let _, relation = or_die (parse_relation vars_s formula) in
-    let sampler =
-      match method_ with
-      | "grid" -> Convex_obs.Grid_walk
-      | "rejection" -> Convex_obs.Rejection_box
-      | _ -> Convex_obs.Hit_and_run
-    in
-    let config = { Convex_obs.practical_config with Convex_obs.sampler } in
+    let _, relation = parse_relation vars_s formula in
+    let config = or_die (Flight.config_of_method method_) in
     if format = "program" then begin
       (* Lowering needs the prepared pieces (the rng-consuming rounding
          half), so this format takes the seed the run would use. *)
       let task = (match task with Scdb_plan.Plan.Volume -> Scdb_plan.Plan.Sample n | t -> t) in
       let rng = Rng.create seed in
-      let optimize = engine = "vm-opt" in
       match
-        Scdb_gis.Plan_exec.compiled_of_relation ~config ~optimize ~gamma:Flight.gamma ~eps
-          ~delta ~task rng relation
+        Scdb_gis.Plan_exec.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task rng relation
       with
-      | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
-      | Some (_, Error m) -> or_die (Error ("plan does not compile: " ^ m))
-      | Some (_, Ok prog) -> print_string (Scdb_vm.Vm.disassemble prog)
+      | None -> or_die (Error Flight.empty_relation)
+      | Some prepared -> (
+          match Scdb_gis.Plan_exec.compile ~optimize:(engine = "vm-opt") prepared with
+          | Error m -> or_die (Error ("plan does not compile: " ^ m))
+          | Ok prog -> print_string (Scdb_vm.Vm.disassemble prog))
     end
     else
       match
         Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation
       with
-      | None -> or_die (Error "relation is empty, unbounded or lower-dimensional")
+      | None -> or_die (Error Flight.empty_relation)
       | Some plan ->
           print_string
             (match format with

@@ -130,3 +130,11 @@ let prepare_relation ?config rng relation =
   | _ -> invalid_arg "Convex_obs.make: relation must be a single generalized tuple"
 
 let make ?config rng relation = Option.map observe (prepare_relation ?config rng relation)
+
+let prepare_tuples ?config rng relation =
+  let dim = Relation.dim relation in
+  List.filter_map
+    (fun tuple ->
+      prepare_relation ?config rng (Relation.make ~dim [ tuple ])
+      |> Option.map (fun p -> (tuple, p)))
+    (Relation.tuples relation)

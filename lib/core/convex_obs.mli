@@ -72,6 +72,12 @@ val prepare_relation : ?config:config -> Rng.t -> Relation.t -> prepared option
 (** [prepare] for a single-tuple relation, mirroring {!make}.
     @raise Invalid_argument if the relation has more than one tuple. *)
 
+val prepare_tuples : ?config:config -> Rng.t -> Relation.t -> (Dnf.tuple * prepared) list
+(** {!prepare_relation} on each generalized tuple of a relation, in
+    tuple order, one shared rng: the tuples that survive paired with
+    their pieces.  The per-tuple loop every relation-level generator
+    (interpreter, VM, GIS evaluator) is built from. *)
+
 val observe : prepared -> Observable.t
 (** Build the interpreted observable over a prepared piece.  Pure — no
     rng draws. *)

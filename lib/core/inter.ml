@@ -46,9 +46,9 @@ let inter ?(poly_degree = 3) children =
     Tel.Counter.incr tel_samples;
     Trace.add_attr_int "operands" m;
     let gamma = Params.gamma params in
-    let eps3 = Params.eps params /. 3.0 in
     let delta = Params.delta params in
-    let j, _ = smallest rng ~gamma ~eps:eps3 ~delta:(delta /. float_of_int (4 * m)) in
+    let eps3, sub_delta = Scdb_plan.Cost.child_grant ~m ~eps:(Params.eps params) ~delta in
+    let j, _ = smallest rng ~gamma ~eps:eps3 ~delta:sub_delta in
     let budget = budget_for ~dim ~poly_degree ~delta in
     let rec attempt k =
       if k = 0 then begin

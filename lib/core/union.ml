@@ -51,9 +51,8 @@ let union children =
     Tel.Counter.incr tel_samples;
     Trace.add_attr_int "operands" m;
     let gamma = Params.gamma params in
-    let eps3 = Params.eps params /. 3.0 in
     let delta = Params.delta params in
-    let sub_delta = delta /. float_of_int (4 * m) in
+    let eps3, sub_delta = Scdb_plan.Cost.child_grant ~m ~eps:(Params.eps params) ~delta in
     let mu = volumes rng ~gamma ~eps:eps3 ~delta:sub_delta in
     if Array.for_all (fun v -> v <= 0.0) mu then None
     else begin
@@ -94,8 +93,8 @@ let union children =
     Trace.add_attr_int "operands" m;
     Trace.add_attr_float "eps" eps;
     Trace.add_attr_float "delta" delta;
-    let eps3 = eps /. 3.0 in
-    let mu = volumes rng ~gamma ~eps:eps3 ~delta:(delta /. float_of_int (4 * m)) in
+    let eps3, sub_delta = Scdb_plan.Cost.child_grant ~m ~eps ~delta in
+    let mu = volumes rng ~gamma ~eps:eps3 ~delta:sub_delta in
     let total = Array.fold_left ( +. ) 0.0 mu in
     if total <= 0.0 then 0.0
     else begin

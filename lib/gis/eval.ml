@@ -18,13 +18,10 @@ let symbolic inst ~free_dim q =
   Relation.of_formula ~dim:free_dim f
 
 let observable_of_relation ?config rng r =
-  let dim = Relation.dim r in
-  let pieces =
-    List.filter_map
-      (fun tuple -> Convex_obs.make ?config rng (Relation.make ~dim [ tuple ]))
-      (Relation.tuples r)
-  in
-  match pieces with [] -> None | [ one ] -> Some one | many -> Some (Union.union many)
+  match List.map (fun (_, p) -> Convex_obs.observe p) (Convex_obs.prepare_tuples ?config rng r) with
+  | [] -> None
+  | [ one ] -> Some one
+  | many -> Some (Union.union many)
 
 (* ------------------------------------------------------------------ *)
 (* Normalization of queries into disjuncts of                          *)
@@ -81,6 +78,14 @@ let membership_only r =
       raise (Observable.Estimation_failed "membership-only observable"))
     ()
 
+(* π onto the free coordinates of each convex tuple that projects
+   (π distributes over ∪). *)
+let project_tuples rng ~free_dim r =
+  let keep = List.init free_dim Fun.id in
+  List.filter_map
+    (fun tuple -> Project.project rng (Polytope.of_tuple ~dim:(Relation.dim r) tuple) ~keep)
+    (Relation.tuples r)
+
 let compile_piece ?config ?poly_degree rng inst ~free_dim piece =
   (* Rename the piece's quantified variables to free_dim, free_dim+1, … *)
   let evars = piece.evars in
@@ -107,17 +112,8 @@ let compile_piece ?config ?poly_degree rng inst ~free_dim piece =
       | Some o -> o
       | None -> raise (Unsupported "piece is empty or unbounded"))
   | [] ->
-      (* Positive existential piece: project each convex tuple and take
-         the union (π distributes over ∪). *)
-      let keep = List.init free_dim Fun.id in
-      let projections =
-        List.filter_map
-          (fun tuple ->
-            let poly = Polytope.of_tuple ~dim:ambient tuple in
-            Project.project rng poly ~keep)
-          (Relation.tuples pos_relation)
-      in
-      (match projections with
+      (* Positive existential piece: the union of the projected tuples. *)
+      (match project_tuples rng ~free_dim pos_relation with
       | [] -> raise (Unsupported "no projectable tuple (empty or unbounded piece)")
       | [ one ] -> one
       | many -> Union.union many)
@@ -175,15 +171,10 @@ let reconstruct ?config ?(samples_per_piece = 150) rng inst ~free_dim q =
                 in
                 let f = Formula.rename (Formula.conj (List.map (unfold inst) piece.pos)) renaming in
                 let r = Relation.of_formula ~dim:ambient f in
-                List.filter_map
-                  (fun tuple ->
-                    if evars = [] then
-                      Convex_obs.make ?config rng (Relation.make ~dim:ambient [ tuple ])
-                    else begin
-                      let poly = Polytope.of_tuple ~dim:ambient tuple in
-                      Project.project rng poly ~keep:(List.init free_dim Fun.id)
-                    end)
-                  (Relation.tuples r))
+                if evars = [] then
+                  Convex_obs.prepare_tuples ?config rng r
+                  |> List.map (fun (_, p) -> Convex_obs.observe p)
+                else project_tuples rng ~free_dim r)
               pieces
           in
           if piece_observables = [] then Error "no non-empty convex piece to reconstruct"

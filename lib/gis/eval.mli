@@ -22,9 +22,10 @@ val symbolic : Instance.t -> free_dim:int -> Query.t -> Relation.t
 
 val observable_of_relation :
   ?config:Convex_obs.config -> Rng.t -> Relation.t -> Observable.t option
-(** Union of per-tuple DFK observables (empty / lower-dimensional
-    tuples are dropped); [None] when nothing full-dimensional
-    remains. *)
+(** Union of per-tuple DFK observables over
+    {!Convex_obs.prepare_tuples} — the preparation {!Plan_exec.prepare}
+    runs, without plan tags (empty / lower-dimensional tuples are
+    dropped); [None] when nothing full-dimensional remains. *)
 
 val compile :
   ?config:Convex_obs.config ->

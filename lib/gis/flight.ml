@@ -1,4 +1,5 @@
 module FM = Scdb_qe.Fourier_motzkin
+module Trace = Scdb_trace.Trace
 module Tel = Scdb_telemetry.Telemetry
 module Log = Scdb_log.Log
 module Flightrec = Scdb_log.Flightrec
@@ -29,86 +30,100 @@ let ( let* ) = Result.bind
    so it lives here rather than in bin/. *)
 let gamma = 0.05
 
-let sampler_of_method = function
-  | "walk" -> Ok Convex_obs.Hit_and_run
-  | "grid" -> Ok Convex_obs.Grid_walk
-  | "rejection" -> Ok Convex_obs.Rejection_box
-  | m -> Error ("unknown method " ^ m)
+let samplers =
+  [ ("walk", Convex_obs.Hit_and_run); ("grid", Convex_obs.Grid_walk);
+    ("rejection", Convex_obs.Rejection_box) ]
 
-let check_engine = function
-  | ("interp" | "vm" | "vm-opt") as e -> Ok e
-  | e -> Error ("unknown engine " ^ e)
+let methods = List.map fst samplers
+let engines = [ "interp"; "vm"; "vm-opt" ]
 
-let parse_relation a =
-  if a.vars = [] then Error "no variables given"
-  else begin
-    match Parser.parse ~vars:a.vars a.formula with
-    | f ->
-        let f = if Formula.is_quantifier_free f then f else FM.eliminate f in
-        Ok (Relation.of_formula ~dim:(List.length a.vars) f)
-    | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-    | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m)
-  end
+let config_of_method m =
+  match List.assoc_opt m samplers with
+  | Some sampler -> Ok { Convex_obs.practical_config with Convex_obs.sampler }
+  | None -> Error ("unknown method " ^ m)
+
+let check_engine e = if List.mem e engines then Ok e else Error ("unknown engine " ^ e)
+
+let split_vars s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
+
+let empty_relation = "relation is empty, unbounded or lower-dimensional"
+
+let parse_formula ~vars text =
+  Trace.span "formula.parse" @@ fun () ->
+  match Parser.parse ~vars text with
+  | f -> Ok f
+  | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
+  | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m)
+
+let parse_relation ~vars text =
+  if vars = [] then Error "no variables given"
+  else
+    let* f = parse_formula ~vars text in
+    let f =
+      if Formula.is_quantifier_free f then f
+      else Trace.span "qe.eliminate" (fun () -> FM.eliminate f)
+    in
+    Ok (Relation.of_formula ~dim:(List.length vars) f)
+
+type engine = {
+  draw : Rng.t -> int -> Vec.t list;
+  observable : Observable.t;
+  program : Scdb_vm.Vm.t option;
+  profile : Scdb_profile.Profile.t option;
+}
+
+let start_engine ?profile_mode ~engine ~eps ~delta prepared =
+  match engine with
+  | "interp" ->
+      let obs = Plan_exec.observe prepared in
+      let params = Params.make ~gamma ~eps ~delta () in
+      let draw rng n = Observable.sample_many obs rng params ~n in
+      Ok { draw; observable = obs; program = None; profile = None }
+  | _ -> (
+      match Plan_exec.compile ~optimize:(engine = "vm-opt") prepared with
+      | Error m -> Error ("plan does not compile: " ^ m)
+      | Ok prog ->
+          let profile =
+            Option.map (fun mode -> Scdb_profile.Profile.create ~mode prog) profile_mode
+          in
+          let draw =
+            match profile with
+            | None -> fun rng n -> Scdb_vm.Vm.sample_many prog rng ~n
+            | Some pr -> fun rng n -> Scdb_profile.Profile.sample_many pr rng ~n
+          in
+          Ok { draw; observable = Scdb_vm.Vm.mirror prog; program = Some prog; profile })
 
 let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
-  let* sampler = sampler_of_method a.method_ in
+  let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
   let* () =
     if profile_mode <> None && engine = "interp" then
       Error "profiling requires a compiled engine (--engine vm or vm-opt)"
     else Ok ()
   in
-  let* relation = parse_relation a in
+  let* relation = parse_relation ~vars:a.vars a.formula in
   if track then begin
     Rng.Provenance.reset ();
     Rng.Provenance.set_tracking true
   end;
   let rng = Rng.create a.seed in
-  let config = { Convex_obs.practical_config with Convex_obs.sampler } in
   let task = Scdb_plan.Plan.Sample a.n in
-  (* Both engines share the parse, the preprocessing rng draws and the
+  (* Every engine shares the parse, the preprocessing rng draws and the
      plan; they differ only in how the n draws are executed. *)
-  let built =
-    match engine with
-    | "interp" -> (
-        match
-          Plan_exec.observable_of_relation ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng
-            relation
-        with
-        | None -> Error "relation is empty, unbounded or lower-dimensional"
-        | Some (plan, obs) ->
-            let params = Params.make ~gamma ~eps:a.eps ~delta:a.delta () in
-            Ok (plan, None, None, fun () -> Observable.sample_many obs rng params ~n:a.n))
-    | _ -> (
-        let optimize = engine = "vm-opt" in
-        match
-          Plan_exec.compiled_of_relation ~config ~optimize ~gamma ~eps:a.eps ~delta:a.delta
-            ~task rng relation
-        with
-        | None -> Error "relation is empty, unbounded or lower-dimensional"
-        | Some (_, Error m) -> Error ("plan does not compile: " ^ m)
-        | Some (plan, Ok prog) -> (
-            match profile_mode with
-            | None ->
-                Ok (plan, Some prog, None, fun () -> Scdb_vm.Vm.sample_many prog rng ~n:a.n)
-            | Some mode ->
-                let pr = Scdb_profile.Profile.create ~mode prog in
-                Ok
-                  ( plan,
-                    Some prog,
-                    Some pr,
-                    fun () -> Scdb_profile.Profile.sample_many pr rng ~n:a.n )))
+  let* prepared =
+    Option.to_result ~none:empty_relation
+      (Plan_exec.prepare ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng relation)
   in
-  let* plan, program, profile, draw = built in
+  let* e = start_engine ?profile_mode ~engine ~eps:a.eps ~delta:a.delta prepared in
+  let plan = prepared.Plan_exec.plan in
   (* Profiled runs arm the bus even without --progress so the per-node
      actual column of the attribution table is populated; the stderr
      ticker is separate so a contexted job can arm its bus for the
      status view without fighting over the terminal. *)
-  if progress || profile <> None then Plan_exec.arm ?overrun_factor plan;
+  let armed = progress || e.profile <> None in
+  if armed then Plan_exec.arm ?overrun_factor plan;
   if ticker then Scdb_progress.Progress.start_ticker ();
-  let finish_progress () =
-    if progress || profile <> None then Scdb_progress.Progress.stop ()
-  in
+  let finish_progress () = if armed then Scdb_progress.Progress.stop () in
   if Log.would_log Log.Info then
     Log.info "sample.run"
       [
@@ -120,13 +135,13 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
         Log.float "eps" a.eps;
         Log.float "delta" a.delta;
       ];
-  match draw () with
+  match e.draw rng a.n with
   | points ->
       finish_progress ();
       if Log.would_log Log.Info then
         Log.info "sample.done"
           [ Log.int "points" (List.length points); Log.int "draws" (Rng.draw_count rng) ];
-      Ok { points; relation; rng; plan; program; profile }
+      Ok { points; relation; rng; plan; program = e.program; profile = e.profile }
   | exception Observable.Estimation_failed m ->
       finish_progress ();
       Error m
@@ -172,9 +187,7 @@ let args_of_flightrec (r : Flightrec.t) =
   let* n = Option.to_result ~none:"malformed n" (int_of_string_opt n_s) in
   let* eps = Option.to_result ~none:"malformed eps" (float_of_string_opt eps_s) in
   let* delta = Option.to_result ~none:"malformed delta" (float_of_string_opt delta_s) in
-  let vars =
-    String.split_on_char ',' vars_s |> List.map String.trim |> List.filter (( <> ) "")
-  in
+  let vars = split_vars vars_s in
   let method_ = Option.value ~default:"walk" (Flightrec.arg r "method") in
   let engine = Option.value ~default:"interp" (Flightrec.arg r "engine") in
   Ok { vars; formula; n; seed = r.Flightrec.seed; eps; delta; method_; engine }

@@ -28,6 +28,66 @@ val gamma : float
 (** The CLI's fixed grid parameter (0.05): replay and the cost model
     must reproduce it exactly, so it lives here rather than in bin/. *)
 
+(** {2 The front door}
+
+    The one vocabulary and parser every entry point ([sample],
+    [report], [explain], [volume], [audit], …) goes through. *)
+
+val methods : string list
+(** The per-piece samplers: [walk], [grid], [rejection]. *)
+
+val engines : string list
+(** [interp], [vm], [vm-opt]. *)
+
+val config_of_method : string -> (Convex_obs.config, string) result
+(** {!Convex_obs.practical_config} with the named sampler;
+    [Error "unknown method …"] outside {!methods}. *)
+
+val check_engine : string -> (string, string) result
+(** [Error "unknown engine …"] outside {!engines}. *)
+
+val split_vars : string -> string list
+(** The comma-separated [--vars] form: ["x, y,z"] → [["x"; "y"; "z"]]. *)
+
+val empty_relation : string
+(** The error every entry point reports when no tuple survives
+    preparation. *)
+
+val parse_formula : vars:string list -> string -> (Formula.t, string) result
+(** Parse FO+LIN source over [vars] inside a [formula.parse] trace
+    span; parse and lex errors become [Error] messages. *)
+
+val parse_relation : vars:string list -> string -> (Relation.t, string) result
+(** {!parse_formula}, quantifier elimination (inside a [qe.eliminate]
+    span, skipped for quantifier-free input) and DNF normalisation.
+    [Error "no variables given"] when [vars] is empty. *)
+
+(** {2 Engines} *)
+
+type engine = {
+  draw : Rng.t -> int -> Vec.t list;  (** [draw rng n]: the next [n] points *)
+  observable : Observable.t;
+      (** what volume estimates run on: the tagged interpreter tree, or
+          the compiled program's interpreted mirror *)
+  program : Scdb_vm.Vm.t option;  (** the compiled program, under [vm] and [vm-opt] *)
+  profile : Scdb_profile.Profile.t option;  (** the profiler [draw] runs under, if any *)
+}
+(** A prepared relation bound to one execution engine. *)
+
+val start_engine :
+  ?profile_mode:Scdb_profile.Profile.mode ->
+  engine:string ->
+  eps:float ->
+  delta:float ->
+  Plan_exec.prepared ->
+  (engine, string) result
+(** Bind a prepared relation to an engine from {!engines}:
+    ["interp"] draws through {!Plan_exec.observe}, the others through
+    {!Plan_exec.compile} (["vm-opt"] with the optimizing rewrites),
+    under an instruction profiler when [profile_mode] is given
+    (ignored under ["interp"]).  Draws no rng.  [Error] when the plan
+    does not compile. *)
+
 type outcome = {
   points : Vec.t list;  (** the emitted sample stream, in order *)
   relation : Relation.t;  (** the parsed (and quantifier-eliminated) relation *)

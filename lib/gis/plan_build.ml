@@ -2,44 +2,32 @@ module Plan = Scdb_plan.Plan
 module Polytope = Scdb_polytope.Polytope
 module Volume = Scdb_sampling.Volume
 
-let method_name (c : Convex_obs.config) =
-  match c.Convex_obs.sampler with
-  | Convex_obs.Grid_walk -> "grid"
-  | Convex_obs.Hit_and_run -> "walk"
-  | Convex_obs.Rejection_box -> "rejection"
-
-let volume_budget_of (c : Convex_obs.config) =
-  match c.Convex_obs.volume_budget with
-  | Volume.Practical n -> Some n
-  | Volume.Rigorous -> None
-
 let leaf_node ?(config = Convex_obs.practical_config) ~eps ~delta ~dim tuple =
-  Plan.dfk ~eps ~delta ~dim ~method_:(method_name config)
-    ~constraints:(List.length tuple)
-    ?volume_budget:(volume_budget_of config) ()
+  let method_ =
+    match config.Convex_obs.sampler with
+    | Convex_obs.Grid_walk -> "grid"
+    | Convex_obs.Hit_and_run -> "walk"
+    | Convex_obs.Rejection_box -> "rejection"
+  in
+  let volume_budget =
+    match config.Convex_obs.volume_budget with Volume.Practical n -> Some n | Volume.Rigorous -> None
+  in
+  Plan.dfk ~eps ~delta ~dim ~method_ ~constraints:(List.length tuple) ?volume_budget ()
 
-(* Static stand-in for the viability checks [Convex_obs.make] performs
-   at runtime (empty / unbounded bodies yield no observable): EXPLAIN
-   may not sample, so lower-dimensionality — which the runtime detects
-   during well-rounding — is not re-checked here. *)
-let tuple_viable ~dim tuple =
-  let poly = Polytope.of_tuple ~dim tuple in
-  (not (Polytope.is_empty poly)) && Polytope.bounding_box poly <> None
-
-let node_of_relation ?(config = Convex_obs.practical_config) ~eps ~delta r =
-  let dim = Relation.dim r in
-  match List.filter (tuple_viable ~dim) (Relation.tuples r) with
+let node_of_tuples ?(config = Convex_obs.practical_config) ~eps ~delta ~dim = function
   | [] -> None
   | [ tuple ] -> Some (leaf_node ~config ~eps ~delta ~dim tuple)
   | many ->
-      (* Children are costed at the sub-call parameters the union
-         threads down: ε/3 generators, δ/(4m) setup volumes. *)
-      let m = List.length many in
-      let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-      let children =
-        List.map (leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim) many
-      in
+      let sub_eps, sub_delta = Scdb_plan.Cost.child_grant ~m:(List.length many) ~eps ~delta in
+      let children = List.map (leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim) many in
       Some (Plan.union_ ~eps ~delta children)
+
+let viable ~dim tuple =
+  Option.is_some (Scdb_sampling.Rounding.inscribed_ball (Polytope.of_tuple ~dim tuple))
+
+let node_of_relation ?config ~eps ~delta r =
+  let dim = Relation.dim r in
+  node_of_tuples ?config ~eps ~delta ~dim (List.filter (viable ~dim) (Relation.tuples r))
 
 let of_relation ?config ~gamma ~eps ~delta ~task r =
   Option.map (Plan.finalize ~gamma ~eps ~delta ~task) (node_of_relation ?config ~eps ~delta r)

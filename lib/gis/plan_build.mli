@@ -1,17 +1,15 @@
-(** Static query plans for GIS relations — the EXPLAIN path.
+(** Query plans for GIS relations.
 
-    Mirrors {!Eval.observable_of_relation} without touching an RNG:
-    every viable generalized tuple becomes a DFK leaf (costed for the
-    configured sampler and volume budget), and multi-tuple relations
-    get a Karp–Luby union root whose children are costed at the
-    sub-call parameters the runtime threads down (ε/3, δ/(4m)).
-    Nothing is sampled; viability is the static polytope check
-    (non-empty, bounded), a conservative stand-in for the runtime's
-    well-rounding test. *)
-
-val method_name : Convex_obs.config -> string
-(** ["walk"], ["grid"] or ["rejection"] — the plan-leaf method label
-    for a sampler configuration. *)
+    {!node_of_tuples} is the one plan builder: a single generalized
+    tuple becomes a DFK leaf (costed for the configured sampler and
+    volume budget), several become a Karp–Luby union root whose
+    children are costed at the sub-call parameters the runtime threads
+    down ({!Scdb_plan.Cost.child_grant}: ε/3, δ/(4m)).  The executor
+    ({!Plan_exec.prepare}) feeds it the tuples whose preparation
+    succeeded; the EXPLAIN path ({!node_of_relation}) feeds it the
+    tuples that pass the rounding's deterministic viability check
+    ({!Scdb_sampling.Rounding.inscribed_ball}), without touching an
+    RNG. *)
 
 val leaf_node :
   ?config:Convex_obs.config ->
@@ -20,9 +18,18 @@ val leaf_node :
   dim:int ->
   Scdb_constr.Dnf.tuple ->
   Scdb_plan.Plan.node
-(** Unchecked DFK leaf for one tuple (the executor calls this for
-    tuples it has already built an observable for).  Default config is
-    {!Convex_obs.practical_config}. *)
+(** Unchecked DFK leaf for one tuple, labelled with the sampler's CLI
+    method name.  Default config is {!Convex_obs.practical_config}. *)
+
+val node_of_tuples :
+  ?config:Convex_obs.config ->
+  eps:float ->
+  delta:float ->
+  dim:int ->
+  Scdb_constr.Dnf.tuple list ->
+  Scdb_plan.Plan.node option
+(** Plan tree over the given tuples, in order: [None] for no tuple, a
+    leaf for one, a union of leaves for several. *)
 
 val node_of_relation :
   ?config:Convex_obs.config ->
@@ -30,7 +37,8 @@ val node_of_relation :
   delta:float ->
   Relation.t ->
   Scdb_plan.Plan.node option
-(** Plan tree for a relation: [None] when no tuple is viable. *)
+(** {!node_of_tuples} over the relation's viable tuples (non-empty,
+    bounded, full-dimensional): [None] when there is none. *)
 
 val of_relation :
   ?config:Convex_obs.config ->

@@ -11,72 +11,34 @@ let tag id (obs : Observable.t) =
         Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
   }
 
-let observable_of_relation ?(config = Convex_obs.practical_config) ~gamma ~eps ~delta ~task
-    rng r =
-  let dim = Relation.dim r in
-  let pieces =
-    List.filter_map
-      (fun tuple ->
-        Option.map
-          (fun obs -> (tuple, obs))
-          (Convex_obs.make ~config rng (Relation.make ~dim [ tuple ])))
-      (Relation.tuples r)
-  in
-  match pieces with
-  | [] -> None
-  | [ (tuple, obs) ] ->
-      let node = Plan_build.leaf_node ~config ~eps ~delta ~dim tuple in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task node in
-      Some (plan, tag plan.Plan.root.Plan.id obs)
-  | many ->
-      let m = List.length many in
-      let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-      let leaves =
-        List.map
-          (fun (tuple, _) -> Plan_build.leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim tuple)
-          many
-      in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task (Plan.union_ ~eps ~delta leaves) in
-      let wrapped =
-        List.map2
-          (fun child (_, obs) -> tag child.Plan.id obs)
-          plan.Plan.root.Plan.children many
-      in
-      Some (plan, tag plan.Plan.root.Plan.id (Union.union wrapped))
+type prepared = { plan : Plan.t; pieces : Convex_obs.prepared list }
 
-(* Mirror of [observable_of_relation] for the compiled engine: same
-   per-tuple preprocessing draws (prepare is the rng half of make), same
-   plan, but the pieces feed the plan→kernel compiler instead of the
-   interpreter.  Keeping the two in lockstep is what makes [--engine vm]
-   replay interpreter-recorded flights bit-for-bit. *)
-let compiled_of_relation ?(config = Convex_obs.practical_config) ?(optimize = false) ~gamma
-    ~eps ~delta ~task rng r =
+let prepare ?(config = Convex_obs.practical_config) ~gamma ~eps ~delta ~task rng r =
+  let kept = Convex_obs.prepare_tuples ~config rng r in
   let dim = Relation.dim r in
-  let pieces =
-    List.filter_map
-      (fun tuple ->
-        Option.map
-          (fun prep -> (tuple, prep))
-          (Convex_obs.prepare_relation ~config rng (Relation.make ~dim [ tuple ])))
-      (Relation.tuples r)
-  in
+  Plan_build.node_of_tuples ~config ~eps ~delta ~dim (List.map fst kept)
+  |> Option.map (fun node ->
+         { plan = Plan.finalize ~gamma ~eps ~delta ~task node; pieces = List.map snd kept })
+
+let observe { plan; pieces } =
+  let root = plan.Plan.root in
   match pieces with
-  | [] -> None
-  | [ (tuple, prep) ] ->
-      let node = Plan_build.leaf_node ~config ~eps ~delta ~dim tuple in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task node in
-      Some (plan, Scdb_vm.Vm.compile ~optimize ~plan ~pieces:[| prep |] ())
+  | [ piece ] -> tag root.Plan.id (Convex_obs.observe piece)
   | many ->
-      let m = List.length many in
-      let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-      let leaves =
-        List.map
-          (fun (tuple, _) -> Plan_build.leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim tuple)
-          many
+      let children =
+        List.map2 (fun child p -> tag child.Plan.id (Convex_obs.observe p)) root.Plan.children many
       in
-      let plan = Plan.finalize ~gamma ~eps ~delta ~task (Plan.union_ ~eps ~delta leaves) in
-      let preps = Array.of_list (List.map snd many) in
-      Some (plan, Scdb_vm.Vm.compile ~optimize ~plan ~pieces:preps ())
+      tag root.Plan.id (Union.union children)
+
+let compile ?(optimize = false) { plan; pieces } =
+  Scdb_vm.Vm.compile ~optimize ~plan ~pieces:(Array.of_list pieces) ()
+
+let observable_of_relation ?config ~gamma ~eps ~delta ~task rng r =
+  prepare ?config ~gamma ~eps ~delta ~task rng r |> Option.map (fun p -> (p.plan, observe p))
+
+let compiled_of_relation ?config ?optimize ~gamma ~eps ~delta ~task rng r =
+  prepare ?config ~gamma ~eps ~delta ~task rng r
+  |> Option.map (fun p -> (p.plan, compile ?optimize p))
 
 let arm ?overrun_factor plan =
   let rows =

@@ -1,9 +1,12 @@
 (** Plan-tagged execution: the bridge from static plans to the
     progress bus and the predicted-vs-actual attribution table.
 
-    Builds the same observable tree as {!Eval.observable_of_relation}
-    while constructing the matching {!Scdb_plan.Plan.t}, and wraps
-    every observable so its sample/volume calls run inside
+    {!prepare} runs a relation through the one preparation pipeline
+    and returns the plan with the prepared pieces it covers; the
+    interpreter ({!observe}) and both VM engines ({!compile}) consume
+    that same value, so every engine starts from identical
+    preprocessing draws and an identical plan.  {!observe} wraps every
+    observable so its sample/volume calls run inside
     [Progress.with_node] with the plan-node id — the accrued actuals
     land on exactly the node whose budget predicted them.  The wrapper
     is transparent to the RNG stream, so flight-recorder replay is
@@ -11,6 +14,40 @@
 
 val tag : int -> Observable.t -> Observable.t
 (** Wrap sample/volume in [Progress.with_node id]. *)
+
+type prepared = {
+  plan : Scdb_plan.Plan.t;  (** finalised, over exactly the surviving pieces *)
+  pieces : Convex_obs.prepared list;  (** one per surviving tuple, in tuple order *)
+}
+(** A relation made ready to run: the output of the one preparation
+    pipeline every engine consumes. *)
+
+val prepare :
+  ?config:Convex_obs.config ->
+  gamma:float ->
+  eps:float ->
+  delta:float ->
+  task:Scdb_plan.Plan.task ->
+  Rng.t ->
+  Relation.t ->
+  prepared option
+(** Relation → per-tuple well-rounding ({!Convex_obs.prepare_tuples},
+    the only rng-consuming stage) → plan ({!Plan_build.node_of_tuples}
+    over the tuples that survived), finalised for [task].  [None] when
+    no tuple survives (empty, unbounded or lower-dimensional).  Default
+    config is {!Convex_obs.practical_config}. *)
+
+val observe : prepared -> Observable.t
+(** The interpreter: one DFK observable per piece, under a Karp–Luby
+    union when there are several, each node {!tag}ged with its plan
+    id.  Draws no rng. *)
+
+val compile : ?optimize:bool -> prepared -> (Scdb_vm.Vm.t, string) result
+(** The compiled engines: lower the plan and pieces through
+    {!Scdb_vm.Vm.compile} (strict by default — the same rng and sample
+    stream as {!observe}; [optimize:true] enables the stream-changing
+    cost-based rewrites).  [Error _] when the plan has a shape the
+    compiler refuses. *)
 
 val observable_of_relation :
   ?config:Convex_obs.config ->
@@ -21,9 +58,7 @@ val observable_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * Observable.t) option
-(** Build plan and tagged observable together, from the tuples that
-    actually yielded observables — plan ids and runtime attribution
-    agree by construction. *)
+(** {!prepare} then {!observe}. *)
 
 val compiled_of_relation :
   ?config:Convex_obs.config ->
@@ -35,13 +70,7 @@ val compiled_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * (Scdb_vm.Vm.t, string) result) option
-(** The compiled-engine twin of {!observable_of_relation}: identical
-    per-tuple preprocessing rng draws and identical plan, but the
-    prepared pieces are lowered through {!Scdb_vm.Vm.compile} (strict
-    mirror by default; [optimize:true] enables the stream-changing
-    cost-based rewrites).  [None] under the same emptiness conditions;
-    [Some (plan, Error _)] when the plan has a shape the compiler
-    refuses. *)
+(** {!prepare} then {!compile}. *)
 
 val arm : ?overrun_factor:float -> Scdb_plan.Plan.t -> unit
 (** [Progress.start] with the plan's budget rows. *)

@@ -1,7 +1,8 @@
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
-module FM = Scdb_qe.Fourier_motzkin
 module Polytope = Scdb_polytope.Polytope
+
+let ( let* ) = Result.bind
 
 type t = { json : string; chrome_trace : string; text_tree : string }
 
@@ -15,9 +16,8 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(samples_per_chain = Diag_run.default_samples_per_chain) ?(progress = false)
     ?overrun_factor ?(engine = "interp") ~vars ~formula ~seed () =
   if vars = [] then Error "no variables given"
-  else if not (List.mem engine [ "interp"; "vm"; "vm-opt" ]) then
-    Error ("unknown engine " ^ engine)
-  else begin
+  else
+    let* engine = Flight.check_engine engine in
     let tel_was = Tel.enabled () and trace_was = Trace.enabled () in
     Tel.set_enabled true;
     Tel.reset ();
@@ -29,107 +29,52 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       Trace.span "report"
         ~attrs:[ ("seed", string_of_int seed); ("dim", string_of_int dim) ]
       @@ fun () ->
-      let parsed =
-        Trace.span "formula.parse" (fun () ->
-            match Parser.parse ~vars formula with
-            | f -> Ok f
-            | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-            | exception Lexer.Lex_error (m, pos) ->
-                Error (Printf.sprintf "lex error at %d: %s" pos m))
+      let* relation = Flight.parse_relation ~vars formula in
+      let task = Scdb_plan.Plan.Report samples in
+      let* prepared =
+        Option.to_result ~none:Flight.empty_relation
+          (Plan_exec.prepare ~config:Convex_obs.practical_config ~gamma:Flight.gamma ~eps
+             ~delta ~task rng relation)
       in
-      match parsed with
-      | Error e -> Error e
-      | Ok f -> (
-          let f =
-            if Formula.is_quantifier_free f then f
-            else Trace.span "qe.eliminate" (fun () -> FM.eliminate f)
+      (* Compiled engines draw through the instruction profiler (timing
+         mode — a report is a diagnostic document) and estimate volume
+         through the program's interpreted mirror; their attribution
+         rows carry the compiler's rewrite tags. *)
+      let* e =
+        Flight.start_engine ~profile_mode:Scdb_profile.Profile.Timing ~engine ~eps ~delta
+          prepared
+      in
+      let plan = prepared.Plan_exec.plan in
+      (* The progress bus collects per-node actuals for the attribution
+         table; armed only around the planned work (diagnostics below
+         are outside the plan and must not pollute the root's
+         actuals). *)
+      Plan_exec.arm ?overrun_factor plan;
+      if progress then Scdb_progress.Progress.start_ticker ();
+      match
+        Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ] (fun () ->
+            e.Flight.draw rng samples)
+      with
+      | exception Observable.Estimation_failed m ->
+          Scdb_progress.Progress.stop ();
+          Error ("sampling failed: " ^ m)
+      | pts ->
+          let vol =
+            Trace.span "report.volume" (fun () ->
+                match Observable.volume e.Flight.observable rng ~eps ~delta with
+                | v -> Some v
+                | exception Observable.Estimation_failed _ -> None)
           in
-          let relation = Relation.of_formula ~dim f in
-          let task = Scdb_plan.Plan.Report samples in
-          let built =
-            (* The progress bus collects per-node actuals for the
-               attribution table; armed only around the planned work
-               (diagnostics below are outside the plan and must not
-               pollute the root's actuals). *)
-            match engine with
-            | "interp" -> (
-                match
-                  Plan_exec.observable_of_relation ~config:Convex_obs.practical_config
-                    ~gamma:0.05 ~eps ~delta ~task rng relation
-                with
-                | None -> Error "relation is empty, unbounded or lower-dimensional"
-                | Some (plan, obs) ->
-                    Plan_exec.arm ?overrun_factor plan;
-                    if progress then Scdb_progress.Progress.start_ticker ();
-                    let params = Params.make ~gamma:0.05 ~eps ~delta () in
-                    let pts =
-                      Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ]
-                        (fun () -> Observable.sample_many obs rng params ~n:samples)
-                    in
-                    let vol =
-                      Trace.span "report.volume" (fun () ->
-                          match Observable.volume obs rng ~eps ~delta with
-                          | v -> Some v
-                          | exception Observable.Estimation_failed _ -> None)
-                    in
-                    let attribution = Plan_exec.attribution plan in
-                    Scdb_progress.Progress.stop ();
-                    Ok (plan, attribution, pts, vol, None))
-            | _ -> (
-                (* Compiled engines: draws run through the instruction
-                   profiler (timing mode — a report is a diagnostic
-                   document), volume through the program's interpreted
-                   mirror, and the attribution rows carry the
-                   compiler's rewrite tags. *)
-                let optimize = engine = "vm-opt" in
-                match
-                  Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config
-                    ~optimize ~gamma:0.05 ~eps ~delta ~task rng relation
-                with
-                | None -> Error "relation is empty, unbounded or lower-dimensional"
-                | Some (_, Error m) -> Error ("plan does not compile: " ^ m)
-                | Some (plan, Ok prog) -> (
-                    Plan_exec.arm ?overrun_factor plan;
-                    if progress then Scdb_progress.Progress.start_ticker ();
-                    let profile =
-                      Scdb_profile.Profile.create ~mode:Scdb_profile.Profile.Timing prog
-                    in
-                    match
-                      Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ]
-                        (fun () -> Scdb_profile.Profile.sample_many profile rng ~n:samples)
-                    with
-                    | pts ->
-                        let vol =
-                          Trace.span "report.volume" (fun () ->
-                              match
-                                Observable.volume (Scdb_vm.Vm.mirror prog) rng ~eps ~delta
-                              with
-                              | v -> Some v
-                              | exception Observable.Estimation_failed _ -> None)
-                        in
-                        let attribution = Plan_exec.attribution ~program:prog plan in
-                        Scdb_progress.Progress.stop ();
-                        Ok
-                          ( plan,
-                            attribution,
-                            pts,
-                            vol,
-                            Some (Scdb_profile.Profile.to_json ~plan profile) )
-                    | exception Observable.Estimation_failed m ->
-                        Scdb_progress.Progress.stop ();
-                        Error ("sampling failed: " ^ m)))
+          let attribution = Plan_exec.attribution ?program:e.Flight.program plan in
+          Scdb_progress.Progress.stop ();
+          let profile_json = Option.map (Scdb_profile.Profile.to_json ~plan) e.Flight.profile in
+          let diag =
+            match Relation.tuples relation with
+            | tuple :: _ ->
+                Diag_run.run ~chains ~samples_per_chain rng (Polytope.of_tuple ~dim tuple)
+            | [] -> None
           in
-          match built with
-          | Error e -> Error e
-          | Ok (plan, attribution, pts, vol, profile_json) ->
-              let diag =
-                match Relation.tuples relation with
-                | tuple :: _ ->
-                    Diag_run.run ~chains ~samples_per_chain rng
-                      (Polytope.of_tuple ~dim tuple)
-                | [] -> None
-              in
-              Ok (relation, plan, attribution, pts, vol, diag, profile_json))
+          Ok (relation, plan, attribution, pts, vol, diag, profile_json)
     in
     (* Export after the root span closes so every duration is final. *)
     let out =
@@ -216,4 +161,3 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     Tel.set_enabled tel_was;
     Trace.set_enabled trace_was;
     out
-  end

@@ -9,6 +9,8 @@ let samples_for_ratio ~eps ~delta ~p_lower =
 let union_trials ~m ~delta =
   Stdlib.max 4 (int_of_float (ceil (float_of_int m *. log (1.0 /. delta))))
 
+let child_grant ~m ~eps ~delta = (eps /. 3.0, delta /. float_of_int (4 * m))
+
 let rejection_budget ~dim ~poly_degree ~delta =
   let d = Float.max 2.0 (float_of_int dim) in
   let bound = (d ** float_of_int poly_degree) *. log (1.0 /. delta) in

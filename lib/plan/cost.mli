@@ -27,6 +27,13 @@ val union_trials : m:int -> delta:float -> int
     success probability is at least [1/m], so [max 4 ⌈m·ln(1/δ)⌉]
     trials fail with probability below [δ]. *)
 
+val child_grant : m:int -> eps:float -> delta:float -> float * float
+(** Algorithm 1's sub-contract for the [m] operands of a union (and of
+    an intersection's sample path): [(ε/3, δ/(4m))], the accuracy each
+    operand's volume estimate is requested at.  The runtime
+    combinators, the VM and the plan builder all call this, so the
+    grant a plan advertises is the grant the executor uses. *)
+
 val rejection_budget : dim:int -> poly_degree:int -> delta:float -> int
 (** Intersection/difference rejection budget (Proposition 4.1): under
     the poly-relatedness promise [μ(S)/μ(T) ≤ d^k] the acceptance rate

@@ -342,7 +342,7 @@ let error_budget t =
       | Union_op _ ->
           (* Algorithm 1: child volumes at ε/3, δ/(4m); the node's own
              acceptance-fraction phase at ε/3, δ/4. *)
-          ((eps /. 3.0, delta /. 4.0), (eps /. 3.0, delta /. float_of_int (4 * m)))
+          ((eps /. 3.0, delta /. 4.0), Cost.child_grant ~m ~eps ~delta)
       | Inter_op _ ->
           ((eps /. 2.0, delta /. 4.0), (eps /. 2.0, delta /. float_of_int (4 * m)))
       | Diff_op _ -> ((eps /. 2.0, delta /. 4.0), (eps /. 2.0, delta /. 4.0))

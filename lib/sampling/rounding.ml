@@ -26,28 +26,32 @@ let covariance points mean =
   done;
   c
 
-(* Affine map recentring the Chebyshev centre at the origin and scaling
-   the inscribed ball to radius 1. *)
-let recentre poly =
-  match Polytope.chebyshev poly with
-  | None -> None
-  | Some (centre, r) when r > 0.0 ->
-      let d = Polytope.dim poly in
-      let scale = Mat.init d d (fun i j -> if i = j then 1.0 /. r else 0.0) in
-      Affine.make scale (Vec.scale (-1.0 /. r) centre)
-  | Some _ -> None
+let full_ball poly =
+  match Polytope.chebyshev poly with Some (_, r) as ball when r > 0.0 -> ball | _ -> None
+
+let inscribed_ball poly =
+  if Polytope.is_empty poly || not (Polytope.is_bounded poly) then None else full_ball poly
+
+(* Affine map moving the Chebyshev centre to the origin and scaling the
+   inscribed ball to radius 1. *)
+let recentre_at ~d (centre, r) =
+  let scale = Mat.init d d (fun i j -> if i = j then 1.0 /. r else 0.0) in
+  Affine.make scale (Vec.scale (-1.0 /. r) centre)
+
+let recentre poly = Option.bind (full_ball poly) (recentre_at ~d:(Polytope.dim poly))
 
 let round rng ?(rounds = 2) ?samples_per_round poly =
   let d = Polytope.dim poly in
   let samples_per_round = Option.value samples_per_round ~default:(16 * d) in
-  if Polytope.is_empty poly || not (Polytope.is_bounded poly) then None
-  else begin
+  match inscribed_ball poly with
+  | None -> None
+  | Some ball -> (
     Scdb_trace.Trace.span "rounding.round"
       ~attrs:
         [ ("dim", string_of_int d); ("rounds", string_of_int rounds);
           ("samples_per_round", string_of_int samples_per_round) ]
     @@ fun () ->
-    match recentre poly with
+    match recentre_at ~d ball with
     | None -> None
     | Some t0 ->
         let transform = ref t0 in
@@ -92,7 +96,6 @@ let round rng ?(rounds = 2) ?samples_per_round poly =
         (match Polytope.sandwich !body with
         | None -> None
         | Some (centre, r_inf, r_sup) ->
-            Some { transform = !transform; rounded = !body; centre; r_inf; r_sup })
-  end
+            Some { transform = !transform; rounded = !body; centre; r_inf; r_sup }))
 
 let aspect_ratio t = t.r_sup /. t.r_inf

@@ -16,8 +16,16 @@ type t = {
   r_sup : float; (* enclosing-ball radius of [rounded] *)
 }
 
+val inscribed_ball : Polytope.t -> (Vec.t * float) option
+(** The deterministic viability check {!round} makes before it draws
+    anything: the Chebyshev ball [(centre, radius)] when the body is
+    non-empty, bounded and full-dimensional (radius [> 0]), [None]
+    otherwise.  Draws no rng, so a static planner can drop the tuples
+    the runtime would drop. *)
+
 val round : Rng.t -> ?rounds:int -> ?samples_per_round:int -> Polytope.t -> t option
-(** [None] when the body is empty or unbounded.  Defaults: 2 rounds of
+(** [None] when {!inscribed_ball} is [None] (empty, unbounded or
+    lower-dimensional body).  Defaults: 2 rounds of
     [16·d] samples.  [volume_scale transform] converts volumes back:
     [vol(body) = vol(rounded) / Affine.volume_scale transform]. *)
 

@@ -855,7 +855,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     if trials <> expect then
       cerr "union node %d: plan trials %d <> cost model %d" n.Plan.id trials expect;
     let eps = Hashtbl.find eps_of_id n.Plan.id in
-    let eps3 = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
+    let eps3, sub_delta = Cost.child_grant ~m ~eps ~delta in
     let mirrors = Hashtbl.find kids_of_id n.Plan.id in
     let w = Array.make m 0.0 in
     (* Weight sharing between duplicate sibling leaves (optimized). *)
@@ -952,7 +952,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     if budget <> expect then
       cerr "inter node %d: plan budget %d <> cost model %d" n.Plan.id budget expect;
     let eps = Hashtbl.find eps_of_id n.Plan.id in
-    let eps3 = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
+    let eps3, sub_delta = Cost.child_grant ~m ~eps ~delta in
     let mirrors = Hashtbl.find kids_of_id n.Plan.id in
     let w = Array.make m 0.0 in
     let thunk rng =

@@ -19,6 +19,18 @@ let fig1 = "-v x,y -f \"x >= 0 /\\ y >= 0 /\\ x + y <= 1\""
 
 let check name expected args = Alcotest.(check int) name expected (run args)
 
+(* Exit code and stderr of one invocation. *)
+let run_stderr args =
+  let err = Filename.temp_file "spatialdb_cli" ".err" in
+  let code =
+    Sys.command (Filename.quote binary ^ " " ^ args ^ " >/dev/null 2>" ^ Filename.quote err)
+  in
+  let ic = open_in err in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err;
+  (code, text)
+
 let success_tests =
   [
     t "binary exists where the test expects it" (fun () ->
@@ -65,6 +77,12 @@ let runtime_tests =
         check "empty" 1 "sample -v x -f \"x >= 1 /\\ x <= 0\" -n 1");
     t "sample --profile under interp exits 1" (fun () ->
         check "interp" 1 ("sample " ^ fig1 ^ " -n 1 --profile"));
+    t "explain refuses a lower-dimensional relation as sample does" (fun () ->
+        let segment = "-v x,y -f \"0 <= x <= 1 /\\ y = 0\"" in
+        let sample = run_stderr ("sample " ^ segment ^ " -n 1") in
+        let explain = run_stderr ("explain " ^ segment) in
+        Alcotest.(check int) "sample exits 1" 1 (fst sample);
+        Alcotest.(check (pair int string)) "explain = sample" sample explain);
   ]
 
 let profile_tests =

@@ -147,6 +147,54 @@ let union_case ~seed ~k ~n =
     (Printf.sprintf "union K=%d draw counts" k)
     (Rng.draw_count oi.Flight.rng) (Rng.draw_count ov.Flight.rng)
 
+(* One preparation pipeline: the untagged GIS evaluator and the
+   plan-tagged interpreter consume the same prepared pieces, so from one
+   seed they draw the same points with the same number of rng draws
+   (tagging never touches the stream); and EXPLAIN's static plan is the
+   plan [Plan_exec.prepare] builds over the pieces that survived. *)
+let pipeline_case (label, vars, formula) =
+  let relation =
+    match Flight.parse_relation ~vars formula with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "%s: %s" label m
+  in
+  let eps = 0.2 and delta = 0.1 and gamma = 0.05 and n = 3 and seed = 17 in
+  let task = Plan.Sample n in
+  let params = Params.make ~gamma ~eps ~delta () in
+  let rng_e = Rng.create seed in
+  let pts_e =
+    match Scdb_gis.Eval.observable_of_relation ~config:cfg rng_e relation with
+    | Some obs -> Observable.sample_many obs rng_e params ~n
+    | None -> Alcotest.failf "%s: Eval found no piece" label
+  in
+  let rng_p = Rng.create seed in
+  let prepared =
+    match Plan_exec.prepare ~config:cfg ~gamma ~eps ~delta ~task rng_p relation with
+    | Some p -> p
+    | None -> Alcotest.failf "%s: prepare found no piece" label
+  in
+  let pts_p = Observable.sample_many (Plan_exec.observe prepared) rng_p params ~n in
+  check_streams (label ^ " streams") pts_e pts_p;
+  Alcotest.(check int) (label ^ " draw counts") (Rng.draw_count rng_e) (Rng.draw_count rng_p);
+  match Scdb_gis.Plan_build.of_relation ~config:cfg ~gamma ~eps ~delta ~task relation with
+  | Some plan ->
+      Alcotest.(check string) (label ^ " explain plan = prepared plan")
+        (Plan.to_json prepared.Plan_exec.plan) (Plan.to_json plan)
+  | None -> Alcotest.failf "%s: explain found no viable tuple" label
+
+let fig1 = "x >= 0 /\\ y >= 0 /\\ x + y <= 1"
+
+let pipeline_fixtures =
+  [
+    ("Fig. 1 triangle", [ "x"; "y" ], fig1);
+    ("Fig. 1 union", [ "x"; "y" ], "(" ^ fig1 ^ ") \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)");
+    ("3-tuple union", [ "x"; "y" ], boxes_formula (Rng.create 80) 3);
+    ("simplex 4", [ "a"; "b"; "c"; "d" ],
+      "a >= 0 /\\ b >= 0 /\\ c >= 0 /\\ d >= 0 /\\ a + b + c + d <= 1");
+    ("union with a segment tuple", [ "x"; "y" ],
+      "0 <= x <= 1 /\\ y = 0 \\/ 0 <= x <= 1 /\\ 0 <= y <= 1");
+  ]
+
 let mirror_tests =
   [
     ts "union plans: vm mirrors the interpreter bit-for-bit (K = 1, 4, 16)" (fun () ->
@@ -171,6 +219,8 @@ let mirror_tests =
         List.iter (fun seed -> inter_case ~seed ~n:3) [ 51; 52 ]);
     ts "difference plans mirror the interpreter" (fun () ->
         List.iter (fun seed -> diff_case ~seed ~n:3) [ 61; 62 ]);
+    ts "one pipeline: Eval and Plan_exec streams agree, explain plans what runs" (fun () ->
+        List.iter pipeline_case pipeline_fixtures);
   ]
 
 let opt_tests =
