@@ -71,6 +71,9 @@ check:
 # the command EXPERIMENTS.md documents and must match the committed
 # file byte for byte, so any change to the estimators' rng stream or
 # arithmetic fails CI instead of passing on fingerprint and verdict.
+# Last, the exact-oracle float conversion: the box
+# [0, (10^400+1)/10^400] x [0,1] has an exact volume whose parts both
+# overflow a float; `volume --mode exact` must still print its value.
 # Throwaway artifacts go to _build/.
 ci: check
 	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_8.json
@@ -173,6 +176,9 @@ ci: check
 	  -f "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --runs 60 --jobs 4 --oracle exact -o _build/AUDIT_ledger.json > /dev/null
 	cmp _build/AUDIT_ledger.json AUDIT_1.json
+	test "$$(dune exec bin/spatialdb.exe -- volume -v x,y \
+	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
+	  --mode exact)" = 1.000000000
 
 clean:
 	dune clean

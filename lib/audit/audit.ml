@@ -323,6 +323,8 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
     in
     match truth with
     | Error e -> Error e
+    | Ok (_, tv, _) when not (Float.is_finite tv) ->
+        Error (Printf.sprintf "exact volume %g lies beyond the float range; nothing to audit" tv)
     | Ok (_, tv, _) when tv <= 0.0 -> Error "relation has zero volume; nothing to audit"
     | Ok (used, truth, truth_exact) ->
         (match used with

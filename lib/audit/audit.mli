@@ -171,7 +171,8 @@ val run :
 (** Audit the practical volume-estimation pipeline on [relation]:
     resolve ground truth ([`Exact] is strict and errors when no closed
     form applies; [`Auto], the default, falls back to the reference
-    oracle), verify coverage over [runs] replicates seeded
+    oracle; an exact volume beyond the float range is an [Error]),
+    verify coverage over [runs] replicates seeded
     [seed, seed+1, …] (the [--jobs] convention), and collect the
     error-budget attribution from one armed run on [seed].  The
     reference oracle, when used, runs on seed [seed + runs] so it

@@ -12,7 +12,7 @@
       x  <- ApproxGen(S, γ, ε/3, ·)
       y  <- π_I(x)
       ĥ  <- ApproxVol(H_S(y), ε/3, ·)
-      return y with probability c/ĥ      (c a fiber-volume lower bound)
+      return y with probability c/ĥ      (c a low fiber-volume quantile)
     v}
 
     No symbolic quantifier elimination is performed; membership in the
@@ -30,10 +30,10 @@ val project :
   keep:int list ->
   Observable.t option
 (** Observable for [π_keep(S)].  Default fiber volumes: [Exact] when
-    [d − e <= 3], else [Estimated 600].  [pilot_samples] (default 32)
-    sizes the pre-pass that sets the acceptance constant [c] (the
-    minimum observed fiber volume).  [None] when [S] is empty or
-    unbounded.
+    [d − e <= 4], else [Estimated 600].  [pilot_samples] (default 32)
+    sizes the pre-pass that sets the acceptance constant [c]: the 5%
+    quantile of the observed fiber volumes, divided by 4.  [None] when
+    [S] is empty or unbounded.
     @raise Invalid_argument if [keep] is empty, out of range, or the
     full coordinate set. *)
 

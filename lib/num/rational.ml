@@ -37,15 +37,27 @@ let of_float f =
   if f = 0.0 then zero
   else begin
     let mantissa, exponent = Float.frexp f in
-    (* mantissa * 2^53 is integral for finite floats. *)
-    let scaled = Int64.of_float (mantissa *. 9007199254740992.0) in
-    let num = Bigint.of_string (Int64.to_string scaled) in
-    let e = exponent - 53 in
+    (* mantissa * 2^53 is an integer below 2^53 in magnitude; made odd,
+       it shares no factor with the power-of-two denominator. *)
+    let rec odd m e = if m land 1 = 0 then odd (m asr 1) (e + 1) else (Bigint.of_int m, e) in
+    let num, e = odd (Float.to_int (mantissa *. 9007199254740992.0)) (exponent - 53) in
     if e >= 0 then of_bigint (Bigint.shift_left num e)
-    else canonical num (Bigint.shift_left Bigint.one (-e))
+    else { num; den = Bigint.shift_left Bigint.one (-e) }
   end
 
-let to_float t = Bigint.to_float t.num /. Bigint.to_float t.den
+(* A part beyond the float range would read as infinity: scale both by
+   one power of two, the larger to about 2^1000, keeping 64 bits each. *)
+let to_float t =
+  let n = Bigint.to_float t.num and d = Bigint.to_float t.den in
+  if Float.is_finite n && Float.is_finite d then n /. d
+  else begin
+    let s = Stdlib.max (Bigint.num_bits t.num) (Bigint.num_bits t.den) - 1000 in
+    let scaled x =
+      let drop = Stdlib.max 0 (Bigint.num_bits x - 64) in
+      Float.ldexp (Bigint.to_float (Bigint.shift_right x drop)) (drop - s)
+    in
+    scaled t.num /. scaled t.den
+  end
 
 let sign t = Bigint.sign t.num
 let is_zero t = Bigint.is_zero t.num

@@ -34,6 +34,11 @@ val of_string : string -> t
 (** {1 Conversions} *)
 
 val to_float : t -> float
+(** Quotient of the two parts as floats.  When a part lies beyond the
+    float range, both are first scaled by the same power of two, so the
+    result overflows or underflows only when the quotient itself lies
+    beyond the range, and is never a nan. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -26,10 +26,9 @@ let preprocess cstrs =
       match normalize_constraint c with
       | None -> if Q.sign c.rhs < 0 then infeasible := true
       | Some c ->
-          let key = Array.map Q.to_string c.row in
-          (match Hashtbl.find_opt table key with
+          (match Hashtbl.find_opt table c.row with
           | Some c' when Q.compare c'.rhs c.rhs <= 0 -> ()
-          | _ -> Hashtbl.replace table key c))
+          | _ -> Hashtbl.replace table c.row c))
     cstrs;
   if !infeasible then None
   else Some (Hashtbl.fold (fun _ c acc -> c :: acc) table [])
@@ -51,82 +50,41 @@ let substitute ~k ~pivot c =
 let rec volume_rec dim cstrs =
   match preprocess cstrs with
   | None -> Q.zero
-  | Some cstrs ->
-      if dim = 1 then begin
-        let lo = ref None and hi = ref None in
-        List.iter
-          (fun c ->
-            let a = c.row.(0) in
-            let s = Q.sign a in
-            if s > 0 then begin
-              let v = Q.div c.rhs a in
-              match !hi with Some h when Q.compare h v <= 0 -> () | _ -> hi := Some v
-            end
-            else if s < 0 then begin
-              let v = Q.div c.rhs a in
-              match !lo with Some l when Q.compare l v >= 0 -> () | _ -> lo := Some v
-            end)
-          cstrs;
-        match (!lo, !hi) with
-        | Some l, Some h -> if Q.compare l h >= 0 then Q.zero else Q.sub h l
-        | _ -> raise Unbounded
-      end
-      else begin
-        if cstrs = [] then raise Unbounded;
-        let arr = Array.of_list cstrs in
-        let total = ref Q.zero in
-        Array.iteri
-          (fun i pivot ->
-            (* Choose the substitution coordinate with the largest pivot. *)
-            let k = ref 0 in
-            Array.iteri (fun j c -> if Q.compare (Q.abs c) (Q.abs pivot.row.(!k)) > 0 then k := j) pivot.row;
-            if not (Q.is_zero pivot.row.(!k)) then begin
-              let facet =
-                Array.to_list
-                  (Array.mapi
-                     (fun i' c -> if i' = i then None else Some (substitute ~k:!k ~pivot c))
-                     arr)
-                |> List.filter_map Fun.id
-              in
-              let sub = volume_rec (dim - 1) facet in
-              if not (Q.is_zero sub) then begin
-                let contribution =
-                  Q.div (Q.mul pivot.rhs sub)
-                    (Q.mul (Q.of_int dim) (Q.abs pivot.row.(!k)))
-                in
-                total := Q.add !total contribution
-              end
-            end)
-          arr;
-        !total
-      end
-
-let check_bounded ~dim a b =
-  if dim = 0 then ()
-  else begin
-    let basis i = Array.init dim (fun j -> if i = j then Q.one else Q.zero) in
-    for i = 0 to dim - 1 do
-      let check c =
-        match Es.maximize ~a ~b ~c with
-        | Es.Unbounded -> raise Unbounded
-        | Es.Infeasible | Es.Optimal _ -> ()
+  | Some cstrs when dim = 1 -> (
+      (* The tightest bounds x >= rhs/a (a < 0) and x <= rhs/a (a > 0). *)
+      let bound sign pick =
+        List.fold_left
+          (fun acc c ->
+            if Q.sign c.row.(0) <> sign then acc
+            else
+              let v = Q.div c.rhs c.row.(0) in
+              Some (match acc with Some w -> pick w v | None -> v))
+          None cstrs
       in
-      check (basis i);
-      check (Array.map Q.neg (basis i))
-    done
-  end
+      match (bound (-1) Q.max, bound 1 Q.min) with
+      | Some l, Some h -> if Q.compare l h >= 0 then Q.zero else Q.sub h l
+      | _ -> raise Unbounded)
+  | Some [] -> raise Unbounded
+  | Some cstrs ->
+      List.fold_left
+        (fun total pivot ->
+          (* Parametrize the facet by the coordinate with the largest pivot. *)
+          let k = ref 0 in
+          Array.iteri (fun j c -> if Q.compare (Q.abs c) (Q.abs pivot.row.(!k)) > 0 then k := j) pivot.row;
+          let facet = List.filter (fun c -> c != pivot) cstrs |> List.map (substitute ~k:!k ~pivot) in
+          let sub = volume_rec (dim - 1) facet in
+          if Q.is_zero sub then total
+          else Q.add total (Q.div (Q.mul pivot.rhs sub) (Q.mul (Q.of_int dim) (Q.abs pivot.row.(!k)))))
+        Q.zero cstrs
 
+(* Emptiness in dims 0 and 1 and boundedness everywhere are decided
+   without an LP (see the interface); the feasibility LP spares dims
+   >= 2 the recursion over every facet of an empty system. *)
 let volume_system ~dim a b =
   if Array.length a <> Array.length b then invalid_arg "Volume_exact.volume_system";
-  if dim = 0 then (if Es.is_feasible ~a ~b then Q.one else Q.zero)
-  else begin
-    if not (Es.is_feasible ~a ~b) then Q.zero
-    else begin
-      check_bounded ~dim a b;
-      let cstrs = Array.to_list (Array.map2 (fun row rhs -> { row; rhs }) a b) in
-      volume_rec dim cstrs
-    end
-  end
+  if dim = 0 then (if Array.for_all (fun r -> Q.sign r >= 0) b then Q.one else Q.zero)
+  else if dim >= 2 && not (Es.is_feasible ~a ~b) then Q.zero
+  else volume_rec dim (Array.to_list (Array.map2 (fun row rhs -> { row; rhs }) a b))
 
 let tuple_system ~dim tuple =
   let rows =
@@ -151,16 +109,22 @@ let volume_relation ?(max_tuples = 16) r =
   let t = Array.length tuples in
   if t > max_tuples then invalid_arg "Volume_exact.volume_relation: too many tuples";
   let dim = Relation.dim r in
-  (* Inclusion–exclusion over all non-empty subsets. *)
+  (* Inclusion–exclusion in increasing mask order, so every subset of
+     [mask] is decided first.  [zero] marks the subsets of volume 0 and
+     their supersets, which are skipped; marks propagate, so checking
+     the subsets one element smaller suffices. *)
+  let zero = Array.make (1 lsl t) false in
   let total = ref Q.zero in
   for mask = 1 to (1 lsl t) - 1 do
     let members = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init t Fun.id) in
-    let conj = List.concat_map (fun i -> tuples.(i)) members in
-    let v = volume_tuple ~dim conj in
-    let sign = if List.length members mod 2 = 1 then Q.one else Q.minus_one in
-    total := Q.add !total (Q.mul sign v)
+    if List.exists (fun i -> zero.(mask lxor (1 lsl i))) members then zero.(mask) <- true
+    else begin
+      let v = volume_tuple ~dim (List.concat_map (fun i -> tuples.(i)) members) in
+      if Q.is_zero v then zero.(mask) <- true
+      else if List.length members mod 2 = 1 then total := Q.add !total v
+      else total := Q.sub !total v
+    end
   done;
   !total
 
-let float_volume_tuple ~dim tuple = Q.to_float (volume_tuple ~dim tuple)
 let float_volume_relation ?max_tuples r = Q.to_float (volume_relation ?max_tuples r)

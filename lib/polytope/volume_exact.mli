@@ -13,18 +13,27 @@
 exception Unbounded
 
 val volume_system : dim:int -> Rational.t array array -> Rational.t array -> Rational.t
-(** Exact volume of [{x ∈ R^dim | A x <= b}].
-    @raise Unbounded if the polyhedron is unbounded. *)
+(** Exact volume of [{x ∈ R^dim | A x <= b}].  For [dim >= 2] one exact
+    feasibility LP decides emptiness, so an empty system costs no
+    recursion; in dim 0 the system is non-empty exactly when every
+    [b_i >= 0], and in dim 1 the base case finds an empty interval
+    itself.  Boundedness is left to the recursion, which reaches a 1-D
+    base case missing a bound exactly when a non-empty system is
+    unbounded.
+    @raise Unbounded if the polyhedron is non-empty and unbounded. *)
 
 val volume_tuple : dim:int -> Dnf.tuple -> Rational.t
 (** Volume of the convex set of one generalized tuple. *)
 
 val volume_relation : ?max_tuples:int -> Relation.t -> Rational.t
 (** Volume of a finite union of tuples, by inclusion–exclusion over the
-    (possibly overlapping) tuples.  Cost is [2^t] exact volume calls for
-    [t] tuples; [max_tuples] (default 16) guards the blowup.
+    (possibly overlapping) tuples.  Subsets containing a subset of
+    volume 0 are skipped: their intersection lies in an empty or flat
+    bounded set, so they add 0 and cannot raise.  Cost is at most [2^t]
+    exact volume calls for [t] tuples, and [t + t(t−1)/2] when every
+    two tuples meet in volume 0; [max_tuples] (default
+    16) guards the blowup.
     @raise Invalid_argument if the relation has more tuples than that.
     @raise Unbounded if some non-empty intersection is unbounded. *)
 
-val float_volume_tuple : dim:int -> Dnf.tuple -> float
 val float_volume_relation : ?max_tuples:int -> Relation.t -> float

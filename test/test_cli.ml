@@ -31,6 +31,19 @@ let run_stderr args =
   Sys.remove err;
   (code, text)
 
+(* Exit code and stdout of one invocation. *)
+let run_stdout args =
+  let out = Filename.temp_file "spatialdb_cli" ".out" in
+  let code = Sys.command (Filename.quote binary ^ " " ^ args ^ " 2>/dev/null >" ^ Filename.quote out) in
+  let ic = open_in out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove out;
+  (code, text)
+
+(* 10^400: exact volumes built from it have parts beyond the float range. *)
+let z400 = "1" ^ String.make 400 '0'
+
 let success_tests =
   [
     t "binary exists where the test expects it" (fun () ->
@@ -40,6 +53,16 @@ let success_tests =
         check "json" 0 ("explain " ^ fig1 ^ " --format json");
         check "volume task" 0 ("explain " ^ fig1 ^ " --task volume"));
     t "volume --mode exact exits 0" (fun () -> check "exact" 0 ("volume " ^ fig1 ^ " --mode exact"));
+    t "volume --mode exact converts a rational with huge parts" (fun () ->
+        (* [0, (10^400+1)/10^400] x [0,1]: the volume is about 1. *)
+        let code, out =
+          run_stdout
+            (Printf.sprintf
+               "volume -v x,y -f \"0 <= x and %s*x <= %s1 and 0 <= y and y <= 1\" --mode exact" z400
+               (String.sub z400 0 400))
+        in
+        Alcotest.(check int) "exit" 0 code;
+        Alcotest.(check string) "volume" "1.000000000\n" out);
   ]
 
 let usage_tests =
@@ -83,6 +106,16 @@ let runtime_tests =
         let explain = run_stderr ("explain " ^ segment) in
         Alcotest.(check int) "sample exits 1" 1 (fst sample);
         Alcotest.(check (pair int string)) "explain = sample" sample explain);
+    t "audit reports an exact truth beyond the float range" (fun () ->
+        let code, err =
+          run_stderr
+            (Printf.sprintf
+               "audit -v x,y -f \"0 <= x and x <= %s and 0 <= y and y <= 1\" --oracle exact --runs 2"
+               z400)
+        in
+        Alcotest.(check int) "exit" 1 code;
+        Alcotest.(check string) "message"
+          "spatialdb: exact volume inf lies beyond the float range; nothing to audit\n" err);
   ]
 
 let profile_tests =

@@ -329,6 +329,32 @@ let project_tests =
               Alcotest.fail "expected Invalid_argument"
             with Invalid_argument _ -> ())
           [ []; [ 0; 1 ]; [ 5 ] ]);
+    t "projection stream pinned across the exact fiber oracle" (fun () ->
+        (* An elevation prism has 1-D fibers, the exact oracle's
+           cheapest path; points and draw count were recorded when that
+           oracle still ran its LP gates. *)
+        let base =
+          Scdb_gis.Synth.random_convex_parcel (Rng.create 7) ~centre:[| 1.0; 1.0 |] ~radius:1.0
+            ~facets:5
+        in
+        let prism = Scdb_gis.Synth.elevation_prism ~base ~height:(Q.of_ints 3 2) in
+        let poly = P.of_tuple ~dim:3 (List.hd (Relation.tuples prism)) in
+        let rng = Rng.create 11 in
+        let proj = Option.get (Project.project rng poly ~keep:[ 0; 1 ]) in
+        let points =
+          Observable.sample_many proj rng (Params.make ~gamma:0.01 ~eps:0.2 ~delta:0.1 ()) ~n:5
+        in
+        Alcotest.(check (list (list string)))
+          "points"
+          [
+            [ "0x1.af11b09b7e474p-1"; "0x1.c2c5c779ce575p-5" ];
+            [ "0x1.1e05c23532e7cp+0"; "0x1.59dedc0fd7593p-2" ];
+            [ "0x1.5e29f9d74c7f9p-1"; "0x1.09a4f466a3cd2p-1" ];
+            [ "0x1.d7e3c894794d8p-1"; "0x1.ed928bbe1c201p-1" ];
+            [ "0x1.7503b5daacb13p+0"; "0x1.5673d5f8b190bp+0" ];
+          ]
+          (List.map (fun p -> List.map (Printf.sprintf "%h") (Array.to_list p)) points);
+        Alcotest.(check int) "draws" 115716 (Rng.draw_count rng));
   ]
 
 let fixed_dim_tests =

@@ -260,6 +260,21 @@ let synth_tests =
           (fun name ->
             Alcotest.(check bool) name true (Option.is_some (Instance.get inst name)))
           [ "Parcels"; "Lakes"; "Roads"; "Terrain" ]);
+    t "9-parcel union: exact volume equals the per-tuple sum" (fun () ->
+        (* 511 subsets, all but the 9 parcels and their 36 pairs pruned
+           as supersets of an empty intersection; the 2,900-digit result
+           must still convert to a finite float. *)
+        let inst = Synth.land_use_instance (Rng.create 50) ~extent:9.0 in
+        let parcels = Instance.get_exn inst "Parcels" in
+        let union = Q.to_float (VE.volume_relation parcels) in
+        let sum =
+          List.fold_left
+            (fun acc tuple -> acc +. Q.to_float (VE.volume_relation (Relation.make ~dim:2 [ tuple ])))
+            0.0 (Relation.tuples parcels)
+        in
+        Alcotest.(check int) "tuples" 9 (List.length (Relation.tuples parcels));
+        Alcotest.(check bool) "finite" true (Float.is_finite union);
+        Alcotest.(check bool) "equals the sum" true (Float.abs (union -. sum) <= 1e-12 *. sum));
   ]
 
 

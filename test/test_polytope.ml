@@ -146,6 +146,225 @@ let exact_volume_tests =
         Q.equal v1 (Q.mul v0 (Q.pow (q s) d)));
   ]
 
+(* The exact oracle as it stood before its LP gates were trimmed: one
+   feasibility LP and 2·dim boundedness LPs before every Lasserre call,
+   and inclusion–exclusion over every subset.  The recursion is a copy,
+   so the differential properties below compare the library against an
+   independent reference. *)
+module Reference_oracle = struct
+  module Es = Scdb_lp.Exact_simplex
+
+  type cstr = { row : Q.t array; rhs : Q.t }
+
+  let preprocess cstrs =
+    let table = Hashtbl.create 16 in
+    let infeasible = ref false in
+    List.iter
+      (fun c ->
+        match Array.find_opt (fun x -> not (Q.is_zero x)) c.row with
+        | None -> if Q.sign c.rhs < 0 then infeasible := true
+        | Some l -> (
+            let s = Q.inv (Q.abs l) in
+            let c = { row = Array.map (Q.mul s) c.row; rhs = Q.mul s c.rhs } in
+            let key = Array.map Q.to_string c.row in
+            match Hashtbl.find_opt table key with
+            | Some c' when Q.compare c'.rhs c.rhs <= 0 -> ()
+            | _ -> Hashtbl.replace table key c))
+      cstrs;
+    if !infeasible then None else Some (Hashtbl.fold (fun _ c acc -> c :: acc) table [])
+
+  let substitute ~k ~pivot c =
+    let factor = Q.div c.row.(k) pivot.row.(k) in
+    let row =
+      Array.init
+        (Array.length c.row - 1)
+        (fun j ->
+          let j' = if j < k then j else j + 1 in
+          Q.sub c.row.(j') (Q.mul factor pivot.row.(j')))
+    in
+    { row; rhs = Q.sub c.rhs (Q.mul factor pivot.rhs) }
+
+  let rec volume_rec dim cstrs =
+    match preprocess cstrs with
+    | None -> Q.zero
+    | Some cstrs when dim = 1 -> (
+        let lo = ref None and hi = ref None in
+        List.iter
+          (fun c ->
+            let a = c.row.(0) in
+            let v = Q.div c.rhs a in
+            if Q.sign a > 0 then (
+              match !hi with Some h when Q.compare h v <= 0 -> () | _ -> hi := Some v)
+            else if Q.sign a < 0 then
+              match !lo with Some l when Q.compare l v >= 0 -> () | _ -> lo := Some v)
+          cstrs;
+        match (!lo, !hi) with
+        | Some l, Some h -> if Q.compare l h >= 0 then Q.zero else Q.sub h l
+        | _ -> raise VE.Unbounded)
+    | Some cstrs ->
+        if cstrs = [] then raise VE.Unbounded;
+        let arr = Array.of_list cstrs in
+        let total = ref Q.zero in
+        Array.iteri
+          (fun i pivot ->
+            let k = ref 0 in
+            Array.iteri
+              (fun j c -> if Q.compare (Q.abs c) (Q.abs pivot.row.(!k)) > 0 then k := j)
+              pivot.row;
+            if not (Q.is_zero pivot.row.(!k)) then begin
+              let facet =
+                List.filteri (fun i' _ -> i' <> i) (Array.to_list arr)
+                |> List.map (substitute ~k:!k ~pivot)
+              in
+              let sub = volume_rec (dim - 1) facet in
+              if not (Q.is_zero sub) then
+                total :=
+                  Q.add !total
+                    (Q.div (Q.mul pivot.rhs sub) (Q.mul (q dim) (Q.abs pivot.row.(!k))))
+            end)
+          arr;
+        !total
+
+  let volume_system ~dim a b =
+    if dim = 0 then if Es.is_feasible ~a ~b then Q.one else Q.zero
+    else if not (Es.is_feasible ~a ~b) then Q.zero
+    else begin
+      for i = 0 to dim - 1 do
+        List.iter
+          (fun s ->
+            match Es.maximize ~a ~b ~c:(Array.init dim (fun j -> if i = j then q s else Q.zero)) with
+            | Es.Unbounded -> raise VE.Unbounded
+            | Es.Infeasible | Es.Optimal _ -> ())
+          [ 1; -1 ]
+      done;
+      volume_rec dim (Array.to_list (Array.map2 (fun row rhs -> { row; rhs }) a b))
+    end
+
+  let tuple_system ~dim tuple =
+    let rows =
+      List.concat_map
+        (fun (atom : Atom.t) ->
+          let row = Array.make dim Q.zero in
+          List.iter (fun (i, c) -> row.(i) <- c) (Term.coeffs atom.term);
+          let rhs = Q.neg (Term.constant atom.term) in
+          match atom.op with
+          | Atom.Le | Atom.Lt -> [ (row, rhs) ]
+          | Atom.Eq -> [ (row, rhs); (Array.map Q.neg row, Q.neg rhs) ])
+        tuple
+    in
+    (Array.of_list (List.map fst rows), Array.of_list (List.map snd rows))
+
+  let volume_relation r =
+    let tuples = Array.of_list (Relation.tuples r) in
+    let t = Array.length tuples and dim = Relation.dim r in
+    let total = ref Q.zero in
+    for mask = 1 to (1 lsl t) - 1 do
+      let members = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init t Fun.id) in
+      let a, b = tuple_system ~dim (List.concat_map (fun i -> tuples.(i)) members) in
+      let v = volume_system ~dim a b in
+      total := Q.add !total (if List.length members mod 2 = 1 then v else Q.neg v)
+    done;
+    !total
+end
+
+(* Same rational, or both raise [Unbounded]. *)
+let same_answer f g =
+  let run h = match h () with v -> Some v | exception VE.Unbounded -> None in
+  match (run f, run g) with
+  | Some a, Some b -> Q.equal a b
+  | None, None -> true
+  | _ -> false
+
+(* Small integer coefficients, zero a third of the time, so empty,
+   unbounded, flat, duplicate and constant rows all turn up. *)
+let small_coeff = QCheck.Gen.(frequency [ (1, return 0); (2, int_range (-2) 2) ])
+
+let arbitrary_system =
+  let gen =
+    QCheck.Gen.(
+      let* dim = 0 -- 4 in
+      let* rows = 0 -- 8 in
+      let* a = array_repeat rows (array_repeat dim (map q small_coeff)) in
+      let* b = array_repeat rows (map q (int_range (-3) 3)) in
+      return (dim, a, b))
+  in
+  let print (dim, a, b) =
+    Printf.sprintf "dim %d: %s" dim
+      (String.concat "; "
+         (Array.to_list
+            (Array.map2
+               (fun row rhs ->
+                 String.concat " " (Array.to_list (Array.map Q.to_string row)) ^ " <= " ^ Q.to_string rhs)
+               a b)))
+  in
+  QCheck.make ~print gen
+
+(* Unions of up to five tuples over a small integer grid: boxes of
+   width 0..2 (so disjoint, touching, overlapping and flat ones occur),
+   sometimes cut by a halfspace or missing one bound. *)
+let arbitrary_union =
+  let gen =
+    QCheck.Gen.(
+      let* dim = 1 -- 3 in
+      let tuple =
+        let* lo = array_repeat dim (0 -- 3) in
+        let* width = array_repeat dim (0 -- 2) in
+        let* open_side = frequency [ (5, return None); (1, map Option.some (0 -- (dim - 1))) ] in
+        let* cut = opt (pair (array_repeat dim small_coeff) (int_range (-1) 4)) in
+        let bounds =
+          List.concat
+            (List.init dim (fun i ->
+                 let lower = Atom.le (Term.of_int lo.(i)) (Term.var i) in
+                 let upper = Atom.le (Term.var i) (Term.of_int (lo.(i) + width.(i))) in
+                 if open_side = Some i then [ lower ] else [ lower; upper ]))
+        in
+        let cut =
+          match cut with
+          | None -> []
+          | Some (row, rhs) ->
+              [ Atom.make (Term.make (List.init dim (fun i -> (i, q row.(i)))) (q (-rhs))) Atom.Le ]
+        in
+        return (cut @ bounds)
+      in
+      let* tuples = list_size (1 -- 5) tuple in
+      return (Relation.make ~dim tuples))
+  in
+  QCheck.make ~print:Relation.to_text gen
+
+let oracle_tests =
+  [
+    qt ~count:1000 "volume_system matches the LP-gated reference" arbitrary_system
+      (fun (dim, a, b) ->
+        same_answer
+          (fun () -> VE.volume_system ~dim a b)
+          (fun () -> Reference_oracle.volume_system ~dim a b));
+    qt ~count:150 "volume_relation matches unpruned inclusion-exclusion" arbitrary_union (fun r ->
+        same_answer
+          (fun () -> VE.volume_relation r)
+          (fun () -> Reference_oracle.volume_relation r));
+    t "dims 0 and 1 decide emptiness without an LP" (fun () ->
+        let a0 = [| [||]; [||] |] in
+        Alcotest.(check string) "dim 0 feasible" "1" (Q.to_string (VE.volume_system ~dim:0 a0 [| q 0; q 2 |]));
+        Alcotest.(check string) "dim 0 empty" "0" (Q.to_string (VE.volume_system ~dim:0 a0 [| q 1; q (-1) |]));
+        let a1 = [| [| q 1 |]; [| q (-1) |] |] in
+        Alcotest.(check string) "dim 1 empty" "0" (Q.to_string (VE.volume_system ~dim:1 a1 [| q 0; q (-1) |]));
+        Alcotest.check_raises "dim 1 unbounded" VE.Unbounded (fun () ->
+            ignore (VE.volume_system ~dim:1 [| [| q 1 |] |] [| q 0 |])));
+    t "an unbounded system is caught by the recursion" (fun () ->
+        (* A quadrant, a strip and a line in R^3: each has a non-empty
+           unbounded facet section. *)
+        List.iter
+          (fun (a, b) ->
+            Alcotest.check_raises "unbounded" VE.Unbounded (fun () -> ignore (VE.volume_system ~dim:3 a b)))
+          [
+            ([| [| q (-1); q 0; q 0 |]; [| q 0; q (-1); q 0 |]; [| q 0; q 0; q 1 |]; [| q 0; q 0; q (-1) |] |],
+             [| q 0; q 0; q 1; q 0 |]);
+            ([| [| q 1; q 0; q 0 |]; [| q (-1); q 0; q 0 |] |], [| q 1; q 0 |]);
+            ([| [| q 1; q 1; q 0 |]; [| q (-1); q (-1); q 0 |]; [| q 0; q 0; q 1 |]; [| q 0; q 0; q (-1) |] |],
+             [| q 0; q 0; q 0; q 0 |]);
+          ]);
+  ]
+
 let polygon_tests =
   [
     qt "affine transform scales area by |det|" (QCheck.make QCheck.Gen.(int_range 0 100_000)) (fun seed ->
@@ -353,6 +572,7 @@ let suites =
     ("polytope.hrep", polytope_tests);
     ("polytope.kernel", kernel_tests);
     ("polytope.volume_exact", exact_volume_tests);
+    ("polytope.exact_oracle", oracle_tests);
     ("polytope.polygon2d", polygon_tests);
     ("polytope.gridvol", gridvol_tests);
   ]

@@ -153,5 +153,88 @@ let fastpath_tests =
         Q.equal a (Q.sub (Q.add a b) b));
   ]
 
+(* Float conversions.  [of_float] builds the mantissa's Bigint directly;
+   the reference below is the construction it replaced, through the
+   mantissa's decimal string.  [to_float] keeps the plain quotient of
+   the parts whenever both parts are finite floats. *)
+
+let of_float_by_string f =
+  if f = 0.0 then Q.zero
+  else begin
+    let mantissa, exponent = Float.frexp f in
+    let num = Bigint.of_string (Int64.to_string (Int64.of_float (mantissa *. 9007199254740992.0))) in
+    let e = exponent - 53 in
+    if e >= 0 then Q.of_bigint (Bigint.shift_left num e)
+    else Q.make num (Bigint.shift_left Bigint.one (-e))
+  end
+
+let arbitrary_finite_float =
+  let special = [ 0.0; -0.0; 1.0; -1.0; 0.1; Float.max_float; -.Float.max_float;
+                  Float.min_float; 4.9e-324; -4.9e-324; 2.2250738585072009e-308 ] in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl special);
+          (6, map Int64.float_of_bits ui64);
+          (* subnormals: exponent field zero *)
+          (2, map (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) ui64);
+        ])
+  in
+  QCheck.make ~print:(Printf.sprintf "%h") (QCheck.Gen.map (fun f -> if Float.is_finite f then f else 1.5) gen)
+
+(* A positive Bigint of at most [bits] bits, from random decimal digits
+   kept below 2^bits. *)
+let arbitrary_parts ~bits =
+  let limit = Bigint.shift_left Bigint.one bits in
+  let part =
+    QCheck.Gen.(
+      let* len = 1 -- 310 in
+      let* digits = string_size ~gen:(char_range '0' '9') (return len) in
+      let n = Bigint.rem (Bigint.of_string digits) limit in
+      return (if Bigint.is_zero n then Bigint.one else n))
+  in
+  QCheck.make
+    ~print:(fun (n, d) -> Bigint.to_string n ^ "/" ^ Bigint.to_string d)
+    (QCheck.Gen.pair part part)
+
+let pow10 k = Bigint.pow (Bigint.of_int 10) k
+let pow2 k = Bigint.shift_left Bigint.one k
+
+let conversion_tests =
+  [
+    qt ~count:2000 "of_float equals the decimal-string construction" arbitrary_finite_float
+      (fun f -> Q.equal (Q.of_float f) (of_float_by_string f));
+    t "of_float round-trips through to_float" (fun () ->
+        List.iter
+          (fun f -> Alcotest.(check (float 0.0)) (Printf.sprintf "%h" f) f (Q.to_float (Q.of_float f)))
+          [ 0.1; -3.75; 1e300; -.Float.max_float; 4.9e-324; 1.0 /. 3.0 ]);
+    qt ~count:500 "to_float keeps the plain quotient of parts below 2^1000"
+      (arbitrary_parts ~bits:1000) (fun (n, d) ->
+        let q = Q.make n d in
+        Int64.equal
+          (Int64.bits_of_float (Q.to_float q))
+          (Int64.bits_of_float (Bigint.to_float q.Q.num /. Bigint.to_float q.Q.den)));
+    t "to_float of parts beyond the float range" (fun () ->
+        let one = Bigint.one in
+        let third = Q.make (Bigint.succ (pow10 400)) (Bigint.mul (Bigint.of_int 3) (pow10 400)) in
+        Alcotest.(check (float 1e-15)) "(10^400+1)/(3*10^400)" (1.0 /. 3.0) (Q.to_float third);
+        Alcotest.(check (float 0.0)) "(2^1100+1)/(2^1099+1)" 2.0
+          (Q.to_float (Q.make (Bigint.add (pow2 1100) one) (Bigint.add (pow2 1099) one)));
+        let big = Q.to_float (Q.make (Bigint.add (pow2 1030) one) (Bigint.add (pow2 20) one)) in
+        Alcotest.(check bool) "(2^1030+1)/(2^20+1) finite" true (Float.is_finite big);
+        let expected = Float.ldexp (1.0 /. (1.0 +. Float.ldexp 1.0 (-20))) 1010 in
+        Alcotest.(check bool) "(2^1030+1)/(2^20+1) ~ 2^1010/(1+2^-20)" true
+          (Float.abs (big -. expected) <= 1e-15 *. expected);
+        Alcotest.(check (float 0.0)) "10^400 overflows" Float.infinity
+          (Q.to_float (Q.of_bigint (pow10 400)));
+        Alcotest.(check (float 0.0)) "10^-400 underflows" 0.0
+          (Q.to_float (Q.make one (pow10 400))));
+  ]
+
 let suites =
-  [ ("rational", unit_tests @ property_tests @ fastpath_tests); ("interval", interval_tests) ]
+  [
+    ("rational", unit_tests @ property_tests @ fastpath_tests);
+    ("rational.float", conversion_tests);
+    ("interval", interval_tests);
+  ]
