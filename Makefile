@@ -74,6 +74,9 @@ check:
 # Last, the exact-oracle float conversion: the box
 # [0, (10^400+1)/10^400] x [0,1] has an exact volume whose parts both
 # overflow a float; `volume --mode exact` must still print its value.
+# Last, the committed flight-record fixtures replay through the CLI on
+# both the interpreter and the strict VM, so a stale fixture fails here
+# as well as in the test suite.
 # Throwaway artifacts go to _build/.
 ci: check
 	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_8.json
@@ -179,6 +182,10 @@ ci: check
 	test "$$(dune exec bin/spatialdb.exe -- volume -v x,y \
 	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
 	  --mode exact)" = 1.000000000
+	dune exec bin/spatialdb.exe -- replay test/fixtures/union_k3.flightrec.json
+	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/union_k3.flightrec.json
+	dune exec bin/spatialdb.exe -- replay test/fixtures/incremental_k1.flightrec.json
+	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/incremental_k1.flightrec.json
 
 clean:
 	dune clean

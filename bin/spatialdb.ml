@@ -91,6 +91,13 @@ let usage_die what got valid =
     (String.concat ", " valid);
   exit 2
 
+(* Usage error for a count flag that must be positive. *)
+let check_at_least_one flag = function
+  | Some n when n < 1 ->
+      Printf.eprintf "spatialdb: %s must be >= 1 (got %d)\n" flag n;
+      exit 2
+  | _ -> ()
+
 let check_method m =
   if not (List.mem m Flight.methods) then usage_die "method" m Flight.methods
 
@@ -702,6 +709,8 @@ let audit_cmd =
     if not (List.mem jobs_mode [ "domains"; "seq" ]) then
       usage_die "jobs mode" jobs_mode [ "domains"; "seq" ];
     if jobs < 1 then or_die (Error "--jobs must be >= 1");
+    check_at_least_one "--walk-steps" walk_steps;
+    check_at_least_one "--phase-samples" phase_samples;
     let oracle_v =
       match oracle with
       | "exact" -> `Exact

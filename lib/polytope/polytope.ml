@@ -573,7 +573,8 @@ module Kernel = struct
     let lows b = b.lo
     let highs b = b.hi
 
-    let advance b c s =
+    (* [@inline]: a call would box [s], even from this module. *)
+    let[@inline] advance b c s =
       let d = b.poly.dim in
       let m = Array.length b.poly.b in
       let xo = c * d and ao = c * m in
@@ -587,6 +588,44 @@ module Kernel = struct
       done;
       b.since_refresh.(c) <- b.since_refresh.(c) + 1;
       if b.since_refresh.(c) >= refresh_interval then refresh_chain b c
+
+    (* The volume estimator's phase walk, here so that every float of
+       the step stays in this module: across modules the step, the
+       chord bounds and the uniform draw would each be boxed. *)
+    let hit_and_run_in_ball b rng ~radius ~steps =
+      if b.k <> 1 then invalid_arg "Polytope.Kernel.Batch.hit_and_run_in_ball: one chain only";
+      let d = b.poly.dim in
+      let x = b.x and dir = b.dir and lo = b.lo and hi = b.hi in
+      let u = [| 0.0 |] in
+      let degenerate = ref 0 in
+      for _ = 1 to steps do
+        Scdb_rng.Rng.unit_vector_slice_fast rng dir 0 d;
+        chord_all b;
+        (* Clip to the ball in place: [dir] is a unit vector, so
+           |x + t·dir|² ≤ r² is t² + 2ht + c ≤ 0 with h = ⟨x, dir⟩ and
+           c = |x|² − r². *)
+        let h = ref 0.0 and xx = ref 0.0 in
+        for j = 0 to d - 1 do
+          let xj = Array.unsafe_get x j in
+          h := !h +. (xj *. Array.unsafe_get dir j);
+          xx := !xx +. (xj *. xj)
+        done;
+        let disc = (!h *. !h) -. (!xx -. (radius *. radius)) in
+        if disc >= 0.0 then begin
+          let s = sqrt disc in
+          let t0 = -. !h -. s and t1 = -. !h +. s in
+          if t0 > Array.unsafe_get lo 0 then Array.unsafe_set lo 0 t0;
+          if t1 < Array.unsafe_get hi 0 then Array.unsafe_set hi 0 t1
+        end
+        else Array.unsafe_set hi 0 neg_infinity;
+        let tlo = Array.unsafe_get lo 0 and thi = Array.unsafe_get hi 0 in
+        if thi > tlo && Float.is_finite tlo && Float.is_finite thi then begin
+          Scdb_rng.Rng.float_into rng u 0;
+          advance b 0 (tlo +. ((thi -. tlo) *. Array.unsafe_get u 0))
+        end
+        else incr degenerate
+      done;
+      !degenerate
 
     (* Ball-walk support: with per-chain displacement vectors stored
        via [set_dir], compute every chain's worst constraint violation

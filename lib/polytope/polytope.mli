@@ -216,6 +216,20 @@ module Kernel : sig
         [t], updating its cache block incrementally; exact refresh
         every {!refresh_interval} accepted moves.  Allocation-free. *)
 
+    val hit_and_run_in_ball :
+      batch -> Scdb_rng.Rng.t -> radius:float -> steps:int -> int
+    (** [hit_and_run_in_ball b rng ~radius ~steps]: [steps] hit-and-run
+        moves of a one-chain batch on [poly ∩ B(0, radius)], the volume
+        estimator's phase walk.  Each step stages a ziggurat direction
+        ({!Scdb_rng.Rng.unit_vector_slice_fast}), takes the polytope
+        chord from {!chord_all}, clips it to the ball in place on
+        {!lows}/{!highs}, and moves to a uniform point of what is left
+        ({!Scdb_rng.Rng.float_into}).  An empty, zero-length or
+        non-finite chord leaves the chain where it is.  Returns the
+        number of such degenerate steps.  Allocation-free per step.
+        @raise Invalid_argument unless the batch has exactly one
+        chain. *)
+
     val propose_all : batch -> unit
     (** Ball-walk support: with per-chain displacements staged via
         {!set_dir}, compute every chain's worst constraint violation at

@@ -196,6 +196,10 @@ let[@inline always] float t =
 
 let[@inline always] uniform t lo hi = lo +. ((hi -. lo) *. float t)
 
+(* [float] delivered through a float array: a caller in another module
+   then gets the draw without a boxed return. *)
+let float_into t buf i = buf.(i) <- float t
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
   (* Rejection to avoid modulo bias. *)
@@ -209,15 +213,26 @@ let int t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let gaussian t =
-  (* Marsaglia polar method; discard the second deviate to keep the
-     generator stateless beyond its stream position. *)
-  let rec go () =
-    let u = uniform t (-1.0) 1.0 and v = uniform t (-1.0) 1.0 in
+(* Marsaglia polar method; discard the second deviate to keep the
+   generator stateless beyond its stream position.  A loop with
+   [@inline always] rather than a recursive closure, for the reason
+   given at [gaussian_fast] below: inlined callers get the deviate
+   unboxed, so direction fills allocate nothing.  Same draw order
+   ([u] then [v]) and arithmetic as the recursive form, so the stream
+   and every value are unchanged. *)
+let[@inline always] gaussian t =
+  let res = ref 0.0 in
+  let looping = ref true in
+  while !looping do
+    let u = uniform t (-1.0) 1.0 in
+    let v = uniform t (-1.0) 1.0 in
     let s = (u *. u) +. (v *. v) in
-    if s >= 1.0 || s = 0.0 then go () else u *. sqrt (-2.0 *. log s /. s)
-  in
-  go ()
+    if not (s >= 1.0 || s = 0.0) then begin
+      res := u *. sqrt (-2.0 *. log s /. s);
+      looping := false
+    end
+  done;
+  !res
 
 (* Ziggurat gaussian (Doornik's ZIGNOR layout, 128 layers): the
    throughput generator behind the batched walk kernels' direction

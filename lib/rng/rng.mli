@@ -113,6 +113,10 @@ val float : t -> float
 val uniform : t -> float -> float -> float
 (** Uniform in [[lo, hi)]. *)
 
+val float_into : t -> float array -> int -> unit
+(** [float_into t buf i] stores a {!float} draw in [buf.(i)]: the same
+    draw, without allocating a boxed result. *)
+
 val int : t -> int -> int
 (** Uniform in [[0, bound)]; [bound > 0]. *)
 

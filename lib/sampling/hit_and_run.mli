@@ -26,26 +26,16 @@ val sample :
     [monitor] is attached, every step feeds it the current position and
     an accept (moved) or reject (degenerate chord) event. *)
 
-val phase_walk :
-  Rng.t ->
-  Polytope.t ->
-  radius:float ->
-  pos:Vec.t ->
-  dir:Vec.t ->
-  range:float array ->
-  steps:int ->
-  unit
-(** The multi-phase volume estimator's walk on [poly ∩ B(0, radius)]:
-    [steps] hit-and-run moves advancing [pos] in place, with [dir] (the
-    body's dimension) and [range] (length >= 2) as caller-owned
-    scratch.  Bit-identical to
-    [sample ~chord:(intersect_chords [polytope_chord poly; ball_chord
-    ~centre:0 ~radius]) ~start:pos] — same rng draws, positions,
-    telemetry, progress steps and stuck warning — without the per-step
-    allocation of the closure-built chord.  The chord arithmetic is
-    {!Polytope.line_intersection_into}'s, not the incremental cursor's,
-    whose cached products round differently.
-    @raise Invalid_argument on dimension mismatch. *)
+val phase_walk : Rng.t -> Polytope.Kernel.Batch.batch -> radius:float -> steps:int -> unit
+(** The multi-phase volume estimator's walk on [poly ∩ B(0, radius)],
+    [poly] being the batch's polytope:
+    {!Polytope.Kernel.Batch.hit_and_run_in_ball}, which moves the
+    batch's one chain in place on ziggurat directions and the cached
+    [A·x], plus the same accounting as {!sample}: the
+    [hit_and_run.samples], [.steps] and [.chord_degenerate] counters,
+    the progress steps and the [hit_and_run.stuck] warning, charged
+    once per call.  Allocation-free per step.
+    @raise Invalid_argument unless the batch has exactly one chain. *)
 
 val sample_polytope :
   ?monitor:Scdb_diag.Diag.Monitor.t -> Rng.t -> Polytope.t -> start:Vec.t -> steps:int -> Vec.t

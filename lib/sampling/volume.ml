@@ -25,13 +25,13 @@ let rec ball_volume ~dim ~radius =
   | 1 -> 2.0 *. radius
   | d -> ball_volume ~dim:(d - 2) ~radius *. 2.0 *. Float.pi *. radius *. radius /. float_of_int d
 
-(* Move the warm start [pos] in place to one point of
-   [poly ∩ B(0, radius)].  [dir] and [range] are the hit-and-run
-   walk's scratch, owned by the estimate. *)
-let phase_sample rng ~sampler ~poly ~radius ~walk_steps ~grid_gamma ~dir ~range pos =
-  match sampler with
-  | Hit_and_run -> Hit_and_run.phase_walk rng poly ~radius ~pos ~dir ~range ~steps:walk_steps
-  | Grid_walk ->
+(* Move the warm start in place to one point of [poly ∩ B(0, radius)]:
+   the hit-and-run chain's own position, or [pos] for the lattice
+   walk. *)
+let phase_sample rng ~chain ~poly ~radius ~walk_steps ~grid_gamma pos =
+  match chain with
+  | Some b -> Hit_and_run.phase_walk rng b ~radius ~steps:walk_steps
+  | None ->
       let dim = Polytope.dim poly in
       let grid = Grid.step_for ~gamma:grid_gamma ~dim ~scale:radius in
       let mem x = Polytope.mem poly x && Vec.norm x <= radius in
@@ -43,6 +43,12 @@ let phase_sample rng ~sampler ~poly ~radius ~walk_steps ~grid_gamma ~dir ~range 
 
 let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget = Rigorous)
     ?walk_steps ?rounding_rounds poly =
+  (match budget with
+  | Practical n when n < 1 -> invalid_arg "Volume.estimate: Practical budget must be >= 1"
+  | _ -> ());
+  (match walk_steps with
+  | Some s when s < 1 -> invalid_arg "Volume.estimate: walk_steps must be >= 1"
+  | _ -> ());
   let d = Polytope.dim poly in
   if d = 0 then Some { volume = 1.0; phases = 0; samples_per_phase = 0; walk_steps = 0; rounding_ratio = 1.0 }
   else begin
@@ -88,7 +94,18 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
         Trace.add_attr_int "samples_per_phase" samples_per_phase;
         Trace.add_attr_int "walk_steps" walk_steps;
         let product = ref 1.0 in
-        let pos = Vec.create d and dir = Vec.create d and range = Array.make 2 0.0 in
+        (* One warm-started position for every sample of every phase,
+           from the origin (the centre of the inscribed unit ball).
+           Hit-and-run walks it as the one chain of a batch, so [pos]
+           is that chain's position block. *)
+        let chain =
+          match sampler with
+          | Hit_and_run -> Some (Polytope.Kernel.Batch.make body [| Vec.create d |])
+          | Grid_walk -> None
+        in
+        let pos =
+          match chain with Some b -> Polytope.Kernel.Batch.positions b | None -> Vec.create d
+        in
         for i = 1 to q do
           let r_small = radius (i - 1) and r_big = Float.min rq (radius i) in
           let sp_phase = Trace.start "volume.phase" in
@@ -96,8 +113,7 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
           Trace.add_attr_float "radius" r_big;
           let hits = ref 0 in
           for _ = 1 to samples_per_phase do
-            phase_sample rng ~sampler ~poly:body ~radius:r_big ~walk_steps ~grid_gamma:eps ~dir
-              ~range pos;
+            phase_sample rng ~chain ~poly:body ~radius:r_big ~walk_steps ~grid_gamma:eps pos;
             if Vec.norm pos <= r_small then incr hits
           done;
           (* The telescoping product needs every phase ratio ≥ ~1/2; a

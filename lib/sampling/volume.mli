@@ -41,4 +41,12 @@ val estimate :
 (** Estimated volume of a bounded convex polytope; [None] when the body
     is empty or unbounded.  Defaults: [eps=0.25], [delta=0.25],
     hit-and-run, rigorous budget.  [rounding_rounds] is forwarded to
-    {!Rounding.round} (0 disables isotropic whitening — ablation E14). *)
+    {!Rounding.round} (0 disables isotropic whitening — ablation E14).
+
+    The hit-and-run phases walk one warm-started chain of
+    {!Polytope.Kernel.Batch} with ziggurat directions
+    ({!Hit_and_run.phase_walk}); the grid-walk phases and the rounding
+    keep the polar direction stream.
+    @raise Invalid_argument on [Practical n] with [n < 1] or
+    [walk_steps < 1]: a phase with no samples or no moves has no
+    ratio to estimate. *)

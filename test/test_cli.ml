@@ -19,6 +19,10 @@ let fig1 = "-v x,y -f \"x >= 0 /\\ y >= 0 /\\ x + y <= 1\""
 
 let check name expected args = Alcotest.(check int) name expected (run args)
 
+(* The Fig. 1 union the audit walkthrough in EXPERIMENTS.md runs on. *)
+let fig1_union =
+  "-v x,y -f \"(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)\""
+
 (* Exit code and stderr of one invocation. *)
 let run_stderr args =
   let err = Filename.temp_file "spatialdb_cli" ".err" in
@@ -83,6 +87,11 @@ let usage_tests =
         check "profile cmd" 2 ("profile " ^ fig1 ^ " -n 1 --mode bogus"));
     t "profile rejects the interpreter engine" (fun () ->
         check "profile cmd" 2 ("profile " ^ fig1 ^ " -n 1 --engine interp"));
+    t "audit rejects starved fault-injection budgets" (fun () ->
+        let audit = "audit " ^ fig1_union ^ " --oracle exact --runs 2 " in
+        check "phase-samples 0" 2 (audit ^ "--phase-samples 0");
+        check "phase-samples -5" 2 (audit ^ "--phase-samples=-5");
+        check "walk-steps -3" 2 (audit ^ "--walk-steps=-3"));
   ]
 
 let cmdline_tests =
@@ -116,6 +125,11 @@ let runtime_tests =
         Alcotest.(check int) "exit" 1 code;
         Alcotest.(check string) "message"
           "spatialdb: exact volume inf lies beyond the float range; nothing to audit\n" err);
+    t "audit with a starved phase budget still fails the contract" (fun () ->
+        (* The fault-injection demo of EXPERIMENTS.md: a positive budget
+           is accepted, and starving it is caught. *)
+        check "phase-samples 5" 1
+          ("audit " ^ fig1_union ^ " --seed 42 --runs 20 --oracle exact --phase-samples 5"));
   ]
 
 let profile_tests =

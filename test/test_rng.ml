@@ -239,6 +239,45 @@ let tests =
         let sorted = Array.copy a in
         Array.sort compare sorted;
         Alcotest.(check bool) "permutation" true (sorted = Array.init 50 Fun.id));
+    t "gaussian matches the recursive polar method bit-for-bit" (fun () ->
+        (* The closure-based form [Rng.gaussian] had before it became a
+           loop: same draws, same arithmetic. *)
+        let recursive t =
+          let rec go () =
+            let u = Rng.uniform t (-1.0) 1.0 and v = Rng.uniform t (-1.0) 1.0 in
+            let s = (u *. u) +. (v *. v) in
+            if s >= 1.0 || s = 0.0 then go () else u *. sqrt (-2.0 *. log s /. s)
+          in
+          go ()
+        in
+        List.iter
+          (fun seed ->
+            let a = Rng.create seed and b = Rng.create seed in
+            for i = 1 to 100_000 do
+              let x = recursive a and y = Rng.gaussian b in
+              if Int64.bits_of_float x <> Int64.bits_of_float y then
+                Alcotest.failf "seed %d, deviate %d: %h <> %h" seed i x y
+            done;
+            Alcotest.(check int) (Printf.sprintf "seed %d draws" seed) (Rng.draw_count a)
+              (Rng.draw_count b))
+          [ 1; 42; 2024 ]);
+    t "unit_vector_into allocates nothing" (fun () ->
+        List.iter
+          (fun d ->
+            let rng = Rng.create 5 and v = Array.make d 0.0 in
+            let iters = 10_000 in
+            for _ = 1 to 100 do
+              Rng.unit_vector_into rng v
+            done;
+            let w0 = Gc.minor_words () in
+            for _ = 1 to iters do
+              Rng.unit_vector_into rng v
+            done;
+            let dw = Gc.minor_words () -. w0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "d=%d: %.0f minor words over %d draws" d dw iters)
+              true (dw < 256.0))
+          [ 2; 5 ]);
   ]
 
 let suites = [ ("rng", tests) ]
