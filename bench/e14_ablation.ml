@@ -85,7 +85,8 @@ let run ~fast =
       ( "lattice walk",
         fun rng x -> W.sample rng ~grid:(G.make ~step:0.1 ~dim:3) ~mem:(fun p -> P.mem cube p) ~start:x ~steps:1 );
       ("ball walk", fun rng x -> BW.sample_polytope rng cube ~start:x ~steps:1 ());
-      ("hit-and-run", fun rng x -> HR.sample_polytope rng cube ~start:x ~steps:1);
+      ( "hit-and-run",
+        fun rng x -> (HR.sample_polytope_batch [| rng |] cube ~starts:[| x |] ~steps:1).(0) );
     ]
   in
   let rows =

@@ -26,7 +26,8 @@ let tests () =
   let small_a = Bigint.of_int 123_456_789 and small_b = Bigint.of_int 987_654_321 in
   let q_a = Rational.of_ints 355 113 and q_b = Rational.of_ints 113 355 in
   let chord_dir = Rng.unit_vector rng 4 in
-  let chord_cursor = P.Kernel.make cube4 (Array.make 4 0.5) in
+  let chord_batch = P.Kernel.Batch.make cube4 [| Array.make 4 0.5 |] in
+  P.Kernel.Batch.set_dir chord_batch 0 chord_dir;
   [
     Test.make ~name:"bigint.mul(400x300 digits)"
       (Staged.stage (fun () -> ignore (Bigint.mul bigint_a bigint_b)));
@@ -45,7 +46,7 @@ let tests () =
     Test.make ~name:"chord.line_intersection(cube4)"
       (Staged.stage (fun () -> ignore (P.line_intersection cube4 (Array.make 4 0.5) chord_dir)));
     Test.make ~name:"chord.kernel_incremental(cube4)"
-      (Staged.stage (fun () -> ignore (P.Kernel.chord chord_cursor chord_dir)));
+      (Staged.stage (fun () -> P.Kernel.Batch.chord_all chord_batch));
     Test.make ~name:"lp.chebyshev(cube4)"
       (Staged.stage (fun () -> ignore (Lp.chebyshev ~a:cube4.P.a ~b:cube4.P.b)));
     Test.make ~name:"volume_exact(simplex3)"
@@ -62,14 +63,14 @@ let tests () =
                 ~start:(Array.make 4 0.5) ~steps:100)));
     Test.make ~name:"walk.100steps(cube4,kernel)"
       (Staged.stage (fun () ->
-           ignore (W.sample_polytope rng ~grid cube4 ~start:(Array.make 4 0.5) ~steps:100)));
+           ignore
+             (W.sample_polytope_batch [| rng |] ~grid cube4
+                ~starts:[| Array.make 4 0.5 |]
+                ~steps:100)));
     Test.make ~name:"hit_and_run.100steps(cube4,naive)"
       (Staged.stage (fun () ->
            ignore
              (HR.sample rng ~chord:(HR.polytope_chord cube4) ~start:(Array.make 4 0.5) ~steps:100)));
-    Test.make ~name:"hit_and_run.100steps(cube4,kernel)"
-      (Staged.stage (fun () ->
-           ignore (HR.sample_polytope rng cube4 ~start:(Array.make 4 0.5) ~steps:100)));
     Test.make ~name:"hit_and_run.100steps(cube4,batchK1)"
       (Staged.stage (fun () ->
            ignore

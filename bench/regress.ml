@@ -243,8 +243,8 @@ let telemetry_snapshot ~poly ~grid ~centre =
   Tel.set_enabled true;
   let rng = Rng.create 7_2026 in
   for _ = 1 to 16 do
-    ignore (HR.sample_polytope rng poly ~start:centre ~steps:32);
-    ignore (W.sample_polytope rng ~grid poly ~start:centre ~steps:64)
+    ignore (HR.sample_polytope_batch [| rng |] poly ~starts:[| centre |] ~steps:32);
+    ignore (W.sample_polytope_batch [| rng |] ~grid poly ~starts:[| centre |] ~steps:64)
   done;
   let tri x = (x.(0) *. x.(0)) +. (x.(1) *. x.(1)) <= 1.0 in
   ignore
@@ -768,7 +768,10 @@ let run ~fast ~out ~check ~metrics_out =
   let big_a = Bigint.pow (Bigint.of_int 3) 400 and big_b = Bigint.pow (Bigint.of_int 7) 300 in
   let simplex4_tuple = List.concat (Relation.tuples (Relation.standard_simplex 4)) in
   let dir = Rng.unit_vector rng dim in
-  let cursor = P.Kernel.make poly centre in
+  (* One-chain batch staged with [dir]: the chord every K = 1 walk
+     step takes. *)
+  let chord_batch = P.Kernel.Batch.make poly [| centre |] in
+  P.Kernel.Batch.set_dir chord_batch 0 dir;
   let batched_bench k =
     let rngs = Array.init k (fun i -> Rng.create (777 + i)) in
     let starts = Array.init k (fun _ -> Vec.create dim) in
@@ -835,8 +838,9 @@ let run ~fast ~out ~check ~metrics_out =
           ignore (seed_hit_and_run_sample seed_rng poly ~start:centre ~steps:hr_steps));
       measure ~fast ~name:"hit_and_run.step.naive" ~ops:hr_steps (fun () ->
           ignore (HR.sample rng ~chord:(HR.polytope_chord poly) ~start:centre ~steps:hr_steps));
+      (* The pipeline's hit-and-run: one chain of the batched kernel. *)
       measure ~fast ~name:"hit_and_run.step.incremental" ~ops:hr_steps (fun () ->
-          ignore (HR.sample_polytope rng poly ~start:centre ~steps:hr_steps));
+          ignore (HR.sample_polytope_batch [| rng |] poly ~starts:[| centre |] ~steps:hr_steps));
       (* Batched SoA kernel at K chains: ns per chain-step (one draw),
          so draws/sec = 1e9 / ns_per_op.  Production defaults per K:
          Compat (polar) directions at K=1, Fast (ziggurat) at K>1. *)
@@ -853,11 +857,13 @@ let run ~fast ~out ~check ~metrics_out =
       measure ~fast ~name:"walk.step.seed" ~ops:walk_steps (fun () ->
           ignore (seed_walk_sample seed_rng ~grid ~mem ~start:centre ~steps:walk_steps));
       measure ~fast ~name:"walk.step.incremental" ~ops:walk_steps (fun () ->
-          ignore (W.sample_polytope rng ~grid poly ~start:centre ~steps:walk_steps));
+          ignore
+            (W.sample_polytope_batch [| rng |] ~grid poly ~starts:[| centre |] ~steps:walk_steps));
       measure ~fast ~name:"chord.seed" ~ops:1 (fun () ->
           ignore (seed_line_intersection poly centre dir));
       measure ~fast ~name:"chord.flat" ~ops:1 (fun () -> ignore (P.line_intersection poly centre dir));
-      measure ~fast ~name:"chord.incremental" ~ops:1 (fun () -> ignore (P.Kernel.chord cursor dir));
+      measure ~fast ~name:"chord.incremental" ~ops:1 (fun () ->
+          P.Kernel.Batch.chord_all chord_batch);
       measure ~fast ~name:"bigint.add.small" ~ops:1 (fun () -> ignore (Bigint.add sa sb));
       measure ~fast ~name:"bigint.add.small.limb" ~ops:1 (fun () ->
           ignore (Bigint.Reference.add sa sb));

@@ -63,6 +63,11 @@ let observe p =
           | Grid_walk -> Walk.default_steps ~dim ~eps
           | Hit_and_run | Rejection_box -> Hit_and_run.default_steps ~dim)
     in
+    (* One chain of the batched kernel, on the Compat stream. *)
+    let hit_and_run () =
+      (Hit_and_run.sample_polytope_batch [| walk_rng |] body ~starts:[| Vec.create dim |] ~steps)
+        .(0)
+    in
     (* Walk on the γ-grid of the rounded body (where DFK mixing
        applies), then map the vertex back through the rounding
        transform. *)
@@ -73,18 +78,14 @@ let observe p =
           Walk.sample walk_rng ~grid
             ~mem:(fun x -> Polytope.mem body x)
             ~start:(Vec.create dim) ~steps
-      | Hit_and_run ->
-          Hit_and_run.sample_polytope walk_rng body ~start:(Vec.create dim) ~steps
+      | Hit_and_run -> hit_and_run ()
       | Rejection_box -> (
           (* Exactly uniform; the right tool in low dimension where
              the body fills a decent fraction of its bounding box.
              Falls back to hit-and-run if the budget runs dry, so
              the generator never fails outright. *)
-          let fallback () =
-            Hit_and_run.sample_polytope walk_rng body ~start:(Vec.create dim) ~steps
-          in
           match Polytope.bounding_box body with
-          | None -> fallback ()
+          | None -> hit_and_run ()
           | Some (lo, hi) -> (
               match
                 Rejection.sample walk_rng ~lo ~hi
@@ -92,7 +93,7 @@ let observe p =
                   ~max_attempts:20_000
               with
               | Some (x, _) -> x
-              | None -> fallback ()))
+              | None -> hit_and_run ()))
     in
     Some (Affine.apply_inverse transform point)
   in

@@ -66,7 +66,8 @@ let dim t = t.dim
 let num_constraints t = Array.length t.b
 
 (* ⟨a_i, v⟩ straight off the flat rows; the shared product kernel of
-   [violation], [mem], [line_intersection] and the incremental cursor.
+   [violation], [mem], [line_intersection] and the one-chain walk
+   kernel.
    Caller guarantees [Array.length v = t.dim] and [i] in range. *)
 let[@inline] row_dot t i v =
   let d = t.dim in
@@ -177,11 +178,10 @@ let sandwich t =
           done;
           Some (centre, r_inf, sqrt !r_sup))
 
-let line_intersection_into t x dir range =
+let line_intersection t x dir =
   (* a_i·(x + s·dir) <= b_i  ⇔  s·(a_i·dir) <= b_i − a_i·x. *)
   check_point t x;
   check_point t dir;
-  if Array.length range < 2 then invalid_arg "Polytope.line_intersection_into: range too short";
   let m = Array.length t.b in
   let tmin = ref neg_infinity and tmax = ref infinity in
   for i = 0 to m - 1 do
@@ -196,161 +196,23 @@ let line_intersection_into t x dir range =
     else if denom > 0.0 then tmax := Float.min !tmax (slack /. denom)
     else tmin := Float.max !tmin (slack /. denom)
   done;
-  Array.unsafe_set range 0 !tmin;
-  Array.unsafe_set range 1 !tmax;
-  not (!tmin > !tmax)
-
-let line_intersection t x dir =
-  let range = [| 0.0; 0.0 |] in
-  if line_intersection_into t x dir range then Some (range.(0), range.(1)) else None
+  if !tmin > !tmax then None else Some (!tmin, !tmax)
 
 module Kernel = struct
-  type cursor = {
-    poly : t;
-    x : float array; (* current position *)
-    ax : float array; (* cached ⟨a_i, x⟩ per row — the incremental invariant *)
-    ad : float array; (* scratch: per-row products of the latest chord/move *)
-    range : float array; (* [| lo; hi |] of the latest chord (flat, so writes don't box) *)
-    bounds : float array; (* chord-bound scratch: hi (num, den), lo (num, den) negated *)
-    mutable since_refresh : int;
-  }
-
-  (* Rounding drift of the [ax] cache grows with the number of
+  (* Rounding drift of the [A·x] cache grows with the number of
      incremental updates; recomputing every so often keeps it at the
      level of a single fresh evaluation without changing the asymptotic
      step cost. *)
   let refresh_interval = 256
 
-  let refresh c =
-    let m = Array.length c.poly.b in
-    for i = 0 to m - 1 do
-      Array.unsafe_set c.ax i (row_dot c.poly i c.x)
-    done;
-    c.since_refresh <- 0
-
-  let make poly x =
-    check_point poly x;
-    let m = Array.length poly.b in
-    let c =
-      {
-        poly;
-        x = Vec.copy x;
-        ax = Array.make m 0.0;
-        ad = Array.make m 0.0;
-        range = Array.make 2 0.0;
-        bounds = Array.make 4 0.0;
-        since_refresh = 0;
-      }
-    in
-    refresh c;
-    c
-
-  let pos c = Vec.copy c.x
-  let products c = c.ax
-
-  let violation c =
-    let m = Array.length c.poly.b in
-    if m = 0 then 0.0
-    else begin
-      let worst = ref neg_infinity in
-      for i = 0 to m - 1 do
-        let v = Array.unsafe_get c.ax i -. Array.unsafe_get c.poly.b i in
-        if v > !worst then worst := v
-      done;
-      !worst
-    end
-
-  let inside ?(slack = 0.0) c = violation c <= slack
-
-  let chord c dir =
-    check_point c.poly dir;
-    let poly = c.poly in
-    let m = Array.length poly.b in
-    let b = poly.b and ax = c.ax and ad = c.ad in
-    (* Track each endpoint as a (num, den) pair — den > 0 for the upper
-       bound, den < 0 for the lower — and compare candidates by
-       cross-multiplication, so the loop performs no division at all;
-       the two winning ratios are divided once at the end.  Both
-       comparisons multiply through by a positive quantity
-       (den·candidate_den), so they order exactly like the quotients.
-       (Products of a slack and a direction product stay far from the
-       float range for any realistically scaled polytope; callers with
-       ~1e150 coefficients should use [line_intersection].)
-
-       The lower bound is stored with numerator and denominator negated
-       (slots 2–3): both negations are exact, so every compared product
-       and the final quotient are bit-identical to the direct form —
-       but both bound updates become the same "<" test, and the
-       unpredictable sign of [denom] moves out of the branch and into
-       the slot index. *)
-    let bounds = c.bounds in
-    Array.unsafe_set bounds 0 infinity;
-    Array.unsafe_set bounds 1 1.0;
-    Array.unsafe_set bounds 2 neg_infinity;
-    Array.unsafe_set bounds 3 1.0;
-    for i = 0 to m - 1 do
-      let denom = row_dot poly i dir in
-      Array.unsafe_set ad i denom;
-      let slack = Array.unsafe_get b i -. Array.unsafe_get ax i in
-      if Float.abs denom < 1e-14 then begin
-        if slack < 0.0 then begin
-          (* Line parallel to a violated constraint: empty chord, and no
-             later row can reopen it (the updates below never fire
-             against ∓infinity bounds). *)
-          Array.unsafe_set bounds 0 neg_infinity;
-          Array.unsafe_set bounds 1 1.0;
-          Array.unsafe_set bounds 2 infinity;
-          Array.unsafe_set bounds 3 1.0
-        end
-      end
-      else begin
-        let o = 2 * Bool.to_int (denom < 0.0) in
-        if slack *. Array.unsafe_get bounds (o + 1) < Array.unsafe_get bounds o *. denom
-        then
-          if denom < 0.0 then begin
-            Array.unsafe_set bounds o (-.slack);
-            Array.unsafe_set bounds (o + 1) (-.denom)
-          end
-          else begin
-            Array.unsafe_set bounds o slack;
-            Array.unsafe_set bounds (o + 1) denom
-          end
-      end
-    done;
-    let tmin = Array.unsafe_get bounds 2 /. Array.unsafe_get bounds 3
-    and tmax = Array.unsafe_get bounds 0 /. Array.unsafe_get bounds 1 in
-    Array.unsafe_set c.range 0 tmin;
-    Array.unsafe_set c.range 1 tmax;
-    tmin <= tmax
-
-  let lo c = c.range.(0)
-  let hi c = c.range.(1)
-
-  let advance c dir s =
-    let d = c.poly.dim in
-    for j = 0 to d - 1 do
-      Array.unsafe_set c.x j (Array.unsafe_get c.x j +. (s *. Array.unsafe_get dir j))
-    done;
-    let m = Array.length c.poly.b in
-    for i = 0 to m - 1 do
-      Array.unsafe_set c.ax i (Array.unsafe_get c.ax i +. (s *. Array.unsafe_get c.ad i))
-    done;
-    c.since_refresh <- c.since_refresh + 1;
-    if c.since_refresh >= refresh_interval then refresh c
-
-  (* ---------------------------------------------------------------- *)
-  (* Batched multi-chain state (structure of arrays)                   *)
-  (* ---------------------------------------------------------------- *)
-
   (* K chains share one pass over the flat constraint matrix: each row
      is loaded once and dotted against all K directions (coordinate-
      major, so the inner chain loop is contiguous), amortizing the
-     matrix traffic that dominates the single-chain chord.  Per-chain
-     arithmetic — accumulation order, cross-multiplied comparisons,
-     cache refresh cadence — replicates [cursor] exactly, so a chain
-     stepped through [Batch] is bit-identical to the same chain stepped
-     through the incremental cursor.  This flat layout is the contract
-     the plan→kernel compiler (ROADMAP item 3) will target. *)
+     matrix traffic that dominates the chord.  Per-chain arithmetic —
+     accumulation order, cross-multiplied comparisons, cache refresh
+     cadence — does not depend on K or on the chain's block, so a chain
+     stepped in a batch of K is bit-identical to the same chain stepped
+     alone (K = 1, the walk every single-chain sampler runs). *)
   module Batch = struct
     type batch = {
       poly : t;
@@ -359,14 +221,20 @@ module Kernel = struct
       ax : float array; (* chain-major k×m cached ⟨a_i, x⟩ *)
       ad : float array; (* chain-major k×m products of the latest directions *)
       dir : float array; (* chain-major k×d per-chain directions *)
-      (* Cross-multiplied chord bounds, two slots per chain: slot 2c
-         holds the upper bound as the cursor stores it, slot 2c+1 holds
-         the lower bound with numerator and denominator NEGATED.  Both
-         negations are exact, so slot values, comparisons and the final
-         divisions reproduce the cursor bit-for-bit — and the flipped
-         sign makes both updates the same "num·den' < num'·den" test,
+      (* Cross-multiplied chord bounds, two slots per chain: each
+         endpoint is tracked as a (num, den) pair and candidates are
+         compared by cross-multiplication, so the row loop performs no
+         division; the two winning ratios are divided once at the end.
+         Slot 2c holds the upper bound (den > 0), slot 2c+1 the lower
+         bound with numerator and denominator NEGATED.  Both negations
+         are exact, so every compared product and the final quotient
+         are bit-identical to the direct form — and the flipped sign
+         makes both updates the same "num·den' < num'·den" test,
          keeping the unpredictable denominator-sign branch out of the
-         hot row loop (the slot index absorbs it). *)
+         hot row loop (the slot index absorbs it).  Products of a slack
+         and a direction product stay far from the float range for any
+         realistically scaled polytope; callers with ~1e150
+         coefficients should use [line_intersection]. *)
       bnum : float array; (* 2k-wide bound numerators *)
       bden : float array; (* 2k-wide bound denominators *)
       lo : float array; (* k-wide latest chord endpoints *)
@@ -375,7 +243,12 @@ module Kernel = struct
       since_refresh : int array;
     }
 
+    (* One integer compare on entry to every per-chain call, before
+       any unchecked write into the chain-major blocks. *)
+    let[@inline] check_chain b c name = if c < 0 || c >= b.k then invalid_arg name
+
     let refresh_chain b c =
+      check_chain b c "Polytope.Kernel.Batch.refresh_chain: chain out of range";
       let m = Array.length b.poly.b in
       let off = c * m in
       let xo = c * b.poly.dim in
@@ -384,10 +257,16 @@ module Kernel = struct
       done;
       b.since_refresh.(c) <- 0
 
+    (* One more incremental update of chain [c]'s cache; every
+       [refresh_interval]-th recomputes it exactly. *)
+    let[@inline] count_update b c =
+      let n = Array.unsafe_get b.since_refresh c + 1 in
+      Array.unsafe_set b.since_refresh c n;
+      if n >= refresh_interval then refresh_chain b c
+
     let make poly starts =
       let k = Array.length starts in
       if k < 1 then invalid_arg "Polytope.Kernel.Batch.make: no chains";
-      Array.iter (check_point poly) starts;
       let d = poly.dim in
       let m = Array.length poly.b in
       let b =
@@ -406,8 +285,10 @@ module Kernel = struct
           since_refresh = Array.make k 0;
         }
       in
-      Array.iteri (fun c start -> Array.blit start 0 b.x (c * d) d) starts;
       for c = 0 to k - 1 do
+        let start = Array.unsafe_get starts c in
+        check_point poly start;
+        Array.blit start 0 b.x (c * d) d;
         refresh_chain b c
       done;
       b
@@ -416,15 +297,20 @@ module Kernel = struct
     let dim b = b.poly.dim
 
     let positions b = b.x
-    let pos b c = Array.sub b.x (c * b.poly.dim) b.poly.dim
+    let pos b c =
+      check_chain b c "Polytope.Kernel.Batch.pos: chain out of range";
+      Array.sub b.x (c * b.poly.dim) b.poly.dim
+
     let directions b = b.dir
 
     let set_dir b c dir =
+      check_chain b c "Polytope.Kernel.Batch.set_dir: chain out of range";
       let d = b.poly.dim in
       if Array.length dir <> d then invalid_arg "Polytope.Kernel.Batch.set_dir";
       Array.blit dir 0 b.dir (c * d) d
 
     let set_pos b c start =
+      check_chain b c "Polytope.Kernel.Batch.set_pos: chain out of range";
       let d = b.poly.dim in
       if Array.length start <> d then invalid_arg "Polytope.Kernel.Batch.set_pos";
       Array.blit start 0 b.x (c * d) d;
@@ -436,7 +322,7 @@ module Kernel = struct
        per block and all eight dot-product accumulators (two per chain,
        paired exactly like [row_dot]) live in registers instead of
        bouncing through scratch arrays.  Left-over chains (k mod 4) run
-       one at a time with the cursor's own two-accumulator loop.  The
+       one at a time with [row_dot]'s two-accumulator loop.  The
        loops are duplicated rather than abstracted into a higher-order
        function because a closure capturing the per-row continuation
        allocates on every call — and these are the allocation-free hot
@@ -449,9 +335,9 @@ module Kernel = struct
     let[@inline always] update_bound bnum bden c denom slack =
       if Float.abs denom < 1e-14 then begin
         if slack < 0.0 then begin
-          (* Line parallel to a violated constraint: empty chord (same
-             sentinel values as the single-chain cursor, lo slot
-             negated). *)
+          (* Line parallel to a violated constraint: empty chord, lo
+             slot negated; no later row can reopen it (the updates never
+             fire against ∓infinity bounds). *)
           Array.unsafe_set bnum (2 * c) neg_infinity;
           Array.unsafe_set bden (2 * c) 1.0;
           Array.unsafe_set bnum ((2 * c) + 1) infinity;
@@ -472,7 +358,27 @@ module Kernel = struct
           end
       end
 
-    let chord_all b =
+    (* One chain: one row loop with the chain offsets fixed at 0, no
+       register-block setup and no per-chain slice arithmetic.  Same
+       products, bounds and quotients as chain 0 of [chord_blocks]. *)
+    let chord_one b =
+      let poly = b.poly in
+      let m = Array.length poly.b in
+      let bvec = poly.b and dir = b.dir and ad = b.ad and ax = b.ax in
+      let bnum = b.bnum and bden = b.bden in
+      Array.unsafe_set bnum 0 infinity;
+      Array.unsafe_set bden 0 1.0;
+      Array.unsafe_set bnum 1 neg_infinity;
+      Array.unsafe_set bden 1 1.0;
+      for i = 0 to m - 1 do
+        let denom = row_dot poly i dir in
+        Array.unsafe_set ad i denom;
+        update_bound bnum bden 0 denom (Array.unsafe_get bvec i -. Array.unsafe_get ax i)
+      done;
+      Array.unsafe_set b.lo 0 (Array.unsafe_get bnum 1 /. Array.unsafe_get bden 1);
+      Array.unsafe_set b.hi 0 (Array.unsafe_get bnum 0 /. Array.unsafe_get bden 0)
+
+    let chord_blocks b =
       let poly = b.poly in
       let d = poly.dim and m = Array.length poly.b in
       let k = b.k in
@@ -480,8 +386,8 @@ module Kernel = struct
       let dir = b.dir in
       let ad = b.ad and ax = b.ax in
       let bnum = b.bnum and bden = b.bden in
-      (* Cursor init hi = (∞, 1), lo = (∞, -1); the lo slot is stored
-         negated: (-∞, 1). *)
+      (* Bounds start at hi = (∞, 1) and lo = (∞, -1), the lo slot
+         stored negated: (-∞, 1). *)
       for c = 0 to k - 1 do
         Array.unsafe_set bnum (2 * c) infinity;
         Array.unsafe_set bden (2 * c) 1.0;
@@ -558,9 +464,9 @@ module Kernel = struct
         done;
         incr c0
       done;
-      (* lo = (-num)/(-den) of the negated slot — bit-identical to the
-         cursor's lo_num/lo_den since both negations flip the sign of
-         an exact quotient twice. *)
+      (* lo = (-num)/(-den) of the negated slot — bit-identical to
+         num/den since both negations flip the sign of an exact
+         quotient twice. *)
       for c = 0 to k - 1 do
         Array.unsafe_set b.lo c
           (Array.unsafe_get bnum ((2 * c) + 1) /. Array.unsafe_get bden ((2 * c) + 1));
@@ -568,26 +474,29 @@ module Kernel = struct
           (Array.unsafe_get bnum (2 * c) /. Array.unsafe_get bden (2 * c))
       done
 
+    let chord_all b = if b.k = 1 then chord_one b else chord_blocks b
+
     let lo b c = b.lo.(c)
     let hi b c = b.hi.(c)
     let lows b = b.lo
     let highs b = b.hi
 
-    (* [@inline]: a call would box [s], even from this module. *)
+    (* [@inline]: a call would box [s], even from this module.  The
+       blocks are bound once: inside a loop the compiler would reload
+       each record field on every iteration. *)
     let[@inline] advance b c s =
+      check_chain b c "Polytope.Kernel.Batch.advance: chain out of range";
       let d = b.poly.dim in
       let m = Array.length b.poly.b in
+      let x = b.x and dir = b.dir and ax = b.ax and ad = b.ad in
       let xo = c * d and ao = c * m in
-      for j = 0 to d - 1 do
-        Array.unsafe_set b.x (xo + j)
-          (Array.unsafe_get b.x (xo + j) +. (s *. Array.unsafe_get b.dir (xo + j)))
+      for j = xo to xo + d - 1 do
+        Array.unsafe_set x j (Array.unsafe_get x j +. (s *. Array.unsafe_get dir j))
       done;
-      for i = 0 to m - 1 do
-        Array.unsafe_set b.ax (ao + i)
-          (Array.unsafe_get b.ax (ao + i) +. (s *. Array.unsafe_get b.ad (ao + i)))
+      for i = ao to ao + m - 1 do
+        Array.unsafe_set ax i (Array.unsafe_get ax i +. (s *. Array.unsafe_get ad i))
       done;
-      b.since_refresh.(c) <- b.since_refresh.(c) + 1;
-      if b.since_refresh.(c) >= refresh_interval then refresh_chain b c
+      count_update b c
 
     (* The volume estimator's phase walk, here so that every float of
        the step stays in this module: across modules the step, the
@@ -714,60 +623,33 @@ module Kernel = struct
     let violations b = b.viol
 
     let try_set_coord ?(slack = 0.0) b c j v =
+      check_chain b c "Polytope.Kernel.Batch.try_set_coord: chain out of range";
       let poly = b.poly in
       let d = poly.dim in
       if j < 0 || j >= d then
         invalid_arg "Polytope.Kernel.Batch.try_set_coord: coordinate out of range";
+      let x = b.x and ax = b.ax and ad = b.ad and flat = poly.flat and bvec = poly.b in
       let xo = c * d in
-      let dc = v -. Array.unsafe_get b.x (xo + j) in
-      let m = Array.length poly.b in
+      let dc = v -. Array.unsafe_get x (xo + j) in
+      let m = Array.length bvec in
       let ao = c * m in
-      let flat = poly.flat in
       let ok = ref true in
       let i = ref 0 in
       while !ok && !i < m do
         let p = dc *. Array.unsafe_get flat ((!i * d) + j) in
-        Array.unsafe_set b.ad (ao + !i) p;
-        if Array.unsafe_get b.ax (ao + !i) +. p -. Array.unsafe_get poly.b !i > slack then
-          ok := false;
+        Array.unsafe_set ad (ao + !i) p;
+        if Array.unsafe_get ax (ao + !i) +. p -. Array.unsafe_get bvec !i > slack then ok := false;
         incr i
       done;
       if !ok then begin
-        for i = 0 to m - 1 do
-          Array.unsafe_set b.ax (ao + i)
-            (Array.unsafe_get b.ax (ao + i) +. Array.unsafe_get b.ad (ao + i))
+        for i = ao to ao + m - 1 do
+          Array.unsafe_set ax i (Array.unsafe_get ax i +. Array.unsafe_get ad i)
         done;
-        Array.unsafe_set b.x (xo + j) v;
-        b.since_refresh.(c) <- b.since_refresh.(c) + 1;
-        if b.since_refresh.(c) >= refresh_interval then refresh_chain b c
+        Array.unsafe_set x (xo + j) v;
+        count_update b c
       end;
       !ok
   end
-
-  let try_set_coord ?(slack = 0.0) c j v =
-    let poly = c.poly in
-    let d = poly.dim in
-    if j < 0 || j >= d then invalid_arg "Polytope.Kernel.try_set_coord: coordinate out of range";
-    let dc = v -. Array.unsafe_get c.x j in
-    let m = Array.length poly.b in
-    let flat = poly.flat in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < m do
-      let p = dc *. Array.unsafe_get flat ((!i * d) + j) in
-      Array.unsafe_set c.ad !i p;
-      if Array.unsafe_get c.ax !i +. p -. Array.unsafe_get poly.b !i > slack then ok := false;
-      incr i
-    done;
-    if !ok then begin
-      for i = 0 to m - 1 do
-        Array.unsafe_set c.ax i (Array.unsafe_get c.ax i +. Array.unsafe_get c.ad i)
-      done;
-      Array.unsafe_set c.x j v;
-      c.since_refresh <- c.since_refresh + 1;
-      if c.since_refresh >= refresh_interval then refresh c
-    end;
-    !ok
 end
 
 let pp fmt t =

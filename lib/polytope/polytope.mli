@@ -75,74 +75,30 @@ val sandwich : t -> (Vec.t * float * float) option
 
 val line_intersection : t -> Vec.t -> Vec.t -> (float * float) option
 (** [line_intersection p x dir]: the parameter interval [(tmin, tmax)]
-    of [{t | x + t·dir ∈ p}], or [None] when empty.  Central to
-    hit-and-run sampling.  A wrapper over {!line_intersection_into}. *)
-
-val line_intersection_into : t -> Vec.t -> Vec.t -> float array -> bool
-(** [line_intersection_into p x dir range]: the same chord, same
-    arithmetic, written to [range.(0)] ([tmin]) and [range.(1)]
-    ([tmax]) of a caller-owned buffer instead of an allocated option.
-    Returns [false] exactly when {!line_intersection} returns [None];
-    the buffer is written either way.  Allocation-free.
-    @raise Invalid_argument on dimension mismatch or a buffer shorter
-    than 2. *)
+    of [{t | x + t·dir ∈ p}], or [None] when empty: a line parallel to
+    a violated row, or bounds that cross.  An endpoint is infinite
+    where the line leaves no row on that side.  Recomputes every
+    [⟨a_i, x⟩]; the walks use {!Kernel.Batch}'s cached products
+    instead.
+    @raise Invalid_argument on dimension mismatch. *)
 
 (** Incremental walk kernel.
 
-    A {!Kernel.cursor} tracks a moving point [x] together with the
-    per-row products [⟨a_i, x⟩] (the [Ax] cache).  After a chord step
-    [x ← x + t·d] the cache is updated as [Ax ← Ax + t·(A·d)] — [O(m)]
-    instead of the [O(m·d)] recomputation — and a single-coordinate
-    lattice move only touches one column.  All scratch space lives in
-    the cursor, so the per-step operations below perform no heap
-    allocation; this is the engine behind [Hit_and_run.sample_polytope]
-    and [Walk.sample_polytope].
+    {!Kernel.Batch} is the one cached-product kernel the polytope
+    walks run on: hit-and-run, the lattice walk, the batched ball walk,
+    the volume estimator's phases and the VM's draws, at K = 1 chain or
+    many.
+    Each chain tracks a moving point [x] together with the per-row
+    products [⟨a_i, x⟩] (the [A·x] cache).  After a chord step
+    [x ← x + t·d] the cache is updated as [A·x ← A·x + t·(A·d)] —
+    [O(m)] instead of the [O(m·d)] recomputation — and a
+    single-coordinate lattice move only touches one column.
 
-    Invariant: [products c] equals [A·(pos c)] up to rounding drift,
+    Invariant: each chain's cache equals [A·x] up to rounding drift,
     which is bounded by an exact recomputation every
-    [refresh_interval] steps. *)
+    [refresh_interval] cache updates. *)
 module Kernel : sig
-  type cursor
-
   val refresh_interval : int
-
-  val make : t -> Vec.t -> cursor
-  (** Cursor at a start point (copied).
-      @raise Invalid_argument on dimension mismatch. *)
-
-  val pos : cursor -> Vec.t
-  (** Copy of the current position. *)
-
-  val products : cursor -> float array
-  (** The cached [⟨a_i, x⟩] row products — read-only. *)
-
-  val violation : cursor -> float
-  val inside : ?slack:float -> cursor -> bool
-
-  val chord : cursor -> Vec.t -> bool
-  (** Intersect the line [x + t·dir] with the body using the cached
-      products: one [O(m·d)] pass that also records [A·dir] for
-      {!advance}.  Returns [false] when the chord is empty; otherwise
-      the interval is available via {!lo} and {!hi}.  Allocation-free. *)
-
-  val lo : cursor -> float
-  val hi : cursor -> float
-  (** Parameter interval of the latest {!chord}; only meaningful after
-      a [chord] call that returned [true]. *)
-
-  val advance : cursor -> Vec.t -> float -> unit
-  (** [advance c dir t]: move [x ← x + t·dir] for the direction passed
-      to the latest {!chord}, updating the product cache incrementally
-      in [O(m + d)].  Allocation-free. *)
-
-  val try_set_coord : ?slack:float -> cursor -> int -> float -> bool
-  (** [try_set_coord c j v]: tentatively replace coordinate [j] by [v];
-      commit and return [true] iff the moved point still satisfies
-      every constraint within [slack].  [O(m)] — the lattice-walk step.
-      Allocation-free. *)
-
-  val refresh : cursor -> unit
-  (** Recompute the product cache from the current position. *)
 
   (** Batched multi-chain kernel (structure of arrays).
 
@@ -151,15 +107,19 @@ module Kernel : sig
       one contiguous float array each, and the shared passes walk
       chains in register blocks of four so each matrix element is
       loaded once per block and every dot-product accumulator stays in
-      a register.  Per-chain arithmetic (accumulation pairing, cross-
-      multiplied chord comparisons, refresh cadence) replicates the
-      single-chain {!cursor} bit-for-bit, so a chain stepped through
-      [Batch] produces the same trajectory as the same chain stepped
-      through the cursor.  All scratch lives in the batch state: the
-      per-step operations below are allocation-free (test-enforced).
+      a register.  At K = 1, {!chord_all} runs one plain row loop
+      instead.  Per-chain arithmetic (accumulation pairing, cross-
+      multiplied chord comparisons, refresh cadence) does not depend
+      on K, so a chain stepped in a batch of K follows the same
+      trajectory, bit for bit, as the same chain stepped alone.  All
+      scratch lives in the batch state: the per-step operations below
+      are allocation-free (test-enforced).
 
-      This flat SoA layout is the compilation target contract for the
-      plan→kernel compiler (see DESIGN.md). *)
+      Every per-chain call ({!pos}, {!set_dir}, {!set_pos}, {!advance},
+      {!try_set_coord}, {!refresh_chain}) checks [0 <= c < chains]
+      before touching any state.
+      @raise Invalid_argument from those calls on a chain index out of
+      range. *)
   module Batch : sig
     type batch
 
@@ -197,8 +157,8 @@ module Kernel : sig
     (** Intersect every chain's line [x_c + t·dir_c] with the body in
         one shared pass over the matrix, recording [A·dir_c] for
         {!advance}.  Endpoints via {!lo}/{!hi}; a chain whose chord is
-        empty gets [lo >= hi] or non-finite endpoints, exactly like the
-        single-chain {!chord} returning [false].  Allocation-free. *)
+        empty gets [lo > hi] (a line parallel to a violated row gets
+        [lo = ∞], [hi = −∞]).  Allocation-free. *)
 
     val lo : batch -> int -> float
     val hi : batch -> int -> float

@@ -85,57 +85,6 @@ let phase_walk rng b ~radius ~steps =
   Tel.Counter.add tel_degenerate degenerate;
   warn_stuck ~steps ~dim:(Batch.dim b) ~degenerate
 
-(* Polytope specialization on the incremental kernel: the cached-product
-   cursor replaces the O(m·d) chord recomputation by one O(m·d) pass
-   for A·dir plus an O(m) cache update, and the preallocated direction
-   buffer keeps the inner loop free of per-step allocation.  The rng
-   stream is identical to the generic [sample] above, so trajectories
-   agree with the naive kernel up to rounding.
-
-   All accounting is per-invocation: the unmonitored inner loop below is
-   nothing but rng draws and kernel arithmetic. *)
-let sample_polytope ?monitor rng poly ~start ~steps =
-  Tel.Counter.incr tel_samples;
-  Tel.Counter.add tel_steps steps;
-  Progress.add_steps steps;
-  let sp = Trace.start "hit_and_run.walk" in
-  Trace.add_attr_int "steps" steps;
-  Trace.add_attr_int "dim" (Polytope.dim poly);
-  let cur = Polytope.Kernel.make poly start in
-  let dir = Vec.create (Polytope.dim poly) in
-  let degenerate = ref 0 in
-  (match monitor with
-  | None ->
-      for _ = 1 to steps do
-        Rng.unit_vector_into rng dir;
-        if Polytope.Kernel.chord cur dir then begin
-          let lo = Polytope.Kernel.lo cur and hi = Polytope.Kernel.hi cur in
-          if hi > lo && Float.is_finite lo && Float.is_finite hi then
-            Polytope.Kernel.advance cur dir (Rng.uniform rng lo hi)
-          else incr degenerate
-        end
-        else incr degenerate
-      done
-  | Some m ->
-      let monitor = Some m in
-      for _ = 1 to steps do
-        Rng.unit_vector_into rng dir;
-        (if Polytope.Kernel.chord cur dir then begin
-           let lo = Polytope.Kernel.lo cur and hi = Polytope.Kernel.hi cur in
-           if hi > lo && Float.is_finite lo && Float.is_finite hi then begin
-             Polytope.Kernel.advance cur dir (Rng.uniform rng lo hi);
-             Diag.Monitor.accept m
-           end
-           else note_degenerate monitor degenerate
-         end
-         else note_degenerate monitor degenerate);
-        Diag.Monitor.record m (Polytope.Kernel.pos cur)
-      done);
-  Tel.Counter.add tel_degenerate !degenerate;
-  warn_stuck ~steps ~dim:(Polytope.dim poly) ~degenerate:!degenerate;
-  Trace.finish sp;
-  Polytope.Kernel.pos cur
-
 (* ------------------------------------------------------------------ *)
 (* Batched multi-chain sampler                                          *)
 (* ------------------------------------------------------------------ *)
@@ -144,12 +93,16 @@ type dir_mode = Compat | Fast
 
 (* K chains advance in lockstep through [Polytope.Kernel.Batch]: per
    step, all K directions are drawn and staged, one shared matrix pass
-   computes every chain's chord, then each chain lands uniformly on its
-   own chord.  Chain [c] consumes only [rngs.(c)], and the per-chain
+   computes every chain's chord (one plain row loop at K = 1), then
+   each chain lands uniformly on its own chord.  The cached products
+   replace the O(m·d) chord recomputation of [sample] by one O(m·d)
+   pass for A·dir plus an O(m) cache update, with no per-step
+   allocation.  Chain [c] consumes only [rngs.(c)], and the per-chain
    draw order (direction fill, then a uniform iff the chord accepted)
-   matches [sample_polytope] exactly — so in [Compat] mode every chain
-   is bit-identical to a single-chain run from the same rng and start.
-   [Fast] mode swaps the direction generator for the ziggurat
+   matches [sample] exactly — so in [Compat] mode every chain follows
+   the generic sampler's trajectory up to rounding, and is
+   bit-identical to a K = 1 run from the same rng and start.  [Fast]
+   mode swaps the direction generator for the ziggurat
    ([Rng.unit_vector_into_fast]): same distribution on a cheaper,
    distinct stream, the default once K > 1 where no single-chain replay
    contract exists.  Accounting (telemetry, progress, trace, the stuck

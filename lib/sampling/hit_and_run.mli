@@ -37,18 +37,13 @@ val phase_walk : Rng.t -> Polytope.Kernel.Batch.batch -> radius:float -> steps:i
     once per call.  Allocation-free per step.
     @raise Invalid_argument unless the batch has exactly one chain. *)
 
-val sample_polytope :
-  ?monitor:Scdb_diag.Diag.Monitor.t -> Rng.t -> Polytope.t -> start:Vec.t -> steps:int -> Vec.t
-(** Like [sample] with [polytope_chord], but runs on the incremental
-    cached-product kernel ({!Polytope.Kernel}): same rng stream and the
-    same trajectory up to rounding, with an allocation-free inner
-    loop at roughly half the arithmetic per step. *)
-
 type dir_mode =
-  | Compat  (** Polar-method directions: per-chain rng stream identical
-                to {!sample_polytope}, so K=1 (and each chain of a
-                same-seeded K>1 batch) replays bit-exactly against the
-                single-chain kernel.  The default at K = 1. *)
+  | Compat  (** Polar-method directions ({!Rng.unit_vector_slice}):
+                per-chain rng stream identical to {!sample}'s, so each
+                chain of a same-seeded K>1 batch replays bit-exactly
+                against a K = 1 run.  The default at K = 1, and the
+                stream the interpreter's draws, rounding and flight
+                records are pinned to. *)
   | Fast  (** Ziggurat directions ({!Rng.unit_vector_into_fast}): same
               distribution, cheaper and on a distinct deterministic
               stream.  The default at K > 1, where direction draws
@@ -64,12 +59,16 @@ val sample_polytope_batch :
   Vec.t array
 (** Step K chains in lockstep on the batched structure-of-arrays kernel
     ({!Polytope.Kernel.Batch}): one shared pass over the constraint
-    matrix computes all K chords per step.  Chain [c] consumes only
+    matrix computes all K chords per step.  With one chain this is the
+    pipeline's polytope walk (observation and rounding): like {!sample}
+    with {!polytope_chord}, on the same rng stream and the same
+    trajectory up to rounding, with an allocation-free inner loop at
+    roughly half the arithmetic per step.  Chain [c] consumes only
     [rngs.(c)], so chains are independent given independent generators
     (use {!Rng.split} per chain).  Telemetry/progress/trace accounting
     is per batch invocation, not per step.  When [monitors] is given
-    (one per chain), each chain feeds its monitor exactly like the
-    single-chain samplers do.
+    (one per chain), each chain feeds its monitor exactly like
+    {!sample} does.
     @raise Invalid_argument on empty or mismatched array lengths. *)
 
 val default_steps : dim:int -> int

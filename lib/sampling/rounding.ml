@@ -61,7 +61,10 @@ let round rng ?(rounds = 2) ?samples_per_round poly =
           let start = ref (Vec.create d) in
           let points =
             List.init samples_per_round (fun _ ->
-                let p = Hit_and_run.sample_polytope rng !body ~start:!start ~steps in
+                let p =
+                  (Hit_and_run.sample_polytope_batch [| rng |] !body ~starts:[| !start |] ~steps)
+                    .(0)
+                in
                 start := p;
                 p)
           in

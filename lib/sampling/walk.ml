@@ -56,60 +56,15 @@ let sample ?monitor rng ~grid ~mem ~start ~steps =
   let start_idx = Grid.of_point grid start in
   Grid.to_point grid (walk ?monitor rng ~grid ~mem ~start:start_idx ~steps)
 
-(* Polytope specialization on the incremental kernel: a lattice move
-   changes one coordinate, so the membership test degrades from the
-   O(m·d) oracle evaluation to an O(m) single-column update of the
-   cached row products.  Draw order matches [sample] with the
-   membership oracle exactly. *)
-let sample_polytope ?monitor rng ~grid poly ~start ~steps =
-  let g = (grid : Grid.t) in
-  let idx = Grid.of_point grid start in
-  let x = Grid.to_point grid idx in
-  if not (Polytope.mem poly x) then invalid_arg "Walk.walk: start outside the body";
-  Tel.Counter.incr tel_walks;
-  Tel.Counter.add tel_steps steps;
-  Progress.add_steps steps;
-  let sp = Trace.start "grid_walk.walk" in
-  Trace.add_attr_int "steps" steps;
-  Trace.add_attr_int "dim" g.dim;
-  let cur = Polytope.Kernel.make poly x in
-  (* Proposal/acceptance telemetry is summed once per invocation; the
-     inner loop only touches the local counters. *)
-  let proposals = ref 0 and accepted = ref 0 in
-  for _ = 1 to steps do
-    (if not (Rng.bool rng) then begin
-       let coord = Rng.int rng g.dim in
-       let delta = if Rng.bool rng then 1 else -1 in
-       (* Same expression as [Grid.to_point], so accepted positions are
-          bit-identical to the oracle walk's. *)
-       let v = float_of_int (idx.(coord) + delta) *. g.step in
-       incr proposals;
-       if Polytope.Kernel.try_set_coord cur coord v then begin
-         incr accepted;
-         (match monitor with Some m -> Diag.Monitor.accept m | None -> ());
-         idx.(coord) <- idx.(coord) + delta
-       end
-       else match monitor with Some m -> Diag.Monitor.reject m | None -> ()
-     end);
-    match monitor with Some m -> Diag.Monitor.record m (Polytope.Kernel.pos cur) | None -> ()
-  done;
-  Tel.Counter.add tel_proposals !proposals;
-  Tel.Counter.add tel_accepted !accepted;
-  (* Every proposal rejected: the grid step straddles the body (γ too
-     coarse for this polytope), so the lattice walk cannot mix. *)
-  if !proposals >= 32 && !accepted = 0 && Log.would_log Log.Warn then
-    Log.warn "walk.stuck"
-      [ Log.int "proposals" !proposals; Log.int "steps" steps; Log.float "grid_step" g.step ];
-  Trace.finish sp;
-  Polytope.Kernel.pos cur
-
-(* Batched lattice walk: K chains share one [Polytope.Kernel.Batch]
-   state.  A lattice move is a single-column O(m) update, so batching
-   buys locality and per-batch accounting rather than arithmetic
-   amortization — but it gives `--chains` one uniform engine across all
-   three samplers.  Chain [c] consumes only [rngs.(c)] with the same
-   per-chain draw order as [sample_polytope] (lazy bool, then coord and
-   sign iff moving), so a chain is bit-identical to a single-chain run
+(* Lattice walk on [Polytope.Kernel.Batch], K chains sharing one
+   state: a lattice move changes one coordinate, so the membership test
+   degrades from the O(m·d) oracle evaluation to an O(m) single-column
+   update of the cached row products.  Batching buys locality and
+   per-batch accounting rather than arithmetic amortization — but it
+   gives `--chains` one uniform engine across all three samplers.
+   Chain [c] consumes only [rngs.(c)] with the same per-chain draw
+   order as [sample] with the membership oracle (lazy bool, then coord
+   and sign iff moving), so a chain is bit-identical to a K = 1 run
    from the same rng. *)
 let sample_polytope_batch ?monitors rngs ~grid poly ~starts ~steps =
   let k = Array.length rngs in
@@ -144,6 +99,8 @@ let sample_polytope_batch ?monitors rngs ~grid poly ~starts ~steps =
          let idx = Array.unsafe_get idxs c in
          let coord = Rng.int rng g.dim in
          let delta = if Rng.bool rng then 1 else -1 in
+         (* Same expression as [Grid.to_point], so accepted positions are
+            bit-identical to the oracle walk's. *)
          let v = float_of_int (idx.(coord) + delta) *. g.step in
          incr proposals;
          if Polytope.Kernel.Batch.try_set_coord b c coord v then begin
@@ -159,6 +116,8 @@ let sample_polytope_batch ?monitors rngs ~grid poly ~starts ~steps =
   done;
   Tel.Counter.add tel_proposals !proposals;
   Tel.Counter.add tel_accepted !accepted;
+  (* Every proposal rejected: the grid step straddles the body (γ too
+     coarse for this polytope), so the lattice walk cannot mix. *)
   if !proposals >= 32 && !accepted = 0 && Log.would_log Log.Warn then
     Log.warn "walk.stuck"
       [ Log.int "proposals" !proposals; Log.int "steps" steps; Log.float "grid_step" g.step ];

@@ -28,15 +28,6 @@ val sample :
 (** [walk] wrapped to float points: rounds [start] to the grid and
     returns the final vertex as a point. *)
 
-val sample_polytope :
-  ?monitor:Scdb_diag.Diag.Monitor.t ->
-  Rng.t -> grid:Grid.t -> Polytope.t -> start:Vec.t -> steps:int -> Vec.t
-(** Specialization with the polytope membership oracle, run on the
-    incremental cached-product kernel ({!Polytope.Kernel}): a lattice
-    move tests and commits in [O(m)] column updates instead of the
-    [O(m·d)] oracle evaluation, with no per-step allocation.  Consumes
-    the same rng stream as [sample] with the equivalent oracle. *)
-
 val sample_polytope_batch :
   ?monitors:Scdb_diag.Diag.Monitor.t array ->
   Rng.t array ->
@@ -45,11 +36,14 @@ val sample_polytope_batch :
   starts:Vec.t array ->
   steps:int ->
   Vec.t array
-(** K lattice chains on the batched kernel
-    ({!Polytope.Kernel.Batch}).  Chain [c] consumes only [rngs.(c)]
-    with the same draw order as {!sample_polytope}, so each chain is
-    bit-identical to a single-chain run from the same rng and start;
-    telemetry/progress accounting is per invocation.
+(** K lattice chains with the polytope membership oracle, run on the
+    incremental cached-product kernel ({!Polytope.Kernel.Batch}): a
+    lattice move tests and commits in [O(m)] column updates instead of
+    the [O(m·d)] oracle evaluation, with no per-step allocation.  Chain
+    [c] consumes only [rngs.(c)] with the same draw order as [sample]
+    with the equivalent oracle, so each chain is bit-identical to a
+    K = 1 run from the same rng and start; telemetry/progress
+    accounting is per invocation.
     @raise Invalid_argument on empty/mismatched arrays or a start
     outside the body. *)
 

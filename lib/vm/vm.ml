@@ -240,8 +240,9 @@ let make_piece (prep : Convex_obs.prepared) kind ~steps ~hr_steps =
 
 (* Hit-and-run on the persistent batch kernel, chain 0.  [set_pos]
    rebuilds the chain's cache block, making the reused batch equivalent
-   to the fresh cursor [Hit_and_run.sample_polytope] constructs; the
-   per-step draw order (direction fill, then a uniform iff the chord is
+   to the fresh one-chain batch the interpreter's
+   [Hit_and_run.sample_polytope_batch] call constructs; the per-step
+   draw order (Compat direction fill, then a uniform iff the chord is
    usable) replicates the interpreter's, so the rng stream is
    bit-identical. *)
 let hr_draw p rng steps =

@@ -195,14 +195,15 @@ let batch_parity_tests =
         let thin = 8 and steps = 8 * 48 in
         let start () = Array.make dim 0.2 in
         let seeds = [| 101; 202; 303; 404 |] in
-        (* Old-style loop: one monitor per chain, sequential walks. *)
+        (* Old-style loop: one monitor per chain, sequential one-chain
+           walks. *)
         let seq_monitors =
           Array.map
             (fun seed ->
               let m = Diag.Monitor.create ~thin ~dim () in
               ignore
-                (HR.sample_polytope ~monitor:m (Rng.create seed) poly ~start:(start ())
-                   ~steps);
+                (HR.sample_polytope_batch ~monitors:[| m |] [| Rng.create seed |] poly
+                   ~starts:[| start () |] ~steps);
               m)
             seeds
         in

@@ -451,6 +451,39 @@ let gridvol_tests =
         with Invalid_argument _ -> ());
   ]
 
+module B = P.Kernel.Batch
+
+(* Stage [dir] on chain 0 of a one-chain batch and take its chord. *)
+let chord1 b dir =
+  B.set_dir b 0 dir;
+  B.chord_all b;
+  (B.lo b 0, B.hi b 0)
+
+(* Worst violation of chain 0's position moved by [delta], read off
+   its cached products through [propose_all] (which floors it at 0). *)
+let proposed_violation b delta =
+  B.set_dir b 0 delta;
+  B.propose_all b;
+  B.violation b 0
+
+(* A chain index out of range must raise before any write: positions
+   and staged directions are unchanged after each rejected call. *)
+let rejects_bad_chain name call =
+  t (Printf.sprintf "Batch.%s rejects a chain out of range" name) (fun () ->
+      let poly = P.cube 3 1.0 in
+      let b = B.make poly [| [| 0.25; 0.; 0. |] |] in
+      B.set_dir b 0 [| 0.; 1.; 0. |];
+      B.chord_all b;
+      let x0 = Array.copy (B.positions b) and d0 = Array.copy (B.directions b) in
+      List.iter
+        (fun c ->
+          Alcotest.check_raises (Printf.sprintf "chain %d" c)
+            (Invalid_argument (Printf.sprintf "Polytope.Kernel.Batch.%s: chain out of range" name))
+            (fun () -> call b c);
+          Alcotest.(check (array (float 0.0))) "positions untouched" x0 (B.positions b);
+          Alcotest.(check (array (float 0.0))) "directions untouched" d0 (B.directions b))
+        [ 1; 7; -1 ])
+
 let kernel_tests =
   [
     t "empty constraint system is all of R^d" (fun () ->
@@ -463,9 +496,10 @@ let kernel_tests =
         | Some (lo, hi) ->
             Alcotest.(check bool) "unbounded chord" true (lo = neg_infinity && hi = infinity)
         | None -> Alcotest.fail "expected a chord");
-        let cur = P.Kernel.make p [| 1.0; 1.0 |] in
-        Alcotest.(check bool) "kernel inside" true (P.Kernel.inside cur);
-        Alcotest.(check (float 0.0)) "kernel violation" 0.0 (P.Kernel.violation cur));
+        let b = B.make p [| [| 1.0; 1.0 |] |] in
+        let lo, hi = chord1 b [| 1.0; 0.0 |] in
+        Alcotest.(check bool) "kernel unbounded chord" true (lo = neg_infinity && hi = infinity);
+        Alcotest.(check (float 0.0)) "kernel violation" 0.0 (proposed_violation b [| 5.0; 0.0 |]));
     t "kernel chord agrees with line_intersection" (fun () ->
         let rng = Rng.create 21 in
         let poly = ref (P.cube 5 1.0) in
@@ -474,63 +508,44 @@ let kernel_tests =
         done;
         let poly = !poly in
         let x = Array.make 5 0.1 in
-        let cur = P.Kernel.make poly x in
+        let b = B.make poly [| x |] in
         for _ = 1 to 50 do
           let dir = Rng.unit_vector rng 5 in
-          match (P.line_intersection poly x dir, P.Kernel.chord cur dir) with
-          | Some (lo, hi), true ->
-              Alcotest.(check (float 1e-9)) "lo" lo (P.Kernel.lo cur);
-              Alcotest.(check (float 1e-9)) "hi" hi (P.Kernel.hi cur)
-          | None, false -> ()
-          | Some _, false -> Alcotest.fail "kernel missed a chord"
-          | None, true -> Alcotest.fail "kernel invented a chord"
-        done);
-    t "line_intersection and line_intersection_into agree bitwise" (fun () ->
-        (* One chord implementation: the option-returning form is a
-           wrapper, so every endpoint — signed zeros and infinities
-           included — must carry the same bits, and an empty chord must
-           be [None] exactly when the buffer form returns [false]. *)
-        let bits = Int64.bits_of_float in
-        let same name poly x dir =
-          let range = [| nan; nan |] in
-          let hit = P.line_intersection_into poly x dir range in
+          let lo, hi = chord1 b dir in
           match P.line_intersection poly x dir with
-          | Some (lo, hi) ->
-              Alcotest.(check bool) (name ^ ": non-empty") true hit;
-              Alcotest.(check int64) (name ^ ": tmin bits") (bits lo) (bits range.(0));
-              Alcotest.(check int64) (name ^ ": tmax bits") (bits hi) (bits range.(1))
-          | None -> Alcotest.(check bool) (name ^ ": empty") false hit
+          | Some (elo, ehi) when lo <= hi ->
+              Alcotest.(check (float 1e-9)) "lo" elo lo;
+              Alcotest.(check (float 1e-9)) "hi" ehi hi
+          | None when not (lo <= hi) -> ()
+          | Some _ -> Alcotest.fail "kernel missed a chord"
+          | None -> Alcotest.fail "kernel invented a chord"
+        done);
+    t "line_intersection edge cases: parallel row, half-line, point chord" (fun () ->
+        (* Every endpoint carries exact bits: signed zeros and
+           infinities included. *)
+        let bits = Int64.bits_of_float in
+        let chord name poly x dir want =
+          match (P.line_intersection poly x dir, want) with
+          | Some (lo, hi), Some (wlo, whi) ->
+              Alcotest.(check int64) (name ^ ": tmin bits") (bits wlo) (bits lo);
+              Alcotest.(check int64) (name ^ ": tmax bits") (bits whi) (bits hi)
+          | None, None -> ()
+          | Some _, None -> Alcotest.fail (name ^ ": expected an empty chord")
+          | None, Some _ -> Alcotest.fail (name ^ ": expected a chord")
         in
         let square = P.cube 2 1.0 in
         (* Parallel to the violated row x <= 1: empty, and no later row
            may reopen it. *)
-        same "parallel violated" square [| 5.; 0. |] [| 0.; 1. |];
-        Alcotest.(check bool) "parallel violated is empty" false
-          (P.line_intersection_into square [| 5.; 0. |] [| 0.; 1. |] (Array.make 2 0.0));
+        chord "parallel violated" square [| 5.; 0. |] [| 0.; 1. |] None;
         (* Unbounded along dir on one side, then on both. *)
         let half = P.make ~dim:2 [| [| 1.; 0. |] |] [| 1. |] in
-        same "one-sided" half [| 0.; 0. |] [| 1.; 0. |];
-        same "unbounded" half [| 0.; 0. |] [| 0.; 1. |];
-        let range = Array.make 2 0.0 in
-        Alcotest.(check bool) "unbounded is non-empty" true
-          (P.line_intersection_into half [| 0.; 0. |] [| 0.; 1. |] range);
-        Alcotest.(check bool) "unbounded endpoints" true
-          (range.(0) = neg_infinity && range.(1) = infinity);
-        (* Corner of the square along the anti-diagonal: tmin = tmax
-           (as -0 and +0). *)
-        same "tmin = tmax" square [| 1.; 1. |] [| 1.; -1. |];
-        Alcotest.(check bool) "point chord" true
-          (P.line_intersection_into square [| 1.; 1. |] [| 1.; -1. |] range
-          && range.(0) = range.(1));
-        let rng = Rng.create 23 in
-        let poly = ref (P.cube 4 1.0) in
-        for _ = 1 to 12 do
-          poly := P.add_halfspace !poly (Rng.unit_vector rng 4) 0.6
-        done;
-        for k = 1 to 200 do
-          let x = Array.init 4 (fun _ -> Rng.uniform rng (-1.5) 1.5) in
-          same (Printf.sprintf "random %d" k) !poly x (Rng.unit_vector rng 4)
-        done);
+        chord "one-sided" half [| 0.; 0. |] [| 1.; 0. |] (Some (neg_infinity, 1.));
+        chord "unbounded" half [| 0.; 0. |] [| 0.; 1. |] (Some (neg_infinity, infinity));
+        (* Corner of the square along the anti-diagonal: tmin = tmax,
+           as -0 and +0. *)
+        chord "point chord" square [| 1.; 1. |] [| 1.; -1. |] (Some (-0., 0.));
+        (* Crossing bounds: the line misses the square. *)
+        chord "crossing" square [| 3.; 0. |] [| 1.; 1. |] None);
     t "cached products stay coherent across advances" (fun () ->
         let rng = Rng.create 22 in
         let poly = ref (P.cube 4 1.0) in
@@ -538,33 +553,49 @@ let kernel_tests =
           poly := P.add_halfspace !poly (Rng.unit_vector rng 4) 0.9
         done;
         let poly = !poly in
-        let cur = P.Kernel.make poly (Vec.create 4) in
+        let b = B.make poly [| Vec.create 4 |] in
         for _ = 1 to 200 do
-          let dir = Rng.unit_vector rng 4 in
-          if P.Kernel.chord cur dir then begin
-            let lo = P.Kernel.lo cur and hi = P.Kernel.hi cur in
-            if Float.is_finite lo && Float.is_finite hi && hi > lo then
-              P.Kernel.advance cur dir (0.5 *. (lo +. hi))
-          end
+          let lo, hi = chord1 b (Rng.unit_vector rng 4) in
+          if Float.is_finite lo && Float.is_finite hi && hi > lo then
+            B.advance b 0 (0.5 *. (lo +. hi))
         done;
-        let x = P.Kernel.pos cur in
-        let ax = P.Kernel.products cur in
-        Array.iteri
-          (fun i row ->
-            Alcotest.(check (float 1e-9)) (Printf.sprintf "row %d" i) (Vec.dot row x) ax.(i))
-          poly.P.a;
-        Alcotest.(check (float 1e-9)) "violation" (P.violation poly x) (P.Kernel.violation cur));
+        (* The cache is read back through the two passes that use it:
+           chords and proposals from the current position must match a
+           from-scratch evaluation there. *)
+        let x = B.pos b 0 in
+        for k = 1 to 20 do
+          let delta = Vec.scale 3.0 (Rng.unit_vector rng 4) in
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "violation %d" k)
+            (Float.max 0.0 (P.violation poly (Vec.add x delta)))
+            (proposed_violation b delta)
+        done;
+        for k = 1 to 20 do
+          let dir = Rng.unit_vector rng 4 in
+          match (P.line_intersection poly x dir, chord1 b dir) with
+          | Some (elo, ehi), (lo, hi) ->
+              Alcotest.(check (float 1e-9)) (Printf.sprintf "lo %d" k) elo lo;
+              Alcotest.(check (float 1e-9)) (Printf.sprintf "hi %d" k) ehi hi
+          | None, _ -> Alcotest.fail "position left the body"
+        done);
     t "try_set_coord accepts inside and rejects outside" (fun () ->
         let poly = P.cube 3 1.0 in
-        let cur = P.Kernel.make poly (Vec.create 3) in
-        Alcotest.(check bool) "inside move" true (P.Kernel.try_set_coord cur 0 0.5);
-        Alcotest.(check bool) "outside move" false (P.Kernel.try_set_coord cur 0 1.5);
-        let x = P.Kernel.pos cur in
+        let b = B.make poly [| Vec.create 3 |] in
+        Alcotest.(check bool) "inside move" true (B.try_set_coord b 0 0 0.5);
+        Alcotest.(check bool) "outside move" false (B.try_set_coord b 0 0 1.5);
+        let x = B.pos b 0 in
         Alcotest.(check (float 0.0)) "kept accepted move" 0.5 x.(0);
-        Alcotest.(check bool) "still inside" true (P.Kernel.inside cur);
+        (* The cache holds the accepted move, not the rejected one. *)
+        Alcotest.(check (float 1e-12)) "cached x0 = 0.5" 0.1 (proposed_violation b [| 0.6; 0.; 0. |]);
         Alcotest.check_raises "coordinate out of range"
-          (Invalid_argument "Polytope.Kernel.try_set_coord: coordinate out of range") (fun () ->
-            ignore (P.Kernel.try_set_coord cur 3 0.0)));
+          (Invalid_argument "Polytope.Kernel.Batch.try_set_coord: coordinate out of range")
+          (fun () -> ignore (B.try_set_coord b 0 3 0.0)));
+    rejects_bad_chain "advance" (fun b c -> B.advance b c 0.1);
+    rejects_bad_chain "try_set_coord" (fun b c -> ignore (B.try_set_coord b c 0 0.25));
+    rejects_bad_chain "set_dir" (fun b c -> B.set_dir b c [| 1.; 0.; 0. |]);
+    rejects_bad_chain "set_pos" (fun b c -> B.set_pos b c [| 0.5; 0.5; 0.5 |]);
+    rejects_bad_chain "pos" (fun b c -> ignore (B.pos b c));
+    rejects_bad_chain "refresh_chain" (fun b c -> B.refresh_chain b c);
   ]
 
 let suites =

@@ -14,6 +14,10 @@ module Rng = Scdb_rng.Rng
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
 
+(* The pipeline's hit-and-run: one chain of the batched kernel, Compat
+   directions. *)
+let hr1 rng poly ~start ~steps = (HR.sample_polytope_batch [| rng |] poly ~starts:[| start |] ~steps).(0)
+
 let grid_tests =
   [
     t "point round trips" (fun () ->
@@ -109,7 +113,7 @@ let hit_and_run_tests =
         let n = 4000 in
         let sum = Vec.create 2 in
         for _ = 1 to n do
-          let p = HR.sample_polytope rng tri ~start:!start ~steps:25 in
+          let p = hr1 rng tri ~start:!start ~steps:25 in
           Alcotest.(check bool) "inside" true (P.mem ~slack:1e-9 tri p);
           start := p;
           sum.(0) <- sum.(0) +. p.(0);
@@ -509,7 +513,7 @@ let kernel_tests =
             let naive =
               HR.sample (Rng.create seed) ~chord:(HR.polytope_chord poly) ~start ~steps:128
             in
-            let incr = HR.sample_polytope (Rng.create seed) poly ~start ~steps:128 in
+            let incr = hr1 (Rng.create seed) poly ~start ~steps:128 in
             Alcotest.(check bool)
               (Printf.sprintf "seed %d" seed)
               true
@@ -528,7 +532,10 @@ let kernel_tests =
             let naive =
               W.sample (Rng.create seed) ~grid ~mem:(fun x -> P.mem poly x) ~start ~steps:600
             in
-            let incr = W.sample_polytope (Rng.create seed) ~grid poly ~start ~steps:600 in
+            let incr =
+              (W.sample_polytope_batch [| Rng.create seed |] ~grid poly ~starts:[| start |]
+                 ~steps:600).(0)
+            in
             Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (naive = incr))
           [ 7; 99; 20060101 ]);
     t "chord/advance inner loop does not allocate" (fun () ->
@@ -537,18 +544,19 @@ let kernel_tests =
         for _ = 1 to 20 do
           poly := P.add_halfspace !poly (Rng.unit_vector rng 6) 0.8
         done;
-        let cur = P.Kernel.make !poly (Vec.create 6) in
-        let dir = Rng.unit_vector rng 6 in
+        (* One chain: the K = 1 branch of [chord_all]. *)
+        let b = P.Kernel.Batch.make !poly [| Vec.create 6 |] in
+        P.Kernel.Batch.set_dir b 0 (Rng.unit_vector rng 6);
         let iters = 10_000 in
         (* Warm-up pass so one-time setup is off the books. *)
         for _ = 1 to 100 do
-          ignore (P.Kernel.chord cur dir);
-          P.Kernel.advance cur dir 1e-6
+          P.Kernel.Batch.chord_all b;
+          P.Kernel.Batch.advance b 0 1e-6
         done;
         let w0 = Gc.minor_words () in
         for _ = 1 to iters do
-          ignore (P.Kernel.chord cur dir);
-          P.Kernel.advance cur dir 1e-6
+          P.Kernel.Batch.chord_all b;
+          P.Kernel.Batch.advance b 0 1e-6
         done;
         let dw = Gc.minor_words () -. w0 in
         Alcotest.(check bool)
@@ -557,16 +565,16 @@ let kernel_tests =
           (dw < 256.0));
     t "try_set_coord inner loop does not allocate" (fun () ->
         let poly = P.cube 4 1.0 in
-        let cur = P.Kernel.make poly (Vec.create 4) in
+        let b = P.Kernel.Batch.make poly [| Vec.create 4 |] in
         let iters = 10_000 in
         for _ = 1 to 100 do
-          ignore (P.Kernel.try_set_coord cur 0 0.25);
-          ignore (P.Kernel.try_set_coord cur 0 0.0)
+          ignore (P.Kernel.Batch.try_set_coord b 0 0 0.25);
+          ignore (P.Kernel.Batch.try_set_coord b 0 0 0.0)
         done;
         let w0 = Gc.minor_words () in
         for _ = 1 to iters do
-          ignore (P.Kernel.try_set_coord cur 0 0.25);
-          ignore (P.Kernel.try_set_coord cur 0 0.0)
+          ignore (P.Kernel.Batch.try_set_coord b 0 0 0.25);
+          ignore (P.Kernel.Batch.try_set_coord b 0 0 0.0)
         done;
         let dw = Gc.minor_words () -. w0 in
         Alcotest.(check bool)
@@ -581,7 +589,7 @@ let kernel_tests =
         let n = 400 in
         let sx = ref 0.0 and sy = ref 0.0 in
         for _ = 1 to n do
-          let p = HR.sample_polytope rng poly ~start:(Vec.create 2) ~steps:40 in
+          let p = hr1 rng poly ~start:(Vec.create 2) ~steps:40 in
           sx := !sx +. p.(0);
           sy := !sy +. p.(1)
         done;
@@ -842,10 +850,132 @@ let phase_walk_tests =
           [ 2; 4 ]);
   ]
 
-(* The batched structure-of-arrays kernel: per-chain trajectories must
-   be bit-identical to the single-chain incremental kernel (Compat
-   direction mode), and the batched chord machinery must not allocate
-   per step. *)
+(* Pinned K=1 streams: the exact bits of the final position and the
+   raw rng draw count after 600 steps of the one-chain hit-and-run
+   (Compat directions, the interpreter's stream) and lattice walk, on
+   seeds 1, 42 and 2024.  Flight records and AUDIT_1.json replay these
+   streams, so any change to the one-chain kernel's arithmetic or draw
+   order fails here first.  600 steps cross the refresh_interval = 256
+   exact cache recomputation twice. *)
+let k1_bodies =
+  let simplex d =
+    (Printf.sprintf "simplex%d" d, P.simplex d, Array.make d (1.0 /. float_of_int (d + 1)))
+  in
+  (* Built like the regress harness's timing fixture: [-1,1]^12 cut by
+     48 random halfspaces at distance 0.8 (72 rows). *)
+  let regress12 =
+    let rng = Rng.create 20060101 in
+    let poly = ref (P.cube 12 1.0) in
+    for _ = 1 to 48 do
+      poly := P.add_halfspace !poly (Rng.unit_vector rng 12) 0.8
+    done;
+    !poly
+  in
+  [
+    simplex 2; simplex 3; simplex 4; simplex 5;
+    ("cube3", P.cube 3 1.0, Vec.create 3);
+    ("regress12", regress12, Vec.create 12);
+  ]
+
+let k1_pins =
+  [
+      ("hr", "simplex2", 1, 3628, "0x1.ac7bfa758e409p-1 0x1.e8c9c4e011f58p-9");
+      ("hr", "simplex2", 42, 3668, "0x1.f6bb57b1c8012p-4 0x1.2d31f1bb11fdp-5");
+      ("hr", "simplex2", 2024, 3622, "0x1.123463d74d442p-1 0x1.b411ed5fa69e6p-2");
+      ("hr", "simplex3", 1, 5200, "0x1.0c33be576a44fp-3 0x1.0e0976b5353cp-2 0x1.452c7c33a2054p-6");
+      ("hr", "simplex3", 42, 5266, "0x1.39dce28926db9p-1 0x1.b5a80e9ce130ep-7 0x1.d03e2b680df9ap-3");
+      ("hr", "simplex3", 2024, 5210, "0x1.c5bee13c65f74p-4 0x1.555e3fd232d4ap-1 0x1.37656e383a6e5p-3");
+      ("hr", "simplex4", 1, 6734, "0x1.6a05f96375c13p-2 0x1.a658602f01e9p-8 0x1.34705154222dfp-5 0x1.dae055f9e8912p-3");
+      ("hr", "simplex4", 42, 6684, "0x1.51487449a584p-9 0x1.31dbd9b6c13fp-1 0x1.e0f71e2d5c9dep-6 0x1.2fbee6efe5d1ep-3");
+      ("hr", "simplex4", 2024, 6736, "0x1.9cfbfd5ebea2p-3 0x1.00b950a4ea784p-2 0x1.e3e82a9a572b4p-6 0x1.f1cc39ba28c26p-3");
+      ("hr", "simplex5", 1, 8182,
+        "0x1.448b08d6592d2p-2 0x1.1fdafaf5bcc47p-3 0x1.2a4b85ca609d4p-4 0x1.4072f39ca17fdp-2 \
+         0x1.1ff9b90029ed8p-4");
+      ("hr", "simplex5", 42, 8206,
+        "0x1.7fdfb24f914c2p-2 0x1.4f8514e94ebfcp-6 0x1.ec9c90c8de653p-3 0x1.33e83916834c2p-2 \
+         0x1.40edde51ed686p-6");
+      ("hr", "simplex5", 2024, 8162,
+        "0x1.49624b6913bbcp-4 0x1.4076f059ef8ep-5 0x1.8f8242ba72cbap-3 0x1.bf197b03269fap-2 \
+         0x1.024fc15d12315p-4");
+      ("hr", "cube3", 1, 5200, "-0x1.0b80ce51d87f6p-1 -0x1.4daa1c3fcdc9ep-4 -0x1.dc9aec654de38p-1");
+      ("hr", "cube3", 42, 5266, "0x1.62cb365a424a2p-1 -0x1.b37aa80e91879p-3 0x1.ec8e7fe6c83f8p-2");
+      ("hr", "cube3", 2024, 5210, "0x1.51fb94253068ep-3 0x1.a151417925976p-1 -0x1.33e02f133e48cp-1");
+      ("hr", "regress12", 1, 18814,
+        "0x1.3fb4b7852b6fap-4 0x1.09941af048998p-3 0x1.2b52a8ca4f06ap-7 0x1.b147259ac2331p-2 \
+         -0x1.e9018be9e27fcp-7 -0x1.d0993823228f7p-6 -0x1.b89315170cda2p-3 0x1.85c7075a49284p-1 \
+         -0x1.2643d0541a04p-4 -0x1.5616000635feap-2 0x1.01ec70488ed43p-1 0x1.0a8b24901b8b7p-2");
+      ("hr", "regress12", 42, 19034,
+        "0x1.9c6b72521672bp-1 0x1.eed27546515eep-2 0x1.4f6dda2f87674p-6 -0x1.15e2f9a17f1a6p-6 \
+         0x1.2c2673dedf923p-2 -0x1.a0240b6d6ab21p-2 -0x1.9a31203faff75p-1 0x1.f53e8cc250092p-3 \
+         0x1.c29c60e4b9914p-1 0x1.e36a99e24fb13p-2 0x1.4974bb8fba4bap-4 0x1.6c16130270d03p-1");
+      ("hr", "regress12", 2024, 18806,
+        "0x1.ea61a982f5f24p-4 0x1.37dd693622fb4p-1 0x1.15e69f7c2388bp-2 -0x1.6b743812cc578p-1 \
+         -0x1.d1d8ae875b324p-3 0x1.07a40b67e160dp-1 0x1.00bcb7c6325adp-2 -0x1.8d724e2a7ee7cp-3 \
+         0x1.27e3f41a09762p-3 0x1.871a456eb0a4p-2 -0x1.beeca7e1fae22p-3 0x1.5666e5a97b364p-3");
+      ("walk", "simplex2", 1, 1200, "0x1p-2 0x1p-2");
+      ("walk", "simplex2", 42, 1202, "0x1p-4 0x1.ap-1");
+      ("walk", "simplex2", 2024, 1242, "0x1p-1 0x0p+0");
+      ("walk", "simplex3", 1, 1200, "0x1p-4 0x1p-4 0x1.2p-1");
+      ("walk", "simplex3", 42, 1202, "0x1p-2 0x1p-1 0x0p+0");
+      ("walk", "simplex3", 2024, 1242, "0x1p-1 0x1p-4 0x1.8p-3");
+      ("walk", "simplex4", 1, 1200, "0x1.cp-2 0x1p-3 0x0p+0 0x1p-2");
+      ("walk", "simplex4", 42, 1202, "0x0p+0 0x1p-3 0x1p-4 0x1.6p-1");
+      ("walk", "simplex4", 2024, 1242, "0x1.ap-1 0x1p-4 0x0p+0 0x0p+0");
+      ("walk", "simplex5", 1, 1200,
+        "0x1p-2 0x1p-3 0x0p+0 0x1p-1 \
+         0x0p+0");
+      ("walk", "simplex5", 42, 1202,
+        "0x0p+0 0x1.8p-2 0x1p-3 0x1.4p-2 \
+         0x0p+0");
+      ("walk", "simplex5", 2024, 1242,
+        "0x1.4p-2 0x1p-4 0x0p+0 0x1.4p-2 \
+         0x0p+0");
+      ("walk", "cube3", 1, 1200, "-0x1p-2 -0x1.8p-2 0x1p-1");
+      ("walk", "cube3", 42, 1202, "0x1p-1 0x1.8p-1 -0x1.8p-1");
+      ("walk", "cube3", 2024, 1242, "0x1.4p-1 -0x1.8p-2 -0x1.ap-1");
+      ("walk", "regress12", 1, 1200,
+        "0x1.4p-2 0x1p-3 0x1.4p-2 0x1p-4 \
+         -0x1.8p-3 0x1.8p-3 -0x1.4p-1 -0x1p-4 \
+         0x1.8p-2 0x0p+0 -0x1p-2 -0x1.8p-2");
+      ("walk", "regress12", 42, 1202,
+        "0x1p-3 0x1.cp-2 -0x1p-3 0x1p-1 \
+         -0x1.8p-3 0x1p-3 0x1p-2 0x1.2p-1 \
+         -0x1.cp-1 -0x1.8p-3 -0x1p-4 0x1p-3");
+      ("walk", "regress12", 2024, 1242,
+        "0x1.cp-1 0x1p-4 -0x1p-2 -0x1.8p-3 \
+         -0x1.4p-2 -0x1.8p-3 0x0p+0 -0x1p-2 \
+         -0x1.cp-2 0x1p-3 0x1p-3 -0x1p-2");
+  ]
+
+let k1_stream sampler body start seed =
+  let rng = Rng.create seed in
+  let p =
+    match sampler with
+    | "hr" ->
+        (HR.sample_polytope_batch ~dir_mode:HR.Compat [| rng |] body ~starts:[| start |]
+           ~steps:600).(0)
+    | _ ->
+        let grid = G.make ~step:0.0625 ~dim:(P.dim body) in
+        (W.sample_polytope_batch [| rng |] ~grid body ~starts:[| start |] ~steps:600).(0)
+  in
+  (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") p)), Rng.draw_count rng)
+
+let check_k1_pins sampler =
+  let cases = List.filter (fun (s, _, _, _, _) -> s = sampler) k1_pins in
+  Alcotest.(check int) "pinned cases" 18 (List.length cases);
+  List.iter
+    (fun (_, name, seed, draws, hex) ->
+      let _, body, start = List.find (fun (n, _, _) -> n = name) k1_bodies in
+      let got_hex, got_draws = k1_stream sampler body start seed in
+      let label = Printf.sprintf "%s %s seed %d" sampler name seed in
+      Alcotest.(check string) (label ^ ": bits") hex got_hex;
+      Alcotest.(check int) (label ^ ": draws") draws got_draws)
+    cases
+
+(* The batched structure-of-arrays kernel: the one-chain streams are
+   pinned above, every chain of a K>1 Compat batch is bit-identical to
+   its own one-chain run, and the batched chord machinery must not
+   allocate per step. *)
 let batch_tests =
   let module BW = Scdb_sampling.Ball_walk in
   let fixture_poly seed dim =
@@ -857,27 +987,17 @@ let batch_tests =
     !poly
   in
   [
-    t "K=1 batched hit-and-run is bit-identical to the incremental kernel" (fun () ->
-        (* 600 steps crosses the refresh_interval=256 cache refresh
-           twice, so the exact-recomputation cadence is covered too. *)
-        let poly = fixture_poly 4242 3 in
-        let start = Vec.create 3 in
-        List.iter
-          (fun seed ->
-            let incr = HR.sample_polytope (Rng.create seed) poly ~start ~steps:600 in
-            let batch =
-              HR.sample_polytope_batch [| Rng.create seed |] poly ~starts:[| start |]
-                ~steps:600
-            in
-            Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (incr = batch.(0)))
-          [ 42; 1000; 31337 ]);
+    t "K=1 batched hit-and-run is pinned: bits and draw counts" (fun () -> check_k1_pins "hr");
+    t "K=1 batched lattice walk is pinned: bits and draw counts" (fun () ->
+        check_k1_pins "walk");
     t "K=4 Compat chains are bit-identical to sequential single-chain runs" (fun () ->
+        (* Register-blocked path against the K = 1 branch. *)
         let poly = fixture_poly 777 4 in
         let seeds = [| 11; 22; 33; 44 |] in
         let starts = Array.make 4 (Vec.create 4) in
         let sequential =
           Array.map
-            (fun seed -> HR.sample_polytope (Rng.create seed) poly ~start:(Vec.create 4) ~steps:300)
+            (fun seed -> hr1 (Rng.create seed) poly ~start:(Vec.create 4) ~steps:300)
             seeds
         in
         let rngs = Array.map Rng.create seeds in
@@ -888,19 +1008,6 @@ let batch_tests =
           (fun c expected ->
             Alcotest.(check bool) (Printf.sprintf "chain %d" c) true (expected = batch.(c)))
           sequential);
-    t "K=1 batched lattice walk is bit-identical to the incremental kernel" (fun () ->
-        let poly = P.cube 3 1.0 in
-        let grid = G.make ~step:0.25 ~dim:3 in
-        let start = Vec.create 3 in
-        List.iter
-          (fun seed ->
-            let incr = W.sample_polytope (Rng.create seed) ~grid poly ~start ~steps:600 in
-            let batch =
-              W.sample_polytope_batch [| Rng.create seed |] ~grid poly ~starts:[| start |]
-                ~steps:600
-            in
-            Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (incr = batch.(0)))
-          [ 7; 99; 20060101 ]);
     t "Fast direction mode stays inside the body" (fun () ->
         let poly = fixture_poly 9001 4 in
         let starts = Array.init 8 (fun _ -> Vec.create 4) in

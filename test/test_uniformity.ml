@@ -48,7 +48,7 @@ let hit_and_run_uniformity () =
   let centre = [| 0.5; 0.5 |] in
   let observed = Array.make (k * k) 0 in
   for _ = 1 to n do
-    let p = HR.sample_polytope rng square ~start:centre ~steps:64 in
+    let p = (HR.sample_polytope_batch [| rng |] square ~starts:[| centre |] ~steps:64).(0) in
     let c = cell_of ~k p in
     observed.(c) <- observed.(c) + 1
   done;
