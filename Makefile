@@ -71,6 +71,9 @@ check:
 # the command EXPERIMENTS.md documents and must match the committed
 # file byte for byte, so any change to the estimators' rng stream or
 # arithmetic fails CI instead of passing on fingerprint and verdict.
+# Then an exact-oracle audit of three overlapping boxes (truth 4,
+# Karp-Luby acceptance about 2/3) must PASS, so the union's stopping
+# rule is checked away from acceptance 1.
 # Last, the exact-oracle float conversion: the box
 # [0, (10^400+1)/10^400] x [0,1] has an exact volume whose parts both
 # overflow a float; `volume --mode exact` must still print its value.
@@ -179,6 +182,10 @@ ci: check
 	  -f "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --runs 60 --jobs 4 --oracle exact -o _build/AUDIT_ledger.json > /dev/null
 	cmp _build/AUDIT_ledger.json AUDIT_1.json
+	dune exec bin/spatialdb.exe -- audit -v x,y \
+	  -f "(0 <= x and x <= 2 and 0 <= y and y <= 1) or (1 <= x and x <= 3 and 0 <= y and y <= 1) or (0.5 <= x and x <= 2.5 and 0.5 <= y and y <= 1.5)" \
+	  --seed 7 --runs 40 --jobs 2 --oracle exact > _build/audit_overlap.txt
+	grep -q "verdict PASS" _build/audit_overlap.txt
 	test "$$(dune exec bin/spatialdb.exe -- volume -v x,y \
 	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
 	  --mode exact)" = 1.000000000

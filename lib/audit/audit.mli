@@ -121,8 +121,9 @@ type budget_row = Scdb_gis.Plan_exec.budget_row = {
   b_ratio : float;  (** actual/predicted; [nan] when the node never ran *)
   b_delta_achieved : float;
       (** δ the node actually bought with its spent work, via
-          {!Scdb_plan.Cost.delta_at_work_ratio}; [nan] when it never
-          ran *)
+          {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for
+          union, intersection and difference nodes (stopping rule);
+          [nan] when it never ran *)
   b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
 }
 (** Re-export of {!Scdb_gis.Plan_exec.budget_row} — the same rows

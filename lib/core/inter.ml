@@ -84,14 +84,15 @@ let inter ?(poly_degree = 3) children =
     Trace.add_attr_float "delta" delta;
     let eps2 = eps /. 2.0 in
     let j, mu_j = smallest rng ~gamma ~eps:eps2 ~delta:(delta /. float_of_int (4 * m)) in
-    let p_floor = 1.0 /. (Float.max 2.0 (float_of_int dim) ** float_of_int poly_degree) in
+    let p_floor = Scdb_plan.Cost.poly_floor ~dim ~poly_degree in
     (* Same grid as the sample path: the caller's γ, not a fixed one. *)
     let params = Params.make ~gamma ~eps:eps2 ~delta:(delta /. 4.0) () in
     let draw r =
       match Observable.sample children.(j) r params with Some x -> mem x | None -> false
     in
-    let fraction =
-      Chernoff.estimate_fraction_adaptive rng ~eps:eps2 ~delta:(delta /. 4.0) ~p_floor draw
+    let { Chernoff.estimate = fraction; _ } =
+      Chernoff.estimate_fraction_stopping rng ~eps:eps2 ~delta:(delta /. 4.0) ~p_floor
+        ~max_trials:Scdb_plan.Cost.fraction_trials_cap draw
     in
     mu_j *. fraction
   in

@@ -84,8 +84,9 @@ let union children =
     end
   in
   let volume rng ~gamma ~eps ~delta =
-    (* Karp–Luby estimator: μ(∪) = (Σ μ̂ᵢ) · P[trial accepted], and the
-       acceptance probability is at least 1/m. *)
+    (* Karp–Luby estimator: μ(∪) = (Σ μ̂ᵢ) · P[trial accepted].  The
+       acceptance probability is at least 1/m, but the stopping rule
+       spends trials in proportion to the acceptance it observes. *)
     Trace.span "union.volume"
       ~counters:[ "union.volume.trials"; "union.volume.accepted" ]
     @@ fun () ->
@@ -103,30 +104,29 @@ let union children =
          a fixed γ here would make the Karp–Luby trials and the
          generator disagree on the discretization. *)
       let params = Params.make ~gamma ~eps:eps3 ~delta:(delta /. 4.0) () in
-      let n =
-        Chernoff.samples_for_ratio ~eps:eps3 ~delta:(delta /. 4.0) ~p_lower:(1.0 /. float_of_int m)
+      let trial r =
+        let j = Rng.categorical r mu in
+        match Observable.sample children.(j) r params with
+        | None -> false
+        | Some x -> first_index x = Some j
       in
-      let accepted = ref 0 in
-      for _ = 1 to n do
-        let j = Rng.categorical rng mu in
-        match Observable.sample children.(j) rng params with
-        | None -> ()
-        | Some x -> if first_index x = Some j then incr accepted
-      done;
-      Progress.add_trials n;
+      let { Chernoff.trials = n; hits = accepted; estimate } =
+        Chernoff.estimate_fraction_stopping rng ~eps:eps3 ~delta:(delta /. 4.0)
+          ~p_floor:(1.0 /. float_of_int m) trial
+      in
       Tel.Counter.add tel_vol_trials n;
-      Tel.Counter.add tel_vol_accepted !accepted;
-      if n > 0 then Tel.Histogram.observe tel_accept_rate (float_of_int !accepted /. float_of_int n);
+      Tel.Counter.add tel_vol_accepted accepted;
+      Tel.Histogram.observe tel_accept_rate (float_of_int accepted /. float_of_int n);
       (* All trials rejecting while Σ μ̂ᵢ > 0 means the estimate degrades
          to 0.0 with no statistical backing (acceptance is ≥ 1/m in
          expectation) — a generator failure, not a small volume. *)
-      if !accepted = 0 then begin
+      if accepted = 0 then begin
         Tel.Counter.incr tel_vol_zero_acceptance;
         if Log.would_log Log.Warn then
           Log.warn "union.volume.zero_acceptance"
             [ Log.int "trials" n; Log.int "operands" m; Log.float "total" total ]
       end;
-      total *. float_of_int !accepted /. float_of_int n
+      total *. estimate
     end
   in
   Observable.make ?relation ~dim ~mem ~sample ~volume ()

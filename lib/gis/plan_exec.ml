@@ -116,7 +116,13 @@ let budget_attribution plan (attr : attribution_row array) =
       in
       let achieved =
         if Float.is_nan g.Scdb_plan.Plan.g_delta then Float.nan
-        else Scdb_plan.Cost.delta_at_work_ratio ~delta:g.Scdb_plan.Plan.g_delta ~ratio
+        else
+          match g.Scdb_plan.Plan.g_op with
+          (* A stopping rule's δ does not depend on how many trials it
+             ran: it holds the granted δ whenever the node ran. *)
+          | "union" | "inter" | "diff" ->
+              if Float.is_nan ratio then Float.nan else g.Scdb_plan.Plan.g_delta
+          | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:g.Scdb_plan.Plan.g_delta ~ratio
       in
       {
         b_id = g.Scdb_plan.Plan.g_id;

@@ -109,8 +109,9 @@ type budget_row = {
   b_ratio : float;  (** [actual/predicted]; [nan] when the node never ran *)
   b_delta_achieved : float;
       (** the δ the node's spent work actually buys at its granted ε,
-          via {!Scdb_plan.Cost.delta_at_work_ratio}; [nan] when it
-          never ran *)
+          via {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for
+          union, intersection and difference nodes, whose stopping
+          rule holds it at any trial count; [nan] when it never ran *)
   b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
 }
 (** One node of the error-budget attribution: the (ε,δ) sub-contract

@@ -6,6 +6,17 @@ let samples_for_ratio ~eps ~delta ~p_lower =
   if eps <= 0.0 || delta <= 0.0 || p_lower <= 0.0 then invalid_arg "Cost.samples_for_ratio";
   int_of_float (ceil (3.0 *. log (2.0 /. delta) /. (eps *. eps *. p_lower)))
 
+let stopping_threshold ~eps ~delta =
+  if not (eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0) then
+    invalid_arg "Cost.stopping_threshold";
+  1.0 +. ((1.0 +. eps) *. 4.0 *. (exp 1.0 -. 2.0) *. log (2.0 /. delta) /. (eps *. eps))
+
+let stopping_trials ~eps ~delta ~p_lower =
+  if p_lower <= 0.0 then invalid_arg "Cost.stopping_trials";
+  int_of_float (ceil (stopping_threshold ~eps ~delta /. p_lower))
+
+let fraction_trials_cap = 200_000
+
 let union_trials ~m ~delta =
   Stdlib.max 4 (int_of_float (ceil (float_of_int m *. log (1.0 /. delta))))
 

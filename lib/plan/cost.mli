@@ -4,8 +4,9 @@
     budget up front — the DFK walk length for convex relations (§2),
     the [m·ln(1/δ)] Karp–Luby retry budget for unions (Thm 4.1), the
     [d^k]-sized rejection budget for intersections (Prop 4.1), the
-    multi-phase sample sizing of the volume estimator, and the
-    Chernoff/Hoeffding sample counts underneath them all.  The runtime
+    multi-phase sample sizing of the volume estimator, the stopping
+    rule of volume fractions, and the Chernoff/Hoeffding sample counts
+    underneath them all.  The runtime
     ({!Scdb_sampling.Chernoff}, [Union], [Inter], [Diff], [Boost], the
     walk schedules) and the static cost model ({!Plan}) both call this
     module, so a query plan's predicted budget and the budget the
@@ -21,6 +22,22 @@ val samples_for_ratio : eps:float -> delta:float -> p_lower:float -> int
 (** Multiplicative Chernoff: [⌈3·ln(2/δ)/(ε²·p_lower)⌉] draws estimate
     a Bernoulli mean [p ≥ p_lower] within ratio [1+ε] with confidence
     [1−δ]. @raise Invalid_argument unless all arguments are positive. *)
+
+val stopping_threshold : eps:float -> delta:float -> float
+(** Dagum–Karp–Luby–Ross (SIAM J. Comput. 2000): drawing Bernoulli
+    trials until [Υ₁ = 1 + (1+ε)·4(e−2)·ln(2/δ)/ε²] hit, [Υ₁/N] is
+    within ratio [1±ε] of any [p > 0] with confidence [1−δ], in
+    [E[N] ≤ Υ₁/p] trials.  @raise Invalid_argument unless [eps] and
+    [delta] lie in (0,1). *)
+
+val stopping_trials : eps:float -> delta:float -> p_lower:float -> int
+(** [⌈Υ₁/p_lower⌉], the stopping rule's expected trials at the floor
+    [p_lower]: the plan's prediction, and half the runtime's cap.
+    @raise Invalid_argument as above, or unless [p_lower > 0]. *)
+
+val fraction_trials_cap : int
+(** [200_000]: clamps the intersection and difference stopping rules,
+    whose cap grows as [d^k]; a clamped run weakens the contract. *)
 
 val union_trials : m:int -> delta:float -> int
 (** Karp–Luby retry budget (Theorem 4.1/Corollary 4.2): per-trial

@@ -135,8 +135,7 @@ let union_ ~eps ~delta children =
   let dim = (List.hd children).dim in
   let trials = Cost.union_trials ~m ~delta in
   let volume_trials =
-    Cost.samples_for_ratio ~eps:(eps /. 3.0) ~delta:(delta /. 4.0)
-      ~p_lower:(1.0 /. float_of_int m)
+    Cost.stopping_trials ~eps:(eps /. 3.0) ~delta:(delta /. 4.0) ~p_lower:(1.0 /. float_of_int m)
   in
   let op = Union_op { trials; volume_trials } in
   let excl_s, excl_v = exclusive op ~dim ~m in
@@ -148,18 +147,17 @@ let union_ ~eps ~delta children =
   let per_volume = add_units excl_v (add_units (scale_units (n /. fm) sum_ps) sum_pv) in
   { id = -1; op; dim; per_sample; per_volume; children }
 
-let cap_adaptive n = Stdlib.min n 200_000
+let fraction_trials ~eps ~delta ~dim ~poly_degree =
+  Stdlib.min Cost.fraction_trials_cap
+    (Cost.stopping_trials ~eps:(eps /. 2.0) ~delta:(delta /. 4.0)
+       ~p_lower:(Cost.poly_floor ~dim ~poly_degree))
 
 let inter_ ?(poly_degree = 3) ~eps ~delta children =
   if children = [] then invalid_arg "Plan.inter_: empty list";
   let m = List.length children in
   let dim = (List.hd children).dim in
   let budget = Cost.rejection_budget ~dim ~poly_degree ~delta in
-  let volume_trials =
-    cap_adaptive
-      (Cost.samples_for_ratio ~eps:(eps /. 2.0) ~delta:(delta /. 8.0)
-         ~p_lower:(Cost.poly_floor ~dim ~poly_degree))
-  in
+  let volume_trials = fraction_trials ~eps ~delta ~dim ~poly_degree in
   let op = Inter_op { poly_degree; budget; volume_trials } in
   let excl_s, excl_v = exclusive op ~dim ~m in
   let sum_ps = sum_children (fun c -> c.per_sample) children in
@@ -173,11 +171,7 @@ let inter_ ?(poly_degree = 3) ~eps ~delta children =
 let diff_ ?(poly_degree = 3) ~eps ~delta a b =
   let dim = a.dim in
   let budget = Cost.rejection_budget ~dim ~poly_degree ~delta in
-  let volume_trials =
-    cap_adaptive
-      (Cost.samples_for_ratio ~eps:(eps /. 2.0) ~delta:(delta /. 8.0)
-         ~p_lower:(Cost.poly_floor ~dim ~poly_degree))
-  in
+  let volume_trials = fraction_trials ~eps ~delta ~dim ~poly_degree in
   let op = Diff_op { poly_degree; budget; volume_trials } in
   let excl_s, excl_v = exclusive op ~dim ~m:2 in
   let bf = float_of_int budget and n = float_of_int volume_trials in

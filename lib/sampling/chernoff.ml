@@ -3,8 +3,7 @@ module Progress = Scdb_progress.Progress
 module Log = Scdb_log.Log
 
 let tel_samples = Tel.Counter.make "chernoff.samples"
-let tel_adaptive_calls = Tel.Counter.make "chernoff.adaptive.calls"
-let tel_pilot_zero = Tel.Counter.make "chernoff.adaptive.pilot_zero"
+let tel_capped = Tel.Counter.make "chernoff.stopping.capped"
 
 (* The sizing formulas live in [Scdb_plan.Cost] so the static cost
    model and the runtime spend budgets from the same source. *)
@@ -21,81 +20,40 @@ let estimate_fraction rng ~samples f =
   done;
   float_of_int !hits /. float_of_int samples
 
-let estimate_fraction_adaptive rng ~eps ~delta ~p_floor ?(max_samples = 200_000) f =
-  Tel.Counter.incr tel_adaptive_calls;
-  let count n =
-    Tel.Counter.add tel_samples n;
-    Progress.add_trials n;
-    let hits = ref 0 in
-    for _ = 1 to n do
-      if f rng then incr hits
-    done;
-    !hits
+type stopping = { trials : int; hits : int; estimate : float }
+
+let estimate_fraction_stopping rng ~eps ~delta ~p_floor ?(max_trials = max_int) f =
+  if max_trials < 1 then invalid_arg "Chernoff.estimate_fraction_stopping";
+  let threshold = Scdb_plan.Cost.stopping_threshold ~eps ~delta in
+  (* Hits are integers, so "S ≥ Υ₁" is "hits ≥ ⌈Υ₁⌉". *)
+  let need = int_of_float (ceil threshold) in
+  let cap =
+    Stdlib.min max_trials (2 * Scdb_plan.Cost.stopping_trials ~eps ~delta ~p_lower:p_floor)
   in
-  (* The pilot run is itself a statistical decision (it sizes the main
-     run from the observed rate), so the failure budget is split δ/2 +
-     δ/2 across the two phases instead of each phase spending all of δ. *)
-  let delta_phase = delta /. 2.0 in
-  (* The pilot is budgeted draws like any other phase: with
-     [max_samples < 400] an unclamped pilot would overspend the cap
-     before the main-phase clamp ever ran. *)
-  let pilot =
-    if max_samples < 400 then begin
-      if Log.would_log Log.Warn then
-        Log.warn "chernoff.budget_exhausted"
-          [
-            Log.str "phase" "pilot";
-            Log.int "wanted" 400;
-            Log.int "max_samples" max_samples;
-            Log.float "eps" eps;
-            Log.float "delta" delta_phase;
-          ];
-      Stdlib.max 1 max_samples
-    end
-    else 400
-  in
-  let pilot_hits = count pilot in
-  (* Pilot draws are i.i.d. with the main draws, so they fold into the
-     final fraction instead of being thrown away. *)
-  let finish n_main main_hits =
-    float_of_int (pilot_hits + main_hits) /. float_of_int (pilot + n_main)
-  in
-  (* The bound-prescribed budget can exceed [max_samples]; clamping
-     keeps the run alive but silently weakens the (ε,δ) contract, so
-     the clamp is a warn-level event. *)
-  let clamp phase want =
-    if want > max_samples then begin
-      if Log.would_log Log.Warn then
-        Log.warn "chernoff.budget_exhausted"
-          [
-            Log.str "phase" phase;
-            Log.int "wanted" want;
-            Log.int "max_samples" max_samples;
-            Log.float "eps" eps;
-            Log.float "delta" delta_phase;
-          ];
-      max_samples
-    end
-    else want
-  in
-  if pilot_hits = 0 then begin
-    (* No signal yet: spend the floor-based budget before concluding 0. *)
-    Tel.Counter.incr tel_pilot_zero;
-    if Log.would_log Log.Info then
-      Log.info "chernoff.pilot_zero" [ Log.int "pilot" pilot; Log.float "p_floor" p_floor ];
-    let n = clamp "floor" (samples_for_ratio ~eps ~delta:delta_phase ~p_lower:p_floor) in
-    (* The pilot already spent [pilot] of the budget; cap the main phase
-       so pilot + main never exceeds [max_samples]. *)
-    let n_main = Stdlib.max 0 (Stdlib.min (n - pilot) (max_samples - pilot)) in
-    finish n_main (count n_main)
-  end
+  let hits = ref 0 and n = ref 0 in
+  while !hits < need && !n < cap do
+    incr n;
+    if f rng then incr hits
+  done;
+  let n = !n and hits = !hits in
+  Tel.Counter.add tel_samples n;
+  Progress.add_trials n;
+  if hits >= need then { trials = n; hits; estimate = threshold /. float_of_int n }
   else begin
-    let p_hat = float_of_int pilot_hits /. float_of_int pilot in
-    let n = clamp "adaptive" (samples_for_ratio ~eps ~delta:delta_phase ~p_lower:(p_hat /. 2.0)) in
-    (* The pilot already contributed 400 of the [n] draws the bound asks
-       for; only the remainder is drawn in the main phase. *)
-    let n_main = Stdlib.max 0 (n - pilot) in
-    finish n_main (count n_main)
+    (* Only reachable below the floor (for p ≥ p_floor the cap holds
+       2Υ₁ expected hits, so P[cap] ≤ e^(−Υ₁/4)) or under the clamp:
+       the (ε,δ) contract is then weakened, a warn-level event. *)
+    Tel.Counter.incr tel_capped;
+    if Log.would_log Log.Warn then
+      Log.warn "chernoff.budget_exhausted"
+        [
+          Log.int "trials" n;
+          Log.int "hits" hits;
+          Log.float "threshold" threshold;
+          Log.float "eps" eps;
+          Log.float "delta" delta;
+        ];
+    { trials = n; hits; estimate = float_of_int hits /. float_of_int n }
   end
 
 let median_of_means rng ~blocks ~block_size f =

@@ -15,24 +15,24 @@ val samples_for_ratio : eps:float -> delta:float -> p_lower:float -> int
 val estimate_fraction : Scdb_rng.Rng.t -> samples:int -> (Scdb_rng.Rng.t -> bool) -> float
 (** Empirical mean of [samples] Bernoulli draws. *)
 
-val estimate_fraction_adaptive :
+type stopping = { trials : int; hits : int; estimate : float }
+
+val estimate_fraction_stopping :
   Scdb_rng.Rng.t ->
   eps:float ->
   delta:float ->
   p_floor:float ->
-  ?max_samples:int ->
+  ?max_trials:int ->
   (Scdb_rng.Rng.t -> bool) ->
-  float
-(** Two-stage estimation of a Bernoulli mean [p] to ratio [1+ε]: a
-    pilot run of 400 draws sizes the main run from the {e observed}
-    rate instead of the worst-case floor [p_floor], so the cost scales
-    with [1/p] rather than [1/p_floor].  The failure budget is split
-    [δ/2] per phase, the pilot draws count toward the main-phase
-    budget, and the pilot hits are folded into the returned fraction
-    (all draws are i.i.d., so discarding them would only waste
-    samples).  Falls back to the floor-based sample count (capped at
-    [max_samples], default 200_000) when the pilot sees no successes;
-    returns [0.] if none are ever seen. *)
+  stopping
+(** The Dagum–Karp–Luby–Ross stopping rule for a Bernoulli mean [p]:
+    draw until [Υ₁] ({!Scdb_plan.Cost.stopping_threshold}) trials hit
+    and return [Υ₁/N] — within [1±ε] of [p] with confidence [1−δ], in
+    [E[N] ≤ Υ₁/p] trials.  The floor only sizes the cap,
+    [min max_trials (2·⌈Υ₁/p_floor⌉)], reached with probability at most
+    [e^(−Υ₁/4)] when [p ≥ p_floor]; a capped run returns [hits/N] and
+    logs [chernoff.budget_exhausted].  @raise Invalid_argument unless
+    [eps] and [delta] lie in (0,1), [p_floor > 0] and [max_trials ≥ 1]. *)
 
 val median_of_means :
   Scdb_rng.Rng.t -> blocks:int -> block_size:int -> (Scdb_rng.Rng.t -> float) -> float

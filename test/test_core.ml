@@ -228,6 +228,29 @@ let union_tests =
         Alcotest.(check (option int))
           "union.volume.zero_acceptance incremented" (Some 1)
           (Tel.counter_value "union.volume.zero_acceptance"));
+    ts "Karp-Luby trials follow the acceptance, not the 1/m floor" (fun () ->
+        (* Disjoint operands accept every trial, so the stopping rule
+           ends after ⌈Υ₁⌉ trials where the floor-sized loop ran m·Υ₁. *)
+        let module Tel = Scdb_telemetry.Telemetry in
+        let rng = Rng.create 26 in
+        let slab i =
+          Option.get (Convex_obs.make ~config:cfg rng (Relation.box [| q (2 * i) |] [| q ((2 * i) + 1) |]))
+        in
+        let u = Union.union (List.init 3 slab) in
+        let was = Tel.enabled () in
+        Tel.set_enabled true;
+        Tel.reset ();
+        Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+        let eps = 0.3 and delta = 0.2 in
+        let v = Observable.volume u rng ~eps ~delta in
+        Alcotest.(check bool) (Printf.sprintf "volume 3 (got %g)" v) true (Float.abs (v -. 3.0) < 0.3);
+        let upsilon = Scdb_plan.Cost.stopping_threshold ~eps:(eps /. 3.0) ~delta:(delta /. 4.0) in
+        let bound = 1.05 *. ceil upsilon in
+        let trials = Option.value (Tel.counter_value "union.volume.trials") ~default:0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d trials <= %.0f" trials bound)
+          true
+          (trials > 0 && float_of_int trials <= bound));
   ]
 
 let inter_diff_tests =

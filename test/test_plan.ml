@@ -43,6 +43,30 @@ let equality_tests =
         | Plan.Union_op { trials; _ } ->
             Alcotest.(check int) "plan union trials" (Union.trials_for ~m:2 ~delta:0.1) trials
         | _ -> Alcotest.fail "root is not a union");
+    t "volume fractions: runtime cap = 2 x plan attribute" (fun () ->
+        (* The plan predicts the stopping rule's expected trials at the
+           acceptance floor; a run that never hits stops at twice it. *)
+        let cap ~eps ~delta ~p_floor =
+          (Chernoff.estimate_fraction_stopping (Scdb_rng.Rng.create 0) ~eps ~delta ~p_floor
+             ~max_trials:Cost.fraction_trials_cap (fun _ -> false))
+            .Chernoff.trials
+        in
+        let eps = 0.2 and delta = 0.1 in
+        (match
+           (plan_of ~task:Plan.Volume (Plan.union_ ~eps ~delta [ leaf (); leaf () ])).Plan.root.Plan.op
+         with
+        | Plan.Union_op { volume_trials; _ } ->
+            Alcotest.(check int) "union" (2 * volume_trials)
+              (cap ~eps:(eps /. 3.0) ~delta:(delta /. 4.0) ~p_floor:0.5)
+        | _ -> Alcotest.fail "root is not a union");
+        match
+          (plan_of ~task:Plan.Volume (Plan.inter_ ~eps ~delta [ leaf (); leaf () ])).Plan.root.Plan.op
+        with
+        | Plan.Inter_op { volume_trials; poly_degree; _ } ->
+            Alcotest.(check int) "inter" (2 * volume_trials)
+              (cap ~eps:(eps /. 2.0) ~delta:(delta /. 4.0)
+                 ~p_floor:(Cost.poly_floor ~dim:2 ~poly_degree))
+        | _ -> Alcotest.fail "root is not an intersection");
     t "intersection budget: runtime = Cost = plan attribute" (fun () ->
         List.iter
           (fun (dim, k, delta) ->
@@ -186,6 +210,23 @@ let json_tests =
         match Plan.of_json bad with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted a document without a root");
+    t "stopping-rule nodes hold their granted delta" (fun () ->
+        (* Union, intersection and difference fractions run a stopping
+           rule, whose δ does not depend on the trials it ran; a dfk
+           leaf's δ still follows its work ratio. *)
+        let module PE = Scdb_gis.Plan_exec in
+        let plan = plan_of ~task:Plan.Volume (Plan.union_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ]) in
+        let row id op ratio = { PE.id; op; predicted = 1.0; actual = ratio; ratio; tags = [] } in
+        let rows =
+          PE.budget_attribution plan [| row 0 "union" 0.3; row 1 "dfk" 0.5; row 2 "dfk" Float.nan |]
+        in
+        let r i = rows.(i) in
+        Alcotest.(check (float 0.0)) "union: granted" (r 0).PE.b_delta (r 0).PE.b_delta_achieved;
+        Alcotest.(check (float 0.0)) "union: zero slack" 0.0 (r 0).PE.b_slack;
+        Alcotest.(check (float 1e-15)) "dfk: work ratio"
+          (Cost.delta_at_work_ratio ~delta:(r 1).PE.b_delta ~ratio:0.5)
+          (r 1).PE.b_delta_achieved;
+        Alcotest.(check bool) "never ran: nan" true (Float.is_nan (r 2).PE.b_delta_achieved));
     t "budget rows cover every node exactly once" (fun () ->
         let plan = mixed_plan () in
         let rows = Plan.budget_rows plan in

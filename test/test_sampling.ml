@@ -167,54 +167,77 @@ let chernoff_tests =
             (fun () -> Ch.samples_for_ratio ~eps:0.1 ~delta:0.1 ~p_lower:0.0);
             (fun () -> Ch.repeats_for_confidence ~delta:1.5);
           ]);
-    t "adaptive estimate concentrates" (fun () ->
-        let rng = Rng.create 12 in
-        let p =
-          Ch.estimate_fraction_adaptive rng ~eps:0.1 ~delta:0.1 ~p_floor:0.01 (fun r ->
-              Rng.float r < 0.3)
+    t "stopping rule covers 1+-eps w.p. 1-delta" (fun () ->
+        (* DKLR: [Υ₁/N] lies within (1±ε) of p with probability ≥ 1−δ,
+           in E[N] ≈ Υ₁/p trials.  200 seeds per p; the coverage is
+           certified by the Clopper–Pearson lower bound. *)
+        let eps = 0.2 and delta = 0.1 and runs = 200 in
+        let upsilon = Scdb_plan.Cost.stopping_threshold ~eps ~delta in
+        List.iter
+          (fun p ->
+            let within = ref 0 and trials = ref 0 in
+            for seed = 1 to runs do
+              let r =
+                Ch.estimate_fraction_stopping (Rng.create seed) ~eps ~delta ~p_floor:0.01 (fun r ->
+                    Rng.float r < p)
+              in
+              trials := !trials + r.Ch.trials;
+              if Float.abs (r.Ch.estimate -. p) <= eps *. p then incr within
+            done;
+            let lo, _ = Scdb_audit.Audit.clopper_pearson ~hits:!within ~runs () in
+            Alcotest.(check bool)
+              (Printf.sprintf "p=%g: %d/%d within, CP lower %.3f >= %g" p !within runs lo
+                 (1.0 -. delta))
+              true
+              (lo >= 1.0 -. delta);
+            let mean_n = float_of_int !trials /. float_of_int runs in
+            let expect = upsilon /. p in
+            Alcotest.(check bool)
+              (Printf.sprintf "p=%g: mean N %.0f within 10%% of %.0f" p mean_n expect)
+              true
+              (Float.abs (mean_n -. expect) <= 0.1 *. expect))
+          [ 0.9; 0.3; 0.05 ]);
+    t "stopping rule honours its cap exactly" (fun () ->
+        let eps = 0.2 and delta = 0.1 in
+        let run ?max_trials ~p_floor p =
+          let calls = ref 0 in
+          let r =
+            Ch.estimate_fraction_stopping (Rng.create 3) ~eps ~delta ~p_floor ?max_trials (fun r ->
+                incr calls;
+                Rng.float r < p)
+          in
+          Alcotest.(check int) "trials = calls" !calls r.Ch.trials;
+          Alcotest.(check (float 0.0)) "capped runs return hits/N"
+            (float_of_int r.Ch.hits /. float_of_int r.Ch.trials)
+            r.Ch.estimate;
+          r.Ch.trials
         in
-        Alcotest.(check bool) "near 0.3" true (Float.abs (p -. 0.3) < 0.05));
-    t "adaptive estimate folds the pilot draws in" (fun () ->
-        (* Regression: the 400 pilot draws used to be discarded.  A
-           predicate that succeeds only during the pilot must still
-           produce a positive estimate, because those hits are real
-           draws of the same Bernoulli stream. *)
+        (* The floor's cap, 2·⌈Υ₁/p_floor⌉, well below what p = 0.3 needs. *)
+        Alcotest.(check int) "floor cap"
+          (2 * Scdb_plan.Cost.stopping_trials ~eps ~delta ~p_lower:1.0)
+          (run ~p_floor:1.0 0.3);
+        Alcotest.(check int) "explicit clamp" 100 (run ~max_trials:100 ~p_floor:0.01 0.5));
+    t "zero-hit stopping run returns 0 after exactly the cap" (fun () ->
         let calls = ref 0 in
-        let f _ = incr calls; !calls <= 400 in
-        let p = Ch.estimate_fraction_adaptive (Rng.create 0) ~eps:0.2 ~delta:0.2 ~p_floor:0.01 f in
-        Alcotest.(check bool)
-          (Printf.sprintf "pilot hits kept (got %g)" p)
-          true (p > 0.0);
-        (* The main phase budget is also net of the pilot: with p_hat = 1
-           the bound asks for few hundred draws total, not pilot + bound. *)
-        let total = !calls in
-        let bound =
-          400 + Stdlib.max 0 (Ch.samples_for_ratio ~eps:0.2 ~delta:0.1 ~p_lower:0.5 - 400)
+        let r =
+          Ch.estimate_fraction_stopping (Rng.create 4) ~eps:0.2 ~delta:0.1 ~p_floor:0.01 (fun _ ->
+              incr calls;
+              false)
         in
-        Alcotest.(check int) "pilot counts toward the budget" bound total);
-    t "adaptive estimator honours a sub-pilot draw cap" (fun () ->
-        (* Regression: with max_samples below the 400-draw pilot, the
-           unclamped pilot alone used to overspend the cap. *)
-        let calls = ref 0 in
-        let f r = incr calls; Rng.float r < 0.5 in
-        let p =
-          Ch.estimate_fraction_adaptive (Rng.create 3) ~eps:0.1 ~delta:0.1 ~p_floor:0.01
-            ~max_samples:100 f
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "spent %d of a 100-draw budget" !calls)
-          true (!calls <= 100);
-        Alcotest.(check bool) "estimate is sane" true (Float.abs (p -. 0.5) < 0.25));
-    t "zero-hit pilot cannot overspend the cap either" (fun () ->
-        let calls = ref 0 in
-        let f _ = incr calls; false in
-        let p =
-          Ch.estimate_fraction_adaptive (Rng.create 4) ~eps:0.1 ~delta:0.1 ~p_floor:1e-6
-            ~max_samples:500 f
-        in
-        (* pilot (400) + floor-based main phase, truncated to the cap *)
-        Alcotest.(check int) "draws = max_samples" 500 !calls;
-        Alcotest.(check (float 0.0)) "no hits means zero" 0.0 p);
+        let cap = 2 * Scdb_plan.Cost.stopping_trials ~eps:0.2 ~delta:0.1 ~p_lower:0.01 in
+        Alcotest.(check int) "draws = cap" cap !calls;
+        Alcotest.(check int) "trials = cap" cap r.Ch.trials;
+        Alcotest.(check (float 0.0)) "no hits means zero" 0.0 r.Ch.estimate);
+    t "stopping rule rejects eps outside (0,1)" (fun () ->
+        List.iter
+          (fun eps ->
+            try
+              ignore
+                (Ch.estimate_fraction_stopping (Rng.create 0) ~eps ~delta:0.1 ~p_floor:0.5 (fun _ ->
+                     true));
+              Alcotest.fail (Printf.sprintf "eps=%g: expected Invalid_argument" eps)
+            with Invalid_argument _ -> ())
+          [ 0.0; -0.1; 1.0; 1.5 ]);
   ]
 
 let rounding_tests =
