@@ -39,7 +39,7 @@ module FM = Scdb_qe.Fourier_motzkin
 module Rng = Scdb_rng.Rng
 module Rej = Scdb_sampling.Rejection
 module Tel = Scdb_telemetry.Telemetry
-module J = Scdb_trace.Json_min
+module Json = Scdb_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -276,7 +276,7 @@ let telemetry_snapshot ~poly ~grid ~centre =
    with
    | Some (_, Ok prog) -> ignore (Scdb_vm.Vm.sample_many prog rng ~n:64)
    | _ -> ());
-  let json = Tel.dump ~only_nonzero:true () in
+  let json = Json.to_string (Tel.dump ~only_nonzero:true ()) in
   Tel.set_enabled false;
   json
 
@@ -288,8 +288,8 @@ let telemetry_snapshot ~poly ~grid ~centre =
    pipeline (Scdb_gis.Plan_exec) and embed the predicted-vs-actual
    cost attribution, so the cost model's calibration trajectory rides
    along in BENCH_<n>.json like the telemetry does.  Rows carry
-   id/op/predicted/actual/ratio — no "name"/"ns_per_op" keys, so the
-   --check baseline scanner skips the block naturally. *)
+   id/op/predicted/actual/ratio; --check and --trend read only the
+   results array. *)
 let plan_calibration ~fast =
   let module Plan_exec = Scdb_gis.Plan_exec in
   let module Progress = Scdb_progress.Progress in
@@ -316,7 +316,7 @@ let plan_calibration ~fast =
       let root = attribution.(0) in
       Printf.printf "plan calibration: root %s actual/predicted %.2fx over %d nodes\n"
         root.Plan_exec.op root.Plan_exec.ratio (Array.length attribution);
-      Plan_exec.attribution_json attribution
+      Json.to_string (Plan_exec.attribution_json attribution)
 
 (* ------------------------------------------------------------------ *)
 (* Engine comparison                                                   *)
@@ -551,25 +551,18 @@ let bench_index f =
     int_of_string_opt (String.sub base lp (lb - lp - ls))
   else None
 
-let trend_table file =
-  let ic = try open_in file with Sys_error m -> trend_fail "%s" m in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let doc = try J.parse s with J.Parse_error m -> trend_fail "%s: invalid JSON: %s" file m in
-  let rows =
-    match Option.bind (J.member "results" doc) J.to_list with
-    | Some l -> l
-    | None -> trend_fail "%s: no results array" file
+(* The (name, ns/op) rows of a BENCH file's results array; [--check]
+   reads its baseline the same way. *)
+let bench_results file =
+  let row r =
+    match (Json.field_opt "name" Json.str r, Json.field_opt "ns_per_op" Json.num r) with
+    | Some name, Some ns when ns > 0.0 -> Some (name, ns)
+    | _ -> None
   in
-  List.filter_map
-    (fun row ->
-      match
-        ( Option.bind (J.member "name" row) J.to_string,
-          Option.bind (J.member "ns_per_op" row) J.to_float )
-      with
-      | Some name, Some ns when Float.is_finite ns && ns > 0.0 -> Some (name, ns)
-      | _ -> None)
-    rows
+  Json.of_file file (Json.field "results" (Json.list row)) |> Result.map (List.filter_map Fun.id)
+
+let trend_table file =
+  match bench_results file with Ok rows -> rows | Error m -> trend_fail "%s" m
 
 let trend ~files ~threshold ~ref_name ~floor_ns =
   let files =
@@ -682,57 +675,20 @@ let diagnostics_block ~fast ~poly =
       Printf.printf "diagnostics: max split R-hat %.4f, %s\n"
         (Array.fold_left Float.max 1.0 d.Diag_run.rhat)
         (if d.Diag_run.verdict.Scdb_diag.Diag.converged then "converged" else "NOT converged");
-      Diag_run.to_json d
+      Json.to_string (Diag_run.to_json d)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison (--check)                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal scanner for the self-emitted format: pull every
-   {"name": "...", "ns_per_op": X} pair out of the results array.  The
-   embedded telemetry block contains neither key, so it is skipped
-   naturally. *)
-let parse_baseline file =
-  let ic = open_in file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let out = ref [] in
-  let i = ref 0 in
-  let find_from pat start =
-    let pl = String.length pat in
-    let rec go j =
-      if j + pl > String.length s then None
-      else if String.sub s j pl = pat then Some (j + pl)
-      else go (j + 1)
-    in
-    go start
-  in
-  let rec loop () =
-    match find_from "{\"name\": \"" !i with
-    | None -> ()
-    | Some j -> (
-        let close = String.index_from s j '"' in
-        let name = String.sub s j (close - j) in
-        match find_from "\"ns_per_op\": " close with
-        | None -> ()
-        | Some k ->
-            let e = ref k in
-            while
-              !e < String.length s
-              && (match s.[!e] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-            do
-              incr e
-            done;
-            out := (name, float_of_string (String.sub s k (!e - k))) :: !out;
-            i := !e;
-            loop ())
-  in
-  loop ();
-  List.rev !out
-
 let check_against ~baseline results =
-  let base = parse_baseline baseline in
+  let base =
+    match bench_results baseline with
+    | Ok rows -> rows
+    | Error m ->
+        prerr_endline ("regress --check: " ^ m);
+        exit 2
+  in
   let failures = ref 0 in
   Printf.printf "\ncheck vs %s (fail if > 2.00x):\n" baseline;
   List.iter

@@ -28,121 +28,74 @@
 
    Exits 1 with a message on the first violation. *)
 
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_audit: " ^ m); exit 1) fmt
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error m -> fail "%s" m
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-
-let parse_file path =
-  match J.parse (read_file path) with
-  | doc -> doc
-  | exception J.Parse_error m -> fail "%s: invalid JSON: %s" path m
-
-let get path name = function Some v -> v | None -> fail "%s: missing field %s" path name
-
-let num path name v =
-  match J.to_float v with
-  | Some x when Float.is_finite x -> x
-  | _ -> fail "%s: field %s is not a finite number" path name
-
-let str path name v =
-  match J.to_string v with
-  | Some s -> s
-  | None -> fail "%s: field %s is not a string" path name
-
-let field path doc name = get path name (J.member name doc)
-
-let load_audit path =
-  let doc = parse_file path in
-  (match J.to_string (field path doc "schema") with
-  | Some "spatialdb-audit/1" -> ()
-  | Some other -> fail "%s: unexpected schema %S" path other
-  | None -> fail "%s: schema is not a string" path);
-  doc
 
 let is_hex16 s =
   String.length s = 16
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
-let validate path doc =
-  let args = field path doc "args" in
-  let runs = int_of_float (num path "args.runs" (field path args "runs")) in
-  if runs < 1 then fail "%s: args.runs is %d (need >= 1)" path runs;
-  let eps = num path "args.eps" (field path args "eps") in
-  let delta = num path "args.delta" (field path args "delta") in
-  if eps <= 0.0 || eps >= 1.0 then fail "%s: args.eps is %g (need (0,1))" path eps;
-  if delta <= 0.0 || delta >= 1.0 then fail "%s: args.delta is %g (need (0,1))" path delta;
-  let fp = str path "fingerprint" (field path doc "fingerprint") in
-  if not (is_hex16 fp) then fail "%s: fingerprint %S is not 16 lowercase hex digits" path fp;
-  (match str path "oracle" (field path doc "oracle") with
+let in_unit what v = if v <= 0.0 || v >= 1.0 then J.fail "%s is %g (need (0,1))" what v
+
+let validate doc =
+  J.schema "spatialdb-audit/1" doc;
+  let runs = J.field "args" (J.field "runs" J.int) doc in
+  if runs < 1 then J.fail "args.runs is %d (need >= 1)" runs;
+  let eps = J.field "args" (J.field "eps" J.num) doc in
+  let delta = J.field "args" (J.field "delta" J.num) doc in
+  in_unit "args.eps" eps;
+  in_unit "args.delta" delta;
+  let fp = J.field "fingerprint" J.str doc in
+  if not (is_hex16 fp) then J.fail "fingerprint %S is not 16 lowercase hex digits" fp;
+  (match J.field "oracle" J.str doc with
   | "exact" | "reference" -> ()
-  | other -> fail "%s: unknown oracle %S" path other);
-  let truth = num path "truth" (field path doc "truth") in
-  if truth <= 0.0 then fail "%s: truth is %g (need > 0)" path truth;
-  let target = num path "target" (field path doc "target") in
+  | other -> J.fail "unknown oracle %S" other);
+  let truth = J.field "truth" J.num doc in
+  if truth <= 0.0 then J.fail "truth is %g (need > 0)" truth;
+  let target = J.field "target" J.num doc in
   if Float.abs (target -. (1.0 -. delta)) > 1e-12 then
-    fail "%s: target %g does not match 1 - delta = %g" path target (1.0 -. delta);
-  let estimates =
-    match J.to_list (field path doc "estimates") with
-    | Some l -> l
-    | None -> fail "%s: estimates is not an array" path
-  in
+    J.fail "target %g does not match 1 - delta = %g" target (1.0 -. delta);
+  (* A null estimate is a declared failure, hence a miss. *)
+  let estimates = J.field "estimates" (J.list (J.nullable J.num)) doc in
   if List.length estimates <> runs then
-    fail "%s: %d estimates for %d runs" path (List.length estimates) runs;
-  (* Recompute the hit count from the raw estimates: a hit is a finite
-     estimate within relative eps of truth (null = declared failure =
-     miss). *)
+    J.fail "%d estimates for %d runs" (List.length estimates) runs;
+  (* Recompute the hit count from the raw estimates: a hit is an
+     estimate within relative eps of truth. *)
   let recomputed =
-    List.fold_left
-      (fun acc e ->
-        match J.to_float e with
-        | Some v when Float.is_finite v && Float.abs (v -. truth) <= eps *. truth -> acc + 1
-        | _ -> acc)
-      0 estimates
+    List.length
+      (List.filter
+         (function Some v -> Float.abs (v -. truth) <= eps *. truth | None -> false)
+         estimates)
   in
-  let hits = int_of_float (num path "hits" (field path doc "hits")) in
-  if hits < 0 || hits > runs then fail "%s: hits %d outside [0, %d]" path hits runs;
+  let hits = J.field "hits" J.int doc in
+  if hits < 0 || hits > runs then J.fail "hits %d outside [0, %d]" hits runs;
   if hits <> recomputed then
-    fail "%s: hits %d but %d estimates are within eps of truth" path hits recomputed;
-  let coverage = num path "coverage" (field path doc "coverage") in
-  if Float.abs (coverage -. (float_of_int hits /. float_of_int runs)) > 1e-12 then
-    fail "%s: coverage %g does not match hits/runs = %g" path coverage
-      (float_of_int hits /. float_of_int runs);
-  let cp_low = num path "cp_low" (field path doc "cp_low") in
-  let cp_high = num path "cp_high" (field path doc "cp_high") in
+    J.fail "hits %d but %d estimates are within eps of truth" hits recomputed;
+  let coverage = J.field "coverage" J.num doc in
+  let hit_rate = float_of_int hits /. float_of_int runs in
+  if Float.abs (coverage -. hit_rate) > 1e-12 then
+    J.fail "coverage %g does not match hits/runs = %g" coverage hit_rate;
+  let cp_low = J.field "cp_low" J.num doc and cp_high = J.field "cp_high" J.num doc in
   if not (0.0 <= cp_low && cp_low <= coverage && coverage <= cp_high && cp_high <= 1.0) then
-    fail "%s: bracket violation: need 0 <= %g <= %g <= %g <= 1" path cp_low coverage cp_high;
-  let verdict = str path "verdict" (field path doc "verdict") in
+    J.fail "bracket violation: need 0 <= %g <= %g <= %g <= 1" cp_low coverage cp_high;
+  let verdict = J.field "verdict" J.str doc in
   let expected =
     if cp_low >= target then "pass" else if cp_high < target then "fail" else "inconclusive"
   in
   if verdict <> expected then
-    fail "%s: verdict %S inconsistent with bracket [%g, %g] and target %g (expected %S)" path
-      verdict cp_low cp_high target expected;
-  let budget =
-    match J.to_list (field path doc "error_budget") with
-    | Some l -> l
-    | None -> fail "%s: error_budget is not an array" path
+    J.fail "verdict %S inconsistent with bracket [%g, %g] and target %g (expected %S)" verdict
+      cp_low cp_high target expected;
+  let budget_row row =
+    if J.field "op" J.str row <> "guard" then begin
+      in_unit "eps" (J.field "eps" J.num row);
+      in_unit "delta" (J.field "delta" J.num row)
+    end
   in
-  if budget = [] then fail "%s: error_budget is empty" path;
-  List.iteri
-    (fun i row ->
-      let op = str path (Printf.sprintf "error_budget[%d].op" i) (field path row "op") in
-      if op <> "guard" then begin
-        let e = num path (Printf.sprintf "error_budget[%d].eps" i) (field path row "eps") in
-        let d = num path (Printf.sprintf "error_budget[%d].delta" i) (field path row "delta") in
-        if e <= 0.0 || e >= 1.0 then fail "%s: error_budget[%d].eps is %g" path i e;
-        if d <= 0.0 || d >= 1.0 then fail "%s: error_budget[%d].delta is %g" path i d
-      end)
-    budget;
+  if J.field "error_budget" (J.list budget_row) doc = [] then J.fail "error_budget is empty";
   (fp, verdict, coverage, target, runs, hits)
+
+let load path = match J.of_file path validate with Ok v -> v | Error m -> fail "%s" m
 
 let () =
   let rec parse_args acc = function
@@ -157,15 +110,11 @@ let () =
     | Some f -> f
     | None -> fail "usage: validate_audit --audit FILE [--check BASELINE]"
   in
-  let fp, verdict, coverage, target, runs, hits =
-    validate audit_file (load_audit audit_file)
-  in
+  let fp, verdict, coverage, target, runs, hits = load audit_file in
   (match List.assoc_opt "check" opts with
   | None -> ()
   | Some baseline_file ->
-      let bfp, bverdict, _, _, _, _ =
-        validate baseline_file (load_audit baseline_file)
-      in
+      let bfp, bverdict, _, _, _, _ = load baseline_file in
       if fp <> bfp then
         fail "fingerprint mismatch: fresh %s has %s, ledger %s has %s" audit_file fp
           baseline_file bfp;

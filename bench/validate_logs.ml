@@ -15,79 +15,45 @@
 
    Exits 1 with a message on the first violation. *)
 
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_logs: " ^ m); exit 1) fmt
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error m -> fail "%s" m
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
 
 (* ---------------- structured log ---------------- *)
 
 let levels = [ "debug"; "info"; "warn"; "error" ]
 
 let check_log path =
-  let lines =
-    String.split_on_char '\n' (read_file path) |> List.filter (fun l -> String.trim l <> "")
+  let events =
+    List.filter
+      (fun l -> String.trim l <> "")
+      (In_channel.with_open_text path In_channel.input_lines)
   in
-  if lines = [] then fail "%s: no log events" path;
+  if events = [] then fail "%s: no log events" path;
   let last_seq = ref (-1) in
   let last_ts = ref neg_infinity in
+  let event doc =
+    J.schema "spatialdb-log/1" doc;
+    let level = J.field "level" J.str doc in
+    if not (List.mem level levels) then J.fail "unknown level %S" level;
+    if J.field "event" J.str doc = "" then J.fail "empty event name";
+    ignore (J.field "span" J.int doc);
+    let seq = J.field "seq" J.int doc in
+    if seq <= !last_seq then J.fail "seq not strictly increasing (%d after %d)" seq !last_seq;
+    last_seq := seq;
+    let ts = J.field "ts" J.num doc in
+    if ts < !last_ts then J.fail "ts went backwards (%g after %g)" ts !last_ts;
+    last_ts := ts;
+    let finite = function J.Num _ as v -> ignore (J.num v) | _ -> () in
+    ignore (J.field "fields" (J.obj finite) doc)
+  in
   List.iteri
     (fun i line ->
-      let doc =
-        try J.parse line with J.Parse_error m -> fail "%s:%d: invalid JSON: %s" path (i + 1) m
-      in
-      let get name =
-        match J.member name doc with
-        | Some v -> v
-        | None -> fail "%s:%d: missing field %s" path (i + 1) name
-      in
-      (match J.to_string (get "schema") with
-      | Some "spatialdb-log/1" -> ()
-      | Some other -> fail "%s:%d: unexpected schema %S" path (i + 1) other
-      | None -> fail "%s:%d: schema is not a string" path (i + 1));
-      (match J.to_string (get "level") with
-      | Some l when List.mem l levels -> ()
-      | Some l -> fail "%s:%d: unknown level %S" path (i + 1) l
-      | None -> fail "%s:%d: level is not a string" path (i + 1));
-      (match J.to_string (get "event") with
-      | Some "" -> fail "%s:%d: empty event name" path (i + 1)
-      | Some _ -> ()
-      | None -> fail "%s:%d: event is not a string" path (i + 1));
-      (match J.to_float (get "span") with
-      | Some v when Float.is_integer v -> ()
-      | _ -> fail "%s:%d: span is not an integer" path (i + 1));
-      (match J.to_float (get "seq") with
-      | Some v when Float.is_integer v ->
-          let seq = int_of_float v in
-          if seq <= !last_seq then
-            fail "%s:%d: seq not strictly increasing (%d after %d)" path (i + 1) seq !last_seq;
-          last_seq := seq
-      | _ -> fail "%s:%d: seq is not an integer" path (i + 1));
-      (match J.to_float (get "ts") with
-      | Some ts when Float.is_finite ts ->
-          if ts < !last_ts then
-            fail "%s:%d: ts went backwards (%g after %g)" path (i + 1) ts !last_ts;
-          last_ts := ts
-      | _ -> fail "%s:%d: ts is not a finite number" path (i + 1));
-      match get "fields" with
-      | J.Obj kvs ->
-          List.iter
-            (fun (k, v) ->
-              match v with
-              | J.Num x when not (Float.is_finite x) ->
-                  fail "%s:%d: field %s is not finite" path (i + 1) k
-              | _ -> ())
-            kvs
-      | _ -> fail "%s:%d: fields is not an object" path (i + 1))
-    lines;
-  Printf.printf "validate_logs: %s OK (%d events)\n" path (List.length lines)
+      match J.catch (fun () -> event (J.parse line)) with
+      | Ok () -> ()
+      | Error m -> fail "%s:%d: %s" path (i + 1) m)
+    events;
+  Printf.printf "validate_logs: %s OK (%d events)\n" path (List.length events)
 
 (* ---------------- Prometheus snapshot ---------------- *)
 
@@ -114,7 +80,6 @@ let split_sample line =
       | None -> None)
 
 let check_metrics path =
-  let lines = String.split_on_char '\n' (read_file path) in
   (* metric family -> declared type *)
   let types = Hashtbl.create 16 in
   let samples = ref 0 in
@@ -172,7 +137,7 @@ let check_metrics path =
               fail "%s:%d: counter %s is negative (%g)" path lineno name v;
             incr samples
       end)
-    lines;
+    (In_channel.with_open_text path In_channel.input_lines);
   if !samples = 0 then fail "%s: no metric samples" path;
   Printf.printf "validate_logs: %s OK (%d samples)\n" path !samples
 
@@ -189,4 +154,4 @@ let () =
   in
   let args = List.tl (Array.to_list Sys.argv) in
   if args = [] then fail "usage: validate_logs [--log FILE] [--metrics FILE]";
-  go args
+  try go args with Sys_error m -> fail "%s" m

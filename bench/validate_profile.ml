@@ -15,8 +15,8 @@
      the compiler emitted but the profiler cannot attribute is a bug),
      in strictly ascending pc order;
    - every count must be a non-negative integer and every ns finite and
-     non-negative (a NaN serializes as null and fails the number
-     check); counting mode must carry zero ns everywhere;
+     non-negative (a non-finite value serializes as null and fails
+     the number check); counting mode must carry zero ns everywhere;
    - the per-pc counts must sum to total_instructions_executed, and the
      per-opcode and per-node rollups must both re-sum to the same
      totals (count and ns) — the three views are projections of one
@@ -35,174 +35,95 @@
 
    `make ci` runs both forms on fresh smoke artifacts. *)
 
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_profile: " ^ m); exit 1) fmt
+let count k row =
+  let c = J.field k J.int row in
+  if c < 0 then J.fail "%s is negative" k;
+  c
 
-let get name = function Some v -> v | None -> fail "missing field %s" name
-
-let num name v =
-  match J.to_float v with
-  | Some x when Float.is_finite x -> x
-  | _ -> fail "field %s is not a finite number" name
-
-let str name v = match J.to_string v with Some s -> s | None -> fail "field %s is not a string" name
-
-let arr name v = match J.to_list v with Some l -> l | None -> fail "field %s is not an array" name
-
-let count_of name v =
-  let x = num name v in
-  if x < 0.0 || Float.rem x 1.0 <> 0.0 then fail "field %s is not a non-negative integer" name;
-  x
-
-let ns_of name v =
-  let x = num name v in
-  if x < 0.0 then fail "field %s is negative" name;
+let ns row =
+  let x = J.field "ns" J.num row in
+  if x < 0.0 then J.fail "ns is negative";
   x
 
 let check_profile doc =
-  (match J.to_string (get "schema" (J.member "schema" doc)) with
-  | Some "spatialdb-profile/1" -> ()
-  | Some other -> fail "unexpected profile schema %S" other
-  | None -> fail "profile schema is not a string");
-  let engine = str "engine" (get "engine" (J.member "engine" doc)) in
-  if engine <> "vm" && engine <> "vm-opt" then fail "unexpected engine %S" engine;
-  let mode = str "mode" (get "mode" (J.member "mode" doc)) in
-  if mode <> "counting" && mode <> "timing" then fail "unexpected mode %S" mode;
-  let instructions =
-    count_of "instructions" (get "instructions" (J.member "instructions" doc))
-  in
-  let total_exec =
-    count_of "total_instructions_executed"
-      (get "total_instructions_executed" (J.member "total_instructions_executed" doc))
-  in
-  let total_ns =
-    ns_of "total_profiled_ns" (get "total_profiled_ns" (J.member "total_profiled_ns" doc))
-  in
-  let pcs = arr "pcs" (get "pcs" (J.member "pcs" doc)) in
-  (* Totality: one row per emitted instruction, ascending. *)
-  if List.length pcs <> int_of_float instructions then
-    fail "pcs table has %d rows but the program has %g instructions (missing pcs)"
-      (List.length pcs) instructions;
+  J.schema "spatialdb-profile/1" doc;
+  let engine = J.field "engine" J.str doc in
+  if engine <> "vm" && engine <> "vm-opt" then J.fail "unexpected engine %S" engine;
+  let mode = J.field "mode" J.str doc in
+  if mode <> "counting" && mode <> "timing" then J.fail "unexpected mode %S" mode;
+  let instructions = count "instructions" doc in
+  let total_exec = count "total_instructions_executed" doc in
+  let total_ns = J.field "total_profiled_ns" J.num doc in
+  if total_ns < 0.0 then J.fail "total_profiled_ns is negative";
+  let node r = (count "id" r, J.field "tags" (J.list J.str) r, count "instructions" r, ns r) in
+  let nodes = J.field "nodes" (J.list node) doc in
   let last_pc = ref (-1) in
-  let pc_count = ref 0.0 and pc_ns = ref 0.0 in
-  let node_tags = Hashtbl.create 16 in
-  let nodes = arr "nodes" (get "nodes" (J.member "nodes" doc)) in
-  List.iteri
-    (fun i row ->
-      let id = int_of_float (count_of "nodes[].id" (get "nodes[].id" (J.member "id" row))) in
-      let tags =
-        List.map (fun t -> str "nodes[].tags[]" t) (arr "nodes[].tags" (get "nodes[].tags" (J.member "tags" row)))
-      in
-      ignore i;
-      Hashtbl.replace node_tags id tags)
-    nodes;
-  List.iteri
-    (fun i row ->
-      let ctx = Printf.sprintf "pcs[%d]" i in
-      let pc = int_of_float (count_of (ctx ^ ".pc") (get (ctx ^ ".pc") (J.member "pc" row))) in
-      if pc <= !last_pc then fail "%s.pc %d breaks ascending pc order (after %d)" ctx pc !last_pc;
-      last_pc := pc;
-      let node =
-        int_of_float (count_of (ctx ^ ".node") (get (ctx ^ ".node") (J.member "node" row)))
-      in
-      let tags =
-        match Hashtbl.find_opt node_tags node with
-        | Some t -> t
-        | None -> fail "%s maps to node %d which is absent from the nodes rollup" ctx node
-      in
-      (match J.member "tag" row with
-      | Some (J.Str t) ->
-          if not (List.mem t tags) then
-            fail "%s carries tag %S but node %d's rollup does not" ctx t node
-      | Some J.Null | None -> ()
-      | Some _ -> fail "%s.tag is neither a string nor null" ctx);
-      let c = count_of (ctx ^ ".count") (get (ctx ^ ".count") (J.member "count" row)) in
-      let n = ns_of (ctx ^ ".ns") (get (ctx ^ ".ns") (J.member "ns" row)) in
-      if mode = "counting" && n <> 0.0 then
-        fail "%s has %g ns in counting mode (should be 0)" ctx n;
-      pc_count := !pc_count +. c;
-      pc_ns := !pc_ns +. n)
-    pcs;
-  if !pc_count <> total_exec then
-    fail "per-pc counts sum to %g but total_instructions_executed is %g" !pc_count total_exec;
-  if Float.abs (!pc_ns -. total_ns) > 0.5 then
-    fail "per-pc ns sum to %g but total_profiled_ns is %g" !pc_ns total_ns;
-  let sum_rollup what rows =
-    List.fold_left
-      (fun (c, n) row ->
-        let cf = Printf.sprintf "%s.count" what and nf = Printf.sprintf "%s.ns" what in
-        ( c +. count_of cf (get cf (J.member "count" row)),
-          n +. ns_of nf (get nf (J.member "ns" row)) ))
-      (0.0, 0.0) rows
+  let pc r =
+    let pc = count "pc" r and node = count "node" r in
+    if pc <= !last_pc then J.fail "pc %d breaks ascending pc order (after %d)" pc !last_pc;
+    last_pc := pc;
+    let tags =
+      match List.find_opt (fun (id, _, _, _) -> id = node) nodes with
+      | Some (_, tags, _, _) -> tags
+      | None -> J.fail "maps to node %d which is absent from the nodes rollup" node
+    in
+    (match J.field_opt "tag" J.str r with
+    | Some t when not (List.mem t tags) ->
+        J.fail "carries tag %S but node %d's rollup does not" t node
+    | _ -> ());
+    let n = ns r in
+    if mode = "counting" && n <> 0.0 then J.fail "%g ns in counting mode (should be 0)" n;
+    (count "count" r, n)
   in
-  let op_count, op_ns =
-    sum_rollup "opcodes[]" (arr "opcodes" (get "opcodes" (J.member "opcodes" doc)))
+  let pcs = J.field "pcs" (J.list pc) doc in
+  (* Totality: one row per emitted instruction. *)
+  if List.length pcs <> instructions then
+    J.fail "pcs table has %d rows but the program has %d instructions (missing pcs)"
+      (List.length pcs) instructions;
+  let opcodes = J.field "opcodes" (J.list (fun r -> (count "count" r, ns r))) doc in
+  let check_sums what rows =
+    let c = List.fold_left (fun acc (c, _) -> acc + c) 0 rows in
+    let n = List.fold_left (fun acc (_, n) -> acc +. n) 0.0 rows in
+    if c <> total_exec then
+      J.fail "per-%s counts sum to %d but total_instructions_executed is %d" what c total_exec;
+    if Float.abs (n -. total_ns) > 0.5 then
+      J.fail "per-%s ns sum to %g but total_profiled_ns is %g" what n total_ns
   in
-  if op_count <> total_exec then
-    fail "per-opcode counts sum to %g but total_instructions_executed is %g" op_count total_exec;
-  if Float.abs (op_ns -. total_ns) > 0.5 then
-    fail "per-opcode ns sum to %g but total_profiled_ns is %g" op_ns total_ns;
-  let node_count, node_ns =
-    List.fold_left
-      (fun (c, n) row ->
-        ( c +. count_of "nodes[].instructions" (get "nodes[].instructions" (J.member "instructions" row)),
-          n +. ns_of "nodes[].ns" (get "nodes[].ns" (J.member "ns" row)) ))
-      (0.0, 0.0) nodes
-  in
-  if node_count <> total_exec then
-    fail "per-node counts sum to %g but total_instructions_executed is %g" node_count total_exec;
-  if Float.abs (node_ns -. total_ns) > 0.5 then
-    fail "per-node ns sum to %g but total_profiled_ns is %g" node_ns total_ns;
+  check_sums "pc" pcs;
+  check_sums "opcode" opcodes;
+  check_sums "node" (List.map (fun (_, _, c, n) -> (c, n)) nodes);
   engine
 
 let check_report doc =
-  (match J.to_string (get "schema" (J.member "schema" doc)) with
-  | Some "spatialdb-report/4" -> ()
-  | Some other -> fail "unexpected report schema %S" other
-  | None -> fail "report schema is not a string");
-  let args = get "args" (J.member "args" doc) in
-  let engine = str "args.engine" (get "args.engine" (J.member "engine" args)) in
-  let attribution =
-    arr "cost_attribution" (get "cost_attribution" (J.member "cost_attribution" doc))
-  in
-  if attribution = [] then fail "cost_attribution is empty";
-  let tagged = ref 0 in
-  List.iteri
-    (fun i row ->
-      let ctx = Printf.sprintf "cost_attribution[%d]" i in
-      let tags = arr (ctx ^ ".tags") (get (ctx ^ ".tags") (J.member "tags" row)) in
-      if tags <> [] then incr tagged)
-    attribution;
-  match engine with
-  | "interp" -> (
-      match J.member "profile" doc with
-      | Some J.Null | None -> ()
-      | Some _ -> fail "interp report carries a profile block")
-  | "vm" | "vm-opt" -> (
-      match J.member "profile" doc with
-      | Some J.Null | None -> fail "%s report is missing its profile block" engine
-      | Some p ->
-          let p_engine = check_profile p in
-          if p_engine <> engine then
-            fail "report engine %s but profile engine %s" engine p_engine;
-          if engine = "vm-opt" && !tagged = 0 then
-            fail "vm-opt report has no attribution row with rewrite tags")
-  | e -> fail "unexpected args.engine %S" e
+  J.schema "spatialdb-report/4" doc;
+  let engine = J.field "args" (J.field "engine" J.str) doc in
+  let tagged row = J.field "tags" (J.list J.str) row <> [] in
+  let attribution = J.field "cost_attribution" (J.list tagged) doc in
+  if attribution = [] then J.fail "cost_attribution is empty";
+  let profile = J.field_opt "profile" check_profile doc in
+  match (engine, profile) with
+  | "interp", None -> ()
+  | "interp", Some _ -> J.fail "interp report carries a profile block"
+  | ("vm" | "vm-opt"), None -> J.fail "%s report is missing its profile block" engine
+  | ("vm" | "vm-opt"), Some p_engine ->
+      if p_engine <> engine then J.fail "report engine %s but profile engine %s" engine p_engine;
+      if engine = "vm-opt" && not (List.mem true attribution) then
+        J.fail "vm-opt report has no attribution row with rewrite tags"
+  | e, _ -> J.fail "unexpected args.engine %S" e
 
 let () =
-  let usage () = fail "usage: validate_profile (--profile | --report) FILE" in
-  let kind, file =
-    match List.tl (Array.to_list Sys.argv) with
-    | [ "--profile"; f ] -> (`Profile, f)
-    | [ "--report"; f ] -> (`Report, f)
-    | _ -> usage ()
+  let fail m =
+    prerr_endline ("validate_profile: " ^ m);
+    exit 1
   in
-  let ic = try open_in file with Sys_error m -> fail "%s" m in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let doc = try J.parse s with J.Parse_error m -> fail "%s: invalid JSON: %s" file m in
-  (match kind with
-  | `Profile -> ignore (check_profile doc)
-  | `Report -> check_report doc);
-  Printf.printf "validate_profile: %s OK\n" file
+  let check, file =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ "--profile"; f ] -> ((fun doc -> ignore (check_profile doc)), f)
+    | [ "--report"; f ] -> (check_report, f)
+    | _ -> fail "usage: validate_profile (--profile | --report) FILE"
+  in
+  match J.of_file file check with
+  | Ok () -> Printf.printf "validate_profile: %s OK\n" file
+  | Error m -> fail m

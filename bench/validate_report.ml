@@ -10,165 +10,100 @@
      total_work;
    - the cost_attribution table must be non-empty and every row whose
      node actually ran (actual > 0) must carry a finite positive
-     actual/predicted ratio (a NaN serializes as null and fails);
+     actual/predicted ratio (a non-finite ratio serializes as null and
+     fails);
    - the audit block must carry a 16-hex-digit relation fingerprint and
      an error_budget table with one row per plan node, each granted
      eps/delta inside (0,1) (guards are exempt and serialize null);
    - the telemetry block must be schema spatialdb-telemetry/2;
    - diagnostics must be present with >= 4 chains, every R-hat and ESS
-     finite (a NaN serializes as null and fails the number check);
+     finite (a NaN or infinite value serializes as null and fails the
+     number check);
    - with --require-converged, the verdict must be positive.
 
    `make ci` runs this on a fresh report of the Figure 1 triangle. *)
 
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_report: " ^ m); exit 1) fmt
-
-let get name = function Some v -> v | None -> fail "missing field %s" name
-
-let num name v =
-  match J.to_float v with
-  | Some x when Float.is_finite x -> x
-  | _ -> fail "field %s is not a finite number" name
+let check ~require_converged doc =
+  J.schema "spatialdb-report/4" doc;
+  let last_ts = ref neg_infinity in
+  let event ev =
+    let ts = J.field "ts" J.num ev in
+    let dur = J.field "dur" J.num ev in
+    if ts < 0.0 then J.fail "negative ts %g" ts;
+    if dur < 0.0 then J.fail "negative dur %g" dur;
+    if ts < !last_ts then J.fail "ts breaks monotonicity (%g < %g)" ts !last_ts;
+    last_ts := ts
+  in
+  let n_events = List.length (J.field "trace" (J.field "traceEvents" (J.list event)) doc) in
+  if n_events < 10 then J.fail "only %d trace events (need >= 10)" n_events;
+  let plan p =
+    J.schema "spatialdb-plan/1" p;
+    let total_work = J.field "total_work" J.num p in
+    if total_work <= 0.0 then J.fail "total_work is %g (need > 0)" total_work
+  in
+  J.field "plan" plan doc;
+  let attribution_row row =
+    let actual = J.field "actual" J.num row in
+    ignore (J.field "predicted" J.num row);
+    if actual > 0.0 then begin
+      let ratio = J.field "ratio" J.num row in
+      if ratio <= 0.0 then J.fail "ratio is %g (need > 0)" ratio
+    end
+  in
+  let n_nodes = List.length (J.field "cost_attribution" (J.list attribution_row) doc) in
+  if n_nodes = 0 then J.fail "cost_attribution is empty";
+  (* Audit block: fingerprint + per-node error budget. *)
+  let budget_row row =
+    if J.field "op" J.str row <> "guard" then begin
+      let e = J.field "eps" J.num row and d = J.field "delta" J.num row in
+      if e <= 0.0 || e >= 1.0 then J.fail "eps is %g (need (0,1))" e;
+      if d <= 0.0 || d >= 1.0 then J.fail "delta is %g (need (0,1))" d
+    end
+  in
+  let audit a =
+    let fp = J.field "fingerprint" J.str a in
+    if
+      String.length fp <> 16
+      || not (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) fp)
+    then J.fail "fingerprint %S is not 16 lowercase hex digits" fp;
+    let rows = List.length (J.field "error_budget" (J.list budget_row) a) in
+    if rows <> n_nodes then J.fail "error_budget has %d rows for %d plan nodes" rows n_nodes
+  in
+  J.field "audit" audit doc;
+  J.field "telemetry" (J.schema "spatialdb-telemetry/2") doc;
+  let diagnostics = function
+    | J.Null -> J.fail "diagnostics is null"
+    | d ->
+        let chains = J.field "chains" J.int d in
+        if chains < 4 then J.fail "only %d chains (need >= 4)" chains;
+        let rhat = J.field "rhat" (J.list J.num) d in
+        if rhat = [] then J.fail "rhat is empty";
+        let ess chain = if J.field "ess" (J.list J.num) chain = [] then J.fail "empty ess" in
+        let per_chain = List.length (J.field "per_chain" (J.list ess) d) in
+        if per_chain <> chains then
+          J.fail "per_chain has %d entries for %d chains" per_chain chains;
+        if require_converged && not (J.field "converged" J.bool d) then
+          J.fail "diagnostics report non-convergence";
+        (chains, List.fold_left Float.max 0.0 rhat)
+  in
+  let chains, max_rhat = J.field "diagnostics" diagnostics doc in
+  (n_events, n_nodes, chains, max_rhat)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let require_converged = List.mem "--require-converged" args in
-  let file =
-    match List.filter (fun a -> a <> "--require-converged") args with
-    | [ f ] -> f
-    | _ -> fail "usage: validate_report FILE [--require-converged]"
-  in
-  let ic = open_in file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let doc = try J.parse s with J.Parse_error m -> fail "invalid JSON: %s" m in
-  (* Schema. *)
-  (match J.to_string (get "schema" (J.member "schema" doc)) with
-  | Some "spatialdb-report/4" -> ()
-  | Some other -> fail "unexpected schema %S" other
-  | None -> fail "schema is not a string");
-  (* Trace. *)
-  let trace = get "trace" (J.member "trace" doc) in
-  let events =
-    match J.to_list (get "trace.traceEvents" (J.member "traceEvents" trace)) with
-    | Some l -> l
-    | None -> fail "trace.traceEvents is not an array"
-  in
-  let n_events = List.length events in
-  if n_events < 10 then fail "only %d trace events (need >= 10)" n_events;
-  let last_ts = ref neg_infinity in
-  List.iteri
-    (fun i ev ->
-      let ts = num "ts" (get "ts" (J.member "ts" ev)) in
-      let dur = num "dur" (get "dur" (J.member "dur" ev)) in
-      if ts < 0.0 then fail "event %d has negative ts %g" i ts;
-      if dur < 0.0 then fail "event %d has negative dur %g" i dur;
-      if ts < !last_ts then fail "event %d breaks ts monotonicity (%g < %g)" i ts !last_ts;
-      last_ts := ts)
-    events;
-  (* Plan. *)
-  let plan = get "plan" (J.member "plan" doc) in
-  (match J.to_string (get "plan.schema" (J.member "schema" plan)) with
-  | Some "spatialdb-plan/1" -> ()
-  | Some other -> fail "unexpected plan schema %S" other
-  | None -> fail "plan schema is not a string");
-  let total_work = num "plan.total_work" (get "plan.total_work" (J.member "total_work" plan)) in
-  if total_work <= 0.0 then fail "plan.total_work is %g (need > 0)" total_work;
-  (* Cost attribution. *)
-  let attribution =
-    match J.to_list (get "cost_attribution" (J.member "cost_attribution" doc)) with
-    | Some l -> l
-    | None -> fail "cost_attribution is not an array"
-  in
-  if attribution = [] then fail "cost_attribution is empty";
-  List.iteri
-    (fun i row ->
-      let actual = num (Printf.sprintf "cost_attribution[%d].actual" i) (get "actual" (J.member "actual" row)) in
-      ignore (num (Printf.sprintf "cost_attribution[%d].predicted" i) (get "predicted" (J.member "predicted" row)));
-      if actual > 0.0 then begin
-        let ratio = num (Printf.sprintf "cost_attribution[%d].ratio" i) (get "ratio" (J.member "ratio" row)) in
-        if ratio <= 0.0 then fail "cost_attribution[%d].ratio is %g (need > 0)" i ratio
-      end)
-    attribution;
-  (* Audit block: fingerprint + per-node error budget. *)
-  let audit = get "audit" (J.member "audit" doc) in
-  (match J.to_string (get "audit.fingerprint" (J.member "fingerprint" audit)) with
-  | Some fp ->
-      if String.length fp <> 16
-         || not (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) fp)
-      then fail "audit.fingerprint %S is not 16 lowercase hex digits" fp
-  | None -> fail "audit.fingerprint is not a string");
-  let error_budget =
-    match J.to_list (get "audit.error_budget" (J.member "error_budget" audit)) with
-    | Some l -> l
-    | None -> fail "audit.error_budget is not an array"
-  in
-  if List.length error_budget <> List.length attribution then
-    fail "audit.error_budget has %d rows for %d plan nodes" (List.length error_budget)
-      (List.length attribution);
-  List.iteri
-    (fun i row ->
-      let op =
-        match J.to_string (get "op" (J.member "op" row)) with
-        | Some s -> s
-        | None -> fail "error_budget[%d].op is not a string" i
-      in
-      if op <> "guard" then begin
-        let e = num (Printf.sprintf "error_budget[%d].eps" i) (get "eps" (J.member "eps" row)) in
-        let d =
-          num (Printf.sprintf "error_budget[%d].delta" i) (get "delta" (J.member "delta" row))
-        in
-        if e <= 0.0 || e >= 1.0 then fail "error_budget[%d].eps is %g (need (0,1))" i e;
-        if d <= 0.0 || d >= 1.0 then fail "error_budget[%d].delta is %g (need (0,1))" i d
-      end)
-    error_budget;
-  (* Telemetry. *)
-  let tel = get "telemetry" (J.member "telemetry" doc) in
-  (match J.to_string (get "telemetry.schema" (J.member "schema" tel)) with
-  | Some "spatialdb-telemetry/2" -> ()
-  | Some other -> fail "unexpected telemetry schema %S" other
-  | None -> fail "telemetry schema is not a string");
-  (* Diagnostics. *)
-  let diag =
-    match get "diagnostics" (J.member "diagnostics" doc) with
-    | J.Null -> fail "diagnostics is null"
-    | d -> d
-  in
-  let chains = int_of_float (num "diagnostics.chains" (get "chains" (J.member "chains" diag))) in
-  if chains < 4 then fail "only %d chains (need >= 4)" chains;
-  let rhat =
-    match J.to_list (get "diagnostics.rhat" (J.member "rhat" diag)) with
-    | Some l -> l
-    | None -> fail "diagnostics.rhat is not an array"
-  in
-  if rhat = [] then fail "diagnostics.rhat is empty";
-  List.iteri (fun i v -> ignore (num (Printf.sprintf "rhat[%d]" i) v)) rhat;
-  let per_chain =
-    match J.to_list (get "diagnostics.per_chain" (J.member "per_chain" diag)) with
-    | Some l -> l
-    | None -> fail "diagnostics.per_chain is not an array"
-  in
-  if List.length per_chain <> chains then
-    fail "per_chain has %d entries for %d chains" (List.length per_chain) chains;
-  List.iteri
-    (fun c entry ->
-      match J.to_list (get "ess" (J.member "ess" entry)) with
-      | Some esses ->
-          if esses = [] then fail "chain %d has empty ess" c;
-          List.iteri (fun i v -> ignore (num (Printf.sprintf "chain %d ess[%d]" c i) v)) esses
-      | None -> fail "chain %d ess is not an array" c)
-    per_chain;
-  if require_converged then begin
-    match J.to_bool (get "diagnostics.converged" (J.member "converged" diag)) with
-    | Some true -> ()
-    | Some false -> fail "diagnostics report non-convergence"
-    | None -> fail "diagnostics.converged is not a bool"
-  end;
-  Printf.printf
-    "validate_report: %s ok (%d trace events, %d plan nodes, %d chains, max R-hat %.4f)\n" file
-    n_events (List.length attribution) chains
-    (List.fold_left
-       (fun acc v -> match J.to_float v with Some x -> Float.max acc x | None -> acc)
-       0.0 rhat)
+  match List.filter (fun a -> a <> "--require-converged") args with
+  | [ file ] -> (
+      match J.of_file file (check ~require_converged) with
+      | Ok (n_events, n_nodes, chains, max_rhat) ->
+          Printf.printf
+            "validate_report: %s ok (%d trace events, %d plan nodes, %d chains, max R-hat %.4f)\n"
+            file n_events n_nodes chains max_rhat
+      | Error m ->
+          prerr_endline ("validate_report: " ^ m);
+          exit 1)
+  | _ ->
+      prerr_endline "validate_report: usage: validate_report FILE [--require-converged]";
+      exit 1

@@ -4,13 +4,13 @@
                           [--compare-counters A B]
 
    --status FILE          a spatialdb-status/1 document (written by
-                          `spatialdb sample --status-out`): schema and
-                          timestamp checked, every context entry must
-                          carry a name and finite non-negative draws,
-                          elapsed, work and budget fields, counts must
-                          be non-negative integers, and acceptance /
-                          budget_burn / ess must be finite when
-                          non-null.
+                          `spatialdb sample --status-out`), read through
+                          Scdb_obs.Obs.Status.of_json (schema, finite
+                          timestamp, every context named with finite
+                          non-negative draws, elapsed, work, budget and
+                          counts, acceptance / budget_burn / ess finite
+                          or null); additionally every count must be
+                          written as an integer literal.
    --min-contexts N       with --status: at least N contexts must show
                           draws > 0 — the CI assertion that the
                           concurrently active job contexts really were
@@ -24,107 +24,37 @@
 
    Exits 1 with a message on the first violation. *)
 
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
+module Status = Scdb_obs.Obs.Status
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("validate_status: " ^ m); exit 1) fmt
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error m -> fail "%s" m
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-
-let parse_file path =
-  match J.parse (read_file path) with
-  | d -> d
-  | exception J.Parse_error m -> fail "%s: invalid JSON: %s" path m
+let ok = function Ok v -> v | Error m -> fail "%s" m
 
 (* ---------------- status documents ---------------- *)
 
-let num path ctx k j =
-  match Option.bind (J.member k j) J.to_float with
-  | Some v when Float.is_finite v -> v
-  | Some _ -> fail "%s: context %s: non-finite %s" path ctx k
-  | None -> fail "%s: context %s: missing numeric %s" path ctx k
-
-let opt_num path ctx k j =
-  match J.member k j with
-  | None -> fail "%s: context %s: missing field %s" path ctx k
-  | Some J.Null -> None
-  | Some v -> (
-      match J.to_float v with
-      | Some f when Float.is_finite f -> Some f
-      | _ -> fail "%s: context %s: non-finite %s" path ctx k)
+(* The reader accepts an integral float for a count; the writer must
+   spell every count as an integer. *)
+let integer_literals c =
+  List.iter
+    (fun k -> match J.field k Fun.id c with J.Int _ -> () | _ -> J.fail "non-integer %s" k)
+    [ "accepted"; "attempts"; "warns"; "errors"; "spans" ]
 
 let check_status ~min_contexts path =
-  let doc = parse_file path in
-  (match Option.bind (J.member "schema" doc) J.to_string with
-  | Some "spatialdb-status/1" -> ()
-  | Some other -> fail "%s: unexpected schema %S" path other
-  | None -> fail "%s: missing schema" path);
-  (match Option.bind (J.member "ts" doc) J.to_float with
-  | Some ts when Float.is_finite ts -> ()
-  | _ -> fail "%s: missing or non-finite ts" path);
-  let ctxs =
-    match Option.bind (J.member "contexts" doc) J.to_list with
-    | Some l -> l
-    | None -> fail "%s: no contexts array" path
+  let decode doc =
+    let rows = match Status.of_json doc with Ok rows -> rows | Error m -> J.fail "%s" m in
+    ignore (J.field "contexts" (J.list integer_literals) doc);
+    rows
   in
-  if ctxs = [] then fail "%s: empty contexts array" path;
-  let active =
-    List.fold_left
-      (fun active j ->
-        let name =
-          match Option.bind (J.member "name" j) J.to_string with
-          | Some n when n <> "" -> n
-          | _ -> fail "%s: context without a name" path
-        in
-        (match Option.bind (J.member "done" j) J.to_bool with
-        | Some _ -> ()
-        | None -> fail "%s: context %s: missing done flag" path name);
-        let checked k =
-          let v = num path name k j in
-          if v < 0.0 then fail "%s: context %s: negative %s" path name k;
-          v
-        in
-        let draws = checked "draws" in
-        ignore (checked "elapsed");
-        ignore (checked "draws_per_sec");
-        ignore (checked "work");
-        ignore (checked "budget");
-        List.iter
-          (fun k ->
-            let v = checked k in
-            if Float.rem v 1.0 <> 0.0 then
-              fail "%s: context %s: non-integer %s" path name k)
-          [ "accepted"; "attempts"; "warns"; "errors"; "spans" ];
-        ignore (opt_num path name "acceptance" j);
-        ignore (opt_num path name "budget_burn" j);
-        ignore (opt_num path name "ess" j);
-        if draws > 0.0 then active + 1 else active)
-      0 ctxs
-  in
+  let rows = ok (J.of_file path decode) in
+  let active = List.length (List.filter (fun r -> r.Status.r_draws > 0.0) rows) in
   if active < min_contexts then
     fail "%s: only %d context(s) with draws > 0 (expected >= %d)" path active min_contexts;
   Printf.printf "validate_status: %s OK (%d context(s), %d with draws)\n" path
-    (List.length ctxs) active
+    (List.length rows) active
 
 (* ---------------- counter comparison ---------------- *)
 
-let counters_of path =
-  let doc = parse_file path in
-  match J.member "counters" doc with
-  | Some (J.Obj kvs) ->
-      List.sort compare
-        (List.map
-           (fun (k, v) ->
-             match J.to_float v with
-             | Some f -> (k, f)
-             | None -> fail "%s: counter %s is not a number" path k)
-           kvs)
-  | _ -> fail "%s: no counters object (not a telemetry dump?)" path
+let counters_of path = List.sort compare (ok (J.of_file path (J.field "counters" (J.obj J.int))))
 
 let compare_counters a b =
   let ca = counters_of a and cb = counters_of b in
@@ -135,7 +65,7 @@ let compare_counters a b =
       match Hashtbl.find_opt tbl k with
       | None -> fail "counter %s present in %s but missing from %s" k a b
       | Some w ->
-          if v <> w then fail "counter %s differs: %s has %.0f, %s has %.0f" k a v b w;
+          if v <> w then fail "counter %s differs: %s has %d, %s has %d" k a v b w;
           Hashtbl.remove tbl k)
     ca;
   Hashtbl.iter (fun k _ -> fail "counter %s present in %s but missing from %s" k b a) tbl;

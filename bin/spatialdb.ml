@@ -18,7 +18,7 @@ module Metrics = Scdb_log.Metrics_export
 module Flightrec = Scdb_log.Flightrec
 module Flight = Scdb_gis.Flight
 module Obs = Scdb_obs.Obs
-module Jm = Scdb_trace.Json_min
+module Json = Scdb_json.Json
 module FM = Scdb_qe.Fourier_motzkin
 module VE = Scdb_polytope.Volume_exact
 module GV = Scdb_polytope.Gridvol
@@ -59,21 +59,21 @@ let stats_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE" ~doc)
 
+let write_file path body =
+  let oc = open_out path in
+  output_string oc body;
+  if body = "" || body.[String.length body - 1] <> '\n' then output_char oc '\n';
+  close_out oc
+
 (* [at_exit] so the snapshot also appears when a command dies through
    [or_die]/[exit 1] after having burned its sampling budget. *)
 let enable_stats ?stats_out stats =
   if stats || stats_out <> None then begin
     Tel.set_enabled true;
     at_exit (fun () ->
-        let snapshot = Tel.dump ~only_nonzero:true () in
-        if stats then prerr_endline snapshot;
-        match stats_out with
-        | None -> ()
-        | Some file ->
-            let oc = open_out file in
-            output_string oc snapshot;
-            output_char oc '\n';
-            close_out oc)
+        let snapshot = Json.to_string (Tel.dump ~only_nonzero:true ()) in
+        if stats then prerr_string snapshot;
+        Option.iter (fun file -> write_file file snapshot) stats_out)
   end
 
 let or_die = function
@@ -140,12 +140,6 @@ let profile_mode_of_string s =
   | "counting" -> Scdb_profile.Profile.Counting
   | "timing" -> Scdb_profile.Profile.Timing
   | m -> usage_die "profile mode" m profile_modes
-
-let write_file path body =
-  let oc = open_out path in
-  output_string oc body;
-  if body = "" || body.[String.length body - 1] <> '\n' then output_char oc '\n';
-  close_out oc
 
 (* ---------------- observability flags ---------------- *)
 
@@ -384,7 +378,8 @@ let sample_cmd =
         print_attribution ?program:outcome.Flight.program outcome.Flight.plan;
         (match profile_out with
         | Some path ->
-            write_file path (Scdb_profile.Profile.to_json ~plan:outcome.Flight.plan profile)
+            write_file path
+              (Json.to_string (Scdb_profile.Profile.to_json ~plan:outcome.Flight.plan profile))
         | None -> ())
     | None -> if progress then print_attribution ?program:outcome.Flight.program outcome.Flight.plan);
     let relation = outcome.Flight.relation and rng = outcome.Flight.rng in
@@ -577,7 +572,7 @@ let report_cmd =
   in
   let format_arg =
     let doc =
-      "Output format: $(b,json) (the self-contained spatialdb-report/1 document, the default), \
+      "Output format: $(b,json) (the self-contained spatialdb-report/4 document, the default), \
        $(b,trace) (raw Chrome trace-event JSON, loadable in Perfetto) or $(b,tree) (indented \
        text rendering of the spans)."
     in
@@ -605,7 +600,7 @@ let report_cmd =
     let body =
       match format with
       | "json" -> report.Scdb_gis.Report.json
-      | "trace" -> report.Scdb_gis.Report.chrome_trace ^ "\n"
+      | "trace" -> report.Scdb_gis.Report.chrome_trace
       | _ -> report.Scdb_gis.Report.text_tree
     in
     (match out with
@@ -616,11 +611,7 @@ let report_cmd =
         close_out oc);
     match trace_out with
     | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc report.Scdb_gis.Report.chrome_trace;
-        output_char oc '\n';
-        close_out oc
+    | Some file -> write_file file report.Scdb_gis.Report.chrome_trace
   in
   let doc =
     "Run the full pipeline with tracing, telemetry and convergence diagnostics enabled, and \
@@ -799,7 +790,7 @@ let profile_cmd =
     print_string (Scdb_profile.Profile.text_report ~plan ~top profile);
     print_attribution ?program:outcome.Flight.program plan;
     match out with
-    | Some path -> write_file path (Scdb_profile.Profile.to_json ~plan profile)
+    | Some path -> write_file path (Json.to_string (Scdb_profile.Profile.to_json ~plan profile))
     | None -> ()
   in
   let doc =
@@ -866,52 +857,10 @@ let status_cmd =
     Arg.(value & opt int 0 & info [ "require" ] ~docv:"N" ~doc)
   in
   let run file require =
-    let ic =
-      try open_in file
-      with Sys_error m -> or_die (Error m)
-    in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let doc =
-      match Jm.parse s with
-      | d -> d
-      | exception Jm.Parse_error m -> or_die (Error (file ^ ": invalid JSON: " ^ m))
-    in
-    (match Option.bind (Jm.member "schema" doc) Jm.to_string with
-    | Some "spatialdb-status/1" -> ()
-    | Some other -> or_die (Error (Printf.sprintf "%s: unexpected schema %S" file other))
-    | None -> or_die (Error (file ^ ": not a spatialdb-status/1 document")));
-    let ctxs =
-      match Option.bind (Jm.member "contexts" doc) Jm.to_list with
-      | Some l -> l
-      | None -> or_die (Error (file ^ ": no contexts array"))
-    in
-    let num k j = Option.value ~default:0.0 (Option.bind (Jm.member k j) Jm.to_float) in
-    let int_ k j = int_of_float (num k j) in
-    let opt_num k j = Option.bind (Jm.member k j) Jm.to_float in
     let rows =
-      List.map
-        (fun j ->
-          {
-            Obs.Status.r_name =
-              Option.value ~default:"?" (Option.bind (Jm.member "name" j) Jm.to_string);
-            r_done =
-              Option.value ~default:false (Option.bind (Jm.member "done" j) Jm.to_bool);
-            r_elapsed = num "elapsed" j;
-            r_draws = num "draws" j;
-            r_rate = num "draws_per_sec" j;
-            r_accepted = int_ "accepted" j;
-            r_attempts = int_ "attempts" j;
-            r_acceptance = opt_num "acceptance" j;
-            r_work = num "work" j;
-            r_budget = num "budget" j;
-            r_burn = opt_num "budget_burn" j;
-            r_ess = opt_num "ess" j;
-            r_warns = int_ "warns" j;
-            r_errors = int_ "errors" j;
-            r_spans = int_ "spans" j;
-          })
-        ctxs
+      Json.of_file file (fun doc ->
+          Result.map_error (fun m -> file ^ ": " ^ m) (Obs.Status.of_json doc))
+      |> Result.join |> or_die
     in
     print_string (Obs.Status.render rows);
     let active =
@@ -1015,7 +964,7 @@ let explain_cmd =
       | Some plan ->
           print_string
             (match format with
-            | "json" -> Scdb_plan.Plan.to_json plan
+            | "json" -> Json.to_string (Scdb_plan.Plan.to_json plan)
             | _ -> Scdb_plan.Plan.to_text_tree plan)
   in
   let doc =

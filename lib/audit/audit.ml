@@ -1,5 +1,6 @@
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
+module Json = Scdb_json.Json
 module Obs = Scdb_obs.Obs
 module Plan = Scdb_plan.Plan
 module Cost = Scdb_plan.Cost
@@ -239,13 +240,7 @@ type budget_row = Plan_exec.budget_row = {
 }
 
 let budget_rows = Plan_exec.budget_attribution
-let budget_rows_json = Plan_exec.budget_attribution_json
 let budget_rows_text = Plan_exec.budget_attribution_text
-
-let jnum v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
 
 (* ---------------- whole-relation audits ---------------- *)
 
@@ -342,45 +337,37 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
 (* ---------------- rendering ---------------- *)
 
 let to_json ~vars ~formula ~seed ~jobs ~requested a =
-  let buf = Buffer.create 2048 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add "  \"schema\": \"spatialdb-audit/1\",\n";
-  add "  \"args\": {\n";
-  add
-    (Printf.sprintf "    \"vars\": [%s],\n"
-       (String.concat ", " (List.map (fun v -> "\"" ^ Trace.json_escape v ^ "\"") vars)));
-  add (Printf.sprintf "    \"formula\": \"%s\",\n" (Trace.json_escape formula));
-  add (Printf.sprintf "    \"seed\": %d,\n" seed);
-  add (Printf.sprintf "    \"runs\": %d,\n" a.cov.runs);
-  add (Printf.sprintf "    \"jobs\": %d,\n" jobs);
-  add (Printf.sprintf "    \"oracle\": \"%s\",\n" (Trace.json_escape requested));
-  add (Printf.sprintf "    \"eps\": %s,\n" (jnum a.eps));
-  add (Printf.sprintf "    \"delta\": %s,\n" (jnum a.delta));
-  add (Printf.sprintf "    \"gamma\": %s,\n" (jnum a.gamma));
-  add (Printf.sprintf "    \"confidence\": %s\n" (jnum a.cov.confidence));
-  add "  },\n";
-  add (Printf.sprintf "  \"fingerprint\": \"%s\",\n" a.fingerprint);
-  add (Printf.sprintf "  \"oracle\": \"%s\",\n" (oracle_name a.oracle));
-  add (Printf.sprintf "  \"truth\": %s,\n" (jnum a.truth));
-  add
-    (Printf.sprintf "  \"truth_exact\": %s,\n"
-       (match a.truth_exact with
-       | Some q -> "\"" ^ Rational.to_string q ^ "\""
-       | None -> "null"));
-  add (Printf.sprintf "  \"target\": %s,\n" (jnum a.cov.target));
-  add
-    (Printf.sprintf "  \"estimates\": [%s],\n"
-       (String.concat ", " (List.map jnum (Array.to_list a.cov.estimates))));
-  add (Printf.sprintf "  \"hits\": %d,\n" a.cov.hits);
-  add (Printf.sprintf "  \"coverage\": %s,\n" (jnum a.cov.coverage));
-  add (Printf.sprintf "  \"cp_low\": %s,\n" (jnum a.cov.cp_low));
-  add (Printf.sprintf "  \"cp_high\": %s,\n" (jnum a.cov.cp_high));
-  add (Printf.sprintf "  \"verdict\": \"%s\",\n" (verdict_name a.cov.verdict));
-  add "  \"error_budget\": ";
-  add (budget_rows_json a.budget);
-  add "\n}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str "spatialdb-audit/1");
+         ( "args",
+           Json.Obj
+             [
+               ("vars", Json.strs vars);
+               ("formula", Json.Str formula);
+               ("seed", Json.Int seed);
+               ("runs", Json.Int a.cov.runs);
+               ("jobs", Json.Int jobs);
+               ("oracle", Json.Str requested);
+               ("eps", Json.Num a.eps);
+               ("delta", Json.Num a.delta);
+               ("gamma", Json.Num a.gamma);
+               ("confidence", Json.Num a.cov.confidence);
+             ] );
+         ("fingerprint", Json.Str a.fingerprint);
+         ("oracle", Json.Str (oracle_name a.oracle));
+         ("truth", Json.Num a.truth);
+         ("truth_exact", Json.opt (fun q -> Json.Str (Rational.to_string q)) a.truth_exact);
+         ("target", Json.Num a.cov.target);
+         ("estimates", Json.nums (Array.to_list a.cov.estimates));
+         ("hits", Json.Int a.cov.hits);
+         ("coverage", Json.Num a.cov.coverage);
+         ("cp_low", Json.Num a.cov.cp_low);
+         ("cp_high", Json.Num a.cov.cp_high);
+         ("verdict", Json.Str (verdict_name a.cov.verdict));
+         ("error_budget", Plan_exec.budget_attribution_json a.budget);
+       ])
 
 let to_text a =
   let buf = Buffer.create 1024 in

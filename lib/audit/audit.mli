@@ -134,9 +134,6 @@ val budget_rows :
 (** Join the plan's (ε,δ) grants with the runtime cost attribution, in
     node-id order.  Guards carry [nan] budgets throughout. *)
 
-val budget_rows_json : budget_row array -> string
-(** JSON array (two-space indented block), [null] for [nan] fields. *)
-
 val budget_rows_text : budget_row array -> string
 (** Fixed-width table for terminals. *)
 

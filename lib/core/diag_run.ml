@@ -1,6 +1,7 @@
 module Diag = Scdb_diag.Diag
 module Trace = Scdb_trace.Trace
 module Log = Scdb_log.Log
+module Json = Scdb_json.Json
 
 type chain = {
   ess : float array;
@@ -87,35 +88,26 @@ let run ?(chains = default_chains) ?(samples_per_chain = default_samples_per_cha
           verdict;
         }
 
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
-
-let json_float_array a =
-  "[" ^ String.concat ", " (Array.to_list (Array.map json_float a)) ^ "]"
-
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let chain_json c =
-    Printf.sprintf
-      "{\"kept\": %d, \"acceptance_rate\": %s, \"max_stall\": %d, \"ess\": %s, \"mean\": %s}"
-      c.kept (json_float c.acceptance_rate) c.max_stall (json_float_array c.ess)
-      (json_float_array c.mean)
+  let floats a = Json.nums (Array.to_list a) in
+  let chain c =
+    Json.Obj
+      [
+        ("kept", Json.Int c.kept);
+        ("acceptance_rate", Json.Num c.acceptance_rate);
+        ("max_stall", Json.Int c.max_stall);
+        ("ess", floats c.ess);
+        ("mean", floats c.mean);
+      ]
   in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"dim\": %d,\n" t.dim);
-  Buffer.add_string buf (Printf.sprintf "  \"chains\": %d,\n" (Array.length t.chains));
-  Buffer.add_string buf (Printf.sprintf "  \"thin\": %d,\n" t.thin);
-  Buffer.add_string buf (Printf.sprintf "  \"samples_per_chain\": %d,\n" t.samples_per_chain);
-  Buffer.add_string buf (Printf.sprintf "  \"rhat\": %s,\n" (json_float_array t.rhat));
-  Buffer.add_string buf "  \"per_chain\": [\n    ";
-  Buffer.add_string buf
-    (String.concat ",\n    " (Array.to_list (Array.map chain_json t.chains)));
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"converged\": %b,\n" t.verdict.Diag.converged);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"reason\": \"%s\"\n" (String.escaped t.verdict.Diag.reason));
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("dim", Json.Int t.dim);
+      ("chains", Json.Int (Array.length t.chains));
+      ("thin", Json.Int t.thin);
+      ("samples_per_chain", Json.Int t.samples_per_chain);
+      ("rhat", floats t.rhat);
+      ("per_chain", Json.Arr (Array.to_list (Array.map chain t.chains)));
+      ("converged", Json.Bool t.verdict.Diag.converged);
+      ("reason", Json.Str t.verdict.Diag.reason);
+    ]

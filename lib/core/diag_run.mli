@@ -39,5 +39,6 @@ val run :
     empty or unbounded (rounding fails).  Each chain draws its seed
     from [rng], so the whole run is deterministic given the seed. *)
 
-val to_json : t -> string
-(** Self-contained JSON object (no trailing newline). *)
+val to_json : t -> Scdb_json.Json.t
+(** Self-contained JSON object; a non-finite R-hat or ESS (a chain
+    with no within-chain variance) prints as [null]. *)

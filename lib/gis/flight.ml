@@ -170,7 +170,7 @@ let to_flightrec a (o : outcome) =
     samples = o.points;
     lineage = Rng.Provenance.snapshot ();
     telemetry = (if Tel.enabled () then Some (Tel.dump ~only_nonzero:true ()) else None);
-    log_tail = Log.tail ();
+    log_tail = List.map Scdb_json.Json.parse (Log.tail ());
   }
 
 let args_of_flightrec (r : Flightrec.t) =

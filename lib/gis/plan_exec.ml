@@ -1,5 +1,6 @@
 module Plan = Scdb_plan.Plan
 module Progress = Scdb_progress.Progress
+module Json = Scdb_json.Json
 
 let tag id (obs : Observable.t) =
   {
@@ -78,19 +79,18 @@ let attribution ?program plan =
     (Plan.budget_rows plan)
 
 let attribution_json rows =
-  let jnum v =
-    if Float.is_nan v then "null"
-    else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-    else Printf.sprintf "%.17g" v
-  in
   let row r =
-    Printf.sprintf
-      "    {\"id\": %d, \"op\": \"%s\", \"predicted\": %s, \"actual\": %s, \"ratio\": %s, \"tags\": [%s]}"
-      r.id r.op (jnum r.predicted) (jnum r.actual)
-      (if Float.is_finite r.ratio then jnum r.ratio else "null")
-      (String.concat ", " (List.map (fun t -> "\"" ^ t ^ "\"") r.tags))
+    Json.Obj
+      [
+        ("id", Json.Int r.id);
+        ("op", Json.Str r.op);
+        ("predicted", Json.Num r.predicted);
+        ("actual", Json.Num r.actual);
+        ("ratio", Json.Num r.ratio);
+        ("tags", Json.strs r.tags);
+      ]
   in
-  "[\n" ^ String.concat ",\n" (List.map row (Array.to_list rows)) ^ "\n  ]"
+  Json.Arr (Array.to_list (Array.map row rows))
 
 type budget_row = {
   b_id : int;
@@ -138,19 +138,21 @@ let budget_attribution plan (attr : attribution_row array) =
     (Scdb_plan.Plan.error_budget plan)
 
 let budget_attribution_json rows =
-  let jnum v =
-    if Float.is_nan v then "null"
-    else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-    else Printf.sprintf "%.17g" v
-  in
   let row r =
-    Printf.sprintf
-      "    {\"id\": %d, \"op\": \"%s\", \"eps\": %s, \"delta\": %s, \"predicted\": %s, \
-       \"actual\": %s, \"ratio\": %s, \"delta_achieved\": %s, \"slack\": %s}"
-      r.b_id r.b_op (jnum r.b_eps) (jnum r.b_delta) (jnum r.b_predicted) (jnum r.b_actual)
-      (jnum r.b_ratio) (jnum r.b_delta_achieved) (jnum r.b_slack)
+    Json.Obj
+      [
+        ("id", Json.Int r.b_id);
+        ("op", Json.Str r.b_op);
+        ("eps", Json.Num r.b_eps);
+        ("delta", Json.Num r.b_delta);
+        ("predicted", Json.Num r.b_predicted);
+        ("actual", Json.Num r.b_actual);
+        ("ratio", Json.Num r.b_ratio);
+        ("delta_achieved", Json.Num r.b_delta_achieved);
+        ("slack", Json.Num r.b_slack);
+      ]
   in
-  "[\n" ^ String.concat ",\n" (List.map row (Array.to_list rows)) ^ "\n  ]"
+  Json.Arr (Array.to_list (Array.map row rows))
 
 let budget_attribution_text rows =
   let buf = Buffer.create 256 in

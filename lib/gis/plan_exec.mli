@@ -92,9 +92,9 @@ val attribution : ?program:Scdb_vm.Vm.t -> Scdb_plan.Plan.t -> attribution_row a
     ([rejection_box_substituted], [shared_union_leaf],
     [reordered_membership]) so attribution rows carry provenance. *)
 
-val attribution_json : attribution_row array -> string
-(** JSON array (two-space indented block) with [null] ratios for nodes
-    that never ran. *)
+val attribution_json : attribution_row array -> Scdb_json.Json.t
+(** JSON array of rows; non-finite ratios (a node that never ran, or
+    ran with zero predicted work) print as [null]. *)
 
 val attribution_text : attribution_row array -> string
 (** Fixed-width table for terminals. *)
@@ -123,9 +123,8 @@ val budget_attribution : Scdb_plan.Plan.t -> attribution_row array -> budget_row
     block of [spatialdb report] and the [error_budget] section of
     [spatialdb audit] documents. *)
 
-val budget_attribution_json : budget_row array -> string
-(** JSON array (two-space indented block); [nan] fields render as
-    [null]. *)
+val budget_attribution_json : budget_row array -> Scdb_json.Json.t
+(** JSON array of rows; non-finite fields print as [null]. *)
 
 val budget_attribution_text : budget_row array -> string
 (** Fixed-width table for terminals. *)

@@ -1,15 +1,11 @@
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Polytope = Scdb_polytope.Polytope
+module Json = Scdb_json.Json
 
 let ( let* ) = Result.bind
 
 type t = { json : string; chrome_trace : string; text_tree : string }
-
-let json_float v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
 
 let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(chains = Diag_run.default_chains)
@@ -82,81 +78,55 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       | Error e -> Error e
       | Ok (relation, plan, attribution, pts, vol, diag, profile_json) ->
           let chrome = Trace.to_chrome_json () in
-          let text = Trace.to_text_tree () in
-          let telemetry = Tel.dump ~only_nonzero:true () in
-          let buf = Buffer.create 8192 in
-          let add = Buffer.add_string buf in
-          add "{\n";
-          add "  \"schema\": \"spatialdb-report/4\",\n";
-          add "  \"args\": {\n";
-          add
-            (Printf.sprintf "    \"vars\": [%s],\n"
-               (String.concat ", "
-                  (List.map (fun v -> "\"" ^ Trace.json_escape v ^ "\"") vars)));
-          add (Printf.sprintf "    \"formula\": \"%s\",\n" (Trace.json_escape formula));
-          add (Printf.sprintf "    \"engine\": \"%s\",\n" (Trace.json_escape engine));
-          add (Printf.sprintf "    \"seed\": %d,\n" seed);
-          add (Printf.sprintf "    \"eps\": %s,\n" (json_float eps));
-          add (Printf.sprintf "    \"delta\": %s,\n" (json_float delta));
-          add (Printf.sprintf "    \"samples\": %d,\n" samples);
-          add (Printf.sprintf "    \"chains\": %d,\n" chains);
-          add (Printf.sprintf "    \"samples_per_chain\": %d\n" samples_per_chain);
-          add "  },\n";
-          add (Printf.sprintf "  \"dim\": %d,\n" dim);
-          add (Printf.sprintf "  \"tuples\": %d,\n" (List.length (Relation.tuples relation)));
-          add "  \"samples\": [\n";
-          add
-            (String.concat ",\n"
-               (List.map
-                  (fun p ->
-                    "    ["
-                    ^ String.concat ", "
-                        (List.map json_float (Array.to_list p))
-                    ^ "]")
-                  pts));
-          add "\n  ],\n";
-          add
-            (Printf.sprintf "  \"volume\": %s,\n"
-               (match vol with Some v -> json_float v | None -> "null"));
-          add "  \"plan\": ";
-          add
-            (String.concat "\n  "
-               (String.split_on_char '\n' (String.trim (Scdb_plan.Plan.to_json plan))));
-          add ",\n";
-          add "  \"cost_attribution\": ";
-          add (Plan_exec.attribution_json attribution);
-          add ",\n";
-          (* The accuracy twin of cost_attribution: the (ε,δ) grants
-             each node received, the δ its spent work actually bought,
-             and the remaining slack — keyed by the relation's
-             canonical fingerprint (the future cache key). *)
-          add "  \"audit\": {\n";
-          add
-            (Printf.sprintf "    \"fingerprint\": \"%s\",\n" (Relation.fingerprint relation));
-          add "    \"error_budget\": ";
-          add (Plan_exec.budget_attribution_json (Plan_exec.budget_attribution plan attribution));
-          add "\n  },\n";
-          add "  \"diagnostics\": ";
-          (match diag with
-          | Some d ->
-              add
-                (String.concat "\n  "
-                   (String.split_on_char '\n' (Diag_run.to_json d)))
-          | None -> add "null");
-          add ",\n";
-          add "  \"profile\": ";
-          (match profile_json with
-          | Some pj -> add (String.concat "\n  " (String.split_on_char '\n' (String.trim pj)))
-          | None -> add "null");
-          add ",\n";
-          add (Printf.sprintf "  \"span_count\": %d,\n" (Trace.count ()));
-          add "  \"telemetry\": ";
-          add (String.concat "\n  " (String.split_on_char '\n' telemetry));
-          add ",\n";
-          add "  \"trace\": ";
-          add chrome;
-          add "\n}\n";
-          Ok { json = Buffer.contents buf; chrome_trace = chrome; text_tree = text }
+          let doc =
+            Json.Obj
+              [
+                ("schema", Json.Str "spatialdb-report/4");
+                ( "args",
+                  Json.Obj
+                    [
+                      ("vars", Json.strs vars);
+                      ("formula", Json.Str formula);
+                      ("engine", Json.Str engine);
+                      ("seed", Json.Int seed);
+                      ("eps", Json.Num eps);
+                      ("delta", Json.Num delta);
+                      ("samples", Json.Int samples);
+                      ("chains", Json.Int chains);
+                      ("samples_per_chain", Json.Int samples_per_chain);
+                    ] );
+                ("dim", Json.Int dim);
+                ("tuples", Json.Int (List.length (Relation.tuples relation)));
+                ("samples", Json.Arr (List.map (fun p -> Json.nums (Array.to_list p)) pts));
+                ("volume", Json.opt (fun v -> Json.Num v) vol);
+                ("plan", Scdb_plan.Plan.to_json plan);
+                ("cost_attribution", Plan_exec.attribution_json attribution);
+                (* The accuracy twin of cost_attribution: the (ε,δ)
+                   grants each node received, the δ its spent work
+                   actually bought, and the remaining slack — keyed by
+                   the relation's canonical fingerprint (the future
+                   cache key). *)
+                ( "audit",
+                  Json.Obj
+                    [
+                      ("fingerprint", Json.Str (Relation.fingerprint relation));
+                      ( "error_budget",
+                        Plan_exec.budget_attribution_json
+                          (Plan_exec.budget_attribution plan attribution) );
+                    ] );
+                ("diagnostics", Json.opt Diag_run.to_json diag);
+                ("profile", Json.opt Fun.id profile_json);
+                ("span_count", Json.Int (Trace.count ()));
+                ("telemetry", Tel.dump ~only_nonzero:true ());
+                ("trace", chrome);
+              ]
+          in
+          Ok
+            {
+              json = Json.to_string doc;
+              chrome_trace = Json.to_string chrome;
+              text_tree = Trace.to_text_tree ();
+            }
     in
     Tel.set_enabled tel_was;
     Trace.set_enabled trace_was;

@@ -1,5 +1,4 @@
-module J = Scdb_trace.Json_min
-module Trace = Scdb_trace.Trace
+module Json = Scdb_json.Json
 module Rng = Scdb_rng.Rng
 
 type t = {
@@ -8,8 +7,8 @@ type t = {
   seed : int;
   samples : float array list;
   lineage : Rng.Provenance.info list;
-  telemetry : string option;
-  log_tail : string list;
+  telemetry : Json.t option;
+  log_tail : Json.t list;
 }
 
 let schema = "spatialdb-flightrec/1"
@@ -32,181 +31,64 @@ let float_of_hex s =
   | _ -> float_of_string_opt s
 
 let to_json t =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add (Printf.sprintf "  \"schema\": %S,\n" schema);
-  add (Printf.sprintf "  \"command\": \"%s\",\n" (Trace.json_escape t.command));
-  add "  \"args\": {";
-  List.iteri
-    (fun i (k, v) ->
-      add (if i = 0 then "\n" else ",\n");
-      add (Printf.sprintf "    \"%s\": \"%s\"" (Trace.json_escape k) (Trace.json_escape v)))
-    t.args;
-  add (if t.args = [] then "},\n" else "\n  },\n");
-  add (Printf.sprintf "  \"seed\": %d,\n" t.seed);
-  add "  \"samples\": [";
-  List.iteri
-    (fun i p ->
-      add (if i = 0 then "\n" else ",\n");
-      add "    [";
-      Array.iteri
-        (fun j x ->
-          if j > 0 then add ", ";
-          add (Printf.sprintf "\"%s\"" (hex_of_float x)))
-        p;
-      add "]")
-    t.samples;
-  add (if t.samples = [] then "],\n" else "\n  ],\n");
-  add "  \"rng\": [";
-  List.iteri
-    (fun i (n : Rng.Provenance.info) ->
-      add (if i = 0 then "\n" else ",\n");
-      add
-        (Printf.sprintf "    {\"id\": %d, \"parent\": %d, \"op\": \"%s\", \"draws\": %d}" n.id
-           n.parent (Trace.json_escape n.op) n.draws))
-    t.lineage;
-  add (if t.lineage = [] then "],\n" else "\n  ],\n");
-  add "  \"telemetry\": ";
-  (match t.telemetry with
-  | None -> add "null"
-  | Some raw -> add (String.concat "\n  " (String.split_on_char '\n' raw)));
-  add ",\n";
-  add "  \"log_tail\": [";
-  List.iteri
-    (fun i line ->
-      add (if i = 0 then "\n" else ",\n");
-      add "    ";
-      add line)
-    t.log_tail;
-  add (if t.log_tail = [] then "]\n" else "\n  ]\n");
-  add "}\n";
-  Buffer.contents buf
+  let node (n : Rng.Provenance.info) =
+    Json.Obj
+      [
+        ("id", Json.Int n.id);
+        ("parent", Json.Int n.parent);
+        ("op", Json.Str n.op);
+        ("draws", Json.Int n.draws);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Str schema);
+         ("command", Json.Str t.command);
+         ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.args));
+         ("seed", Json.Int t.seed);
+         ( "samples",
+           Json.Arr
+             (List.map (fun p -> Json.strs (List.map hex_of_float (Array.to_list p))) t.samples)
+         );
+         ("rng", Json.Arr (List.map node t.lineage));
+         ("telemetry", Json.opt Fun.id t.telemetry);
+         ("log_tail", Json.Arr t.log_tail);
+       ])
 
-(* Minimal re-serializer so telemetry and log events parsed by Json_min
-   can be carried back out as raw strings. *)
-let rec json_to_string = function
-  | J.Null -> "null"
-  | J.Bool b -> string_of_bool b
-  | J.Num v ->
-      if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-      else Printf.sprintf "%.17g" v
-  | J.Str s -> "\"" ^ Trace.json_escape s ^ "\""
-  | J.Arr l -> "[" ^ String.concat ", " (List.map json_to_string l) ^ "]"
-  | J.Obj kvs ->
-      "{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> "\"" ^ Trace.json_escape k ^ "\": " ^ json_to_string v) kvs)
-      ^ "}"
+let decode doc =
+  let coord = function
+    | Json.Str h -> (
+        match float_of_hex h with Some v -> v | None -> Json.fail "malformed hex float %S" h)
+    | v -> Json.num v
+  in
+  let node n =
+    {
+      Rng.Provenance.id = Json.field "id" Json.int n;
+      parent = Json.field "parent" Json.int n;
+      op = Json.field "op" Json.str n;
+      draws = Json.field "draws" Json.int n;
+    }
+  in
+  Json.schema schema doc;
+  {
+    command = Json.field "command" Json.str doc;
+    args = Json.field "args" (Json.obj Json.str) doc;
+    seed = Json.field "seed" Json.int doc;
+    samples = Json.field "samples" (Json.list (fun r -> Array.of_list (Json.list coord r))) doc;
+    lineage = Json.field "rng" (Json.list node) doc;
+    telemetry = Json.field_opt "telemetry" Fun.id doc;
+    log_tail = Option.value ~default:[] (Json.field_opt "log_tail" (Json.list Fun.id) doc);
+  }
 
-let of_json s =
-  match J.parse s with
-  | exception J.Parse_error m -> Error ("invalid JSON: " ^ m)
-  | doc -> (
-      let field name = J.member name doc in
-      match J.member "schema" doc with
-      | Some (J.Str sc) when sc = schema -> (
-          let command =
-            match field "command" with Some (J.Str c) -> Some c | _ -> None
-          in
-          let seed =
-            match field "seed" with
-            | Some (J.Num v) when Float.is_integer v -> Some (int_of_float v)
-            | _ -> None
-          in
-          match (command, seed) with
-          | None, _ -> Error "missing or malformed command"
-          | _, None -> Error "missing or malformed seed"
-          | Some command, Some seed -> (
-              let args =
-                match field "args" with
-                | Some (J.Obj kvs) ->
-                    Some
-                      (List.filter_map
-                         (fun (k, v) -> match v with J.Str s -> Some (k, s) | _ -> None)
-                         kvs)
-                | _ -> None
-              in
-              let samples =
-                match field "samples" with
-                | Some (J.Arr rows) ->
-                    let parse_row = function
-                      | J.Arr cells ->
-                          let coords =
-                            List.map
-                              (function
-                                | J.Str h -> float_of_hex h
-                                | J.Num v -> Some v
-                                | _ -> None)
-                              cells
-                          in
-                          if List.for_all Option.is_some coords then
-                            Some (Array.of_list (List.map Option.get coords))
-                          else None
-                      | _ -> None
-                    in
-                    let rows = List.map parse_row rows in
-                    if List.for_all Option.is_some rows then
-                      Some (List.map Option.get rows)
-                    else None
-                | _ -> None
-              in
-              let lineage =
-                match field "rng" with
-                | Some (J.Arr nodes) ->
-                    let parse_node n =
-                      let num k =
-                        match J.member k n with
-                        | Some (J.Num v) when Float.is_integer v -> Some (int_of_float v)
-                        | _ -> None
-                      in
-                      let op = match J.member "op" n with Some (J.Str s) -> Some s | _ -> None in
-                      match (num "id", num "parent", op, num "draws") with
-                      | Some id, Some parent, Some op, Some draws ->
-                          Some { Rng.Provenance.id; parent; op; draws }
-                      | _ -> None
-                    in
-                    let nodes = List.map parse_node nodes in
-                    if List.for_all Option.is_some nodes then
-                      Some (List.map Option.get nodes)
-                    else None
-                | _ -> None
-              in
-              let telemetry =
-                match field "telemetry" with
-                | Some J.Null | None -> Some None
-                | Some (J.Obj _ as o) -> Some (Some (json_to_string o))
-                | _ -> None
-              in
-              let log_tail =
-                match field "log_tail" with
-                | Some (J.Arr lines) -> Some (List.map json_to_string lines)
-                | None -> Some []
-                | _ -> None
-              in
-              match (args, samples, lineage, telemetry, log_tail) with
-              | Some args, Some samples, Some lineage, Some telemetry, Some log_tail ->
-                  Ok { command; args; seed; samples; lineage; telemetry; log_tail }
-              | None, _, _, _, _ -> Error "malformed args object"
-              | _, None, _, _, _ -> Error "malformed samples array"
-              | _, _, None, _, _ -> Error "malformed rng lineage array"
-              | _, _, _, None, _ -> Error "malformed telemetry block"
-              | _, _, _, _, None -> Error "malformed log_tail array"))
-      | Some (J.Str other) -> Error (Printf.sprintf "unexpected schema %S (want %S)" other schema)
-      | _ -> Error "missing schema field")
+let of_json s = Json.catch (fun () -> decode (Json.parse s))
 
 let write path t =
   let oc = open_out path in
   output_string oc (to_json t);
   close_out oc
 
-let read path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      of_json s
+let read path = Json.of_file path decode
 
 let compare_samples ~recorded ~replayed =
   let bits = Int64.bits_of_float in

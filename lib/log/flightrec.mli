@@ -19,8 +19,8 @@ type t = {
   seed : int;
   samples : float array list;  (** the emitted sample stream, in order *)
   lineage : Scdb_rng.Rng.Provenance.info list;
-  telemetry : string option;  (** raw telemetry JSON dump, if collection was on *)
-  log_tail : string list;  (** last-N rendered [spatialdb-log/1] lines *)
+  telemetry : Scdb_json.Json.t option;  (** telemetry dump, if collection was on *)
+  log_tail : Scdb_json.Json.t list;  (** last-N [spatialdb-log/1] events *)
 }
 
 val schema : string

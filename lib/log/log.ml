@@ -1,5 +1,6 @@
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
+module Json = Scdb_json.Json
 
 type level = Debug | Info | Warn | Error
 
@@ -41,13 +42,12 @@ let would_log l = !enabled_flag && priority l >= !min_priority
 (*                                                                     *)
 (* A sink bundles everything one event stream owns: the bounded ring   *)
 (* buffer (the flight recorder's last-N tail, capacity fixed at sink   *)
-(* creation), the sequence number, the warn/error counters, the render *)
-(* scratch buffer and the output channels.  Each observability context *)
-(* owns a sink; the pre-context globals survive as the default sink    *)
-(* every domain starts with.  A per-sink mutex serializes emission, so *)
-(* two domains sharing one sink interleave whole lines, never torn     *)
-(* ones.  Level policy stays process-global (one load on the disabled  *)
-(* path).                                                              *)
+(* creation), the sequence number, the warn/error counters and the     *)
+(* output channels.  Each observability context owns a sink; the       *)
+(* pre-context globals survive as the default sink every domain starts *)
+(* with.  A per-sink mutex serializes emission, so two domains sharing *)
+(* one sink interleave whole lines, never torn ones.  Level policy     *)
+(* stays process-global (one load on the disabled path).               *)
 (* ------------------------------------------------------------------ *)
 
 type sink = {
@@ -56,7 +56,6 @@ type sink = {
   mutable s_seq : int;
   mutable s_warns : int;
   mutable s_errors : int;
-  s_buf : Buffer.t;
   s_mu : Mutex.t;
   mutable s_stderr : bool;
   mutable s_file : out_channel option;
@@ -69,7 +68,6 @@ let make_sink ?(ring_capacity = 256) ?(stderr_sink = false) () =
     s_seq = 0;
     s_warns = 0;
     s_errors = 0;
-    s_buf = Buffer.create 256;
     s_mu = Mutex.create ();
     s_stderr = stderr_sink;
     s_file = None;
@@ -134,38 +132,25 @@ let bool k v = F_bool (k, v)
 let warn_count () = (cur ()).s_warns
 let error_count () = (cur ()).s_errors
 
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if v > 0.0 then "1e308"
-  else if v < 0.0 then "-1e308"
-  else "0"
-
-(* With the sink's mutex held (the scratch buffer is per-sink). *)
+(* With the sink's mutex held. *)
 let render s level event fields =
-  let buf = s.s_buf in
-  Buffer.clear buf;
-  Buffer.add_string buf "{\"schema\": \"spatialdb-log/1\", \"seq\": ";
-  Buffer.add_string buf (string_of_int s.s_seq);
-  Buffer.add_string buf (Printf.sprintf ", \"ts\": %.6f" (Tel.Clock.now ()));
-  Buffer.add_string buf ", \"level\": \"";
-  Buffer.add_string buf (level_name level);
-  Buffer.add_string buf "\", \"span\": ";
-  Buffer.add_string buf (string_of_int (Trace.current_id ()));
-  Buffer.add_string buf ", \"event\": \"";
-  Buffer.add_string buf (Trace.json_escape event);
-  Buffer.add_string buf "\", \"fields\": {";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ", ";
-      let key k = "\"" ^ Trace.json_escape k ^ "\": " in
-      match f with
-      | F_str (k, v) -> Buffer.add_string buf (key k ^ "\"" ^ Trace.json_escape v ^ "\"")
-      | F_int (k, v) -> Buffer.add_string buf (key k ^ string_of_int v)
-      | F_float (k, v) -> Buffer.add_string buf (key k ^ json_float v)
-      | F_bool (k, v) -> Buffer.add_string buf (key k ^ string_of_bool v))
-    fields;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let field = function
+    | F_str (k, v) -> (k, Json.Str v)
+    | F_int (k, v) -> (k, Json.Int v)
+    | F_float (k, v) -> (k, Json.clamp v)
+    | F_bool (k, v) -> (k, Json.Bool v)
+  in
+  Json.to_line
+    (Json.Obj
+       [
+         ("schema", Json.Str "spatialdb-log/1");
+         ("seq", Json.Int s.s_seq);
+         ("ts", Json.Num (Tel.Clock.now ()));
+         ("level", Json.Str (level_name level));
+         ("span", Json.Int (Trace.current_id ()));
+         ("event", Json.Str event);
+         ("fields", Json.Obj (List.map field fields));
+       ])
 
 let emit level event fields =
   if would_log level then begin

@@ -22,7 +22,8 @@
 
     Event schema:
     [{"schema": "spatialdb-log/1", "seq": …, "ts": …, "level": "…",
-      "span": …, "event": "…", "fields": {…}}]. *)
+      "span": …, "event": "…", "fields": {…}}], one line per event;
+    non-finite float fields are clamped ({!Scdb_json.Json.clamp}). *)
 
 type level = Debug | Info | Warn | Error
 
@@ -105,8 +106,8 @@ val reset : unit -> unit
 
 (** {1 Sinks as values (observability contexts)}
 
-    Every event stream — ring, sequence number, warn/error counters,
-    render scratch and output channels — lives in a {e sink}.  The
+    Every event stream — ring, sequence number, warn/error counters
+    and output channels — lives in a {e sink}.  The
     pre-context globals survive as the default sink every domain
     starts with; contexts own one each.  A per-sink mutex serializes
     emission, so two domains sharing one sink interleave whole lines,

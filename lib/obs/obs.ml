@@ -3,6 +3,7 @@ module Trace = Scdb_trace.Trace
 module Log = Scdb_log.Log
 module Progress = Scdb_progress.Progress
 module Rng = Scdb_rng.Rng
+module Json = Scdb_json.Json
 
 (* ------------------------------------------------------------------ *)
 (* Contexts                                                            *)
@@ -222,38 +223,76 @@ module Status = struct
   (* Renderers                                                         *)
   (* ---------------------------------------------------------------- *)
 
-  let json_float v =
-    if Float.is_finite v then Printf.sprintf "%.17g" v
-    else if v > 0.0 then "1e308"
-    else if v < 0.0 then "-1e308"
-    else "0"
-
-  let json_opt = function None -> "null" | Some v -> json_float v
-
+  (* Clamped: a status reader never sees [null] for a present value. *)
   let to_json ?ts rows =
     let ts = match ts with Some t -> t | None -> Tel.Clock.now () in
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"schema\": \"spatialdb-status/1\", \"ts\": ";
-    Buffer.add_string buf (json_float ts);
-    Buffer.add_string buf ", \"contexts\": [";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\": \"%s\", \"done\": %b, \"elapsed\": %s, \"draws\": \
-              %s, \"draws_per_sec\": %s, \"accepted\": %d, \"attempts\": %d, \
-              \"acceptance\": %s, \"work\": %s, \"budget\": %s, \
-              \"budget_burn\": %s, \"ess\": %s, \"warns\": %d, \"errors\": \
-              %d, \"spans\": %d}"
-             (Trace.json_escape r.r_name) r.r_done (json_float r.r_elapsed)
-             (json_float r.r_draws) (json_float r.r_rate) r.r_accepted
-             r.r_attempts (json_opt r.r_acceptance) (json_float r.r_work)
-             (json_float r.r_budget) (json_opt r.r_burn) (json_opt r.r_ess)
-             r.r_warns r.r_errors r.r_spans))
-      rows;
-    Buffer.add_string buf "]}\n";
-    Buffer.contents buf
+    let row r =
+      Json.Obj
+        [
+          ("name", Json.Str r.r_name);
+          ("done", Json.Bool r.r_done);
+          ("elapsed", Json.clamp r.r_elapsed);
+          ("draws", Json.clamp r.r_draws);
+          ("draws_per_sec", Json.clamp r.r_rate);
+          ("accepted", Json.Int r.r_accepted);
+          ("attempts", Json.Int r.r_attempts);
+          ("acceptance", Json.opt Json.clamp r.r_acceptance);
+          ("work", Json.clamp r.r_work);
+          ("budget", Json.clamp r.r_budget);
+          ("budget_burn", Json.opt Json.clamp r.r_burn);
+          ("ess", Json.opt Json.clamp r.r_ess);
+          ("warns", Json.Int r.r_warns);
+          ("errors", Json.Int r.r_errors);
+          ("spans", Json.Int r.r_spans);
+        ]
+    in
+    Json.to_line
+      (Json.Obj
+         [
+           ("schema", Json.Str "spatialdb-status/1");
+           ("ts", Json.clamp ts);
+           ("contexts", Json.Arr (List.map row rows));
+         ])
+    ^ "\n"
+
+  let of_json doc =
+    let non_negative decode zero k j =
+      let v = Json.field k decode j in
+      if v < zero then Json.fail "negative %s" k;
+      v
+    in
+    let count = non_negative Json.num 0.0 and counter = non_negative Json.int 0 in
+    let ratio k j = Json.field k (Json.nullable Json.num) j in
+    (* Sequential lets: the first missing field in document order is
+       the one reported. *)
+    let row j =
+      let r_name = Json.field "name" Json.str j in
+      if r_name = "" then Json.fail "context without a name";
+      let r_done = Json.field "done" Json.bool j in
+      let r_elapsed = count "elapsed" j in
+      let r_draws = count "draws" j in
+      let r_rate = count "draws_per_sec" j in
+      let r_accepted = counter "accepted" j in
+      let r_attempts = counter "attempts" j in
+      let r_acceptance = ratio "acceptance" j in
+      let r_work = count "work" j in
+      let r_budget = count "budget" j in
+      let r_burn = ratio "budget_burn" j in
+      let r_ess = ratio "ess" j in
+      let r_warns = counter "warns" j in
+      let r_errors = counter "errors" j in
+      let r_spans = counter "spans" j in
+      {
+        r_name; r_done; r_elapsed; r_draws; r_rate; r_accepted; r_attempts; r_acceptance;
+        r_work; r_budget; r_burn; r_ess; r_warns; r_errors; r_spans;
+      }
+    in
+    Json.catch (fun () ->
+        Json.schema "spatialdb-status/1" doc;
+        ignore (Json.field "ts" Json.num doc);
+        match Json.field "contexts" (Json.list row) doc with
+        | [] -> Json.fail "empty contexts array"
+        | rows -> rows)
 
   let pct = function None -> "    -" | Some v -> Printf.sprintf "%4.0f%%" (100.0 *. v)
 

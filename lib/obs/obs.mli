@@ -107,7 +107,15 @@ module Status : sig
       reader at a time. *)
 
   val to_json : ?ts:float -> row list -> string
-  (** [spatialdb-status/1] document (one line, trailing newline). *)
+  (** [spatialdb-status/1] document (one line, trailing newline).
+      Non-finite numbers are clamped ({!Scdb_json.Json.clamp}). *)
+
+  val of_json : Scdb_json.Json.t -> (row list, string) result
+  (** Read a [spatialdb-status/1] document.  Every row field must be
+      present ([acceptance], [budget_burn] and [ess] may be [null]),
+      numbers finite and non-negative, counts integers, names
+      non-empty, and there must be at least one context; the error
+      names the offending path. *)
 
   val render : row list -> string
   (** Human table, one row per context. *)

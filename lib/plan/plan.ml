@@ -1,4 +1,4 @@
-module J = Scdb_trace.Json_min
+module Json = Scdb_json.Json
 
 type units = { draws : float; mems : float; steps : float; trials : float }
 
@@ -361,11 +361,6 @@ let error_budget t =
 
 let schema = "spatialdb-plan/1"
 
-let jnum v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
-
 let attrs_of_op op =
   match op with
   | Dfk { walk_steps; phases; samples_per_phase; constraints; _ } ->
@@ -396,8 +391,14 @@ let attrs_of_op op =
   | Guard -> []
 
 let units_json u =
-  Printf.sprintf "{\"draws\": %s, \"mems\": %s, \"steps\": %s, \"trials\": %s, \"work\": %s}"
-    (jnum u.draws) (jnum u.mems) (jnum u.steps) (jnum u.trials) (jnum (work u))
+  Json.Obj
+    [
+      ("draws", Json.Num u.draws);
+      ("mems", Json.Num u.mems);
+      ("steps", Json.Num u.steps);
+      ("trials", Json.Num u.trials);
+      ("work", Json.Num (work u));
+    ]
 
 let task_fields = function
   | Sample n -> ("sample", n)
@@ -405,153 +406,111 @@ let task_fields = function
   | Report n -> ("report", n)
 
 let to_json t =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  let rec node_json indent n =
-    let pad = String.make indent ' ' in
-    add pad;
-    add
-      (Printf.sprintf "{\"id\": %d, \"op\": \"%s\", \"dim\": %d," n.id (op_name n.op) n.dim);
-    (match n.op with
-    | Dfk { method_; _ } -> add (Printf.sprintf " \"method\": \"%s\"," method_)
-    | _ -> ());
-    add " \"attrs\": {";
-    add
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (jnum v)) (attrs_of_op n.op)));
-    add "},\n";
-    add (pad ^ " \"per_sample\": " ^ units_json n.per_sample ^ ",\n");
-    add (pad ^ " \"per_volume\": " ^ units_json n.per_volume ^ ",\n");
-    add (pad ^ Printf.sprintf " \"budget\": %s," (jnum t.budgets.(n.id)));
-    add " \"children\": [";
-    if n.children = [] then add "]}"
-    else begin
-      add "\n";
-      List.iteri
-        (fun i c ->
-          if i > 0 then add ",\n";
-          node_json (indent + 2) c)
-        n.children;
-      add ("\n" ^ pad ^ "]}")
-    end
+  let rec node_json n =
+    let method_ =
+      match n.op with Dfk { method_; _ } -> [ ("method", Json.Str method_) ] | _ -> []
+    in
+    Json.Obj
+      ([ ("id", Json.Int n.id); ("op", Json.Str (op_name n.op)); ("dim", Json.Int n.dim) ]
+      @ method_
+      @ [
+          ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) (attrs_of_op n.op)));
+          ("per_sample", units_json n.per_sample);
+          ("per_volume", units_json n.per_volume);
+          ("budget", Json.Num t.budgets.(n.id));
+          ("children", Json.Arr (List.map node_json n.children));
+        ])
   in
   let task_name, n = task_fields t.task in
-  add "{\n";
-  add (Printf.sprintf " \"schema\": \"%s\",\n" schema);
-  add (Printf.sprintf " \"task\": \"%s\",\n" task_name);
-  add (Printf.sprintf " \"n\": %d,\n" n);
-  add (Printf.sprintf " \"gamma\": %s,\n" (jnum t.gamma));
-  add (Printf.sprintf " \"eps\": %s,\n" (jnum t.eps));
-  add (Printf.sprintf " \"delta\": %s,\n" (jnum t.delta));
-  add (Printf.sprintf " \"node_count\": %d,\n" t.node_count);
-  add (Printf.sprintf " \"total_work\": %s,\n" (jnum t.total_work));
-  add " \"root\":\n";
-  node_json 2 t.root;
-  add "\n}\n";
-  Buffer.contents buf
-
-exception Bad of string
+  Json.Obj
+    [
+      ("schema", Json.Str schema);
+      ("task", Json.Str task_name);
+      ("n", Json.Int n);
+      ("gamma", Json.Num t.gamma);
+      ("eps", Json.Num t.eps);
+      ("delta", Json.Num t.delta);
+      ("node_count", Json.Int t.node_count);
+      ("total_work", Json.Num t.total_work);
+      ("root", node_json t.root);
+    ]
 
 let of_json doc =
-  let get name o =
-    match J.member name o with Some v -> v | None -> raise (Bad ("missing " ^ name))
-  in
-  let num name o =
-    match J.to_float (get name o) with
-    | Some v -> v
-    | None -> raise (Bad (name ^ " is not a number"))
-  in
-  let inum name o = int_of_float (num name o) in
-  let str name o =
-    match J.to_string (get name o) with
-    | Some s -> s
-    | None -> raise (Bad (name ^ " is not a string"))
-  in
   let units_of o =
     {
-      draws = num "draws" o;
-      mems = num "mems" o;
-      steps = num "steps" o;
-      trials = num "trials" o;
+      draws = Json.field "draws" Json.num o;
+      mems = Json.field "mems" Json.num o;
+      steps = Json.field "steps" Json.num o;
+      trials = Json.field "trials" Json.num o;
     }
   in
-  try
-    (match str "schema" doc with
-    | s when s = schema -> ()
-    | s -> raise (Bad (Printf.sprintf "unexpected schema %S" s)));
-    let node_count = inum "node_count" doc in
-    if node_count <= 0 then raise (Bad "node_count must be positive");
-    let budgets = Array.make node_count 0.0 in
-    let seen = Array.make node_count false in
-    let rec read_node o =
-      let id = inum "id" o in
-      if id < 0 || id >= node_count then raise (Bad (Printf.sprintf "node id %d out of range" id));
-      if seen.(id) then raise (Bad (Printf.sprintf "duplicate node id %d" id));
-      seen.(id) <- true;
-      budgets.(id) <- num "budget" o;
-      let attrs = get "attrs" o in
-      let a name = inum name attrs in
-      let op =
-        match str "op" o with
-        | "dfk" ->
-            Dfk
-              {
-                method_ = str "method" o;
-                walk_steps = a "walk_steps";
-                phases = a "phases";
-                samples_per_phase = a "samples_per_phase";
-                constraints = a "constraints";
-              }
-        | "grid" -> Grid_leaf { cells = num "cells" attrs }
-        | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
-        | "inter" ->
-            Inter_op
-              { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
-        | "diff" ->
-            Diff_op
-              { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
-        | "project" ->
-            Project_op
-              { keep = a "keep"; trials = a "trials"; pilot = a "pilot"; volume_trials = a "volume_trials" }
-        | "boost" -> Boost_op { runs = a "runs" }
-        | "guard" -> Guard
-        | other -> raise (Bad (Printf.sprintf "unknown op %S" other))
-      in
-      let children =
-        match J.to_list (get "children" o) with
-        | Some l -> List.map read_node l
-        | None -> raise (Bad "children is not an array")
-      in
-      {
-        id;
-        op;
-        dim = inum "dim" o;
-        per_sample = units_of (get "per_sample" o);
-        per_volume = units_of (get "per_volume" o);
-        children;
-      }
+  Json.catch @@ fun () ->
+  Json.schema schema doc;
+  let node_count = Json.field "node_count" Json.int doc in
+  if node_count <= 0 then Json.fail "node_count must be positive";
+  let budgets = Array.make node_count 0.0 in
+  let seen = Array.make node_count false in
+  let rec read_node o =
+    let id = Json.field "id" Json.int o in
+    if id < 0 || id >= node_count then Json.fail "node id %d out of range" id;
+    if seen.(id) then Json.fail "duplicate node id %d" id;
+    seen.(id) <- true;
+    budgets.(id) <- Json.field "budget" Json.num o;
+    let a name = Json.field "attrs" (Json.field name Json.int) o in
+    let op =
+      match Json.field "op" Json.str o with
+      | "dfk" ->
+          Dfk
+            {
+              method_ = Json.field "method" Json.str o;
+              walk_steps = a "walk_steps";
+              phases = a "phases";
+              samples_per_phase = a "samples_per_phase";
+              constraints = a "constraints";
+            }
+      | "grid" -> Grid_leaf { cells = Json.field "attrs" (Json.field "cells" Json.num) o }
+      | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
+      | "inter" ->
+          Inter_op
+            { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
+      | "diff" ->
+          Diff_op
+            { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
+      | "project" ->
+          Project_op
+            { keep = a "keep"; trials = a "trials"; pilot = a "pilot"; volume_trials = a "volume_trials" }
+      | "boost" -> Boost_op { runs = a "runs" }
+      | "guard" -> Guard
+      | other -> Json.fail "unknown op %S" other
     in
-    let root = read_node (get "root" doc) in
-    if Array.exists not seen then raise (Bad "node ids are not contiguous");
-    let task =
-      match (str "task" doc, inum "n" doc) with
-      | "sample", n -> Sample n
-      | "volume", _ -> Volume
-      | "report", n -> Report n
-      | other, _ -> raise (Bad (Printf.sprintf "unknown task %S" other))
-    in
-    Ok
-      {
-        gamma = num "gamma" doc;
-        eps = num "eps" doc;
-        delta = num "delta" doc;
-        task;
-        root;
-        node_count;
-        budgets;
-        total_work = num "total_work" doc;
-      }
-  with Bad m -> Error m
+    {
+      id;
+      op;
+      dim = Json.field "dim" Json.int o;
+      per_sample = Json.field "per_sample" units_of o;
+      per_volume = Json.field "per_volume" units_of o;
+      children = Json.field "children" (Json.list read_node) o;
+    }
+  in
+  let root = Json.field "root" read_node doc in
+  if Array.exists not seen then Json.fail "node ids are not contiguous";
+  let task =
+    match (Json.field "task" Json.str doc, Json.field "n" Json.int doc) with
+    | "sample", n -> Sample n
+    | "volume", _ -> Volume
+    | "report", n -> Report n
+    | other, _ -> Json.fail "unknown task %S" other
+  in
+  {
+    gamma = Json.field "gamma" Json.num doc;
+    eps = Json.field "eps" Json.num doc;
+    delta = Json.field "delta" Json.num doc;
+    task;
+    root;
+    node_count;
+    budgets;
+    total_work = Json.field "total_work" Json.num doc;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Text tree                                                           *)

@@ -151,11 +151,11 @@ val error_budget : t -> budget_grant array
 val schema : string
 (** ["spatialdb-plan/1"]. *)
 
-val to_json : t -> string
+val to_json : t -> Scdb_json.Json.t
 (** The [spatialdb-plan/1] document: parameters, task, total work and
     the node tree with per-node estimates, attributes and budgets. *)
 
-val of_json : Scdb_trace.Json_min.t -> (t, string) result
+val of_json : Scdb_json.Json.t -> (t, string) result
 (** Reader for the same schema (validators and round-trip tests). *)
 
 val to_text_tree : t -> string

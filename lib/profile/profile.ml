@@ -1,6 +1,6 @@
 module Vm = Scdb_vm.Vm
 module Plan = Scdb_plan.Plan
-module Trace = Scdb_trace.Trace
+module Json = Scdb_json.Json
 
 type mode = Counting | Timing
 
@@ -188,82 +188,77 @@ let text_report ?plan ?(top = 10) t =
    sequentially (ts in µs).  In counting mode durations are the
    instruction counts — a shape view, documented in the args. *)
 let trace_events t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "[";
   let ts = ref 0.0 in
-  List.iteri
-    (fun i (r : node_row) ->
-      if i > 0 then Buffer.add_string b ",";
+  List.map
+    (fun (r : node_row) ->
       let dur =
         if t.mode = Timing then r.node_ns /. 1000.0 else float_of_int r.instructions
       in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"node %d\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"instructions\":%d,\"ns\":%.1f,\"tags\":[%s],\"unit\":\"%s\"}}"
-           r.node_id !ts dur r.instructions r.node_ns
-           (String.concat ","
-              (List.map (fun s -> "\"" ^ Trace.json_escape s ^ "\"") r.tags))
-           (if t.mode = Timing then "us" else "instructions"));
-      ts := !ts +. dur)
-    (per_node t);
-  Buffer.add_string b "]";
-  Buffer.contents b
+      let event =
+        Json.Obj
+          [
+            ("name", Json.Str (Printf.sprintf "node %d" r.node_id));
+            ("ph", Json.Str "X");
+            ("ts", Json.Num !ts);
+            ("dur", Json.Num dur);
+            ("pid", Json.Int 1);
+            ("tid", Json.Int 1);
+            ( "args",
+              Json.Obj
+                [
+                  ("instructions", Json.Int r.instructions);
+                  ("ns", Json.Num r.node_ns);
+                  ("tags", Json.strs r.tags);
+                  ("unit", Json.Str (if t.mode = Timing then "us" else "instructions"));
+                ] );
+          ]
+      in
+      ts := !ts +. dur;
+      event)
+    (per_node t)
 
 let to_json ?plan t =
-  let b = Buffer.create 4096 in
-  let bases = Vm.instruction_bases t.prog in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"spatialdb-profile/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"engine\": \"%s\",\n" (engine_name t));
-  Buffer.add_string b (Printf.sprintf "  \"mode\": \"%s\",\n" (mode_name t.mode));
-  Buffer.add_string b (Printf.sprintf "  \"draws\": %d,\n" t.draws);
-  Buffer.add_string b (Printf.sprintf "  \"code_words\": %d,\n" (Vm.code_words t.prog));
-  Buffer.add_string b (Printf.sprintf "  \"instructions\": %d,\n" (Array.length bases));
-  Buffer.add_string b
-    (Printf.sprintf "  \"total_instructions_executed\": %d,\n" (total_count t));
-  Buffer.add_string b (Printf.sprintf "  \"total_profiled_ns\": %.1f,\n" (total_ns t));
-  Buffer.add_string b "  \"pcs\": [";
-  Array.iteri
-    (fun i (r : pc_row) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    {\"pc\": %d, \"opcode\": \"%s\", \"node\": %d, \"tag\": %s, \"count\": %d, \"ns\": %.1f}"
-           r.pc r.opcode r.node
-           (match r.tag with Some s -> "\"" ^ Trace.json_escape s ^ "\"" | None -> "null")
-           r.count r.ns))
-    (pc_rows t);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"opcodes\": [";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf "\n    {\"opcode\": \"%s\", \"count\": %d, \"ns\": %.1f}" r.op_name
-           r.op_count r.op_ns))
-    (per_opcode t);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"nodes\": [";
-  List.iteri
-    (fun i (r : node_row) ->
-      if i > 0 then Buffer.add_string b ",";
-      let op =
-        match plan with
-        | None -> ""
-        | Some p -> (
-            match Plan.find_node p r.node_id with
-            | Some n ->
-                Printf.sprintf " \"op\": \"%s\"," (Trace.json_escape (Plan.op_name n.Plan.op))
-            | None -> "")
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    {\"id\": %d,%s \"instructions\": %d, \"ns\": %.1f, \"tags\": [%s]}"
-           r.node_id op r.instructions r.node_ns
-           (String.concat ", "
-              (List.map (fun s -> "\"" ^ Trace.json_escape s ^ "\"") r.tags))))
-    (per_node t);
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b (Printf.sprintf "  \"trace\": {\"traceEvents\": %s}\n" (trace_events t));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let pc (r : pc_row) =
+    Json.Obj
+      [
+        ("pc", Json.Int r.pc);
+        ("opcode", Json.Str r.opcode);
+        ("node", Json.Int r.node);
+        ("tag", Json.opt (fun s -> Json.Str s) r.tag);
+        ("count", Json.Int r.count);
+        ("ns", Json.Num r.ns);
+      ]
+  in
+  let opcode r =
+    Json.Obj
+      [ ("opcode", Json.Str r.op_name); ("count", Json.Int r.op_count); ("ns", Json.Num r.op_ns) ]
+  in
+  let node (r : node_row) =
+    let op =
+      match Option.bind plan (fun p -> Plan.find_node p r.node_id) with
+      | Some n -> [ ("op", Json.Str (Plan.op_name n.Plan.op)) ]
+      | None -> []
+    in
+    Json.Obj
+      ((("id", Json.Int r.node_id) :: op)
+      @ [
+          ("instructions", Json.Int r.instructions);
+          ("ns", Json.Num r.node_ns);
+          ("tags", Json.strs r.tags);
+        ])
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "spatialdb-profile/1");
+      ("engine", Json.Str (engine_name t));
+      ("mode", Json.Str (mode_name t.mode));
+      ("draws", Json.Int t.draws);
+      ("code_words", Json.Int (Vm.code_words t.prog));
+      ("instructions", Json.Int (Array.length (Vm.instruction_bases t.prog)));
+      ("total_instructions_executed", Json.Int (total_count t));
+      ("total_profiled_ns", Json.Num (total_ns t));
+      ("pcs", Json.Arr (Array.to_list (Array.map pc (pc_rows t))));
+      ("opcodes", Json.Arr (List.map opcode (per_opcode t)));
+      ("nodes", Json.Arr (List.map node (per_node t)));
+      ("trace", Json.Obj [ ("traceEvents", Json.Arr (trace_events t)) ]);
+    ]

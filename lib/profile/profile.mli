@@ -93,7 +93,7 @@ val text_report : ?plan:Scdb_plan.Plan.t -> ?top:int -> t -> string
 (** Human-readable hot-pc table, per-opcode histogram and per-node
     rows; [plan] adds operator names to node lines. *)
 
-val to_json : ?plan:Scdb_plan.Plan.t -> t -> string
+val to_json : ?plan:Scdb_plan.Plan.t -> t -> Scdb_json.Json.t
 (** The [spatialdb-profile/1] document: full per-pc table, per-opcode
     histogram, per-node rows, and an embedded Chrome trace-event block
     (one complete event per plan node; µs durations in timing mode,

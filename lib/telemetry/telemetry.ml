@@ -1,3 +1,5 @@
+module Json = Scdb_json.Json
+
 module Clock = struct
   (* CLOCK_MONOTONIC seconds: immune to wall-clock steps and NTP skew.
      The native stub returns an unboxed double and never allocates. *)
@@ -405,14 +407,6 @@ let merge_registry ~dst src =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* JSON floats: plain %.17g round-trips, but normalize the non-finite
-   values JSON cannot carry. *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if v > 0.0 then "1e308"
-  else if v < 0.0 then "-1e308"
-  else "0"
-
 (* Snapshot the definition list (sorted by name) and pin the target
    registry's capacity so the per-metric cell reads below never miss. *)
 let export_defs (r : Regs.t) =
@@ -426,63 +420,56 @@ let export_defs (r : Regs.t) =
 let dump ?(only_nonzero = true) ?reg () =
   let r = match reg with Some r -> r | None -> Domain.DLS.get dls_reg in
   let metrics = export_defs r in
-  let ccount (c : counter) = r.Regs.ccells.(c.c_idx).count in
-  let hc (h : histogram) = r.Regs.hcells.(h.h_idx) in
-  let keep = function
-    | M_counter c -> (not only_nonzero) || ccount c <> 0
-    | M_histogram h -> (not only_nonzero) || (hc h).n <> 0
+  let histogram cell =
+    let buckets =
+      List.concat
+        (List.mapi
+           (fun b k ->
+             let le =
+               if b < Array.length bucket_bounds then Json.Num bucket_bounds.(b)
+               else Json.Str "inf"
+             in
+             if k = 0 then [] else [ Json.Arr [ le; Json.Int k ] ])
+           (Array.to_list cell.buckets))
+    in
+    Json.Obj
+      [
+        ("count", Json.Int cell.n);
+        ("sum", Json.clamp cell.sum);
+        ("min", Json.clamp (if cell.n = 0 then 0.0 else cell.vmin));
+        ("max", Json.clamp (if cell.n = 0 then 0.0 else cell.vmax));
+        ("mean", Json.clamp (Histogram.mean_cell cell));
+        ("p50", Json.clamp (Histogram.quantile_cell cell 0.50));
+        ("p90", Json.clamp (Histogram.quantile_cell cell 0.90));
+        ("p99", Json.clamp (Histogram.quantile_cell cell 0.99));
+        ("buckets", Json.Arr buckets);
+      ]
   in
-  let counters = List.filter (function M_counter _ as m -> keep m | _ -> false) metrics in
-  let histograms = List.filter (function M_histogram _ as m -> keep m | _ -> false) metrics in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"spatialdb-telemetry/2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"enabled\": %b,\n" !enabled_flag);
-  Buffer.add_string buf "  \"counters\": {";
-  List.iteri
-    (fun i m ->
-      match m with
-      | M_counter c ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\n    %S: %d" (if i = 0 then "" else ",") c.c_name (ccount c))
-      | M_histogram _ -> ())
-    counters;
-  Buffer.add_string buf (if counters = [] then "},\n" else "\n  },\n");
-  Buffer.add_string buf "  \"histograms\": {";
-  List.iteri
-    (fun i m ->
-      match m with
-      | M_histogram h ->
-          let cell = hc h in
-          Buffer.add_string buf (if i = 0 then "\n    " else ",\n    ");
-          Buffer.add_string buf
-            (Printf.sprintf
-               "%S: {\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"mean\": %s, \"p50\": \
-                %s, \"p90\": %s, \"p99\": %s, \"buckets\": ["
-               h.h_name cell.n (json_float cell.sum)
-               (json_float (if cell.n = 0 then 0.0 else cell.vmin))
-               (json_float (if cell.n = 0 then 0.0 else cell.vmax))
-               (json_float (Histogram.mean_cell cell))
-               (json_float (Histogram.quantile_cell cell 0.50))
-               (json_float (Histogram.quantile_cell cell 0.90))
-               (json_float (Histogram.quantile_cell cell 0.99)));
-          let first = ref true in
-          Array.iteri
-            (fun b k ->
-              if k > 0 then begin
-                let le =
-                  if b < Array.length bucket_bounds then json_float bucket_bounds.(b) else "\"inf\""
-                in
-                if not !first then Buffer.add_string buf ", ";
-                first := false;
-                Buffer.add_string buf (Printf.sprintf "[%s, %d]" le k)
-              end)
-            cell.buckets;
-          Buffer.add_string buf "]}"
-      | M_counter _ -> ())
-    histograms;
-  Buffer.add_string buf (if histograms = [] then "}\n" else "\n  }\n");
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  let counters =
+    List.filter_map
+      (function
+        | M_counter c ->
+            let n = r.Regs.ccells.(c.c_idx).count in
+            if only_nonzero && n = 0 then None else Some (c.c_name, Json.Int n)
+        | M_histogram _ -> None)
+      metrics
+  in
+  let histograms =
+    List.filter_map
+      (function
+        | M_histogram h ->
+            let cell = r.Regs.hcells.(h.h_idx) in
+            if only_nonzero && cell.n = 0 then None else Some (h.h_name, histogram cell)
+        | M_counter _ -> None)
+      metrics
+  in
+  Json.Obj
+    [
+      ("schema", Json.Str "spatialdb-telemetry/2");
+      ("enabled", Json.Bool !enabled_flag);
+      ("counters", Json.Obj counters);
+      ("histograms", Json.Obj histograms);
+    ]
 
 (* Prometheus text exposition format (version 0.0.4).  Counters render
    as [counter] samples with the conventional [_total] suffix;
@@ -501,12 +488,7 @@ let prometheus_name name =
     name;
   Buffer.contents buf
 
-let prometheus_float v =
-  (* Prometheus accepts Go-style floats; keep them finite and plain. *)
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if v > 0.0 then "1e308"
-  else if v < 0.0 then "-1e308"
-  else "0"
+let sample_value v = Json.to_line (Json.clamp v)
 
 let to_prometheus ?(only_nonzero = true) ?reg () =
   let r = match reg with Some r -> r | None -> Domain.DLS.get dls_reg in
@@ -533,9 +515,9 @@ let to_prometheus ?(only_nonzero = true) ?reg () =
               (fun (label, q) ->
                 Buffer.add_string buf
                   (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n label
-                     (prometheus_float (Histogram.quantile_cell cell q))))
+                     (sample_value (Histogram.quantile_cell cell q))))
               [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ];
-            Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (prometheus_float cell.sum));
+            Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (sample_value cell.sum));
             Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n cell.n);
             (* The exact observed extrema (tracked per cell alongside
                the buckets); gauge families because a merged/reset min
@@ -546,7 +528,7 @@ let to_prometheus ?(only_nonzero = true) ?reg () =
                 let g = n ^ suffix in
                 Buffer.add_string buf
                   (Printf.sprintf "# TYPE %s gauge\n%s %s\n" g g
-                     (prometheus_float (if cell.n = 0 then 0.0 else v))))
+                     (sample_value (if cell.n = 0 then 0.0 else v))))
               [ ("_min", cell.vmin); ("_max", cell.vmax) ]
           end)
     metrics;

@@ -166,7 +166,7 @@ module Scope : sig
   val timer : t -> string -> Timer.t
 end
 
-val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
+val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> Scdb_json.Json.t
 (** JSON snapshot of a registry (schema [spatialdb-telemetry/2];
     default: the ambient registry):
     [{"schema": …, "enabled": …, "counters": {name: value, …},
@@ -179,7 +179,9 @@ val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
     cumulative) counts with [le] the bucket's inclusive upper bound
     (["inf"] for the overflow bucket); zero-count buckets are omitted,
     and [only_nonzero] (default [true]) also omits never-touched
-    metrics.  Timers appear under [histograms] as [<name>.seconds]. *)
+    metrics.  Timers appear under [histograms] as [<name>.seconds].
+    Non-finite values are clamped ({!Scdb_json.Json.clamp}), so every
+    number is finite. *)
 
 val to_prometheus : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
 (** Render a registry (default: ambient) in the Prometheus text

@@ -1,4 +1,5 @@
 module Tel = Scdb_telemetry.Telemetry
+module Json = Scdb_json.Json
 
 let enabled_flag =
   ref
@@ -235,50 +236,29 @@ end
 
 let current_forest () = cur ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_num v =
-  if Float.is_finite v then Printf.sprintf "%.3f" v else if v > 0.0 then "1e308" else "0"
-
 (* Chrome trace-event format: an object with a [traceEvents] array of
    complete ("ph":"X") events, microsecond timestamps.  Loads in
    chrome://tracing and Perfetto. *)
 let to_chrome_json () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  List.iteri
-    (fun i v ->
-      Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\": \"%s\", \"cat\": \"spatialdb\", \"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"ts\": %s, \"dur\": %s"
-           (json_escape v.v_name) (json_num v.v_ts_us) (json_num v.v_dur_us));
-      if v.v_attrs <> [] then begin
-        Buffer.add_string buf ", \"args\": {";
-        List.iteri
-          (fun j (k, value) ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape value)))
-          v.v_attrs;
-        Buffer.add_string buf "}"
-      end;
-      Buffer.add_string buf "}")
-    (spans ());
-  Buffer.add_string buf "\n]}";
-  Buffer.contents buf
+  let event v =
+    let args =
+      if v.v_attrs = [] then []
+      else [ ("args", Json.Obj (List.map (fun (k, a) -> (k, Json.Str a)) v.v_attrs)) ]
+    in
+    Json.Obj
+      ([
+         ("name", Json.Str v.v_name);
+         ("cat", Json.Str "spatialdb");
+         ("ph", Json.Str "X");
+         ("pid", Json.Int 1);
+         ("tid", Json.Int 1);
+         ("ts", Json.Num v.v_ts_us);
+         ("dur", Json.Num v.v_dur_us);
+       ]
+      @ args)
+  in
+  Json.Obj
+    [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.Arr (List.map event (spans ()))) ]
 
 let to_text_tree () =
   let buf = Buffer.create 1024 in

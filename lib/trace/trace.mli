@@ -119,13 +119,9 @@ val spans : unit -> view list
 
 val count : unit -> int
 
-val to_chrome_json : unit -> string
+val to_chrome_json : unit -> Scdb_json.Json.t
 (** Chrome trace-event JSON: [{"displayTimeUnit": "ms", "traceEvents":
     [{"name": …, "ph": "X", "ts": …, "dur": …, "args": {…}}, …]}]. *)
 
 val to_text_tree : unit -> string
 (** Indented per-span text rendering with durations in milliseconds. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (shared by
-    the report writers). *)

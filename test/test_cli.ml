@@ -130,6 +130,16 @@ let runtime_tests =
            is accepted, and starving it is caught. *)
         check "phase-samples 5" 1
           ("audit " ^ fig1_union ^ " --seed 42 --runs 20 --oracle exact --phase-samples 5"));
+    t "status rejects a truncated document with the missing field" (fun () ->
+        let file = Filename.temp_file "spatialdb_status" ".json" in
+        Out_channel.with_open_text file (fun oc ->
+            output_string oc
+              {|{"schema": "spatialdb-status/1", "ts": 1.0, "contexts": [{"name": "job0"}]}|});
+        let code, err = run_stderr ("status " ^ Filename.quote file) in
+        Sys.remove file;
+        Alcotest.(check (pair int string)) "exit 1, typed error"
+          (1, Printf.sprintf "spatialdb: %s: $.contexts[0]: missing field \"done\"\n" file)
+          (code, err));
   ]
 
 let profile_tests =

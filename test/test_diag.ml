@@ -6,6 +6,7 @@ module Diag = Scdb_diag.Diag
 module Diag_run = Scdb_core.Diag_run
 module P = Scdb_polytope.Polytope
 module Rng = Scdb_rng.Rng
+module J = Scdb_json.Json
 
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
@@ -153,18 +154,26 @@ let harness_tests =
         match Diag_run.run ~samples_per_chain:16 rng (P.simplex 2) with
         | None -> Alcotest.fail "triangle should round"
         | Some d -> (
-            let module J = Scdb_trace.Json_min in
-            let doc = J.parse (Diag_run.to_json d) in
-            match J.member "rhat" doc with
-            | Some r ->
-                let l = Option.get (J.to_list r) in
-                Alcotest.(check int) "one rhat per coord" 2 (List.length l);
-                List.iter
-                  (fun v ->
-                    Alcotest.(check bool) "finite" true
-                      (Float.is_finite (Option.get (J.to_float v))))
-                  l
-            | None -> Alcotest.fail "rhat missing"));
+            let rhat = J.field "rhat" (J.list J.num) (J.parse (J.to_string (Diag_run.to_json d))) in
+            Alcotest.(check int) "one rhat per coord" 2 (List.length rhat)));
+    t "infinite R-hat and ESS round-trip as null" (fun () ->
+        let chain =
+          { Diag_run.ess = [| Float.infinity; 3.0 |]; mean = [| 0.5; Float.nan |]; kept = 4;
+            acceptance_rate = 1.0; max_stall = 0 }
+        in
+        let d =
+          { Diag_run.dim = 2; chains = [| chain |]; thin = 1; samples_per_chain = 4;
+            rhat = [| Float.infinity; Float.nan |];
+            verdict = { Diag.converged = false; reason = "split R-hat \"inf\"\n" } }
+        in
+        let doc = J.parse (J.to_string (Diag_run.to_json d)) in
+        Alcotest.(check bool) "rhat reads null" true
+          (J.field "rhat" Fun.id doc = J.Arr [ J.Null; J.Null ]);
+        Alcotest.(check bool) "ess reads null" true
+          (J.field "per_chain" (J.list (J.field "ess" Fun.id)) doc
+          = [ J.Arr [ J.Null; J.Num 3.0 ] ]);
+        Alcotest.(check string) "reason is JSON-escaped" d.Diag_run.verdict.Diag.reason
+          (J.field "reason" J.str doc));
   ]
 
 (* Per-chain monitors on the batched kernel must reproduce the old

@@ -6,7 +6,7 @@ module Log = Scdb_log.Log
 module Metrics = Scdb_log.Metrics_export
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -30,11 +30,6 @@ let last_event () =
   | [] -> Alcotest.fail "log tail is empty"
   | line :: _ -> J.parse line
 
-let member name doc =
-  match J.member name doc with
-  | Some v -> v
-  | None -> Alcotest.failf "missing field %s" name
-
 let contains s sub =
   let n = String.length s and k = String.length sub in
   let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
@@ -46,17 +41,16 @@ let event_tests =
         with_log (fun () ->
             Log.info "test.hello" [ Log.str "who" "world"; Log.int "n" 3 ];
             let doc = last_event () in
-            Alcotest.(check (option string)) "schema" (Some "spatialdb-log/1")
-              (J.to_string (member "schema" doc));
-            Alcotest.(check (option string)) "level" (Some "info")
-              (J.to_string (member "level" doc));
-            Alcotest.(check (option string)) "event" (Some "test.hello")
-              (J.to_string (member "event" doc));
-            let fields = member "fields" doc in
-            Alcotest.(check (option string)) "str field" (Some "world")
-              (J.to_string (member "who" fields));
-            Alcotest.(check (option (float 0.0))) "int field" (Some 3.0)
-              (J.to_float (member "n" fields))));
+            Alcotest.(check string) "schema" "spatialdb-log/1"
+              (J.field "schema" J.str doc);
+            Alcotest.(check string) "level" "info"
+              (J.field "level" J.str doc);
+            Alcotest.(check string) "event" "test.hello"
+              (J.field "event" J.str doc);
+            let fields = J.field "fields" Fun.id doc in
+            Alcotest.(check string) "str field" "world"
+              (J.field "who" J.str fields);
+            Alcotest.(check int) "int field" 3 (J.field "n" J.int fields)));
     t "seq strictly increases and ts is finite, non-decreasing" (fun () ->
         with_log (fun () ->
             for i = 1 to 8 do
@@ -66,10 +60,9 @@ let event_tests =
             List.iter
               (fun line ->
                 let doc = J.parse line in
-                let seq = int_of_float (Option.get (J.to_float (member "seq" doc))) in
-                let ts = Option.get (J.to_float (member "ts" doc)) in
+                let seq = J.field "seq" J.int doc in
+                let ts = J.field "ts" J.num doc in
                 if seq <= !last_seq then Alcotest.failf "seq %d after %d" seq !last_seq;
-                if not (Float.is_finite ts) then Alcotest.fail "non-finite ts";
                 if ts < !last_ts then Alcotest.fail "ts went backwards";
                 last_seq := seq;
                 last_ts := ts)
@@ -88,13 +81,11 @@ let event_tests =
         with_log (fun () ->
             Log.info "test.inf" [ Log.float "a" Float.infinity; Log.float "b" Float.nan ];
             let doc = last_event () in
-            let fields = member "fields" doc in
             (* Clamped, not rendered as bare inf/nan (which would break
-               the JSON contract validate_logs enforces). *)
-            match (J.to_float (member "a" fields), J.to_float (member "b" fields)) with
-            | Some a, Some b ->
-                Alcotest.(check bool) "finite" true (Float.is_finite a && Float.is_finite b)
-            | _ -> Alcotest.fail "fields did not parse as numbers"));
+               the JSON contract validate_logs enforces), nor as null. *)
+            Alcotest.(check (pair (float 0.0) (float 0.0)))
+              "clamped" (1e308, 0.0)
+              (J.field "fields" (fun f -> (J.field "a" J.num f, J.field "b" J.num f)) doc)));
     t "ring buffer is bounded and keeps the newest events" (fun () ->
         with_log (fun () ->
             Log.set_ring_capacity 4;
@@ -104,9 +95,7 @@ let event_tests =
             let tail = Log.tail () in
             Alcotest.(check int) "bounded" 4 (List.length tail);
             let seqs =
-              List.map
-                (fun l -> int_of_float (Option.get (J.to_float (member "seq" (J.parse l)))))
-                tail
+              List.map (fun l -> J.field "seq" J.int (J.parse l)) tail
             in
             Alcotest.(check (list int)) "newest, oldest-first" [ 6; 7; 8; 9 ] seqs));
     t "events carry the current trace span id" (fun () ->
@@ -116,13 +105,13 @@ let event_tests =
             Trace.reset ();
             Fun.protect ~finally:(fun () -> Trace.set_enabled trace_was) @@ fun () ->
             Log.info "test.nospan" [];
-            let outside = Option.get (J.to_float (member "span" (last_event ()))) in
-            Alcotest.(check (float 0.0)) "no span open" (-1.0) outside;
+            let outside = J.field "span" J.int (last_event ()) in
+            Alcotest.(check int) "no span open" (-1) outside;
             let sp = Trace.start "log.span" in
             let id = Trace.current_id () in
             Log.info "test.inspan" [];
             Trace.finish sp;
-            let inside = int_of_float (Option.get (J.to_float (member "span" (last_event ())))) in
+            let inside = J.field "span" J.int (last_event ()) in
             Alcotest.(check bool) "real id" true (id >= 0);
             Alcotest.(check int) "correlated" id inside));
   ]

@@ -17,6 +17,7 @@ let () =
          Test_core.suites;
          Test_gis.suites;
          Test_uniformity.suites;
+         Test_json.suites;
          Test_telemetry.suites;
          Test_trace.suites;
          Test_diag.suites;

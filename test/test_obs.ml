@@ -11,7 +11,7 @@ module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Log = Scdb_log.Log
 module Rng = Scdb_rng.Rng
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -36,12 +36,10 @@ let hist_h = Tel.Histogram.make "test.obs.hist"
 let cval reg = Option.value ~default:0 (Tel.counter_value ~reg "test.obs.counter")
 
 let hist_stats reg =
-  let doc = J.parse (Tel.dump ~only_nonzero:true ~reg ()) in
-  match Option.bind (J.member "histograms" doc) (J.member "test.obs.hist") with
-  | None -> Alcotest.fail "histogram missing from dump"
-  | Some h ->
-      let f k = Option.get (Option.bind (J.member k h) J.to_float) in
-      (f "count", f "p50", f "p90", f "p99", f "min", f "max", f "sum")
+  let dump = Tel.dump ~only_nonzero:true ~reg () in
+  let h = J.field "histograms" (J.field "test.obs.hist" Fun.id) dump in
+  let f k = J.field k J.num h in
+  (f "count", f "p50", f "p90", f "p99", f "min", f "max", f "sum")
 
 let merge_tests =
   [
@@ -97,7 +95,7 @@ let merge_tests =
             let before = Tel.dump ~only_nonzero:true ~reg:(Obs.Ctx.registry a) () in
             Obs.Ctx.merge ~into:a (Obs.Ctx.create ~name:"empty" ());
             let after = Tel.dump ~only_nonzero:true ~reg:(Obs.Ctx.registry a) () in
-            Alcotest.(check string) "dump unchanged" before after));
+            Alcotest.(check string) "dump unchanged" (J.to_string before) (J.to_string after)));
     t "2-domain contexted runs merge to the same counters as sequential"
       (fun () ->
         with_tel (fun () ->
@@ -125,8 +123,8 @@ let merge_tests =
             Obs.Ctx.merge ~into:seq cb1;
             Alcotest.(check string)
               "merged dumps identical"
-              (Tel.dump ~only_nonzero:true ~reg:(Obs.Ctx.registry seq) ())
-              (Tel.dump ~only_nonzero:true ~reg:(Obs.Ctx.registry par) ())));
+              (J.to_string (Tel.dump ~only_nonzero:true ~reg:(Obs.Ctx.registry seq) ()))
+              (J.to_string (Tel.dump ~only_nonzero:true ~reg:(Obs.Ctx.registry par) ()))));
     t "span forests splice under a synthetic root" (fun () ->
         let was = Trace.enabled () in
         Trace.set_enabled true;
@@ -224,10 +222,7 @@ let epoch_tests =
           (Trace.Forest.epoch f > e0));
   ]
 
-let seq_of_line line =
-  match J.member "seq" (J.parse line) with
-  | Some v -> int_of_float (Option.get (J.to_float v))
-  | None -> Alcotest.fail "log line without seq"
+let seq_of_line line = J.field "seq" J.int (J.parse line)
 
 let log_tests =
   [
@@ -273,9 +268,8 @@ let log_tests =
         List.iter
           (fun line ->
             let doc = J.parse line in
-            (match Option.bind (J.member "event" doc) J.to_string with
-            | Some e
-              when e = "test.dom.a" || e = "test.dom.b" -> ()
+            (match J.field "event" J.str doc with
+            | "test.dom.a" | "test.dom.b" -> ()
             | _ -> Alcotest.fail ("unexpected event in: " ^ line));
             ignore (seq_of_line line))
           tail);
@@ -376,15 +370,17 @@ let status_tests =
             let ic = open_in path in
             let s = really_input_string ic (in_channel_length ic) in
             close_in ic;
-            let doc = J.parse s in
-            Alcotest.(check (option string))
-              "schema" (Some "spatialdb-status/1")
-              (Option.bind (J.member "schema" doc) J.to_string);
-            let ctxs =
-              Option.get (Option.bind (J.member "contexts" doc) J.to_list)
-            in
-            Alcotest.(check int) "all rows serialized" (List.length rows)
-              (List.length ctxs)));
+            match Obs.Status.of_json (J.parse s) with
+            | Ok read ->
+                Alcotest.(check int) "all rows read back" (List.length rows) (List.length read)
+            | Error m -> Alcotest.fail m));
+    t "of_json names the missing field of a truncated context" (fun () ->
+        let doc =
+          J.parse {|{"schema": "spatialdb-status/1", "ts": 1.0, "contexts": [{"name": "job0"}]}|}
+        in
+        Alcotest.(check (result int string))
+          "typed error" (Error {|$.contexts[0]: missing field "done"|})
+          (Result.map List.length (Obs.Status.of_json doc)));
   ]
 
 let suites =

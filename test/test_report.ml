@@ -2,16 +2,12 @@
    Figure 1 triangle. *)
 
 module Report = Scdb_gis.Report
-module J = Scdb_trace.Json_min
+module J = Scdb_json.Json
 
 let ts name f = Alcotest.test_case name `Slow f
 let t name f = Alcotest.test_case name `Quick f
 
 let fig1 = "x >= 0 /\\ y >= 0 /\\ x + y <= 1"
-
-let get name = function
-  | Some v -> v
-  | None -> Alcotest.failf "missing field %s" name
 
 let report_tests =
   [
@@ -20,15 +16,12 @@ let report_tests =
         | Error e -> Alcotest.failf "generate failed: %s" e
         | Ok r ->
             let doc = J.parse r.Report.json in
-            Alcotest.(check (option string)) "schema" (Some "spatialdb-report/4")
-              (J.to_string (get "schema" (J.member "schema" doc)));
+            Alcotest.(check string) "schema" "spatialdb-report/4" (J.field "schema" J.str doc);
             (* The embedded plan is a valid spatialdb-plan/1 document
                budgeted for the report task. *)
-            let plan = get "plan" (J.member "plan" doc) in
-            Alcotest.(check (option string)) "plan schema" (Some "spatialdb-plan/1")
-              (J.to_string (get "plan.schema" (J.member "schema" plan)));
-            Alcotest.(check (option string)) "plan task" (Some "report")
-              (J.to_string (get "plan.task" (J.member "task" plan)));
+            let plan = J.field "plan" Fun.id doc in
+            Alcotest.(check string) "plan schema" "spatialdb-plan/1" (J.field "schema" J.str plan);
+            Alcotest.(check string) "plan task" "report" (J.field "task" J.str plan);
             (match Scdb_plan.Plan.of_json plan with
             | Ok p ->
                 Alcotest.(check bool) "plan total_work positive" true
@@ -36,71 +29,38 @@ let report_tests =
             | Error e -> Alcotest.failf "embedded plan does not round-trip: %s" e);
             (* Every executed node has a finite, positive actual/predicted
                ratio. *)
-            let rows =
-              Option.get (J.to_list (get "cost_attribution" (J.member "cost_attribution" doc)))
-            in
+            let rows = J.field "cost_attribution" (J.list Fun.id) doc in
             Alcotest.(check bool) "attribution rows present" true (rows <> []);
             List.iter
               (fun row ->
-                let actual =
-                  Option.get (J.to_float (get "actual" (J.member "actual" row)))
-                in
-                let ratio = J.member "ratio" row in
-                if actual > 0.0 then begin
-                  match Option.bind ratio J.to_float with
-                  | Some r ->
-                      Alcotest.(check bool) "ratio finite and positive" true
-                        (Float.is_finite r && r > 0.0)
-                  | None -> Alcotest.fail "executed node has no finite ratio"
-                end)
+                if J.field "actual" J.num row > 0.0 then
+                  Alcotest.(check bool) "ratio positive" true (J.field "ratio" J.num row > 0.0))
               rows;
             (* Arguments echo back. *)
-            let args = get "args" (J.member "args" doc) in
-            Alcotest.(check (option (float 0.0))) "seed" (Some 42.0)
-              (J.to_float (get "seed" (J.member "seed" args)));
-            Alcotest.(check (option string)) "formula" (Some fig1)
-              (J.to_string (get "formula" (J.member "formula" args)));
+            Alcotest.(check int) "seed" 42 (J.field "args" (J.field "seed" J.int) doc);
+            Alcotest.(check string) "formula" fig1 (J.field "args" (J.field "formula" J.str) doc);
             (* Deep trace: at least 10 nested spans. *)
-            let span_count =
-              Option.get (J.to_float (get "span_count" (J.member "span_count" doc)))
-            in
-            Alcotest.(check bool) "span_count >= 10" true (span_count >= 10.0);
-            let events =
-              Option.get
-                (J.to_list (get "traceEvents" (J.member "traceEvents" (get "trace" (J.member "trace" doc)))))
-            in
-            Alcotest.(check int) "trace matches span_count" (int_of_float span_count)
-              (List.length events);
+            let span_count = J.field "span_count" J.int doc in
+            Alcotest.(check bool) "span_count >= 10" true (span_count >= 10);
+            let events = J.field "trace" (J.field "traceEvents" (J.list Fun.id)) doc in
+            Alcotest.(check int) "trace matches span_count" span_count (List.length events);
             (* Telemetry snapshot rides along. *)
-            Alcotest.(check (option string)) "telemetry schema" (Some "spatialdb-telemetry/2")
-              (J.to_string
-                 (get "telemetry.schema"
-                    (J.member "schema" (get "telemetry" (J.member "telemetry" doc)))));
+            Alcotest.(check string) "telemetry schema" "spatialdb-telemetry/2"
+              (J.field "telemetry" (J.field "schema" J.str) doc);
             (* Diagnostics: m >= 4 chains, per-coordinate R-hat < 1.1. *)
-            let diag = get "diagnostics" (J.member "diagnostics" doc) in
-            let chains =
-              Option.get (J.to_float (get "chains" (J.member "chains" diag)))
-            in
-            Alcotest.(check bool) "chains >= 4" true (chains >= 4.0);
-            let rhat = Option.get (J.to_list (get "rhat" (J.member "rhat" diag))) in
+            let diag = J.field "diagnostics" Fun.id doc in
+            Alcotest.(check bool) "chains >= 4" true (J.field "chains" J.int diag >= 4);
+            let rhat = J.field "rhat" (J.list J.num) diag in
             Alcotest.(check int) "rhat per coordinate" 2 (List.length rhat);
-            List.iter
-              (fun v ->
-                let x = Option.get (J.to_float v) in
-                Alcotest.(check bool) "R-hat < 1.1" true (Float.is_finite x && x < 1.1))
-              rhat;
+            List.iter (fun x -> Alcotest.(check bool) "R-hat < 1.1" true (x < 1.1)) rhat;
             (* The triangle's volume is 1/2; eps = 0.2 at delta = 0.1. *)
-            let vol = Option.get (J.to_float (get "volume" (J.member "volume" doc))) in
+            let vol = J.field "volume" J.num doc in
             Alcotest.(check bool) "volume near 0.5" true (vol > 0.35 && vol < 0.65);
             (* The separate Chrome trace parses on its own. *)
-            let tdoc = J.parse r.Report.chrome_trace in
-            Alcotest.(check bool) "chrome trace parses" true
-              (J.member "traceEvents" tdoc <> None));
+            Alcotest.(check int) "chrome trace parses" (List.length events)
+              (List.length (J.field "traceEvents" (J.list Fun.id) (J.parse r.Report.chrome_trace))));
     ts "report generation is deterministic given the seed" (fun () ->
-        let volume_of r =
-          let doc = J.parse r.Report.json in
-          Option.get (J.to_float (get "volume" (J.member "volume" doc)))
-        in
+        let volume_of r = J.field "volume" J.num (J.parse r.Report.json) in
         match
           ( Report.generate ~vars:[ "x"; "y" ] ~formula:fig1 ~seed:7 ~samples:4 (),
             Report.generate ~vars:[ "x"; "y" ] ~formula:fig1 ~seed:7 ~samples:4 () )
@@ -143,6 +103,18 @@ let report_tests =
             let da = strip (J.parse a.Report.json) and db = strip (J.parse b.Report.json) in
             Alcotest.(check bool) "structurally equal" true (da = db)
         | _ -> Alcotest.fail "generate failed");
+    t "a ratio without predicted work reads back as null" (fun () ->
+        (* A node that ran with predicted work 0 has an infinite
+           actual/predicted ratio; the error budget must still be valid
+           JSON, with the ratio read back as null. *)
+        let row =
+          { Scdb_gis.Plan_exec.b_id = 0; b_op = "dfk"; b_eps = 0.1; b_delta = 0.05;
+            b_predicted = 0.0; b_actual = 12.0; b_ratio = Float.infinity;
+            b_delta_achieved = 0.05; b_slack = 0.0 }
+        in
+        let text = J.to_string (Scdb_gis.Plan_exec.budget_attribution_json [| row |]) in
+        Alcotest.(check bool) "ratio is null" true
+          (J.list (J.field "ratio" Fun.id) (J.parse text) = [ J.Null ]));
     t "parse errors surface as Error" (fun () ->
         match Report.generate ~vars:[ "x" ] ~formula:"x >=" ~seed:1 () with
         | Error _ -> ()

@@ -88,7 +88,7 @@ let quantile_tests =
             let h = Tel.Histogram.make "test.q.dump" in
             Tel.Histogram.observe h 1.0;
             Tel.Histogram.observe h 2.0;
-            let json = Tel.dump ~only_nonzero:true () in
+            let json = Scdb_json.Json.to_string (Tel.dump ~only_nonzero:true ()) in
             let contains needle =
               let nl = String.length needle and l = String.length json in
               let rec go i = i + nl <= l && (String.sub json i nl = needle || go (i + 1)) in

@@ -179,7 +179,8 @@ let pipeline_case (label, vars, formula) =
   match Scdb_gis.Plan_build.of_relation ~config:cfg ~gamma ~eps ~delta ~task relation with
   | Some plan ->
       Alcotest.(check string) (label ^ " explain plan = prepared plan")
-        (Plan.to_json prepared.Plan_exec.plan) (Plan.to_json plan)
+        (Scdb_json.Json.to_string (Plan.to_json prepared.Plan_exec.plan))
+        (Scdb_json.Json.to_string (Plan.to_json plan))
   | None -> Alcotest.failf "%s: explain found no viable tuple" label
 
 let fig1 = "x >= 0 /\\ y >= 0 /\\ x + y <= 1"
