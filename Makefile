@@ -80,6 +80,8 @@ check:
 # Last, the committed flight-record fixtures replay through the CLI on
 # both the interpreter and the strict VM, so a stale fixture fails here
 # as well as in the test suite.
+# Finally every experiment E1-E14 runs once in fast mode, so an
+# experiment that raises fails here instead of going unnoticed.
 # Throwaway artifacts go to _build/.
 ci: check
 	dune exec bench/regress.exe -- --fast -o _build/BENCH_ci.json --check BENCH_8.json
@@ -193,6 +195,7 @@ ci: check
 	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/union_k3.flightrec.json
 	dune exec bin/spatialdb.exe -- replay test/fixtures/incremental_k1.flightrec.json
 	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/incremental_k1.flightrec.json
+	dune exec bench/main.exe -- --fast e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 > _build/experiments.txt
 
 clean:
 	dune clean

@@ -40,18 +40,13 @@ module Rng = Scdb_rng.Rng
 module Rej = Scdb_sampling.Rejection
 module Tel = Scdb_telemetry.Telemetry
 module Json = Scdb_json.Json
+module Diag = Scdb_diag.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
 type result = { name : string; ns_per_op : float; ops : int; trials : int }
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
 
 (* [f ()] performs [ops] operations of the kernel under test. *)
 let measure ~fast ~name ~ops f =
@@ -76,7 +71,28 @@ let measure ~fast ~name ~ops f =
     let dt = Unix.gettimeofday () -. t0 in
     samples := (dt *. 1e9 /. float_of_int (reps * ops)) :: !samples
   done;
-  { name; ns_per_op = median !samples; ops; trials }
+  { name; ns_per_op = Diag.median (Array.of_list !samples); ops; trials }
+
+(* Paired-min timing for the gates: interleaved rounds over the sides,
+   each side [(reps, ops, f)] timed as [reps] calls of [f], each call
+   performing [ops] operations; returns per side the min over rounds
+   of ns/op.  Scheduler noise only ever adds time, so the min is the
+   stable per-op cost, and interleaving exposes every side to the same
+   machine state. *)
+let paired_min ~rounds sides =
+  let mins = Array.make (List.length sides) infinity in
+  for _ = 1 to rounds do
+    List.iteri
+      (fun i (reps, ops, f) ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          f ()
+        done;
+        let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * ops) in
+        if ns < mins.(i) then mins.(i) <- ns)
+      sides
+  done;
+  mins
 
 (* ------------------------------------------------------------------ *)
 (* Seed-implementation baselines                                       *)
@@ -276,7 +292,7 @@ let telemetry_snapshot ~poly ~grid ~centre =
    with
    | Some (_, Ok prog) -> ignore (Scdb_vm.Vm.sample_many prog rng ~n:64)
    | _ -> ());
-  let json = Json.to_string (Tel.dump ~only_nonzero:true ()) in
+  let json = Tel.dump ~only_nonzero:true () in
   Tel.set_enabled false;
   json
 
@@ -304,7 +320,7 @@ let plan_calibration ~fast =
     Plan_exec.observable_of_relation ~config:Convex_obs.practical_config ~gamma:0.05 ~eps:0.3
       ~delta:0.2 ~task:(Scdb_plan.Plan.Sample n) rng relation
   with
-  | None -> "null"
+  | None -> Json.Null
   | Some (plan, obs) ->
       Plan_exec.arm plan;
       let params = Params.make ~gamma:0.05 ~eps:0.3 ~delta:0.2 () in
@@ -316,7 +332,7 @@ let plan_calibration ~fast =
       let root = attribution.(0) in
       Printf.printf "plan calibration: root %s actual/predicted %.2fx over %d nodes\n"
         root.Plan_exec.op root.Plan_exec.ratio (Array.length attribution);
-      Json.to_string (Plan_exec.attribution_json attribution)
+      Plan_exec.attribution_json attribution
 
 (* ------------------------------------------------------------------ *)
 (* Engine comparison                                                   *)
@@ -326,9 +342,8 @@ let plan_calibration ~fast =
    engine: the observable interpreter, the strict VM (bit-exact mirror)
    and the optimized VM (cost-based plan rewrites).  Construction and
    the one-time Karp–Luby weight estimation are warmed out of the
-   measurement — the gate is about the per-draw hot path.  Paired-min
-   estimator for the same reason as [dirbound_gate]: scheduler noise
-   only adds time. *)
+   measurement — the gate is about the per-draw hot path.  Timed with
+   [paired_min]: scheduler noise only adds time. *)
 let engine_sweep ~fast =
   let module Plan_exec = Scdb_gis.Plan_exec in
   let module Vm = Scdb_vm.Vm in
@@ -362,18 +377,7 @@ let engine_sweep ~fast =
   List.iter (fun d -> d ()) draws;
   let rounds = if fast then 7 else 9 in
   let per_round = if fast then 200 else 600 in
-  let mins = Array.make 3 infinity in
-  for _ = 1 to rounds do
-    List.iteri
-      (fun i d ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to per_round do
-          d ()
-        done;
-        let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_round in
-        if ns < mins.(i) then mins.(i) <- ns)
-      draws
-  done;
+  let mins = paired_min ~rounds (List.map (fun d -> (per_round, 1, d)) draws) in
   let interp_ns = mins.(0) and vm_ns = mins.(1) and vm_opt_ns = mins.(2) in
   Printf.printf "\nend-to-end union draws/sec per engine (paired min):\n";
   List.iteri
@@ -382,10 +386,14 @@ let engine_sweep ~fast =
         (1e9 /. mins.(i)) (interp_ns /. mins.(i)))
     [ "interp"; "vm"; "vm-opt" ];
   let json =
-    Printf.sprintf
-      "{\"interp_ns_per_draw\": %.3f, \"vm_ns_per_draw\": %.3f, \"vm_opt_ns_per_draw\": %.3f, \
-       \"vm_speedup\": %.3f, \"vm_opt_speedup\": %.3f}"
-      interp_ns vm_ns vm_opt_ns (interp_ns /. vm_ns) (interp_ns /. vm_opt_ns)
+    Json.Obj
+      [
+        ("interp_ns_per_draw", Json.Num interp_ns);
+        ("vm_ns_per_draw", Json.Num vm_ns);
+        ("vm_opt_ns_per_draw", Json.Num vm_opt_ns);
+        ("vm_speedup", Json.Num (interp_ns /. vm_ns));
+        ("vm_opt_speedup", Json.Num (interp_ns /. vm_opt_ns));
+      ]
   in
   (json, interp_ns /. vm_opt_ns)
 
@@ -399,7 +407,7 @@ let engine_sweep ~fast =
    member).  Measured on the strict VM over the Figure 1 union — the
    walk-bound engine whose ~10 us draws are what a profiled production
    run actually executes; under --check the timing overhead is gated at
-   5%.  Paired-min estimator for the same reason as [dirbound_gate]. *)
+   5%.  Timed with [paired_min]. *)
 let profile_overhead ~fast =
   let module Plan_exec = Scdb_gis.Plan_exec in
   let module Vm = Scdb_vm.Vm in
@@ -414,7 +422,7 @@ let profile_overhead ~fast =
     Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config ~gamma:0.05 ~eps:0.3
       ~delta:0.2 ~task:(Scdb_plan.Plan.Sample 1) rng relation
   with
-  | None | Some (_, Error _) -> ("null", 1.0)
+  | None | Some (_, Error _) -> (Json.Null, 1.0)
   | Some (_, Ok prog) ->
       let counting = Profile.create ~mode:Profile.Counting prog in
       let timing = Profile.create ~mode:Profile.Timing prog in
@@ -425,28 +433,22 @@ let profile_overhead ~fast =
       plain ();
       let rounds = if fast then 7 else 9 in
       let per_round = if fast then 150 else 400 in
-      let mins = [| infinity; infinity; infinity |] in
-      for _ = 1 to rounds do
-        List.iteri
-          (fun i d ->
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to per_round do
-              d ()
-            done;
-            let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_round in
-            if ns < mins.(i) then mins.(i) <- ns)
-          [ plain; count; time ]
-      done;
+      let mins =
+        paired_min ~rounds [ (per_round, 1, plain); (per_round, 1, count); (per_round, 1, time) ]
+      in
       let c_ov = mins.(1) /. mins.(0) and t_ov = mins.(2) /. mins.(0) in
       Printf.printf
         "\nprofiler overhead on the strict VM (paired min): unprofiled %.1f ns/draw, counting \
          %.1f (%.3fx), timing %.1f (%.3fx)\n"
         mins.(0) mins.(1) c_ov mins.(2) t_ov;
-      ( Printf.sprintf
-          "{\"unprofiled_ns_per_draw\": %.3f, \"counting_ns_per_draw\": %.3f, \
-           \"timing_ns_per_draw\": %.3f, \"counting_overhead\": %.4f, \"timing_overhead\": \
-           %.4f}"
-          mins.(0) mins.(1) mins.(2) c_ov t_ov,
+      ( Json.Obj
+          [
+            ("unprofiled_ns_per_draw", Json.Num mins.(0));
+            ("counting_ns_per_draw", Json.Num mins.(1));
+            ("timing_ns_per_draw", Json.Num mins.(2));
+            ("counting_overhead", Json.Num c_ov);
+            ("timing_overhead", Json.Num t_ov);
+          ],
         t_ov )
 
 (* ------------------------------------------------------------------ *)
@@ -480,24 +482,18 @@ let ctx_overhead ~fast =
   plain ();
   ctxed ();
   let rounds = if fast then 7 else 9 in
-  let mins = [| infinity; infinity |] in
-  for _ = 1 to rounds do
-    List.iteri
-      (fun i d ->
-        let t0 = Unix.gettimeofday () in
-        d ();
-        let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
-        if ns < mins.(i) then mins.(i) <- ns)
-      [ plain; ctxed ]
-  done;
+  let mins = paired_min ~rounds [ (1, n, plain); (1, n, ctxed) ] in
   Tel.set_enabled was;
   let ov = mins.(1) /. mins.(0) in
   Printf.printf
     "\ncontexted counter bump (paired min): global %.3f ns, context installed %.3f ns (%.3fx)\n"
     mins.(0) mins.(1) ov;
-  ( Printf.sprintf
-      "{\"global_ns_per_bump\": %.4f, \"ctx_ns_per_bump\": %.4f, \"ctx_overhead\": %.4f}"
-      mins.(0) mins.(1) ov,
+  ( Json.Obj
+      [
+        ("global_ns_per_bump", Json.Num mins.(0));
+        ("ctx_ns_per_bump", Json.Num mins.(1));
+        ("ctx_overhead", Json.Num ov);
+      ],
     ov )
 
 (* ------------------------------------------------------------------ *)
@@ -614,12 +610,7 @@ let trend ~files ~threshold ~ref_name ~floor_ns =
       match series with
       | [] | [ _ ] -> ()
       | vs ->
-          let med =
-            let a = List.sort compare vs in
-            let n = List.length a in
-            if n mod 2 = 1 then List.nth a (n / 2)
-            else (List.nth a ((n / 2) - 1) +. List.nth a (n / 2)) /. 2.0
-          in
+          let med = Diag.median (Array.of_list vs) in
           let last = List.nth vs (List.length vs - 1) in
           let ratio = last /. med in
           let step_drift =
@@ -670,12 +661,12 @@ let diagnostics_block ~fast ~poly =
   let rng = Rng.create 9_2026 in
   let samples_per_chain = if fast then 32 else Diag_run.default_samples_per_chain in
   match Diag_run.run ~samples_per_chain rng poly with
-  | None -> "null"
+  | None -> Json.Null
   | Some d ->
       Printf.printf "diagnostics: max split R-hat %.4f, %s\n"
         (Array.fold_left Float.max 1.0 d.Diag_run.rhat)
         (if d.Diag_run.verdict.Scdb_diag.Diag.converged then "converged" else "NOT converged");
-      Json.to_string (Diag_run.to_json d)
+      Diag_run.to_json d
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison (--check)                                       *)
@@ -769,24 +760,16 @@ let run ~fast ~out ~check ~metrics_out =
     let starts1 = [| Vec.copy scentroid |] in
     let rngs16 = Array.init 16 (fun i -> Rng.create (6161 + i)) in
     let starts16 = Array.init 16 (fun _ -> Vec.copy scentroid) in
-    let reps1 = 32 and reps16 = 4 in
-    let min1 = ref infinity and min16 = ref infinity in
-    for _ = 1 to rounds do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps1 do
-        ignore (HR.sample_polytope_batch rngs1 spoly ~starts:starts1 ~steps)
-      done;
-      let t1 = Unix.gettimeofday () in
-      for _ = 1 to reps16 do
-        ignore (HR.sample_polytope_batch rngs16 spoly ~starts:starts16 ~steps)
-      done;
-      let t2 = Unix.gettimeofday () in
-      let ns1 = (t1 -. t0) *. 1e9 /. float_of_int (reps1 * steps) in
-      let ns16 = (t2 -. t1) *. 1e9 /. float_of_int (reps16 * 16 * steps) in
-      if ns1 < !min1 then min1 := ns1;
-      if ns16 < !min16 then min16 := ns16
-    done;
-    (!min1, !min16, !min1 /. !min16)
+    let mins =
+      paired_min ~rounds
+        [
+          (32, steps, fun () -> ignore (HR.sample_polytope_batch rngs1 spoly ~starts:starts1 ~steps));
+          ( 4,
+            16 * steps,
+            fun () -> ignore (HR.sample_polytope_batch rngs16 spoly ~starts:starts16 ~steps) );
+        ]
+    in
+    (mins.(0), mins.(1), mins.(0) /. mins.(1))
   in
   let results =
     [
@@ -887,27 +870,31 @@ let run ~fast ~out ~check ~metrics_out =
     gate_k1_ns gate_k16_ns batch_speedup_k16;
   let sweep_json rs =
     let k1_ns = (List.hd rs).ns_per_op in
-    "[\n      "
-    ^ String.concat ",\n      "
-        (List.map2
-           (fun k r ->
-             Printf.sprintf
-               "{\"chains\": %d, \"ns_per_draw\": %.3f, \"draws_per_sec\": %.0f, \
-                \"speedup_vs_k1\": %.3f}"
-               k r.ns_per_op (1e9 /. r.ns_per_op) (k1_ns /. r.ns_per_op))
-           batch_ks rs)
-    ^ "\n    ]"
+    Json.Arr
+      (List.map2
+         (fun k r ->
+           Json.Obj
+             [
+               ("chains", Json.Int k);
+               ("ns_per_draw", Json.Num r.ns_per_op);
+               ("draws_per_sec", Json.Num (1e9 /. r.ns_per_op));
+               ("speedup_vs_k1", Json.Num (k1_ns /. r.ns_per_op));
+             ])
+         batch_ks rs)
   in
   let batch_sweep_json =
-    Printf.sprintf
-      "{\n\
-      \    \"union\": %s,\n\
-      \    \"dirbound_simplex\": %s,\n\
-      \    \"dirbound_gate\": {\"k1_ns_per_draw\": %.3f, \"k16_ns_per_draw\": %.3f, \
-       \"k16_speedup\": %.3f}\n\
-      \  }"
-      (sweep_json union_results) (sweep_json dirbound_results) gate_k1_ns gate_k16_ns
-      batch_speedup_k16
+    Json.Obj
+      [
+        ("union", sweep_json union_results);
+        ("dirbound_simplex", sweep_json dirbound_results);
+        ( "dirbound_gate",
+          Json.Obj
+            [
+              ("k1_ns_per_draw", Json.Num gate_k1_ns);
+              ("k16_ns_per_draw", Json.Num gate_k16_ns);
+              ("k16_speedup", Json.Num batch_speedup_k16);
+            ] );
+      ]
   in
   (* Per-run stats block: the probabilistic kernels observed end to end. *)
   let telemetry = telemetry_snapshot ~poly ~grid ~centre in
@@ -923,29 +910,31 @@ let run ~fast ~out ~check ~metrics_out =
   let overhead_json, timing_overhead = profile_overhead ~fast in
   let ctx_json, ctx_ov = ctx_overhead ~fast in
   let diagnostics = diagnostics_block ~fast ~poly in
-  (* JSON out. *)
-  let oc = open_out out in
-  Printf.fprintf oc "{\n  \"schema\": \"spatialdb-bench/7\",\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "    {\"name\": %S, \"ns_per_op\": %.3f, \"trials\": %d}%s\n" r.name
-        r.ns_per_op r.trials
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"batch_sweep\": %s,\n\
-    \  \"plan_calibration\": %s,\n\
-    \  \"engine_sweep\": %s,\n\
-    \  \"profile_overhead\": %s,\n\
-    \  \"ctx_overhead\": %s,\n\
-    \  \"telemetry\": %s,\n\
-    \  \"diagnostics\": %s\n\
-     }\n"
-    batch_sweep_json (String.trim calibration) (String.trim engine_json)
-    (String.trim overhead_json) (String.trim ctx_json) (String.trim telemetry)
-    (String.trim diagnostics);
-  close_out oc;
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str "spatialdb-bench/7");
+        ( "results",
+          Json.Arr
+            (List.map
+               (fun r ->
+                 Json.Obj
+                   [
+                     ("name", Json.Str r.name);
+                     ("ns_per_op", Json.Num r.ns_per_op);
+                     ("trials", Json.Int r.trials);
+                   ])
+               results) );
+        ("batch_sweep", batch_sweep_json);
+        ("plan_calibration", calibration);
+        ("engine_sweep", engine_json);
+        ("profile_overhead", overhead_json);
+        ("ctx_overhead", ctx_json);
+        ("telemetry", telemetry);
+        ("diagnostics", diagnostics);
+      ]
+  in
+  Out_channel.with_open_text out (fun oc -> output_string oc (Json.to_string doc));
   Printf.printf "\nwrote %s\n" out;
   Option.iter
     (fun baseline ->

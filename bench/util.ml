@@ -49,10 +49,4 @@ let tv_from_uniform counts =
     sum /. 2.0
   end
 
-let chi_square counts =
-  let total = Array.fold_left ( + ) 0 counts in
-  let k = Array.length counts in
-  let e = float_of_int total /. float_of_int k in
-  Array.fold_left (fun acc c -> acc +. (((float_of_int c -. e) ** 2.0) /. e)) 0.0 counts
-
 let rel_err ~truth x = Float.abs (x -. truth) /. Float.abs truth

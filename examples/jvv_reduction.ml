@@ -14,7 +14,7 @@
 
 module P = Scdb_polytope.Polytope
 module Vol = Scdb_sampling.Volume
-module Stats = Scdb_sampling.Stats
+module Welford = Scdb_diag.Diag.Welford
 module Rng = Scdb_rng.Rng
 
 let () =
@@ -24,15 +24,17 @@ let () =
   Printf.printf "Body: the triangle {x >= 0, y >= 0, x + y <= 1}, area 1/2.\n\n";
 
   (* Direction 1: generation -> counting (the DFK estimator). *)
-  let acc = Stats.create () in
+  let acc = Welford.create () in
   for _ = 1 to 8 do
     match Vol.estimate rng ~budget:(Vol.Practical 1500) tri with
-    | Some r -> Stats.add acc r.Vol.volume
+    | Some r -> Welford.add acc r.Vol.volume
     | None -> failwith "estimation failed"
   done;
-  let lo, hi = Stats.confidence_interval acc ~confidence:0.95 in
+  let mean = Welford.mean acc and count = Welford.count acc in
+  (* Normal-approximation 95% interval: 1.96 standard errors. *)
+  let half = 1.96 *. Welford.std acc /. sqrt (float_of_int count) in
   Printf.printf "generation->counting: volume = %.4f (95%% CI [%.4f, %.4f]) over %d runs\n"
-    (Stats.mean acc) lo hi (Stats.count acc);
+    mean (mean -. half) (mean +. half) count;
 
   (* Direction 2: counting -> generation (JVV bisection). *)
   let n = 300 in

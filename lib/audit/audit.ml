@@ -27,65 +27,7 @@ let verdict_name = function
   | Fail -> "fail"
   | Inconclusive -> "inconclusive"
 
-(* ---------------- Clopper–Pearson ---------------- *)
-
-let clopper_pearson ?(confidence = 0.95) ~hits ~runs () =
-  if runs < 1 || hits < 0 || hits > runs then invalid_arg "Audit.clopper_pearson";
-  if confidence <= 0.0 || confidence >= 1.0 then
-    invalid_arg "Audit.clopper_pearson: confidence must lie in (0,1)";
-  let alpha = 1.0 -. confidence in
-  let lf = Array.make (runs + 1) 0.0 in
-  for i = 2 to runs do
-    lf.(i) <- lf.(i - 1) +. log (float_of_int i)
-  done;
-  (* Exact binomial tails, summed in probability space from log-space
-     terms: every term is <= 1, so there is no overflow to dodge and
-     the sum is accurate to float precision. *)
-  let tail ~ge x p =
-    if p <= 0.0 then if (ge && x <= 0) || not ge then 1.0 else 0.0
-    else if p >= 1.0 then if ge || x >= runs then 1.0 else 0.0
-    else begin
-      let lp = log p and lq = log (1.0 -. p) in
-      let term k =
-        exp
-          (lf.(runs) -. lf.(k)
-          -. lf.(runs - k)
-          +. (float_of_int k *. lp)
-          +. (float_of_int (runs - k) *. lq))
-      in
-      let s = ref 0.0 in
-      if ge then
-        for k = Stdlib.max 0 x to runs do
-          s := !s +. term k
-        done
-      else
-        for k = 0 to Stdlib.min runs x do
-          s := !s +. term k
-        done;
-      Float.min 1.0 !s
-    end
-  in
-  (* Lower bound: the p where P[X >= hits | p] (increasing in p)
-     crosses α/2.  Upper bound: where P[X <= hits | p] (decreasing)
-     crosses α/2. *)
-  let bisect f ~increasing target =
-    let lo = ref 0.0 and hi = ref 1.0 in
-    for _ = 1 to 80 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      let v = f mid in
-      let mid_is_low = if increasing then v < target else v > target in
-      if mid_is_low then lo := mid else hi := mid
-    done;
-    0.5 *. (!lo +. !hi)
-  in
-  let low =
-    if hits = 0 then 0.0 else bisect (tail ~ge:true hits) ~increasing:true (alpha /. 2.0)
-  in
-  let high =
-    if hits = runs then 1.0
-    else bisect (tail ~ge:false hits) ~increasing:false (alpha /. 2.0)
-  in
-  (low, high)
+let clopper_pearson = Scdb_diag.Diag.clopper_pearson
 
 (* ---------------- oracles ---------------- *)
 

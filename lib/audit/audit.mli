@@ -39,13 +39,8 @@ val verdict_name : verdict -> string
 (** ["pass"] / ["fail"] / ["inconclusive"]. *)
 
 val clopper_pearson : ?confidence:float -> hits:int -> runs:int -> unit -> float * float
-(** Exact (Clopper–Pearson) two-sided binomial confidence interval for
-    the success probability after observing [hits] successes in [runs]
-    trials, at [confidence] (default 0.95).  Computed by bisection on
-    the exact binomial tails in log space — no normal approximation, so
-    it is valid at the small replicate counts CI can afford.
-    @raise Invalid_argument unless [0 <= hits <= runs], [runs >= 1] and
-    [confidence] lies in (0,1). *)
+(** {!Scdb_diag.Diag.clopper_pearson}, the interval behind every
+    verdict. *)
 
 (** {1 Oracles} *)
 

@@ -3,11 +3,8 @@ let runs_for ~delta = Scdb_plan.Cost.boost_runs ~delta
 
 let median_volume rng ?gamma obs ~eps ~delta =
   let runs = runs_for ~delta in
-  let values =
-    Array.init runs (fun _ -> Observable.volume obs rng ?gamma ~eps ~delta:0.25)
-  in
-  Array.sort Float.compare values;
-  values.(runs / 2)
+  Scdb_diag.Diag.median
+    (Array.init runs (fun _ -> Observable.volume obs rng ?gamma ~eps ~delta:0.25))
 
 let boost_observable obs =
   {

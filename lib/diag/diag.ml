@@ -1,4 +1,6 @@
-(* Online convergence diagnostics for the random-walk samplers. *)
+(* The statistics every check of the reproduction reads: streaming
+   moments, order statistics, the convergence diagnostics of the
+   random-walk samplers and exact binomial intervals. *)
 
 module Welford = struct
   type t = { mutable n : int; mutable mean : float; mutable m2 : float }
@@ -25,6 +27,19 @@ let series_mean x =
   let n = Array.length x in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 x /. float_of_int n
 
+let median xs =
+  let n = Array.length xs in
+  if n = 0 then invalid_arg "Diag.median: empty array";
+  let s = Array.copy xs in
+  Array.sort Float.compare s;
+  if n mod 2 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
+
+(* A variance at the level of rounding noise around the mean reads as
+   "no signal": the mean of a frozen series is not exact unless its
+   value is, so an absolute zero test would judge a chain stuck at 0.1
+   differently from one stuck at 0.5. *)
+let numerically_constant ~var ~mean = var <= 1e-20 *. (1.0 +. (mean *. mean))
+
 (* Biased (1/n) autocovariance at lag k, the standard choice for
    ESS estimation (it damps the noisy large-lag terms). *)
 let autocovariance x k =
@@ -41,17 +56,19 @@ let autocovariance x k =
 
 let autocorrelation x k =
   let c0 = autocovariance x 0 in
-  if c0 <= 0.0 then 0.0 else autocovariance x k /. c0
+  if numerically_constant ~var:c0 ~mean:(series_mean x) then 0.0
+  else autocovariance x k /. c0
 
 (* Effective sample size by Geyer's initial positive sequence: sum
    ρ(2t)+ρ(2t+1) while the pair sums stay positive, τ = 1 + 2Σρ,
-   ESS = n/τ clamped to [1, n]. *)
+   ESS = n/τ clamped to [1, n].  A constant series carries one
+   observation's worth of information. *)
 let ess x =
   let n = Array.length x in
   if n < 4 then float_of_int n
   else begin
     let c0 = autocovariance x 0 in
-    if c0 <= 1e-300 then float_of_int n
+    if numerically_constant ~var:c0 ~mean:(series_mean x) then 1.0
     else begin
       let rho k = autocovariance x k /. c0 in
       let acc = ref 0.0 in
@@ -70,23 +87,19 @@ let ess x =
     end
   end
 
-(* Split-chain Gelman–Rubin: halve every chain (discarding a trailing
-   odd element), then compare between- and within-half variances.
-   R̂ → 1 as the halves agree; > 1.1 conventionally flags
+(* Split-chain Gelman–Rubin: cut every chain long enough to halve
+   (at least 4 draws) to the shortest such chain, halve it (discarding
+   a trailing odd element), then compare between- and within-half
+   variances.  R̂ → 1 as the halves agree; > 1.1 conventionally flags
    non-convergence. *)
 let split_rhat chains =
-  let halves =
-    List.concat_map
-      (fun c ->
-        let n = Array.length c / 2 in
-        if n < 2 then []
-        else [ Array.sub c 0 n; Array.sub c n n ])
-      (Array.to_list chains)
-  in
+  let chains = List.filter (fun c -> Array.length c >= 4) (Array.to_list chains) in
+  let half = List.fold_left (fun a c -> Stdlib.min a (Array.length c / 2)) max_int chains in
+  let halves = List.concat_map (fun c -> [ Array.sub c 0 half; Array.sub c half half ]) chains in
   let m = List.length halves in
   if m < 2 then 1.0
   else begin
-    let n = float_of_int (Array.length (List.hd halves)) in
+    let n = float_of_int half in
     let means = List.map series_mean halves in
     let vars =
       List.map2
@@ -101,7 +114,8 @@ let split_rhat chains =
       n /. float_of_int (m - 1)
       *. List.fold_left (fun a mu -> a +. ((mu -. grand) *. (mu -. grand))) 0.0 means
     in
-    if w <= 1e-300 then if b <= 1e-300 then 1.0 else infinity
+    if numerically_constant ~var:w ~mean:grand then
+      if numerically_constant ~var:(b /. n) ~mean:grand then 1.0 else infinity
     else sqrt ((((n -. 1.0) /. n) *. w +. (b /. n)) /. w)
   end
 
@@ -209,3 +223,65 @@ let assess ?(rhat_threshold = 1.1) ?(min_ess = 16.0) ~rhat ~ess:ess_chains () =
       reason = Printf.sprintf "effective sample size %.1f below %.0f" worst_ess min_ess;
     }
   else { converged = true; reason = "chains agree and effective sample size is adequate" }
+
+(* ------------------------------------------------------------------ *)
+(* Binomial intervals                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let clopper_pearson ?(confidence = 0.95) ~hits ~runs () =
+  if runs < 1 || hits < 0 || hits > runs then invalid_arg "Diag.clopper_pearson";
+  if confidence <= 0.0 || confidence >= 1.0 then
+    invalid_arg "Diag.clopper_pearson: confidence must lie in (0,1)";
+  let alpha = 1.0 -. confidence in
+  let lf = Array.make (runs + 1) 0.0 in
+  for i = 2 to runs do
+    lf.(i) <- lf.(i - 1) +. log (float_of_int i)
+  done;
+  (* Exact binomial tails, summed in probability space from log-space
+     terms: every term is <= 1, so there is no overflow to dodge and
+     the sum is accurate to float precision. *)
+  let tail ~ge x p =
+    if p <= 0.0 then if (ge && x <= 0) || not ge then 1.0 else 0.0
+    else if p >= 1.0 then if ge || x >= runs then 1.0 else 0.0
+    else begin
+      let lp = log p and lq = log (1.0 -. p) in
+      let term k =
+        exp
+          (lf.(runs) -. lf.(k)
+          -. lf.(runs - k)
+          +. (float_of_int k *. lp)
+          +. (float_of_int (runs - k) *. lq))
+      in
+      let s = ref 0.0 in
+      if ge then
+        for k = Stdlib.max 0 x to runs do
+          s := !s +. term k
+        done
+      else
+        for k = 0 to Stdlib.min runs x do
+          s := !s +. term k
+        done;
+      Float.min 1.0 !s
+    end
+  in
+  (* Lower bound: the p where P[X >= hits | p] (increasing in p)
+     crosses α/2.  Upper bound: where P[X <= hits | p] (decreasing)
+     crosses α/2. *)
+  let bisect f ~increasing target =
+    let lo = ref 0.0 and hi = ref 1.0 in
+    for _ = 1 to 80 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      let v = f mid in
+      let mid_is_low = if increasing then v < target else v > target in
+      if mid_is_low then lo := mid else hi := mid
+    done;
+    0.5 *. (!lo +. !hi)
+  in
+  let low =
+    if hits = 0 then 0.0 else bisect (tail ~ge:true hits) ~increasing:true (alpha /. 2.0)
+  in
+  let high =
+    if hits = runs then 1.0
+    else bisect (tail ~ge:false hits) ~increasing:false (alpha /. 2.0)
+  in
+  (low, high)

@@ -1,10 +1,14 @@
-(** Online convergence diagnostics for the random-walk samplers.
+(** The statistics module: every median, ESS, R̂ and binomial interval
+    the reproduction reads is computed here, once.  Dependency-free.
 
     The paper prescribes walk lengths under which its (γ,ε,δ) contracts
     hold; this module measures whether a deployment's chains actually
-    mix at those lengths.  Building blocks:
+    mix at those lengths, and brackets the coverage an audit observes.
+    Building blocks:
 
     - {!Welford}: streaming mean/variance in O(1) memory;
+    - {!median}: the order statistic behind median-of-means, median
+      boosting and the perf harness;
     - {!ess}: effective sample size from lag-k autocorrelations
       (Geyer's initial positive sequence estimator);
     - {!split_rhat}: split-chain Gelman–Rubin potential scale reduction
@@ -12,7 +16,14 @@
     - {!Monitor}: a per-chain hook the walk kernels
       ([Hit_and_run], [Walk], [Ball_walk]) feed with positions and
       accept/reject events, including a stall monitor (longest
-      consecutive-rejection run).
+      consecutive-rejection run);
+    - {!clopper_pearson}: the exact binomial interval behind the audit
+      verdicts.
+
+    A series whose variance is at the level of rounding noise around its
+    mean ([var <= 1e-20·(1 + mean²)]) is numerically constant: it has
+    autocorrelation 0 and ESS 1, and chains that are all constant at
+    one value have R̂ 1, whatever that value.
 
     Everything is deterministic given the recorded series. *)
 
@@ -30,23 +41,34 @@ module Welford : sig
   val std : t -> float
 end
 
+val median : float array -> float
+(** Median of a sorted copy: the middle element for odd length, the
+    midpoint of the two middle elements for even length.  The input is
+    left as it was.
+    @raise Invalid_argument on an empty array. *)
+
 val autocovariance : float array -> int -> float
 (** Biased ([1/n]) autocovariance at the given lag. *)
 
 val autocorrelation : float array -> int -> float
-(** Lag-k autocorrelation in [[-1, 1]]; [0.] for a constant series. *)
+(** Lag-k autocorrelation in [[-1, 1]]; [0.] for a numerically
+    constant series. *)
 
 val ess : float array -> float
 (** Effective sample size: [n / (1 + 2 Σ ρ_k)] with the sum truncated
     at the first non-positive consecutive-lag pair (Geyer initial
-    positive sequence), clamped to [[1, n]]. *)
+    positive sequence), clamped to [[1, n]].  [1.] for a numerically
+    constant series of 4 or more values; [n] below 4. *)
 
 val split_rhat : float array array -> float
 (** Split-chain Gelman–Rubin R̂ over m ≥ 1 chains of one coordinate:
-    each chain is halved and between-half variance is compared to
-    within-half variance.  Values near 1 indicate agreement; ≥ 1.1
-    conventionally flags non-convergence.  Returns [1.] when fewer than
-    two halves of length ≥ 2 exist. *)
+    chains of fewer than 4 draws are dropped, the rest are cut to the
+    shortest of them and halved, and between-half variance is compared
+    to within-half variance, so the result does not depend on chain
+    order.  Values near 1 indicate agreement; ≥ 1.1 conventionally
+    flags non-convergence.  Returns [1.] when no chain has 4 draws, and
+    [infinity] when every half is numerically constant but the halves
+    disagree. *)
 
 module Monitor : sig
   type t
@@ -102,3 +124,12 @@ val assess :
   verdict
 (** Combine per-coordinate R̂ and per-chain ESS into a verdict.
     Defaults: [rhat_threshold = 1.1], [min_ess = 16]. *)
+
+val clopper_pearson : ?confidence:float -> hits:int -> runs:int -> unit -> float * float
+(** Exact (Clopper–Pearson) two-sided binomial confidence interval for
+    the success probability after observing [hits] successes in [runs]
+    trials, at [confidence] (default 0.95).  Computed by bisection on
+    the exact binomial tails in log space — no normal approximation, so
+    it is valid at the small replicate counts CI can afford.
+    @raise Invalid_argument unless [0 <= hits <= runs], [runs >= 1] and
+    [confidence] lies in (0,1). *)

@@ -67,10 +67,4 @@ let median_of_means rng ~blocks ~block_size f =
         done;
         !s /. float_of_int block_size)
   in
-  Array.sort Float.compare means;
-  let n = blocks in
-  if n mod 2 = 1 then means.(n / 2) else (means.((n / 2) - 1) +. means.(n / 2)) /. 2.0
-
-let repeats_for_confidence ~delta =
-  if delta <= 0.0 || delta >= 1.0 then invalid_arg "Chernoff.repeats_for_confidence";
-  int_of_float (ceil (4.0 *. log (1.0 /. delta)))
+  Scdb_diag.Diag.median means

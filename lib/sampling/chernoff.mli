@@ -39,7 +39,3 @@ val median_of_means :
 (** Median of [blocks] means of [block_size] draws each — boosts a
     constant-confidence estimator to confidence [1−δ] with
     [blocks = O(ln(1/δ))]. *)
-
-val repeats_for_confidence : delta:float -> int
-(** [⌈4·ln(1/δ)⌉], the paper's "repeat k times" bound for an algorithm
-    succeeding with probability ≥ 1/4 per trial. *)

@@ -104,56 +104,6 @@ let fingerprint_tests =
         check_fp_eq "simplex = triangle" (Relation.standard_simplex 2) triangle);
   ]
 
-let cp_tests =
-  [
-    t "degenerate endpoints" (fun () ->
-        let low0, _ = A.clopper_pearson ~hits:0 ~runs:10 () in
-        let _, high1 = A.clopper_pearson ~hits:10 ~runs:10 () in
-        Alcotest.(check (float 0.0)) "hits=0 low" 0.0 low0;
-        Alcotest.(check (float 0.0)) "hits=runs high" 1.0 high1);
-    t "all-hit lower bound matches the closed form" (fun () ->
-        (* With hits = runs the exact lower bound is (α/2)^(1/n). *)
-        List.iter
-          (fun n ->
-            let low, _ = A.clopper_pearson ~hits:n ~runs:n () in
-            let expect = Float.exp (Float.log 0.025 /. float_of_int n) in
-            Alcotest.(check (float 1e-6)) (Printf.sprintf "n=%d" n) expect low)
-          [ 10; 36; 40; 60 ]);
-    t "40/40 passes delta=0.1, 30/30 does not" (fun () ->
-        let low40, _ = A.clopper_pearson ~hits:40 ~runs:40 () in
-        let low30, _ = A.clopper_pearson ~hits:30 ~runs:30 () in
-        Alcotest.(check bool) "40 certifies 0.9" true (low40 >= 0.9);
-        Alcotest.(check bool) "30 cannot certify 0.9" true (low30 < 0.9));
-    t "interval brackets the point estimate and is monotone in hits" (fun () ->
-        let prev_low = ref (-1.0) and prev_high = ref (-1.0) in
-        for h = 0 to 20 do
-          let low, high = A.clopper_pearson ~hits:h ~runs:20 () in
-          let p = float_of_int h /. 20.0 in
-          Alcotest.(check bool) "low <= p <= high" true (low <= p && p <= high);
-          Alcotest.(check bool) "monotone" true (low >= !prev_low && high >= !prev_high);
-          prev_low := low;
-          prev_high := high
-        done);
-    t "symmetric under hit/miss exchange" (fun () ->
-        let low, high = A.clopper_pearson ~hits:7 ~runs:25 () in
-        let low', high' = A.clopper_pearson ~hits:18 ~runs:25 () in
-        Alcotest.(check (float 1e-9)) "low = 1 - high'" low (1.0 -. high');
-        Alcotest.(check (float 1e-9)) "high = 1 - low'" high (1.0 -. low'));
-    t "rejects invalid arguments" (fun () ->
-        List.iter
-          (fun f ->
-            try
-              ignore (f ());
-              Alcotest.fail "expected Invalid_argument"
-            with Invalid_argument _ -> ())
-          [
-            (fun () -> A.clopper_pearson ~hits:0 ~runs:0 ());
-            (fun () -> A.clopper_pearson ~hits:5 ~runs:4 ());
-            (fun () -> A.clopper_pearson ~hits:(-1) ~runs:4 ());
-            (fun () -> A.clopper_pearson ~confidence:1.0 ~hits:1 ~runs:4 ());
-          ]);
-  ]
-
 let oracle_tests =
   [
     t "unit d-simplex has volume 1/d!" (fun () ->
@@ -352,7 +302,6 @@ let run_tests =
 let suites =
   [
     ("audit.fingerprint", fingerprint_tests);
-    ("audit.clopper_pearson", cp_tests);
     ("audit.oracles", oracle_tests);
     ("audit.verify", verify_tests);
     ("audit.run", run_tests);

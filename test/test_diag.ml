@@ -1,6 +1,6 @@
-(* Tests for the convergence diagnostics: Welford moments, ESS,
-   split-chain R-hat, the walk monitor, and the end-to-end multi-chain
-   harness on the Figure 1 triangle. *)
+(* Tests for the statistics module: Welford moments, the median, ESS,
+   split-chain R-hat, the walk monitor, the Clopper–Pearson interval,
+   and the end-to-end multi-chain harness on the Figure 1 triangle. *)
 
 module Diag = Scdb_diag.Diag
 module Diag_run = Scdb_core.Diag_run
@@ -30,6 +30,22 @@ let welford_tests =
         Alcotest.(check (float 0.0)) "empty mean" 0.0 (Diag.Welford.mean w);
         Diag.Welford.add w 3.0;
         Alcotest.(check (float 0.0)) "n=1 variance" 0.0 (Diag.Welford.variance w));
+  ]
+
+let median_tests =
+  [
+    t "odd length takes the middle element" (fun () ->
+        Alcotest.(check (float 0.0)) "median" 3.0 (Diag.median [| 5.0; 1.0; 3.0; 2.0; 4.0 |]));
+    t "even length takes the midpoint of the middle pair" (fun () ->
+        Alcotest.(check (float 0.0)) "median" 2.5 (Diag.median [| 4.0; 1.0; 3.0; 2.0 |]));
+    t "leaves its input unsorted" (fun () ->
+        let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
+        ignore (Diag.median xs);
+        Alcotest.(check (array (float 0.0))) "input" [| 5.0; 1.0; 3.0; 2.0; 4.0 |] xs);
+    t "rejects an empty array" (fun () ->
+        match Diag.median [||] with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ());
   ]
 
 let series_tests =
@@ -80,6 +96,53 @@ let series_tests =
         let chain = Array.mapi (fun i x -> x +. (0.001 *. float_of_int (i mod 7))) chain in
         let r = Diag.split_rhat [| chain |] in
         Alcotest.(check bool) "above 1.1" true (r > 1.1));
+    t "iid series reads n/ESS below 1.4" (fun () ->
+        let rng = Rng.create 40 in
+        let xs = Array.init 5000 (fun _ -> Rng.float rng) in
+        let tau = 5000.0 /. Diag.ess xs in
+        Alcotest.(check bool) (Printf.sprintf "tau=%.2f" tau) true (tau < 1.4));
+    t "AR(1) series has n/ESS near (1+rho)/(1-rho)" (fun () ->
+        let rng = Rng.create 41 in
+        let rho = 0.9 in
+        let xs = Array.make 50_000 0.0 in
+        for i = 1 to Array.length xs - 1 do
+          xs.(i) <- (rho *. xs.(i - 1)) +. Rng.gaussian rng
+        done;
+        let tau = float_of_int (Array.length xs) /. Diag.ess xs in
+        (* theory: tau = (1+rho)/(1-rho) = 19 *)
+        Alcotest.(check bool) (Printf.sprintf "tau=%.1f" tau) true (tau > 10.0 && tau < 30.0));
+    t "frozen chains read alike wherever they froze" (fun () ->
+        (* Four chains of 64 identical positions: the mean of 0.1 or 1/3
+           is not exact, so the variances are rounding noise, which must
+           read as a constant series exactly as an exact 5.0 does. *)
+        List.iter
+          (fun v ->
+            let chains = Array.init 4 (fun _ -> Array.make 64 v) in
+            let label = Printf.sprintf "value %g" v in
+            Alcotest.(check (float 0.0)) (label ^ ": ESS") 1.0 (Diag.ess chains.(0));
+            Alcotest.(check (float 0.0)) (label ^ ": rho_1") 0.0 (Diag.autocorrelation chains.(0) 1);
+            Alcotest.(check (float 0.0)) (label ^ ": R-hat") 1.0 (Diag.split_rhat chains);
+            let verdict =
+              Diag.assess
+                ~rhat:[| Diag.split_rhat chains |]
+                ~ess:(Array.map (fun c -> [| Diag.ess c |]) chains)
+                ()
+            in
+            Alcotest.(check bool) (label ^ ": not converged") false verdict.Diag.converged;
+            Alcotest.(check string)
+              (label ^ ": reason") "effective sample size 1.0 below 16" verdict.Diag.reason)
+          [ 5.0; 0.5; 0.1; 0.3; 1.0 /. 3.0 ]);
+    t "split R-hat flags chains frozen at different values" (fun () ->
+        let chains = [| Array.make 64 0.1; Array.make 64 0.3 |] in
+        Alcotest.(check (float 0.0)) "R-hat" infinity (Diag.split_rhat chains));
+    t "split R-hat does not depend on chain order" (fun () ->
+        let rng = Rng.create 77 in
+        let short = Array.init 8 (fun _ -> Rng.gaussian rng) in
+        let long = Array.init 4000 (fun _ -> Rng.gaussian rng) in
+        let r = Diag.split_rhat [| short; long |] in
+        Alcotest.(check (float 1e-12)) "reversed" r (Diag.split_rhat [| long; short |]);
+        Alcotest.(check (float 0.0)) "cut to the shortest" r
+          (Diag.split_rhat [| short; Array.sub long 0 8 |]));
   ]
 
 let monitor_tests =
@@ -128,6 +191,56 @@ let assess_tests =
     t "low ESS fails" (fun () ->
         let v = Diag.assess ~rhat:[| 1.0 |] ~ess:[| [| 2.0 |] |] () in
         Alcotest.(check bool) "not converged" false v.Diag.converged);
+  ]
+
+let clopper_pearson_tests =
+  [
+    t "degenerate endpoints" (fun () ->
+        let low0, _ = Diag.clopper_pearson ~hits:0 ~runs:10 () in
+        let _, high1 = Diag.clopper_pearson ~hits:10 ~runs:10 () in
+        Alcotest.(check (float 0.0)) "hits=0 low" 0.0 low0;
+        Alcotest.(check (float 0.0)) "hits=runs high" 1.0 high1);
+    t "all-hit lower bound matches the closed form" (fun () ->
+        (* With hits = runs the exact lower bound is (α/2)^(1/n). *)
+        List.iter
+          (fun n ->
+            let low, _ = Diag.clopper_pearson ~hits:n ~runs:n () in
+            let expect = Float.exp (Float.log 0.025 /. float_of_int n) in
+            Alcotest.(check (float 1e-6)) (Printf.sprintf "n=%d" n) expect low)
+          [ 10; 36; 40; 60 ]);
+    t "40/40 passes delta=0.1, 30/30 does not" (fun () ->
+        let low40, _ = Diag.clopper_pearson ~hits:40 ~runs:40 () in
+        let low30, _ = Diag.clopper_pearson ~hits:30 ~runs:30 () in
+        Alcotest.(check bool) "40 certifies 0.9" true (low40 >= 0.9);
+        Alcotest.(check bool) "30 cannot certify 0.9" true (low30 < 0.9));
+    t "interval brackets the point estimate and is monotone in hits" (fun () ->
+        let prev_low = ref (-1.0) and prev_high = ref (-1.0) in
+        for h = 0 to 20 do
+          let low, high = Diag.clopper_pearson ~hits:h ~runs:20 () in
+          let p = float_of_int h /. 20.0 in
+          Alcotest.(check bool) "low <= p <= high" true (low <= p && p <= high);
+          Alcotest.(check bool) "monotone" true (low >= !prev_low && high >= !prev_high);
+          prev_low := low;
+          prev_high := high
+        done);
+    t "symmetric under hit/miss exchange" (fun () ->
+        let low, high = Diag.clopper_pearson ~hits:7 ~runs:25 () in
+        let low', high' = Diag.clopper_pearson ~hits:18 ~runs:25 () in
+        Alcotest.(check (float 1e-9)) "low = 1 - high'" low (1.0 -. high');
+        Alcotest.(check (float 1e-9)) "high = 1 - low'" high (1.0 -. low'));
+    t "rejects invalid arguments" (fun () ->
+        List.iter
+          (fun f ->
+            try
+              ignore (f ());
+              Alcotest.fail "expected Invalid_argument"
+            with Invalid_argument _ -> ())
+          [
+            (fun () -> Diag.clopper_pearson ~hits:0 ~runs:0 ());
+            (fun () -> Diag.clopper_pearson ~hits:5 ~runs:4 ());
+            (fun () -> Diag.clopper_pearson ~hits:(-1) ~runs:4 ());
+            (fun () -> Diag.clopper_pearson ~confidence:1.0 ~hits:1 ~runs:4 ());
+          ]);
   ]
 
 let harness_tests =
@@ -255,9 +368,11 @@ let batch_parity_tests =
 let suites =
   [
     ("diag.welford", welford_tests);
+    ("diag.median", median_tests);
     ("diag.series", series_tests);
     ("diag.monitor", monitor_tests);
     ("diag.assess", assess_tests);
+    ("diag.clopper_pearson", clopper_pearson_tests);
     ("diag.batch_parity", batch_parity_tests);
     ("diag.harness", harness_tests);
   ]

@@ -165,7 +165,6 @@ let chernoff_tests =
           [
             (fun () -> Ch.samples_for_additive ~eps:0.0 ~delta:0.1);
             (fun () -> Ch.samples_for_ratio ~eps:0.1 ~delta:0.1 ~p_lower:0.0);
-            (fun () -> Ch.repeats_for_confidence ~delta:1.5);
           ]);
     t "stopping rule covers 1+-eps w.p. 1-delta" (fun () ->
         (* DKLR: [Υ₁/N] lies within (1±ε) of p with probability ≥ 1−δ,
@@ -427,91 +426,6 @@ let ball_walk_tests =
           sum := !sum +. p.(0)
         done;
         Alcotest.(check (float 0.04)) "mean" 0.5 (!sum /. float_of_int n));
-  ]
-
-let stats_tests =
-  let module S = Scdb_sampling.Stats in
-  [
-    t "welford mean and variance" (fun () ->
-        let acc = S.create () in
-        List.iter (S.add acc) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-        Alcotest.(check (float 1e-9)) "mean" 5.0 (S.mean acc);
-        Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (S.variance acc);
-        Alcotest.(check int) "count" 8 (S.count acc));
-    t "empty accumulator raises" (fun () ->
-        try
-          ignore (S.mean (S.create ()));
-          Alcotest.fail "expected Invalid_argument"
-        with Invalid_argument _ -> ());
-    t "confidence interval contains the mean and shrinks" (fun () ->
-        let rng = Rng.create 34 in
-        let small = S.create () and large = S.create () in
-        for i = 1 to 10_000 do
-          let x = Rng.float rng in
-          if i <= 100 then S.add small x;
-          S.add large x
-        done;
-        let lo1, hi1 = S.confidence_interval small ~confidence:0.95 in
-        let lo2, hi2 = S.confidence_interval large ~confidence:0.95 in
-        Alcotest.(check bool) "contains" true (lo2 <= 0.5 && 0.5 <= hi2);
-        Alcotest.(check bool) "shrinks" true (hi2 -. lo2 < hi1 -. lo1));
-    t "hoeffding radius formula" (fun () ->
-        let r = S.hoeffding_radius ~n:200 ~range:1.0 ~delta:0.05 in
-        Alcotest.(check (float 1e-9)) "value" (sqrt (log 40.0 /. 400.0)) r);
-    t "quantile nearest rank" (fun () ->
-        let data = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-        Alcotest.(check (float 0.0)) "median" 3.0 (S.quantile data 0.5);
-        Alcotest.(check (float 0.0)) "min" 1.0 (S.quantile data 0.0);
-        Alcotest.(check (float 0.0)) "max" 5.0 (S.quantile data 1.0));
-    t "merge equals sequential" (fun () ->
-        let a = S.create () and b = S.create () and all = S.create () in
-        List.iteri
-          (fun i x ->
-            S.add (if i mod 2 = 0 then a else b) x;
-            S.add all x)
-          [ 1.0; 5.0; 2.0; 8.0; 3.0; 1.5; 9.0 ];
-        let m = S.merge a b in
-        Alcotest.(check (float 1e-9)) "mean" (S.mean all) (S.mean m);
-        Alcotest.(check (float 1e-9)) "variance" (S.variance all) (S.variance m));
-  ]
-
-
-let mixing_tests =
-  let module Mix = Scdb_sampling.Mixing in
-  [
-    t "iid series has tau near 1" (fun () ->
-        let rng = Rng.create 40 in
-        let xs = Array.init 5000 (fun _ -> Rng.float rng) in
-        let tau = Mix.integrated_autocorrelation_time xs in
-        Alcotest.(check bool) (Printf.sprintf "tau=%.2f" tau) true (tau < 1.4));
-    t "AR(1) series has tau near (1+rho)/(1-rho)" (fun () ->
-        let rng = Rng.create 41 in
-        let rho = 0.9 in
-        let xs = Array.make 50_000 0.0 in
-        for i = 1 to Array.length xs - 1 do
-          xs.(i) <- (rho *. xs.(i - 1)) +. Rng.gaussian rng
-        done;
-        let tau = Mix.integrated_autocorrelation_time xs in
-        (* theory: tau = (1+rho)/(1-rho) = 19 *)
-        Alcotest.(check bool) (Printf.sprintf "tau=%.1f" tau) true (tau > 10.0 && tau < 30.0));
-    t "constant series" (fun () ->
-        let xs = Array.make 100 3.14 in
-        Alcotest.(check (float 0.0)) "acf" 0.0 (Mix.autocorrelation xs ~lag:1);
-        Alcotest.(check (float 0.0)) "tau" 1.0 (Mix.integrated_autocorrelation_time xs));
-    t "ess at most n" (fun () ->
-        let rng = Rng.create 42 in
-        let xs = Array.init 1000 (fun _ -> Rng.float rng) in
-        Alcotest.(check bool) "bounded" true (Mix.effective_sample_size xs <= 1000.0));
-    t "trace records thinned values" (fun () ->
-        let rng = Rng.create 43 in
-        let series =
-          Mix.trace rng ~steps:100 ~thin:10 ~init:[| 0.0 |]
-            ~next:(fun _ x -> [| x.(0) +. 1.0 |])
-            ~f:(fun x -> x.(0))
-        in
-        Alcotest.(check int) "length" 10 (Array.length series);
-        Alcotest.(check (float 0.0)) "first" 10.0 series.(0);
-        Alcotest.(check (float 0.0)) "last" 100.0 series.(9));
   ]
 
 (* Equivalence and allocation discipline of the incremental kernels:
@@ -1133,6 +1047,4 @@ let suites =
     ("sampling.volume", volume_tests);
     ("sampling.oracle_body", oracle_body_tests);
     ("sampling.ball_walk", ball_walk_tests);
-    ("sampling.stats", stats_tests);
-    ("sampling.mixing", mixing_tests);
   ]
