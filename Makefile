@@ -23,9 +23,14 @@ perf:
 trend:
 	dune exec bench/regress.exe -- --trend
 
-# Tier-1 gate: full build, benches compile, tests pass.
+# Tier-1 gate: full build, benches compile, tests pass.  The samplers
+# (lib/sampling, lib/core, lib/vm) report through Scdb_obs.Probe, so a
+# direct progress accrual or warn event there, which could drift from
+# its counter, fails the gate.
 check:
 	dune build
+	@if grep -rnE 'Progress\.add_(steps|trials)|Log\.warn\b' lib/sampling lib/core lib/vm; then \
+	  echo "make check: report through Scdb_obs.Probe, not Progress/Log directly" >&2; exit 1; fi
 	dune build @bench
 	dune runtest
 

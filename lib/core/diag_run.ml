@@ -1,6 +1,6 @@
 module Diag = Scdb_diag.Diag
 module Trace = Scdb_trace.Trace
-module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 module Json = Scdb_json.Json
 
 type chain = {
@@ -19,6 +19,15 @@ type t = {
   rhat : float array;
   verdict : Diag.verdict;
 }
+
+let not_converged =
+  Probe.warning "diag.not_converged" (fun reason rhat chains samples_per_chain ->
+      [
+        Probe.str "reason" reason;
+        Probe.float "max_rhat" (Array.fold_left Float.max Float.nan rhat);
+        Probe.int "chains" chains;
+        Probe.int "samples_per_chain" samples_per_chain;
+      ])
 
 let default_chains = 4
 let default_samples_per_chain = 64
@@ -69,14 +78,8 @@ let run ?(chains = default_chains) ?(samples_per_chain = default_samples_per_cha
       in
       let ess = Array.map (fun c -> c.ess) chains_stats in
       let verdict = Diag.assess ~rhat ~ess () in
-      if (not verdict.Diag.converged) && Log.would_log Log.Warn then
-        Log.warn "diag.not_converged"
-          [
-            Log.str "reason" verdict.Diag.reason;
-            Log.float "max_rhat" (Array.fold_left Float.max Float.nan rhat);
-            Log.int "chains" chains;
-            Log.int "samples_per_chain" samples_per_chain;
-          ];
+      if not verdict.Diag.converged then
+        Probe.warn4 not_converged verdict.Diag.reason rhat chains samples_per_chain;
       Trace.add_attr "converged" (string_of_bool verdict.Diag.converged);
       Some
         {

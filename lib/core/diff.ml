@@ -1,14 +1,16 @@
 module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
 module Trace = Scdb_trace.Trace
-module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 
 let tel_samples = Tel.Counter.make "diff.samples"
-let tel_trials = Tel.Counter.make "diff.trials"
+let trial = Probe.trial ~counter:"diff.trials" ()
 let tel_miss = Tel.Counter.make "diff.miss"
 let tel_child_failures = Tel.Counter.make "diff.child_failures"
-let tel_exhausted = Tel.Counter.make "diff.exhausted"
 let tel_vol_calls = Tel.Counter.make "diff.volume.calls"
+
+let exhausted =
+  Probe.warning ~counter:"diff.exhausted" "diff.exhausted" (fun budget dim ->
+      [ Probe.int "budget" budget; Probe.int "dim" dim ])
 
 let diff ?(poly_degree = 3) a b =
   if Observable.dim a <> Observable.dim b then invalid_arg "Diff.diff: dimension mismatch";
@@ -24,14 +26,11 @@ let diff ?(poly_degree = 3) a b =
     let budget = Inter.budget_for ~dim ~poly_degree ~delta:(Params.delta params) in
     let rec attempt k =
       if k = 0 then begin
-        Tel.Counter.incr tel_exhausted;
-        if Log.would_log Log.Warn then
-          Log.warn "diff.exhausted" [ Log.int "budget" budget; Log.int "dim" dim ];
+        Probe.warn2 exhausted budget dim;
         None
       end
       else begin
-        Tel.Counter.incr tel_trials;
-        Progress.add_trials 1;
+        Probe.trials trial 1;
         match Observable.sample a rng (Params.third_eps params) with
         | None ->
             Tel.Counter.incr tel_child_failures;

@@ -1,14 +1,16 @@
 module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
 module Trace = Scdb_trace.Trace
-module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 
 let tel_samples = Tel.Counter.make "inter.samples"
-let tel_trials = Tel.Counter.make "inter.trials"
+let trial = Probe.trial ~counter:"inter.trials" ()
 let tel_miss = Tel.Counter.make "inter.miss"
 let tel_child_failures = Tel.Counter.make "inter.child_failures"
-let tel_exhausted = Tel.Counter.make "inter.exhausted"
 let tel_vol_calls = Tel.Counter.make "inter.volume.calls"
+
+let exhausted =
+  Probe.warning ~counter:"inter.exhausted" "inter.exhausted" (fun budget operands dim ->
+      [ Probe.int "budget" budget; Probe.int "operands" operands; Probe.int "dim" dim ])
 
 (* Shared with the static cost model: see [Scdb_plan.Cost]. *)
 let budget_for ~dim ~poly_degree ~delta =
@@ -52,15 +54,11 @@ let inter ?(poly_degree = 3) children =
     let budget = budget_for ~dim ~poly_degree ~delta in
     let rec attempt k =
       if k = 0 then begin
-        Tel.Counter.incr tel_exhausted;
-        if Log.would_log Log.Warn then
-          Log.warn "inter.exhausted"
-            [ Log.int "budget" budget; Log.int "operands" m; Log.int "dim" dim ];
+        Probe.warn3 exhausted budget m dim;
         None
       end
       else begin
-        Tel.Counter.incr tel_trials;
-        Progress.add_trials 1;
+        Probe.trials trial 1;
         match Observable.sample children.(j) rng (Params.third_eps params) with
         | None ->
             Tel.Counter.incr tel_child_failures;

@@ -42,6 +42,14 @@ let sample_exn t rng params =
 
 let sample_many t rng params ~n = List.init n (fun _ -> sample_exn t rng params)
 
+let tag id t =
+  let on_node f = Scdb_progress.Progress.with_node id f in
+  {
+    t with
+    sample = (fun rng params -> on_node (fun () -> t.sample rng params));
+    volume = (fun rng ~gamma ~eps ~delta -> on_node (fun () -> t.volume rng ~gamma ~eps ~delta));
+  }
+
 let with_cached_volume t =
   let cache : (float * float * float, float) Hashtbl.t = Hashtbl.create 4 in
   let volume rng ~gamma ~eps ~delta =

@@ -61,6 +61,10 @@ val sample_many : t -> Rng.t -> Params.t -> n:int -> Vec.t list
 (** [n] successful draws (individual failures are retried as in
     {!sample_exn}). *)
 
+val tag : int -> t -> t
+(** Run [sample] and [volume] inside [Progress.with_node id], so the work
+    they spend accrues to plan node [id].  Draws no rng. *)
+
 val with_cached_volume : t -> t
 (** Memoize the volume estimator per (γ,ε,δ) triple.  The combinators call
     child estimators on every trial (as written in the paper's

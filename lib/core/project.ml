@@ -1,4 +1,6 @@
-module Progress = Scdb_progress.Progress
+module Probe = Scdb_obs.Probe
+
+let trial = Probe.trial ()
 
 type fiber_volume = Exact | Estimated of int
 
@@ -136,7 +138,7 @@ let project ?fiber_volume ?(pilot_samples = 32) rng poly ~keep =
           let rec attempt k =
             if k = 0 then None
             else begin
-              Progress.add_trials 1;
+              Probe.trials trial 1;
               match Observable.sample source sample_rng sub with
               | None -> attempt (k - 1)
               | Some x ->

@@ -1,18 +1,27 @@
 module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
 module Trace = Scdb_trace.Trace
-module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 
 let tel_samples = Tel.Counter.make "union.samples"
-let tel_trials = Tel.Counter.make "union.trials"
+let trial = Probe.trial ~counter:"union.trials" ()
 let tel_first_index_miss = Tel.Counter.make "union.first_index_miss"
 let tel_child_failures = Tel.Counter.make "union.child_failures"
-let tel_exhausted = Tel.Counter.make "union.exhausted"
 let tel_vol_calls = Tel.Counter.make "union.volume.calls"
 let tel_vol_trials = Tel.Counter.make "union.volume.trials"
 let tel_vol_accepted = Tel.Counter.make "union.volume.accepted"
-let tel_vol_zero_acceptance = Tel.Counter.make "union.volume.zero_acceptance"
 let tel_accept_rate = Tel.Histogram.make "union.volume.acceptance_rate"
+
+let exhausted =
+  Probe.warning ~counter:"union.exhausted" "union.exhausted" (fun trials operands ->
+      [ Probe.int "trials" trials; Probe.int "operands" operands ])
+
+(* All trials rejecting while Σ μ̂ᵢ > 0 means the estimate degrades to
+   0.0 with no statistical backing (acceptance is ≥ 1/m in
+   expectation) — a generator failure, not a small volume. *)
+let zero_acceptance =
+  Probe.warning ~counter:"union.volume.zero_acceptance" "union.volume.zero_acceptance"
+    (fun trials operands total ->
+      [ Probe.int "trials" trials; Probe.int "operands" operands; Probe.float "total" total ])
 
 (* Shared with the static cost model: see [Scdb_plan.Cost]. *)
 let trials_for ~m ~delta = Scdb_plan.Cost.union_trials ~m ~delta
@@ -59,14 +68,11 @@ let union children =
     let trials = trials_for ~m ~delta in
     let rec attempt k =
       if k = 0 then begin
-        Tel.Counter.incr tel_exhausted;
-        if Log.would_log Log.Warn then
-          Log.warn "union.exhausted" [ Log.int "trials" trials; Log.int "operands" m ];
+        Probe.warn2 exhausted trials m;
         None
       end
       else begin
-        Tel.Counter.incr tel_trials;
-        Progress.add_trials 1;
+        Probe.trials trial 1;
         let j = Rng.categorical rng mu in
         match Observable.sample children.(j) rng (Params.third_eps params) with
         | None ->
@@ -117,15 +123,7 @@ let union children =
       Tel.Counter.add tel_vol_trials n;
       Tel.Counter.add tel_vol_accepted accepted;
       Tel.Histogram.observe tel_accept_rate (float_of_int accepted /. float_of_int n);
-      (* All trials rejecting while Σ μ̂ᵢ > 0 means the estimate degrades
-         to 0.0 with no statistical backing (acceptance is ≥ 1/m in
-         expectation) — a generator failure, not a small volume. *)
-      if accepted = 0 then begin
-        Tel.Counter.incr tel_vol_zero_acceptance;
-        if Log.would_log Log.Warn then
-          Log.warn "union.volume.zero_acceptance"
-            [ Log.int "trials" n; Log.int "operands" m; Log.float "total" total ]
-      end;
+      if accepted = 0 then Probe.warn3 zero_acceptance n m total;
       total *. estimate
     end
   in

@@ -2,15 +2,7 @@ module Plan = Scdb_plan.Plan
 module Progress = Scdb_progress.Progress
 module Json = Scdb_json.Json
 
-let tag id (obs : Observable.t) =
-  {
-    obs with
-    Observable.sample =
-      (fun rng params -> Progress.with_node id (fun () -> obs.Observable.sample rng params));
-    volume =
-      (fun rng ~gamma ~eps ~delta ->
-        Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
-  }
+let tag = Observable.tag
 
 type prepared = { plan : Plan.t; pieces : Convex_obs.prepared list }
 

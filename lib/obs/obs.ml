@@ -85,7 +85,6 @@ module Ctx = struct
   let sink c = c.sink
   let bus c = c.bus
   let prov c = c.prov
-  let created_at c = c.created_at
   let finished c = c.finished_at <> None
 
   let mark_done c =
@@ -131,8 +130,8 @@ end
 (* Status view                                                         *)
 (*                                                                     *)
 (* Everything below reads contexts through explicit-instance accessors *)
-(* only ([?reg], [Bus.draws], [Sink.warn_count], …), never through the *)
-(* ambient [with_*] installs — a ticker thread shares its spawning     *)
+(* only ([?reg], [Bus.total_work], [Sink.warn_count], …), never via    *)
+(* the ambient [with_*] installs — a ticker thread shares its spawning *)
 (* domain's ambient state, so installing from it would corrupt the     *)
 (* owner's view.                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -182,9 +181,7 @@ module Status = struct
     (* The progress bus tracks work units, not emitted samples, so the
        draw count (and the rate derived from it) comes from the
        produced-samples counters. *)
-    let draws =
-      Float.max (Progress.Bus.draws (Ctx.bus c)) (float_of_int accepted)
-    in
+    let draws = float_of_int accepted in
     let dt = now -. c.Ctx.last_t in
     let rate =
       if dt > 1e-9 && draws >= c.Ctx.last_draws then

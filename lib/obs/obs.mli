@@ -35,7 +35,6 @@ module Ctx : sig
       synthetic span-forest root on merge. *)
 
   val name : t -> string
-  val created_at : t -> float
 
   val elapsed : t -> float
   (** Seconds from creation to {!mark_done} (or to now while live). *)
@@ -58,8 +57,6 @@ module Ctx : sig
 
   val mark_done : t -> unit
   (** Freeze {!elapsed} and flag the context done in status rows. *)
-
-  val finished : t -> bool
 
   val set_ess : t -> float -> unit
   (** Record an effective-sample-size estimate for status rows (the

@@ -130,9 +130,6 @@ let per_node t =
          { node_id; instructions = !c; node_ns = !s; tags = List.sort compare !tg } :: acc)
        tbl [])
 
-let node_counts t =
-  List.map (fun r -> (r.node_id, r.instructions, r.node_ns)) (per_node t)
-
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)

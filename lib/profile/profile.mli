@@ -77,10 +77,6 @@ val per_node : t -> node_row list
 (** Counts and ns folded through the symbolization table, by plan-node
     id ascending. *)
 
-val node_counts : t -> (int * int * float) list
-(** [(node id, instruction executions, ns)] — the shape
-    {!Scdb_gis.Plan_exec} folds into attribution rows. *)
-
 val total_count : t -> int
 val total_ns : t -> float
 

@@ -4,8 +4,6 @@ module Log = Scdb_log.Log
 type state = {
   labels : string array;
   budgets : float array;
-  draws : float array;
-  mems : float array;
   steps : float array;
   trials : float array;
   warned : bool array;
@@ -33,7 +31,7 @@ let with_bus b f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls_bus prev) f
 
 let active_count = Atomic.make 0
-let active () = Atomic.get active_count > 0
+let[@inline] active () = Atomic.get active_count > 0
 let overruns_c = Tel.Counter.make "progress.overruns"
 
 let start ?(overrun_factor = 4.0) ~rows () =
@@ -45,8 +43,6 @@ let start ?(overrun_factor = 4.0) ~rows () =
     {
       labels = Array.make n "?";
       budgets = Array.make n 0.0;
-      draws = Array.make n 0.0;
-      mems = Array.make n 0.0;
       steps = Array.make n 0.0;
       trials = Array.make n 0.0;
       warned = Array.make n false;
@@ -112,7 +108,7 @@ let check_overrun st id =
     end
   end
 
-let accrue cell watchdog n =
+let accrue cell n =
   if active () && n <> 0 then
     match armed_state (cur ()) with
     | None -> ()
@@ -120,25 +116,18 @@ let accrue cell watchdog n =
         let v = float_of_int n in
         let touch id =
           (cell st).(id) <- (cell st).(id) +. v;
-          if watchdog then check_overrun st id
+          check_overrun st id
         in
         (match st.stack with
         | [] -> if Array.length st.budgets > 0 then touch 0
         | ids -> List.iter touch ids)
 
-let add_steps n = accrue (fun st -> st.steps) true n
-let add_trials n = accrue (fun st -> st.trials) true n
-let add_draws n = accrue (fun st -> st.draws) false n
-let add_mems n = accrue (fun st -> st.mems) false n
+let add_steps n = accrue (fun st -> st.steps) n
+let add_trials n = accrue (fun st -> st.trials) n
 
 let add_trials_on path n =
   enter_path path;
   add_trials n;
-  exit_path path
-
-let add_steps_on path n =
-  enter_path path;
-  add_steps n;
   exit_path path
 
 (* -------------------------------------------------------------- *)
@@ -149,8 +138,6 @@ type row = {
   id : int;
   label : string;
   budget : float;
-  draws : float;
-  mems : float;
   steps : float;
   trials : float;
   overrun : bool;
@@ -164,8 +151,6 @@ let rows_of_state st =
         id;
         label = st.labels.(id);
         budget = st.budgets.(id);
-        draws = st.draws.(id);
-        mems = st.mems.(id);
         steps = st.steps.(id);
         trials = st.trials.(id);
         overrun = st.warned.(id);
@@ -181,22 +166,21 @@ let actual_work_of b id =
 let actual_work id = actual_work_of (cur ()) id
 let total_work () = actual_work 0
 
-let total_budget_of b =
+(* A root-node column, [0.] when never started. *)
+let root column b =
   match b.b_state with
-  | Some st when Array.length st.budgets > 0 -> st.budgets.(0)
+  | Some st when Array.length (column st) > 0 -> (column st).(0)
   | _ -> 0.0
 
-let total_budget () = total_budget_of (cur ())
+let total_budget () = root (fun st -> st.budgets) (cur ())
 
 let overrun_count () =
   match (cur ()).b_state with
   | None -> 0
   | Some st -> Array.fold_left (fun acc w -> if w then acc + 1 else acc) 0 st.warned
 
-let elapsed_of b =
-  match b.b_state with None -> 0.0 | Some st -> Tel.Clock.now () -. st.started_at
-
-let elapsed () = elapsed_of (cur ())
+let elapsed () =
+  match (cur ()).b_state with None -> 0.0 | Some st -> Tel.Clock.now () -. st.started_at
 
 let eta () =
   let w = total_work () and b = total_budget () in
@@ -239,26 +223,11 @@ module Bus = struct
   type t = bus
 
   let create () = make_bus ()
-  let armed b = b.b_armed
   let rows b = match b.b_state with None -> [||] | Some st -> rows_of_state st
   let total_work b = actual_work_of b 0
-  let total_budget b = total_budget_of b
-  let elapsed b = elapsed_of b
-
-  let draws b =
-    match b.b_state with
-    | Some st when Array.length st.draws > 0 -> st.draws.(0)
-    | _ -> 0.0
-
-  let trials b =
-    match b.b_state with
-    | Some st when Array.length st.trials > 0 -> st.trials.(0)
-    | _ -> 0.0
-
-  let steps b =
-    match b.b_state with
-    | Some st when Array.length st.steps > 0 -> st.steps.(0)
-    | _ -> 0.0
+  let total_budget = root (fun st -> st.budgets)
+  let trials = root (fun st -> st.trials)
+  let steps = root (fun st -> st.steps)
 
   (* Merge: elementwise add of every accrual column *and* the budgets
      (two runs over the same plan predict twice the work), [warned]
@@ -274,8 +243,6 @@ module Bus = struct
               {
                 labels = Array.copy s.labels;
                 budgets = Array.copy s.budgets;
-                draws = Array.copy s.draws;
-                mems = Array.copy s.mems;
                 steps = Array.copy s.steps;
                 trials = Array.copy s.trials;
                 warned = Array.copy s.warned;
@@ -299,8 +266,6 @@ module Bus = struct
                     else if i < Array.length s.labels then s.labels.(i)
                     else "?");
               budgets = ext d.budgets s.budgets ( +. ) 0.0;
-              draws = ext d.draws s.draws ( +. ) 0.0;
-              mems = ext d.mems s.mems ( +. ) 0.0;
               steps = ext d.steps s.steps ( +. ) 0.0;
               trials = ext d.trials s.trials ( +. ) 0.0;
               warned = ext d.warned s.warned ( || ) false;

@@ -64,18 +64,9 @@ val add_steps : int -> unit
 val add_trials : int -> unit
 (** Accrue rejection/acceptance trials likewise. *)
 
-val add_draws : int -> unit
-(** Informational: rng draws (not part of the work metric). *)
-
-val add_mems : int -> unit
-(** Informational: membership tests (not part of the work metric). *)
-
-val add_steps_on : int array -> int -> unit
-(** [enter_path p; add_steps n; exit_path p] — accrue to the path's
-    nodes {e and} whatever is already stacked beneath it. *)
-
 val add_trials_on : int array -> int -> unit
-(** Likewise for trials. *)
+(** [enter_path p; add_trials n; exit_path p] — accrue to the path's
+    nodes {e and} whatever is already stacked beneath it. *)
 
 (** {1 Snapshots} *)
 
@@ -83,8 +74,6 @@ type row = {
   id : int;
   label : string;
   budget : float;  (** predicted inclusive work *)
-  draws : float;
-  mems : float;
   steps : float;
   trials : float;
   overrun : bool;  (** watchdog fired for this node *)
@@ -99,21 +88,13 @@ val rows : unit -> row array
 val actual_work : int -> float
 (** Accrued work of one node ([0.] out of range or inactive). *)
 
-val total_work : unit -> float
-(** Root's accrued work. *)
-
-val total_budget : unit -> float
-(** Root's predicted work. *)
-
 val overrun_count : unit -> int
 (** Nodes the watchdog has flagged since {!start}. *)
 
-val elapsed : unit -> float
-(** Monotonic seconds since {!start} ([0.] when never started). *)
-
 val eta : unit -> float option
-(** Remaining-time estimate [elapsed·(1−f)/f] from the work fraction
-    [f = total_work/total_budget]; [None] before any work lands. *)
+(** Remaining-time estimate [elapsed·(1−f)/f] from the root's work
+    fraction [f] (accrued over predicted work); [None] before any work
+    lands. *)
 
 val render_line : unit -> string
 (** The ticker's one-line rendering: overall percent, work counts, ETA
@@ -135,14 +116,9 @@ module Bus : sig
 
   val create : unit -> t
 
-  val armed : t -> bool
   val rows : t -> row array
   val total_work : t -> float
   val total_budget : t -> float
-  val elapsed : t -> float
-
-  val draws : t -> float
-  (** Root-node rng draws — the status view's throughput column. *)
 
   val trials : t -> float
   val steps : t -> float

@@ -124,7 +124,6 @@ module Provenance = struct
 
   let cur () = Domain.DLS.get dls_prov
   let set_tracking b = (cur ()).p_tracking <- b
-  let tracking () = (cur ()).p_tracking
 
   let clear_table p =
     Hashtbl.reset p.p_tbl;
@@ -137,7 +136,6 @@ module Provenance = struct
     Atomic.set prov_next 0;
     clear ()
 
-  let set_cap n = (cur ()).p_cap <- Stdlib.max 0 n
   let dropped () = (cur ()).p_dropped
 
   let snapshot_table p =

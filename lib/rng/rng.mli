@@ -45,8 +45,6 @@ module Provenance : sig
       table's cap (default 65536 nodes) registrations are counted in
       {!dropped} instead of retained. *)
 
-  val tracking : unit -> bool
-
   val reset : unit -> unit
   (** Drop the ambient table's recorded tree and restart lineage ids
       at 0, so a replay reproduces the original ids.  (The id source
@@ -57,9 +55,6 @@ module Provenance : sig
   val clear : unit -> unit
   (** Drop the ambient table's retained nodes and dropped count
       without touching the id source. *)
-
-  val set_cap : int -> unit
-  (** Cap on retained nodes in the ambient table. *)
 
   val dropped : unit -> int
   (** Registrations not retained because the ambient table was at

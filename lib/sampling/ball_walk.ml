@@ -1,11 +1,30 @@
-module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
-module Trace = Scdb_trace.Trace
+module Probe = Scdb_obs.Probe
 module Diag = Scdb_diag.Diag
-module Log = Scdb_log.Log
 
-let tel_steps = Tel.Counter.make "ball_walk.steps"
-let tel_accepted = Tel.Counter.make "ball_walk.accepted"
+let probe = Probe.walk ~tally:"ball_walk.accepted" "ball_walk.steps"
+
+let walk_phase =
+  Probe.phase "ball_walk.walk" (fun steps radius ->
+      [ Probe.int "steps" steps; Probe.float "radius" radius ])
+
+let batch_phase =
+  Probe.phase "ball_walk.batch" (fun chains steps radius ->
+      [ Probe.int "chains" chains; Probe.int "steps" steps; Probe.float "radius" radius ])
+
+(* Zero acceptances over a real budget: the proposal radius is too
+   large for the body (walker pinned at the start point). *)
+let stuck =
+  Probe.warning "ball_walk.stuck" (fun steps radius dim ->
+      [ Probe.int "steps" steps; Probe.float "radius" radius; Probe.int "dim" dim ])
+
+let stuck_batch =
+  Probe.warning "ball_walk.stuck" (fun steps chains radius dim ->
+      [
+        Probe.int "steps" steps;
+        Probe.int "chains" chains;
+        Probe.float "radius" radius;
+        Probe.int "dim" dim;
+      ])
 
 type stats = { steps : int; accepted : int }
 
@@ -13,9 +32,7 @@ let default_radius ~dim ~r_inscribed = r_inscribed /. sqrt (float_of_int dim)
 
 let walk ?monitor rng ~mem ~start ~steps ~radius =
   if not (mem start) then invalid_arg "Ball_walk.walk: start outside the body";
-  let sp = Trace.start "ball_walk.walk" in
-  Trace.add_attr_int "steps" steps;
-  Trace.add_attr_float "radius" radius;
+  let sp = Probe.enter walk_phase in
   let dim = Vec.dim start in
   let current = ref (Vec.copy start) in
   let accepted = ref 0 in
@@ -29,15 +46,9 @@ let walk ?monitor rng ~mem ~start ~steps ~radius =
      else match monitor with Some m -> Diag.Monitor.reject m | None -> ());
     match monitor with Some m -> Diag.Monitor.record m !current | None -> ()
   done;
-  Tel.Counter.add tel_steps steps;
-  Tel.Counter.add tel_accepted !accepted;
-  Progress.add_steps steps;
-  (* Zero acceptances over a real budget: the proposal radius is too
-     large for the body (walker pinned at the start point). *)
-  if steps >= 16 && !accepted = 0 && Log.would_log Log.Warn then
-    Log.warn "ball_walk.stuck"
-      [ Log.int "steps" steps; Log.float "radius" radius; Log.int "dim" dim ];
-  Trace.finish sp;
+  Probe.steps probe ~chains:1 ~steps ~proposals:0 ~tally:!accepted;
+  if steps >= 16 && !accepted = 0 then Probe.warn3 stuck steps radius dim;
+  Probe.leave2 walk_phase sp steps radius;
   (!current, { steps; accepted = !accepted })
 
 let resolve_radius poly radius =
@@ -78,10 +89,7 @@ let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps ?radius (
     | None -> if k = 1 then Hit_and_run.Compat else Hit_and_run.Fast
   in
   let dim = Polytope.dim poly in
-  let sp = Trace.start "ball_walk.batch" in
-  Trace.add_attr_int "chains" k;
-  Trace.add_attr_int "steps" steps;
-  Trace.add_attr_float "radius" radius;
+  let sp = Probe.enter batch_phase in
   let b = Polytope.Kernel.Batch.make poly starts in
   let dirs = Polytope.Kernel.Batch.directions b in
   let viols = Polytope.Kernel.Batch.violations b in
@@ -116,11 +124,7 @@ let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps ?radius (
         Diag.Monitor.record_off mons.(c) (Polytope.Kernel.Batch.positions b) (c * dim)
     done
   done;
-  Tel.Counter.add tel_steps (k * steps);
-  Tel.Counter.add tel_accepted !accepted;
-  Progress.add_steps (k * steps);
-  if steps >= 16 && !accepted = 0 && Log.would_log Log.Warn then
-    Log.warn "ball_walk.stuck"
-      [ Log.int "steps" steps; Log.int "chains" k; Log.float "radius" radius; Log.int "dim" dim ];
-  Trace.finish sp;
+  Probe.steps probe ~chains:k ~steps:(k * steps) ~proposals:0 ~tally:!accepted;
+  if steps >= 16 && !accepted = 0 then Probe.warn4 stuck_batch steps k radius dim;
+  Probe.leave3 batch_phase sp k steps radius;
   Array.init k (fun c -> Polytope.Kernel.Batch.pos b c)

@@ -1,9 +1,21 @@
-module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
-module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 
-let tel_samples = Tel.Counter.make "chernoff.samples"
-let tel_capped = Tel.Counter.make "chernoff.stopping.capped"
+let trial = Probe.trial ~counter:"chernoff.samples" ()
+
+(* The stopping rule hit its cap below [need] hits: only reachable
+   below the floor (for p ≥ p_floor the cap holds 2Υ₁ expected hits, so
+   P[cap] ≤ e^(−Υ₁/4)) or under the clamp, and the (ε,δ) contract is
+   then weakened. *)
+let capped =
+  Probe.warning ~counter:"chernoff.stopping.capped" "chernoff.budget_exhausted"
+    (fun trials hits threshold eps delta ->
+      [
+        Probe.int "trials" trials;
+        Probe.int "hits" hits;
+        Probe.float "threshold" threshold;
+        Probe.float "eps" eps;
+        Probe.float "delta" delta;
+      ])
 
 (* The sizing formulas live in [Scdb_plan.Cost] so the static cost
    model and the runtime spend budgets from the same source. *)
@@ -12,8 +24,7 @@ let samples_for_ratio = Scdb_plan.Cost.samples_for_ratio
 
 let estimate_fraction rng ~samples f =
   if samples <= 0 then invalid_arg "Chernoff.estimate_fraction";
-  Tel.Counter.add tel_samples samples;
-  Progress.add_trials samples;
+  Probe.trials trial samples;
   let hits = ref 0 in
   for _ = 1 to samples do
     if f rng then incr hits
@@ -36,29 +47,16 @@ let estimate_fraction_stopping rng ~eps ~delta ~p_floor ?(max_trials = max_int) 
     if f rng then incr hits
   done;
   let n = !n and hits = !hits in
-  Tel.Counter.add tel_samples n;
-  Progress.add_trials n;
+  Probe.trials trial n;
   if hits >= need then { trials = n; hits; estimate = threshold /. float_of_int n }
   else begin
-    (* Only reachable below the floor (for p ≥ p_floor the cap holds
-       2Υ₁ expected hits, so P[cap] ≤ e^(−Υ₁/4)) or under the clamp:
-       the (ε,δ) contract is then weakened, a warn-level event. *)
-    Tel.Counter.incr tel_capped;
-    if Log.would_log Log.Warn then
-      Log.warn "chernoff.budget_exhausted"
-        [
-          Log.int "trials" n;
-          Log.int "hits" hits;
-          Log.float "threshold" threshold;
-          Log.float "eps" eps;
-          Log.float "delta" delta;
-        ];
+    Probe.warn5 capped n hits threshold eps delta;
     { trials = n; hits; estimate = float_of_int hits /. float_of_int n }
   end
 
 let median_of_means rng ~blocks ~block_size f =
   if blocks <= 0 || block_size <= 0 then invalid_arg "Chernoff.median_of_means";
-  Progress.add_trials (blocks * block_size);
+  Probe.trials trial (blocks * block_size);
   let means =
     Array.init blocks (fun _ ->
         let s = ref 0.0 in

@@ -1,12 +1,21 @@
-module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
-module Trace = Scdb_trace.Trace
+module Probe = Scdb_obs.Probe
 module Diag = Scdb_diag.Diag
-module Log = Scdb_log.Log
 
-let tel_steps = Tel.Counter.make "hit_and_run.steps"
-let tel_samples = Tel.Counter.make "hit_and_run.samples"
-let tel_degenerate = Tel.Counter.make "hit_and_run.chord_degenerate"
+let probe =
+  Probe.walk ~chains:"hit_and_run.samples" ~tally:"hit_and_run.chord_degenerate"
+    "hit_and_run.steps"
+
+let batch_phase =
+  Probe.phase "hit_and_run.batch" (fun chains steps dim ->
+      [ Probe.int "chains" chains; Probe.int "steps" steps; Probe.int "dim" dim ])
+
+let stuck =
+  Probe.warning "hit_and_run.stuck" (fun steps dim ->
+      [ Probe.int "steps" steps; Probe.int "dim" dim ])
+
+let stuck_batch =
+  Probe.warning "hit_and_run.stuck" (fun steps chains dim ->
+      [ Probe.int "steps" steps; Probe.int "chains" chains; Probe.int "dim" dim ])
 
 type chord = Vec.t -> Vec.t -> (float * float) option
 
@@ -36,22 +45,20 @@ let intersect_chords chords x dir =
   go neg_infinity infinity chords
 
 (* Degenerate-chord bookkeeping: the local run counter and the monitor
-   rejection always move together; the telemetry counter is summed into
-   [tel_degenerate] once per sampler invocation, off the hot path. *)
+   rejection always move together; the count reaches the step-batch
+   probe once per sampler invocation, off the hot path. *)
 let[@inline] note_degenerate monitor degenerate =
   incr degenerate;
   match monitor with Some m -> Diag.Monitor.reject m | None -> ()
 
-(* Every chord degenerate means the walker never moved: the start was
-   outside the body or the polytope is (numerically) lower-dimensional. *)
-let warn_stuck ~steps ~dim ~degenerate =
-  if steps >= 16 && degenerate = steps && Log.would_log Log.Warn then
-    Log.warn "hit_and_run.stuck" [ Log.int "steps" steps; Log.int "dim" dim ]
+(* One chain's batch.  Every chord degenerate means the walker never
+   moved: the start was outside the body or the polytope is
+   (numerically) lower-dimensional. *)
+let report ~steps ~dim ~degenerate =
+  Probe.steps probe ~chains:1 ~steps ~proposals:0 ~tally:degenerate;
+  if steps >= 16 && degenerate = steps then Probe.warn2 stuck steps dim
 
 let sample ?monitor rng ~chord ~start ~steps =
-  Tel.Counter.incr tel_samples;
-  Tel.Counter.add tel_steps steps;
-  Progress.add_steps steps;
   let dim = Vec.dim start in
   let current = ref (Vec.copy start) in
   let degenerate = ref 0 in
@@ -69,8 +76,7 @@ let sample ?monitor rng ~chord ~start ~steps =
         else note_degenerate monitor degenerate);
     match monitor with Some m -> Diag.Monitor.record m !current | None -> ()
   done;
-  Tel.Counter.add tel_degenerate !degenerate;
-  warn_stuck ~steps ~dim ~degenerate:!degenerate;
+  report ~steps ~dim ~degenerate:!degenerate;
   !current
 
 module Batch = Polytope.Kernel.Batch
@@ -78,12 +84,8 @@ module Batch = Polytope.Kernel.Batch
 (* The volume estimator's phase walk: the kernel loop plus this
    module's per-call accounting. *)
 let phase_walk rng b ~radius ~steps =
-  Tel.Counter.incr tel_samples;
-  Tel.Counter.add tel_steps steps;
-  Progress.add_steps steps;
   let degenerate = Batch.hit_and_run_in_ball b rng ~radius ~steps in
-  Tel.Counter.add tel_degenerate degenerate;
-  warn_stuck ~steps ~dim:(Batch.dim b) ~degenerate
+  report ~steps ~dim:(Batch.dim b) ~degenerate
 
 (* ------------------------------------------------------------------ *)
 (* Batched multi-chain sampler                                          *)
@@ -116,13 +118,7 @@ let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps =
   if Array.length mons <> 0 && Array.length mons <> k then
     invalid_arg "Hit_and_run.sample_polytope_batch: monitors/rngs length mismatch";
   let mode = match dir_mode with Some m -> m | None -> if k = 1 then Compat else Fast in
-  Tel.Counter.add tel_samples k;
-  Tel.Counter.add tel_steps (k * steps);
-  Progress.add_steps (k * steps);
-  let sp = Trace.start "hit_and_run.batch" in
-  Trace.add_attr_int "chains" k;
-  Trace.add_attr_int "steps" steps;
-  Trace.add_attr_int "dim" (Polytope.dim poly);
+  let sp = Probe.enter batch_phase in
   let d = Polytope.dim poly in
   let b = Batch.make poly starts in
   let dirs = Batch.directions b in
@@ -156,11 +152,9 @@ let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps =
       if monitored then Diag.Monitor.record_off mons.(c) (Batch.positions b) (c * d)
     done
   done;
-  Tel.Counter.add tel_degenerate !degenerate;
-  if steps >= 16 && !degenerate = k * steps && Log.would_log Log.Warn then
-    Log.warn "hit_and_run.stuck"
-      [ Log.int "steps" steps; Log.int "chains" k; Log.int "dim" d ];
-  Trace.finish sp;
+  if steps >= 16 && !degenerate = k * steps then Probe.warn3 stuck_batch steps k d;
+  Probe.leave3 batch_phase sp k steps d;
+  Probe.steps probe ~chains:k ~steps:(k * steps) ~proposals:0 ~tally:!degenerate;
   Array.init k (fun c -> Batch.pos b c)
 
 (* Shared with the static cost model: see [Scdb_plan.Cost]. *)

@@ -1,11 +1,40 @@
 module Tel = Scdb_telemetry.Telemetry
-module Trace = Scdb_trace.Trace
-module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 
 let tel_estimates = Tel.Counter.make "volume.estimates"
 let tel_phases = Tel.Counter.make "volume.phases"
 let tel_samples = Tel.Counter.make "volume.samples"
 let tel_ratio = Tel.Histogram.make "volume.phase_ratio"
+
+let estimate_phase =
+  Probe.phase "volume.estimate" (fun dim phases samples_per_phase walk_steps ->
+      [
+        Probe.int "dim" dim;
+        Probe.int "phases" phases;
+        Probe.int "samples_per_phase" samples_per_phase;
+        Probe.int "walk_steps" walk_steps;
+      ])
+
+let ratio_phase =
+  Probe.phase "volume.phase" (fun phase radius hits ratio ->
+      [
+        Probe.int "phase" phase;
+        Probe.float "radius" radius;
+        Probe.int "hits" hits;
+        Probe.float "ratio" ratio;
+      ])
+
+(* The telescoping product needs every phase ratio ≥ ~1/2; a zero-hit
+   phase means the walk never reached the inner ball and the ratio's
+   floor is doing all the work. *)
+let collapse =
+  Probe.warning "volume.phase_collapse" (fun phase phases samples_per_phase radius ->
+      [
+        Probe.int "phase" phase;
+        Probe.int "phases" phases;
+        Probe.int "samples_per_phase" samples_per_phase;
+        Probe.float "radius" radius;
+      ])
 
 type sampler = Grid_walk | Hit_and_run
 
@@ -88,11 +117,7 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
         Tel.Counter.incr tel_estimates;
         Tel.Counter.add tel_phases q;
         Tel.Counter.add tel_samples (q * samples_per_phase);
-        let sp_est = Trace.start "volume.estimate" in
-        Trace.add_attr_int "dim" d;
-        Trace.add_attr_int "phases" q;
-        Trace.add_attr_int "samples_per_phase" samples_per_phase;
-        Trace.add_attr_int "walk_steps" walk_steps;
+        let sp_est = Probe.enter estimate_phase in
         let product = ref 1.0 in
         (* One warm-started position for every sample of every phase,
            from the origin (the centre of the inscribed unit ball).
@@ -108,36 +133,23 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
         in
         for i = 1 to q do
           let r_small = radius (i - 1) and r_big = Float.min rq (radius i) in
-          let sp_phase = Trace.start "volume.phase" in
-          Trace.add_attr_int "phase" i;
-          Trace.add_attr_float "radius" r_big;
+          let sp_phase = Probe.enter ratio_phase in
           let hits = ref 0 in
           for _ = 1 to samples_per_phase do
             phase_sample rng ~chain ~poly:body ~radius:r_big ~walk_steps ~grid_gamma:eps pos;
             if Vec.norm pos <= r_small then incr hits
           done;
-          (* The telescoping product needs every phase ratio ≥ ~1/2; a
-             zero-hit phase means the walk never reached the inner ball
-             and the floor below is doing all the work. *)
-          if !hits = 0 && samples_per_phase > 0 && Log.would_log Log.Warn then
-            Log.warn "volume.phase_collapse"
-              [
-                Log.int "phase" i;
-                Log.int "phases" q;
-                Log.int "samples_per_phase" samples_per_phase;
-                Log.float "radius" r_big;
-              ];
+          if !hits = 0 && samples_per_phase > 0 then
+            Probe.warn4 collapse i q samples_per_phase r_big;
           let ratio =
             if samples_per_phase = 0 then 1.0
             else Float.max (float_of_int !hits /. float_of_int samples_per_phase) 1e-9
           in
           Tel.Histogram.observe tel_ratio ratio;
-          Trace.add_attr_int "hits" !hits;
-          Trace.add_attr_float "ratio" ratio;
-          Trace.finish sp_phase;
+          Probe.leave4 ratio_phase sp_phase i r_big !hits ratio;
           product := !product /. ratio
         done;
-        Trace.finish sp_est;
+        Probe.leave4 estimate_phase sp_est d q samples_per_phase walk_steps;
         let inner = ball_volume ~dim:d ~radius:r0 in
         let vol_rounded = inner *. !product in
         let volume = vol_rounded /. Affine.volume_scale rounded.Rounding.transform in

@@ -1,23 +1,32 @@
-module Tel = Scdb_telemetry.Telemetry
-module Progress = Scdb_progress.Progress
-module Trace = Scdb_trace.Trace
+module Probe = Scdb_obs.Probe
 module Diag = Scdb_diag.Diag
-module Log = Scdb_log.Log
 
-let tel_steps = Tel.Counter.make "walk.steps"
-let tel_walks = Tel.Counter.make "walk.walks"
-let tel_proposals = Tel.Counter.make "walk.proposals"
-let tel_accepted = Tel.Counter.make "walk.accepted"
+let probe =
+  Probe.walk ~chains:"walk.walks" ~proposals:"walk.proposals" ~tally:"walk.accepted" "walk.steps"
+
+let walk_phase = Probe.phase "grid_walk.walk" (fun steps -> [ Probe.int "steps" steps ])
+
+let batch_phase =
+  Probe.phase "grid_walk.batch" (fun chains steps dim ->
+      [ Probe.int "chains" chains; Probe.int "steps" steps; Probe.int "dim" dim ])
+
+let stuck =
+  Probe.warning "walk.stuck" (fun proposals steps grid_step ->
+      [
+        Probe.int "proposals" proposals;
+        Probe.int "steps" steps;
+        Probe.float "grid_step" grid_step;
+      ])
 
 type oracle = Vec.t -> bool
 
 (* Shared with the static cost model: see [Scdb_plan.Cost]. *)
 let default_steps ~dim ~eps = Scdb_plan.Cost.lattice_steps ~dim ~eps
 
-let step ?monitor rng grid mem current =
-  (* Lazy symmetric walk: stay with probability 1/2, otherwise try a
-     uniformly random lattice neighbour and move only if it remains in
-     the body. *)
+(* Lazy symmetric walk: stay with probability 1/2, otherwise try a
+   uniformly random lattice neighbour and move only if it remains in the
+   body.  [proposals] and [accepted] tally the moves tried and made. *)
+let step ?monitor rng grid mem ~proposals ~accepted current =
   if Rng.bool rng then current
   else begin
     let dim = (grid : Grid.t).dim in
@@ -25,9 +34,9 @@ let step ?monitor rng grid mem current =
     let delta = if Rng.bool rng then 1 else -1 in
     let candidate = Array.copy current in
     candidate.(coord) <- candidate.(coord) + delta;
-    Tel.Counter.incr tel_proposals;
+    incr proposals;
     if mem (Grid.to_point grid candidate) then begin
-      Tel.Counter.incr tel_accepted;
+      incr accepted;
       (match monitor with Some m -> Diag.Monitor.accept m | None -> ());
       candidate
     end
@@ -39,17 +48,14 @@ let step ?monitor rng grid mem current =
 
 let walk ?monitor rng ~grid ~mem ~start ~steps =
   if not (mem (Grid.to_point grid start)) then invalid_arg "Walk.walk: start outside the body";
-  Tel.Counter.incr tel_walks;
-  Tel.Counter.add tel_steps steps;
-  Progress.add_steps steps;
-  let sp = Trace.start "grid_walk.walk" in
-  Trace.add_attr_int "steps" steps;
-  let current = ref start in
+  let sp = Probe.enter walk_phase in
+  let current = ref start and proposals = ref 0 and accepted = ref 0 in
   for _ = 1 to steps do
-    current := step ?monitor rng grid mem !current;
+    current := step ?monitor rng grid mem ~proposals ~accepted !current;
     match monitor with Some m -> Diag.Monitor.record m (Grid.to_point grid !current) | None -> ()
   done;
-  Trace.finish sp;
+  Probe.leave1 walk_phase sp steps;
+  Probe.steps probe ~chains:1 ~steps ~proposals:!proposals ~tally:!accepted;
   !current
 
 let sample ?monitor rng ~grid ~mem ~start ~steps =
@@ -82,13 +88,7 @@ let sample_polytope_batch ?monitors rngs ~grid poly ~starts ~steps =
       if not (Polytope.mem poly x) then
         invalid_arg "Walk.sample_polytope_batch: start outside the body")
     xs;
-  Tel.Counter.add tel_walks k;
-  Tel.Counter.add tel_steps (k * steps);
-  Progress.add_steps (k * steps);
-  let sp = Trace.start "grid_walk.batch" in
-  Trace.add_attr_int "chains" k;
-  Trace.add_attr_int "steps" steps;
-  Trace.add_attr_int "dim" g.dim;
+  let sp = Probe.enter batch_phase in
   let b = Polytope.Kernel.Batch.make poly xs in
   let monitored = Array.length mons > 0 in
   let proposals = ref 0 and accepted = ref 0 in
@@ -114,23 +114,24 @@ let sample_polytope_batch ?monitors rngs ~grid poly ~starts ~steps =
         Diag.Monitor.record_off mons.(c) (Polytope.Kernel.Batch.positions b) (c * g.dim)
     done
   done;
-  Tel.Counter.add tel_proposals !proposals;
-  Tel.Counter.add tel_accepted !accepted;
   (* Every proposal rejected: the grid step straddles the body (γ too
      coarse for this polytope), so the lattice walk cannot mix. *)
-  if !proposals >= 32 && !accepted = 0 && Log.would_log Log.Warn then
-    Log.warn "walk.stuck"
-      [ Log.int "proposals" !proposals; Log.int "steps" steps; Log.float "grid_step" g.step ];
-  Trace.finish sp;
+  if !proposals >= 32 && !accepted = 0 then Probe.warn3 stuck !proposals steps g.step;
+  Probe.leave3 batch_phase sp k steps g.dim;
+  Probe.steps probe ~chains:k ~steps:(k * steps) ~proposals:!proposals ~tally:!accepted;
   Array.init k (fun c -> Polytope.Kernel.Batch.pos b c)
 
 let trajectory rng ~grid ~mem ~start ~steps =
   if not (mem (Grid.to_point grid start)) then invalid_arg "Walk.trajectory: start outside the body";
+  let proposals = ref 0 and accepted = ref 0 in
   let rec go acc current n =
     if n = 0 then acc
     else begin
-      let next = step rng grid mem current in
+      let next = step rng grid mem ~proposals ~accepted current in
       go (next :: acc) next (n - 1)
     end
   in
-  go [ start ] start steps
+  let visited = go [ start ] start steps in
+  (* Moves only: a trajectory is not a walk of the sampler's budget. *)
+  Probe.steps probe ~chains:0 ~steps:0 ~proposals:!proposals ~tally:!accepted;
+  visited

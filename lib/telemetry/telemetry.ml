@@ -115,21 +115,19 @@ let ensure_reg (r : Regs.t) =
     r.hcells <-
       Array.init nh (fun i -> if i < Array.length r.hcells then r.hcells.(i) else new_hcell ())
 
-(* With [defs_mu] held. *)
-let swap_all (r : Regs.t) =
+(* With [defs_mu] held: point a definition's cached cell into [r]. *)
+let point (r : Regs.t) = function
+  | M_counter c -> c.c_cur <- r.ccells.(c.c_idx)
+  | M_histogram h -> h.h_cur <- r.hcells.(h.h_idx)
+
+let swap_all r =
   ensure_reg r;
-  List.iter
-    (function
-      | M_counter c -> c.c_cur <- r.ccells.(c.c_idx)
-      | M_histogram h -> h.h_cur <- r.hcells.(h.h_idx))
-    !order
+  List.iter (point r) !order
 
 let park_all () =
   List.iter
     (function M_counter c -> c.c_cur <- c_sentinel | M_histogram h -> h.h_cur <- h_sentinel)
     !order
-
-let current_registry () = Domain.DLS.get dls_reg
 
 let enter_registry reg =
   Mutex.lock defs_mu;
@@ -165,68 +163,58 @@ let with_registry reg f =
       leave_registry prev)
     f
 
-(* Cell of [c] in [reg], growing the store if the definition postdates
-   the registry.  Cold: only reached through the sentinel. *)
-let slow_ccell (reg : Regs.t) (c : counter) =
-  let a = reg.ccells in
-  if c.c_idx < Array.length a then a.(c.c_idx)
-  else begin
+(* Cell [idx] of one of [reg]'s stores, growing the registry if the
+   definition postdates it.  Cold: only reached through the sentinel. *)
+let slow_cell reg store idx =
+  if idx >= Array.length (store reg) then begin
     Mutex.lock defs_mu;
     ensure_reg reg;
-    Mutex.unlock defs_mu;
-    reg.ccells.(c.c_idx)
-  end
-
-let slow_hcell (reg : Regs.t) (h : histogram) =
-  let a = reg.hcells in
-  if h.h_idx < Array.length a then a.(h.h_idx)
-  else begin
-    Mutex.lock defs_mu;
-    ensure_reg reg;
-    Mutex.unlock defs_mu;
-    reg.hcells.(h.h_idx)
-  end
+    Mutex.unlock defs_mu
+  end;
+  (store reg).(idx)
 
 (* Read-only cell views: a registry that has never seen the definition
    reads as zero without being grown. *)
 let ccell_ro (reg : Regs.t) idx = if idx < Array.length reg.ccells then Some reg.ccells.(idx) else None
 let hcell_ro (reg : Regs.t) idx = if idx < Array.length reg.hcells then Some reg.hcells.(idx) else None
 
-let register name m =
-  Hashtbl.replace registry name m;
-  order := m :: !order;
-  m
+(* Look [name] up, or register the definition [fresh ()] builds and
+   point it into the initial domain's registry; [kind] extracts the
+   wanted kind (raising on a clash) once the lock is released. *)
+let define name fresh kind =
+  Mutex.lock defs_mu;
+  let m =
+    match Hashtbl.find_opt registry name with
+    | Some m -> m
+    | None ->
+        let m = fresh () in
+        Hashtbl.replace registry name m;
+        order := m :: !order;
+        ensure_reg Regs.default;
+        if !foreign_installs = 0 then begin
+          ensure_reg !initial_ambient;
+          point !initial_ambient m
+        end;
+        m
+  in
+  Mutex.unlock defs_mu;
+  kind m
 
 module Counter = struct
   type t = counter
 
   let make name =
-    Mutex.lock defs_mu;
-    let c =
-      match Hashtbl.find_opt registry name with
-      | Some (M_counter c) ->
-          Mutex.unlock defs_mu;
-          c
-      | Some (M_histogram _) ->
-          Mutex.unlock defs_mu;
-          invalid_arg ("Telemetry.Counter.make: " ^ name ^ " is a histogram")
-      | None ->
-          let idx = !n_counters in
-          incr n_counters;
-          let c = { c_name = name; c_idx = idx; c_cur = c_sentinel } in
-          ensure_reg Regs.default;
-          if !foreign_installs = 0 then begin
-            ensure_reg !initial_ambient;
-            c.c_cur <- (!initial_ambient).Regs.ccells.(idx)
-          end;
-          ignore (register name (M_counter c));
-          Mutex.unlock defs_mu;
-          c
-    in
-    c
+    define name
+      (fun () ->
+        let c = { c_name = name; c_idx = !n_counters; c_cur = c_sentinel } in
+        incr n_counters;
+        M_counter c)
+      (function
+        | M_counter c -> c
+        | M_histogram _ -> invalid_arg ("Telemetry.Counter.make: " ^ name ^ " is a histogram"))
 
   let slow_add c k =
-    let cell = slow_ccell (Domain.DLS.get dls_reg) c in
+    let cell = slow_cell (Domain.DLS.get dls_reg) (fun r -> r.Regs.ccells) c.c_idx in
     cell.count <- cell.count + k
 
   let incr c =
@@ -249,26 +237,14 @@ module Histogram = struct
   type t = histogram
 
   let make name =
-    Mutex.lock defs_mu;
-    match Hashtbl.find_opt registry name with
-    | Some (M_histogram h) ->
-        Mutex.unlock defs_mu;
-        h
-    | Some (M_counter _) ->
-        Mutex.unlock defs_mu;
-        invalid_arg ("Telemetry.Histogram.make: " ^ name ^ " is a counter")
-    | None ->
-        let idx = !n_histograms in
+    define name
+      (fun () ->
+        let h = { h_name = name; h_idx = !n_histograms; h_cur = h_sentinel } in
         incr n_histograms;
-        let h = { h_name = name; h_idx = idx; h_cur = h_sentinel } in
-        ensure_reg Regs.default;
-        if !foreign_installs = 0 then begin
-          ensure_reg !initial_ambient;
-          h.h_cur <- (!initial_ambient).Regs.hcells.(idx)
-        end;
-        ignore (register name (M_histogram h));
-        Mutex.unlock defs_mu;
-        h
+        M_histogram h)
+      (function
+        | M_histogram h -> h
+        | M_counter _ -> invalid_arg ("Telemetry.Histogram.make: " ^ name ^ " is a counter"))
 
   let observe_cell (cell : hcell) v =
     cell.n <- cell.n + 1;
@@ -279,7 +255,8 @@ module Histogram = struct
     let i = bucket_for v in
     b.(i) <- b.(i) + 1
 
-  let slow_observe h v = observe_cell (slow_hcell (Domain.DLS.get dls_reg) h) v
+  let slow_observe h v =
+    observe_cell (slow_cell (Domain.DLS.get dls_reg) (fun r -> r.Regs.hcells) h.h_idx) v
 
   let observe h v =
     if !enabled_flag then begin
@@ -292,7 +269,6 @@ module Histogram = struct
   let count h = (cell h).n
   let sum h = (cell h).sum
   let mean_cell (c : hcell) = if c.n = 0 then 0.0 else c.sum /. float_of_int c.n
-  let mean h = mean_cell (cell h)
 
   (* Approximate quantile by linear interpolation inside the log-spaced
      bucket that contains the rank; [vmin]/[vmax] sharpen the first and
@@ -322,29 +298,6 @@ module Histogram = struct
     end
 
   let quantile h q = quantile_cell (cell h) q
-end
-
-module Timer = struct
-  type t = histogram
-
-  let make name = Histogram.make (name ^ ".seconds")
-  let start _t = if !enabled_flag then Clock.now () else 0.0
-  let stop t t0 = if !enabled_flag then Histogram.observe t (Clock.now () -. t0)
-
-  let time t f =
-    let t0 = start t in
-    let r = f () in
-    stop t t0;
-    r
-end
-
-module Scope = struct
-  type t = string
-
-  let make prefix = prefix
-  let counter t name = Counter.make (t ^ "." ^ name)
-  let histogram t name = Histogram.make (t ^ "." ^ name)
-  let timer t name = Timer.make (t ^ "." ^ name)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -539,13 +492,6 @@ let counter_value ?reg name =
   match Hashtbl.find_opt registry name with
   | Some (M_counter c) -> (
       match ccell_ro r c.c_idx with Some cell -> Some cell.count | None -> Some 0)
-  | _ -> None
-
-let histogram_count ?reg name =
-  match Hashtbl.find_opt registry name with
-  | Some (M_histogram h) ->
-      let r = match reg with Some r -> r | None -> Domain.DLS.get dls_reg in
-      (match hcell_ro r h.h_idx with Some cell -> Some cell.n | None -> Some 0)
   | _ -> None
 
 module Registry = struct

@@ -30,10 +30,9 @@
     aggregation goes through {!Registry.merge_into}, not shared cells.
 
     Metric names are dot-separated paths ([hit_and_run.steps],
-    [union.volume.trials]); {!Scope} is a convenience for building
-    families under a common prefix.  Creating a metric with a name that
-    already exists returns the existing instance, so a functor body or
-    a re-executed module initializer never double-registers. *)
+    [union.volume.trials]).  Creating a metric with a name that already
+    exists returns the existing instance, so a functor body or a
+    re-executed module initializer never double-registers. *)
 
 module Clock : sig
   val now : unit -> float
@@ -82,10 +81,6 @@ val with_registry : Registry.t -> (unit -> 'a) -> 'a
     state.  Readers that must not disturb ambient state (status
     tickers) use the explicit [?reg] accessors instead. *)
 
-val current_registry : unit -> Registry.t
-(** The calling domain's ambient registry ({!Registry.default} unless
-    inside {!with_registry}). *)
-
 val reset : ?reg:Registry.t -> unit -> unit
 (** Zero every metric cell of the given registry (default: the ambient
     one).  Definitions are kept. *)
@@ -119,9 +114,6 @@ module Histogram : sig
 
   val sum : t -> float
 
-  val mean : t -> float
-  (** [sum/count], or [0.] before the first observation. *)
-
   val quantile : t -> float -> float
   (** [quantile h q] for [q] in [[0,1]]: approximate order statistic by
       linear interpolation inside the log-spaced bucket containing the
@@ -140,32 +132,6 @@ module Histogram : sig
       observation. *)
 end
 
-module Timer : sig
-  type t
-
-  val make : string -> t
-  (** An elapsed-time timer on the monotonic clock ({!Clock.now});
-      durations land in a histogram named [<name>.seconds]. *)
-
-  val start : t -> float
-  (** Current monotonic clock, or [0.] when telemetry is disabled (no
-      clock read on the disabled path). *)
-
-  val stop : t -> float -> unit
-  (** [stop t t0] records the elapsed time since [start]'s return. *)
-
-  val time : t -> (unit -> 'a) -> 'a
-end
-
-module Scope : sig
-  type t
-
-  val make : string -> t
-  val counter : t -> string -> Counter.t
-  val histogram : t -> string -> Histogram.t
-  val timer : t -> string -> Timer.t
-end
-
 val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> Scdb_json.Json.t
 (** JSON snapshot of a registry (schema [spatialdb-telemetry/2];
     default: the ambient registry):
@@ -179,8 +145,7 @@ val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> Scdb_json.Json.t
     cumulative) counts with [le] the bucket's inclusive upper bound
     (["inf"] for the overflow bucket); zero-count buckets are omitted,
     and [only_nonzero] (default [true]) also omits never-touched
-    metrics.  Timers appear under [histograms] as [<name>.seconds].
-    Non-finite values are clamped ({!Scdb_json.Json.clamp}), so every
+    metrics.  Non-finite values are clamped ({!Scdb_json.Json.clamp}), so every
     number is finite. *)
 
 val to_prometheus : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
@@ -188,7 +153,7 @@ val to_prometheus : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
     exposition format (version 0.0.4).  Metric names are prefixed
     [spatialdb_] with dots mapped to underscores.  Counters become
     [counter] families with the conventional [_total] suffix;
-    histograms and timers become [summary] families with
+    histograms become [summary] families with
     [quantile="0.5"/"0.9"/"0.99"] samples plus exact [_sum] and
     [_count], and [_min]/[_max] gauge families carrying the exact
     observed extrema (0 on empty cells, as in {!dump}).  All values
@@ -199,5 +164,3 @@ val counter_value : ?reg:Registry.t -> string -> int option
 (** Registry lookup by name (default: ambient), for tests, report
     generators and the status view.  [Some 0] for a registered metric
     the given registry has never touched; [None] for an unknown name. *)
-
-val histogram_count : ?reg:Registry.t -> string -> int option

@@ -126,11 +126,13 @@ let span ?(attrs = []) ?(counters = []) name f =
 let start name =
   if not (recording ()) then -1 else (open_span (cur ()) ~attrs:[] ~counters:[] name).id
 
-let finish id =
+let finish ?(attrs = []) id =
   if id >= 0 then begin
     let f = cur () in
     match List.find_opt (fun s -> s.id = id) f.f_stack with
-    | Some s -> close_span f s
+    | Some s ->
+        s.attrs <- List.rev_append attrs s.attrs;
+        close_span f s
     | None -> ()
   end
 

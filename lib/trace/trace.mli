@@ -44,10 +44,10 @@ val start : string -> int
 (** Closure-free open for hot call sites: returns the span id, or [-1]
     when tracing is disabled (no allocation).  Pair with {!finish}. *)
 
-val finish : int -> unit
-(** Close the span returned by {!start}.  Children left open by a
-    non-local exit are closed with the same end time; closing [-1] or
-    an already-closed id is a no-op. *)
+val finish : ?attrs:(string * string) list -> int -> unit
+(** Close the span returned by {!start}, first appending [attrs] to
+    it.  Children left open by a non-local exit are closed with the
+    same end time; closing [-1] or an already-closed id is a no-op. *)
 
 val current_id : unit -> int
 (** Id of the innermost open span, or [-1] when none is open (or

@@ -3,13 +3,27 @@ module Cost = Scdb_plan.Cost
 module Tel = Scdb_telemetry.Telemetry
 module Progress = Scdb_progress.Progress
 module Log = Scdb_log.Log
+module Probe = Scdb_obs.Probe
 module Batch = Polytope.Kernel.Batch
 
 let tel_draws = Tel.Counter.make "vm.draws"
-let tel_trials = Tel.Counter.make "vm.trials"
-let tel_steps = Tel.Counter.make "vm.steps"
-let tel_exhausted = Tel.Counter.make "vm.exhausted"
+let trial = Probe.trial ~counter:"vm.trials" ()
+let walk_probe = Probe.walk "vm.steps"
 let tel_programs = Tel.Counter.make "vm.programs"
+
+(* The exhaust handlers: the interpreter's warning events, counted in
+   [vm.exhausted]. *)
+let union_exhausted =
+  Probe.warning ~counter:"vm.exhausted" "union.exhausted" (fun trials operands ->
+      [ Probe.int "trials" trials; Probe.int "operands" operands ])
+
+let inter_exhausted =
+  Probe.warning ~counter:"vm.exhausted" "inter.exhausted" (fun budget operands dim ->
+      [ Probe.int "budget" budget; Probe.int "operands" operands; Probe.int "dim" dim ])
+
+let diff_exhausted =
+  Probe.warning ~counter:"vm.exhausted" "diff.exhausted" (fun budget dim ->
+      [ Probe.int "budget" budget; Probe.int "dim" dim ])
 
 (* ------------------------------------------------------------------ *)
 (* Instruction set                                                     *)
@@ -246,8 +260,7 @@ let make_piece (prep : Convex_obs.prepared) kind ~steps ~hr_steps =
    usable) replicates the interpreter's, so the rng stream is
    bit-identical. *)
 let hr_draw p rng steps =
-  Tel.Counter.add tel_steps steps;
-  Progress.add_steps steps;
+  Probe.steps walk_probe ~chains:1 ~steps ~proposals:0 ~tally:0;
   let d = Vec.dim p.pstart in
   Batch.set_pos p.batch 0 p.pstart;
   for _ = 1 to steps do
@@ -355,6 +368,10 @@ exception Emitted
    walk-bound programs. *)
 type prof = { pcounts : int array; ptimes : float array; ptiming : bool }
 
+(* Wall ns since [t0] into the timing cell of the instruction at [base]. *)
+let[@inline] charge p base t0 =
+  p.ptimes.(base) <- p.ptimes.(base) +. ((Tel.Clock.now () -. t0) *. 1e9)
+
 let exec ?prof t rng =
   let code = t.code in
   let pc = ref 0 in
@@ -392,7 +409,7 @@ let exec ?prof t rng =
              | Some p when p.ptiming ->
                  let t0 = Tel.Clock.now () in
                  t.prologues.(s) rng;
-                 p.ptimes.(base) <- p.ptimes.(base) +. ((Tel.Clock.now () -. t0) *. 1e9)
+                 charge p base t0
              | _ -> t.prologues.(s) rng);
              t.ready.(s) <- true
            end;
@@ -422,7 +439,7 @@ let exec ?prof t rng =
            | Some p when p.ptiming ->
                let t0 = Tel.Clock.now () in
                x := walk_piece t.pieces.(code.(base + 1)) rng;
-               p.ptimes.(base) <- p.ptimes.(base) +. ((Tel.Clock.now () -. t0) *. 1e9)
+               charge p base t0
            | _ -> x := walk_piece t.pieces.(code.(base + 1)) rng);
            Progress.exit_path path;
            pc := base + 2
@@ -431,7 +448,7 @@ let exec ?prof t rng =
            | Some p when p.ptiming ->
                let t0 = Tel.Clock.now () in
                let r = mem_rows t code.(base + 1) !x in
-               p.ptimes.(base) <- p.ptimes.(base) +. ((Tel.Clock.now () -. t0) *. 1e9);
+               charge p base t0;
                pc := (if r then code.(base + 2) else code.(base + 3))
            | _ ->
                pc := (if mem_rows t code.(base + 1) !x then code.(base + 2) else code.(base + 3)))
@@ -441,7 +458,7 @@ let exec ?prof t rng =
            | Some p when p.ptiming ->
                let t0 = Tel.Clock.now () in
                let r = Polytope.mem ~slack:1e-9 pe.prep.Convex_obs.p_original !x in
-               p.ptimes.(base) <- p.ptimes.(base) +. ((Tel.Clock.now () -. t0) *. 1e9);
+               charge p base t0;
                pc := (if r then code.(base + 2) else code.(base + 3))
            | _ ->
                pc :=
@@ -450,8 +467,7 @@ let exec ?prof t rng =
                   else code.(base + 3)))
        | 12 (* JMP *) -> pc := code.(base + 1)
        | 13 (* TICK *) ->
-           Tel.Counter.incr tel_trials;
-           Progress.add_trials_on (Array.unsafe_get t.paths (Array.unsafe_get t.dbg_node base)) 1;
+           Probe.trials_on trial (Array.unsafe_get t.paths (Array.unsafe_get t.dbg_node base)) 1;
            pc := base + 1
        | 14 (* EXHAUST *) ->
            t.exhausts.(code.(base + 1)) ();
@@ -669,21 +685,11 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
   (* Mirror observable tree: the weight prologues estimate volumes
      through the same interpreted estimators (and internal caches) the
      interpreter engine uses, so the draw sequences coincide.  Each
-     node is wrapped with a Progress tag (the same record update
-     [Plan_exec.tag] applies on the interpreter side — rng-free, so
-     stream-preserving): prologue volume work lands on the child that
-     spends it, and [report --engine vm*] can run its volume estimate
-     through the stored root mirror with full attribution. *)
-  let tag_obs id (obs : Observable.t) =
-    {
-      obs with
-      Observable.sample =
-        (fun rng params -> Progress.with_node id (fun () -> obs.Observable.sample rng params));
-      volume =
-        (fun rng ~gamma ~eps ~delta ->
-          Progress.with_node id (fun () -> obs.Observable.volume rng ~gamma ~eps ~delta));
-    }
-  in
+     node is wrapped with [Observable.tag], as on the interpreter side
+     (rng-free, so stream-preserving): prologue volume work lands on
+     the child that spends it, and [report --engine vm*] can run its
+     volume estimate through the stored root mirror with full
+     attribution. *)
   let kids_of_id = Hashtbl.create 8 in
   let ord = ref 0 in
   let rec mirror (n : Plan.node) : Observable.t =
@@ -707,7 +713,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
           | _ -> cerr "diff node %d must have exactly two children" n.Plan.id)
       | _ -> assert false
     in
-    tag_obs n.Plan.id obs
+    Observable.tag n.Plan.id obs
   in
   let mirror_obs = mirror plan.Plan.root in
   (* Intersection membership order: smallest bounding box first, so the
@@ -935,12 +941,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     Asm.push asm op_decjnz;
     Asm.push asm ts;
     Asm.push_ref asm ltrial;
-    let e =
-      new_exhaust (fun () ->
-          Tel.Counter.incr tel_exhausted;
-          if Log.would_log Log.Warn then
-            Log.warn "union.exhausted" [ Log.int "trials" trials; Log.int "operands" m ])
-    in
+    let e = new_exhaust (fun () -> Probe.warn2 union_exhausted trials m) in
     Asm.push asm op_exhaust;
     Asm.push asm e;
     Asm.push asm op_jmp;
@@ -1011,13 +1012,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     Asm.push asm op_decjnz;
     Asm.push asm ts;
     Asm.push_ref asm ltrial;
-    let e =
-      new_exhaust (fun () ->
-          Tel.Counter.incr tel_exhausted;
-          if Log.would_log Log.Warn then
-            Log.warn "inter.exhausted"
-              [ Log.int "budget" budget; Log.int "operands" m; Log.int "dim" ndim ])
-    in
+    let e = new_exhaust (fun () -> Probe.warn3 inter_exhausted budget m ndim) in
     Asm.push asm op_exhaust;
     Asm.push asm e;
     Asm.push asm op_jmp;
@@ -1047,12 +1042,7 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
         Asm.push asm op_decjnz;
         Asm.push asm ts;
         Asm.push_ref asm ltrial;
-        let e =
-          new_exhaust (fun () ->
-              Tel.Counter.incr tel_exhausted;
-              if Log.would_log Log.Warn then
-                Log.warn "diff.exhausted" [ Log.int "budget" budget; Log.int "dim" ndim ])
-        in
+        let e = new_exhaust (fun () -> Probe.warn2 diff_exhausted budget ndim) in
         Asm.push asm op_exhaust;
         Asm.push asm e;
         Asm.push asm op_jmp;

@@ -7,6 +7,7 @@
    bounded provenance table, and the status snapshot/JSON writer. *)
 
 module Obs = Scdb_obs.Obs
+module Probe = Scdb_obs.Probe
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Log = Scdb_log.Log
@@ -190,6 +191,72 @@ let alloc_tests =
             Alcotest.(check bool)
               (Printf.sprintf "contexted minor words %.0f < 256" dw)
               true (dw < 256.0)));
+  ]
+
+(* One descriptor of each probe kind, for the disabled-path checks. *)
+let probe_walk =
+  Probe.walk ~chains:"test.probe.chains" ~proposals:"test.probe.proposals"
+    ~tally:"test.probe.tally" "test.probe.steps"
+
+let probe_trial = Probe.trial ~counter:"test.probe.trials" ()
+
+let probe_phase =
+  Probe.phase "test.probe.phase" (fun i x -> [ Probe.int "i" i; Probe.float "x" x ])
+
+let probe_warning =
+  Probe.warning ~counter:"test.probe.warnings" "test.probe.warning" (fun i x ->
+      [ Probe.int "i" i; Probe.float "x" x ])
+
+let probe_path = [| 0 |]
+
+(* [event i] run 1000 times with every store off allocates nothing, with
+   a context created and then with it installed. *)
+let disabled_probe_is_free event () =
+  let tel = Tel.enabled () and tr = Trace.enabled () and lg = Log.enabled () in
+  Tel.set_enabled false;
+  Trace.set_enabled false;
+  Log.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Tel.set_enabled tel;
+      Trace.set_enabled tr;
+      Log.set_enabled lg;
+      Obs.Ctx.clear_directory ())
+  @@ fun () ->
+  let c = Obs.Ctx.create ~name:"idle" () in
+  let f () =
+    for i = 1 to 1000 do
+      event i
+    done
+  in
+  let words () =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let dw = words () in
+  Alcotest.(check bool) (Printf.sprintf "minor words %.0f < 256" dw) true (dw < 256.0);
+  let dw = Obs.Ctx.run c words in
+  Alcotest.(check bool) (Printf.sprintf "contexted minor words %.0f < 256" dw) true (dw < 256.0)
+
+let probe_alloc_tests =
+  [
+    t "disabled step-batch probe stays allocation-free with contexts live"
+      (disabled_probe_is_free (fun i ->
+           Probe.steps probe_walk ~chains:1 ~steps:i ~proposals:i ~tally:i));
+    t "disabled trial probes stay allocation-free with contexts live"
+      (disabled_probe_is_free (fun i ->
+           Probe.trials probe_trial i;
+           Probe.trials_on probe_trial probe_path i));
+    (* The float argument is a constant: a computed float is boxed by
+       the caller, as for any call, before the probe runs. *)
+    t "disabled phase probe stays allocation-free with contexts live"
+      (disabled_probe_is_free (fun i ->
+           let sp = Probe.enter probe_phase in
+           Probe.leave2 probe_phase sp i 0.5));
+    t "disabled warning probe stays allocation-free with contexts live"
+      (disabled_probe_is_free (fun i -> Probe.warn2 probe_warning i 0.5));
   ]
 
 let epoch_tests =
@@ -383,10 +450,48 @@ let status_tests =
           (Result.map List.length (Obs.Status.of_json doc)));
   ]
 
+(* The instrumentation golden fixture: every counter, histogram count,
+   log event, span and progress accrual of the fixed-seed sampler runs
+   in [Golden_obs].  On a mismatch the actual document is written next
+   to the test binary so it can be diffed (or, after a deliberate
+   change, copied over the fixture). *)
+let golden_tests =
+  [
+    t "sampler instrumentation matches the golden fixture" (fun () ->
+        let dir = Filename.dirname Sys.executable_name in
+        let read path =
+          let ic = open_in_bin path in
+          Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+              really_input_string ic (in_channel_length ic))
+        in
+        let expected =
+          read (Filename.concat dir "fixtures/instrumentation.golden.json")
+        in
+        let actual = Golden_obs.document () in
+        if actual <> expected then begin
+          let out = Filename.concat dir "instrumentation.golden.actual.json" in
+          let oc = open_out_bin out in
+          output_string oc actual;
+          close_out oc;
+          let runs doc = J.field "runs" (J.obj Fun.id) (J.parse doc) in
+          let differing =
+            List.filter_map
+              (fun (name, run) ->
+                match List.assoc_opt name (runs expected) with
+                | Some run' when run' = run -> None
+                | _ -> Some name)
+              (runs actual)
+          in
+          Alcotest.failf "instrumentation differs in run(s) %s; actual document in %s"
+            (String.concat ", " differing) out
+        end);
+  ]
+
 let suites =
   [
+    ("obs.golden", golden_tests);
     ("obs.merge", merge_tests);
-    ("obs.alloc", alloc_tests);
+    ("obs.alloc", alloc_tests @ probe_alloc_tests);
     ("obs.epoch", epoch_tests);
     ("obs.log", log_tests);
     ("obs.prov", prov_tests);

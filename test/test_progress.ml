@@ -76,15 +76,6 @@ let accrual_tests =
             Progress.add_steps 4;
             Alcotest.(check (float 0.0)) "root" 4.0 (Progress.actual_work 0);
             Alcotest.(check (float 0.0)) "leaf untouched" 0.0 (Progress.actual_work 1)));
-    t "draws and mems are informational, not work" (fun () ->
-        with_bus [| (0, "root", 10.0) |] (fun () ->
-            Progress.with_node 0 (fun () ->
-                Progress.add_draws 100;
-                Progress.add_mems 100);
-            Alcotest.(check (float 0.0)) "work is zero" 0.0 (Progress.actual_work 0);
-            let r = (Progress.rows ()).(0) in
-            Alcotest.(check (float 0.0)) "draws recorded" 100.0 r.Progress.draws;
-            Alcotest.(check (float 0.0)) "mems recorded" 100.0 r.Progress.mems));
     t "accrual is a no-op when the bus is inactive" (fun () ->
         Alcotest.(check bool) "inactive" false (Progress.active ());
         Progress.add_steps 5;

@@ -159,6 +159,23 @@ let chernoff_tests =
         let draw r = if Rng.float r < 0.001 then 200.0 else 0.8 +. (0.4 *. Rng.float r) in
         let m = Ch.median_of_means rng ~blocks:9 ~block_size:200 draw in
         Alcotest.(check bool) "near 1" true (Float.abs (m -. 1.0) < 0.3));
+    t "median_of_means counts its draws like the other estimators" (fun () ->
+        (* Its blocks are trials of the projection volume: they must
+           reach [chernoff.samples] and the progress bus alike. *)
+        let module Tel = Scdb_telemetry.Telemetry in
+        let module Progress = Scdb_progress.Progress in
+        let reg = Tel.Registry.create () and bus = Progress.Bus.create () in
+        let was = Tel.enabled () in
+        Tel.set_enabled true;
+        Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
+        Tel.with_registry reg @@ fun () ->
+        Progress.with_bus bus @@ fun () ->
+        Progress.start ~rows:[| (0, "root", 0.0) |] ();
+        Fun.protect ~finally:Progress.stop @@ fun () ->
+        ignore (Ch.median_of_means (Rng.create 9) ~blocks:9 ~block_size:200 Rng.float);
+        Alcotest.(check (option int)) "chernoff.samples" (Some 1800)
+          (Tel.counter_value ~reg "chernoff.samples");
+        Alcotest.(check (float 0.0)) "progress trials" 1800.0 (Progress.Bus.trials bus));
     t "invalid parameters rejected" (fun () ->
         List.iter
           (fun f -> try ignore (f ()); Alcotest.fail "expected Invalid_argument" with Invalid_argument _ -> ())

@@ -30,19 +30,6 @@ let clock_tests =
           if x < !prev then Alcotest.fail "clock went backwards";
           prev := x
         done);
-    t "timer measures a positive duration" (fun () ->
-        with_enabled (fun () ->
-            let timer = Tel.Timer.make "test.timer" in
-            let tok = Tel.Timer.start timer in
-            let acc = ref 0.0 in
-            for i = 1 to 100_000 do
-              acc := !acc +. sqrt (float_of_int i)
-            done;
-            ignore !acc;
-            Tel.Timer.stop timer tok;
-            match Tel.histogram_count "test.timer.seconds" with
-            | Some n -> Alcotest.(check int) "one observation" 1 n
-            | None -> Alcotest.fail "timer histogram missing"));
   ]
 
 let quantile_tests =
