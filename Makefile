@@ -52,7 +52,10 @@ check:
 # union run is replayed through the strict VM (`--engine vm`), which
 # must reproduce the recorded sample stream bit-for-bit, and an
 # optimized-VM run (`--engine vm-opt`, rewritten plan so a different
-# stream by design) goes through its own record -> replay round trip.
+# stream by design) goes through its own record -> replay round trip,
+# and its `explain --format program` listing must name both Figure 1
+# leaves exact_weight (weights from the exact oracle, within the proven
+# Lasserre call bound).
 # Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
 # embedded profile and tagged attribution rows must validate, a
 # `spatialdb profile` run whose spatialdb-profile/1 document must
@@ -133,6 +136,10 @@ ci: check
 	  --seed 42 -n 5 --engine vm-opt \
 	  --record _build/ci_vmopt.flightrec.json > _build/ci_vmopt_samples.tsv
 	dune exec bin/spatialdb.exe -- replay _build/ci_vmopt.flightrec.json
+	dune exec bin/spatialdb.exe -- explain --vars x,y \
+	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
+	  --engine vm-opt --format program > _build/explain_vmopt.txt
+	test "$$(grep -c '^; leaf n[0-9]* weight: exact_weight' _build/explain_vmopt.txt)" = 2
 	dune exec bin/spatialdb.exe -- report --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --engine vm-opt -o _build/report_vmopt.json

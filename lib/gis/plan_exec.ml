@@ -101,10 +101,10 @@ let budget_attribution plan (attr : attribution_row array) =
   Array.iter (fun a -> Hashtbl.replace actuals a.id a) attr;
   Array.map
     (fun (g : Scdb_plan.Plan.budget_grant) ->
-      let predicted, actual, ratio =
+      let predicted, actual, ratio, tags =
         match Hashtbl.find_opt actuals g.Scdb_plan.Plan.g_id with
-        | Some a -> (a.predicted, a.actual, a.ratio)
-        | None -> (Float.nan, Float.nan, Float.nan)
+        | Some a -> (a.predicted, a.actual, a.ratio, a.tags)
+        | None -> (Float.nan, Float.nan, Float.nan, [])
       in
       let achieved =
         if Float.is_nan g.Scdb_plan.Plan.g_delta then Float.nan
@@ -114,6 +114,8 @@ let budget_attribution plan (attr : attribution_row array) =
              ran: it holds the granted δ whenever the node ran. *)
           | "union" | "inter" | "diff" ->
               if Float.is_nan ratio then Float.nan else g.Scdb_plan.Plan.g_delta
+          (* An exact weight risks nothing: the whole grant is slack. *)
+          | "dfk" when List.mem Scdb_vm.Vm.exact_weight_tag tags -> 0.0
           | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:g.Scdb_plan.Plan.g_delta ~ratio
       in
       {

@@ -111,7 +111,10 @@ type budget_row = {
       (** the δ the node's spent work actually buys at its granted ε,
           via {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for
           union, intersection and difference nodes, whose stopping
-          rule holds it at any trial count; [nan] when it never ran *)
+          rule holds it at any trial count; [0] for a dfk leaf whose
+          attribution carries the optimized VM's [exact_weight] tag,
+          which leaves its whole grant as slack; [nan] when it never
+          ran *)
   b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
 }
 (** One node of the error-budget attribution: the (ε,δ) sub-contract

@@ -48,6 +48,19 @@ let rejection_box_trials ~dim =
   let d = Stdlib.min dim 16 in
   Stdlib.min 20_000 (4 * (1 lsl d))
 
+let lasserre_calls ~dim ~rows =
+  if dim < 0 || rows < 0 then invalid_arg "Cost.lasserre_calls";
+  (* Σ_{k<d} m!/(m−k)!, the falling factorials built term by term; a
+     term is 0 once k > m. *)
+  let total = ref 0.0 and term = ref 1.0 in
+  for k = 0 to dim - 1 do
+    total := !total +. !term;
+    term := !term *. float_of_int (Stdlib.max 0 (rows - k))
+  done;
+  !total
+
+let walk_steps_per_lasserre_call = 8.0
+
 let volume_phases ~dim ?aspect () =
   if dim = 0 then 0
   else begin

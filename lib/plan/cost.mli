@@ -84,6 +84,26 @@ val rejection_box_trials : dim:int -> int
     the cost model only — the runtime budget is the sampler's
     [max_attempts] argument. *)
 
+val lasserre_calls : dim:int -> rows:int -> float
+(** [Σ_{k<d} m!/(m−k)!] for [m = rows]: an upper bound on the calls
+    the exact Lasserre recursion ([Volume_exact]) makes on a
+    [rows]-row system in dimension [dim].  A call in dimension [d > 1]
+    recurses once per row of its preprocessed system into dimension
+    [d−1], with one row fewer (the pivot), and preprocessing only
+    removes rows; a 1-D call is a base case.  So
+    [C(1,m) = 1], [C(d,m) ≤ 1 + m·C(d−1,m−1)], whose solution is the
+    sum.  [0] in dimension 0, where no recursion runs.  A float,
+    since it passes [max_int] near [d = 20].
+    @raise Invalid_argument on a negative argument. *)
+
+val walk_steps_per_lasserre_call : float
+(** The fitted exchange rate between the two routes to a leaf's
+    weight: the wall time of one Lasserre call over the wall time of
+    one DFK hit-and-run phase step (DESIGN.md §7 gives the fit).  The
+    optimized VM takes a leaf's weight exactly when
+    [lasserre_calls · walk_steps_per_lasserre_call] is at most the
+    leaf's DFK volume work in walk steps. *)
+
 (** {1 Inversions}
 
     The audit layer ({!Scdb_audit} via [spatialdb audit] and the report

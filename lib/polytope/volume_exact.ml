@@ -47,7 +47,10 @@ let substitute ~k ~pivot c =
   in
   { row; rhs = Q.sub c.rhs (Q.mul factor pivot.rhs) }
 
-let rec volume_rec dim cstrs =
+(* [calls] counts the invocations, the unit [Cost.lasserre_calls]
+   bounds. *)
+let rec volume_rec calls dim cstrs =
+  incr calls;
   match preprocess cstrs with
   | None -> Q.zero
   | Some cstrs when dim = 1 -> (
@@ -72,7 +75,7 @@ let rec volume_rec dim cstrs =
           let k = ref 0 in
           Array.iteri (fun j c -> if Q.compare (Q.abs c) (Q.abs pivot.row.(!k)) > 0 then k := j) pivot.row;
           let facet = List.filter (fun c -> c != pivot) cstrs |> List.map (substitute ~k:!k ~pivot) in
-          let sub = volume_rec (dim - 1) facet in
+          let sub = volume_rec calls (dim - 1) facet in
           if Q.is_zero sub then total
           else Q.add total (Q.div (Q.mul pivot.rhs sub) (Q.mul (Q.of_int dim) (Q.abs pivot.row.(!k)))))
         Q.zero cstrs
@@ -80,11 +83,11 @@ let rec volume_rec dim cstrs =
 (* Emptiness in dims 0 and 1 and boundedness everywhere are decided
    without an LP (see the interface); the feasibility LP spares dims
    >= 2 the recursion over every facet of an empty system. *)
-let volume_system ~dim a b =
+let volume_system ?(calls = ref 0) ?(nonempty = false) ~dim a b =
   if Array.length a <> Array.length b then invalid_arg "Volume_exact.volume_system";
   if dim = 0 then (if Array.for_all (fun r -> Q.sign r >= 0) b then Q.one else Q.zero)
-  else if dim >= 2 && not (Es.is_feasible ~a ~b) then Q.zero
-  else volume_rec dim (Array.to_list (Array.map2 (fun row rhs -> { row; rhs }) a b))
+  else if dim >= 2 && (not nonempty) && not (Es.is_feasible ~a ~b) then Q.zero
+  else volume_rec calls dim (Array.to_list (Array.map2 (fun row rhs -> { row; rhs }) a b))
 
 let tuple_system ~dim tuple =
   let rows =
@@ -100,9 +103,12 @@ let tuple_system ~dim tuple =
   in
   (Array.of_list (List.map fst rows), Array.of_list (List.map snd rows))
 
-let volume_tuple ~dim tuple =
+let tuple_rows tuple =
+  List.fold_left (fun n (atom : Atom.t) -> n + if atom.op = Atom.Eq then 2 else 1) 0 tuple
+
+let volume_tuple ?calls ?nonempty ~dim tuple =
   let a, b = tuple_system ~dim tuple in
-  volume_system ~dim a b
+  volume_system ?calls ?nonempty ~dim a b
 
 let volume_relation ?(max_tuples = 16) r =
   let tuples = Array.of_list (Relation.tuples r) in

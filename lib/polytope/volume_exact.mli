@@ -12,7 +12,13 @@
 
 exception Unbounded
 
-val volume_system : dim:int -> Rational.t array array -> Rational.t array -> Rational.t
+val volume_system :
+  ?calls:int ref ->
+  ?nonempty:bool ->
+  dim:int ->
+  Rational.t array array ->
+  Rational.t array ->
+  Rational.t
 (** Exact volume of [{x ∈ R^dim | A x <= b}].  For [dim >= 2] one exact
     feasibility LP decides emptiness, so an empty system costs no
     recursion; in dim 0 the system is non-empty exactly when every
@@ -20,10 +26,27 @@ val volume_system : dim:int -> Rational.t array array -> Rational.t array -> Rat
     itself.  Boundedness is left to the recursion, which reaches a 1-D
     base case missing a bound exactly when a non-empty system is
     unbounded.
+
+    [calls] is incremented once per call of the Lasserre recursion.
+    With [m] rows in dimension [d] there are at most
+    [Σ_{k<d} m!/(m−k)!] of them: a call at depth [k] recurses once
+    per remaining row into a system one dimension and at least one
+    row smaller, and preprocessing only removes rows
+    ([Scdb_plan.Cost.lasserre_calls]).
+
+    [nonempty] (default [false]) is the caller's promise that the set
+    is non-empty: the feasibility LP is skipped.  The answer is the
+    same either way, since the recursion returns 0 on an empty system
+    itself; with big-rational rows the LP is most of a call's cost.
     @raise Unbounded if the polyhedron is non-empty and unbounded. *)
 
-val volume_tuple : dim:int -> Dnf.tuple -> Rational.t
-(** Volume of the convex set of one generalized tuple. *)
+val tuple_rows : Dnf.tuple -> int
+(** Rows of the system {!volume_tuple} builds from a tuple: one per
+    inequality atom, two per equation. *)
+
+val volume_tuple : ?calls:int ref -> ?nonempty:bool -> dim:int -> Dnf.tuple -> Rational.t
+(** Volume of the convex set of one generalized tuple; [calls] and
+    [nonempty] as in {!volume_system}. *)
 
 val volume_relation : ?max_tuples:int -> Relation.t -> Rational.t
 (** Volume of a finite union of tuples, by inclusion–exclusion over the

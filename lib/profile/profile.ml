@@ -102,32 +102,31 @@ type node_row = {
   node_id : int;
   instructions : int;  (* instruction executions attributed to the node *)
   node_ns : float;
-  tags : string list;  (* distinct rewrite tags on the node's instructions *)
+  tags : string list;  (* the node's rewrite tags ([Vm.rewrite_tags]) *)
 }
 
 let per_node t =
-  let tbl : (int, int ref * float ref * string list ref) Hashtbl.t = Hashtbl.create 16 in
+  let tbl : (int, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun (r : pc_row) ->
-      let c, s, tg =
+      let c, s =
         match Hashtbl.find_opt tbl r.node with
         | Some x -> x
         | None ->
-            let x = (ref 0, ref 0.0, ref []) in
+            let x = (ref 0, ref 0.0) in
             Hashtbl.add tbl r.node x;
             x
       in
       c := !c + r.count;
-      s := !s +. r.ns;
-      match r.tag with
-      | Some name when not (List.mem name !tg) -> tg := name :: !tg
-      | _ -> ())
+      s := !s +. r.ns)
     (pc_rows t);
+  let tags = Vm.rewrite_tags t.prog in
   List.sort
     (fun a b -> compare a.node_id b.node_id)
     (Hashtbl.fold
-       (fun node_id (c, s, tg) acc ->
-         { node_id; instructions = !c; node_ns = !s; tags = List.sort compare !tg } :: acc)
+       (fun node_id (c, s) acc ->
+         let tags = Option.value (List.assoc_opt node_id tags) ~default:[] in
+         { node_id; instructions = !c; node_ns = !s; tags } :: acc)
        tbl [])
 
 (* ------------------------------------------------------------------ *)

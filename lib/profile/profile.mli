@@ -70,7 +70,7 @@ type node_row = {
   node_id : int;
   instructions : int;  (** instruction executions attributed to the node *)
   node_ns : float;
-  tags : string list;  (** distinct rewrite tags on the node's instructions *)
+  tags : string list;  (** the node's rewrite tags, {!Scdb_vm.Vm.rewrite_tags} *)
 }
 
 val per_node : t -> node_row list

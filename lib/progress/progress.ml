@@ -114,9 +114,13 @@ let accrue cell n =
     | None -> ()
     | Some st ->
         let v = float_of_int n in
+        (* A stack can name nodes the bus was not armed with (a plan
+           armed with its root row only): their work goes unrecorded. *)
         let touch id =
-          (cell st).(id) <- (cell st).(id) +. v;
-          check_overrun st id
+          if id >= 0 && id < Array.length st.budgets then begin
+            (cell st).(id) <- (cell st).(id) +. v;
+            check_overrun st id
+          end
         in
         (match st.stack with
         | [] -> if Array.length st.budgets > 0 then touch 0

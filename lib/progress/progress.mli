@@ -59,7 +59,7 @@ val exit_path : int array -> unit
 
 val add_steps : int -> unit
 (** Accrue walk steps to every node on the stack (to the root when the
-    stack is empty). *)
+    stack is empty).  Ids outside the armed rows are skipped. *)
 
 val add_trials : int -> unit
 (** Accrue rejection/acceptance trials likewise. *)

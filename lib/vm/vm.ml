@@ -10,6 +10,7 @@ let tel_draws = Tel.Counter.make "vm.draws"
 let trial = Probe.trial ~counter:"vm.trials" ()
 let walk_probe = Probe.walk "vm.steps"
 let tel_programs = Tel.Counter.make "vm.programs"
+let tel_lasserre = Tel.Counter.make "vm.lasserre_calls"
 
 (* The exhaust handlers: the interpreter's warning events, counted in
    [vm.exhausted]. *)
@@ -102,6 +103,10 @@ let tag_name = function
   | 2 -> Some "shared_union_leaf"
   | 3 -> Some "reordered_membership"
   | _ -> None
+
+(* Not an instruction tag: a leaf whose weight is exact is listed by
+   [rewrite_tags] under this name, next to its instructions' tags. *)
+let exact_weight_tag = "exact_weight"
 
 exception Compile_error of string
 
@@ -308,6 +313,7 @@ type t = {
   opt : bool;
   header : string;
   mirror_obs : Observable.t;
+  exact_ids : int list;  (* plan-node ids of the leaves tagged exact_weight *)
 }
 
 let optimized t = t.opt
@@ -532,6 +538,33 @@ let pack_relation mtab fpool r =
     tuples;
   off
 
+(* The exact route to a leaf's weight: [obs] with its volume replaced by
+   the Lasserre volume of [tuple], computed on first use and kept.  It
+   draws no rng; should the exact call raise, every request falls back
+   to [obs]'s own DFK estimate on the rng it is handed.  A prepared
+   piece was rounded, so its tuple is non-empty and the feasibility LP
+   has nothing to decide. *)
+let exact_weight ~dim tuple (obs : Observable.t) =
+  let v =
+    lazy
+      (let calls = ref 0 in
+       let v =
+         match Volume_exact.volume_tuple ~calls ~nonempty:true ~dim tuple with
+         | q -> Some (Rational.to_float q)
+         | exception (Volume_exact.Unbounded | Invalid_argument _ | Division_by_zero) -> None
+       in
+       Tel.Counter.add tel_lasserre !calls;
+       v)
+  in
+  {
+    obs with
+    Observable.volume =
+      (fun rng ~gamma ~eps ~delta ->
+        match Lazy.force v with
+        | Some v -> v
+        | None -> obs.Observable.volume rng ~gamma ~eps ~delta);
+  }
+
 let is_leaf (n : Plan.node) =
   match n.Plan.op with Plan.Dfk _ | Plan.Guard -> true | _ -> false
 
@@ -668,6 +701,35 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     else if swapped.(i) then tag_rejection_box
     else tag_none
   in
+  (* Cost-based weight selection: a leaf's weight comes from the exact
+     Lasserre volume of its tuple when the proven bound on the
+     recursion's calls, priced in walk steps, is no more than the DFK
+     estimate's own walk (phases × samples per phase × walk steps).
+     Stream-changing, so optimized engine only. *)
+  let weight_routes =
+    Array.mapi
+      (fun i (n : Plan.node) ->
+        match (n.Plan.op, prepared.(i).Convex_obs.p_relation) with
+        | Plan.Dfk { phases; samples_per_phase; walk_steps; _ }, Some r when opt -> (
+            match Relation.tuples r with
+            | [ tuple ] ->
+                let bound =
+                  Cost.lasserre_calls ~dim:n.Plan.dim ~rows:(Volume_exact.tuple_rows tuple)
+                in
+                let exact = bound *. Cost.walk_steps_per_lasserre_call in
+                let dfk =
+                  float_of_int phases *. float_of_int samples_per_phase *. float_of_int walk_steps
+                in
+                Some (tuple, bound, exact, dfk)
+            | _ -> None)
+        | _ -> None)
+      leaves
+  in
+  let exact_tuple i =
+    match weight_routes.(i) with
+    | Some (tuple, _, exact, dfk) when exact <= dfk -> Some tuple
+    | _ -> None
+  in
   Array.iteri (fun i _ -> if rep.(i) <> i then rt_idx.(i) <- rt_idx.(rep.(i))) leaves;
   let pieces = Array.of_list (List.rev !rt_acc) in
   if Array.length pieces = 0 then cerr "plan has no convex pieces";
@@ -695,10 +757,13 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
   let rec mirror (n : Plan.node) : Observable.t =
     let obs =
       match n.Plan.op with
-      | Plan.Dfk _ | Plan.Guard ->
+      | Plan.Dfk _ | Plan.Guard -> (
           let i = !ord in
           incr ord;
-          Convex_obs.observe prepared.(i)
+          let obs = Convex_obs.observe prepared.(i) in
+          match exact_tuple i with
+          | Some tuple -> exact_weight ~dim:n.Plan.dim tuple obs
+          | None -> obs)
       | Plan.Union_op _ ->
           let kids = Array.of_list (List.map mirror n.Plan.children) in
           Hashtbl.replace kids_of_id n.Plan.id kids;
@@ -1106,6 +1171,21 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
              p.prep.Convex_obs.p_dim (kind_name p.kind) p.steps
              (Polytope.num_constraints p.prep.Convex_obs.p_body)))
       pieces;
+    Array.iteri
+      (fun i route ->
+        match route with
+        | Some (_, bound, exact, dfk) ->
+            let chosen = exact <= dfk in
+            Buffer.add_string b
+              (Printf.sprintf
+                 "; leaf n%d weight: %s (Lasserre <= %.0f call(s) = %.0f step(s) %s DFK %.0f step(s))\n"
+                 leaves.(i).Plan.id
+                 (if chosen then exact_weight_tag else "dfk")
+                 bound exact
+                 (if chosen then "<=" else ">")
+                 dfk)
+        | None -> ())
+      weight_routes;
     List.iteri
       (fun i d -> Buffer.add_string b (Printf.sprintf "; weights w%d: %s\n" i d))
       (List.rev !wdesc);
@@ -1135,6 +1215,10 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
     opt;
     header;
     mirror_obs;
+    exact_ids =
+      List.filter_map
+        (fun i -> Option.map (fun _ -> leaves.(i).Plan.id) (exact_tuple i))
+        (List.init nleaf Fun.id);
   }
 
 let compile ?(optimize = false) ~plan ~pieces () =
@@ -1173,6 +1257,7 @@ let instruction_bases t =
 
 let rewrite_tags t =
   let tbl = Hashtbl.create 8 in
+  List.iter (fun id -> Hashtbl.replace tbl id [ exact_weight_tag ]) t.exact_ids;
   Array.iter
     (fun base ->
       match tag_name t.dbg_tag.(base) with

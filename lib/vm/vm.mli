@@ -20,14 +20,26 @@
       cost-based plan rewrites — per-leaf sampler selection
       (rejection-box when {!Scdb_plan.Cost.rejection_box_trials} beats
       the hit-and-run schedule), intersection membership conjunctions
-      reordered smallest-bounding-box-first, and duplicate union leaves
-      sharing one compiled piece and one volume estimate.  Rewrites
-      preserve the sampling distribution but not the rng stream.
+      reordered smallest-bounding-box-first, duplicate union leaves
+      sharing one compiled piece and one volume estimate, and exact
+      leaf weights (below).  Rewrites preserve the sampling
+      distribution but not the rng stream.
 
     Volume estimation (the weight prologues that seed union/argmin
-    dispatch) still runs the interpreted estimators — the VM compiles
-    the per-draw hot path, and the interpreter stays the differential
-    oracle for it. *)
+    dispatch) runs the interpreted estimators through {!mirror} — the
+    VM compiles the per-draw hot path, and the interpreter stays the
+    differential oracle for it.  Under the optimized engine a DFK leaf
+    over one generalized tuple is tagged [exact_weight] when
+    {!Scdb_plan.Cost.lasserre_calls} of its tuple, times
+    {!Scdb_plan.Cost.walk_steps_per_lasserre_call}, is at most its DFK
+    volume work ([phases × samples_per_phase × walk_steps] of its plan
+    node).  Its mirror's volume is then the exact Lasserre volume of
+    the tuple, computed on first use, once per program, drawing no rng
+    (should the exact call raise, the DFK estimate runs instead on the
+    same rng).  Union weights, Karp–Luby estimates and
+    intersection/difference volumes all read it there.  The bound is a
+    proven ceiling on the recursion's calls, so a selected leaf never
+    makes more Lasserre calls than the rule priced. *)
 
 type t
 
@@ -78,14 +90,19 @@ val mirror : t -> Observable.t
 (** The interpreted mirror of the compiled plan (each node
     Progress-tagged with its plan-node id).  The weight prologues
     estimate through it; [report --engine vm|vm-opt] runs its volume
-    estimate here so the result matches the interpreter's contract. *)
+    estimate here so the result matches the interpreter's contract.
+    Leaves tagged [exact_weight] answer volume requests exactly; the
+    [vm.lasserre_calls] telemetry counter counts the calls they
+    spend. *)
 
 (** {1 Symbolization}
 
     The compiler records, for every code word, the plan-node id whose
     codegen emitted it plus a rewrite tag naming the vm-opt rewrite
     that shaped it ([rejection_box_substituted], [shared_union_leaf],
-    [reordered_membership]).  {!disassemble} annotates each line with
+    [reordered_membership]).  The leaf-level [exact_weight] rewrite
+    tags no instruction: {!rewrite_tags} lists it under the leaf's id
+    and {!disassemble}'s header names the route of every leaf weight.  {!disassemble} annotates each line with
     both; the profiler folds per-pc counts through this table into
     per-node attribution rows. *)
 
@@ -109,9 +126,13 @@ val node_at : t -> int -> int
 val tag_at : t -> int -> string option
 (** Rewrite tag of the code word at [pc], if any. *)
 
+val exact_weight_tag : string
+(** ["exact_weight"]. *)
+
 val rewrite_tags : t -> (int * string list) list
-(** Per plan-node id, the distinct rewrite tags on its instructions
-    (nodes without tags omitted; sorted by id). *)
+(** Per plan-node id, the distinct rewrite tags on its instructions,
+    plus [exact_weight] on leaves whose weight is exact (nodes without
+    tags omitted; sorted by id). *)
 
 val disassemble : t -> string
 (** Human-readable program listing: piece table, weight/trial slots,

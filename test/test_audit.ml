@@ -299,10 +299,66 @@ let run_tests =
         | Ok _ -> Alcotest.fail "expected an error");
   ]
 
+(* The optimized VM's volumes: a fresh program per replicate, its
+   estimate read through the mirror, whose leaf weights are exact. *)
+module Plan = Scdb_plan.Plan
+module Vm = Scdb_vm.Vm
+module Plan_exec = Scdb_gis.Plan_exec
+module Progress = Scdb_progress.Progress
+
+let gamma = Scdb_gis.Flight.gamma
+
+let compile_opt rng relation =
+  match
+    Plan_exec.compiled_of_relation ~config:Scdb_core.Convex_obs.practical_config ~optimize:true ~gamma
+      ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 4) rng relation
+  with
+  | Some (plan, Ok prog) -> (plan, prog)
+  | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
+  | None -> Alcotest.fail "relation should be compilable"
+
+let vm_opt_audit relation =
+  let truth = Q.to_float (Option.get (A.exact_truth relation)) in
+  let estimate seed =
+    let rng = Rng.create seed in
+    let _, prog = compile_opt rng relation in
+    Some (Scdb_core.Observable.volume (Vm.mirror prog) ~gamma rng ~eps:0.2 ~delta:0.1)
+  in
+  let cov = A.verify ~eps:0.2 ~delta:0.1 ~runs:40 ~seed:42 ~truth estimate in
+  Alcotest.(check string)
+    (Printf.sprintf "%d/%d hits" cov.A.hits cov.A.runs)
+    "pass" (A.verdict_name cov.A.verdict)
+
+let three_boxes =
+  let box x0 y0 x1 y1 = Relation.box [| qq x0 2; qq y0 2 |] [| qq x1 2; qq y1 2 |] in
+  List.fold_left Relation.union (box 0 0 4 2) [ box 2 0 6 2; box 1 1 5 3 ]
+
+let vm_opt_tests =
+  [
+    ts "vm-opt volumes pass on the Figure 1 union" (fun () -> vm_opt_audit union_fig1);
+    ts "vm-opt volumes pass on three overlapping boxes" (fun () -> vm_opt_audit three_boxes);
+    t "exact-weight leaves keep their whole grant as slack" (fun () ->
+        let rng = Rng.create 42 in
+        let plan, prog = compile_opt rng union_fig1 in
+        Plan_exec.arm plan;
+        Fun.protect ~finally:Progress.stop (fun () ->
+            ignore (Vm.sample_many prog rng ~n:4);
+            ignore (Scdb_core.Observable.volume (Vm.mirror prog) ~gamma rng ~eps:0.2 ~delta:0.1));
+        let rows = A.budget_rows plan (Plan_exec.attribution ~program:prog plan) in
+        let leaves = List.filter (fun (r : A.budget_row) -> r.A.b_op = "dfk") (Array.to_list rows) in
+        Alcotest.(check int) "two leaves" 2 (List.length leaves);
+        List.iter
+          (fun (r : A.budget_row) ->
+            Alcotest.(check (float 0.0)) "achieved delta" 0.0 r.A.b_delta_achieved;
+            Alcotest.(check (float 0.0)) "slack is the grant" r.A.b_delta r.A.b_slack)
+          leaves);
+  ]
+
 let suites =
   [
     ("audit.fingerprint", fingerprint_tests);
     ("audit.oracles", oracle_tests);
     ("audit.verify", verify_tests);
     ("audit.run", run_tests);
+    ("audit.vm_opt", vm_opt_tests);
   ]

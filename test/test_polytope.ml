@@ -363,6 +363,28 @@ let oracle_tests =
             ([| [| q 1; q 1; q 0 |]; [| q (-1); q (-1); q 0 |]; [| q 0; q 0; q 1 |]; [| q 0; q 0; q (-1) |] |],
              [| q 0; q 0; q 0; q 0 |]);
           ]);
+    qt ~count:1000 "skipping the feasibility LP changes no answer" arbitrary_system
+      (fun (dim, a, b) ->
+        same_answer (fun () -> VE.volume_system ~nonempty:true ~dim a b) (fun () -> VE.volume_system ~dim a b));
+    qt ~count:1000 "Lasserre calls never exceed Cost.lasserre_calls" arbitrary_system
+      (fun (dim, a, b) ->
+        (* Without the LP gate, so empty systems recurse too. *)
+        let calls = ref 0 in
+        (try ignore (VE.volume_system ~calls ~nonempty:true ~dim a b) with VE.Unbounded -> ());
+        float_of_int !calls <= Scdb_plan.Cost.lasserre_calls ~dim ~rows:(Array.length a));
+    t "Cost.lasserre_calls is tight on simplices" (fun () ->
+        (* No row of a simplex is redundant or parallel to another, so
+           every recursion keeps all of them. *)
+        List.iter
+          (fun d ->
+            let calls = ref 0 in
+            let tuple = List.hd (Relation.tuples (Relation.standard_simplex d)) in
+            ignore (VE.volume_tuple ~calls ~dim:d tuple);
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "d=%d" d)
+              (Scdb_plan.Cost.lasserre_calls ~dim:d ~rows:(VE.tuple_rows tuple))
+              (float_of_int !calls))
+          [ 1; 2; 3; 4; 5 ]);
   ]
 
 let polygon_tests =

@@ -258,6 +258,116 @@ let opt_tests =
         | None -> Alcotest.fail "relation should be compilable");
   ]
 
+(* The Figure 1 union, the 3×3 parcel grid of the e2e corpus (through
+   its text form, so the coefficients are big rationals), and a union
+   of two 10-simplices. *)
+let fig1_union = "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+
+let parse vars text = Relation.of_formula ~dim:(List.length vars) (Scdb_constr.Parser.parse ~vars text)
+
+let parcels () =
+  let ps =
+    Scdb_gis.Synth.parcel_grid (Rng.create 3) ~rows:3 ~cols:3 ~cell:1.0 ~jitter:0.05
+  in
+  parse [ "x0"; "x1" ] (Relation.to_text (List.fold_left Relation.union (List.hd ps) (List.tl ps)))
+
+let simplices10 () =
+  let xs = List.init 10 (Printf.sprintf "x%d") in
+  let simplex lo =
+    Printf.sprintf "(%s /\\ %s <= %d)"
+      (String.concat " /\\ " (List.mapi (fun i x -> Printf.sprintf "%s >= %d" x (if i = 0 then lo else 0)) xs))
+      (String.concat " + " xs) (lo + 1)
+  in
+  parse xs (simplex 0 ^ " \\/ " ^ simplex 2)
+
+let compile_opt ?(config = cfg) ?(optimize = true) ~seed relation =
+  match
+    Plan_exec.compiled_of_relation ~config ~optimize ~gamma:0.05 ~eps:0.2 ~delta:0.1
+      ~task:(Plan.Sample 4) (Rng.create seed) relation
+  with
+  | Some (plan, Ok prog) -> (plan, prog)
+  | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
+  | None -> Alcotest.fail "relation should be compilable"
+
+let leaf_ids (plan : Plan.t) = List.map (fun (c : Plan.node) -> c.Plan.id) plan.Plan.root.Plan.children
+
+let exact_ids prog =
+  List.filter_map
+    (fun (id, tags) -> if List.mem Vm.exact_weight_tag tags then Some id else None)
+    (Vm.rewrite_tags prog)
+
+(* Σ over the leaves of the proven call bound of each leaf's tuple. *)
+let call_bound relation =
+  List.fold_left
+    (fun acc tuple ->
+      acc
+      +. Scdb_plan.Cost.lasserre_calls ~dim:(Relation.dim relation)
+           ~rows:(Scdb_polytope.Volume_exact.tuple_rows tuple))
+    0.0 (Relation.tuples relation)
+
+(* Lasserre calls [f] spends, read from the telemetry counter. *)
+let lasserre_calls f =
+  let module Tel = Scdb_telemetry.Telemetry in
+  let was = Tel.enabled () in
+  Tel.set_enabled true;
+  Tel.reset ();
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) (fun () ->
+      f ();
+      Option.value (Tel.counter_value "vm.lasserre_calls") ~default:0)
+
+let exact_weight_tests =
+  [
+    t "Figure 1 leaves take exact weights within their call bound" (fun () ->
+        let relation = parse [ "x"; "y" ] fig1_union in
+        let compiled = ref None in
+        let at_compile = lasserre_calls (fun () -> compiled := Some (compile_opt ~seed:7 relation)) in
+        let plan, prog = Option.get !compiled in
+        Alcotest.(check (list int)) "both leaves tagged" (leaf_ids plan) (exact_ids prog);
+        Alcotest.(check int) "no call before a weight is needed" 0 at_compile;
+        let calls = lasserre_calls (fun () -> ignore (Vm.sample_many prog (Rng.create 70) ~n:4)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "0 < %d calls <= bound %g" calls (call_bound relation))
+          true
+          (calls > 0 && float_of_int calls <= call_bound relation);
+        let _, strict = compile_opt ~optimize:false ~seed:7 relation in
+        Alcotest.(check (list int)) "strict vm stays on DFK" [] (exact_ids strict));
+    ts "the 9 parcel leaves take exact weights" (fun () ->
+        let relation = parcels () in
+        let plan, prog = compile_opt ~seed:8 relation in
+        Alcotest.(check int) "nine leaves" 9 (List.length (leaf_ids plan));
+        Alcotest.(check (list int)) "every leaf tagged" (leaf_ids plan) (exact_ids prog);
+        let calls = lasserre_calls (fun () -> ignore (Vm.sample_many prog (Rng.create 80) ~n:2)) in
+        Alcotest.(check bool) "calls within the bound" true
+          (float_of_int calls <= call_bound relation));
+    ts "a 10-simplex leaf keeps its DFK weight and makes no Lasserre call" (fun () ->
+        let relation = simplices10 () in
+        Alcotest.(check (float 1.0)) "bound" 28_671_512.0 (call_bound relation /. 2.0);
+        let _, prog = compile_opt ~seed:9 relation in
+        Alcotest.(check (list int)) "untagged at the shipped budget" [] (exact_ids prog);
+        (* A small phase budget keeps the DFK weights quick to run. *)
+        let small = { cfg with Convex_obs.volume_budget = Scdb_sampling.Volume.Practical 10 } in
+        let _, prog = compile_opt ~config:small ~seed:9 relation in
+        Alcotest.(check (list int)) "untagged" [] (exact_ids prog);
+        Alcotest.(check int) "no Lasserre call" 0
+          (lasserre_calls (fun () -> ignore (Vm.sample_many prog (Rng.create 90) ~n:1))));
+    t "explain --format program names the route of every leaf weight" (fun () ->
+        let _, prog = compile_opt ~seed:7 (parse [ "x"; "y" ] fig1_union) in
+        let lines =
+          List.filter
+            (fun l -> String.length l > 6 && String.sub l 0 6 = "; leaf")
+            (String.split_on_char '\n' (Vm.disassemble prog))
+        in
+        Alcotest.(check int) "one line per leaf" 2 (List.length lines);
+        List.iter
+          (fun l ->
+            Alcotest.(check bool) l true
+              (let pat = "exact_weight" in
+               let n = String.length l and k = String.length pat in
+               let rec go i = i + k <= n && (String.sub l i k = pat || go (i + 1)) in
+               go 0))
+          lines);
+  ]
+
 let compile_tests =
   [
     t "piece-count mismatch is refused" (fun () ->
@@ -325,6 +435,7 @@ let suites =
   [
     ("vm.mirror", mirror_tests);
     ("vm.opt", opt_tests);
+    ("vm.exact_weight", exact_weight_tests);
     ("vm.compile", compile_tests);
     ("vm.fixtures", fixture_tests);
   ]
