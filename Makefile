@@ -26,11 +26,16 @@ trend:
 # Tier-1 gate: full build, benches compile, tests pass.  The samplers
 # (lib/sampling, lib/core, lib/vm) report through Scdb_obs.Probe, so a
 # direct progress accrual or warn event there, which could drift from
-# its counter, fails the gate.
+# its counter, fails the gate.  Every walk draws its directions from
+# the ziggurat fills (Rng.*_fast), so a polar draw in the samplers, the
+# kernel or the VM, which would fork the walk stream, fails it too.
 check:
 	dune build
 	@if grep -rnE 'Progress\.add_(steps|trials)|Log\.warn\b' lib/sampling lib/core lib/vm; then \
 	  echo "make check: report through Scdb_obs.Probe, not Progress/Log directly" >&2; exit 1; fi
+	@if grep -rnE 'Rng\.(unit_vector|unit_vector_into|in_ball|in_ball_into|gaussian)\b' \
+	  lib/sampling lib/polytope lib/core lib/vm; then \
+	  echo "make check: walks draw ziggurat directions (Rng.*_fast), not the polar fills" >&2; exit 1; fi
 	dune build @bench
 	dune runtest
 

@@ -730,8 +730,8 @@ let run ~fast ~out ~check ~metrics_out =
   (* Direction-bound companion fixture: the standard simplex at the
      same dimension.  With m = dim+1 rows the per-draw cost is
      dominated by the direction draw, so this sweep isolates what
-     batching actually buys (per-draw overhead amortization plus the
-     ziggurat direction stream) — the 72-row union fixture above is
+     batching actually buys (per-draw overhead amortization; every K
+     draws the same ziggurat directions) — the 72-row union fixture above is
      flop-bound: its O(m·d) chord scan is per-chain work that no
      batching can amortize, capping its K16 speedup well below 2x (see
      EXPERIMENTS.md).  Longer invocations amortize batch setup to
@@ -781,8 +781,8 @@ let run ~fast ~out ~check ~metrics_out =
       measure ~fast ~name:"hit_and_run.step.incremental" ~ops:hr_steps (fun () ->
           ignore (HR.sample_polytope_batch [| rng |] poly ~starts:[| centre |] ~steps:hr_steps));
       (* Batched SoA kernel at K chains: ns per chain-step (one draw),
-         so draws/sec = 1e9 / ns_per_op.  Production defaults per K:
-         Compat (polar) directions at K=1, Fast (ziggurat) at K>1. *)
+         so draws/sec = 1e9 / ns_per_op.  Every K draws ziggurat
+         directions. *)
       batched_bench 1;
       batched_bench 2;
       batched_bench 4;

@@ -63,7 +63,7 @@ let observe p =
           | Grid_walk -> Walk.default_steps ~dim ~eps
           | Hit_and_run | Rejection_box -> Hit_and_run.default_steps ~dim)
     in
-    (* One chain of the batched kernel, on the Compat stream. *)
+    (* One chain of the batched kernel. *)
     let hit_and_run () =
       (Hit_and_run.sample_polytope_batch [| walk_rng |] body ~starts:[| Vec.create dim |] ~steps)
         .(0)

@@ -67,7 +67,9 @@ let volume_phases ~dim ?aspect () =
     let d = float_of_int dim in
     let aspect = match aspect with Some a -> a | None -> Float.max 2.0 (d ** 1.5) in
     if aspect <= 1.0 then 0
-    else int_of_float (ceil (d *. (log aspect /. log 2.0)))
+    (* [Float.log2], not [log a /. log 2]: the quotient reads
+       1.5000000000000002 at a = 2^1.5, which gave d = 2 four phases. *)
+    else int_of_float (ceil (d *. Float.log2 aspect))
   end
 
 let achieved_delta_additive ~eps ~samples =

@@ -150,7 +150,7 @@ module Kernel : sig
     val directions : batch -> float array
     (** The raw chain-major [K×dim] direction staging block; chain [c]
         owns [c·dim .. c·dim + dim − 1].  Writing a slot directly (e.g.
-        via [Rng.unit_vector_slice]) is equivalent to {!set_dir} and
+        via [Rng.unit_vector_slice_fast]) is equivalent to {!set_dir} and
         skips the intermediate staging vector. *)
 
     val chord_all : batch -> unit

@@ -13,7 +13,14 @@
    per raw [bits64] output.  The counter is a plain mutable [int]
    field — one unboxed store per draw, no allocation — so the stream
    position of any generator can be captured and compared during
-   replay. *)
+   replay.
+
+   Every walk draws its directions from one source, the ziggurat fills
+   ([unit_vector_slice_fast] and friends), so a chain walks the same
+   stream at any chain count, and the strict VM the same as the
+   interpreter.  The polar [gaussian] survives only behind the
+   allocating [unit_vector]/[in_ball], which build seeded geometry
+   whose coordinates are pinned. *)
 
 type t = { state : Bytes.t; id : int; mutable draws : int }
 
@@ -215,9 +222,10 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
    generator stateless beyond its stream position.  A loop with
    [@inline always] rather than a recursive closure, for the reason
    given at [gaussian_fast] below: inlined callers get the deviate
-   unboxed, so direction fills allocate nothing.  Same draw order
-   ([u] then [v]) and arithmetic as the recursive form, so the stream
-   and every value are unchanged. *)
+   unboxed.  Same draw order ([u] then [v]) and arithmetic as the
+   recursive form, so the stream and every value are unchanged.  No
+   walk draws on it: it serves the allocating [unit_vector]/[in_ball]
+   behind seeded geometry. *)
 let[@inline always] gaussian t =
   let res = ref 0.0 in
   let looping = ref true in
@@ -233,15 +241,13 @@ let[@inline always] gaussian t =
   !res
 
 (* Ziggurat gaussian (Doornik's ZIGNOR layout, 128 layers): the
-   throughput generator behind the batched walk kernels' direction
-   draws.  One raw [bits64] output covers layer index, sign and
-   mantissa, and ~97.5% of draws resolve with a single table compare
-   and one multiply — roughly an order of magnitude cheaper than the
-   polar method's log/sqrt per deviate.  The stream use differs from
-   [gaussian] (different draws per deviate), so it is a distinct,
-   deterministic stream: replayable, but not interchangeable with the
-   polar stream.  The single-chain kernels keep the polar method for
-   bit-compatibility with existing flight records. *)
+   generator behind every walk's direction draws, at one chain or K.
+   One raw [bits64] output covers layer index, sign and mantissa, and
+   ~97.5% of draws resolve with a single table compare and one
+   multiply — a fraction of the polar method's two uniforms, log and
+   sqrt per deviate.  The stream use differs from [gaussian]
+   (different draws per deviate): both are deterministic, but a walk
+   replays only on the stream it was recorded on. *)
 
 let zig_layers = 128
 let zig_r = 3.442619855899
@@ -318,45 +324,15 @@ let[@inline always] gaussian_fast t =
   done;
   !res
 
-let gaussian_vec t d = Vec.init d (fun _ -> gaussian t)
-
-(* In-place variants for preallocated buffers: same draw order as the
-   allocating versions, so a given seed yields the same stream either
-   way — the incremental walk kernels rely on that. *)
-
-let gaussian_vec_into t v =
-  for i = 0 to Array.length v - 1 do
-    Array.unsafe_set v i (gaussian t)
-  done
-
-(* Both fills open-code the draw/normalize/retry cycle (same arithmetic
-   order as the original allocating implementation, so results are
-   bit-identical) instead of sharing it through a [fill] callback: the
-   callback closure captured [t] and [v] and so allocated on every
-   direction draw — the samplers' hottest call.  The slice forms write
-   [buf.(off) .. buf.(off + len - 1)] so the batched kernel can stage
-   each chain's direction straight into its chain-major block slot. *)
-let unit_vector_slice t buf off len =
-  let again = ref true in
-  while !again do
-    (* Single pass: store the deviate and accumulate the squared norm
-       together (index-order sum — bit-identical to a separate pass). *)
-    let n2 = ref 0.0 in
-    for i = off to off + len - 1 do
-      let g = gaussian t in
-      Array.unsafe_set buf i g;
-      n2 := !n2 +. (g *. g)
-    done;
-    let n = sqrt !n2 in
-    if n >= 1e-12 then begin
-      let inv = 1.0 /. n in
-      for i = off to off + len - 1 do
-        Array.unsafe_set buf i (Array.unsafe_get buf i *. inv)
-      done;
-      again := false
-    end
-  done
-
+(* Direction fills on the ziggurat: the one direction source of every
+   polytope walk (hit-and-run, ball walk, the DFK phase walk, the VM's
+   hit-and-run).  Draw every deviate, storing it and accumulating the
+   squared norm in the same pass (index order), then normalise; a
+   near-zero norm redraws the whole vector.  The slice forms write
+   [buf.(off) .. buf.(off + len - 1)] so the batched kernel stages each
+   chain's direction straight into its chain-major block slot.  Open
+   code, no callback: a closure capturing [t] and [buf] would allocate
+   on every direction draw, the samplers' hottest call. *)
 let unit_vector_slice_fast t buf off len =
   let again = ref true in
   while !again do
@@ -376,38 +352,10 @@ let unit_vector_slice_fast t buf off len =
     end
   done
 
-let[@inline] unit_vector_into t v = unit_vector_slice t v 0 (Array.length v)
-
 let[@inline] unit_vector_into_fast t v =
   unit_vector_slice_fast t v 0 (Array.length v)
 
-let unit_vector t d =
-  let v = Vec.create d in
-  unit_vector_into t v;
-  v
-
 let[@inline] ball_radius t d = float t ** (1.0 /. float_of_int d)
-
-let in_ball_into t v =
-  unit_vector_into t v;
-  let r = ball_radius t (Array.length v) in
-  for i = 0 to Array.length v - 1 do
-    Array.unsafe_set v i (Array.unsafe_get v i *. r)
-  done
-
-let in_ball_into_fast t v =
-  unit_vector_into_fast t v;
-  let r = ball_radius t (Array.length v) in
-  for i = 0 to Array.length v - 1 do
-    Array.unsafe_set v i (Array.unsafe_get v i *. r)
-  done
-
-let in_ball_slice t buf off len =
-  unit_vector_slice t buf off len;
-  let r = ball_radius t len in
-  for i = off to off + len - 1 do
-    Array.unsafe_set buf i (Array.unsafe_get buf i *. r)
-  done
 
 let in_ball_slice_fast t buf off len =
   unit_vector_slice_fast t buf off len;
@@ -415,6 +363,33 @@ let in_ball_slice_fast t buf off len =
   for i = off to off + len - 1 do
     Array.unsafe_set buf i (Array.unsafe_get buf i *. r)
   done
+
+let[@inline] in_ball_into_fast t v = in_ball_slice_fast t v 0 (Array.length v)
+
+(* The allocating polar-method draws.  No walk uses them; they stay for
+   seeded geometry ([Synth]'s random parcels, test and bench fixtures)
+   whose coordinates must not move.  Same draw order and arithmetic as
+   the fast fill, on [gaussian]. *)
+let unit_vector t d =
+  let v = Vec.create d in
+  let again = ref true in
+  while !again do
+    let n2 = ref 0.0 in
+    for i = 0 to d - 1 do
+      let g = gaussian t in
+      Array.unsafe_set v i g;
+      n2 := !n2 +. (g *. g)
+    done;
+    let n = sqrt !n2 in
+    if n >= 1e-12 then begin
+      let inv = 1.0 /. n in
+      for i = 0 to d - 1 do
+        Array.unsafe_set v i (Array.unsafe_get v i *. inv)
+      done;
+      again := false
+    end
+  done;
+  v
 
 let in_ball t d =
   let dir = unit_vector t d in

@@ -119,63 +119,44 @@ val bool : t -> bool
 val bits64 : t -> int64
 
 val gaussian : t -> float
-(** Standard normal deviate (Marsaglia polar method). *)
+(** Standard normal deviate (Marsaglia polar method).  Seeded geometry
+    ({!unit_vector}, {!in_ball}) draws on it; no walk does. *)
 
 val gaussian_fast : t -> float
 (** Standard normal deviate by the 128-layer ziggurat: ~97.5% of draws
     cost one raw 64-bit output, one table compare and one multiply.
     Deterministic given the seed, but consumes the stream differently
-    from {!gaussian} — the batched walk kernels use it for K>1 chain
-    directions, while single-chain (replay-compatible) paths keep
-    {!gaussian}. *)
+    from {!gaussian}.  Every walk's directions are built on it. *)
 
-(** {1 Vector draws} *)
+(** {1 Vector draws}
 
-val gaussian_vec : t -> int -> Vec.t
-
-val unit_vector : t -> int -> Vec.t
-(** Uniform on the unit sphere of the given dimension. *)
-
-val gaussian_vec_into : t -> Vec.t -> unit
-(** Fill a preallocated buffer with standard normal deviates.  Consumes
-    the same stream as {!gaussian_vec} of the same dimension. *)
-
-val unit_vector_into : t -> Vec.t -> unit
-(** Overwrite a preallocated buffer with a uniform unit vector without
-    allocating.  Consumes the same stream as {!unit_vector} of the same
-    dimension — walk kernels use this to keep the inner loop free of
-    per-step allocation. *)
-
-val unit_vector_into_fast : t -> Vec.t -> unit
-(** Like {!unit_vector_into} but built on {!gaussian_fast}: same
-    distribution, different (still deterministic) stream use.  The
-    batched kernels' K>1 throughput path. *)
-
-val unit_vector_slice : t -> float array -> int -> int -> unit
-(** [unit_vector_slice t buf off len]: {!unit_vector_into} targeting
-    [buf.(off) .. buf.(off + len - 1)] — bit-identical draws, letting
-    the batched kernels stage each chain's direction straight into its
-    chain-major block slot without a staging vector or blit. *)
+    Walk directions come from the allocation-free ziggurat fills
+    ([*_fast]); the allocating polar forms serve seeded geometry whose
+    coordinates are pinned (random parcels, test and bench fixtures). *)
 
 val unit_vector_slice_fast : t -> float array -> int -> int -> unit
-(** Slice form of {!unit_vector_into_fast}. *)
+(** [unit_vector_slice_fast t buf off len] overwrites
+    [buf.(off) .. buf.(off + len - 1)] with a uniform unit vector of
+    dimension [len], built on {!gaussian_fast}, without allocating.
+    The batched kernels stage each chain's direction straight into its
+    chain-major block slot with it. *)
 
-val in_ball : t -> int -> Vec.t
-(** Uniform in the closed unit ball. *)
-
-val in_ball_into : t -> Vec.t -> unit
-(** Allocation-free {!in_ball}; same stream and bit-identical values. *)
-
-val in_ball_into_fast : t -> Vec.t -> unit
-(** Allocation-free uniform ball point on the {!gaussian_fast} stream. *)
-
-val in_ball_slice : t -> float array -> int -> int -> unit
-(** Slice form of {!in_ball_into}: fill
-    [buf.(off) .. buf.(off + len - 1)] with a uniform point of the
-    [len]-dimensional unit ball, bit-identical to {!in_ball_into}. *)
+val unit_vector_into_fast : t -> Vec.t -> unit
+(** {!unit_vector_slice_fast} over the whole buffer. *)
 
 val in_ball_slice_fast : t -> float array -> int -> int -> unit
-(** Slice form of {!in_ball_into_fast}. *)
+(** Uniform point of the [len]-dimensional closed unit ball into
+    [buf.(off) .. buf.(off + len - 1)]: a {!unit_vector_slice_fast}
+    direction scaled by a radius draw.  Allocation-free. *)
+
+val in_ball_into_fast : t -> Vec.t -> unit
+(** {!in_ball_slice_fast} over the whole buffer. *)
+
+val unit_vector : t -> int -> Vec.t
+(** Uniform on the unit sphere of the given dimension (polar stream). *)
+
+val in_ball : t -> int -> Vec.t
+(** Uniform in the closed unit ball (polar stream). *)
 
 val in_box : t -> Vec.t -> Vec.t -> Vec.t
 (** Uniform in the axis-parallel box [[lo, hi]]. *)

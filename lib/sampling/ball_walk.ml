@@ -36,8 +36,10 @@ let walk ?monitor rng ~mem ~start ~steps ~radius =
   let dim = Vec.dim start in
   let current = ref (Vec.copy start) in
   let accepted = ref 0 in
+  let u = Vec.create dim in
   for _ = 1 to steps do
-    let proposal = Vec.add !current (Vec.scale radius (Rng.in_ball rng dim)) in
+    Rng.in_ball_into_fast rng u;
+    let proposal = Vec.add !current (Vec.scale radius u) in
     (if mem proposal then begin
        current := proposal;
        incr accepted;
@@ -68,13 +70,13 @@ let sample_polytope ?monitor rng poly ~start ~steps ?radius () =
    proposal against the cached row products ([propose_all]), and
    accepted chains commit incrementally — replacing K full [O(m·d)]
    membership evaluations per step by one amortized pass plus [O(m)]
-   commits.  Chain [c] consumes only [rngs.(c)]; [Compat] draws the
-   ball point exactly like {!walk} ([Rng.in_ball]'s stream), [Fast]
-   (the K>1 default) uses the ziggurat stream.  Acceptance compares the
-   incrementally-cached [A·x + A·δ] against [b], which can differ from
-   the from-scratch oracle in the last ulp — the stationary law is
-   identical, guarded by the chi-square audits. *)
-let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps ?radius () =
+   commits.  Chain [c] consumes only [rngs.(c)] and draws its ball
+   point exactly like {!walk} (the ziggurat fill, then the radius
+   draw).  Acceptance compares the incrementally-cached [A·x + A·δ]
+   against [b], which can differ from the from-scratch oracle in the
+   last ulp — the stationary law is identical, guarded by the
+   chi-square audits. *)
+let sample_polytope_batch ?monitors rngs poly ~starts ~steps ?radius () =
   let k = Array.length rngs in
   if k = 0 then invalid_arg "Ball_walk.sample_polytope_batch: no chains";
   if Array.length starts <> k then
@@ -83,32 +85,19 @@ let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps ?radius (
   if Array.length mons <> 0 && Array.length mons <> k then
     invalid_arg "Ball_walk.sample_polytope_batch: monitors/rngs length mismatch";
   let radius = resolve_radius poly radius in
-  let mode =
-    match dir_mode with
-    | Some m -> m
-    | None -> if k = 1 then Hit_and_run.Compat else Hit_and_run.Fast
-  in
   let dim = Polytope.dim poly in
   let sp = Probe.enter batch_phase in
   let b = Polytope.Kernel.Batch.make poly starts in
   let dirs = Polytope.Kernel.Batch.directions b in
   let viols = Polytope.Kernel.Batch.violations b in
-  let compat =
-    match mode with Hit_and_run.Compat -> true | Hit_and_run.Fast -> false
-  in
   let monitored = Array.length mons > 0 in
   let accepted = ref 0 in
   for _ = 1 to steps do
     (* Direct-call slice fills into the chain-major displacement block:
        no staging vector, no blit, no closure on the hot path. *)
-    if compat then
-      for c = 0 to k - 1 do
-        Rng.in_ball_slice (Array.unsafe_get rngs c) dirs (c * dim) dim
-      done
-    else
-      for c = 0 to k - 1 do
-        Rng.in_ball_slice_fast (Array.unsafe_get rngs c) dirs (c * dim) dim
-      done;
+    for c = 0 to k - 1 do
+      Rng.in_ball_slice_fast (Array.unsafe_get rngs c) dirs (c * dim) dim
+    done;
     for j = 0 to (k * dim) - 1 do
       Array.unsafe_set dirs j (radius *. Array.unsafe_get dirs j)
     done;

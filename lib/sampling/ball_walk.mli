@@ -32,7 +32,6 @@ val sample_polytope :
 
 val sample_polytope_batch :
   ?monitors:Scdb_diag.Diag.Monitor.t array ->
-  ?dir_mode:Hit_and_run.dir_mode ->
   Rng.t array ->
   Polytope.t ->
   starts:Vec.t array ->
@@ -43,9 +42,8 @@ val sample_polytope_batch :
 (** K Metropolis ball chains on the batched kernel
     ({!Polytope.Kernel.Batch}): one shared pass evaluates all K
     proposals per step against the cached row products instead of K
-    from-scratch membership tests.  Chain [c] consumes only [rngs.(c)];
-    [Compat] matches {!walk}'s per-chain ball-point stream, [Fast]
-    (default for K > 1) uses the ziggurat stream.  Accounting is per
+    from-scratch membership tests.  Chain [c] consumes only [rngs.(c)],
+    on {!walk}'s per-chain ball-point stream.  Accounting is per
     invocation.
     @raise Invalid_argument on empty/mismatched arrays or a degenerate
     body with no explicit [radius]. *)

@@ -62,8 +62,11 @@ let sample ?monitor rng ~chord ~start ~steps =
   let dim = Vec.dim start in
   let current = ref (Vec.copy start) in
   let degenerate = ref 0 in
+  (* One direction buffer for the run: the chord reads it and [axpy]
+     copies, so nothing keeps it past its step. *)
+  let dir = Vec.create dim in
   for _ = 1 to steps do
-    let dir = Rng.unit_vector rng dim in
+    Rng.unit_vector_into_fast rng dir;
     (match chord !current dir with
     | None ->
         (* numerically outside; keep position *)
@@ -91,8 +94,6 @@ let phase_walk rng b ~radius ~steps =
 (* Batched multi-chain sampler                                          *)
 (* ------------------------------------------------------------------ *)
 
-type dir_mode = Compat | Fast
-
 (* K chains advance in lockstep through [Polytope.Kernel.Batch]: per
    step, all K directions are drawn and staged, one shared matrix pass
    computes every chain's chord (one plain row loop at K = 1), then
@@ -100,16 +101,13 @@ type dir_mode = Compat | Fast
    replace the O(m·d) chord recomputation of [sample] by one O(m·d)
    pass for A·dir plus an O(m) cache update, with no per-step
    allocation.  Chain [c] consumes only [rngs.(c)], and the per-chain
-   draw order (direction fill, then a uniform iff the chord accepted)
-   matches [sample] exactly — so in [Compat] mode every chain follows
-   the generic sampler's trajectory up to rounding, and is
-   bit-identical to a K = 1 run from the same rng and start.  [Fast]
-   mode swaps the direction generator for the ziggurat
-   ([Rng.unit_vector_into_fast]): same distribution on a cheaper,
-   distinct stream, the default once K > 1 where no single-chain replay
-   contract exists.  Accounting (telemetry, progress, trace, the stuck
-   warning) is per batch invocation, never per step or chain. *)
-let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps =
+   draw order (ziggurat direction fill, then a uniform iff the chord
+   accepted) matches [sample] exactly — so every chain follows the
+   generic sampler's trajectory up to rounding, and is bit-identical to
+   a K = 1 run from the same rng and start.  Accounting (telemetry,
+   progress, trace, the stuck warning) is per batch invocation, never
+   per step or chain. *)
+let sample_polytope_batch ?monitors rngs poly ~starts ~steps =
   let k = Array.length rngs in
   if k = 0 then invalid_arg "Hit_and_run.sample_polytope_batch: no chains";
   if Array.length starts <> k then
@@ -117,27 +115,19 @@ let sample_polytope_batch ?monitors ?dir_mode rngs poly ~starts ~steps =
   let mons = match monitors with Some ms -> ms | None -> [||] in
   if Array.length mons <> 0 && Array.length mons <> k then
     invalid_arg "Hit_and_run.sample_polytope_batch: monitors/rngs length mismatch";
-  let mode = match dir_mode with Some m -> m | None -> if k = 1 then Compat else Fast in
   let sp = Probe.enter batch_phase in
   let d = Polytope.dim poly in
   let b = Batch.make poly starts in
   let dirs = Batch.directions b in
   let lows = Batch.lows b and highs = Batch.highs b in
-  let compat = match mode with Compat -> true | Fast -> false in
   let monitored = Array.length mons > 0 in
   let degenerate = ref 0 in
   for _ = 1 to steps do
-    (* Two direct-call loops instead of one through a function value:
-       the per-chain direction draw is the hottest call site, and the
-       slice fills land straight in the chain-major direction block. *)
-    if compat then
-      for c = 0 to k - 1 do
-        Rng.unit_vector_slice (Array.unsafe_get rngs c) dirs (c * d) d
-      done
-    else
-      for c = 0 to k - 1 do
-        Rng.unit_vector_slice_fast (Array.unsafe_get rngs c) dirs (c * d) d
-      done;
+    (* The per-chain direction draw is the hottest call site; the
+       slice fill lands straight in the chain-major direction block. *)
+    for c = 0 to k - 1 do
+      Rng.unit_vector_slice_fast (Array.unsafe_get rngs c) dirs (c * d) d
+    done;
     Batch.chord_all b;
     for c = 0 to k - 1 do
       let lo = Array.unsafe_get lows c and hi = Array.unsafe_get highs c in

@@ -37,21 +37,8 @@ val phase_walk : Rng.t -> Polytope.Kernel.Batch.batch -> radius:float -> steps:i
     once per call.  Allocation-free per step.
     @raise Invalid_argument unless the batch has exactly one chain. *)
 
-type dir_mode =
-  | Compat  (** Polar-method directions ({!Rng.unit_vector_slice}):
-                per-chain rng stream identical to {!sample}'s, so each
-                chain of a same-seeded K>1 batch replays bit-exactly
-                against a K = 1 run.  The default at K = 1, and the
-                stream the interpreter's draws, rounding and flight
-                records are pinned to. *)
-  | Fast  (** Ziggurat directions ({!Rng.unit_vector_into_fast}): same
-              distribution, cheaper and on a distinct deterministic
-              stream.  The default at K > 1, where direction draws
-              dominate the amortized batched step. *)
-
 val sample_polytope_batch :
   ?monitors:Scdb_diag.Diag.Monitor.t array ->
-  ?dir_mode:dir_mode ->
   Rng.t array ->
   Polytope.t ->
   starts:Vec.t array ->

@@ -44,9 +44,8 @@ val estimate :
     {!Rounding.round} (0 disables isotropic whitening — ablation E14).
 
     The hit-and-run phases walk one warm-started chain of
-    {!Polytope.Kernel.Batch} with ziggurat directions
-    ({!Hit_and_run.phase_walk}); the grid-walk phases and the rounding
-    keep the polar direction stream.
+    {!Polytope.Kernel.Batch} ({!Hit_and_run.phase_walk}).  Like every
+    walk, they and the rounding draw ziggurat directions.
     @raise Invalid_argument on [Practical n] with [n < 1] or
     [walk_steps < 1]: a phase with no samples or no moves has no
     ratio to estimate. *)

@@ -261,7 +261,7 @@ let make_piece (prep : Convex_obs.prepared) kind ~steps ~hr_steps =
    rebuilds the chain's cache block, making the reused batch equivalent
    to the fresh one-chain batch the interpreter's
    [Hit_and_run.sample_polytope_batch] call constructs; the per-step
-   draw order (Compat direction fill, then a uniform iff the chord is
+   draw order (ziggurat direction fill, then a uniform iff the chord is
    usable) replicates the interpreter's, so the rng stream is
    bit-identical. *)
 let hr_draw p rng steps =
@@ -269,7 +269,7 @@ let hr_draw p rng steps =
   let d = Vec.dim p.pstart in
   Batch.set_pos p.batch 0 p.pstart;
   for _ = 1 to steps do
-    Rng.unit_vector_slice rng p.pdirs 0 d;
+    Rng.unit_vector_slice_fast rng p.pdirs 0 d;
     Batch.chord_all p.batch;
     let lo = Array.unsafe_get p.plows 0 and hi = Array.unsafe_get p.phighs 0 in
     if hi > lo && Float.is_finite lo && Float.is_finite hi then

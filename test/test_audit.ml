@@ -276,8 +276,11 @@ let run_tests =
     ts "corrupting the estimator budget fails the audited contract" (fun () ->
         (* A twentieth of the practical per-phase budget: same plan,
            same oracle, but the estimator can no longer honor the
-           (ε,δ) it advertises — the auditor must notice. *)
-        match A.run ~phase_samples:5 ~eps:0.2 ~delta:0.1 ~runs:12 ~seed:42 union_fig1 with
+           (ε,δ) it advertises — the auditor must notice.  40
+           replicates, as the vm-opt audits use: at 12, coverage near
+           0.7 reads INCONCLUSIVE as often as FAIL, so the verdict rode
+           on the seed. *)
+        match A.run ~phase_samples:5 ~eps:0.2 ~delta:0.1 ~runs:40 ~seed:42 union_fig1 with
         | Error e -> Alcotest.failf "audit failed to run: %s" e
         | Ok a ->
             Alcotest.(check bool)

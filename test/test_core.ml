@@ -354,8 +354,9 @@ let project_tests =
           [ []; [ 0; 1 ]; [ 5 ] ]);
     t "projection stream pinned across the exact fiber oracle" (fun () ->
         (* An elevation prism has 1-D fibers, the exact oracle's
-           cheapest path; points and draw count were recorded when that
-           oracle still ran its LP gates. *)
+           cheapest path.  The oracle consumes no rng, so the points and
+           draw count move only with the walk stream (last re-pinned
+           when every walk moved to ziggurat directions). *)
         let base =
           Scdb_gis.Synth.random_convex_parcel (Rng.create 7) ~centre:[| 1.0; 1.0 |] ~radius:1.0
             ~facets:5
@@ -370,14 +371,14 @@ let project_tests =
         Alcotest.(check (list (list string)))
           "points"
           [
-            [ "0x1.af11b09b7e474p-1"; "0x1.c2c5c779ce575p-5" ];
-            [ "0x1.1e05c23532e7cp+0"; "0x1.59dedc0fd7593p-2" ];
-            [ "0x1.5e29f9d74c7f9p-1"; "0x1.09a4f466a3cd2p-1" ];
-            [ "0x1.d7e3c894794d8p-1"; "0x1.ed928bbe1c201p-1" ];
-            [ "0x1.7503b5daacb13p+0"; "0x1.5673d5f8b190bp+0" ];
+            [ "0x1.cce0c62c65b79p-1"; "0x1.6edf096323accp-1" ];
+            [ "0x1.7d1fa404dfc83p-1"; "0x1.8914b92b0a087p+0" ];
+            [ "0x1.2f42dd57dfa02p-1"; "0x1.24a637d7959b3p+0" ];
+            [ "0x1.ea8eba066666ep-1"; "0x1.844707b08036fp-1" ];
+            [ "0x1.34064bc4c0af5p+0"; "0x1.9acba8acabba8p-2" ];
           ]
           (List.map (fun p -> List.map (Printf.sprintf "%h") (Array.to_list p)) points);
-        Alcotest.(check int) "draws" 115716 (Rng.draw_count rng));
+        Alcotest.(check int) "draws" 57163 (Rng.draw_count rng));
   ]
 
 let fixed_dim_tests =

@@ -292,7 +292,8 @@ let harness_tests =
 (* Per-chain monitors on the batched kernel must reproduce the old
    sequential-chain loop exactly: same recorded series, hence the same
    ESS, means, acceptance statistics and split R-hat, when each chain is
-   given the same generator and Compat directions. *)
+   given the same generator: every chain draws the same direction
+   stream at K = 4 as alone. *)
 let batch_parity_tests =
   let module HR = Scdb_sampling.Hit_and_run in
   [
@@ -329,13 +330,12 @@ let batch_parity_tests =
               m)
             seeds
         in
-        (* Batched: same seeds, Compat directions, one kernel call. *)
+        (* Batched: same seeds, one kernel call. *)
         let batch_monitors = Array.init chains (fun _ -> Diag.Monitor.create ~thin ~dim ()) in
         let rngs = Array.map Rng.create seeds in
         let starts = Array.init chains (fun _ -> start ()) in
         ignore
-          (HR.sample_polytope_batch ~monitors:batch_monitors ~dir_mode:HR.Compat rngs poly
-             ~starts ~steps);
+          (HR.sample_polytope_batch ~monitors:batch_monitors rngs poly ~starts ~steps);
         Array.iteri
           (fun c seq ->
             let bat = batch_monitors.(c) in

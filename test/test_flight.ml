@@ -136,9 +136,11 @@ let tests =
         | Ok _ -> Alcotest.fail "replayed a volume record"
         | Error m -> Alcotest.(check bool) "explains" true (contains m "only \"sample\""));
     ts "committed pre-batching record still replays bit-exactly" (fun () ->
-        (* Fixture recorded by the incremental single-chain kernel
-           before the batched SoA kernel landed: replay pins the K=1
-           RNG stream and chord arithmetic across the refactor. *)
+        (* Fixture first recorded by the incremental single-chain
+           kernel before the batched SoA kernel landed, and re-recorded
+           with the same args and seed when every walk moved to
+           ziggurat directions: replay pins the K=1 RNG stream and
+           chord arithmetic. *)
         (* The runner executes from the build root; the fixture sits
            next to the test executable (declared as a dune dep). *)
         let path =

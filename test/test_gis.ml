@@ -275,6 +275,34 @@ let synth_tests =
         Alcotest.(check int) "tuples" 9 (List.length (Relation.tuples parcels));
         Alcotest.(check bool) "finite" true (Float.is_finite union);
         Alcotest.(check bool) "equals the sum" true (Float.abs (union -. sum) <= 1e-12 *. sum));
+    t "seeded parcels are pinned: text of a parcel and of a 2x2 grid" (fun () ->
+        (* The benchmark corpus and its exact truths are built from
+           these generators (polar [Rng.unit_vector] cuts); any change
+           to their draws or arithmetic moves the corpus and must be
+           deliberate. *)
+        let parcel =
+          Synth.random_convex_parcel (Rng.create 7) ~centre:[| 1.0; 1.0 |] ~radius:1.0 ~facets:5
+        in
+        Alcotest.(check string)
+          "parcel"
+          "-x0 <= 0 /\\\n\
+           -2090733117441245/2251799813685248*x0 + 1672647521203833/4503599627370496*x1 - \
+           940408108398887/4503599627370496 <= 0 /\\\n\
+           -7659563001429073/9007199254740992*x0 - 592409447744779/1125899906842624*x1 + \
+           148110349456655/281474976710656 <= 0 /\\\n\
+           5566402437930613/72057594037927936*x0 + 8980283979392219/9007199254740992*x1 - \
+           8451710675617399/4503599627370496 <= 0 /\\\n\
+           5408504689373251/9007199254740992*x0 - 1800654662887123/2251799813685248*x1 - \
+           3444824656184129/4503599627370496 <= 0 /\\\n\
+           4295327884335715/4503599627370496*x0 - 1353723742016717/4503599627370496*x1 - \
+           3257865124572169/2251799813685248 <= 0 /\\\n\
+           x0 - 2 <= 0 /\\ -x1 <= 0 /\\ x1 - 2 <= 0"
+          (Relation.to_text parcel);
+        let grid = Synth.parcel_grid (Rng.create 11) ~rows:2 ~cols:2 ~cell:1.0 ~jitter:0.05 in
+        let text = String.concat "\n" (List.map Relation.to_text grid) in
+        Alcotest.(check int) "grid text length" 3770 (String.length text);
+        Alcotest.(check string) "grid text digest" "f7784b5c44414ad8becbd1e68714fcce"
+          (Digest.to_hex (Digest.string text)));
   ]
 
 

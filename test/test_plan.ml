@@ -109,6 +109,12 @@ let equality_tests =
         | Plan.Boost_op { runs } ->
             Alcotest.(check int) "plan boost runs" (Boost.runs_for ~delta:0.1) runs
         | _ -> Alcotest.fail "root is not a boost");
+    t "volume phases pinned for d = 1..10" (fun () ->
+        (* ⌈d·log₂ max(2, d^1.5)⌉; d = 2 is 3, where a log-quotient
+           rounding once made it 4. *)
+        Alcotest.(check (list int))
+          "phases" [ 1; 3; 8; 12; 18; 24; 30; 36; 43; 50 ]
+          (List.init 10 (fun i -> Cost.volume_phases ~dim:(i + 1) ())));
     t "walk schedules: runtime = Cost = plan attribute" (fun () ->
         for dim = 1 to 8 do
           Alcotest.(check int)

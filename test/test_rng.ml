@@ -4,6 +4,14 @@ module Rng = Scdb_rng.Rng
 
 let t name f = Alcotest.test_case name `Quick f
 
+(* Pearson's statistic of [counts] (summing to [n]) against equal
+   cell probabilities. *)
+let chi_square_uniform counts n =
+  let expected = float_of_int n /. float_of_int (Array.length counts) in
+  Array.fold_left
+    (fun acc c -> acc +. (((float_of_int c -. expected) ** 2.0) /. expected))
+    0.0 counts
+
 let tests =
   [
     t "deterministic per seed" (fun () ->
@@ -84,10 +92,7 @@ let tests =
           let k = Rng.int rng 10 in
           buckets.(k) <- buckets.(k) + 1
         done;
-        let expected = float_of_int n /. 10.0 in
-        let chi2 =
-          Array.fold_left (fun acc c -> acc +. (((float_of_int c -. expected) ** 2.0) /. expected)) 0.0 buckets
-        in
+        let chi2 = chi_square_uniform buckets n in
         (* 9 dof: chi2 < 27.9 at the 0.1% level *)
         Alcotest.(check bool) (Printf.sprintf "chi2=%.1f" chi2) true (chi2 < 27.9));
     t "int rejects non-positive bound" (fun () ->
@@ -142,12 +147,7 @@ let tests =
           let k = bin (Rng.gaussian_fast rng) in
           buckets.(k) <- buckets.(k) + 1
         done;
-        let expected = float_of_int n /. 10.0 in
-        let chi2 =
-          Array.fold_left
-            (fun acc c -> acc +. (((float_of_int c -. expected) ** 2.0) /. expected))
-            0.0 buckets
-        in
+        let chi2 = chi_square_uniform buckets n in
         (* 9 dof: chi2 < 27.9 at the 0.1% level *)
         Alcotest.(check bool) (Printf.sprintf "chi2=%.1f" chi2) true (chi2 < 27.9));
     t "gaussian_fast reaches the ziggurat tail" (fun () ->
@@ -170,14 +170,34 @@ let tests =
         Rng.unit_vector_into_fast b v;
         Alcotest.(check (float 1e-9)) "norm" 1.0 (Vec.norm u);
         Alcotest.(check bool) "same stream, same vector" true (u = v));
-    t "in_ball_into matches in_ball bit-for-bit" (fun () ->
-        let a = Rng.create 20 and b = Rng.create 20 in
-        let v = Vec.create 3 in
-        for _ = 1 to 50 do
-          let w = Rng.in_ball a 3 in
-          Rng.in_ball_into b v;
-          Alcotest.(check bool) "identical" true (w = v)
-        done);
+    t "d=2 fast directions: uniform over 16 angle sectors" (fun () ->
+        let rng = Rng.create 22 in
+        let n = 64_000 and sectors = 16 in
+        let buf = Array.make 4 0.0 in
+        let counts = Array.make sectors 0 in
+        for _ = 1 to n do
+          Rng.unit_vector_slice_fast rng buf 1 2;
+          let a = Float.atan2 buf.(2) buf.(1) +. Float.pi in
+          let s = min (sectors - 1) (int_of_float (a /. (2.0 *. Float.pi) *. float_of_int sectors)) in
+          counts.(s) <- counts.(s) + 1
+        done;
+        let chi2 = chi_square_uniform counts n in
+        (* 15 dof: chi2 < 37.7 at the 0.1% level *)
+        Alcotest.(check bool) (Printf.sprintf "chi2=%.1f" chi2) true (chi2 < 37.7));
+    t "d=3 fast directions: uniform over 8 sign orthants" (fun () ->
+        let rng = Rng.create 23 in
+        let n = 64_000 in
+        let v = Array.make 3 0.0 in
+        let counts = Array.make 8 0 in
+        for _ = 1 to n do
+          Rng.unit_vector_slice_fast rng v 0 3;
+          let o = ref 0 in
+          Array.iteri (fun i x -> if x < 0.0 then o := !o lor (1 lsl i)) v;
+          counts.(!o) <- counts.(!o) + 1
+        done;
+        let chi2 = chi_square_uniform counts n in
+        (* 7 dof: chi2 < 24.3 at the 0.1% level *)
+        Alcotest.(check bool) (Printf.sprintf "chi2=%.1f" chi2) true (chi2 < 24.3));
     t "in_ball_into_fast stays inside the ball" (fun () ->
         let rng = Rng.create 21 in
         let v = Vec.create 4 in
@@ -261,17 +281,19 @@ let tests =
             Alcotest.(check int) (Printf.sprintf "seed %d draws" seed) (Rng.draw_count a)
               (Rng.draw_count b))
           [ 1; 42; 2024 ]);
-    t "unit_vector_into allocates nothing" (fun () ->
+    t "unit_vector_slice_fast allocates nothing" (fun () ->
+        (* The walks' direction fill, into a chain slot past offset 0 as
+           the batched kernels use it. *)
         List.iter
           (fun d ->
-            let rng = Rng.create 5 and v = Array.make d 0.0 in
+            let rng = Rng.create 5 and buf = Array.make (3 * d) 0.0 in
             let iters = 10_000 in
             for _ = 1 to 100 do
-              Rng.unit_vector_into rng v
+              Rng.unit_vector_slice_fast rng buf d d
             done;
             let w0 = Gc.minor_words () in
             for _ = 1 to iters do
-              Rng.unit_vector_into rng v
+              Rng.unit_vector_slice_fast rng buf d d
             done;
             let dw = Gc.minor_words () -. w0 in
             Alcotest.(check bool)

@@ -14,8 +14,7 @@ module Rng = Scdb_rng.Rng
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
 
-(* The pipeline's hit-and-run: one chain of the batched kernel, Compat
-   directions. *)
+(* The pipeline's hit-and-run: one chain of the batched kernel. *)
 let hr1 rng poly ~start ~steps = (HR.sample_polytope_batch [| rng |] poly ~starts:[| start |] ~steps).(0)
 
 let grid_tests =
@@ -643,33 +642,33 @@ let phase_bodies () =
    arithmetic moves these. *)
 let pinned_estimates =
   [
-    ("simplex2", 1, "0x1.e064115349645p-2", 56529);
-    ("simplex2", 42, "0x1.dd186ed6ac46ap-2", 56688);
-    ("simplex2", 2024, "0x1.2cba8a5bab2a1p-1", 56517);
-    ("simplex3", 1, "0x1.55b2c73397e54p-3", 237978);
-    ("simplex3", 42, "0x1.32096187e3d62p-3", 261287);
-    ("simplex3", 2024, "0x1.445393d5879bp-3", 261192);
-    ("simplex4", 1, "0x1.78eb7f1e70259p-5", 793319);
-    ("simplex4", 42, "0x1.37fbaf8c216b5p-5", 793465);
-    ("simplex4", 2024, "0x1.e5b91476cd7edp-5", 793425);
-    ("simplex5", 1, "0x1.4fe6dc481479fp-7", 1935399);
-    ("simplex5", 42, "0x1.38cc5dadf6cafp-8", 2020203);
-    ("simplex5", 2024, "0x1.aba9f2bc34f8fp-8", 1935542);
-    ("cube3", 1, "0x1.c16c60c2a7066p-1", 169021);
-    ("cube3", 42, "0x1.9de3a392a9541p-1", 169223);
-    ("cube3", 2024, "0x1.0b47aac5b8f65p+0", 146211);
-    ("cross3", 1, "0x1.5746472e3c5a5p+0", 214967);
-    ("cross3", 42, "0x1.1f51fc14e4374p+0", 215260);
-    ("cross3", 2024, "0x1.533f17fa5597bp+0", 215214);
-    ("random20", 1, "0x1.9967e68fdeb04p+1", 192026);
-    ("random20", 42, "0x1.3ab9c87572997p+1", 169223);
-    ("random20", 2024, "0x1.4f7361482d53dp+1", 192187);
-    ("fig1 tuple 0", 1, "0x1.e064115349645p-2", 56529);
-    ("fig1 tuple 0", 42, "0x1.dd186ed6ac46cp-2", 56688);
-    ("fig1 tuple 0", 2024, "0x1.2cba8a5bab2a1p-1", 56517);
-    ("fig1 tuple 1", 1, "0x1.fc7b939091983p-1", 45406);
-    ("fig1 tuple 1", 42, "0x1.f034cbcf52f68p-1", 56688);
-    ("fig1 tuple 1", 2024, "0x1.db3743043a9c6p-1", 45442)
+    ("simplex2", 1, "0x1.97f5f3c48aa8ap-2", 56138);
+    ("simplex2", 42, "0x1.e580fd9848d59p-2", 45084);
+    ("simplex2", 2024, "0x1.d4e131c1fe24cp-2", 56197);
+    ("simplex3", 1, "0x1.67b967d29dfb9p-3", 197787);
+    ("simplex3", 42, "0x1.42945f259fc8p-3", 197859);
+    ("simplex3", 2024, "0x1.2e5ac639ca08fp-3", 220889);
+    ("simplex4", 1, "0x1.31e80c5f21cbbp-5", 674342);
+    ("simplex4", 42, "0x1.042a2ee760053p-5", 674293);
+    ("simplex4", 2024, "0x1.16952e15126b9p-5", 674740);
+    ("simplex5", 1, "0x1.76dc034d0e3edp-8", 1746424);
+    ("simplex5", 42, "0x1.02e7e65668512p-7", 1746511);
+    ("simplex5", 2024, "0x1.094d79473acbp-7", 1746791);
+    ("cube3", 1, "0x1.e85ead4894e49p-1", 128796);
+    ("cube3", 42, "0x1.e43e3fd9df051p-1", 105869);
+    ("cube3", 2024, "0x1.1f08ccbe29f36p+0", 128887);
+    ("cross3", 1, "0x1.3ca255b244424p+0", 174803);
+    ("cross3", 42, "0x1.33a2ac97859ffp+0", 151842);
+    ("cross3", 2024, "0x1.99d5e1a845189p+0", 174921);
+    ("random20", 1, "0x1.804990b5b5981p+1", 151781);
+    ("random20", 42, "0x1.4e04511c094f1p+1", 128864);
+    ("random20", 2024, "0x1.b25f657d1b287p+1", 151903);
+    ("fig1 tuple 0", 1, "0x1.97f5f3c48aa8ap-2", 56138);
+    ("fig1 tuple 0", 42, "0x1.e580fd9848d59p-2", 45084);
+    ("fig1 tuple 0", 2024, "0x1.d4e131c1fe24cp-2", 56197);
+    ("fig1 tuple 1", 1, "0x1.d87c8b6dbaf5ep-1", 33965);
+    ("fig1 tuple 1", 42, "0x1.0b76bf05ce03dp+0", 34001);
+    ("fig1 tuple 1", 2024, "0x1.eb604d404e9a7p-1", 34063)
   ]
 
 (* Minor words per step of [steps] phase-walk moves from the origin,
@@ -806,7 +805,7 @@ let phase_walk_tests =
 
 (* Pinned K=1 streams: the exact bits of the final position and the
    raw rng draw count after 600 steps of the one-chain hit-and-run
-   (Compat directions, the interpreter's stream) and lattice walk, on
+   (ziggurat directions, the interpreter's stream) and lattice walk, on
    seeds 1, 42 and 2024.  Flight records and AUDIT_1.json replay these
    streams, so any change to the one-chain kernel's arithmetic or draw
    order fails here first.  600 steps cross the refresh_interval = 256
@@ -833,39 +832,45 @@ let k1_bodies =
 
 let k1_pins =
   [
-      ("hr", "simplex2", 1, 3628, "0x1.ac7bfa758e409p-1 0x1.e8c9c4e011f58p-9");
-      ("hr", "simplex2", 42, 3668, "0x1.f6bb57b1c8012p-4 0x1.2d31f1bb11fdp-5");
-      ("hr", "simplex2", 2024, 3622, "0x1.123463d74d442p-1 0x1.b411ed5fa69e6p-2");
-      ("hr", "simplex3", 1, 5200, "0x1.0c33be576a44fp-3 0x1.0e0976b5353cp-2 0x1.452c7c33a2054p-6");
-      ("hr", "simplex3", 42, 5266, "0x1.39dce28926db9p-1 0x1.b5a80e9ce130ep-7 0x1.d03e2b680df9ap-3");
-      ("hr", "simplex3", 2024, 5210, "0x1.c5bee13c65f74p-4 0x1.555e3fd232d4ap-1 0x1.37656e383a6e5p-3");
-      ("hr", "simplex4", 1, 6734, "0x1.6a05f96375c13p-2 0x1.a658602f01e9p-8 0x1.34705154222dfp-5 0x1.dae055f9e8912p-3");
-      ("hr", "simplex4", 42, 6684, "0x1.51487449a584p-9 0x1.31dbd9b6c13fp-1 0x1.e0f71e2d5c9dep-6 0x1.2fbee6efe5d1ep-3");
-      ("hr", "simplex4", 2024, 6736, "0x1.9cfbfd5ebea2p-3 0x1.00b950a4ea784p-2 0x1.e3e82a9a572b4p-6 0x1.f1cc39ba28c26p-3");
-      ("hr", "simplex5", 1, 8182,
-        "0x1.448b08d6592d2p-2 0x1.1fdafaf5bcc47p-3 0x1.2a4b85ca609d4p-4 0x1.4072f39ca17fdp-2 \
-         0x1.1ff9b90029ed8p-4");
-      ("hr", "simplex5", 42, 8206,
-        "0x1.7fdfb24f914c2p-2 0x1.4f8514e94ebfcp-6 0x1.ec9c90c8de653p-3 0x1.33e83916834c2p-2 \
-         0x1.40edde51ed686p-6");
-      ("hr", "simplex5", 2024, 8162,
-        "0x1.49624b6913bbcp-4 0x1.4076f059ef8ep-5 0x1.8f8242ba72cbap-3 0x1.bf197b03269fap-2 \
-         0x1.024fc15d12315p-4");
-      ("hr", "cube3", 1, 5200, "-0x1.0b80ce51d87f6p-1 -0x1.4daa1c3fcdc9ep-4 -0x1.dc9aec654de38p-1");
-      ("hr", "cube3", 42, 5266, "0x1.62cb365a424a2p-1 -0x1.b37aa80e91879p-3 0x1.ec8e7fe6c83f8p-2");
-      ("hr", "cube3", 2024, 5210, "0x1.51fb94253068ep-3 0x1.a151417925976p-1 -0x1.33e02f133e48cp-1");
-      ("hr", "regress12", 1, 18814,
-        "0x1.3fb4b7852b6fap-4 0x1.09941af048998p-3 0x1.2b52a8ca4f06ap-7 0x1.b147259ac2331p-2 \
-         -0x1.e9018be9e27fcp-7 -0x1.d0993823228f7p-6 -0x1.b89315170cda2p-3 0x1.85c7075a49284p-1 \
-         -0x1.2643d0541a04p-4 -0x1.5616000635feap-2 0x1.01ec70488ed43p-1 0x1.0a8b24901b8b7p-2");
-      ("hr", "regress12", 42, 19034,
-        "0x1.9c6b72521672bp-1 0x1.eed27546515eep-2 0x1.4f6dda2f87674p-6 -0x1.15e2f9a17f1a6p-6 \
-         0x1.2c2673dedf923p-2 -0x1.a0240b6d6ab21p-2 -0x1.9a31203faff75p-1 0x1.f53e8cc250092p-3 \
-         0x1.c29c60e4b9914p-1 0x1.e36a99e24fb13p-2 0x1.4974bb8fba4bap-4 0x1.6c16130270d03p-1");
-      ("hr", "regress12", 2024, 18806,
-        "0x1.ea61a982f5f24p-4 0x1.37dd693622fb4p-1 0x1.15e69f7c2388bp-2 -0x1.6b743812cc578p-1 \
-         -0x1.d1d8ae875b324p-3 0x1.07a40b67e160dp-1 0x1.00bcb7c6325adp-2 -0x1.8d724e2a7ee7cp-3 \
-         0x1.27e3f41a09762p-3 0x1.871a456eb0a4p-2 -0x1.beeca7e1fae22p-3 0x1.5666e5a97b364p-3");
+      ("hr", "simplex2", 1, 1858, "0x1.76b7e7863f0e8p-2 0x1.dcb615170596ep-3");
+      ("hr", "simplex2", 42, 1834, "0x1.2deec57bb3918p-2 0x1.9989e6b0117bp-4");
+      ("hr", "simplex2", 2024, 1844, "0x1.f717abc26c62ap-2 0x1.b6722345190aep-2");
+      ("hr", "simplex3", 1, 2483, "0x1.d26801d47277ap-3 0x1.39991615f5e9bp-3 0x1.66b5ff029b54p-2");
+      ("hr", "simplex3", 42, 2459,
+        "0x1.102aa324c71e5p-2 0x1.de9f41b5fc15ap-2 0x1.389179be40c25p-3");
+      ("hr", "simplex3", 2024, 2458,
+        "0x1.2525434072e0ep-4 0x1.891b54f9c581p-5 0x1.0880e3d05702bp-1");
+      ("hr", "simplex4", 1, 3118,
+        "0x1.0ab6ec42670cp-4 0x1.c38c5249221c6p-2 0x1.4626b15744e34p-4 0x1.ab5efe7ada722p-4");
+      ("hr", "simplex4", 42, 3081,
+        "0x1.2a719df12fbb9p-5 0x1.6be46ee83784ap-4 0x1.32e6aabd3e8e4p-2 0x1.52efcc81f936ep-6");
+      ("hr", "simplex4", 2024, 3101,
+        "0x1.2c4c14550b58p-1 0x1.7c42593abef12p-5 0x1.2455e25fa83d6p-6 0x1.b350b552a5facp-3");
+      ("hr", "simplex5", 1, 3727,
+        "0x1.3c5a63ab17e3ep-5 0x1.af57e0c7a7207p-7 0x1.6ae9799fe62b9p-4 0x1.02a88cc559796p-4 \
+         0x1.911307ae7888p-1");
+      ("hr", "simplex5", 42, 3716,
+        "0x1.33e907fb3bf76p-2 0x1.89d2e335b4acap-3 0x1.73659cbc36ee7p-2 0x1.cd17dd824eeb6p-4 \
+         0x1.aef9dadd8f351p-6");
+      ("hr", "simplex5", 2024, 3715,
+        "0x1.d86def5bd18e6p-7 0x1.4d99ad99963cap-3 0x1.3615ea016f0d4p-2 0x1.01111506893bdp-3 \
+         0x1.4d77497ec79d4p-2");
+      ("hr", "cube3", 1, 2483, "0x1.92d296d39ebbp-2 -0x1.16b28a3a90c42p-2 0x1.aabe2121192ap-2");
+      ("hr", "cube3", 42, 2459, "0x1.3c67a70f968cp-4 0x1.0f4c6abaa8b9ap-3 -0x1.2e38be07173d3p-2");
+      ("hr", "cube3", 2024, 2458,
+        "-0x1.866970fcae252p-1 -0x1.ae79b7dbbb235p-1 0x1.b2c21952e9807p-1");
+      ("hr", "regress12", 1, 8118,
+        "-0x1.bf24a245555ep-8 -0x1.d72feacb909cbp-2 0x1.10d30b80bee66p-2 0x1.80fa2d4cfd1cbp-1 \
+         -0x1.14c2d85004e06p-1 0x1.8b488261a216ep-2 -0x1.04944d69ea7e6p-3 0x1.1b89ba0d8481p-4 \
+         -0x1.74012e7cfafa4p-1 -0x1.dfd841b766254p-1 -0x1.c945ea9676272p-3 -0x1.241b583ed6a06p-1");
+      ("hr", "regress12", 42, 8066,
+        "-0x1.0b1662c8c67e8p-3 -0x1.0f4a6d743ad4fp-1 0x1.043c2acd39788p-1 -0x1.8e20db7f85624p-3 \
+         0x1.2ccf2358d833ap-1 0x1.2d69e84156e69p-4 -0x1.458a98ffcdf89p-1 -0x1.709c59a0c4116p-1 \
+         -0x1.1ceea6c8fdebbp-1 -0x1.44ec0ce281902p-2 0x1.d8562ecf8dbe4p-2 -0x1.f85f0acd91e51p-3");
+      ("hr", "regress12", 2024, 8093,
+        "-0x1.d425207bccdd1p-2 -0x1.a06519cb387c3p-2 0x1.5dad182e2595ap-2 -0x1.a66de43b1798p-4 \
+         0x1.fceadee57eaf3p-2 0x1.2819dcb942bfp-5 0x1.233ed362b6903p-1 0x1.3821c54999d14p-1 \
+         -0x1.c4843a4514455p-2 -0x1.d907b0705e5dap-3 0x1.7c4dc0f88656ap-1 -0x1.92b6fdc064b98p-3");
       ("walk", "simplex2", 1, 1200, "0x1p-2 0x1p-2");
       ("walk", "simplex2", 42, 1202, "0x1p-4 0x1.ap-1");
       ("walk", "simplex2", 2024, 1242, "0x1p-1 0x0p+0");
@@ -906,8 +911,7 @@ let k1_stream sampler body start seed =
   let p =
     match sampler with
     | "hr" ->
-        (HR.sample_polytope_batch ~dir_mode:HR.Compat [| rng |] body ~starts:[| start |]
-           ~steps:600).(0)
+        (HR.sample_polytope_batch [| rng |] body ~starts:[| start |] ~steps:600).(0)
     | _ ->
         let grid = G.make ~step:0.0625 ~dim:(P.dim body) in
         (W.sample_polytope_batch [| rng |] ~grid body ~starts:[| start |] ~steps:600).(0)
@@ -927,9 +931,9 @@ let check_k1_pins sampler =
     cases
 
 (* The batched structure-of-arrays kernel: the one-chain streams are
-   pinned above, every chain of a K>1 Compat batch is bit-identical to
-   its own one-chain run, and the batched chord machinery must not
-   allocate per step. *)
+   pinned above, every chain of a K>1 batch is bit-identical to its own
+   one-chain run, and the batched chord machinery must not allocate per
+   step. *)
 let batch_tests =
   let module BW = Scdb_sampling.Ball_walk in
   let fixture_poly seed dim =
@@ -944,7 +948,7 @@ let batch_tests =
     t "K=1 batched hit-and-run is pinned: bits and draw counts" (fun () -> check_k1_pins "hr");
     t "K=1 batched lattice walk is pinned: bits and draw counts" (fun () ->
         check_k1_pins "walk");
-    t "K=4 Compat chains are bit-identical to sequential single-chain runs" (fun () ->
+    t "K=4 batched chains are bit-identical to sequential single-chain runs" (fun () ->
         (* Register-blocked path against the K = 1 branch. *)
         let poly = fixture_poly 777 4 in
         let seeds = [| 11; 22; 33; 44 |] in
@@ -955,19 +959,17 @@ let batch_tests =
             seeds
         in
         let rngs = Array.map Rng.create seeds in
-        let batch =
-          HR.sample_polytope_batch ~dir_mode:HR.Compat rngs poly ~starts ~steps:300
-        in
+        let batch = HR.sample_polytope_batch rngs poly ~starts ~steps:300 in
         Array.iteri
           (fun c expected ->
             Alcotest.(check bool) (Printf.sprintf "chain %d" c) true (expected = batch.(c)))
           sequential);
-    t "Fast direction mode stays inside the body" (fun () ->
+    t "K=8 batched chains stay inside the body" (fun () ->
         let poly = fixture_poly 9001 4 in
         let starts = Array.init 8 (fun _ -> Vec.create 4) in
         let rng = Rng.create 555 in
         let rngs = Array.init 8 (fun _ -> Rng.split rng) in
-        let pts = HR.sample_polytope_batch ~dir_mode:HR.Fast rngs poly ~starts ~steps:80 in
+        let pts = HR.sample_polytope_batch rngs poly ~starts ~steps:80 in
         Array.iteri
           (fun c p ->
             Alcotest.(check bool)

@@ -95,9 +95,9 @@ let lattice_walk_uniformity () =
     true (stat < chi2_999_df15)
 
 (* Batched kernel at K chains: pool the K per-chain endpoints of many
-   short batches and bin them like the single-chain audit.  K=1 runs
-   the Compat (polar) stream, K>1 the Fast (ziggurat) stream, so both
-   direction generators face the same statistical tripwire. *)
+   short batches and bin them like the single-chain audit.  Every K
+   draws ziggurat directions; K=1 is the interpreter's walk, K>1 the
+   register-blocked chord pass. *)
 let batched_uniformity ~chains () =
   let k = 4 in
   let n = 4_000 (* total retained points, across chains *) in
@@ -179,9 +179,9 @@ let suites =
       [
         ts "hit-and-run on the unit square" hit_and_run_uniformity;
         ts "lattice walk on the unit square" lattice_walk_uniformity;
-        ts "batched hit-and-run, K=1 (Compat stream)" (batched_uniformity ~chains:1);
-        ts "batched hit-and-run, K=4 (Fast stream)" (batched_uniformity ~chains:4);
-        ts "batched hit-and-run, K=16 (Fast stream)" (batched_uniformity ~chains:16);
+        ts "batched hit-and-run, K=1 (one chain)" (batched_uniformity ~chains:1);
+        ts "batched hit-and-run, K=4 (four chains)" (batched_uniformity ~chains:4);
+        ts "batched hit-and-run, K=16 (sixteen chains)" (batched_uniformity ~chains:16);
         ts "batched ball walk, K=4" batched_ball_walk_uniformity;
         ts "2-relation union (Algorithm 1)" union_uniformity;
       ] );
