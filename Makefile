@@ -63,8 +63,9 @@ check:
 # Lasserre call bound).
 # Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
 # embedded profile and tagged attribution rows must validate, a
-# `spatialdb profile` run whose spatialdb-profile/1 document must
-# validate, a profiled+recorded sample run whose flight record must
+# `sample --engine vm-opt --profile=timing --profile-out` run whose
+# spatialdb-profile/1 document must validate, a profiled+recorded
+# sample run whose flight record must
 # still replay bit-for-bit (profiling never touches the RNG stream),
 # and `regress --trend` over the committed BENCH trajectory.
 # Then the observability-context smoke: the same union query run as 2
@@ -149,9 +150,10 @@ ci: check
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --engine vm-opt -o _build/report_vmopt.json
 	dune exec bench/validate_profile.exe -- --report _build/report_vmopt.json
-	dune exec bin/spatialdb.exe -- profile --vars x,y \
+	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 -n 20 --out _build/profile_smoke.json > /dev/null
+	  --seed 42 -n 20 --engine vm-opt --profile=timing \
+	  --profile-out _build/profile_smoke.json > /dev/null 2> /dev/null
 	dune exec bench/validate_profile.exe -- --profile _build/profile_smoke.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \

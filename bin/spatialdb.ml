@@ -5,6 +5,11 @@
      volume       estimate (or compute exactly) the volume of a relation
      qe           quantifier elimination (Fourier–Motzkin)
      reconstruct  hull-of-samples shape estimation (2-D output)
+     report       one traced run as a self-contained JSON report
+     audit        empirical check of the (eps,delta) volume contract
+     replay       re-execute a flight record bit-for-bit
+     status       render a published status document
+     explain      the costed query plan (or its compiled program)
 
    Formulas use the FO+LIN syntax of Scdb_constr.Parser, e.g.
      spatialdb volume -v x,y -f "0 <= x <= 2 /\\ 0 <= y <= 1 /\\ x + y <= 2.5"
@@ -24,6 +29,36 @@ module VE = Scdb_polytope.Volume_exact
 module GV = Scdb_polytope.Gridvol
 module H2 = Scdb_hull.Hull2d
 
+(* Exit-code convention: 2 for usage/value errors (bad flag values,
+   with the valid choices or range named), 1 for runtime errors (parse
+   failures, empty relations, estimation failures), and cmdliner's own
+   124 for malformed command lines (unknown flags/subcommands). *)
+let usage_die what got valid =
+  Printf.eprintf "spatialdb: unknown %s %S (expected one of: %s)\n" what got
+    (String.concat ", " valid);
+  exit 2
+
+(* Usage error for a flag value outside its valid range. *)
+let check_range flag ~range ok got =
+  if not ok then begin
+    Printf.eprintf "spatialdb: %s must be %s (got %s)\n" flag range got;
+    exit 2
+  end
+
+let check_positive flag n = check_range flag ~range:">= 1" (n >= 1) (string_of_int n)
+let check_at_least_one flag = Option.iter (check_positive flag)
+
+let check_unit flag x =
+  check_range flag ~range:"in (0, 1)" (x > 0.0 && x < 1.0) (Printf.sprintf "%g" x)
+
+(* [arg], with [check] applied to its value before the command runs. *)
+let checked check arg =
+  Term.(
+    const (fun v ->
+        check v;
+        v)
+    $ arg)
+
 (* ---------------- common arguments ---------------- *)
 
 let vars_arg =
@@ -40,11 +75,31 @@ let seed_arg =
 
 let eps_arg =
   let doc = "Relative accuracy parameter epsilon in (0,1)." in
-  Arg.(value & opt float 0.2 & info [ "eps" ] ~doc)
+  checked (check_unit "--eps") Arg.(value & opt float 0.2 & info [ "eps" ] ~doc)
 
 let delta_arg =
   let doc = "Failure probability delta in (0,1)." in
-  Arg.(value & opt float 0.1 & info [ "delta" ] ~doc)
+  checked (check_unit "--delta") Arg.(value & opt float 0.1 & info [ "delta" ] ~doc)
+
+(* --jobs and --jobs-mode, validated: the job count and its Obs mode. *)
+let jobs_term ~doc =
+  let jobs_arg = Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"K" ~doc) in
+  let mode_arg =
+    let doc =
+      "How to execute $(b,--jobs): $(b,domains) (one domain per job, concurrent — the \
+       default) or $(b,seq) (same contexts, one after another — the differential baseline)."
+    in
+    Arg.(value & opt string "domains" & info [ "jobs-mode" ] ~docv:"MODE" ~doc)
+  in
+  let make jobs mode =
+    check_positive "--jobs" jobs;
+    ( jobs,
+      match mode with
+      | "domains" -> Obs.Ctx.Domains
+      | "seq" -> Obs.Ctx.Seq
+      | m -> usage_die "jobs mode" m [ "domains"; "seq" ] )
+  in
+  Term.(const make $ jobs_arg $ mode_arg)
 
 let stats_arg =
   let doc =
@@ -81,22 +136,6 @@ let or_die = function
   | Error m ->
       prerr_endline ("spatialdb: " ^ m);
       exit 1
-
-(* Exit-code convention: 2 for usage/value errors (bad flag values,
-   with the valid choices listed), 1 for runtime errors (parse
-   failures, empty relations, estimation failures), and cmdliner's own
-   124 for malformed command lines (unknown flags/subcommands). *)
-let usage_die what got valid =
-  Printf.eprintf "spatialdb: unknown %s %S (expected one of: %s)\n" what got
-    (String.concat ", " valid);
-  exit 2
-
-(* Usage error for a count flag that must be positive. *)
-let check_at_least_one flag = function
-  | Some n when n < 1 ->
-      Printf.eprintf "spatialdb: %s must be >= 1 (got %d)\n" flag n;
-      exit 2
-  | _ -> ()
 
 let check_method m =
   if not (List.mem m Flight.methods) then usage_die "method" m Flight.methods
@@ -240,12 +279,13 @@ let sample_cmd =
     Arg.(value & flag & info [ "diag" ] ~doc)
   in
   let chains_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "chains" ]
-          ~doc:
-            "Chains for the $(b,--diag) check; all chains step together on the batched \
-             structure-of-arrays kernel, one split RNG stream per chain.")
+    checked (check_positive "--chains")
+      Arg.(
+        value & opt int 4
+        & info [ "chains" ]
+            ~doc:
+              "Chains for the $(b,--diag) check; all chains step together on the batched \
+               structure-of-arrays kernel, one split RNG stream per chain.")
   in
   let record_arg =
     let doc =
@@ -282,13 +322,10 @@ let sample_cmd =
     Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
   in
   let run vars_s formula n seed eps delta method_ engine stats stats_out diag chains o record
-      record_anomaly progress overrun_factor profile_s profile_out jobs jobs_mode live
+      record_anomaly progress overrun_factor profile_s profile_out (jobs, jobs_mode) live
       status_out =
     check_method method_;
     check_engine engine;
-    if not (List.mem jobs_mode [ "domains"; "seq" ]) then
-      usage_die "jobs mode" jobs_mode [ "domains"; "seq" ];
-    if jobs < 1 then or_die (Error "--jobs must be >= 1");
     let profile_mode = Option.map profile_mode_of_string profile_s in
     enable_stats ?stats_out stats;
     setup_obs o;
@@ -325,20 +362,19 @@ let sample_cmd =
           or_die (Error "--record/--record-on-anomaly require --jobs 1 (one stream per record)");
         if jobs > 1 && profile_mode <> None then or_die (Error "--profile requires --jobs 1");
         if jobs > 1 && diag then or_die (Error "--diag requires --jobs 1");
-        let ctxs =
-          Array.init jobs (fun i -> Obs.Ctx.create ~name:(Printf.sprintf "job-%d" i) ())
-        in
-        if live || status_out <> None then begin
+        let status = live || status_out <> None in
+        if status then begin
           (* The status view reads the produced-samples telemetry
              counters, so a live/status run must count even when no
              --stats sink asked for them. *)
           Tel.set_enabled true;
           Obs.Status.start_ticker ?out:status_out ~to_stderr:live ()
         end;
-        let job i =
-          let c = ctxs.(i) in
-          let a = { args with Flight.seed = seed + i } in
-          let r = Flight.run ~ctx:c ~track ~progress:true ~overrun_factor ?profile_mode a in
+        let job i c =
+          let r =
+            Flight.run ~track ~progress:true ~overrun_factor ?profile_mode
+              { args with Flight.seed = seed + i }
+          in
           (match r with
           | Ok oc ->
               (* First-coordinate ESS estimate for the status view; the
@@ -347,19 +383,14 @@ let sample_cmd =
               let xs = Array.of_list (List.map (fun p -> p.(0)) oc.Flight.points) in
               if Array.length xs >= 4 then Obs.Ctx.set_ess c (Scdb_diag.Diag.ess xs)
           | Error _ -> ());
-          Obs.Ctx.mark_done c;
           r
         in
+        (* The final status snapshot is taken before the merge, so it
+           shows each job's own counters. *)
+        let joined () = if status then Obs.Status.stop_ticker ?out:status_out ~to_stderr:live () in
         let results =
-          match jobs_mode with
-          | "seq" -> Array.init jobs job
-          | _ ->
-              let doms = Array.init jobs (fun i -> Domain.spawn (fun () -> job i)) in
-              Array.map Domain.join doms
+          Obs.Ctx.run_jobs ~mode:jobs_mode ~joined ~name:(Printf.sprintf "job-%d") jobs job
         in
-        if live || status_out <> None then
-          Obs.Status.stop_ticker ?out:status_out ~to_stderr:live ();
-        Array.iter (fun c -> Obs.Ctx.merge ~into:Obs.Ctx.default c) ctxs;
         let outcomes = Array.map or_die results in
         if jobs > 1 then begin
           Array.iter emit_points outcomes;
@@ -422,21 +453,13 @@ let sample_cmd =
                 d.Diag_run.verdict.Scdb_diag.Diag.reason)
     end
   in
-  let jobs_arg =
-    let doc =
-      "Run $(docv) whole-query repetitions (seeds seed, seed+1, ...), each in its own \
-       observability context, and print all sample streams in job order.  Per-job streams \
-       depend only on the job's seed, so the merged counters are identical whichever \
-       $(b,--jobs-mode) executes them."
-    in
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"K" ~doc)
-  in
-  let jobs_mode_arg =
-    let doc =
-      "How to execute $(b,--jobs): $(b,domains) (one domain per job, concurrent — the \
-       default) or $(b,seq) (same contexts, one after another — the differential baseline)."
-    in
-    Arg.(value & opt string "domains" & info [ "jobs-mode" ] ~docv:"MODE" ~doc)
+  let jobs_term =
+    jobs_term
+      ~doc:
+        "Run $(docv) whole-query repetitions (seeds seed, seed+1, ...), each in its own \
+         observability context, and print all sample streams in job order.  Per-job streams \
+         depend only on the job's seed, so the merged counters are identical whichever \
+         $(b,--jobs-mode) executes them."
   in
   let live_arg =
     let doc =
@@ -459,7 +482,7 @@ let sample_cmd =
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
       $ record_anomaly_arg $ progress_arg $ overrun_arg $ profile_arg $ profile_out_arg
-      $ jobs_arg $ jobs_mode_arg $ live_arg $ status_out_arg)
+      $ jobs_term $ live_arg $ status_out_arg)
 
 (* ---------------- volume ---------------- *)
 
@@ -501,7 +524,11 @@ let volume_cmd =
                 if progress then Scdb_progress.Progress.stop ();
                 or_die (Error m)))
     | m when String.length m > 5 && String.sub m 0 5 = "grid:" -> (
-        let gamma = float_of_string (String.sub m 5 (String.length m - 5)) in
+        let g = String.sub m 5 (String.length m - 5) in
+        let gamma = Option.value ~default:Float.nan (float_of_string_opt g) in
+        check_range "--mode grid:GAMMA" ~range:"a finite GAMMA > 0"
+          (Float.is_finite gamma && gamma > 0.0)
+          g;
         match GV.build ~gamma relation with
         | Some g -> Printf.printf "%.6f\n" (GV.volume g)
         | None -> or_die (Error "relation is empty or unbounded"))
@@ -529,7 +556,8 @@ let qe_cmd =
 
 let reconstruct_cmd =
   let n_arg =
-    Arg.(value & opt int 200 & info [ "n"; "samples" ] ~doc:"Samples per convex piece.")
+    checked (check_positive "-n")
+      Arg.(value & opt int 200 & info [ "n"; "samples" ] ~doc:"Samples per convex piece.")
   in
   let run vars_s formula n seed stats stats_out =
     enable_stats ?stats_out stats;
@@ -562,7 +590,8 @@ let report_cmd =
     Arg.(value & opt int 10 & info [ "n"; "samples" ] ~doc:"Number of points to draw.")
   in
   let chains_arg =
-    Arg.(value & opt int 4 & info [ "chains" ] ~doc:"Chains for the convergence check.")
+    checked (check_positive "--chains")
+      Arg.(value & opt int 4 & info [ "chains" ] ~doc:"Chains for the convergence check.")
   in
   let out_arg =
     Arg.(
@@ -633,22 +662,14 @@ let audit_cmd =
        tightens with $(docv): at delta 0.1 and 95% confidence a strict pass needs >= 36 \
        all-hit replicates."
     in
-    Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N" ~doc)
+    checked (check_positive "--runs") Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N" ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Deal the replicates round-robin across $(docv) observability contexts.  Replicate \
-       streams depend only on their seed, so the estimates and the verdict are identical \
-       whichever $(b,--jobs-mode) executes them."
-    in
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"K" ~doc)
-  in
-  let jobs_mode_arg =
-    let doc =
-      "How to execute $(b,--jobs): $(b,domains) (one domain per job, concurrent — the \
-       default) or $(b,seq) (same contexts, one after another — the differential baseline)."
-    in
-    Arg.(value & opt string "domains" & info [ "jobs-mode" ] ~docv:"MODE" ~doc)
+  let jobs_term =
+    jobs_term
+      ~doc:
+        "Deal the replicates round-robin across $(docv) observability contexts.  Replicate \
+         streams depend only on their seed, so the estimates and the verdict are identical \
+         whichever $(b,--jobs-mode) executes them."
   in
   let oracle_arg =
     let doc =
@@ -660,8 +681,8 @@ let audit_cmd =
     Arg.(value & opt string "auto" & info [ "oracle" ] ~docv:"ORACLE" ~doc)
   in
   let confidence_arg =
-    let doc = "Confidence level of the Clopper-Pearson coverage bracket." in
-    Arg.(value & opt float 0.95 & info [ "confidence" ] ~doc)
+    let doc = "Confidence level of the Clopper-Pearson coverage bracket, in (0,1)." in
+    checked (check_unit "--confidence") Arg.(value & opt float 0.95 & info [ "confidence" ] ~doc)
   in
   let gamma_arg =
     let doc =
@@ -669,7 +690,7 @@ let audit_cmd =
        value).  Auditing a deliberately wrong $(docv) demonstrates the contract check \
        catching a mis-calibrated sampler."
     in
-    Arg.(value & opt float Flight.gamma & info [ "gamma" ] ~doc)
+    checked (check_unit "--gamma") Arg.(value & opt float Flight.gamma & info [ "gamma" ] ~doc)
   in
   let walk_steps_arg =
     let doc =
@@ -677,7 +698,8 @@ let audit_cmd =
        sample (the oracle is untouched).  Starving the walk is the demo of the auditor \
        catching a mis-mixed sampler — see EXPERIMENTS.md."
     in
-    Arg.(value & opt (some int) None & info [ "walk-steps" ] ~docv:"N" ~doc)
+    checked (check_at_least_one "--walk-steps")
+      Arg.(value & opt (some int) None & info [ "walk-steps" ] ~docv:"N" ~doc)
   in
   let phase_samples_arg =
     let doc =
@@ -686,7 +708,8 @@ let audit_cmd =
        practical 2000 — is the demo of the auditor catching a broken contract; see \
        EXPERIMENTS.md."
     in
-    Arg.(value & opt (some int) None & info [ "phase-samples" ] ~docv:"N" ~doc)
+    checked (check_at_least_one "--phase-samples")
+      Arg.(value & opt (some int) None & info [ "phase-samples" ] ~docv:"N" ~doc)
   in
   let out_arg =
     Arg.(
@@ -695,13 +718,8 @@ let audit_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the spatialdb-audit/1 JSON document to $(docv).")
   in
-  let run vars_s formula seed eps delta runs jobs jobs_mode oracle confidence gamma walk_steps
+  let run vars_s formula seed eps delta runs (jobs, mode) oracle confidence gamma walk_steps
       phase_samples out stats stats_out o =
-    if not (List.mem jobs_mode [ "domains"; "seq" ]) then
-      usage_die "jobs mode" jobs_mode [ "domains"; "seq" ];
-    if jobs < 1 then or_die (Error "--jobs must be >= 1");
-    check_at_least_one "--walk-steps" walk_steps;
-    check_at_least_one "--phase-samples" phase_samples;
     let oracle_v =
       match oracle with
       | "exact" -> `Exact
@@ -709,7 +727,6 @@ let audit_cmd =
       | "auto" -> `Auto
       | m -> usage_die "oracle" m [ "exact"; "reference"; "auto" ]
     in
-    let mode = if jobs_mode = "seq" then A.Seq else A.Domains in
     enable_stats ?stats_out stats;
     setup_obs o;
     let vars, relation = parse_relation vars_s formula in
@@ -735,73 +752,9 @@ let audit_cmd =
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
-      const run $ vars_arg $ formula_arg $ seed_arg $ eps_arg $ delta_arg $ runs_arg $ jobs_arg
-      $ jobs_mode_arg $ oracle_arg $ confidence_arg $ gamma_arg $ walk_steps_arg
+      const run $ vars_arg $ formula_arg $ seed_arg $ eps_arg $ delta_arg $ runs_arg $ jobs_term
+      $ oracle_arg $ confidence_arg $ gamma_arg $ walk_steps_arg
       $ phase_samples_arg $ out_arg $ stats_arg $ stats_out_arg $ obs_term)
-
-(* ---------------- profile ---------------- *)
-
-let profile_cmd =
-  let n_arg =
-    Arg.(value & opt int 10 & info [ "n"; "samples" ] ~doc:"Number of points to draw.")
-  in
-  let method_arg =
-    let doc = "Per-piece sampler: $(b,walk), $(b,grid) or $(b,rejection)." in
-    Arg.(value & opt string "walk" & info [ "method" ] ~docv:"METHOD" ~doc)
-  in
-  let engine_arg =
-    let doc =
-      "Compiled engine to profile: $(b,vm) (the strict mirror) or $(b,vm-opt) (with \
-       cost-based rewrites, the default — the rewrite tags in the output show where its \
-       speedup comes from)."
-    in
-    Arg.(value & opt string "vm-opt" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let mode_arg =
-    let doc =
-      "Profiler mode: $(b,timing) (per-pc monotonic-clock nanosecond buckets, the default) \
-       or $(b,counting) (execution counts only — allocation-free, negligible overhead)."
-    in
-    Arg.(value & opt string "timing" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the spatialdb-profile/1 JSON document to $(docv).")
-  in
-  let top_arg =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-pc table.")
-  in
-  let run vars_s formula n seed eps delta method_ engine mode_s out top stats stats_out o =
-    check_method method_;
-    let compiled = List.filter (( <> ) "interp") Flight.engines in
-    if not (List.mem engine compiled) then usage_die "engine" engine compiled;
-    let mode = profile_mode_of_string mode_s in
-    enable_stats ?stats_out stats;
-    setup_obs o;
-    let args =
-      { Flight.vars = Flight.split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
-    in
-    let outcome = or_die (Flight.run ~profile_mode:mode args) in
-    let plan = outcome.Flight.plan in
-    let profile = Option.get outcome.Flight.profile in
-    print_string (Scdb_profile.Profile.text_report ~plan ~top profile);
-    print_attribution ?program:outcome.Flight.program plan;
-    match out with
-    | Some path -> write_file path (Json.to_string (Scdb_profile.Profile.to_json ~plan profile))
-    | None -> ()
-  in
-  let doc =
-    "Draw points through a compiled engine under the instruction profiler and print the \
-     hot-pc table, the per-opcode histogram, the per-plan-node rollup (with the compiler's \
-     rewrite tags) and the predicted-vs-actual cost attribution."
-  in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
-      const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
-      $ engine_arg $ mode_arg $ out_arg $ top_arg $ stats_arg $ stats_out_arg $ obs_term)
 
 (* ---------------- replay ---------------- *)
 
@@ -877,33 +830,6 @@ let status_cmd =
      per-context table: draws/sec, acceptance rate, budget burn, ESS, warnings, spans."
   in
   Cmd.v (Cmd.info "status" ~doc) Term.(const run $ file_arg $ require_arg)
-
-(* ---------------- plan ---------------- *)
-
-let plan_cmd =
-  let run vars_s formula eps delta =
-    let vars, relation = parse_relation vars_s formula in
-    (* Wrap the relation as a single-relation database so the planner's
-       cost model applies. *)
-    let module Gis = Scdb_gis in
-    let free_dim = List.length vars in
-    let schema = Gis.Schema.of_list [ ("Q", free_dim) ] in
-    let inst = Gis.Instance.set (Gis.Instance.create schema) "Q" relation in
-    let query = Gis.Query.rel "Q" (List.init free_dim Fun.id) in
-    let est = Gis.Planner.plan ~eps ~delta inst ~free_dim query in
-    let strategy =
-      match est.Gis.Planner.strategy with
-      | Gis.Planner.Use_exact -> "exact (symbolic QE + Lasserre volume)"
-      | Gis.Planner.Use_grid g -> Printf.sprintf "grid (gamma = %g)" g
-      | Gis.Planner.Use_sampling { eps; delta } ->
-          Printf.sprintf "sampling (eps = %g, delta = %g)" eps delta
-    in
-    Printf.printf "strategy      : %s\n" strategy;
-    Printf.printf "predicted cost: %.3g work units\n" est.Gis.Planner.predicted_cost;
-    Printf.printf "reason        : %s\n" est.Gis.Planner.reason
-  in
-  let doc = "Show which evaluation strategy the cost model would choose for the formula." in
-  Cmd.v (Cmd.info "plan" ~doc) Term.(const run $ vars_arg $ formula_arg $ eps_arg $ delta_arg)
 
 (* ---------------- explain ---------------- *)
 
@@ -989,9 +915,7 @@ let () =
             reconstruct_cmd;
             report_cmd;
             audit_cmd;
-            profile_cmd;
             replay_cmd;
             status_cmd;
-            plan_cmd;
             explain_cmd;
           ]))

@@ -65,7 +65,7 @@ let reference_truth ?(gamma = Scdb_gis.Flight.gamma) ~eps ~delta ~seed relation 
 
 (* ---------------- coverage verification ---------------- *)
 
-type mode = Domains | Seq
+type mode = Obs.Ctx.mode = Seq | Domains
 
 type coverage = {
   runs : int;
@@ -122,31 +122,16 @@ let verify ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95) ~eps ~delta ~runs 
       done;
       !h
     end
-    else begin
-      let ctxs =
-        Array.init jobs (fun j -> Obs.Ctx.create ~name:(Printf.sprintf "audit-%d" j) ())
-      in
-      let job j () =
-        Obs.Ctx.run ctxs.(j) (fun () ->
-            let h = ref 0 in
-            let i = ref j in
-            while !i < runs do
-              if replicate !i then incr h;
-              i := !i + jobs
-            done;
-            Obs.Ctx.mark_done ctxs.(j);
-            !h)
-      in
-      let per_job =
-        match mode with
-        | Seq -> Array.init jobs (fun j -> job j ())
-        | Domains ->
-            let doms = Array.init jobs (fun j -> Domain.spawn (job j)) in
-            Array.map Domain.join doms
-      in
-      Array.iter (fun c -> Obs.Ctx.merge ~into:Obs.Ctx.default c) ctxs;
-      Array.fold_left ( + ) 0 per_job
-    end
+    else
+      Obs.Ctx.run_jobs ~mode ~name:(Printf.sprintf "audit-%d") jobs (fun j _ ->
+          let h = ref 0 in
+          let i = ref j in
+          while !i < runs do
+            if replicate !i then incr h;
+            i := !i + jobs
+          done;
+          !h)
+      |> Array.fold_left ( + ) 0
   in
   let cp_low, cp_high = clopper_pearson ~confidence ~hits ~runs () in
   let target = 1.0 -. delta in

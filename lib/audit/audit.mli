@@ -61,9 +61,9 @@ val reference_truth :
 
 (** {1 Coverage verification} *)
 
-type mode = Domains | Seq
-(** How replicate jobs execute: one domain per job (concurrent) or
-    sequentially in the same contexts.  Replicate [i] always runs on
+type mode = Scdb_obs.Obs.Ctx.mode = Seq | Domains
+(** How replicate jobs execute ({!Scdb_obs.Obs.Ctx.run_jobs}): one
+    domain per job (concurrent) or sequentially in the same contexts.  Replicate [i] always runs on
     seed [seed + i], so both modes produce bit-identical estimates and
     the same verdict — the differential CI check. *)
 

@@ -93,7 +93,7 @@ let start_engine ?profile_mode ~engine ~eps ~delta prepared =
           in
           Ok { draw; observable = Scdb_vm.Vm.mirror prog; program = Some prog; profile })
 
-let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
+let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?profile_mode a =
   let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
   let* () =
@@ -145,13 +145,6 @@ let run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a =
   | exception Observable.Estimation_failed m ->
       finish_progress ();
       Error m
-
-let run ?ctx ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor
-    ?profile_mode a =
-  let body () = run_inner ~track ~progress ~ticker ?overrun_factor ?profile_mode a in
-  match ctx with
-  | None -> body ()
-  | Some c -> Scdb_obs.Obs.Ctx.run c body
 
 let to_flightrec a (o : outcome) =
   {

@@ -104,7 +104,6 @@ type outcome = {
 }
 
 val run :
-  ?ctx:Scdb_obs.Obs.Ctx.t ->
   ?track:bool ->
   ?progress:bool ->
   ?ticker:bool ->
@@ -112,13 +111,12 @@ val run :
   ?profile_mode:Scdb_profile.Profile.mode ->
   args ->
   (outcome, string) result
-(** Parse, build the plan-tagged observable, draw [n] points.  With
-    [~ctx] the whole run executes with that observability context
-    installed ({!Scdb_obs.Obs.Ctx.run}), so every metric, span, event,
-    accrual and lineage node lands in the context's stores instead of
-    the process globals.  With [~track:true] the RNG provenance
-    registry is reset and enabled first, so the lineage tree in
-    {!to_flightrec} is complete and its ids are reproducible.  With
+(** Parse, build the plan-tagged observable, draw [n] points into the
+    ambient observability stores (a caller that wants a context
+    installs it, e.g. with [Obs.Ctx.run_jobs]).  With [~track:true]
+    the RNG provenance registry is reset and enabled first, so the
+    lineage tree in {!to_flightrec} is complete and its ids are
+    reproducible.  With
     [~progress:true] the (ambient) progress bus is armed with the
     plan's budgets ([overrun_factor] tunes the watchdog);
     [~ticker:true] additionally runs the stderr progress ticker for

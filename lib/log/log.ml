@@ -40,15 +40,26 @@ let would_log l = !enabled_flag && priority l >= !min_priority
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 (*                                                                     *)
-(* A sink bundles everything one event stream owns: the bounded ring   *)
-(* buffer (the flight recorder's last-N tail, capacity fixed at sink   *)
-(* creation), the sequence number, the warn/error counters and the     *)
-(* output channels.  Each observability context owns a sink; the       *)
-(* pre-context globals survive as the default sink every domain starts *)
-(* with.  A per-sink mutex serializes emission, so two domains sharing *)
-(* one sink interleave whole lines, never torn ones.  Level policy     *)
-(* stays process-global (one load on the disabled path).               *)
+(* A sink bundles what one event stream owns: the bounded ring buffer  *)
+(* (the flight recorder's last-N tail, capacity fixed at sink          *)
+(* creation), the event count and the warn/error counters.  Where the  *)
+(* rendered lines go is a separate value, the sink's output: the       *)
+(* stderr mirror, the file and the [seq] stamp.  A root sink owns its  *)
+(* output; a child sink (an observability context's) writes through    *)
+(* its parent's, so a context's events reach the parent's stderr and   *)
+(* file as they happen, numbered in one sequence.  The output's mutex  *)
+(* covers stamping and writing, so sinks on different domains sharing  *)
+(* one output interleave whole lines in [seq] order, never torn ones.  *)
+(* Lock order: sink, then output.  Level policy stays process-global   *)
+(* (one load on the disabled path).                                    *)
 (* ------------------------------------------------------------------ *)
+
+type output = {
+  o_mu : Mutex.t;
+  mutable o_seq : int;
+  mutable o_stderr : bool;
+  mutable o_file : out_channel option;
+}
 
 type sink = {
   mutable ring : string array;
@@ -57,11 +68,11 @@ type sink = {
   mutable s_warns : int;
   mutable s_errors : int;
   s_mu : Mutex.t;
-  mutable s_stderr : bool;
-  mutable s_file : out_channel option;
+  s_out : output;
+  s_root : bool; (* owns [s_out] *)
 }
 
-let make_sink ?(ring_capacity = 256) ?(stderr_sink = false) () =
+let make_sink ?(ring_capacity = 256) ?parent ?(stderr_sink = false) () =
   {
     ring = Array.make (Stdlib.max 1 ring_capacity) "";
     ring_next = 0;
@@ -69,8 +80,11 @@ let make_sink ?(ring_capacity = 256) ?(stderr_sink = false) () =
     s_warns = 0;
     s_errors = 0;
     s_mu = Mutex.create ();
-    s_stderr = stderr_sink;
-    s_file = None;
+    s_out =
+      (match parent with
+      | Some p -> p.s_out
+      | None -> { o_mu = Mutex.create (); o_seq = 0; o_stderr = stderr_sink; o_file = None });
+    s_root = parent = None;
   }
 
 let default_sink = make_sink ~stderr_sink:(env_level <> None) ()
@@ -82,15 +96,17 @@ let with_sink s f =
   Domain.DLS.set dls_sink s;
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls_sink prev) f
 
-let locked s f =
-  Mutex.lock s.s_mu;
+let with_lock mu f =
+  Mutex.lock mu;
   match f () with
   | v ->
-      Mutex.unlock s.s_mu;
+      Mutex.unlock mu;
       v
   | exception e ->
-      Mutex.unlock s.s_mu;
+      Mutex.unlock mu;
       raise e
+
+let locked s f = with_lock s.s_mu f
 
 let set_ring_capacity n =
   let s = cur () in
@@ -132,8 +148,8 @@ let bool k v = F_bool (k, v)
 let warn_count () = (cur ()).s_warns
 let error_count () = (cur ()).s_errors
 
-(* With the sink's mutex held. *)
-let render s level event fields =
+(* With the output's mutex held. *)
+let render seq level event fields =
   let field = function
     | F_str (k, v) -> (k, Json.Str v)
     | F_int (k, v) -> (k, Json.Int v)
@@ -144,7 +160,7 @@ let render s level event fields =
     (Json.Obj
        [
          ("schema", Json.Str "spatialdb-log/1");
-         ("seq", Json.Int s.s_seq);
+         ("seq", Json.Int seq);
          ("ts", Json.Num (Tel.Clock.now ()));
          ("level", Json.Str (level_name level));
          ("span", Json.Int (Trace.current_id ()));
@@ -152,27 +168,34 @@ let render s level event fields =
          ("fields", Json.Obj (List.map field fields));
        ])
 
+(* Stamp, render and write one line under the output's mutex. *)
+let write o level event fields =
+  with_lock o.o_mu (fun () ->
+      let line = render o.o_seq level event fields in
+      o.o_seq <- o.o_seq + 1;
+      if o.o_stderr then begin
+        output_string stderr line;
+        output_char stderr '\n';
+        flush stderr
+      end;
+      (match o.o_file with
+      | None -> ()
+      | Some oc ->
+          output_string oc line;
+          output_char oc '\n');
+      line)
+
 let emit level event fields =
   if would_log level then begin
     let s = cur () in
     locked s (fun () ->
-        let line = render s level event fields in
+        let line = write s.s_out level event fields in
         s.s_seq <- s.s_seq + 1;
         (match level with
         | Warn -> s.s_warns <- s.s_warns + 1
         | Error -> s.s_errors <- s.s_errors + 1
         | Debug | Info -> ());
-        ring_push s line;
-        if s.s_stderr then begin
-          output_string stderr line;
-          output_char stderr '\n';
-          flush stderr
-        end;
-        match s.s_file with
-        | None -> ()
-        | Some oc ->
-            output_string oc line;
-            output_char oc '\n')
+        ring_push s line)
   end
 
 let debug event fields = emit Debug event fields
@@ -184,22 +207,22 @@ let error event fields = emit Error event fields
 (* Sink management                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let set_stderr b = (cur ()).s_stderr <- b
+let set_stderr b = (cur ()).s_out.o_stderr <- b
 
 let close_file () =
-  let s = cur () in
-  locked s (fun () ->
-      match s.s_file with
+  let o = (cur ()).s_out in
+  with_lock o.o_mu (fun () ->
+      match o.o_file with
       | None -> ()
       | Some oc ->
           flush oc;
           close_out oc;
-          s.s_file <- None)
+          o.o_file <- None)
 
 let open_file path =
   close_file ();
-  let s = cur () in
-  locked s (fun () -> s.s_file <- Some (open_out path))
+  let o = (cur ()).s_out in
+  with_lock o.o_mu (fun () -> o.o_file <- Some (open_out path))
 
 let reset () =
   let s = cur () in
@@ -208,12 +231,13 @@ let reset () =
       s.s_warns <- 0;
       s.s_errors <- 0;
       Array.fill s.ring 0 (Array.length s.ring) "";
-      s.ring_next <- 0)
+      s.ring_next <- 0;
+      if s.s_root then with_lock s.s_out.o_mu (fun () -> s.s_out.o_seq <- 0))
 
 module Sink = struct
   type t = sink
 
-  let create ?ring_capacity ?stderr () = make_sink ?ring_capacity ?stderr_sink:stderr ()
+  let create ?ring_capacity ?parent () = make_sink ?ring_capacity ?parent ()
   let tail = tail_of
   let seq s = s.s_seq
   let warn_count s = s.s_warns

@@ -75,7 +75,7 @@ module Ctx = struct
       (make ~name
          ~reg:(Tel.Registry.create ())
          ~forest:(Trace.Forest.create ?span_limit ())
-         ~sink:(Log.Sink.create ?ring_capacity ())
+         ~sink:(Log.Sink.create ?ring_capacity ~parent:(Log.current_sink ()) ())
          ~bus:(Progress.Bus.create ())
          ~prov:(Rng.Provenance.Table.create ?cap:prov_cap ()))
 
@@ -112,6 +112,25 @@ module Ctx = struct
       Progress.Bus.merge_into ~dst:into.bus src.bus;
       Rng.Provenance.Table.merge_into ~dst:into.prov src.prov
     end
+
+  type mode = Seq | Domains
+
+  let run_jobs ?(mode = Domains) ?(joined = ignore) ~name jobs f =
+    let ctxs = Array.init jobs (fun i -> create ~name:(name i) ()) in
+    let job i () =
+      let c = ctxs.(i) in
+      let r = run c (fun () -> f i c) in
+      mark_done c;
+      r
+    in
+    let results =
+      match mode with
+      | Seq -> Array.init jobs (fun i -> job i ())
+      | Domains -> Array.map Domain.join (Array.init jobs (fun i -> Domain.spawn (job i)))
+    in
+    joined ();
+    Array.iter (merge ~into:default) ctxs;
+    results
 
   let all () =
     Mutex.lock dir_mu;

@@ -32,7 +32,9 @@ module Ctx : sig
     t
   (** Fresh context with empty stores, registered in the process
       directory.  [name] (default ["ctx"]) labels status rows and the
-      synthetic span-forest root on merge. *)
+      synthetic span-forest root on merge.  Its log sink writes
+      through the ambient sink's output, so its events reach the
+      parent's stderr and file as they happen. *)
 
   val name : t -> string
 
@@ -54,6 +56,25 @@ module Ctx : sig
       accruals and budgets add, lineage nodes re-root.  [child] is
       unchanged.  A parent-context operation — never merge two
       contexts into each other concurrently. *)
+
+  type mode =
+    | Seq  (** one job after another, on the calling domain *)
+    | Domains  (** one domain per job, concurrently *)
+
+  val run_jobs :
+    ?mode:mode ->
+    ?joined:(unit -> unit) ->
+    name:(int -> string) ->
+    int ->
+    (int -> t -> 'a) ->
+    'a array
+  (** [run_jobs ~name k f] creates [k] contexts named [name i], runs
+      [f i ctx] with context [i] installed ({!run}) under [mode]
+      (default [Domains]), marks each done, joins them, calls [joined]
+      and then merges every context into {!default} in index order.
+      Results come back in index order.  Whatever [f] computes from
+      its own arguments is therefore the same under both modes, and
+      so are the merged counters. *)
 
   val mark_done : t -> unit
   (** Freeze {!elapsed} and flag the context done in status rows. *)

@@ -135,7 +135,7 @@ let per_node t =
 
 let engine_name t = if Vm.optimized t.prog then "vm-opt" else "vm"
 
-let text_report ?plan ?(top = 10) t =
+let text_report ?plan t =
   let b = Buffer.create 1024 in
   let op_of_node id =
     match plan with
@@ -159,7 +159,7 @@ let text_report ?plan ?(top = 10) t =
            (match r.tag with Some s -> " [" ^ s ^ "]" | None -> "")
            r.count
            (if r.ns > 0.0 then Printf.sprintf " %12.0f ns" r.ns else "")))
-    (hot_pcs ~limit:top t);
+    (hot_pcs ~limit:10 t);
   Buffer.add_string b "per opcode:\n";
   List.iter
     (fun r ->

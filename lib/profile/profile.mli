@@ -85,9 +85,9 @@ val engine_name : t -> string
 
 (** {1 Reports} *)
 
-val text_report : ?plan:Scdb_plan.Plan.t -> ?top:int -> t -> string
-(** Human-readable hot-pc table, per-opcode histogram and per-node
-    rows; [plan] adds operator names to node lines. *)
+val text_report : ?plan:Scdb_plan.Plan.t -> t -> string
+(** Human-readable table of the ten hottest pcs, per-opcode histogram
+    and per-node rows; [plan] adds operator names to node lines. *)
 
 val to_json : ?plan:Scdb_plan.Plan.t -> t -> Scdb_json.Json.t
 (** The [spatialdb-profile/1] document: full per-pc table, per-opcode

@@ -6,6 +6,8 @@
    lines, 0 on success.  The binary is a declared dune dependency of
    the test runner, sitting at ../bin/spatialdb.exe relative to it. *)
 
+module J = Scdb_json.Json
+
 let t name f = Alcotest.test_case name `Quick f
 
 let binary =
@@ -83,15 +85,43 @@ let usage_tests =
     t "unknown log level exits 2" (fun () ->
         check "level" 2 ("sample " ^ fig1 ^ " -n 1 --log-level bogus"));
     t "unknown profile mode exits 2" (fun () ->
-        check "sample" 2 ("sample " ^ fig1 ^ " -n 1 --engine vm --profile=bogus");
-        check "profile cmd" 2 ("profile " ^ fig1 ^ " -n 1 --mode bogus"));
-    t "profile rejects the interpreter engine" (fun () ->
-        check "profile cmd" 2 ("profile " ^ fig1 ^ " -n 1 --engine interp"));
+        check "sample" 2 ("sample " ^ fig1 ^ " -n 1 --engine vm --profile=bogus"));
     t "audit rejects starved fault-injection budgets" (fun () ->
         let audit = "audit " ^ fig1_union ^ " --oracle exact --runs 2 " in
         check "phase-samples 0" 2 (audit ^ "--phase-samples 0");
         check "phase-samples -5" 2 (audit ^ "--phase-samples=-5");
         check "walk-steps -3" 2 (audit ^ "--walk-steps=-3"));
+    t "eps and delta outside (0,1) exit 2 on every command" (fun () ->
+        List.iter
+          (fun (cmd, bad) -> check (cmd ^ " " ^ bad) 2 (cmd ^ " " ^ fig1 ^ " " ^ bad))
+          [
+            ("sample -n 1", "--eps 0");
+            ("sample -n 1", "--delta 1");
+            ("report -n 1", "--eps 1.5");
+            ("audit --runs 2 --oracle exact", "--delta=-0.1");
+            ("volume", "--eps 0");
+            ("volume", "--eps 1.5");
+            ("volume", "--delta 1.5");
+            ("explain", "--eps 0");
+            ("explain", "--eps nan");
+          ]);
+    t "counts below 1 exit 2" (fun () ->
+        check "sample --diag --chains 0" 2 ("sample " ^ fig1 ^ " -n 1 --diag --chains 0");
+        check "report --chains 0" 2 ("report " ^ fig1 ^ " -n 1 --chains 0");
+        check "audit --runs 0" 2 ("audit " ^ fig1 ^ " --oracle exact --runs 0");
+        check "reconstruct -n 0" 2 ("reconstruct " ^ fig1 ^ " -n 0");
+        check "sample --jobs 0" 2 ("sample " ^ fig1 ^ " -n 1 --jobs 0");
+        check "audit --jobs 0" 2 ("audit " ^ fig1 ^ " --oracle exact --runs 2 --jobs 0"));
+    t "audit confidence and gamma outside (0,1) exit 2" (fun () ->
+        let audit = "audit " ^ fig1_union ^ " --oracle exact --runs 2 " in
+        check "confidence 1.5" 2 (audit ^ "--confidence 1.5");
+        check "gamma 0" 2 (audit ^ "--gamma 0");
+        check "gamma 10" 2 (audit ^ "--gamma 10"));
+    t "volume grid resolution must be a finite positive number" (fun () ->
+        List.iter
+          (fun g -> check g 2 ("volume " ^ fig1 ^ " --mode grid:" ^ g))
+          [ "abc"; "0"; "-1"; "nan"; "inf" ];
+        check "grid:0.1" 0 ("volume " ^ fig1 ^ " --mode grid:0.1"));
   ]
 
 let cmdline_tests =
@@ -130,6 +160,40 @@ let runtime_tests =
            is accepted, and starving it is caught. *)
         check "phase-samples 5" 1
           ("audit " ^ fig1_union ^ " --seed 42 --runs 20 --oracle exact --phase-samples 5"));
+    t "contexted runs write their log events to the parent's outputs" (fun () ->
+        let lines extra =
+          let log = Filename.temp_file "spatialdb_log" ".jsonl" in
+          let code =
+            run
+              (Printf.sprintf "sample %s -n 3 --log-level info --log-out %s %s" fig1_union
+                 (Filename.quote log) extra)
+          in
+          let events =
+            In_channel.with_open_text log In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (( <> ) "")
+            |> List.map (fun l ->
+                   let doc = J.parse l in
+                   (J.field "seq" J.int doc, J.field "event" J.str doc))
+          in
+          Sys.remove log;
+          Alcotest.(check int) (extra ^ " exits 0") 0 code;
+          events
+        in
+        let status = Filename.temp_file "spatialdb_status" ".json" in
+        let plain = [ (0, "sample.run"); (1, "sample.done") ] in
+        Alcotest.(check (list (pair int string))) "plain run" plain (lines "");
+        Alcotest.(check (list (pair int string)))
+          "--status-out run" plain
+          (lines ("--status-out " ^ Filename.quote status));
+        Sys.remove status;
+        Alcotest.(check (list (pair int string)))
+          "two sequential jobs, one sequence"
+          [ (0, "sample.run"); (1, "sample.done"); (2, "sample.run"); (3, "sample.done") ]
+          (lines "--jobs 2 --jobs-mode seq");
+        let par = lines "--jobs 2 --jobs-mode domains" in
+        Alcotest.(check (list int)) "two domains, whole lines in seq order" [ 0; 1; 2; 3 ]
+          (List.map fst par));
     t "status rejects a truncated document with the missing field" (fun () ->
         let file = Filename.temp_file "spatialdb_status" ".json" in
         Out_channel.with_open_text file (fun oc ->
@@ -146,12 +210,12 @@ let profile_tests =
   [
     t "profile exits 0 and writes a document" (fun () ->
         let out = Filename.temp_file "spatialdb_profile" ".json" in
-        check "run" 0 ("profile " ^ fig1 ^ " -n 2 --out " ^ Filename.quote out);
-        let ic = open_in out in
-        let len = in_channel_length ic in
-        close_in ic;
-        Alcotest.(check bool) "document non-empty" true (len > 0);
-        Sys.remove out);
+        check "run" 0
+          ("sample " ^ fig1 ^ " -n 2 --engine vm-opt --profile --profile-out "
+          ^ Filename.quote out);
+        let doc = J.of_file out (J.schema "spatialdb-profile/1") in
+        Sys.remove out;
+        Alcotest.(check (result unit string)) "spatialdb-profile/1 document" (Ok ()) doc);
     t "sample --profile exits 0 under both compiled engines" (fun () ->
         check "vm" 0 ("sample " ^ fig1 ^ " -n 2 --engine vm --profile=counting");
         check "vm-opt" 0 ("sample " ^ fig1 ^ " -n 2 --engine vm-opt --profile"));

@@ -347,43 +347,6 @@ let svg_tests =
   ]
 
 
-let planner_tests =
-  [
-    t "low-dimension quantifier-free query plans exact" (fun () ->
-        let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y)" in
-        let est = Planner.plan inst2 ~free_dim:2 query in
-        Alcotest.(check bool) "exact" true (est.Planner.strategy = Planner.Use_exact));
-    t "many quantified variables plan sampling" (fun () ->
-        (* build exists-heavy query programmatically: exists 5 vars over R plus constraints *)
-        let body =
-          Query.conj
-            (Query.rel "R" [ 0; 1 ]
-            :: List.init 5 (fun i ->
-                   Query.constr (Atom.le (Term.var (2 + i)) (Term.var 0))))
-        in
-        let query = Query.exists [ 2; 3; 4; 5; 6 ] body in
-        let est = Planner.plan inst2 ~free_dim:2 query in
-        (match est.Planner.strategy with
-        | Planner.Use_sampling _ -> ()
-        | Planner.Use_exact -> Alcotest.fail "expected sampling, got exact"
-        | Planner.Use_grid _ -> Alcotest.fail "expected sampling, got grid"));
-    t "cost model monotone in quantifiers" (fun () ->
-        let base = Query.rel "R" [ 0; 1 ] in
-        let q1 = Query.exists [ 2 ] (Query.conj [ base; Query.constr (Atom.le (Term.var 2) (Term.var 0)) ]) in
-        let c0 = Planner.cost_exact inst2 ~free_dim:2 base in
-        let c1 = Planner.cost_exact inst2 ~free_dim:2 q1 in
-        Alcotest.(check bool) "monotone" true (c1 > c0));
-    ts "run executes the chosen plan" (fun () ->
-        let rng = Rng.create 70 in
-        let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y) /\\ S(x, y)" in
-        match Planner.run rng inst2 ~free_dim:2 query with
-        | Ok (v, est) ->
-            Alcotest.(check bool) ("cost " ^ est.Planner.reason) true (est.Planner.predicted_cost > 0.0);
-            Alcotest.(check bool) "value near 1" true (Float.abs (v -. 1.0) < 0.25)
-        | Error e -> Alcotest.fail e);
-  ]
-
-
 let wkt_tests =
   [
     t "export square and re-import" (fun () ->
@@ -432,6 +395,5 @@ let suites =
     ("gis.aggregate", aggregate_tests);
     ("gis.synth", synth_tests);
     ("gis.svg", svg_tests);
-    ("gis.planner", planner_tests);
     ("gis.wkt", wkt_tests);
   ]

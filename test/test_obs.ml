@@ -340,6 +340,38 @@ let log_tests =
             | _ -> Alcotest.fail ("unexpected event in: " ^ line));
             ignore (seq_of_line line))
           tail);
+    t "child sinks on two domains write whole lines through the parent's output" (fun () ->
+        let was = Log.enabled () in
+        Log.set_enabled true;
+        Log.set_level Log.Info;
+        Fun.protect ~finally:(fun () -> Log.set_enabled was) @@ fun () ->
+        let file = Filename.temp_file "spatialdb_obs" ".jsonl" in
+        let parent = Log.Sink.create () in
+        Log.with_sink parent (fun () -> Log.open_file file);
+        let writer tag =
+          let s = Log.Sink.create ~ring_capacity:8 ~parent () in
+          Log.with_sink s (fun () ->
+              for i = 1 to 100 do
+                Log.info ("test.out." ^ tag) [ Log.int "i" i ]
+              done);
+          s
+        in
+        let d0 = Domain.spawn (fun () -> writer "a") in
+        let d1 = Domain.spawn (fun () -> writer "b") in
+        let a = Domain.join d0 and b = Domain.join d1 in
+        Log.with_sink parent Log.close_file;
+        let lines =
+          In_channel.with_open_text file In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (( <> ) "")
+        in
+        Sys.remove file;
+        Alcotest.(check (list int)) "one sequence, in file order" (List.init 200 Fun.id)
+          (List.map seq_of_line lines);
+        Alcotest.(check (pair int int)) "each child counts its own events" (100, 100)
+          (Log.Sink.seq a, Log.Sink.seq b);
+        Alcotest.(check int) "the parent's ring stays its own" 0
+          (List.length (Log.Sink.tail parent)));
     t "sink merge appends tails and sums counters" (fun () ->
         let was = Log.enabled () in
         Log.set_enabled true;

@@ -571,7 +571,7 @@ let observed f =
   let module Log = Scdb_log.Log in
   let module Progress = Scdb_progress.Progress in
   let reg = Tel.Registry.create () in
-  let sink = Log.Sink.create ~stderr:false () in
+  let sink = Log.Sink.create () in
   let bus = Progress.Bus.create () in
   let tel_was = Tel.enabled () and log_was = Log.enabled () and level_was = Log.level () in
   Tel.set_enabled true;
