@@ -57,8 +57,10 @@ check:
 # union run is replayed through the strict VM (`--engine vm`), which
 # must reproduce the recorded sample stream bit-for-bit, and an
 # optimized-VM run (`--engine vm-opt`, rewritten plan so a different
-# stream by design) goes through its own record -> replay round trip,
-# and its `explain --format program` listing must name both Figure 1
+# stream by design) goes through its own record -> replay round trip
+# and replays bit-for-bit on the interpreter and the plain VM too (the
+# record's engine decides the plan, `--engine` only the executor), and
+# its `explain --format program` listing must name both Figure 1
 # leaves exact_weight (weights from the exact oracle, within the proven
 # Lasserre call bound).
 # Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
@@ -90,7 +92,8 @@ check:
 # rule is checked away from acceptance 1.
 # Last, the exact-oracle float conversion: the box
 # [0, (10^400+1)/10^400] x [0,1] has an exact volume whose parts both
-# overflow a float; `volume --mode exact` must still print its value.
+# overflow a float; `volume --mode exact` must still print its value,
+# and `sample` must run on it (its float rows are scaled into range).
 # Last, the committed flight-record fixtures replay through the CLI on
 # both the interpreter and the strict VM, so a stale fixture fails here
 # as well as in the test suite.
@@ -142,6 +145,8 @@ ci: check
 	  --seed 42 -n 5 --engine vm-opt \
 	  --record _build/ci_vmopt.flightrec.json > _build/ci_vmopt_samples.tsv
 	dune exec bin/spatialdb.exe -- replay _build/ci_vmopt.flightrec.json
+	dune exec bin/spatialdb.exe -- replay --engine interp _build/ci_vmopt.flightrec.json
+	dune exec bin/spatialdb.exe -- replay --engine vm _build/ci_vmopt.flightrec.json
 	dune exec bin/spatialdb.exe -- explain --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --engine vm-opt --format program > _build/explain_vmopt.txt
@@ -210,6 +215,9 @@ ci: check
 	test "$$(dune exec bin/spatialdb.exe -- volume -v x,y \
 	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
 	  --mode exact)" = 1.000000000
+	dune exec bin/spatialdb.exe -- sample -v x,y \
+	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
+	  --seed 42 -n 5 > /dev/null
 	dune exec bin/spatialdb.exe -- replay test/fixtures/union_k3.flightrec.json
 	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/union_k3.flightrec.json
 	dune exec bin/spatialdb.exe -- replay test/fixtures/incremental_k1.flightrec.json

@@ -147,8 +147,10 @@ let engine_arg =
   let doc =
     "Execution engine: $(b,interp) (the observable-combinator interpreter, the default), \
      $(b,vm) (plans compiled to the flat kernel VM; bit-identical rng stream and sample \
-     stream to the interpreter) or $(b,vm-opt) (the VM with cost-based plan rewrites — same \
-     distribution, different stream, typically the fastest)."
+     stream to the interpreter) or $(b,vm-opt) (the VM on the plan rewritten by the \
+     cost-based pass — box rejection for cheap leaves, exact leaf weights — same \
+     distribution, a stream of its own that replays bit-for-bit on every executor, \
+     typically the fastest)."
   in
   Arg.(value & opt string "interp" & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -167,10 +169,9 @@ let overrun_arg =
   in
   Arg.(value & opt float 4.0 & info [ "overrun-factor" ] ~docv:"FACTOR" ~doc)
 
-let print_attribution ?program plan =
+let print_attribution plan =
   prerr_endline "cost attribution (predicted vs actual, work units = steps + trials):";
-  prerr_string
-    (Scdb_gis.Plan_exec.attribution_text (Scdb_gis.Plan_exec.attribution ?program plan))
+  prerr_string (Scdb_gis.Plan_exec.attribution_text (Scdb_gis.Plan_exec.attribution plan))
 
 let profile_modes = [ "counting"; "timing" ]
 
@@ -406,13 +407,13 @@ let sample_cmd =
     | Some profile ->
         prerr_string
           (Scdb_profile.Profile.text_report ~plan:outcome.Flight.plan profile);
-        print_attribution ?program:outcome.Flight.program outcome.Flight.plan;
+        print_attribution outcome.Flight.plan;
         (match profile_out with
         | Some path ->
             write_file path
               (Json.to_string (Scdb_profile.Profile.to_json ~plan:outcome.Flight.plan profile))
         | None -> ())
-    | None -> if progress then print_attribution ?program:outcome.Flight.program outcome.Flight.plan);
+    | None -> if progress then print_attribution outcome.Flight.plan);
     let relation = outcome.Flight.relation and rng = outcome.Flight.rng in
     emit_points outcome;
     (match record with
@@ -767,10 +768,12 @@ let replay_cmd =
   in
   let engine_override_arg =
     let doc =
-      "Replay through $(docv) ($(b,interp), $(b,vm) or $(b,vm-opt)) instead of the engine \
-       recorded in the file.  Replaying an interpreter-recorded flight with $(b,--engine vm) \
-       is the differential check that the compiled engine mirrors the interpreter \
-       bit-for-bit."
+      "Replay on the executor $(docv) ($(b,interp), $(b,vm) or $(b,vm-opt)) instead of the \
+       one recorded in the file.  The recorded engine still decides the plan: a $(b,vm-opt) \
+       record replays its rewritten plan on whichever executor is named.  Replaying an \
+       interpreter-recorded flight with $(b,--engine vm), or a $(b,vm-opt) record with \
+       $(b,--engine interp), is the differential check that the compiled engine mirrors the \
+       interpreter bit-for-bit."
     in
     Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
@@ -846,7 +849,9 @@ let explain_cmd =
   let format_arg =
     let doc = "Output format: $(b,tree) (indented text, the default), $(b,json) (the \
                spatialdb-plan/1 document) or $(b,program) (the plan lowered to the kernel VM: \
-               piece table, weight/trial slots and the instruction listing)." in
+               piece table, weight/trial slots and the instruction listing).  Under \
+               $(b,--engine vm-opt) every format shows the rewritten plan, each priced leaf \
+               with its weight route and both costs." in
     Arg.(value & opt string "tree" & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let task_arg =
@@ -868,30 +873,32 @@ let explain_cmd =
     in
     let _, relation = parse_relation vars_s formula in
     let config = or_die (Flight.config_of_method method_) in
-    if format = "program" then begin
-      (* Lowering needs the prepared pieces (the rng-consuming rounding
-         half), so this format takes the seed the run would use. *)
-      let task = (match task with Scdb_plan.Plan.Volume -> Scdb_plan.Plan.Sample n | t -> t) in
-      let rng = Rng.create seed in
-      match
-        Scdb_gis.Plan_exec.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task rng relation
-      with
-      | None -> or_die (Error Flight.empty_relation)
-      | Some prepared -> (
-          match Scdb_gis.Plan_exec.compile ~optimize:(engine = "vm-opt") prepared with
-          | Error m -> or_die (Error ("plan does not compile: " ^ m))
-          | Ok prog -> print_string (Scdb_vm.Vm.disassemble prog))
-    end
-    else
-      match
+    let print_plan plan =
+      print_string
+        (match format with
+        | "json" -> Json.to_string (Scdb_plan.Plan.to_json plan)
+        | _ -> Scdb_plan.Plan.to_text_tree plan)
+    in
+    (* Lowering and the optimizing pass need the prepared pieces (the
+       rng-consuming rounding half), so they take the seed the run
+       would use. *)
+    let prepared task =
+      Scdb_gis.Plan_exec.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed)
+        relation
+      |> Option.to_result ~none:Flight.empty_relation
+      |> or_die
+    in
+    match format with
+    | "program" -> (
+        let task = match task with Scdb_plan.Plan.Volume -> Scdb_plan.Plan.Sample n | t -> t in
+        match Scdb_gis.Plan_exec.compile ~optimize:(engine = "vm-opt") (prepared task) with
+        | Error m -> or_die (Error ("plan does not compile: " ^ m))
+        | Ok prog -> print_string (Scdb_vm.Vm.disassemble prog))
+    | _ when engine = "vm-opt" -> print_plan (Scdb_gis.Plan_exec.optimize (prepared task)).plan
+    | _ ->
         Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation
-      with
-      | None -> or_die (Error Flight.empty_relation)
-      | Some plan ->
-          print_string
-            (match format with
-            | "json" -> Json.to_string (Scdb_plan.Plan.to_json plan)
-            | _ -> Scdb_plan.Plan.to_text_tree plan)
+        |> Option.to_result ~none:Flight.empty_relation
+        |> or_die |> print_plan
   in
   let doc =
     "Show the query plan and its paper-derived cost estimates (predicted walk steps, trials, \

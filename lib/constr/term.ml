@@ -49,11 +49,39 @@ let is_const t = IMap.is_empty t.coeffs
 let eval t x =
   IMap.fold (fun i c acc -> Rational.add acc (Rational.mul c x.(i))) t.coeffs t.constant
 
+(* The one exact-to-float lowering.  A constraint [t op 0] keeps its
+   meaning under a positive scale, so when a part of [t] lies beyond the
+   float range the whole term is first scaled, exactly, by the power of
+   two that brings its largest part near 1.  A term whose parts are all
+   in range keeps its bits. *)
+let float_row t =
+  let lower t =
+    ( List.map (fun (i, c) -> (i, Rational.to_float c)) (IMap.bindings t.coeffs),
+      Rational.to_float t.constant )
+  in
+  let ((ws, c) as row) = lower t in
+  if Float.is_finite c && List.for_all (fun (_, w) -> Float.is_finite w) ws then row
+  else
+    let log2 (q : Rational.t) = Bigint.num_bits q.num - Bigint.num_bits q.den in
+    let e =
+      IMap.fold (fun _ c e -> Stdlib.max e (log2 c)) t.coeffs
+        (if Rational.is_zero t.constant then min_int else log2 t.constant)
+    in
+    let pow2 k = Rational.of_bigint (Bigint.shift_left Bigint.one k) in
+    lower (scale (if e >= 0 then Rational.inv (pow2 e) else pow2 (-e)) t)
+
+(* [float_row]'s value without building the row: a finite sum had every
+   part in range, so it is the in-range row's value bit for bit; only a
+   non-finite one is recomputed on the (possibly scaled) row. *)
 let eval_float t x =
-  IMap.fold
-    (fun i c acc -> acc +. (Rational.to_float c *. x.(i)))
-    t.coeffs
-    (Rational.to_float t.constant)
+  let v =
+    IMap.fold (fun i c acc -> acc +. (Rational.to_float c *. x.(i))) t.coeffs
+      (Rational.to_float t.constant)
+  in
+  if Float.is_finite v then v
+  else
+    let ws, c = float_row t in
+    List.fold_left (fun acc (i, w) -> acc +. (w *. x.(i))) c ws
 
 let subst t i u =
   match IMap.find_opt i t.coeffs with
@@ -87,9 +115,10 @@ let equal a b = compare a b = 0
 
 let to_float_row d t =
   if max_var t >= d then invalid_arg "Term.to_float_row: variable out of range";
+  let ws, c = float_row t in
   let w = Vec.create d in
-  IMap.iter (fun i c -> w.(i) <- Rational.to_float c) t.coeffs;
-  (w, Rational.to_float t.constant)
+  List.iter (fun (i, f) -> w.(i) <- f) ws;
+  (w, c)
 
 let pp_named name fmt t =
   let parts = coeffs t in

@@ -39,8 +39,19 @@ val is_const : t -> bool
 val eval : t -> Rational.t array -> Rational.t
 (** Value at an exact point; the array must cover all variables. *)
 
+val float_row : t -> (int * float) list * float
+(** The float image of the term: its non-zero coefficients in
+    ascending variable order, and its constant.  The one exact→float
+    lowering ({!eval_float}, {!to_float_row} and the VM's packed
+    membership rows all use it).  When a coefficient or the constant
+    lies beyond the float range, the whole term is first scaled exactly
+    by a power of two that brings its largest part near 1 — which keeps
+    the meaning of [t ≤ 0], [t < 0] and [t = 0]; a term in range keeps
+    its bits. *)
+
 val eval_float : t -> Vec.t -> float
-(** Value at a float point (coefficients converted on the fly). *)
+(** Value at a float point of the {!float_row} image: the constant
+    first, then coefficient·coordinate in ascending variable order. *)
 
 val subst : t -> int -> t -> t
 (** [subst t i u] replaces [x_i] by the term [u]. *)
@@ -53,8 +64,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val to_float_row : int -> t -> Vec.t * float
-(** [to_float_row d t = (w, c)] with [t(x) = w·x + c] for [x] of
-    dimension [d].  Variables [>= d] must not occur. *)
+(** {!float_row} as a dense row: [(w, c)] with [t(x) = w·x + c] for
+    [x] of dimension [d].  Variables [>= d] must not occur. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_named : (int -> string) -> Format.formatter -> t -> unit

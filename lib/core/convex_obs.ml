@@ -8,6 +8,9 @@ type config = {
   walk_steps : int option;
 }
 
+let samplers = [ ("walk", Hit_and_run); ("grid", Grid_walk); ("rejection", Rejection_box) ]
+let sampler_name s = fst (List.find (fun (_, s') -> s' = s) samplers)
+
 let default_config = { sampler = Grid_walk; volume_budget = Volume.Rigorous; walk_steps = None }
 
 let practical_config =
@@ -27,6 +30,7 @@ type prepared = {
   p_body : Polytope.t;
   p_transform : Affine.t;
   p_r_sup : float;
+  p_box : (Vec.t * Vec.t) option Lazy.t;
 }
 
 let prepare ?(config = default_config) ?relation rng poly =
@@ -45,7 +49,10 @@ let prepare ?(config = default_config) ?relation rng poly =
           p_body = rounded.Rounding.rounded;
           p_transform = rounded.Rounding.transform;
           p_r_sup = rounded.Rounding.r_sup;
+          p_box = lazy (Polytope.bounding_box rounded.Rounding.rounded);
         }
+
+let with_sampler sampler p = { p with p_config = { p.p_config with sampler } }
 
 let observe p =
   let config = p.p_config in
@@ -84,7 +91,7 @@ let observe p =
              the body fills a decent fraction of its bounding box.
              Falls back to hit-and-run if the budget runs dry, so
              the generator never fails outright. *)
-          match Polytope.bounding_box body with
+          match Lazy.force p.p_box with
           | None -> hit_and_run ()
           | Some (lo, hi) -> (
               match

@@ -16,6 +16,12 @@ type sampler =
           attempt budget is exhausted.  Volume estimation still runs
           the hit-and-run multi-phase scheme. *)
 
+val samplers : (string * sampler) list
+(** The method names a plan and the CLI give the samplers: [walk],
+    [grid], [rejection]. *)
+
+val sampler_name : sampler -> string
+
 type config = {
   sampler : sampler;
   volume_budget : Volume.budget;
@@ -61,6 +67,10 @@ type prepared = private {
   p_body : Polytope.t;  (** the well-rounded image the walks run in *)
   p_transform : Affine.t;  (** rounding map: body = transform(original) *)
   p_r_sup : float;  (** enclosing-ball radius of the rounded body *)
+  p_box : (Vec.t * Vec.t) option Lazy.t;
+      (** the rounded body's bounding box: its LPs are solved once, on
+          first use, by whichever of the optimizing pass, the VM or a
+          rejection sampler asks first; rng-free *)
 }
 
 val prepare :
@@ -77,6 +87,10 @@ val prepare_tuples : ?config:config -> Rng.t -> Relation.t -> (Dnf.tuple * prepa
     tuple order, one shared rng: the tuples that survive paired with
     their pieces.  The per-tuple loop every relation-level generator
     (interpreter, VM, GIS evaluator) is built from. *)
+
+val with_sampler : sampler -> prepared -> prepared
+(** The same rounded piece under another sampler: no rng, no new
+    preprocessing.  How a plan's per-leaf method reaches the piece. *)
 
 val observe : prepared -> Observable.t
 (** Build the interpreted observable over a prepared piece.  Pure — no

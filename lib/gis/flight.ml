@@ -30,15 +30,11 @@ let ( let* ) = Result.bind
    so it lives here rather than in bin/. *)
 let gamma = 0.05
 
-let samplers =
-  [ ("walk", Convex_obs.Hit_and_run); ("grid", Convex_obs.Grid_walk);
-    ("rejection", Convex_obs.Rejection_box) ]
-
-let methods = List.map fst samplers
+let methods = List.map fst Convex_obs.samplers
 let engines = [ "interp"; "vm"; "vm-opt" ]
 
 let config_of_method m =
-  match List.assoc_opt m samplers with
+  match List.assoc_opt m Convex_obs.samplers with
   | Some sampler -> Ok { Convex_obs.practical_config with Convex_obs.sampler }
   | None -> Error ("unknown method " ^ m)
 
@@ -66,21 +62,24 @@ let parse_relation ~vars text =
     Ok (Relation.of_formula ~dim:(List.length vars) f)
 
 type engine = {
+  plan : Scdb_plan.Plan.t;
   draw : Rng.t -> int -> Vec.t list;
   observable : Observable.t;
   program : Scdb_vm.Vm.t option;
   profile : Scdb_profile.Profile.t option;
 }
 
-let start_engine ?profile_mode ~engine ~eps ~delta prepared =
-  match engine with
+let start_engine ?profile_mode ?executor ~engine ~eps ~delta prepared =
+  let optimize = engine = "vm-opt" in
+  match Option.value executor ~default:engine with
   | "interp" ->
+      let prepared = if optimize then Plan_exec.optimize prepared else prepared in
       let obs = Plan_exec.observe prepared in
       let params = Params.make ~gamma ~eps ~delta () in
       let draw rng n = Observable.sample_many obs rng params ~n in
-      Ok { draw; observable = obs; program = None; profile = None }
+      Ok { plan = prepared.Plan_exec.plan; draw; observable = obs; program = None; profile = None }
   | _ -> (
-      match Plan_exec.compile ~optimize:(engine = "vm-opt") prepared with
+      match Plan_exec.compile ~optimize prepared with
       | Error m -> Error ("plan does not compile: " ^ m)
       | Ok prog ->
           let profile =
@@ -91,13 +90,22 @@ let start_engine ?profile_mode ~engine ~eps ~delta prepared =
             | None -> fun rng n -> Scdb_vm.Vm.sample_many prog rng ~n
             | Some pr -> fun rng n -> Scdb_profile.Profile.sample_many pr rng ~n
           in
-          Ok { draw; observable = Scdb_vm.Vm.mirror prog; program = Some prog; profile })
+          Ok
+            {
+              plan = Scdb_vm.Vm.plan prog;
+              draw;
+              observable = Scdb_vm.Vm.mirror prog;
+              program = Some prog;
+              profile;
+            })
 
-let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?profile_mode a =
+let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?profile_mode
+    ?executor a =
   let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
+  let* executor = check_engine (Option.value executor ~default:engine) in
   let* () =
-    if profile_mode <> None && engine = "interp" then
+    if profile_mode <> None && executor = "interp" then
       Error "profiling requires a compiled engine (--engine vm or vm-opt)"
     else Ok ()
   in
@@ -114,8 +122,8 @@ let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?
     Option.to_result ~none:empty_relation
       (Plan_exec.prepare ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng relation)
   in
-  let* e = start_engine ?profile_mode ~engine ~eps:a.eps ~delta:a.delta prepared in
-  let plan = prepared.Plan_exec.plan in
+  let* e = start_engine ?profile_mode ~executor ~engine ~eps:a.eps ~delta:a.delta prepared in
+  let plan = e.plan in
   (* Profiled runs arm the bus even without --progress so the per-node
      actual column of the attribution table is populated; the stderr
      ticker is separate so a contexted job can arm its bus for the
@@ -190,8 +198,7 @@ let total_draws lineage =
 
 let replay ?engine (r : Flightrec.t) =
   let* a = args_of_flightrec r in
-  let a = match engine with Some e -> { a with engine = e } | None -> a in
-  let* o = run ~track:true a in
+  let* o = run ~track:true ?executor:engine a in
   ignore o.rng;
   let* n = Flightrec.compare_samples ~recorded:r.Flightrec.samples ~replayed:o.points in
   (* The sample stream is the contract, but the draw totals are a

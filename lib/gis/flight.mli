@@ -18,10 +18,11 @@ type args = {
   delta : float;
   method_ : string;  (** ["walk"], ["grid"] or ["rejection"] *)
   engine : string;
-      (** ["interp"] (the observable interpreter), ["vm"] (the strict
-          compiled engine — same rng stream as the interpreter) or
-          ["vm-opt"] (compiled with cost-based rewrites; same
-          distribution, different stream) *)
+      (** ["interp"] (the observable interpreter), ["vm"] (the compiled
+          engine — same rng stream as the interpreter) or ["vm-opt"]
+          (the VM on the plan {!Plan_exec.optimize} rewrote; same
+          distribution, a different stream, which replays on every
+          executor) *)
 }
 
 val gamma : float
@@ -65,6 +66,7 @@ val parse_relation : vars:string list -> string -> (Relation.t, string) result
 (** {2 Engines} *)
 
 type engine = {
+  plan : Scdb_plan.Plan.t;  (** the plan that runs: rewritten under ["vm-opt"] *)
   draw : Rng.t -> int -> Vec.t list;  (** [draw rng n]: the next [n] points *)
   observable : Observable.t;
       (** what volume estimates run on: the tagged interpreter tree, or
@@ -76,30 +78,31 @@ type engine = {
 
 val start_engine :
   ?profile_mode:Scdb_profile.Profile.mode ->
+  ?executor:string ->
   engine:string ->
   eps:float ->
   delta:float ->
   Plan_exec.prepared ->
   (engine, string) result
-(** Bind a prepared relation to an engine from {!engines}:
-    ["interp"] draws through {!Plan_exec.observe}, the others through
-    {!Plan_exec.compile} (["vm-opt"] with the optimizing rewrites),
-    under an instruction profiler when [profile_mode] is given
-    (ignored under ["interp"]).  Draws no rng.  [Error] when the plan
-    does not compile. *)
+(** Bind a prepared relation to an engine from {!engines}.  [engine]
+    decides the plan: ["vm-opt"] runs {!Plan_exec.optimize} first.
+    [executor] (default [engine]) decides what runs it: ["interp"]
+    draws through {!Plan_exec.observe}, ["vm"] and ["vm-opt"] through
+    {!Plan_exec.compile}, under an instruction profiler when
+    [profile_mode] is given (ignored under ["interp"]).  On one plan
+    every executor draws the same stream.  Draws no rng.  [Error] when
+    the plan does not compile. *)
 
 type outcome = {
   points : Vec.t list;  (** the emitted sample stream, in order *)
   relation : Relation.t;  (** the parsed (and quantifier-eliminated) relation *)
   rng : Rng.t;  (** the root generator, post-run (for follow-on work like [--diag]) *)
   plan : Scdb_plan.Plan.t;
-      (** the cost-model plan the run was budgeted against (task
-          [Sample n]); with [~progress:true] its predicted-vs-actual
-          attribution is readable via {!Plan_exec.attribution} after
-          the run *)
-  program : Scdb_vm.Vm.t option;
-      (** the compiled program, under [--engine vm|vm-opt] (supplies
-          rewrite tags to {!Plan_exec.attribution}) *)
+      (** the cost-model plan the run executed (task [Sample n]; the
+          rewritten plan under ["vm-opt"], tags included); with
+          [~progress:true] its predicted-vs-actual attribution is
+          readable via {!Plan_exec.attribution} after the run *)
+  program : Scdb_vm.Vm.t option;  (** the compiled program, under a VM executor *)
   profile : Scdb_profile.Profile.t option;  (** filled when [profile_mode] was given *)
 }
 
@@ -109,6 +112,7 @@ val run :
   ?ticker:bool ->
   ?overrun_factor:float ->
   ?profile_mode:Scdb_profile.Profile.mode ->
+  ?executor:string ->
   args ->
   (outcome, string) result
 (** Parse, build the plan-tagged observable, draw [n] points into the
@@ -122,8 +126,9 @@ val run :
     [~ticker:true] additionally runs the stderr progress ticker for
     the duration — kept separate so concurrent contexted jobs can arm
     their buses for the status view without fighting over the
-    terminal.  [profile_mode] (compiled engines only — an [Error]
-    under ["interp"]) attaches an instruction profiler and arms the
+    terminal.  [executor] picks what runs the plan [a.engine] chose
+    (see {!start_engine}).  [profile_mode] (compiled executors only —
+    an [Error] under ["interp"]) attaches an instruction profiler and arms the
     progress bus ticker-free, so the outcome carries both the profile
     and readable attribution.  None of these options perturb the RNG
     stream, so replay is unaffected.  Emits [sample.run] /
@@ -144,7 +149,9 @@ val replay : ?engine:string -> Scdb_log.Flightrec.t -> (int, string) result
     ({!Scdb_log.Flightrec.compare_samples}), then cross-check total
     RNG draw counts against the recorded lineage.  [Ok n] returns the
     verified stream length; any divergence reports the first differing
-    sample, coordinate and both values.  [engine] overrides the
-    record's engine — replaying an interpreter-recorded flight with
-    [~engine:"vm"] (or vice versa) is the differential test that the
-    compiled engine is a bit-exact mirror. *)
+    sample, coordinate and both values.  The recorded engine decides
+    the plan (whether {!Plan_exec.optimize} runs); [engine] only picks
+    the executor — replaying an interpreter-recorded flight with
+    [~engine:"vm"], or a ["vm-opt"] record with [~engine:"interp"], is
+    the differential test that the compiled engine is a bit-exact
+    mirror of the interpreter. *)

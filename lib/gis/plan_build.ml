@@ -3,12 +3,7 @@ module Polytope = Scdb_polytope.Polytope
 module Volume = Scdb_sampling.Volume
 
 let leaf_node ?(config = Convex_obs.practical_config) ~eps ~delta ~dim tuple =
-  let method_ =
-    match config.Convex_obs.sampler with
-    | Convex_obs.Grid_walk -> "grid"
-    | Convex_obs.Hit_and_run -> "walk"
-    | Convex_obs.Rejection_box -> "rejection"
-  in
+  let method_ = Convex_obs.sampler_name config.Convex_obs.sampler in
   let volume_budget =
     match config.Convex_obs.volume_budget with Volume.Practical n -> Some n | Volume.Rigorous -> None
   in

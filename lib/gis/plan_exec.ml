@@ -14,14 +14,10 @@ let prepare ?(config = Convex_obs.practical_config) ~gamma ~eps ~delta ~task rng
          { plan = Plan.finalize ~gamma ~eps ~delta ~task node; pieces = List.map snd kept })
 
 let observe { plan; pieces } =
-  let root = plan.Plan.root in
-  match pieces with
-  | [ piece ] -> tag root.Plan.id (Convex_obs.observe piece)
-  | many ->
-      let children =
-        List.map2 (fun child p -> tag child.Plan.id (Convex_obs.observe p)) root.Plan.children many
-      in
-      tag root.Plan.id (Union.union children)
+  (Scdb_vm.Rewrite.observables plan (Array.of_list pieces)).(plan.Plan.root.Plan.id)
+
+let optimize { plan; pieces } =
+  { plan = Scdb_vm.Rewrite.optimize plan (Array.of_list pieces); pieces }
 
 let compile ?(optimize = false) { plan; pieces } =
   Scdb_vm.Vm.compile ~optimize ~plan ~pieces:(Array.of_list pieces) ()
@@ -31,13 +27,12 @@ let observable_of_relation ?config ~gamma ~eps ~delta ~task rng r =
 
 let compiled_of_relation ?config ?optimize ~gamma ~eps ~delta ~task rng r =
   prepare ?config ~gamma ~eps ~delta ~task rng r
-  |> Option.map (fun p -> (p.plan, compile ?optimize p))
+  |> Option.map (fun p ->
+         match compile ?optimize p with
+         | Ok prog -> (Scdb_vm.Vm.plan prog, Ok prog)
+         | Error _ as e -> (p.plan, e))
 
-let arm ?overrun_factor plan =
-  let rows =
-    Array.map (fun (id, label, budget) -> (id, label, budget)) (Plan.budget_rows plan)
-  in
-  Progress.start ?overrun_factor ~rows ()
+let arm ?overrun_factor plan = Progress.start ?overrun_factor ~rows:(Plan.budget_rows plan) ()
 
 type attribution_row = {
   id : int;
@@ -45,18 +40,13 @@ type attribution_row = {
   predicted : float;
   actual : float;
   ratio : float;  (** [actual/predicted]; [nan] when the node never ran *)
-  tags : string list;  (** rewrite provenance under the optimized engine *)
+  tags : string list;  (** the plan node's rewrite tags *)
 }
 
-let attribution ?program plan =
+let attribution plan =
   let actuals = Progress.rows () in
-  let tags_of =
-    match program with
-    | None -> fun _ -> []
-    | Some prog ->
-        let table = Scdb_vm.Vm.rewrite_tags prog in
-        fun id -> Option.value (List.assoc_opt id table) ~default:[]
-  in
+  let tags = Array.make plan.Plan.node_count [] in
+  Plan.iter_nodes (fun (n : Plan.node) -> tags.(n.Plan.id) <- n.Plan.tags) plan;
   Array.map
     (fun (id, op, predicted) ->
       let actual =
@@ -67,7 +57,7 @@ let attribution ?program plan =
         else if predicted > 0.0 then actual /. predicted
         else Float.infinity
       in
-      { id; op; predicted; actual; ratio; tags = tags_of id })
+      { id; op; predicted; actual; ratio; tags = tags.(id) })
     (Plan.budget_rows plan)
 
 let attribution_json rows =
@@ -115,7 +105,7 @@ let budget_attribution plan (attr : attribution_row array) =
           | "union" | "inter" | "diff" ->
               if Float.is_nan ratio then Float.nan else g.Scdb_plan.Plan.g_delta
           (* An exact weight risks nothing: the whole grant is slack. *)
-          | "dfk" when List.mem Scdb_vm.Vm.exact_weight_tag tags -> 0.0
+          | "dfk" when List.mem Plan.exact_weight tags -> 0.0
           | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:g.Scdb_plan.Plan.g_delta ~ratio
       in
       {

@@ -2,10 +2,11 @@
     progress bus and the predicted-vs-actual attribution table.
 
     {!prepare} runs a relation through the one preparation pipeline
-    and returns the plan with the prepared pieces it covers; the
-    interpreter ({!observe}) and both VM engines ({!compile}) consume
-    that same value, so every engine starts from identical
-    preprocessing draws and an identical plan.  {!observe} wraps every
+    and returns the plan with the prepared pieces it covers;
+    {!optimize} rewrites the plan over the same pieces; the
+    interpreter ({!observe}) and the VM ({!compile}) consume either
+    value, so every executor starts from identical preprocessing draws
+    and runs the same plan.  {!observe} wraps every
     observable so its sample/volume calls run inside
     [Progress.with_node] with the plan-node id — the accrued actuals
     land on exactly the node whose budget predicted them.  The wrapper
@@ -38,15 +39,20 @@ val prepare :
     config is {!Convex_obs.practical_config}. *)
 
 val observe : prepared -> Observable.t
-(** The interpreter: one DFK observable per piece, under a Karp–Luby
-    union when there are several, each node {!tag}ged with its plan
-    id.  Draws no rng. *)
+(** The interpreter: the root of {!Scdb_vm.Rewrite.observables} — one
+    DFK observable per piece under the sampler its leaf's method
+    names, under a Karp–Luby union when there are several, each node
+    {!tag}ged with its plan id.  Draws no rng. *)
+
+val optimize : prepared -> prepared
+(** {!Scdb_vm.Rewrite.optimize} over the prepared pieces: the plan
+    [--engine vm-opt] runs, on any executor.  Draws no rng. *)
 
 val compile : ?optimize:bool -> prepared -> (Scdb_vm.Vm.t, string) result
-(** The compiled engines: lower the plan and pieces through
-    {!Scdb_vm.Vm.compile} (strict by default — the same rng and sample
-    stream as {!observe}; [optimize:true] enables the stream-changing
-    cost-based rewrites).  [Error _] when the plan has a shape the
+(** The compiled engine: lower the plan and pieces through
+    {!Scdb_vm.Vm.compile} — the same rng and sample stream as
+    {!observe} on the same plan; [optimize:true] lowers the
+    {!optimize}d plan.  [Error _] when the plan has a shape the
     compiler refuses. *)
 
 val observable_of_relation :
@@ -70,7 +76,8 @@ val compiled_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * (Scdb_vm.Vm.t, string) result) option
-(** {!prepare} then {!compile}. *)
+(** {!prepare} then {!compile}, paired with the plan the program
+    lowers (the rewritten one under [optimize:true]). *)
 
 val arm : ?overrun_factor:float -> Scdb_plan.Plan.t -> unit
 (** [Progress.start] with the plan's budget rows. *)
@@ -81,16 +88,14 @@ type attribution_row = {
   predicted : float;
   actual : float;
   ratio : float;  (** [actual/predicted]; [nan] when the node never ran *)
-  tags : string list;  (** rewrite provenance under the optimized engine *)
+  tags : string list;  (** the plan node's rewrite tags *)
 }
 
-val attribution : ?program:Scdb_vm.Vm.t -> Scdb_plan.Plan.t -> attribution_row array
+val attribution : Scdb_plan.Plan.t -> attribution_row array
 (** Join the plan's budgets with the progress bus's accrued actuals,
     in node-id order.  Call after the run, before the next
-    [Progress.start].  When the run executed a compiled [program], its
-    symbolization table supplies each node's rewrite tags
-    ([rejection_box_substituted], [shared_union_leaf],
-    [reordered_membership]) so attribution rows carry provenance. *)
+    [Progress.start].  Each row carries its plan node's rewrite tags
+    ([rejection_box_substituted], [exact_weight]). *)
 
 val attribution_json : attribution_row array -> Scdb_json.Json.t
 (** JSON array of rows; non-finite ratios (a node that never ran, or
@@ -111,9 +116,8 @@ type budget_row = {
       (** the δ the node's spent work actually buys at its granted ε,
           via {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for
           union, intersection and difference nodes, whose stopping
-          rule holds it at any trial count; [0] for a dfk leaf whose
-          attribution carries the optimized VM's [exact_weight] tag,
-          which leaves its whole grant as slack; [nan] when it never
+          rule holds it at any trial count; [0] for a dfk leaf tagged
+          [exact_weight], which leaves its whole grant as slack; [nan] when it never
           ran *)
   b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
 }

@@ -34,13 +34,13 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       in
       (* Compiled engines draw through the instruction profiler (timing
          mode — a report is a diagnostic document) and estimate volume
-         through the program's interpreted mirror; their attribution
-         rows carry the compiler's rewrite tags. *)
+         through the program's interpreted mirror; under vm-opt the
+         plan, and so the attribution rows, carry the rewrite tags. *)
       let* e =
         Flight.start_engine ~profile_mode:Scdb_profile.Profile.Timing ~engine ~eps ~delta
           prepared
       in
-      let plan = prepared.Plan_exec.plan in
+      let plan = e.Flight.plan in
       (* The progress bus collects per-node actuals for the attribution
          table; armed only around the planned work (diagnostics below
          are outside the plan and must not pollute the root's
@@ -61,7 +61,7 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                 | v -> Some v
                 | exception Observable.Estimation_failed _ -> None)
           in
-          let attribution = Plan_exec.attribution ?program:e.Flight.program plan in
+          let attribution = Plan_exec.attribution plan in
           Scdb_progress.Progress.stop ();
           let profile_json = Option.map (Scdb_profile.Profile.to_json ~plan) e.Flight.profile in
           let diag =

@@ -17,7 +17,14 @@ let scale_units k u =
   { draws = k *. u.draws; mems = k *. u.mems; steps = k *. u.steps; trials = k *. u.trials }
 
 type op =
-  | Dfk of { method_ : string; walk_steps : int; phases : int; samples_per_phase : int; constraints : int }
+  | Dfk of {
+      method_ : string;
+      walk_steps : int;
+      phases : int;
+      samples_per_phase : int;
+      constraints : int;
+      lasserre_calls : float option;
+    }
   | Grid_leaf of { cells : float }
   | Union_op of { trials : int; volume_trials : int }
   | Inter_op of { poly_degree : int; budget : int; volume_trials : int }
@@ -33,7 +40,11 @@ type node = {
   per_sample : units;
   per_volume : units;
   children : node list;
+  tags : string list;
 }
+
+let exact_weight = "exact_weight"
+let rejection_box_substituted = "rejection_box_substituted"
 
 let op_name = function
   | Dfk _ -> "dfk"
@@ -56,11 +67,13 @@ type task = Sample of int | Volume | Report of int
    against all m operands, Inter tests all m memberships per trial,
    Diff tests the single guard, Project pays one acceptance draw per
    trial.  The child generator calls these trials trigger are charged
-   to the children by the budget recursion, not here. *)
-let exclusive op ~dim ~m =
+   to the children by the budget recursion, not here.  A dfk leaf
+   tagged [exact_weight] prices its volume as its Lasserre bound in
+   walk steps. *)
+let exclusive ?(tags = []) op ~dim ~m =
   let f = float_of_int in
   match op with
-  | Dfk { method_; walk_steps; phases; samples_per_phase; constraints = _ } ->
+  | Dfk { method_; walk_steps; phases; samples_per_phase; constraints = _; lasserre_calls } ->
       let s = f walk_steps in
       let per_sample =
         match method_ with
@@ -70,13 +83,18 @@ let exclusive op ~dim ~m =
             { draws = t *. f dim; mems = t; steps = 0.0; trials = t }
         | _ -> { draws = s *. f (dim + 1); mems = s; steps = s; trials = 0.0 }
       in
-      (* The multi-phase estimator always walks (hit-and-run, or the
-         lattice walk under the grid sampler): q·spp warm-started walks
-         of the same length as a generator call. *)
-      let n = f (phases * samples_per_phase) in
-      let draws_per_step = if method_ = "grid" then 3.0 else f (dim + 1) in
       let per_volume =
-        { draws = n *. s *. draws_per_step; mems = n *. s; steps = n *. s; trials = 0.0 }
+        match lasserre_calls with
+        | Some calls when List.mem exact_weight tags ->
+            { zero with steps = calls *. Cost.walk_steps_per_lasserre_call }
+        | _ ->
+            (* The multi-phase estimator always walks (hit-and-run, or
+               the lattice walk under the grid sampler): q·spp
+               warm-started walks of the same length as a generator
+               call. *)
+            let n = f (phases * samples_per_phase) in
+            let draws_per_step = if method_ = "grid" then 3.0 else f (dim + 1) in
+            { draws = n *. s *. draws_per_step; mems = n *. s; steps = n *. s; trials = 0.0 }
       in
       (per_sample, per_volume)
   | Grid_leaf { cells } ->
@@ -102,11 +120,47 @@ let exclusive op ~dim ~m =
         { draws = 0.0; mems = 0.0; steps = 0.0; trials = n } )
   | Boost_op _ | Guard -> (zero, zero)
 
+let weight_costs n =
+  match n.op with
+  | Dfk { walk_steps; phases; samples_per_phase; lasserre_calls = Some calls; _ } ->
+      Some
+        ( calls *. Cost.walk_steps_per_lasserre_call,
+          float_of_int phases *. float_of_int samples_per_phase *. float_of_int walk_steps )
+  | _ -> None
+
+let sum_children f children = List.fold_left (fun acc c -> add_units acc (f c)) zero children
+
+(* Inclusive cost from the node's own op and tags plus its children's
+   inclusive costs: a combinator that makes [s] child generator calls
+   per call of its own and [v] per volume estimate spreads them over
+   the operands it fans out to. *)
+let reprice n =
+  let fm = float_of_int (Stdlib.max 1 (List.length n.children)) in
+  let excl_s, excl_v = exclusive ~tags:n.tags n.op ~dim:n.dim ~m:(List.length n.children) in
+  let fan s v cs =
+    let sum_ps = sum_children (fun c -> c.per_sample) cs in
+    let sum_pv = sum_children (fun c -> c.per_volume) cs in
+    ( add_units excl_s (scale_units s sum_ps),
+      add_units excl_v (add_units (scale_units v sum_ps) sum_pv) )
+  in
+  let f = float_of_int in
+  let per_sample, per_volume =
+    match (n.op, n.children) with
+    | Union_op { trials; volume_trials }, cs -> fan (f trials /. fm) (f volume_trials /. fm) cs
+    | Inter_op { budget; volume_trials; _ }, cs -> fan (f budget /. fm) (f volume_trials /. fm) cs
+    | Diff_op { budget; volume_trials; _ }, a :: _ -> fan (f budget) (f volume_trials) [ a ]
+    | Project_op { trials; volume_trials; _ }, [ c ] -> fan (f trials) (f volume_trials) [ c ]
+    | Boost_op { runs }, [ c ] -> (c.per_sample, scale_units (f runs) c.per_volume)
+    | _ -> (excl_s, excl_v)
+  in
+  { n with per_sample; per_volume }
+
+let node ?(children = []) op ~dim =
+  reprice { id = -1; op; dim; per_sample = zero; per_volume = zero; children; tags = [] }
+
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let sum_children f children = List.fold_left (fun acc c -> add_units acc (f c)) zero children
 
 let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget () =
   let walk_steps =
@@ -120,32 +174,19 @@ let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget (
     | Some n -> n
     | None -> Cost.volume_samples_per_phase ~eps ~delta ~phases
   in
-  let op = Dfk { method_; walk_steps; phases; samples_per_phase; constraints } in
-  let per_sample, per_volume = exclusive op ~dim ~m:0 in
-  { id = -1; op; dim; per_sample; per_volume; children = [] }
+  node ~dim
+    (Dfk { method_; walk_steps; phases; samples_per_phase; constraints; lasserre_calls = None })
 
-let grid_leaf ~dim ~cells =
-  let op = Grid_leaf { cells } in
-  let per_sample, per_volume = exclusive op ~dim ~m:0 in
-  { id = -1; op; dim; per_sample; per_volume; children = [] }
+let grid_leaf ~dim ~cells = node ~dim (Grid_leaf { cells })
 
 let union_ ~eps ~delta children =
   if children = [] then invalid_arg "Plan.union_: empty list";
   let m = List.length children in
-  let dim = (List.hd children).dim in
   let trials = Cost.union_trials ~m ~delta in
   let volume_trials =
     Cost.stopping_trials ~eps:(eps /. 3.0) ~delta:(delta /. 4.0) ~p_lower:(1.0 /. float_of_int m)
   in
-  let op = Union_op { trials; volume_trials } in
-  let excl_s, excl_v = exclusive op ~dim ~m in
-  let sum_ps = sum_children (fun c -> c.per_sample) children in
-  let sum_pv = sum_children (fun c -> c.per_volume) children in
-  let t = float_of_int trials and n = float_of_int volume_trials in
-  let fm = float_of_int m in
-  let per_sample = add_units excl_s (scale_units (t /. fm) sum_ps) in
-  let per_volume = add_units excl_v (add_units (scale_units (n /. fm) sum_ps) sum_pv) in
-  { id = -1; op; dim; per_sample; per_volume; children }
+  node ~children ~dim:(List.hd children).dim (Union_op { trials; volume_trials })
 
 let fraction_trials ~eps ~delta ~dim ~poly_degree =
   Stdlib.min Cost.fraction_trials_cap
@@ -154,32 +195,16 @@ let fraction_trials ~eps ~delta ~dim ~poly_degree =
 
 let inter_ ?(poly_degree = 3) ~eps ~delta children =
   if children = [] then invalid_arg "Plan.inter_: empty list";
-  let m = List.length children in
   let dim = (List.hd children).dim in
   let budget = Cost.rejection_budget ~dim ~poly_degree ~delta in
   let volume_trials = fraction_trials ~eps ~delta ~dim ~poly_degree in
-  let op = Inter_op { poly_degree; budget; volume_trials } in
-  let excl_s, excl_v = exclusive op ~dim ~m in
-  let sum_ps = sum_children (fun c -> c.per_sample) children in
-  let sum_pv = sum_children (fun c -> c.per_volume) children in
-  let b = float_of_int budget and n = float_of_int volume_trials in
-  let fm = float_of_int m in
-  let per_sample = add_units excl_s (scale_units (b /. fm) sum_ps) in
-  let per_volume = add_units excl_v (add_units (scale_units (n /. fm) sum_ps) sum_pv) in
-  { id = -1; op; dim; per_sample; per_volume; children }
+  node ~children ~dim (Inter_op { poly_degree; budget; volume_trials })
 
 let diff_ ?(poly_degree = 3) ~eps ~delta a b =
   let dim = a.dim in
   let budget = Cost.rejection_budget ~dim ~poly_degree ~delta in
   let volume_trials = fraction_trials ~eps ~delta ~dim ~poly_degree in
-  let op = Diff_op { poly_degree; budget; volume_trials } in
-  let excl_s, excl_v = exclusive op ~dim ~m:2 in
-  let bf = float_of_int budget and n = float_of_int volume_trials in
-  let per_sample = add_units excl_s (scale_units bf a.per_sample) in
-  let per_volume =
-    add_units excl_v (add_units (scale_units n a.per_sample) a.per_volume)
-  in
-  { id = -1; op; dim; per_sample; per_volume; children = [ a; b ] }
+  node ~children:[ a; b ] ~dim (Diff_op { poly_degree; budget; volume_trials })
 
 let project_ ~eps ~delta ~keep child =
   (* The runtime's retry budget is calibrated by a 32-draw pilot; the
@@ -194,27 +219,12 @@ let project_ ~eps ~delta ~keep child =
   let blocks = Stdlib.max 3 (int_of_float (ceil (4.0 *. log (2.0 /. delta)))) in
   let block_size = Stdlib.max 16 (int_of_float (ceil (9.0 /. (eps *. eps)))) in
   let volume_trials = blocks * block_size in
-  let op = Project_op { keep; trials; pilot; volume_trials } in
-  let excl_s, excl_v = exclusive op ~dim:keep ~m:1 in
-  let t = float_of_int trials and n = float_of_int volume_trials in
-  let per_sample = add_units excl_s (scale_units t child.per_sample) in
-  let per_volume =
-    add_units excl_v (add_units (scale_units n child.per_sample) child.per_volume)
-  in
-  { id = -1; op; dim = keep; per_sample; per_volume; children = [ child ] }
+  node ~children:[ child ] ~dim:keep (Project_op { keep; trials; pilot; volume_trials })
 
 let boost_ ~delta child =
-  let runs = Cost.boost_runs ~delta in
-  {
-    id = -1;
-    op = Boost_op { runs };
-    dim = child.dim;
-    per_sample = child.per_sample;
-    per_volume = scale_units (float_of_int runs) child.per_volume;
-    children = [ child ];
-  }
+  node ~children:[ child ] ~dim:child.dim (Boost_op { runs = Cost.boost_runs ~delta })
 
-let guard ~dim = { id = -1; op = Guard; dim; per_sample = zero; per_volume = zero; children = [] }
+let guard ~dim = node ~dim Guard
 
 (* ------------------------------------------------------------------ *)
 (* Finalized plans: preorder ids and per-run budgets                   *)
@@ -281,7 +291,7 @@ let finalize ~gamma ~eps ~delta ~task node =
   let budgets = Array.make node_count 0.0 in
   let rec fill n ~s ~v =
     let m = List.length n.children in
-    let excl_s, excl_v = exclusive n.op ~dim:n.dim ~m in
+    let excl_s, excl_v = exclusive ~tags:n.tags n.op ~dim:n.dim ~m in
     let own = (s *. work excl_s) +. (v *. work excl_v) in
     let below =
       List.fold_left
@@ -363,13 +373,14 @@ let schema = "spatialdb-plan/1"
 
 let attrs_of_op op =
   match op with
-  | Dfk { walk_steps; phases; samples_per_phase; constraints; _ } ->
+  | Dfk { walk_steps; phases; samples_per_phase; constraints; lasserre_calls; _ } ->
       [
         ("walk_steps", float_of_int walk_steps);
         ("phases", float_of_int phases);
         ("samples_per_phase", float_of_int samples_per_phase);
         ("constraints", float_of_int constraints);
       ]
+      @ Option.fold ~none:[] ~some:(fun c -> [ ("lasserre_calls", c) ]) lasserre_calls
   | Grid_leaf { cells } -> [ ("cells", cells) ]
   | Union_op { trials; volume_trials } ->
       [ ("trials", float_of_int trials); ("volume_trials", float_of_int volume_trials) ]
@@ -400,6 +411,14 @@ let units_json u =
       ("work", Json.Num (work u));
     ]
 
+(* The route a priced leaf's weight takes, with both prices in walk
+   steps. *)
+let weight_route n =
+  Option.map
+    (fun (exact, dfk) ->
+      ((if List.mem exact_weight n.tags then exact_weight else "dfk"), exact, dfk))
+    (weight_costs n)
+
 let task_fields = function
   | Sample n -> ("sample", n)
   | Volume -> ("volume", 0)
@@ -418,8 +437,22 @@ let to_json t =
           ("per_sample", units_json n.per_sample);
           ("per_volume", units_json n.per_volume);
           ("budget", Json.Num t.budgets.(n.id));
-          ("children", Json.Arr (List.map node_json n.children));
-        ])
+          ("tags", Json.strs n.tags);
+        ]
+      @ Option.fold ~none:[]
+          ~some:(fun (route, exact, dfk) ->
+            [
+              ( "weight",
+                Json.Obj
+                  [
+                    ("route", Json.Str route);
+                    ("exact_steps", Json.Num exact);
+                    ("dfk_steps", Json.Num dfk);
+                  ]
+              );
+            ])
+          (weight_route n)
+      @ [ ("children", Json.Arr (List.map node_json n.children)) ])
   in
   let task_name, n = task_fields t.task in
   Json.Obj
@@ -467,6 +500,7 @@ let of_json doc =
               phases = a "phases";
               samples_per_phase = a "samples_per_phase";
               constraints = a "constraints";
+              lasserre_calls = Json.field "attrs" (Json.field_opt "lasserre_calls" Json.num) o;
             }
       | "grid" -> Grid_leaf { cells = Json.field "attrs" (Json.field "cells" Json.num) o }
       | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
@@ -490,6 +524,7 @@ let of_json doc =
       per_sample = Json.field "per_sample" units_of o;
       per_volume = Json.field "per_volume" units_of o;
       children = Json.field "children" (Json.list read_node) o;
+      tags = Option.value ~default:[] (Json.field_opt "tags" (Json.list Json.str) o);
     }
   in
   let root = Json.field "root" read_node doc in
@@ -529,11 +564,20 @@ let to_text_tree t =
         (List.map (fun (k, v) -> Printf.sprintf "%s=%g" k v) (attrs_of_op n.op))
     in
     let meth = match n.op with Dfk { method_; _ } -> " method=" ^ method_ | _ -> "" in
+    let weight =
+      match weight_route n with
+      | Some (route, exact, dfk) ->
+          Printf.sprintf " weight=%s(lasserre %.3g %s dfk %.3g steps)" route exact
+            (if exact <= dfk then "<=" else ">")
+            dfk
+      | None -> ""
+    in
     Buffer.add_string buf
-      (Printf.sprintf "%s%s%s #%d dim=%d%s%s  sample=%.3g volume=%.3g budget=%.3g\n" prefix
+      (Printf.sprintf "%s%s%s #%d dim=%d%s%s  sample=%.3g volume=%.3g budget=%.3g%s%s\n" prefix
          branch (op_name n.op) n.id n.dim meth
          (if attrs = "" then "" else " [" ^ attrs ^ "]")
-         (work n.per_sample) (work n.per_volume) t.budgets.(n.id));
+         (work n.per_sample) (work n.per_volume) t.budgets.(n.id) weight
+         (if n.tags = [] then "" else " tags=" ^ String.concat "," n.tags));
     let prefix' = prefix ^ if is_last then "   " else "│  " in
     let rec go = function
       | [] -> ()

@@ -31,7 +31,17 @@ val scale_units : float -> units -> units
 (** Operator of a plan node, carrying the paper-prescribed budgets the
     node was costed with. *)
 type op =
-  | Dfk of { method_ : string; walk_steps : int; phases : int; samples_per_phase : int; constraints : int }
+  | Dfk of {
+      method_ : string;
+      walk_steps : int;
+      phases : int;
+      samples_per_phase : int;
+      constraints : int;
+      lasserre_calls : float option;
+          (** the proven bound on the exact route's Lasserre calls
+              ({!Cost.lasserre_calls}), where the optimizing pass
+              priced that route; [None] elsewhere *)
+    }
       (** Convex leaf: DFK lattice walk / hit-and-run / rejection-box
           generator plus the multi-phase volume estimator. *)
   | Grid_leaf of { cells : float }
@@ -54,7 +64,29 @@ type node = {
   per_sample : units;  (** inclusive expected cost of one generator call *)
   per_volume : units;  (** inclusive expected cost of one volume estimation *)
   children : node list;
+  tags : string list;
+      (** rewrites the optimizing pass applied to this node, sorted:
+          {!rejection_box_substituted}, {!exact_weight}; [[]] on a
+          plan as built *)
 }
+
+val exact_weight : string
+(** ["exact_weight"]: the leaf's weight is its exact Lasserre volume,
+    and its volume cost is its call bound in walk steps. *)
+
+val rejection_box_substituted : string
+(** ["rejection_box_substituted"]: a hit-and-run leaf runs box
+    rejection instead, priced in trials. *)
+
+val reprice : node -> node
+(** Recompute the node's inclusive [per_sample]/[per_volume] from its
+    op, tags and children (whose own costs are taken as they are): the
+    step a plan-to-plan pass takes after changing a node. *)
+
+val weight_costs : node -> (float * float) option
+(** For a dfk leaf with [lasserre_calls]: the two prices of its
+    weight in walk steps, [(calls · Cost.walk_steps_per_lasserre_call,
+    phases · samples_per_phase · walk_steps)]. *)
 
 val op_name : op -> string
 (** ["dfk"], ["grid"], ["union"], ["inter"], ["diff"], ["project"],
@@ -153,7 +185,9 @@ val schema : string
 
 val to_json : t -> Scdb_json.Json.t
 (** The [spatialdb-plan/1] document: parameters, task, total work and
-    the node tree with per-node estimates, attributes and budgets. *)
+    the node tree with per-node estimates, attributes, budgets and
+    rewrite tags; a priced leaf also carries its [weight] route
+    (["exact_weight"] or ["dfk"]) with both prices in walk steps. *)
 
 val of_json : Scdb_json.Json.t -> (t, string) result
 (** Reader for the same schema (validators and round-trip tests). *)

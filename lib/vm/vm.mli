@@ -9,37 +9,22 @@
     kernel ({!Polytope.Kernel.Batch}) via its raw accessors.  The
     instruction set and operand layout are documented in DESIGN.md.
 
-    Two engines share the format:
+    [compile] decides nothing: it lowers the plan it is handed, each
+    leaf's sampler named by the leaf's method and its weight read
+    through the plan's observables ({!Rewrite.observables}).  On the
+    same plan and pieces it is a bit-exact mirror of the interpreter:
+    it consumes the identical draw sequence and emits the identical
+    sample stream, so flight records replay across executors.  The
+    {e optimized} engine ([optimize:true]) is the same lowering of the
+    plan {!Rewrite.optimize} rewrote (box substitution and exact leaf
+    weights, tagged on the plan nodes); its stream differs from the
+    unrewritten plan's, not from the interpreter's on the rewritten
+    plan.
 
-    - the {e strict} engine ([optimize:false], the default) is a
-      bit-exact mirror of the {!Observable} interpreter: starting from
-      the same rng state and the same {!Convex_obs.prepared} pieces it
-      consumes the identical draw sequence and emits the identical
-      sample stream, so flight records replay across engines;
-    - the {e optimized} engine ([optimize:true]) additionally applies
-      cost-based plan rewrites — per-leaf sampler selection
-      (rejection-box when {!Scdb_plan.Cost.rejection_box_trials} beats
-      the hit-and-run schedule), intersection membership conjunctions
-      reordered smallest-bounding-box-first, duplicate union leaves
-      sharing one compiled piece and one volume estimate, and exact
-      leaf weights (below).  Rewrites preserve the sampling
-      distribution but not the rng stream.
-
-    Volume estimation (the weight prologues that seed union/argmin
-    dispatch) runs the interpreted estimators through {!mirror} — the
-    VM compiles the per-draw hot path, and the interpreter stays the
-    differential oracle for it.  Under the optimized engine a DFK leaf
-    over one generalized tuple is tagged [exact_weight] when
-    {!Scdb_plan.Cost.lasserre_calls} of its tuple, times
-    {!Scdb_plan.Cost.walk_steps_per_lasserre_call}, is at most its DFK
-    volume work ([phases × samples_per_phase × walk_steps] of its plan
-    node).  Its mirror's volume is then the exact Lasserre volume of
-    the tuple, computed on first use, once per program, drawing no rng
-    (should the exact call raise, the DFK estimate runs instead on the
-    same rng).  Union weights, Karp–Luby estimates and
-    intersection/difference volumes all read it there.  The bound is a
-    proven ceiling on the recursion's calls, so a selected leaf never
-    makes more Lasserre calls than the rule priced. *)
+    Volume estimation (the weight prologues that seed union dispatch)
+    runs the interpreted estimators through {!mirror} — the VM
+    compiles the per-draw hot path, and the interpreter stays the
+    differential oracle for it. *)
 
 type t
 
@@ -50,15 +35,22 @@ val compile :
   unit ->
   (t, string) result
 (** Lower [plan] over its prepared convex pieces, given in preorder
-    leaf order (the order {!Scdb_gis.Plan_exec} constructs them in).
-    The compiler cross-checks every budget recorded in the plan
-    (union trials, rejection budgets, walk schedules) against the
-    {!Scdb_plan.Cost} formulas it inlines and refuses to compile on
-    mismatch; [Sample] and [Report] tasks over
-    dfk/guard/union/inter/diff nodes are supported (the report task's
-    volume estimation runs through {!mirror}). *)
+    leaf order (the order {!Scdb_gis.Plan_exec} constructs them in);
+    with [optimize:true], lower [Rewrite.optimize plan pieces]
+    instead.  The compiler cross-checks every budget recorded in the
+    plan (union trials, walk schedules) against the {!Scdb_plan.Cost}
+    formulas it inlines and refuses to compile on mismatch; [Sample]
+    and [Report] tasks over dfk and union nodes are supported (the
+    report task's volume estimation runs through {!mirror}), and every
+    other operator is an [Error]. *)
 
 val optimized : t -> bool
+(** Whether [compile] ran the optimizing pass. *)
+
+val plan : t -> Scdb_plan.Plan.t
+(** The plan the program lowers: the rewritten one under
+    [optimize:true]. *)
+
 val dim : t -> int
 
 val instruction_count : t -> int
@@ -87,9 +79,9 @@ val sample_many : ?prof:prof -> t -> Rng.t -> n:int -> Vec.t list
 (** [n] draws in order; mirrors {!Observable.sample_many}. *)
 
 val mirror : t -> Observable.t
-(** The interpreted mirror of the compiled plan (each node
-    Progress-tagged with its plan-node id).  The weight prologues
-    estimate through it; [report --engine vm|vm-opt] runs its volume
+(** The root of the plan's observables ({!Rewrite.observables}, each
+    node Progress-tagged with its plan-node id).  The weight prologues
+    estimate through them; [report --engine vm|vm-opt] runs its volume
     estimate here so the result matches the interpreter's contract.
     Leaves tagged [exact_weight] answer volume requests exactly; the
     [vm.lasserre_calls] telemetry counter counts the calls they
@@ -98,11 +90,12 @@ val mirror : t -> Observable.t
 (** {1 Symbolization}
 
     The compiler records, for every code word, the plan-node id whose
-    codegen emitted it plus a rewrite tag naming the vm-opt rewrite
-    that shaped it ([rejection_box_substituted], [shared_union_leaf],
-    [reordered_membership]).  The leaf-level [exact_weight] rewrite
-    tags no instruction: {!rewrite_tags} lists it under the leaf's id
-    and {!disassemble}'s header names the route of every leaf weight.  {!disassemble} annotates each line with
+    codegen emitted it.  Rewrite tags live on the plan nodes: an
+    instruction of a leaf tagged [rejection_box_substituted] carries
+    that tag ({!tag_at}); [exact_weight] shapes no instruction (the
+    weight is spent in the parent's [ensure]), so only {!rewrite_tags}
+    and {!disassemble}'s header, which names the route of every priced
+    leaf weight, show it.  {!disassemble} annotates each line with
     both; the profiler folds per-pc counts through this table into
     per-node attribution rows. *)
 
@@ -124,15 +117,12 @@ val node_at : t -> int -> int
 (** Originating plan-node id of the code word at [pc]. *)
 
 val tag_at : t -> int -> string option
-(** Rewrite tag of the code word at [pc], if any. *)
-
-val exact_weight_tag : string
-(** ["exact_weight"]. *)
+(** The rewrite that shaped the code word at [pc], if any:
+    [rejection_box_substituted] on a substituted leaf's code. *)
 
 val rewrite_tags : t -> (int * string list) list
-(** Per plan-node id, the distinct rewrite tags on its instructions,
-    plus [exact_weight] on leaves whose weight is exact (nodes without
-    tags omitted; sorted by id). *)
+(** Per plan-node id, the node's tags in the lowered plan (nodes
+    without tags omitted; sorted by id). *)
 
 val disassemble : t -> string
 (** Human-readable program listing: piece table, weight/trial slots,

@@ -347,7 +347,7 @@ let vm_opt_tests =
         Fun.protect ~finally:Progress.stop (fun () ->
             ignore (Vm.sample_many prog rng ~n:4);
             ignore (Scdb_core.Observable.volume (Vm.mirror prog) ~gamma rng ~eps:0.2 ~delta:0.1));
-        let rows = A.budget_rows plan (Plan_exec.attribution ~program:prog plan) in
+        let rows = A.budget_rows plan (Plan_exec.attribution plan) in
         let leaves = List.filter (fun (r : A.budget_row) -> r.A.b_op = "dfk") (Array.to_list rows) in
         Alcotest.(check int) "two leaves" 2 (List.length leaves);
         List.iter

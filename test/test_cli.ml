@@ -69,6 +69,14 @@ let success_tests =
         in
         Alcotest.(check int) "exit" 0 code;
         Alcotest.(check string) "volume" "1.000000000\n" out);
+    t "sample and volume run on a box with over-range coefficients" (fun () ->
+        (* The same box: its float rows are scaled into range. *)
+        let f =
+          Printf.sprintf "-v x,y -f \"0 <= x and %s*x <= %s1 and 0 <= y and y <= 1\"" z400
+            (String.sub z400 0 400)
+        in
+        check "sample" 0 ("sample " ^ f ^ " -n 3 --seed 1");
+        check "volume" 0 ("volume " ^ f ^ " --seed 1 --eps 0.3"));
   ]
 
 let usage_tests =

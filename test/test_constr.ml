@@ -61,6 +61,29 @@ let term_tests =
           ignore (Term.to_float_row 1 (Term.var 3));
           Alcotest.fail "expected Invalid_argument"
         with Invalid_argument _ -> ());
+    t "float_row scales an over-range atom by a power of two" (fun () ->
+        (* 10^400·x − (10^400 + 1): both parts overflow a float. *)
+        let big = Q.of_string ("1" ^ String.make 400 '0') in
+        let te = Term.make [ (0, big) ] (Q.neg (Q.add big Q.one)) in
+        let ws, c = Term.float_row te in
+        let w = List.assoc 0 ws in
+        Alcotest.(check bool) "finite" true (Float.is_finite w && Float.is_finite c);
+        Alcotest.(check (float 1e-15)) "ratio" 1.0 (-.c /. w);
+        Alcotest.(check bool) "near 1" true (w >= 0.5 && w <= 2.0);
+        Alcotest.(check bool) "x = 1/2 satisfies it" true (Term.eval_float te [| 0.5 |] < 0.0);
+        let atom = Atom.make te Atom.Le in
+        let poly = Scdb_polytope.Polytope.of_tuple ~dim:1 [ atom ] in
+        Alcotest.(check bool) "polytope row finite" true
+          (Array.for_all Float.is_finite poly.Scdb_polytope.Polytope.b));
+    t "float_row keeps the bits of an in-range term" (fun () ->
+        let te = Term.make [ (0, qi 1 3); (2, q (-7)) ] (qi 2 3) in
+        let ws, c = Term.float_row te in
+        Alcotest.(check (list (pair int (float 0.0)))) "coeffs"
+          [ (0, Q.to_float (qi 1 3)); (2, -7.0) ] ws;
+        Alcotest.(check (float 0.0)) "constant" (Q.to_float (qi 2 3)) c;
+        Alcotest.(check (float 0.0)) "eval_float"
+          (Q.to_float (qi 2 3) +. (Q.to_float (qi 1 3) *. 0.25) +. (-7.0 *. 1.5))
+          (Term.eval_float te [| 0.25; 0.0; 1.5 |]));
   ]
 
 let atom_tests =

@@ -192,24 +192,38 @@ let mixed_plan () =
 let json_tests =
   [
     t "to_json parses and round-trips bit-exactly" (fun () ->
-        let plan = mixed_plan () in
-        let s = J.to_string (Plan.to_json plan) in
-        let doc = J.parse s in
-        Alcotest.(check string) "schema" Plan.schema (J.field "schema" J.str doc);
-        match Plan.of_json doc with
-        | Error m -> Alcotest.fail ("of_json: " ^ m)
-        | Ok plan' ->
-            Alcotest.(check int) "node_count" plan.Plan.node_count plan'.Plan.node_count;
-            Alcotest.(check (float 0.0)) "total_work" plan.Plan.total_work plan'.Plan.total_work;
-            Array.iteri
-              (fun i b ->
-                Alcotest.(check (float 0.0))
-                  (Printf.sprintf "budget[%d]" i)
-                  b
-                  plan'.Plan.budgets.(i))
-              plan.Plan.budgets;
-            Alcotest.(check string) "re-emission is identical" s
-              (J.to_string (Plan.to_json plan')));
+        (* A plan as built, and one the optimizing pass tagged and
+           repriced (the Figure 1 union). *)
+        let rewritten =
+          let module PE = Scdb_gis.Plan_exec in
+          Scdb_constr.Parser.parse ~vars:[ "x"; "y" ]
+            "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
+          |> Relation.of_formula ~dim:2
+          |> PE.prepare ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 4)
+               (Scdb_rng.Rng.create 7)
+          |> Option.get |> PE.optimize
+        in
+        List.iter
+          (fun plan ->
+            let s = J.to_string (Plan.to_json plan) in
+            let doc = J.parse s in
+            Alcotest.(check string) "schema" Plan.schema (J.field "schema" J.str doc);
+            match Plan.of_json doc with
+            | Error m -> Alcotest.fail ("of_json: " ^ m)
+            | Ok plan' ->
+                Alcotest.(check int) "node_count" plan.Plan.node_count plan'.Plan.node_count;
+                Alcotest.(check (float 0.0)) "total_work" plan.Plan.total_work
+                  plan'.Plan.total_work;
+                Array.iteri
+                  (fun i b ->
+                    Alcotest.(check (float 0.0))
+                      (Printf.sprintf "budget[%d]" i)
+                      b
+                      plan'.Plan.budgets.(i))
+                  plan.Plan.budgets;
+                Alcotest.(check string) "re-emission is identical" s
+                  (J.to_string (Plan.to_json plan')))
+          [ mixed_plan (); rewritten.Scdb_gis.Plan_exec.plan ]);
     t "of_json rejects a broken document" (fun () ->
         let bad = J.parse {|{"schema": "spatialdb-plan/1", "task": "sample"}|} in
         match Plan.of_json bad with

@@ -43,7 +43,7 @@ let compile_ok ?(optimize = false) ~task ~seed formula =
   | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
   | None -> Alcotest.fail "fixture relation is empty"
 
-let known_tags = [ "rejection_box_substituted"; "shared_union_leaf"; "reordered_membership" ]
+let known_tags = [ Plan.rejection_box_substituted ]
 
 (* ------------------------------------------------------------------ *)
 (* Symbolization                                                       *)
@@ -204,7 +204,7 @@ let attribution_case k n () =
     let plan, prog, rng = compile_ok ~task ~seed formula in
     Plan_exec.arm plan;
     ignore (Vm.sample_many prog rng ~n);
-    let rows = Plan_exec.attribution ~program:prog plan in
+    let rows = Plan_exec.attribution plan in
     Progress.stop ();
     rows
   in

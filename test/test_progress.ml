@@ -62,9 +62,9 @@ let watchdog_tests =
               (Progress.overrun_count ())));
   ]
 
-(* A strict-VM difference of two boxes: its walks run under the leaf
-   node ids 1 and 2. *)
-let diff_program () =
+(* A VM union of two boxes: its walks run under the leaf node ids 1 and
+   2. *)
+let union_program () =
   let module P = Scdb_polytope.Polytope in
   let module Plan = Scdb_plan.Plan in
   let module C = Scdb_core.Convex_obs in
@@ -76,18 +76,16 @@ let diff_program () =
       (List.map (fun p -> Option.get (C.prepare ~config:C.practical_config rng p)) polys)
   in
   let leaf p =
-    Plan.dfk ~eps:(eps /. 3.0) ~delta ~dim:2 ~method_:"walk"
+    Plan.dfk ~eps:(eps /. 3.0) ~delta:(delta /. 8.0) ~dim:2 ~method_:"walk"
       ~constraints:(P.num_constraints p) ~volume_budget:2000 ()
   in
   let plan =
-    match List.map leaf polys with
-    | [ a; b ] ->
-        Plan.finalize ~gamma:0.05 ~eps ~delta ~task:(Plan.Sample 3) (Plan.diff_ ~eps ~delta a b)
-    | _ -> assert false
+    Plan.finalize ~gamma:0.05 ~eps ~delta ~task:(Plan.Sample 3)
+      (Plan.union_ ~eps ~delta (List.map leaf polys))
   in
   match Scdb_vm.Vm.compile ~plan ~pieces () with
   | Ok prog -> (prog, rng)
-  | Error m -> Alcotest.failf "diff plan did not compile: %s" m
+  | Error m -> Alcotest.failf "union plan did not compile: %s" m
 
 let accrual_tests =
   [
@@ -108,7 +106,7 @@ let accrual_tests =
         Progress.add_steps 5;
         Progress.with_node 3 (fun () -> Progress.add_trials 5));
     t "ids outside the armed rows are skipped" (fun () ->
-        let prog, rng = diff_program () in
+        let prog, rng = union_program () in
         with_bus [| (0, "root", 0.0) |] (fun () ->
             ignore (Scdb_vm.Vm.sample_many prog rng ~n:3);
             Alcotest.(check bool) "root accrued the walks" true (Progress.actual_work 0 > 0.0);

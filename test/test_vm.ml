@@ -1,8 +1,8 @@
-(* Differential tests for the plan→kernel VM: the strict engine must be
+(* Differential tests for the plan→kernel VM: on one plan the VM must be
    a bit-exact mirror of the observable interpreter (same rng stream,
-   same sample stream), the optimized engine must stay inside the
-   relation, and committed flight records must replay through both
-   engines. *)
+   same sample stream), the optimizing pass must tag and run the same
+   on both, and committed flight records must replay through every
+   executor. *)
 
 open Scdb_core
 module P = Scdb_polytope.Polytope
@@ -63,80 +63,8 @@ let read_fixture name =
   | Ok r -> r
   | Error m -> Alcotest.failf "fixture %s did not parse: %s" name m
 
-(* Hand-built inter/diff harness: prepare the pieces once per engine
-   from the same seed (identical preprocessing draws), then sample
-   through the interpreter and through the strict VM and compare. *)
-
 let box2 x0 x1 y0 y1 =
   P.box [| x0; y0 |] [| x1; y1 |]
-
-let prepare_all seed polys =
-  let rng = Rng.create seed in
-  let preps = List.map (fun p -> Option.get (Convex_obs.prepare ~config:cfg rng p)) polys in
-  (rng, Array.of_list preps)
-
-let drain_draws o = Rng.draw_count o
-
-let inter_case ~seed ~n =
-  let polys = [ box2 0.0 2.0 0.0 1.0; box2 1.0 3.0 0.0 1.0 ] in
-  let eps = 0.2 and delta = 0.1 and gamma = 0.05 in
-  let m = List.length polys in
-  let sub_eps = eps /. 3.0 and sub_delta = delta /. float_of_int (4 * m) in
-  let leaf () =
-    List.map
-      (fun (p : P.t) ->
-        Plan.dfk ~eps:sub_eps ~delta:sub_delta ~dim:(P.dim p) ~method_:"walk"
-          ~constraints:(P.num_constraints p) ~volume_budget:2000 ())
-      polys
-  in
-  let plan =
-    Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample n)
-      (Plan.inter_ ~eps ~delta (leaf ()))
-  in
-  (* interpreter run *)
-  let rng_i, preps_i = prepare_all seed polys in
-  let obs = Inter.inter (List.map Convex_obs.observe (Array.to_list preps_i)) in
-  let params = Params.make ~gamma ~eps ~delta () in
-  let pts_i = Observable.sample_many obs rng_i params ~n in
-  (* strict vm run *)
-  let rng_v, preps_v = prepare_all seed polys in
-  let prog =
-    match Vm.compile ~plan ~pieces:preps_v () with
-    | Ok p -> p
-    | Error m -> Alcotest.failf "inter plan did not compile: %s" m
-  in
-  let pts_v = Vm.sample_many prog rng_v ~n in
-  check_streams "inter streams" pts_i pts_v;
-  Alcotest.(check int) "inter draw counts" (drain_draws rng_i) (drain_draws rng_v)
-
-let diff_case ~seed ~n =
-  let a = box2 0.0 3.0 0.0 1.0 and b = box2 2.0 5.0 (-1.0) 2.0 in
-  let polys = [ a; b ] in
-  let eps = 0.2 and delta = 0.1 and gamma = 0.05 in
-  let sub_eps = eps /. 3.0 in
-  let node p =
-    Plan.dfk ~eps:sub_eps ~delta:0.1 ~dim:2 ~method_:"walk"
-      ~constraints:(P.num_constraints p) ~volume_budget:2000 ()
-  in
-  let plan =
-    Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample n)
-      (Plan.diff_ ~eps ~delta (node a) (node b))
-  in
-  let rng_i, preps_i = prepare_all seed polys in
-  let obs =
-    Diff.diff (Convex_obs.observe preps_i.(0)) (Convex_obs.observe preps_i.(1))
-  in
-  let params = Params.make ~gamma ~eps ~delta () in
-  let pts_i = Observable.sample_many obs rng_i params ~n in
-  let rng_v, preps_v = prepare_all seed polys in
-  let prog =
-    match Vm.compile ~plan ~pieces:preps_v () with
-    | Ok p -> p
-    | Error m -> Alcotest.failf "diff plan did not compile: %s" m
-  in
-  let pts_v = Vm.sample_many prog rng_v ~n in
-  check_streams "diff streams" pts_i pts_v;
-  Alcotest.(check int) "diff draw counts" (drain_draws rng_i) (drain_draws rng_v)
 
 let union_case ~seed ~k ~n =
   let formula = boxes_formula (Rng.create (1000 + k)) k in
@@ -216,10 +144,6 @@ let mirror_tests =
         check_streams "rejection streams" oi.Flight.points ov.Flight.points;
         Alcotest.(check int) "rejection draw counts" (Rng.draw_count oi.Flight.rng)
           (Rng.draw_count ov.Flight.rng));
-    ts "intersection plans mirror the interpreter" (fun () ->
-        List.iter (fun seed -> inter_case ~seed ~n:3) [ 51; 52 ]);
-    ts "difference plans mirror the interpreter" (fun () ->
-        List.iter (fun seed -> diff_case ~seed ~n:3) [ 61; 62 ]);
     ts "one pipeline: Eval and Plan_exec streams agree, explain plans what runs" (fun () ->
         List.iter pipeline_case pipeline_fixtures);
   ]
@@ -293,7 +217,7 @@ let leaf_ids (plan : Plan.t) = List.map (fun (c : Plan.node) -> c.Plan.id) plan.
 
 let exact_ids prog =
   List.filter_map
-    (fun (id, tags) -> if List.mem Vm.exact_weight_tag tags then Some id else None)
+    (fun (id, tags) -> if List.mem Plan.exact_weight tags then Some id else None)
     (Vm.rewrite_tags prog)
 
 (* Σ over the leaves of the proven call bound of each leaf's tuple. *)
@@ -366,6 +290,27 @@ let exact_weight_tests =
                let rec go i = i + k <= n && (String.sub l i k = pat || go (i + 1)) in
                go 0))
           lines);
+    t "exact_weight tags only leaves whose volume the plan reads" (fun () ->
+        let tags ~task formula =
+          match
+            Plan_exec.prepare ~config:cfg ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task (Rng.create 7)
+              (parse [ "x"; "y" ] formula)
+          with
+          | Some p ->
+              let plan = (Plan_exec.optimize p).Plan_exec.plan in
+              List.map
+                (fun id -> (Option.get (Plan.find_node plan id)).Plan.tags)
+                (List.init plan.Plan.node_count Fun.id)
+          | None -> Alcotest.fail "relation should be preparable"
+        in
+        let tri = "x >= 0 /\\ y >= 0 /\\ x + y <= 1" in
+        let has_exact = List.mem Plan.exact_weight in
+        Alcotest.(check (list bool)) "lone leaf under sample" [ false ]
+          (List.map has_exact (tags ~task:(Plan.Sample 3) tri));
+        Alcotest.(check (list bool)) "lone leaf under report" [ true ]
+          (List.map has_exact (tags ~task:(Plan.Report 3) tri));
+        Alcotest.(check (list bool)) "Fig. 1 union leaves" [ false; true; true ]
+          (List.map has_exact (tags ~task:(Plan.Sample 3) fig1_union)));
   ]
 
 let compile_tests =
@@ -410,6 +355,20 @@ let compile_tests =
             Alcotest.(check bool) "strict by default" false (Vm.optimized prog)
         | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
         | None -> Alcotest.fail "unit cube should be compilable");
+    t "intersection and difference plans are refused" (fun () ->
+        let rng = Rng.create 13 in
+        let prep () = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
+        let leaf () = Plan.dfk ~eps:0.2 ~delta:0.1 ~dim:2 ~method_:"walk" ~volume_budget:2000 () in
+        List.iter
+          (fun (what, root) ->
+            let plan = Plan.finalize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 1) root in
+            match Vm.compile ~optimize:true ~plan ~pieces:[| prep (); prep () |] () with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "expected %s to be refused" what)
+          [
+            ("inter", Plan.inter_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ]);
+            ("diff", Plan.diff_ ~eps:0.2 ~delta:0.1 (leaf ()) (leaf ()));
+          ]);
   ]
 
 let fixture_tests =
@@ -431,11 +390,129 @@ let fixture_tests =
         Rng.Provenance.set_tracking false);
   ]
 
+let replay_tests =
+  [
+    ts "a vm-opt record of the Figure 1 union replays on every executor" (fun () ->
+        let a = flight_args ~engine:"vm-opt" ~seed:42 ~n:20 fig1_union in
+        let o =
+          match Flight.run ~track:true a with
+          | Ok o -> o
+          | Error m -> Alcotest.failf "vm-opt run failed: %s" m
+        in
+        let r = Flight.to_flightrec a o in
+        List.iter
+          (fun engine ->
+            match Flight.replay ~engine r with
+            | Ok n -> Alcotest.(check int) (engine ^ " samples") 20 n
+            | Error m -> Alcotest.failf "%s replay diverged: %s" engine m)
+          Flight.engines;
+        Rng.Provenance.set_tracking false);
+  ]
+
+(* The differential oracle of the optimizing pass: random unions of 1–4
+   boxes and simplices in d = 2..8, where box substitution fires up to
+   d = 6 and the exact route both fires and declines (a 10-sample phase
+   budget keeps the declined DFK weights quick).  The interpreter and
+   the VM on the rewritten plan, and [Vm.compile ~optimize:true] on the
+   plan as built, draw the same points with the same number of rng
+   draws, and the VM's tags are the plan's. *)
+let shapes_gen =
+  QCheck.Gen.(
+    let* d = int_range 2 8 in
+    let* k = int_range 1 4 in
+    let* shapes = list_repeat k (triple bool (int_range 0 6) (int_range 1 3)) in
+    let* seed = int_range 1 100_000 in
+    let* n = int_range 1 4 in
+    return (d, shapes, seed, n))
+
+let shapes_text d shapes =
+  let x = Printf.sprintf "x%d" in
+  let tuple (simplex, lo, size) =
+    let lower = List.init d (fun i -> Printf.sprintf "%s >= %d" (x i) (lo + i)) in
+    let upper =
+      if simplex then
+        [ Printf.sprintf "%s <= %d" (String.concat " + " (List.init d x))
+            ((d * lo) + (d * (d - 1) / 2) + size) ]
+      else List.init d (fun i -> Printf.sprintf "%s <= %d" (x i) (lo + i + size))
+    in
+    "(" ^ String.concat " /\\ " (lower @ upper) ^ ")"
+  in
+  String.concat " \\/ " (List.map tuple shapes)
+
+let differential (d, shapes, seed, n) =
+  let config = { cfg with Convex_obs.volume_budget = Scdb_sampling.Volume.Practical 10 } in
+  let relation = parse (List.init d (Printf.sprintf "x%d")) (shapes_text d shapes) in
+  let gamma = 0.05 and eps = 0.2 and delta = 0.1 in
+  (* Each executor starts from the seed, as a flight replay does. *)
+  let prepared () =
+    let rng = Rng.create seed in
+    match Plan_exec.prepare ~config ~gamma ~eps ~delta ~task:(Plan.Sample n) rng relation with
+    | Some p -> (rng, p)
+    | None -> QCheck.Test.fail_report "a full-dimensional relation prepared nothing"
+  in
+  let compiled ?optimize plan pieces =
+    match Vm.compile ?optimize ~plan ~pieces:(Array.of_list pieces) () with
+    | Ok prog -> prog
+    | Error m -> QCheck.Test.fail_reportf "compile failed: %s" m
+  in
+  let rng_i, p = prepared () in
+  let rewritten = Plan_exec.optimize p in
+  let pts_i =
+    Observable.sample_many (Plan_exec.observe rewritten) rng_i
+      (Params.make ~gamma ~eps ~delta ()) ~n
+  in
+  let rng_v, p = prepared () in
+  let strict = compiled (Plan_exec.optimize p).Plan_exec.plan p.Plan_exec.pieces in
+  let pts_v = Vm.sample_many strict rng_v ~n in
+  let rng_o, p = prepared () in
+  let opt = compiled ~optimize:true p.Plan_exec.plan p.Plan_exec.pieces in
+  let pts_o = Vm.sample_many opt rng_o ~n in
+  let same what a b =
+    match Flightrec.compare_samples ~recorded:a ~replayed:b with
+    | Ok _ -> ()
+    | Error m -> QCheck.Test.fail_reportf "%s: %s" what m
+  in
+  same "vm vs interp" pts_i pts_v;
+  same "vm-opt vs interp" pts_i pts_o;
+  if Rng.draw_count rng_i <> Rng.draw_count rng_v || Rng.draw_count rng_i <> Rng.draw_count rng_o
+  then
+    QCheck.Test.fail_reportf "rng draws: interp %d, vm %d, vm-opt %d" (Rng.draw_count rng_i)
+      (Rng.draw_count rng_v) (Rng.draw_count rng_o);
+  let plan = rewritten.Plan_exec.plan in
+  let node_tags =
+    List.filter_map
+      (fun id ->
+        match (Option.get (Plan.find_node plan id)).Plan.tags with [] -> None | t -> Some (id, t))
+      (List.init plan.Plan.node_count Fun.id)
+  in
+  if node_tags <> Vm.rewrite_tags opt then QCheck.Test.fail_report "plan tags <> Vm.rewrite_tags";
+  Plan.iter_nodes
+    (fun (n : Plan.node) ->
+      match n.Plan.op with
+      | Plan.Dfk _ when List.mem Plan.rejection_box_substituted n.Plan.tags <> (d <= 6) ->
+          QCheck.Test.fail_reportf "d = %d: box substitution %s" d
+            (if d <= 6 then "missing" else "unexpected")
+      | _ -> ())
+    plan;
+  true
+
+let differential_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:12 ~name:"interp, vm and vm-opt agree on the rewritten plan"
+         (QCheck.make
+            ~print:(fun (d, shapes, seed, n) ->
+              Printf.sprintf "d=%d seed=%d n=%d %s" d seed n (shapes_text d shapes))
+            shapes_gen)
+         differential);
+  ]
+
 let suites =
   [
     ("vm.mirror", mirror_tests);
     ("vm.opt", opt_tests);
     ("vm.exact_weight", exact_weight_tests);
     ("vm.compile", compile_tests);
-    ("vm.fixtures", fixture_tests);
+    ("vm.fixtures", fixture_tests @ replay_tests);
+    ("vm.differential", differential_tests);
   ]
