@@ -698,7 +698,7 @@ let check_against ~baseline results =
   end
   else Printf.printf "all kernels within 2x of %s\n" baseline
 
-let run ~fast ~out ~check ~metrics_out =
+let run ~fast ~out ~check =
   (* Timings measure the disabled-telemetry path — what production pays. *)
   Tel.set_enabled false;
   let rng = Rng.create 20060101 in
@@ -898,13 +898,6 @@ let run ~fast ~out ~check ~metrics_out =
   in
   (* Per-run stats block: the probabilistic kernels observed end to end. *)
   let telemetry = telemetry_snapshot ~poly ~grid ~centre in
-  (* The counters the snapshot accumulated are still in the registry, so
-     the Prometheus exposition is just a second rendering of them. *)
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-      Scdb_log.Metrics_export.write_file ~path;
-      Printf.printf "wrote %s\n" path);
   let calibration = plan_calibration ~fast in
   let engine_json, vm_opt_speedup = engine_sweep ~fast in
   let overhead_json, timing_overhead = profile_overhead ~fast in
@@ -1000,48 +993,55 @@ let run ~fast ~out ~check ~metrics_out =
           ctx_ov)
     check
 
+let usage_fail fmt =
+  Printf.ksprintf
+    (fun m ->
+      prerr_endline ("regress: " ^ m ^ " (see usage in the source header)");
+      exit 2)
+    fmt
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let fast = List.mem "--fast" args in
-  let rec after flag = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> after flag rest
-    | [] -> None
+  let bool_flags = [ "--fast"; "--trend" ] in
+  let value_flags = [ "-o"; "--check"; "--trend-threshold"; "--trend-ref"; "--trend-floor" ] in
+  (* Every argument is a known flag, a known flag's value, or (under
+     --trend) a BENCH file; anything else is a usage error, so a stale
+     or misspelt flag cannot pass unnoticed. *)
+  let rec parse flags files = function
+    | [] -> (flags, List.rev files)
+    | f :: rest when List.mem f bool_flags -> parse ((f, "") :: flags) files rest
+    | f :: v :: rest when List.mem f value_flags -> parse ((f, v) :: flags) files rest
+    | f :: [] when List.mem f value_flags -> usage_fail "%s needs a value" f
+    | a :: _ when String.length a > 0 && a.[0] = '-' -> usage_fail "unknown flag %S" a
+    | a :: rest -> parse flags (a :: files) rest
   in
-  if List.mem "--trend" args then begin
+  let flags, files = parse [] [] (List.tl (Array.to_list Sys.argv)) in
+  let after flag = List.assoc_opt flag flags in
+  let fast = List.mem_assoc "--fast" flags in
+  if List.mem_assoc "--trend" flags then begin
     let threshold =
-      match after "--trend-threshold" args with
+      match after "--trend-threshold" with
       | None -> 1.25
       | Some s -> (
           match float_of_string_opt s with
           | Some t when t > 1.0 -> t
           | _ -> trend_fail "--trend-threshold must be a number > 1 (got %S)" s)
     in
-    let ref_name = Option.value ~default:"hit_and_run.step.seed" (after "--trend-ref" args) in
+    let ref_name = Option.value ~default:"hit_and_run.step.seed" (after "--trend-ref") in
     let floor_ns =
-      match after "--trend-floor" args with
+      match after "--trend-floor" with
       | None -> 50.0
       | Some s -> (
           match float_of_string_opt s with
           | Some f when f >= 0.0 -> f
           | _ -> trend_fail "--trend-floor must be a number >= 0 (got %S)" s)
     in
-    let value_flags =
-      [ "-o"; "--check"; "--metrics-out"; "--trend-threshold"; "--trend-ref"; "--trend-floor" ]
-    in
-    let rec positionals acc = function
-      | [] -> List.rev acc
-      | f :: _ :: rest when List.mem f value_flags -> positionals acc rest
-      | a :: rest when String.length a > 0 && a.[0] = '-' -> positionals acc rest
-      | a :: rest -> positionals (a :: acc) rest
-    in
-    trend ~files:(positionals [] args) ~threshold ~ref_name ~floor_ns
+    trend ~files ~threshold ~ref_name ~floor_ns
   end
   else begin
-    let check = after "--check" args in
-    let metrics_out = after "--metrics-out" args in
+    (match files with [] -> () | a :: _ -> usage_fail "unexpected argument %S" a);
+    let check = after "--check" in
     let out =
-      match after "-o" args with
+      match after "-o" with
       | Some f -> f
       | None ->
           let rec next n =
@@ -1050,5 +1050,5 @@ let () =
           in
           next 1
     in
-    run ~fast ~out ~check ~metrics_out
+    run ~fast ~out ~check
   end

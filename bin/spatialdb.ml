@@ -8,7 +8,6 @@
      report       one traced run as a self-contained JSON report
      audit        empirical check of the (eps,delta) volume contract
      replay       re-execute a flight record bit-for-bit
-     status       render a published status document
      explain      the costed query plan (or its compiled program)
 
    Formulas use the FO+LIN syntax of Scdb_constr.Parser, e.g.
@@ -19,7 +18,6 @@ open Cmdliner
 module Rng = Scdb_rng.Rng
 module Tel = Scdb_telemetry.Telemetry
 module Log = Scdb_log.Log
-module Metrics = Scdb_log.Metrics_export
 module Flightrec = Scdb_log.Flightrec
 module Flight = Scdb_gis.Flight
 module Obs = Scdb_obs.Obs
@@ -183,12 +181,7 @@ let profile_mode_of_string s =
 
 (* ---------------- observability flags ---------------- *)
 
-type obs = {
-  log_level : string option;
-  log_out : string option;
-  metrics_out : string option;
-  metrics_interval : float;
-}
+type obs = { log_level : string option; log_out : string option }
 
 let obs_term =
   let log_level_arg =
@@ -206,25 +199,8 @@ let obs_term =
     in
     Arg.(value & opt (some string) None & info [ "log-out" ] ~docv:"FILE" ~doc)
   in
-  let metrics_out_arg =
-    let doc =
-      "Write a Prometheus text-format snapshot of the telemetry registry to $(docv) on exit \
-       (implies telemetry collection).  The write is atomic (temp file + rename), so the file \
-       is safe to scrape."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_interval_arg =
-    let doc =
-      "With $(b,--metrics-out), also re-emit the snapshot every $(docv) seconds from a \
-       background thread (node-exporter textfile-collector style)."
-    in
-    Arg.(value & opt float 0.0 & info [ "metrics-interval" ] ~docv:"SECONDS" ~doc)
-  in
-  let make log_level log_out metrics_out metrics_interval =
-    { log_level; log_out; metrics_out; metrics_interval }
-  in
-  Term.(const make $ log_level_arg $ log_out_arg $ metrics_out_arg $ metrics_interval_arg)
+  let make log_level log_out = { log_level; log_out } in
+  Term.(const make $ log_level_arg $ log_out_arg)
 
 let setup_obs o =
   let level =
@@ -243,16 +219,7 @@ let setup_obs o =
     | Some file ->
         Log.open_file file;
         at_exit Log.close_file
-  end;
-  match o.metrics_out with
-  | None -> ()
-  | Some path ->
-      Tel.set_enabled true;
-      at_exit (fun () ->
-          Metrics.stop_periodic ();
-          Metrics.write_file ~path);
-      if o.metrics_interval > 0.0 then
-        Metrics.start_periodic ~path ~interval_s:o.metrics_interval
+  end
 
 let parse_relation vars_s formula =
   let vars = Flight.split_vars vars_s in
@@ -323,8 +290,7 @@ let sample_cmd =
     Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
   in
   let run vars_s formula n seed eps delta method_ engine stats stats_out diag chains o record
-      record_anomaly progress overrun_factor profile_s profile_out (jobs, jobs_mode) live
-      status_out =
+      record_anomaly progress overrun_factor profile_s profile_out (jobs, jobs_mode) =
     check_method method_;
     check_engine engine;
     let profile_mode = Option.map profile_mode_of_string profile_s in
@@ -349,58 +315,23 @@ let sample_cmd =
         outcome.Flight.points
     in
     let outcome =
-      if jobs = 1 && not live && status_out = None then
-        (* The legacy single-run path: everything lands in the default
-           context, exactly as before contexts existed. *)
+      if jobs = 1 then
         or_die (Flight.run ~track ~progress ~ticker:progress ~overrun_factor ?profile_mode args)
       else begin
         (* Contexted path: each job runs the whole query in its own
            observability context (seed + job index), optionally on its
            own domain, and the parent merges every context back into
-           the default one so the process-wide tails (stats dumps,
-           flight records, anomaly counters) see the union. *)
-        if jobs > 1 && track then
+           the default one so the --stats dump sees the union. *)
+        if track then
           or_die (Error "--record/--record-on-anomaly require --jobs 1 (one stream per record)");
-        if jobs > 1 && profile_mode <> None then or_die (Error "--profile requires --jobs 1");
-        if jobs > 1 && diag then or_die (Error "--diag requires --jobs 1");
-        let status = live || status_out <> None in
-        if status then begin
-          (* The status view reads the produced-samples telemetry
-             counters, so a live/status run must count even when no
-             --stats sink asked for them. *)
-          Tel.set_enabled true;
-          Obs.Status.start_ticker ?out:status_out ~to_stderr:live ()
-        end;
-        let job i c =
-          let r =
-            Flight.run ~track ~progress:true ~overrun_factor ?profile_mode
-              { args with Flight.seed = seed + i }
-          in
-          (match r with
-          | Ok oc ->
-              (* First-coordinate ESS estimate for the status view; the
-                 points are already drawn, so this costs one FFT-free
-                 autocorrelation pass. *)
-              let xs = Array.of_list (List.map (fun p -> p.(0)) oc.Flight.points) in
-              if Array.length xs >= 4 then Obs.Ctx.set_ess c (Scdb_diag.Diag.ess xs)
-          | Error _ -> ());
-          r
+        if profile_mode <> None then or_die (Error "--profile requires --jobs 1");
+        if diag then or_die (Error "--diag requires --jobs 1");
+        let job i = Flight.run ~progress ~overrun_factor { args with Flight.seed = seed + i } in
+        let outcomes =
+          Array.map or_die (Obs.Ctx.run_jobs ~mode:jobs_mode ~name:(Printf.sprintf "job-%d") jobs job)
         in
-        (* The final status snapshot is taken before the merge, so it
-           shows each job's own counters. *)
-        let joined () = if status then Obs.Status.stop_ticker ?out:status_out ~to_stderr:live () in
-        let results =
-          Obs.Ctx.run_jobs ~mode:jobs_mode ~joined ~name:(Printf.sprintf "job-%d") jobs job
-        in
-        let outcomes = Array.map or_die results in
-        if jobs > 1 then begin
-          Array.iter emit_points outcomes;
-          exit 0
-        end;
-        (* jobs = 1: after the merge the default context holds exactly
-           what an uncontexted run would have left behind, so the
-           record/profile/diag tails below run unchanged. *)
-        outcomes.(0)
+        Array.iter emit_points outcomes;
+        exit 0
       end
     in
     (match outcome.Flight.profile with
@@ -462,28 +393,13 @@ let sample_cmd =
          depend only on the job's seed, so the merged counters are identical whichever \
          $(b,--jobs-mode) executes them."
   in
-  let live_arg =
-    let doc =
-      "Render a live per-context status line (draws/sec, acceptance rate, budget burn) to \
-       stderr while sampling."
-    in
-    Arg.(value & flag & info [ "live" ] ~doc)
-  in
-  let status_out_arg =
-    let doc =
-      "Periodically publish the spatialdb-status/1 status document to $(docv) (atomic \
-       write-then-rename, so it is safe to read at any moment — e.g. with $(b,spatialdb \
-       status))."
-    in
-    Arg.(value & opt (some string) None & info [ "status-out" ] ~docv:"FILE" ~doc)
-  in
   let doc = "Draw almost uniform points from the relation (Definition 2.2 generator)." in
   Cmd.v (Cmd.info "sample" ~doc)
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
       $ record_anomaly_arg $ progress_arg $ overrun_arg $ profile_arg $ profile_out_arg
-      $ jobs_term $ live_arg $ status_out_arg)
+      $ jobs_term)
 
 (* ---------------- volume ---------------- *)
 
@@ -501,29 +417,29 @@ let volume_cmd =
     | "exact" -> (
         match VE.float_volume_relation relation with
         | v -> Printf.printf "%.9f\n" v
-        | exception VE.Unbounded -> or_die (Error "relation is unbounded")
+        | exception VE.Unbounded -> or_die (Error Flight.unbounded_relation)
         | exception Invalid_argument m -> or_die (Error m))
     | "sampling" -> (
-        match
-          Scdb_gis.Plan_exec.observable_of_relation ~gamma:Flight.gamma ~eps ~delta
-            ~task:Scdb_plan.Plan.Volume rng relation
-        with
-        | None -> or_die (Error Flight.empty_relation)
-        | Some (plan, obs) -> (
+        let prepared =
+          or_die
+            (Flight.prepare ~gamma:Flight.gamma ~eps ~delta ~task:Scdb_plan.Plan.Volume rng
+               relation)
+        in
+        let plan = prepared.Scdb_gis.Plan_exec.plan in
+        if progress then begin
+          Scdb_gis.Plan_exec.arm ~overrun_factor plan;
+          Scdb_progress.Progress.start_ticker ()
+        end;
+        match Observable.volume (Scdb_gis.Plan_exec.observe prepared) rng ~eps ~delta with
+        | v ->
             if progress then begin
-              Scdb_gis.Plan_exec.arm ~overrun_factor plan;
-              Scdb_progress.Progress.start_ticker ()
+              Scdb_progress.Progress.stop ();
+              print_attribution plan
             end;
-            match Observable.volume obs rng ~eps ~delta with
-            | v ->
-                if progress then begin
-                  Scdb_progress.Progress.stop ();
-                  print_attribution plan
-                end;
-                Printf.printf "%.6f\n" v
-            | exception Observable.Estimation_failed m ->
-                if progress then Scdb_progress.Progress.stop ();
-                or_die (Error m)))
+            Printf.printf "%.6f\n" v
+        | exception Observable.Estimation_failed m ->
+            if progress then Scdb_progress.Progress.stop ();
+            or_die (Error m))
     | m when String.length m > 5 && String.sub m 0 5 = "grid:" -> (
         let g = String.sub m 5 (String.length m - 5) in
         let gamma = Option.value ~default:Float.nan (float_of_string_opt g) in
@@ -566,9 +482,9 @@ let reconstruct_cmd =
     if List.length vars <> 2 then or_die (Error "reconstruct prints polygons: exactly 2 variables required");
     let rng = Rng.create seed in
     let pieces =
-      List.map
-        (fun (_, p) -> Convex_obs.observe p)
-        (Convex_obs.prepare_tuples ~config:Convex_obs.practical_config rng relation)
+      match Convex_obs.prepare_tuples ~config:Convex_obs.practical_config rng relation with
+      | kept -> List.map (fun (_, p) -> Convex_obs.observe p) kept
+      | exception Convex_obs.Unbounded -> or_die (Error Flight.unbounded_relation)
     in
     if pieces = [] then or_die (Error "no full-dimensional convex piece to reconstruct");
     let r = Reconstruct.union_estimate rng pieces ~n in
@@ -795,45 +711,6 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ engine_override_arg $ obs_term)
 
-(* ---------------- status ---------------- *)
-
-let status_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Status document written by $(b,spatialdb sample --status-out).")
-  in
-  let require_arg =
-    let doc =
-      "Exit 1 unless at least $(docv) contexts in the document show recorded draws (used by \
-       CI to assert that concurrently active contexts really were observed)."
-    in
-    Arg.(value & opt int 0 & info [ "require" ] ~docv:"N" ~doc)
-  in
-  let run file require =
-    let rows =
-      Json.of_file file (fun doc ->
-          Result.map_error (fun m -> file ^ ": " ^ m) (Obs.Status.of_json doc))
-      |> Result.join |> or_die
-    in
-    print_string (Obs.Status.render rows);
-    let active =
-      List.length (List.filter (fun r -> r.Obs.Status.r_draws > 0.0) rows)
-    in
-    if require > 0 && active < require then begin
-      Printf.eprintf "spatialdb: status: only %d context(s) with draws (require %d)\n" active
-        require;
-      exit 1
-    end
-  in
-  let doc =
-    "Render a spatialdb-status/1 document (as published by $(b,sample --status-out)) as a \
-     per-context table: draws/sec, acceptance rate, budget burn, ESS, warnings, spans."
-  in
-  Cmd.v (Cmd.info "status" ~doc) Term.(const run $ file_arg $ require_arg)
-
 (* ---------------- explain ---------------- *)
 
 let explain_cmd =
@@ -883,10 +760,7 @@ let explain_cmd =
        rng-consuming rounding half), so they take the seed the run
        would use. *)
     let prepared task =
-      Scdb_gis.Plan_exec.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed)
-        relation
-      |> Option.to_result ~none:Flight.empty_relation
-      |> or_die
+      or_die (Flight.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed) relation)
     in
     match format with
     | "program" -> (
@@ -895,10 +769,11 @@ let explain_cmd =
         | Error m -> or_die (Error ("plan does not compile: " ^ m))
         | Ok prog -> print_string (Scdb_vm.Vm.disassemble prog))
     | _ when engine = "vm-opt" -> print_plan (Scdb_gis.Plan_exec.optimize (prepared task)).plan
-    | _ ->
-        Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation
-        |> Option.to_result ~none:Flight.empty_relation
-        |> or_die |> print_plan
+    | _ -> (
+        match Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation with
+        | Some plan -> print_plan plan
+        | None -> or_die (Error Flight.empty_relation)
+        | exception Convex_obs.Unbounded -> or_die (Error Flight.unbounded_relation))
   in
   let doc =
     "Show the query plan and its paper-derived cost estimates (predicted walk steps, trials, \
@@ -923,6 +798,5 @@ let () =
             report_cmd;
             audit_cmd;
             replay_cmd;
-            status_cmd;
             explain_cmd;
           ]))

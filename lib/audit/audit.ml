@@ -43,7 +43,7 @@ let estimate_once ~config ~gamma ~eps ~delta relation s =
     Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task:Plan.Volume rng
       relation
   with
-  | None -> None
+  | None | (exception Convex_obs.Unbounded) -> None
   | Some (_plan, obs) -> (
       match Observable.volume obs ~gamma rng ~eps ~delta with
       | v -> Some v
@@ -123,7 +123,7 @@ let verify ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95) ~eps ~delta ~runs 
       !h
     end
     else
-      Obs.Ctx.run_jobs ~mode ~name:(Printf.sprintf "audit-%d") jobs (fun j _ ->
+      Obs.Ctx.run_jobs ~mode ~name:(Printf.sprintf "audit-%d") jobs (fun j ->
           let h = ref 0 in
           let i = ref j in
           while !i < runs do

@@ -33,14 +33,17 @@ type prepared = {
   p_box : (Vec.t * Vec.t) option Lazy.t;
 }
 
-let prepare ?(config = default_config) ?relation rng poly =
+exception Unbounded
+
+(* The piece, or why the rounding refused the body. *)
+let prepare_checked ?(config = default_config) ?relation rng poly =
   Trace.span "generator.construct"
     ~attrs:[ ("dim", string_of_int (Polytope.dim poly)) ]
   @@ fun () ->
   match Rounding.round rng poly with
-  | None -> None
-  | Some rounded ->
-      Some
+  | Error _ as e -> e
+  | Ok rounded ->
+      Ok
         {
           p_dim = Polytope.dim poly;
           p_config = config;
@@ -51,6 +54,9 @@ let prepare ?(config = default_config) ?relation rng poly =
           p_r_sup = rounded.Rounding.r_sup;
           p_box = lazy (Polytope.bounding_box rounded.Rounding.rounded);
         }
+
+let prepare ?config ?relation rng poly =
+  Result.to_option (prepare_checked ?config ?relation rng poly)
 
 let with_sampler sampler p = { p with p_config = { p.p_config with sampler } }
 
@@ -139,10 +145,16 @@ let prepare_relation ?config rng relation =
 
 let make ?config rng relation = Option.map observe (prepare_relation ?config rng relation)
 
+(* A measure-zero tuple adds nothing to the union and is dropped; an
+   unbounded one gives the whole relation infinite measure, so no
+   uniform generator exists and the relation is refused. *)
 let prepare_tuples ?config rng relation =
   let dim = Relation.dim relation in
   List.filter_map
     (fun tuple ->
-      prepare_relation ?config rng (Relation.make ~dim [ tuple ])
-      |> Option.map (fun p -> (tuple, p)))
+      let relation = Relation.make ~dim [ tuple ] in
+      match prepare_checked ?config ~relation rng (Polytope.of_tuple ~dim tuple) with
+      | Ok p -> Some (tuple, p)
+      | Error (Rounding.Empty | Rounding.Flat) -> None
+      | Error Rounding.Unbounded -> raise Unbounded)
     (Relation.tuples relation)

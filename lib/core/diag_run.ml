@@ -45,8 +45,8 @@ let run ?(chains = default_chains) ?(samples_per_chain = default_samples_per_cha
       ]
   @@ fun () ->
   match Rounding.round rng poly with
-  | None -> None
-  | Some rounded ->
+  | Error _ -> None
+  | Ok rounded ->
       let body = rounded.Rounding.rounded in
       (* Thin at the paper-prescribed walk length: each retained draw
          has had a full mixing budget since the previous one, so the

@@ -144,7 +144,8 @@ let compile ?config ?poly_degree rng inst ~free_dim q =
         end
       with
       | Unsupported msg -> Error msg
-      | Observable.Estimation_failed msg -> Error msg)
+      | Observable.Estimation_failed msg -> Error msg
+      | Convex_obs.Unbounded -> Error Flight.unbounded_relation)
 
 let reconstruct ?config ?(samples_per_piece = 150) rng inst ~free_dim q =
   if not (Query.is_positive_existential q) then
@@ -181,5 +182,6 @@ let reconstruct ?config ?(samples_per_piece = 150) rng inst ~free_dim q =
           else Ok (Reconstruct.union_estimate rng piece_observables ~n:samples_per_piece)
         with
         | Unsupported msg -> Error msg
-        | Observable.Estimation_failed msg -> Error msg)
+        | Observable.Estimation_failed msg -> Error msg
+        | Convex_obs.Unbounded -> Error Flight.unbounded_relation)
   end

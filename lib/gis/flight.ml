@@ -42,7 +42,14 @@ let check_engine e = if List.mem e engines then Ok e else Error ("unknown engine
 
 let split_vars s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
 
-let empty_relation = "relation is empty, unbounded or lower-dimensional"
+let empty_relation = "relation is empty or lower-dimensional"
+let unbounded_relation = "relation is unbounded"
+
+let prepare ?config ~gamma ~eps ~delta ~task rng relation =
+  match Plan_exec.prepare ?config ~gamma ~eps ~delta ~task rng relation with
+  | Some p -> Ok p
+  | None -> Error empty_relation
+  | exception Convex_obs.Unbounded -> Error unbounded_relation
 
 let parse_formula ~vars text =
   Trace.span "formula.parse" @@ fun () ->
@@ -118,16 +125,13 @@ let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?
   let task = Scdb_plan.Plan.Sample a.n in
   (* Every engine shares the parse, the preprocessing rng draws and the
      plan; they differ only in how the n draws are executed. *)
-  let* prepared =
-    Option.to_result ~none:empty_relation
-      (Plan_exec.prepare ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng relation)
-  in
+  let* prepared = prepare ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng relation in
   let* e = start_engine ?profile_mode ~executor ~engine ~eps:a.eps ~delta:a.delta prepared in
   let plan = e.plan in
   (* Profiled runs arm the bus even without --progress so the per-node
      actual column of the attribution table is populated; the stderr
-     ticker is separate so a contexted job can arm its bus for the
-     status view without fighting over the terminal. *)
+     ticker is separate so concurrent contexted jobs can arm their
+     buses without fighting over the terminal. *)
   let armed = progress || e.profile <> None in
   if armed then Plan_exec.arm ?overrun_factor plan;
   if ticker then Scdb_progress.Progress.start_ticker ();

@@ -54,6 +54,23 @@ val empty_relation : string
 (** The error every entry point reports when no tuple survives
     preparation. *)
 
+val unbounded_relation : string
+(** The error every entry point reports for a relation of infinite
+    measure ({!Convex_obs.Unbounded}). *)
+
+val prepare :
+  ?config:Convex_obs.config ->
+  gamma:float ->
+  eps:float ->
+  delta:float ->
+  task:Scdb_plan.Plan.task ->
+  Rng.t ->
+  Relation.t ->
+  (Plan_exec.prepared, string) result
+(** {!Plan_exec.prepare} with its refusals as the entry points' errors:
+    {!empty_relation} when no tuple survives, {!unbounded_relation}
+    when a tuple is full-dimensional and unbounded. *)
+
 val parse_formula : vars:string list -> string -> (Formula.t, string) result
 (** Parse FO+LIN source over [vars] inside a [formula.parse] trace
     span; parse and lex errors become [Error] messages. *)
@@ -125,9 +142,8 @@ val run :
     plan's budgets ([overrun_factor] tunes the watchdog);
     [~ticker:true] additionally runs the stderr progress ticker for
     the duration — kept separate so concurrent contexted jobs can arm
-    their buses for the status view without fighting over the
-    terminal.  [executor] picks what runs the plan [a.engine] chose
-    (see {!start_engine}).  [profile_mode] (compiled executors only —
+    their buses without fighting over the terminal.  [executor] picks
+    what runs the plan [a.engine] chose (see {!start_engine}).  [profile_mode] (compiled executors only —
     an [Error] under ["interp"]) attaches an instruction profiler and arms the
     progress bus ticker-free, so the outcome carries both the profile
     and readable attribution.  None of these options perturb the RNG

@@ -18,7 +18,10 @@ let node_of_tuples ?(config = Convex_obs.practical_config) ~eps ~delta ~dim = fu
       Some (Plan.union_ ~eps ~delta children)
 
 let viable ~dim tuple =
-  Option.is_some (Scdb_sampling.Rounding.inscribed_ball (Polytope.of_tuple ~dim tuple))
+  match Scdb_sampling.Rounding.inscribed_ball (Polytope.of_tuple ~dim tuple) with
+  | Ok _ -> true
+  | Error (Scdb_sampling.Rounding.Empty | Scdb_sampling.Rounding.Flat) -> false
+  | Error Scdb_sampling.Rounding.Unbounded -> raise Convex_obs.Unbounded
 
 let node_of_relation ?config ~eps ~delta r =
   let dim = Relation.dim r in

@@ -9,7 +9,7 @@
     succeeded; the EXPLAIN path ({!node_of_relation}) feeds it the
     tuples that pass the rounding's deterministic viability check
     ({!Scdb_sampling.Rounding.inscribed_ball}), without touching an
-    RNG. *)
+    RNG, and refuses what the executor refuses. *)
 
 val leaf_node :
   ?config:Convex_obs.config ->
@@ -38,7 +38,9 @@ val node_of_relation :
   Relation.t ->
   Scdb_plan.Plan.node option
 (** {!node_of_tuples} over the relation's viable tuples (non-empty,
-    bounded, full-dimensional): [None] when there is none. *)
+    bounded, full-dimensional): [None] when there is none.
+    @raise Convex_obs.Unbounded if a tuple is full-dimensional and
+    unbounded, as {!Convex_obs.prepare_tuples} does. *)
 
 val of_relation :
   ?config:Convex_obs.config ->

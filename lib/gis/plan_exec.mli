@@ -35,8 +35,10 @@ val prepare :
 (** Relation → per-tuple well-rounding ({!Convex_obs.prepare_tuples},
     the only rng-consuming stage) → plan ({!Plan_build.node_of_tuples}
     over the tuples that survived), finalised for [task].  [None] when
-    no tuple survives (empty, unbounded or lower-dimensional).  Default
-    config is {!Convex_obs.practical_config}. *)
+    no tuple survives (every tuple empty or lower-dimensional).  Default
+    config is {!Convex_obs.practical_config}.
+    @raise Convex_obs.Unbounded if a tuple is full-dimensional and
+    unbounded; so do the two [*_of_relation] wrappers below. *)
 
 val observe : prepared -> Observable.t
 (** The interpreter: the root of {!Scdb_vm.Rewrite.observables} — one

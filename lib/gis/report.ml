@@ -28,9 +28,8 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       let* relation = Flight.parse_relation ~vars formula in
       let task = Scdb_plan.Plan.Report samples in
       let* prepared =
-        Option.to_result ~none:Flight.empty_relation
-          (Plan_exec.prepare ~config:Convex_obs.practical_config ~gamma:Flight.gamma ~eps
-             ~delta ~task rng relation)
+        Flight.prepare ~config:Convex_obs.practical_config ~gamma:Flight.gamma ~eps ~delta ~task
+          rng relation
       in
       (* Compiled engines draw through the instruction profiler (timing
          mode — a report is a diagnostic document) and estimate volume

@@ -162,12 +162,11 @@ let rows_of_state st =
 
 let rows () = match (cur ()).b_state with None -> [||] | Some st -> rows_of_state st
 
-let actual_work_of b id =
-  match b.b_state with
+let actual_work id =
+  match (cur ()).b_state with
   | Some st when id >= 0 && id < Array.length st.steps -> st.steps.(id) +. st.trials.(id)
   | _ -> 0.0
 
-let actual_work id = actual_work_of (cur ()) id
 let total_work () = actual_work 0
 
 (* A root-node column, [0.] when never started. *)
@@ -228,8 +227,6 @@ module Bus = struct
 
   let create () = make_bus ()
   let rows b = match b.b_state with None -> [||] | Some st -> rows_of_state st
-  let total_work b = actual_work_of b 0
-  let total_budget = root (fun st -> st.budgets)
   let trials = root (fun st -> st.trials)
   let steps = root (fun st -> st.steps)
 

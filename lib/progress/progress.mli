@@ -117,9 +117,6 @@ module Bus : sig
   val create : unit -> t
 
   val rows : t -> row array
-  val total_work : t -> float
-  val total_budget : t -> float
-
   val trials : t -> float
   val steps : t -> float
 

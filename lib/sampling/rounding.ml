@@ -29,8 +29,22 @@ let covariance points mean =
 let full_ball poly =
   match Polytope.chebyshev poly with Some (_, r) as ball when r > 0.0 -> ball | _ -> None
 
+type failure = Empty | Flat | Unbounded
+
+(* Every verdict comes from the statuses of the feasibility, bounding-box
+   and Chebyshev LPs; a bounded body runs exactly those three as before.
+   On an unbounded body the Chebyshev LP tells flat from full-dimensional:
+   its optimum is infinite (the LP is unbounded) or positive on a
+   full-dimensional body — r = 1/2 on a half-strip of width 1 — and 0 on
+   a flat one such as a ray. *)
 let inscribed_ball poly =
-  if Polytope.is_empty poly || not (Polytope.is_bounded poly) then None else full_ball poly
+  if Polytope.is_empty poly then Error Empty
+  else if Polytope.is_bounded poly then
+    match full_ball poly with Some ball -> Ok ball | None -> Error Flat
+  else
+    match Polytope.chebyshev poly with
+    | Some (_, r) when r <= 0.0 -> Error Flat
+    | _ -> Error Unbounded
 
 (* Affine map moving the Chebyshev centre to the origin and scaling the
    inscribed ball to radius 1. *)
@@ -44,15 +58,15 @@ let round rng ?(rounds = 2) ?samples_per_round poly =
   let d = Polytope.dim poly in
   let samples_per_round = Option.value samples_per_round ~default:(16 * d) in
   match inscribed_ball poly with
-  | None -> None
-  | Some ball -> (
+  | Error _ as e -> e
+  | Ok ball -> (
     Scdb_trace.Trace.span "rounding.round"
       ~attrs:
         [ ("dim", string_of_int d); ("rounds", string_of_int rounds);
           ("samples_per_round", string_of_int samples_per_round) ]
     @@ fun () ->
     match recentre_at ~d ball with
-    | None -> None
+    | None -> Error Flat
     | Some t0 ->
         let transform = ref t0 in
         let body = ref (Polytope.transform t0 poly) in
@@ -97,8 +111,8 @@ let round rng ?(rounds = 2) ?samples_per_round poly =
             transform := Affine.compose re !transform
         | None -> ());
         (match Polytope.sandwich !body with
-        | None -> None
+        | None -> Error Flat
         | Some (centre, r_inf, r_sup) ->
-            Some { transform = !transform; rounded = !body; centre; r_inf; r_sup }))
+            Ok { transform = !transform; rounded = !body; centre; r_inf; r_sup }))
 
 let aspect_ratio t = t.r_sup /. t.r_inf

@@ -16,16 +16,27 @@ type t = {
   r_sup : float; (* enclosing-ball radius of [rounded] *)
 }
 
-val inscribed_ball : Polytope.t -> (Vec.t * float) option
+(** Why a body cannot be rounded. *)
+type failure =
+  | Empty
+  | Flat
+      (** lower-dimensional (no inscribed ball of positive radius), or
+          too thin for the float LPs to round: measure zero *)
+  | Unbounded  (** full-dimensional and unbounded: infinite volume *)
+
+val inscribed_ball : Polytope.t -> (Vec.t * float, failure) result
 (** The deterministic viability check {!round} makes before it draws
     anything: the Chebyshev ball [(centre, radius)] when the body is
-    non-empty, bounded and full-dimensional (radius [> 0]), [None]
-    otherwise.  Draws no rng, so a static planner can drop the tuples
-    the runtime would drop. *)
+    non-empty, bounded and full-dimensional (radius [> 0]), the
+    failure otherwise.  The verdict comes from the statuses of the
+    feasibility, bounding-box and Chebyshev LPs; a bounded body runs
+    exactly the LPs it always did.  Draws no rng, so a static planner
+    can drop (or refuse) the tuples the runtime would. *)
 
-val round : Rng.t -> ?rounds:int -> ?samples_per_round:int -> Polytope.t -> t option
-(** [None] when {!inscribed_ball} is [None] (empty, unbounded or
-    lower-dimensional body).  Defaults: 2 rounds of
+val round :
+  Rng.t -> ?rounds:int -> ?samples_per_round:int -> Polytope.t -> (t, failure) result
+(** [Error] when {!inscribed_ball} fails, or [Error Flat] when the
+    float LPs cannot sandwich the rounded body.  Defaults: 2 rounds of
     [16·d] samples.  [volume_scale transform] converts volumes back:
     [vol(body) = vol(rounded) / Affine.volume_scale transform]. *)
 

@@ -82,8 +82,8 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
   if d = 0 then Some { volume = 1.0; phases = 0; samples_per_phase = 0; walk_steps = 0; rounding_ratio = 1.0 }
   else begin
     match Rounding.round rng ?rounds:rounding_rounds poly with
-    | None -> None
-    | Some rounded ->
+    | Error _ -> None
+    | Ok rounded ->
         let body = rounded.Rounding.rounded in
         let r0 = rounded.Rounding.r_inf and rq = rounded.Rounding.r_sup in
         (* Radii rᵢ = r₀·2^{i/d} until the enclosing ball is covered:

@@ -424,69 +424,6 @@ let dump ?(only_nonzero = true) ?reg () =
       ("histograms", Json.Obj histograms);
     ]
 
-(* Prometheus text exposition format (version 0.0.4).  Counters render
-   as [counter] samples with the conventional [_total] suffix;
-   histograms render as [summary] families carrying the interpolated
-   p50/p90/p99 quantiles plus exact [_sum]/[_count] and [_min]/[_max]
-   gauges — the quantiles inherit the log-bucket error bound
-   documented in the interface; the sum, count and extrema do not. *)
-let prometheus_name name =
-  let buf = Buffer.create (String.length name + 16) in
-  Buffer.add_string buf "spatialdb_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    name;
-  Buffer.contents buf
-
-let sample_value v = Json.to_line (Json.clamp v)
-
-let to_prometheus ?(only_nonzero = true) ?reg () =
-  let r = match reg with Some r -> r | None -> Domain.DLS.get dls_reg in
-  let metrics = export_defs r in
-  let buf = Buffer.create 2048 in
-  List.iter
-    (fun m ->
-      match m with
-      | M_counter c ->
-          let count = r.Regs.ccells.(c.c_idx).count in
-          if (not only_nonzero) || count <> 0 then begin
-            let n = prometheus_name c.c_name ^ "_total" in
-            Buffer.add_string buf (Printf.sprintf "# HELP %s spatialdb counter %s\n" n c.c_name);
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-            Buffer.add_string buf (Printf.sprintf "%s %d\n" n count)
-          end
-      | M_histogram h ->
-          let cell = r.Regs.hcells.(h.h_idx) in
-          if (not only_nonzero) || cell.n <> 0 then begin
-            let n = prometheus_name h.h_name in
-            Buffer.add_string buf (Printf.sprintf "# HELP %s spatialdb histogram %s\n" n h.h_name);
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" n);
-            List.iter
-              (fun (label, q) ->
-                Buffer.add_string buf
-                  (Printf.sprintf "%s{quantile=\"%s\"} %s\n" n label
-                     (sample_value (Histogram.quantile_cell cell q))))
-              [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ];
-            Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (sample_value cell.sum));
-            Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n cell.n);
-            (* The exact observed extrema (tracked per cell alongside
-               the buckets); gauge families because a merged/reset min
-               can move either way.  Clamped to 0 on empty cells, like
-               [dump]. *)
-            List.iter
-              (fun (suffix, v) ->
-                let g = n ^ suffix in
-                Buffer.add_string buf
-                  (Printf.sprintf "# TYPE %s gauge\n%s %s\n" g g
-                     (sample_value (if cell.n = 0 then 0.0 else v))))
-              [ ("_min", cell.vmin); ("_max", cell.vmax) ]
-          end)
-    metrics;
-  Buffer.contents buf
-
 let counter_value ?reg name =
   let r = match reg with Some r -> r | None -> Domain.DLS.get dls_reg in
   match Hashtbl.find_opt registry name with

@@ -78,8 +78,8 @@ val with_registry : Registry.t -> (unit -> 'a) -> 'a
     domain-local resolution without disturbing other domains.  Do not
     call from a worker thread that merely shares a domain with other
     ambient-registry users — threads share their domain's ambient
-    state.  Readers that must not disturb ambient state (status
-    tickers) use the explicit [?reg] accessors instead. *)
+    state.  Readers that must not disturb ambient state use the
+    explicit [?reg] accessors instead. *)
 
 val reset : ?reg:Registry.t -> unit -> unit
 (** Zero every metric cell of the given registry (default: the ambient
@@ -127,9 +127,8 @@ module Histogram : sig
       much better), and {e exact} when all observations share a bucket
       (min/max clamping pins the single-bucket and extreme-rank cases).
       [count] and [sum] are exact — only the quantiles carry the bucket
-      error, which is why the Prometheus export pairs every quantile
-      family with exact [_count]/[_sum] samples.  [0.] before the first
-      observation. *)
+      error, which is why {!dump} pairs every quantile with exact
+      [count]/[sum] fields.  [0.] before the first observation. *)
 end
 
 val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> Scdb_json.Json.t
@@ -148,19 +147,7 @@ val dump : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> Scdb_json.Json.t
     metrics.  Non-finite values are clamped ({!Scdb_json.Json.clamp}), so every
     number is finite. *)
 
-val to_prometheus : ?only_nonzero:bool -> ?reg:Registry.t -> unit -> string
-(** Render a registry (default: ambient) in the Prometheus text
-    exposition format (version 0.0.4).  Metric names are prefixed
-    [spatialdb_] with dots mapped to underscores.  Counters become
-    [counter] families with the conventional [_total] suffix;
-    histograms become [summary] families with
-    [quantile="0.5"/"0.9"/"0.99"] samples plus exact [_sum] and
-    [_count], and [_min]/[_max] gauge families carrying the exact
-    observed extrema (0 on empty cells, as in {!dump}).  All values
-    are finite (non-finite sums are clamped like {!dump}).
-    [only_nonzero] as in {!dump}. *)
-
 val counter_value : ?reg:Registry.t -> string -> int option
-(** Registry lookup by name (default: ambient), for tests, report
-    generators and the status view.  [Some 0] for a registered metric
+(** Registry lookup by name (default: ambient), for tests and report
+    generators.  [Some 0] for a registered metric
     the given registry has never touched; [None] for an unknown name. *)

@@ -36,8 +36,8 @@ type forest = {
   mutable f_limit : int; (* soft cap on recorded spans *)
 }
 
-let make_forest ?(span_limit = 200_000) () =
-  { f_all = []; f_stack = []; f_next = 0; f_epoch = Tel.Clock.now (); f_limit = span_limit }
+let make_forest () =
+  { f_all = []; f_stack = []; f_next = 0; f_epoch = Tel.Clock.now (); f_limit = 200_000 }
 
 let default_forest = make_forest ()
 let dls_forest : forest Domain.DLS.key = Domain.DLS.new_key (fun () -> default_forest)
@@ -184,8 +184,7 @@ let count () = List.length (cur ()).f_all
 module Forest = struct
   type t = forest
 
-  let create ?span_limit () = make_forest ?span_limit ()
-  let size f = List.length f.f_all
+  let create () = make_forest ()
   let epoch f = f.f_epoch
 
   (* Splice [src] into [dst] under a fresh synthetic root: ids are

@@ -86,10 +86,9 @@ type view = {
 module Forest : sig
   type t
 
-  val create : ?span_limit:int -> unit -> t
+  val create : unit -> t
   (** Fresh empty forest; its epoch is stamped now. *)
 
-  val size : t -> int
   val epoch : t -> float
 
   val merge_into : ?name:string -> dst:t -> t -> unit

@@ -73,9 +73,9 @@ let opcode_name = function
   | 13 -> "exhaust"
   | op -> Printf.sprintf "op%d" op
 
-(* One execution counter per opcode ([vm.op.<name>]); the Prometheus
-   emitter appends [_total].  Ticked unconditionally in [exec] — the
-   disabled-telemetry path is one load and a branch. *)
+(* One execution counter per opcode ([vm.op.<name>]).  Ticked
+   unconditionally in [exec] — the disabled-telemetry path is one load
+   and a branch. *)
 let op_counters = Array.init num_opcodes (fun i -> Tel.Counter.make ("vm.op." ^ opcode_name i))
 
 exception Compile_error of string

@@ -127,8 +127,7 @@ let with_stores_on f =
       Tel.set_enabled tel;
       Trace.set_enabled tr;
       Log.set_enabled lg;
-      Log.set_level lvl;
-      Obs.Ctx.clear_directory ())
+      Log.set_level lvl)
     f
 
 (* ------------------------------------------------------------------ *)

@@ -134,8 +134,15 @@ let usage_tests =
 
 let cmdline_tests =
   [
-    t "unknown flag exits 124" (fun () -> check "flag" 124 ("explain " ^ fig1 ^ " --bogus-flag"));
-    t "unknown subcommand exits 124" (fun () -> check "subcommand" 124 "frobnicate");
+    t "unknown flag exits 124" (fun () ->
+        check "flag" 124 ("explain " ^ fig1 ^ " --bogus-flag");
+        (* The status and Prometheus views are gone with their flags. *)
+        List.iter
+          (fun flag -> check flag 124 ("sample " ^ fig1 ^ " -n 1 " ^ flag))
+          [ "--live"; "--status-out F"; "--metrics-out F"; "--metrics-interval 1" ]);
+    t "unknown subcommand exits 124" (fun () ->
+        check "subcommand" 124 "frobnicate";
+        check "status" 124 "status F");
     t "missing required arguments exit 124" (fun () -> check "no args" 124 "sample");
   ]
 
@@ -168,6 +175,35 @@ let runtime_tests =
            is accepted, and starving it is caught. *)
         check "phase-samples 5" 1
           ("audit " ^ fig1_union ^ " --seed 42 --runs 20 --oracle exact --phase-samples 5"));
+    t "an unbounded tuple in a union fails every command" (fun () ->
+        (* A half-plane (infinite Chebyshev ball) and a half-strip (ball
+           of radius 1/2) beside the unit box: both unions have
+           infinite measure. *)
+        List.iter
+          (fun tail ->
+            let f = "-v x,y -f \"(x>=0 and x<=1 and y>=0 and y<=1) or " ^ tail ^ "\" --seed 1" in
+            List.iter
+              (fun cmd ->
+                let code, err = run_stderr (cmd ^ " " ^ f) in
+                Alcotest.(check (pair int string))
+                  (cmd ^ " on " ^ tail)
+                  (1, "spatialdb: relation is unbounded\n")
+                  (code, err))
+              [ "sample -n 3"; "sample -n 3 --engine vm-opt"; "volume"; "report -n 3" ])
+          [ "x >= 5"; "(y >= 0 and y <= 1 and x >= 5)" ]);
+    t "a union keeps sampling without its lower-dimensional tuples" (fun () ->
+        (* A segment and a ray are measure zero: dropped, not refused. *)
+        List.iter
+          (fun tail ->
+            let code, out =
+              run_stdout
+                ("sample -v x,y -f \"(0 <= x and x <= 1 and 0 <= y and y <= 1) or " ^ tail
+               ^ "\" -n 3 --seed 1")
+            in
+            Alcotest.(check int) ("exit on " ^ tail) 0 code;
+            Alcotest.(check int) ("points on " ^ tail) 3
+              (List.length (List.filter (( <> ) "") (String.split_on_char '\n' out))))
+          [ "(0 <= x and x <= 1 and y = 0)"; "(y = 0 and x >= 5)" ]);
     t "contexted runs write their log events to the parent's outputs" (fun () ->
         let lines extra =
           let log = Filename.temp_file "spatialdb_log" ".jsonl" in
@@ -188,13 +224,8 @@ let runtime_tests =
           Alcotest.(check int) (extra ^ " exits 0") 0 code;
           events
         in
-        let status = Filename.temp_file "spatialdb_status" ".json" in
         let plain = [ (0, "sample.run"); (1, "sample.done") ] in
         Alcotest.(check (list (pair int string))) "plain run" plain (lines "");
-        Alcotest.(check (list (pair int string)))
-          "--status-out run" plain
-          (lines ("--status-out " ^ Filename.quote status));
-        Sys.remove status;
         Alcotest.(check (list (pair int string)))
           "two sequential jobs, one sequence"
           [ (0, "sample.run"); (1, "sample.done"); (2, "sample.run"); (3, "sample.done") ]
@@ -202,16 +233,6 @@ let runtime_tests =
         let par = lines "--jobs 2 --jobs-mode domains" in
         Alcotest.(check (list int)) "two domains, whole lines in seq order" [ 0; 1; 2; 3 ]
           (List.map fst par));
-    t "status rejects a truncated document with the missing field" (fun () ->
-        let file = Filename.temp_file "spatialdb_status" ".json" in
-        Out_channel.with_open_text file (fun oc ->
-            output_string oc
-              {|{"schema": "spatialdb-status/1", "ts": 1.0, "contexts": [{"name": "job0"}]}|});
-        let code, err = run_stderr ("status " ^ Filename.quote file) in
-        Sys.remove file;
-        Alcotest.(check (pair int string)) "exit 1, typed error"
-          (1, Printf.sprintf "spatialdb: %s: $.contexts[0]: missing field \"done\"\n" file)
-          (code, err));
   ]
 
 let profile_tests =

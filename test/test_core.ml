@@ -94,6 +94,14 @@ let convex_tests =
     t "unbounded relation refuses" (fun () ->
         Alcotest.(check bool) "none" true
           (Option.is_none (Convex_obs.make (Rng.create 0) (Relation.halfspace ~dim:1 (Term.var 0)))));
+    t "prepare_tuples refuses a union with an unbounded tuple" (fun () ->
+        let box = Relation.unit_cube 2 in
+        let half = Relation.halfspace ~dim:2 (Term.var 0) in
+        Alcotest.check_raises "unbounded" Convex_obs.Unbounded (fun () ->
+            ignore (Convex_obs.prepare_tuples (Rng.create 0) (Relation.union box half)));
+        let segment = Parser.parse_relation ~vars:[ "x"; "y" ] "0 <= x /\\ x <= 1 /\\ y = 0" in
+        Alcotest.(check int) "flat tuple dropped" 1
+          (List.length (Convex_obs.prepare_tuples (Rng.create 0) (Relation.union box segment))));
     t "multi-tuple relation rejected" (fun () ->
         let r = Relation.union (Relation.unit_cube 1) (Relation.box [| q 2 |] [| q 3 |]) in
         try

@@ -1,10 +1,7 @@
 (* Tests for the structured logging layer: schema, filtering, ring
-   buffer, span correlation, the allocation-free disabled path, and the
-   Prometheus exposition + atomic textfile emitter. *)
+   buffer, span correlation and the allocation-free disabled path. *)
 
 module Log = Scdb_log.Log
-module Metrics = Scdb_log.Metrics_export
-module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module J = Scdb_json.Json
 
@@ -29,11 +26,6 @@ let last_event () =
   match List.rev (Log.tail ()) with
   | [] -> Alcotest.fail "log tail is empty"
   | line :: _ -> J.parse line
-
-let contains s sub =
-  let n = String.length s and k = String.length sub in
-  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-  k = 0 || go 0
 
 let event_tests =
   [
@@ -155,83 +147,8 @@ let alloc_tests =
           true (dw < 256.0));
   ]
 
-let with_tel f =
-  let was = Tel.enabled () in
-  Tel.set_enabled true;
-  Tel.reset ();
-  Fun.protect ~finally:(fun () -> Tel.set_enabled was) f
-
-let prometheus_tests =
-  [
-    t "counters and histogram summaries expose correctly" (fun () ->
-        with_tel (fun () ->
-            let c = Tel.Counter.make "promtest.count" in
-            Tel.Counter.add c 3;
-            let h = Tel.Histogram.make "promtest.lat" in
-            Tel.Histogram.observe h 0.5;
-            Tel.Histogram.observe h 1.0;
-            Tel.Histogram.observe h 2.0;
-            let s = Tel.to_prometheus () in
-            List.iter
-              (fun frag ->
-                if not (contains s frag) then Alcotest.failf "missing %S in:\n%s" frag s)
-              [
-                "# TYPE spatialdb_promtest_count_total counter";
-                "spatialdb_promtest_count_total 3";
-                "# TYPE spatialdb_promtest_lat summary";
-                "spatialdb_promtest_lat{quantile=\"0.5\"}";
-                "spatialdb_promtest_lat{quantile=\"0.9\"}";
-                "spatialdb_promtest_lat{quantile=\"0.99\"}";
-                "spatialdb_promtest_lat_count 3";
-                "spatialdb_promtest_lat_sum";
-                (* Exact observed extrema ride along as gauge families
-                   (a merged/reset min can move either way). *)
-                "# TYPE spatialdb_promtest_lat_min gauge";
-                "spatialdb_promtest_lat_min 0.5";
-                "# TYPE spatialdb_promtest_lat_max gauge";
-                "spatialdb_promtest_lat_max 2";
-              ]));
-    t "counter samples are monotonic across snapshots" (fun () ->
-        with_tel (fun () ->
-            let c = Tel.Counter.make "promtest.mono" in
-            Tel.Counter.add c 2;
-            let value snapshot =
-              let line =
-                List.find
-                  (fun l ->
-                    String.length l > 0 && l.[0] <> '#'
-                    && contains l "spatialdb_promtest_mono_total ")
-                  (String.split_on_char '\n' snapshot)
-              in
-              match String.split_on_char ' ' (String.trim line) with
-              | [ _; v ] -> float_of_string v
-              | _ -> Alcotest.failf "malformed sample line %S" line
-            in
-            let v1 = value (Tel.to_prometheus ()) in
-            Tel.Counter.add c 5;
-            let v2 = value (Tel.to_prometheus ()) in
-            Alcotest.(check bool) "monotonic" true (v2 >= v1);
-            Alcotest.(check (float 0.0)) "exact" 7.0 v2));
-    t "write_file lands atomically with no temp residue" (fun () ->
-        with_tel (fun () ->
-            let c = Tel.Counter.make "promtest.file" in
-            Tel.Counter.incr c;
-            let path = Filename.temp_file "spatialdb_metrics" ".prom" in
-            Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-            @@ fun () ->
-            Metrics.write_file ~path;
-            Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-            Alcotest.(check bool) "no temp file" false (Sys.file_exists (path ^ ".tmp"));
-            let ic = open_in path in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Alcotest.(check bool) "has samples" true
-              (contains s "spatialdb_promtest_file_total 1")));
-  ]
-
 let suites =
   [
     ("log.events", event_tests);
     ("log.alloc", alloc_tests);
-    ("log.prometheus", prometheus_tests);
   ]

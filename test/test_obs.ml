@@ -3,8 +3,8 @@
    2-domain differential (concurrent contexted runs merge to the same
    counters as sequential ones), the disabled hot path staying
    allocation-free with contexts in play, per-forest trace epochs,
-   configurable log-ring capacity under concurrent writers, the
-   bounded provenance table, and the status snapshot/JSON writer. *)
+   configurable log-ring capacity under concurrent writers and the
+   bounded provenance table. *)
 
 module Obs = Scdb_obs.Obs
 module Probe = Scdb_obs.Probe
@@ -19,11 +19,7 @@ let t name f = Alcotest.test_case name `Quick f
 let with_tel f =
   let was = Tel.enabled () in
   Tel.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Tel.set_enabled was;
-      Obs.Ctx.clear_directory ())
-    f
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) f
 
 (* Deterministic pseudo-observations, no RNG stream involved. *)
 let obs_values salt n =
@@ -129,10 +125,7 @@ let merge_tests =
     t "span forests splice under a synthetic root" (fun () ->
         let was = Trace.enabled () in
         Trace.set_enabled true;
-        Fun.protect ~finally:(fun () ->
-            Trace.set_enabled was;
-            Obs.Ctx.clear_directory ())
-        @@ fun () ->
+        Fun.protect ~finally:(fun () -> Trace.set_enabled was) @@ fun () ->
         let a = Trace.Forest.create () and b = Trace.Forest.create () in
         Trace.with_forest a (fun () -> Trace.span "alpha" (fun () -> ()));
         Trace.with_forest b (fun () ->
@@ -162,11 +155,7 @@ let alloc_tests =
     t "disabled counter bump stays allocation-free with contexts live" (fun () ->
         let was = Tel.enabled () in
         Tel.set_enabled false;
-        Fun.protect
-          ~finally:(fun () ->
-            Tel.set_enabled was;
-            Obs.Ctx.clear_directory ())
-        @@ fun () ->
+        Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
         (* A created (but uninstalled) context must not change the
            disabled fast path. *)
         let c = Obs.Ctx.create ~name:"idle" () in
@@ -220,8 +209,7 @@ let disabled_probe_is_free event () =
     ~finally:(fun () ->
       Tel.set_enabled tel;
       Trace.set_enabled tr;
-      Log.set_enabled lg;
-      Obs.Ctx.clear_directory ())
+      Log.set_enabled lg)
   @@ fun () ->
   let c = Obs.Ctx.create ~name:"idle" () in
   let f () =
@@ -446,42 +434,6 @@ let prov_tests =
               (Rng.lineage orphan) last.Rng.Provenance.parent));
   ]
 
-let status_tests =
-  [
-    t "snapshot covers the directory and write is readable JSON" (fun () ->
-        with_tel (fun () ->
-            let c = Obs.Ctx.create ~name:"status-job" () in
-            Obs.Ctx.run c (fun () -> Tel.Counter.add ctr_c 3);
-            Obs.Ctx.set_ess c 12.5;
-            Obs.Ctx.mark_done c;
-            let rows = Obs.Status.snapshot () in
-            Alcotest.(check bool) "default row present" true
-              (List.exists (fun r -> r.Obs.Status.r_name = "default") rows);
-            let r =
-              List.find (fun r -> r.Obs.Status.r_name = "status-job") rows
-            in
-            Alcotest.(check bool) "done" true r.Obs.Status.r_done;
-            Alcotest.(check (float 0.0)) "ess carried" 12.5
-              (Option.get r.Obs.Status.r_ess);
-            let path = Filename.temp_file "spatialdb_status" ".json" in
-            Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-            Obs.Status.write path rows;
-            let ic = open_in path in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            match Obs.Status.of_json (J.parse s) with
-            | Ok read ->
-                Alcotest.(check int) "all rows read back" (List.length rows) (List.length read)
-            | Error m -> Alcotest.fail m));
-    t "of_json names the missing field of a truncated context" (fun () ->
-        let doc =
-          J.parse {|{"schema": "spatialdb-status/1", "ts": 1.0, "contexts": [{"name": "job0"}]}|}
-        in
-        Alcotest.(check (result int string))
-          "typed error" (Error {|$.contexts[0]: missing field "done"|})
-          (Result.map List.length (Obs.Status.of_json doc)));
-  ]
-
 (* The instrumentation golden fixture: every counter, histogram count,
    log event, span and progress accrual of the fixed-seed sampler runs
    in [Golden_obs].  On a mismatch the actual document is written next
@@ -527,5 +479,4 @@ let suites =
     ("obs.epoch", epoch_tests);
     ("obs.log", log_tests);
     ("obs.prov", prov_tests);
-    ("obs.status", status_tests);
   ]

@@ -375,6 +375,11 @@ let trend_tests =
         if Sys.file_exists (root "BENCH_1.json") then
           Alcotest.(check int) "exit 1" 1
             (trend_run [ root "BENCH_1.json"; root "BENCH_2.json"; root "BENCH_3.json" ]));
+    t "regress.exe rejects an unknown flag before measuring" (fun () ->
+        let run args = Sys.command (Filename.quote regress_exe ^ " " ^ args ^ " >/dev/null 2>&1") in
+        Alcotest.(check int) "unknown flag" 2 (run "--fast --bogus-flag");
+        Alcotest.(check int) "under --trend" 2 (run "--trend --bogus-flag");
+        Alcotest.(check int) "stray argument" 2 (run "--fast stray"));
   ]
 
 let suites =

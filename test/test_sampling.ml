@@ -261,26 +261,33 @@ let rounding_tests =
         let rng = Rng.create 10 in
         let elongated = P.box [| 0.; 0. |] [| 50.; 0.5 |] in
         match Ro.round rng elongated with
-        | Some r ->
+        | Ok r ->
             Alcotest.(check bool) "r_inf ≈ 1" true (Float.abs (r.Ro.r_inf -. 1.0) < 0.05);
             Alcotest.(check bool) "aspect much improved" true (Ro.aspect_ratio r < 10.0)
-        | None -> Alcotest.fail "expected rounding");
+        | Error _ -> Alcotest.fail "expected rounding");
     t "empty body" (fun () ->
         let empty = P.make ~dim:1 [| [| 1. |]; [| -1. |] |] [| -1.; -1. |] in
-        Alcotest.(check bool) "none" true (Option.is_none (Ro.round (Rng.create 0) empty)));
+        Alcotest.(check bool) "empty" true (Ro.round (Rng.create 0) empty = Error Ro.Empty));
     t "unbounded body" (fun () ->
         let hs = P.make ~dim:2 [| [| 1.; 0. |] |] [| 1. |] in
-        Alcotest.(check bool) "none" true (Option.is_none (Ro.round (Rng.create 0) hs)));
+        Alcotest.(check bool) "unbounded" true (Ro.round (Rng.create 0) hs = Error Ro.Unbounded));
+    t "half-strip is unbounded though its inscribed ball is bounded" (fun () ->
+        (* 0 <= y <= 1, x >= 5: the Chebyshev radius is 1/2. *)
+        let strip = P.make ~dim:2 [| [| 0.; 1. |]; [| 0.; -1. |]; [| -1.; 0. |] |] [| 1.; 0.; -5. |] in
+        Alcotest.(check bool) "unbounded" true (Ro.inscribed_ball strip = Error Ro.Unbounded));
+    t "a ray is flat, not unbounded" (fun () ->
+        let ray = P.make ~dim:2 [| [| 0.; 1. |]; [| 0.; -1. |]; [| -1.; 0. |] |] [| 0.; 0.; -5. |] in
+        Alcotest.(check bool) "flat" true (Ro.round (Rng.create 0) ray = Error Ro.Flat));
     t "volume scale consistency" (fun () ->
         let rng = Rng.create 11 in
         let b = P.box [| 0.; 0. |] [| 4.; 1. |] in
         match Ro.round rng b with
-        | Some r ->
+        | Ok r ->
             (* vol(rounded) = vol(b) * scale; check via exact rounded-volume
                of the box being preserved through the affine identity *)
             let scale = Affine.volume_scale r.Ro.transform in
             Alcotest.(check bool) "scale positive" true (scale > 0.0)
-        | None -> Alcotest.fail "expected rounding");
+        | Error _ -> Alcotest.fail "expected rounding");
   ]
 
 let volume_tests =
@@ -796,7 +803,7 @@ let phase_walk_tests =
           (fun d ->
             (* The rounded body holds the unit ball at the origin, so
                the walk starts inside poly ∩ B(0, 2). *)
-            let rounded = Option.get (Ro.round (Rng.create 3) (P.simplex d)) in
+            let rounded = Result.get_ok (Ro.round (Rng.create 3) (P.simplex d)) in
             ignore (walk_words rounded.Ro.rounded ~radius:2.0 ~steps:100);
             let w = walk_words rounded.Ro.rounded ~radius:2.0 ~steps:20_000 in
             Alcotest.(check bool) (Printf.sprintf "simplex%d: %.2f words/step" d w) true (w <= 1.0))
