@@ -65,7 +65,8 @@ check:
 # Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
 # embedded profile and tagged attribution rows must validate, a
 # `sample --engine vm-opt --profile=timing --profile-out` run whose
-# spatialdb-profile/1 document must validate, a profiled+recorded
+# spatialdb-profile/1 document must validate and whose stderr must hold
+# the per-plan-node table's three rows (union, dfk, dfk), a profiled+recorded
 # sample run whose flight record must
 # still replay bit-for-bit (profiling never touches the RNG stream),
 # and `regress --trend` over the committed BENCH trajectory.
@@ -154,8 +155,10 @@ ci: check
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 20 --engine vm-opt --profile=timing \
-	  --profile-out _build/profile_smoke.json > /dev/null 2> /dev/null
+	  --profile-out _build/profile_smoke.json > /dev/null 2> _build/profile_smoke.err
 	dune exec bench/validate_profile.exe -- --profile _build/profile_smoke.json
+	test "$$(grep -E '^ +[0-9]+  (union|dfk) ' _build/profile_smoke.err \
+	  | awk '{print $$2}' | paste -sd,)" = union,dfk,dfk
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 5 --engine vm --profile=counting \

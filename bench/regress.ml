@@ -327,12 +327,12 @@ let plan_calibration ~fast =
       for _ = 1 to n do
         ignore (Observable.sample obs rng params)
       done;
-      let attribution = Plan_exec.attribution plan in
+      let ledger = Plan_exec.ledger plan in
       Progress.stop ();
-      let root = attribution.(0) in
+      let root = ledger.(0) in
       Printf.printf "plan calibration: root %s actual/predicted %.2fx over %d nodes\n"
-        root.Plan_exec.op root.Plan_exec.ratio (Array.length attribution);
-      Plan_exec.attribution_json attribution
+        root.Plan_exec.op (Plan_exec.ratio root) (Array.length ledger);
+      Plan_exec.to_json Plan_exec.cost_fields ledger
 
 (* ------------------------------------------------------------------ *)
 (* Engine comparison                                                   *)

@@ -86,13 +86,13 @@ let validate doc =
   if verdict <> expected then
     J.fail "verdict %S inconsistent with bracket [%g, %g] and target %g (expected %S)" verdict
       cp_low cp_high target expected;
-  let budget_row row =
+  let grant_row row =
     if J.field "op" J.str row <> "guard" then begin
       in_unit "eps" (J.field "eps" J.num row);
       in_unit "delta" (J.field "delta" J.num row)
     end
   in
-  if J.field "error_budget" (J.list budget_row) doc = [] then J.fail "error_budget is empty";
+  if J.field "error_budget" (J.list grant_row) doc = [] then J.fail "error_budget is empty";
   (fp, verdict, coverage, target, runs, hits)
 
 let load path = match J.of_file path validate with Ok v -> v | Error m -> fail "%s" m

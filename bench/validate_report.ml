@@ -44,7 +44,7 @@ let check ~require_converged doc =
     if total_work <= 0.0 then J.fail "total_work is %g (need > 0)" total_work
   in
   J.field "plan" plan doc;
-  let attribution_row row =
+  let cost_row row =
     let actual = J.field "actual" J.num row in
     ignore (J.field "predicted" J.num row);
     if actual > 0.0 then begin
@@ -52,10 +52,10 @@ let check ~require_converged doc =
       if ratio <= 0.0 then J.fail "ratio is %g (need > 0)" ratio
     end
   in
-  let n_nodes = List.length (J.field "cost_attribution" (J.list attribution_row) doc) in
+  let n_nodes = List.length (J.field "cost_attribution" (J.list cost_row) doc) in
   if n_nodes = 0 then J.fail "cost_attribution is empty";
   (* Audit block: fingerprint + per-node error budget. *)
-  let budget_row row =
+  let grant_row row =
     if J.field "op" J.str row <> "guard" then begin
       let e = J.field "eps" J.num row and d = J.field "delta" J.num row in
       if e <= 0.0 || e >= 1.0 then J.fail "eps is %g (need (0,1))" e;
@@ -68,7 +68,7 @@ let check ~require_converged doc =
       String.length fp <> 16
       || not (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) fp)
     then J.fail "fingerprint %S is not 16 lowercase hex digits" fp;
-    let rows = List.length (J.field "error_budget" (J.list budget_row) a) in
+    let rows = List.length (J.field "error_budget" (J.list grant_row) a) in
     if rows <> n_nodes then J.fail "error_budget has %d rows for %d plan nodes" rows n_nodes
   in
   J.field "audit" audit doc;

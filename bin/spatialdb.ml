@@ -155,21 +155,14 @@ let engine_arg =
 let progress_arg =
   let doc =
     "Show a live progress line on stderr (per-plan-node percent complete and an ETA derived \
-     from the cost model's predicted budgets), and print the predicted-vs-actual cost \
-     attribution table when the run finishes."
+     from the cost model's predicted budgets; a $(b,plan.budget_overrun) warning is logged \
+     when a node's actual work passes 4x its budget), and print the per-plan-node table \
+     when the run finishes."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
-let overrun_arg =
-  let doc =
-    "Watchdog threshold for $(b,--progress): log a $(b,plan.budget_overrun) warning when a \
-     plan node's actual work exceeds its predicted budget by this factor."
-  in
-  Arg.(value & opt float 4.0 & info [ "overrun-factor" ] ~docv:"FACTOR" ~doc)
-
-let print_attribution plan =
-  prerr_endline "cost attribution (predicted vs actual, work units = steps + trials):";
-  prerr_string (Scdb_gis.Plan_exec.attribution_text (Scdb_gis.Plan_exec.attribution plan))
+let print_ledger ?profile plan =
+  prerr_string Scdb_gis.Plan_exec.(to_text (ledger ?profile plan))
 
 let profile_modes = [ "counting"; "timing" ]
 
@@ -274,8 +267,9 @@ let sample_cmd =
       "Attach the instruction profiler to the run (compiled engines only): $(b,counting) \
        (exact per-pc/per-opcode execution counts, allocation-free) or $(b,timing) (counts \
        plus monotonic-clock nanosecond buckets on the kernel opcodes; the default when the \
-       flag is given bare).  Prints the hot-pc/per-opcode/per-node tables and the \
-       predicted-vs-actual attribution to stderr.  Profiling never perturbs the RNG stream."
+       flag is given bare).  Prints the hot-pc and per-opcode tables and the per-plan-node \
+       table, with the instruction counts, to stderr.  Profiling never perturbs the RNG \
+       stream."
     in
     Arg.(
       value
@@ -290,7 +284,7 @@ let sample_cmd =
     Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
   in
   let run vars_s formula n seed eps delta method_ engine stats stats_out diag chains o record
-      record_anomaly progress overrun_factor profile_s profile_out (jobs, jobs_mode) =
+      record_anomaly progress profile_s profile_out (jobs, jobs_mode) =
     check_method method_;
     check_engine engine;
     let profile_mode = Option.map profile_mode_of_string profile_s in
@@ -316,7 +310,7 @@ let sample_cmd =
     in
     let outcome =
       if jobs = 1 then
-        or_die (Flight.run ~track ~progress ~ticker:progress ~overrun_factor ?profile_mode args)
+        or_die (Flight.run ~track ~progress ?profile_mode args)
       else begin
         (* Contexted path: each job runs the whole query in its own
            observability context (seed + job index), optionally on its
@@ -326,7 +320,8 @@ let sample_cmd =
           or_die (Error "--record/--record-on-anomaly require --jobs 1 (one stream per record)");
         if profile_mode <> None then or_die (Error "--profile requires --jobs 1");
         if diag then or_die (Error "--diag requires --jobs 1");
-        let job i = Flight.run ~progress ~overrun_factor { args with Flight.seed = seed + i } in
+        if progress then or_die (Error "--progress requires --jobs 1");
+        let job i = Flight.run { args with Flight.seed = seed + i } in
         let outcomes =
           Array.map or_die (Obs.Ctx.run_jobs ~mode:jobs_mode ~name:(Printf.sprintf "job-%d") jobs job)
         in
@@ -336,15 +331,14 @@ let sample_cmd =
     in
     (match outcome.Flight.profile with
     | Some profile ->
-        prerr_string
-          (Scdb_profile.Profile.text_report ~plan:outcome.Flight.plan profile);
-        print_attribution outcome.Flight.plan;
+        prerr_string (Scdb_profile.Profile.text_report profile);
+        print_ledger ~profile outcome.Flight.plan;
         (match profile_out with
         | Some path ->
             write_file path
               (Json.to_string (Scdb_profile.Profile.to_json ~plan:outcome.Flight.plan profile))
         | None -> ())
-    | None -> if progress then print_attribution outcome.Flight.plan);
+    | None -> if progress then print_ledger outcome.Flight.plan);
     let relation = outcome.Flight.relation and rng = outcome.Flight.rng in
     emit_points outcome;
     (match record with
@@ -398,7 +392,7 @@ let sample_cmd =
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
-      $ record_anomaly_arg $ progress_arg $ overrun_arg $ profile_arg $ profile_out_arg
+      $ record_anomaly_arg $ progress_arg $ profile_arg $ profile_out_arg
       $ jobs_term)
 
 (* ---------------- volume ---------------- *)
@@ -408,7 +402,7 @@ let volume_cmd =
     let doc = "One of: exact (Lasserre + inclusion-exclusion), grid:GAMMA (fixed-dimension decomposition), sampling (DFK estimators)." in
     Arg.(value & opt string "sampling" & info [ "mode" ] ~doc)
   in
-  let run vars_s formula mode seed eps delta stats stats_out o progress overrun_factor =
+  let run vars_s formula mode seed eps delta stats stats_out o progress =
     enable_stats ?stats_out stats;
     setup_obs o;
     let _, relation = parse_relation vars_s formula in
@@ -427,14 +421,14 @@ let volume_cmd =
         in
         let plan = prepared.Scdb_gis.Plan_exec.plan in
         if progress then begin
-          Scdb_gis.Plan_exec.arm ~overrun_factor plan;
+          Scdb_gis.Plan_exec.arm plan;
           Scdb_progress.Progress.start_ticker ()
         end;
         match Observable.volume (Scdb_gis.Plan_exec.observe prepared) rng ~eps ~delta with
         | v ->
             if progress then begin
               Scdb_progress.Progress.stop ();
-              print_attribution plan
+              print_ledger plan
             end;
             Printf.printf "%.6f\n" v
         | exception Observable.Estimation_failed m ->
@@ -455,7 +449,7 @@ let volume_cmd =
   Cmd.v (Cmd.info "volume" ~doc)
     Term.(
       const run $ vars_arg $ formula_arg $ mode_arg $ seed_arg $ eps_arg $ delta_arg $ stats_arg
-      $ stats_out_arg $ obs_term $ progress_arg $ overrun_arg)
+      $ stats_out_arg $ obs_term $ progress_arg)
 
 (* ---------------- qe ---------------- *)
 
@@ -531,8 +525,7 @@ let report_cmd =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:"Additionally write the raw Chrome trace to $(docv).")
   in
-  let run vars_s formula n seed eps delta chains out format trace_out o progress
-      overrun_factor engine =
+  let run vars_s formula n seed eps delta chains out format trace_out o progress engine =
     setup_obs o;
     check_engine engine;
     if not (List.mem format [ "json"; "trace"; "tree" ]) then
@@ -540,8 +533,8 @@ let report_cmd =
     let vars = Flight.split_vars vars_s in
     let report =
       or_die
-        (Scdb_gis.Report.generate ~eps ~delta ~samples:n ~chains ~progress ~overrun_factor
-           ~engine ~vars ~formula ~seed ())
+        (Scdb_gis.Report.generate ~eps ~delta ~samples:n ~chains ~progress ~engine ~vars
+           ~formula ~seed ())
     in
     let body =
       match format with
@@ -566,8 +559,7 @@ let report_cmd =
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ chains_arg
-      $ out_arg $ format_arg $ trace_out_arg $ obs_term $ progress_arg $ overrun_arg
-      $ engine_arg)
+      $ out_arg $ format_arg $ trace_out_arg $ obs_term $ progress_arg $ engine_arg)
 
 (* ---------------- audit ---------------- *)
 

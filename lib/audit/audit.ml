@@ -150,25 +150,6 @@ let verify ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95) ~eps ~delta ~runs 
     verdict;
   }
 
-(* ---------------- error-budget attribution ---------------- *)
-
-(* The grant/actual join lives in {!Plan_exec} so `spatialdb report`
-   (which cannot see this library) embeds exactly the same rows. *)
-type budget_row = Plan_exec.budget_row = {
-  b_id : int;
-  b_op : string;
-  b_eps : float;
-  b_delta : float;
-  b_predicted : float;
-  b_actual : float;
-  b_ratio : float;
-  b_delta_achieved : float;
-  b_slack : float;
-}
-
-let budget_rows = Plan_exec.budget_attribution
-let budget_rows_text = Plan_exec.budget_attribution_text
-
 (* ---------------- whole-relation audits ---------------- *)
 
 type t = {
@@ -180,10 +161,10 @@ type t = {
   delta : float;
   gamma : float;
   cov : coverage;
-  budget : budget_row array;
+  ledger : Plan_exec.row array;
 }
 
-let attribution_pass ~config ~gamma ~eps ~delta ~seed relation =
+let ledger_pass ~config ~gamma ~eps ~delta ~seed relation =
   let rng = Rng.create seed in
   match
     Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task:Plan.Volume
@@ -195,7 +176,7 @@ let attribution_pass ~config ~gamma ~eps ~delta ~seed relation =
       (match Observable.volume obs ~gamma rng ~eps ~delta with
       | (_ : float) -> ()
       | exception Observable.Estimation_failed _ -> ());
-      let rows = budget_rows plan (Plan_exec.attribution plan) in
+      let rows = Plan_exec.ledger plan in
       Scdb_progress.Progress.stop ();
       rows
 
@@ -257,8 +238,8 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
           Trace.span "audit.verify" ~attrs:[ ("runs", string_of_int runs) ] @@ fun () ->
           verify ~jobs ~mode ~confidence ~eps ~delta ~runs ~seed ~truth estimate
         in
-        let budget = attribution_pass ~config ~gamma ~eps ~delta ~seed relation in
-        Ok { fingerprint; oracle = used; truth; truth_exact; eps; delta; gamma; cov; budget }
+        let ledger = ledger_pass ~config ~gamma ~eps ~delta ~seed relation in
+        Ok { fingerprint; oracle = used; truth; truth_exact; eps; delta; gamma; cov; ledger }
   end
 
 (* ---------------- rendering ---------------- *)
@@ -293,7 +274,7 @@ let to_json ~vars ~formula ~seed ~jobs ~requested a =
          ("cp_low", Json.Num a.cov.cp_low);
          ("cp_high", Json.Num a.cov.cp_high);
          ("verdict", Json.Str (verdict_name a.cov.verdict));
-         ("error_budget", Plan_exec.budget_attribution_json a.budget);
+         ("error_budget", Plan_exec.to_json Plan_exec.budget_fields a.ledger);
        ])
 
 let to_text a =
@@ -313,8 +294,5 @@ let to_text a =
        "audit: %.0f%% Clopper-Pearson interval [%.4f, %.4f], contract target %.4f\n"
        (100.0 *. a.cov.confidence) a.cov.cp_low a.cov.cp_high a.cov.target);
   add (Printf.sprintf "audit: verdict %s\n" (String.uppercase_ascii (verdict_name a.cov.verdict)));
-  if Array.length a.budget > 0 then begin
-    add "error budget (granted vs achieved, per plan node):\n";
-    add (budget_rows_text a.budget)
-  end;
+  if Array.length a.ledger > 0 then add (Plan_exec.to_text a.ledger);
   Buffer.contents buf

@@ -11,11 +11,10 @@
     {!Scdb_obs.Obs.Ctx} per job — and brackets the empirical
     contract-hit fraction with an exact Clopper–Pearson interval, so
     "coverage ≥ 1−δ" is itself a statistically sound verdict rather
-    than a point estimate.  Alongside coverage it reports per-plan-node
-    error-budget attribution: the (ε,δ) grants of
-    {!Scdb_plan.Plan.error_budget} joined with the runtime actuals of
-    {!Scdb_gis.Plan_exec.attribution} through the {!Scdb_plan.Cost}
-    inversions, i.e. consumed-vs-granted slack next to
+    than a point estimate.  Alongside coverage it reports the per-node
+    ledger of one planned run ({!Scdb_gis.Plan_exec.ledger}): the (ε,δ)
+    grants of {!Scdb_plan.Plan.error_budget} against the δ the spent
+    work bought, i.e. consumed-vs-granted slack next to
     predicted-vs-actual cost.
 
     Results serialize to the versioned [spatialdb-audit/1] JSON
@@ -104,34 +103,6 @@ val verify :
     @raise Invalid_argument on non-positive [runs]/[jobs] or parameters
     outside (0,1). *)
 
-(** {1 Error-budget attribution} *)
-
-type budget_row = Scdb_gis.Plan_exec.budget_row = {
-  b_id : int;
-  b_op : string;
-  b_eps : float;  (** granted ε of the node's own estimation phase *)
-  b_delta : float;  (** granted δ *)
-  b_predicted : float;  (** predicted work (steps + trials) *)
-  b_actual : float;  (** accrued work *)
-  b_ratio : float;  (** actual/predicted; [nan] when the node never ran *)
-  b_delta_achieved : float;
-      (** δ the node actually bought with its spent work, via
-          {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for
-          union, intersection and difference nodes (stopping rule);
-          [nan] when it never ran *)
-  b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
-}
-(** Re-export of {!Scdb_gis.Plan_exec.budget_row} — the same rows
-    appear in the [audit] block of [spatialdb report] documents. *)
-
-val budget_rows :
-  Scdb_plan.Plan.t -> Scdb_gis.Plan_exec.attribution_row array -> budget_row array
-(** Join the plan's (ε,δ) grants with the runtime cost attribution, in
-    node-id order.  Guards carry [nan] budgets throughout. *)
-
-val budget_rows_text : budget_row array -> string
-(** Fixed-width table for terminals. *)
-
 (** {1 Whole-relation audits} *)
 
 type t = {
@@ -143,7 +114,7 @@ type t = {
   delta : float;
   gamma : float;
   cov : coverage;
-  budget : budget_row array;  (** from one armed planned run on [seed] *)
+  ledger : Scdb_gis.Plan_exec.row array;  (** from one armed planned run on [seed] *)
 }
 
 val run :
@@ -167,7 +138,7 @@ val run :
     oracle; an exact volume beyond the float range is an [Error]),
     verify coverage over [runs] replicates seeded
     [seed, seed+1, …] (the [--jobs] convention), and collect the
-    error-budget attribution from one armed run on [seed].  The
+    per-node ledger from one armed run on [seed].  The
     reference oracle, when used, runs on seed [seed + runs] so it
     shares no replicate stream.  [gamma] defaults to the CLI's fixed
     grid parameter ({!Scdb_gis.Flight.gamma}).  [walk_steps] and
@@ -187,4 +158,4 @@ val to_json :
 
 val to_text : t -> string
 (** Human summary: truth, coverage with its bracket, verdict, and the
-    per-node error-budget table. *)
+    per-node ledger table. *)

@@ -106,8 +106,7 @@ let start_engine ?profile_mode ?executor ~engine ~eps ~delta prepared =
               profile;
             })
 
-let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?profile_mode
-    ?executor a =
+let run ?(track = false) ?(progress = false) ?profile_mode ?executor a =
   let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
   let* executor = check_engine (Option.value executor ~default:engine) in
@@ -128,13 +127,11 @@ let run ?(track = false) ?(progress = false) ?(ticker = false) ?overrun_factor ?
   let* prepared = prepare ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng relation in
   let* e = start_engine ?profile_mode ~executor ~engine ~eps:a.eps ~delta:a.delta prepared in
   let plan = e.plan in
-  (* Profiled runs arm the bus even without --progress so the per-node
-     actual column of the attribution table is populated; the stderr
-     ticker is separate so concurrent contexted jobs can arm their
-     buses without fighting over the terminal. *)
+  (* Profiled runs arm the bus even without --progress so the ledger's
+     work column is filled; only --progress runs the stderr ticker. *)
   let armed = progress || e.profile <> None in
-  if armed then Plan_exec.arm ?overrun_factor plan;
-  if ticker then Scdb_progress.Progress.start_ticker ();
+  if armed then Plan_exec.arm plan;
+  if progress then Scdb_progress.Progress.start_ticker ();
   let finish_progress () = if armed then Scdb_progress.Progress.stop () in
   if Log.would_log Log.Info then
     Log.info "sample.run"

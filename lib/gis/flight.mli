@@ -117,8 +117,8 @@ type outcome = {
   plan : Scdb_plan.Plan.t;
       (** the cost-model plan the run executed (task [Sample n]; the
           rewritten plan under ["vm-opt"], tags included); with
-          [~progress:true] its predicted-vs-actual attribution is
-          readable via {!Plan_exec.attribution} after the run *)
+          [~progress:true] its per-node ledger is readable via
+          {!Plan_exec.ledger} after the run *)
   program : Scdb_vm.Vm.t option;  (** the compiled program, under a VM executor *)
   profile : Scdb_profile.Profile.t option;  (** filled when [profile_mode] was given *)
 }
@@ -126,8 +126,6 @@ type outcome = {
 val run :
   ?track:bool ->
   ?progress:bool ->
-  ?ticker:bool ->
-  ?overrun_factor:float ->
   ?profile_mode:Scdb_profile.Profile.mode ->
   ?executor:string ->
   args ->
@@ -137,18 +135,15 @@ val run :
     installs it, e.g. with [Obs.Ctx.run_jobs]).  With [~track:true]
     the RNG provenance registry is reset and enabled first, so the
     lineage tree in {!to_flightrec} is complete and its ids are
-    reproducible.  With
-    [~progress:true] the (ambient) progress bus is armed with the
-    plan's budgets ([overrun_factor] tunes the watchdog);
-    [~ticker:true] additionally runs the stderr progress ticker for
-    the duration — kept separate so concurrent contexted jobs can arm
-    their buses without fighting over the terminal.  [executor] picks
-    what runs the plan [a.engine] chose (see {!start_engine}).  [profile_mode] (compiled executors only —
-    an [Error] under ["interp"]) attaches an instruction profiler and arms the
-    progress bus ticker-free, so the outcome carries both the profile
-    and readable attribution.  None of these options perturb the RNG
-    stream, so replay is unaffected.  Emits [sample.run] /
-    [sample.done] info events. *)
+    reproducible.  With [~progress:true] the (ambient) progress bus is
+    armed with the plan's budgets and the stderr progress ticker runs
+    for the duration.  [executor] picks what runs the plan [a.engine]
+    chose (see {!start_engine}).  [profile_mode] (compiled executors
+    only — an [Error] under ["interp"]) attaches an instruction
+    profiler and arms the progress bus ticker-free, so the outcome
+    carries both the profile and a filled {!Plan_exec.ledger}.  None
+    of these options perturb the RNG stream, so replay is unaffected.
+    Emits [sample.run] / [sample.done] info events. *)
 
 val to_flightrec : args -> outcome -> Scdb_log.Flightrec.t
 (** Snapshot a finished run as a [spatialdb-flightrec/1] record

@@ -32,138 +32,140 @@ let compiled_of_relation ?config ?optimize ~gamma ~eps ~delta ~task rng r =
          | Ok prog -> (Scdb_vm.Vm.plan prog, Ok prog)
          | Error _ as e -> (p.plan, e))
 
-let arm ?overrun_factor plan = Progress.start ?overrun_factor ~rows:(Plan.budget_rows plan) ()
+let arm plan = Progress.start ~rows:(Plan.work_budgets plan) ()
 
-type attribution_row = {
+type row = {
   id : int;
   op : string;
+  tags : string list;
   predicted : float;
   actual : float;
-  ratio : float;  (** [actual/predicted]; [nan] when the node never ran *)
-  tags : string list;  (** the plan node's rewrite tags *)
+  eps : float;
+  delta : float;
+  instructions : float;
+  ns : float;
 }
 
-let attribution plan =
+let ledger ?profile plan =
+  let n = plan.Plan.node_count in
+  let nodes = Array.make n plan.Plan.root in
+  Plan.iter_nodes (fun (node : Plan.node) -> nodes.(node.Plan.id) <- node) plan;
   let actuals = Progress.rows () in
-  let tags = Array.make plan.Plan.node_count [] in
-  Plan.iter_nodes (fun (n : Plan.node) -> tags.(n.Plan.id) <- n.Plan.tags) plan;
-  Array.map
-    (fun (id, op, predicted) ->
-      let actual =
-        if id < Array.length actuals then Progress.row_work actuals.(id) else 0.0
-      in
-      let ratio =
-        if actual <= 0.0 then Float.nan
-        else if predicted > 0.0 then actual /. predicted
-        else Float.infinity
-      in
-      { id; op; predicted; actual; ratio; tags = tags.(id) })
-    (Plan.budget_rows plan)
-
-let attribution_json rows =
-  let row r =
-    Json.Obj
-      [
-        ("id", Json.Int r.id);
-        ("op", Json.Str r.op);
-        ("predicted", Json.Num r.predicted);
-        ("actual", Json.Num r.actual);
-        ("ratio", Json.Num r.ratio);
-        ("tags", Json.strs r.tags);
-      ]
-  in
-  Json.Arr (Array.to_list (Array.map row rows))
-
-type budget_row = {
-  b_id : int;
-  b_op : string;
-  b_eps : float;
-  b_delta : float;
-  b_predicted : float;
-  b_actual : float;
-  b_ratio : float;
-  b_delta_achieved : float;
-  b_slack : float;
-}
-
-let budget_attribution plan (attr : attribution_row array) =
-  let actuals = Hashtbl.create 16 in
-  Array.iter (fun a -> Hashtbl.replace actuals a.id a) attr;
-  Array.map
-    (fun (g : Scdb_plan.Plan.budget_grant) ->
-      let predicted, actual, ratio, tags =
-        match Hashtbl.find_opt actuals g.Scdb_plan.Plan.g_id with
-        | Some a -> (a.predicted, a.actual, a.ratio, a.tags)
-        | None -> (Float.nan, Float.nan, Float.nan, [])
-      in
-      let achieved =
-        if Float.is_nan g.Scdb_plan.Plan.g_delta then Float.nan
-        else
-          match g.Scdb_plan.Plan.g_op with
-          (* A stopping rule's δ does not depend on how many trials it
-             ran: it holds the granted δ whenever the node ran. *)
-          | "union" | "inter" | "diff" ->
-              if Float.is_nan ratio then Float.nan else g.Scdb_plan.Plan.g_delta
-          (* An exact weight risks nothing: the whole grant is slack. *)
-          | "dfk" when List.mem Plan.exact_weight tags -> 0.0
-          | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:g.Scdb_plan.Plan.g_delta ~ratio
-      in
+  let grants = Plan.error_budget plan in
+  let instructions = Array.make n Float.nan and ns = Array.make n Float.nan in
+  Option.iter
+    (fun p ->
+      let timed = Scdb_profile.Profile.mode p = Scdb_profile.Profile.Timing in
+      Array.fill instructions 0 n 0.0;
+      if timed then Array.fill ns 0 n 0.0;
+      Array.iter
+        (fun (r : Scdb_profile.Profile.pc_row) ->
+          instructions.(r.node) <- instructions.(r.node) +. float_of_int r.count;
+          if timed then ns.(r.node) <- ns.(r.node) +. r.ns)
+        (Scdb_profile.Profile.pc_rows p))
+    profile;
+  Array.init n (fun id ->
+      let node = nodes.(id) in
       {
-        b_id = g.Scdb_plan.Plan.g_id;
-        b_op = g.Scdb_plan.Plan.g_op;
-        b_eps = g.Scdb_plan.Plan.g_eps;
-        b_delta = g.Scdb_plan.Plan.g_delta;
-        b_predicted = predicted;
-        b_actual = actual;
-        b_ratio = ratio;
-        b_delta_achieved = achieved;
-        b_slack = g.Scdb_plan.Plan.g_delta -. achieved;
+        id;
+        op = Plan.op_name node.Plan.op;
+        tags = node.Plan.tags;
+        predicted = plan.Plan.budgets.(id);
+        actual = (if id < Array.length actuals then Progress.row_work actuals.(id) else 0.0);
+        eps = grants.(id).Plan.g_eps;
+        delta = grants.(id).Plan.g_delta;
+        instructions = instructions.(id);
+        ns = ns.(id);
       })
-    (Scdb_plan.Plan.error_budget plan)
 
-let budget_attribution_json rows =
-  let row r =
-    Json.Obj
-      [
-        ("id", Json.Int r.b_id);
-        ("op", Json.Str r.b_op);
-        ("eps", Json.Num r.b_eps);
-        ("delta", Json.Num r.b_delta);
-        ("predicted", Json.Num r.b_predicted);
-        ("actual", Json.Num r.b_actual);
-        ("ratio", Json.Num r.b_ratio);
-        ("delta_achieved", Json.Num r.b_delta_achieved);
-        ("slack", Json.Num r.b_slack);
-      ]
+let ratio r =
+  if r.actual <= 0.0 then Float.nan
+  else if r.predicted > 0.0 then r.actual /. r.predicted
+  else Float.infinity
+
+let delta_achieved r =
+  if Float.is_nan r.delta then Float.nan
+  else
+    match r.op with
+    (* A stopping rule's δ does not depend on how many trials it ran:
+       it holds the granted δ whenever the node ran. *)
+    | "union" | "inter" | "diff" -> if Float.is_nan (ratio r) then Float.nan else r.delta
+    (* An exact weight risks nothing: the whole grant is slack. *)
+    | "dfk" when List.mem Plan.exact_weight r.tags -> 0.0
+    | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:r.delta ~ratio:(ratio r)
+
+let slack r = r.delta -. delta_achieved r
+
+type field = string * (row -> Json.t)
+
+let id_op = [ ("id", fun r -> Json.Int r.id); ("op", fun r -> Json.Str r.op) ]
+
+let work =
+  [
+    ("predicted", fun r -> Json.Num r.predicted);
+    ("actual", fun r -> Json.Num r.actual);
+    ("ratio", fun r -> Json.Num (ratio r));
+  ]
+
+let cost_fields = id_op @ work @ [ ("tags", fun r -> Json.strs r.tags) ]
+
+let budget_fields =
+  id_op
+  @ [ ("eps", fun r -> Json.Num r.eps); ("delta", fun r -> Json.Num r.delta) ]
+  @ work
+  @ [
+      ("delta_achieved", fun r -> Json.Num (delta_achieved r));
+      ("slack", fun r -> Json.Num (slack r));
+    ]
+
+let to_json fields rows =
+  Json.Arr
+    (Array.to_list
+       (Array.map (fun r -> Json.Obj (List.map (fun (k, f) -> (k, f r)) fields)) rows))
+
+(* Text columns: header, left-aligned or not, and the cell, [None]
+   where the row has nothing to show. *)
+let columns =
+  let num fmt v = if Float.is_finite v then Some (Printf.sprintf fmt v) else None in
+  [
+    ("id", false, fun r -> Some (string_of_int r.id));
+    ("op", true, fun r -> Some r.op);
+    ("predicted", false, fun r -> num "%.3g" r.predicted);
+    ("actual", false, fun r -> num "%.3g" r.actual);
+    ("ratio", false, fun r -> num "%.2f" (ratio r));
+    ("eps", false, fun r -> num "%.3g" r.eps);
+    ("delta", false, fun r -> num "%.3g" r.delta);
+    ("achieved", false, fun r -> num "%.3g" (delta_achieved r));
+    ("slack", false, fun r -> num "%.3g" (slack r));
+    ("instrs", false, fun r -> num "%.0f" r.instructions);
+    ("ns", false, fun r -> num "%.0f" r.ns);
+    ("rewrites", true, fun r -> if r.tags = [] then None else Some (String.concat "," r.tags));
+  ]
+
+let to_text rows =
+  let rows = Array.to_list rows in
+  let shown =
+    List.filter_map
+      (fun (header, left, cell) ->
+        let cells = List.map cell rows in
+        if List.for_all Option.is_none cells then None
+        else
+          let cells = List.map (Option.value ~default:"-") cells in
+          let width = List.fold_left (fun w c -> max w (String.length c)) 0 (header :: cells) in
+          let pad c =
+            if left then Printf.sprintf "%-*s" width c else Printf.sprintf "%*s" width c
+          in
+          Some (pad header :: List.map pad cells))
+      columns
   in
-  Json.Arr (Array.to_list (Array.map row rows))
-
-let budget_attribution_text rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%4s  %-8s %10s %10s %8s %12s %12s\n" "id" "op" "eps" "delta" "ratio"
-       "achieved" "slack");
-  Array.iter
-    (fun r ->
-      let g v = if Float.is_nan v then "-" else Printf.sprintf "%.3g" v in
-      Buffer.add_string buf
-        (Printf.sprintf "%4d  %-8s %10s %10s %8s %12s %12s\n" r.b_id r.b_op (g r.b_eps)
-           (g r.b_delta)
-           (if Float.is_finite r.b_ratio then Printf.sprintf "%.2f" r.b_ratio else "-")
-           (g r.b_delta_achieved) (g r.b_slack)))
-    rows;
-  Buffer.contents buf
-
-let attribution_text rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%4s  %-8s %14s %14s %8s  %s\n" "id" "op" "predicted" "actual" "ratio"
-       "rewrites");
-  Array.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%4d  %-8s %14.3g %14.3g %8s  %s\n" r.id r.op r.predicted r.actual
-           (if Float.is_finite r.ratio then Printf.sprintf "%.2f" r.ratio else "-")
-           (match r.tags with [] -> "-" | tags -> String.concat "," tags)))
-    rows;
-  Buffer.contents buf
+  let rec transpose = function
+    | [] | [] :: _ -> []
+    | cols -> List.map List.hd cols :: transpose (List.map List.tl cols)
+  in
+  let line cells =
+    let s = "  " ^ String.concat "  " cells in
+    let n = ref (String.length s) in
+    while s.[!n - 1] = ' ' do decr n done;
+    String.sub s 0 !n ^ "\n"
+  in
+  String.concat "" ("per plan node (work = steps + trials):\n" :: List.map line (transpose shown))

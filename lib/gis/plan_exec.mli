@@ -1,5 +1,5 @@
 (** Plan-tagged execution: the bridge from static plans to the
-    progress bus and the predicted-vs-actual attribution table.
+    progress bus and the per-node ledger.
 
     {!prepare} runs a relation through the one preparation pipeline
     and returns the plan with the prepared pieces it covers;
@@ -81,59 +81,65 @@ val compiled_of_relation :
 (** {!prepare} then {!compile}, paired with the plan the program
     lowers (the rewritten one under [optimize:true]). *)
 
-val arm : ?overrun_factor:float -> Scdb_plan.Plan.t -> unit
-(** [Progress.start] with the plan's budget rows. *)
+val arm : Scdb_plan.Plan.t -> unit
+(** [Progress.start] with the plan's work budgets. *)
 
-type attribution_row = {
+(** {1 The per-node ledger}
+
+    One row per plan node answers "where did this node's work and
+    error budget go": the plan's prediction and (ε,δ) grant, the work
+    the progress bus accrued, and under a compiled engine the
+    profiler's instruction counts.  Every per-node table and JSON
+    block renders from these rows. *)
+
+type row = {
   id : int;
   op : string;
-  predicted : float;
-  actual : float;
-  ratio : float;  (** [actual/predicted]; [nan] when the node never ran *)
   tags : string list;  (** the plan node's rewrite tags *)
+  predicted : float;  (** the plan's inclusive work budget (steps + trials) *)
+  actual : float;  (** accrued steps + trials; [0] when the node never ran *)
+  eps : float;  (** granted ε of the node's own estimation phase; [nan] for guards *)
+  delta : float;  (** granted δ ({!Scdb_plan.Plan.error_budget}); [nan] for guards *)
+  instructions : float;  (** VM instruction executions; [nan] without a profile *)
+  ns : float;  (** profiled VM ns; [nan] unless the profile is in timing mode *)
 }
 
-val attribution : Scdb_plan.Plan.t -> attribution_row array
-(** Join the plan's budgets with the progress bus's accrued actuals,
-    in node-id order.  Call after the run, before the next
-    [Progress.start].  Each row carries its plan node's rewrite tags
-    ([rejection_box_substituted], [exact_weight]). *)
+val ledger : ?profile:Scdb_profile.Profile.t -> Scdb_plan.Plan.t -> row array
+(** Join the plan's budgets, tags and grants with the progress bus's
+    accrued actuals and, given a profile of the plan's program, its
+    per-pc counts folded by node; in node-id order.  Call after the
+    run, before the next [Progress.start]. *)
 
-val attribution_json : attribution_row array -> Scdb_json.Json.t
-(** JSON array of rows; non-finite ratios (a node that never ran, or
-    ran with zero predicted work) print as [null]. *)
+val ratio : row -> float
+(** [actual/predicted]; [nan] when the node never ran, [infinity] when
+    it ran with zero predicted work. *)
 
-val attribution_text : attribution_row array -> string
-(** Fixed-width table for terminals. *)
+val delta_achieved : row -> float
+(** The δ the node's spent work actually buys at its granted ε, via
+    {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for union,
+    intersection and difference nodes, whose stopping rule holds it at
+    any trial count; [0] for a dfk leaf tagged [exact_weight], which
+    leaves its whole grant as slack; [nan] when it never ran. *)
 
-type budget_row = {
-  b_id : int;
-  b_op : string;
-  b_eps : float;  (** granted ε of the node's own estimation phase *)
-  b_delta : float;  (** granted δ *)
-  b_predicted : float;  (** predicted work (steps + trials) *)
-  b_actual : float;  (** accrued work *)
-  b_ratio : float;  (** [actual/predicted]; [nan] when the node never ran *)
-  b_delta_achieved : float;
-      (** the δ the node's spent work actually buys at its granted ε,
-          via {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for
-          union, intersection and difference nodes, whose stopping
-          rule holds it at any trial count; [0] for a dfk leaf tagged
-          [exact_weight], which leaves its whole grant as slack; [nan] when it never
-          ran *)
-  b_slack : float;  (** [b_delta − b_delta_achieved]; negative = overdrawn *)
-}
-(** One node of the error-budget attribution: the (ε,δ) sub-contract
-    the plan granted ({!Scdb_plan.Plan.error_budget}) joined with the
-    work the node actually spent.  Guards carry [nan] throughout. *)
+val slack : row -> float
+(** [delta − delta_achieved]; negative = overdrawn. *)
 
-val budget_attribution : Scdb_plan.Plan.t -> attribution_row array -> budget_row array
-(** Join grants with runtime actuals, in node-id order — the audit
-    block of [spatialdb report] and the [error_budget] section of
-    [spatialdb audit] documents. *)
+type field = string * (row -> Scdb_json.Json.t)
+(** One JSON key and its value for a row. *)
 
-val budget_attribution_json : budget_row array -> Scdb_json.Json.t
-(** JSON array of rows; non-finite fields print as [null]. *)
+val cost_fields : field list
+(** [id op predicted actual ratio tags]: the report's
+    [cost_attribution] rows and regress's [plan_calibration]. *)
 
-val budget_attribution_text : budget_row array -> string
-(** Fixed-width table for terminals. *)
+val budget_fields : field list
+(** [id op eps delta predicted actual ratio delta_achieved slack]: the
+    [error_budget] rows of report and audit documents. *)
+
+val to_json : field list -> row array -> Scdb_json.Json.t
+(** JSON array with one object per row, keys in field order;
+    non-finite numbers print as [null]. *)
+
+val to_text : row array -> string
+(** Fixed-width table for terminals, leaving out every column no row
+    fills (grants on guards, instructions without a profile, ns
+    outside timing mode, rewrites on an untagged plan). *)

@@ -10,7 +10,7 @@ type t = { json : string; chrome_trace : string; text_tree : string }
 let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(chains = Diag_run.default_chains)
     ?(samples_per_chain = Diag_run.default_samples_per_chain) ?(progress = false)
-    ?overrun_factor ?(engine = "interp") ~vars ~formula ~seed () =
+    ?(engine = "interp") ~vars ~formula ~seed () =
   if vars = [] then Error "no variables given"
   else
     let* engine = Flight.check_engine engine in
@@ -34,17 +34,16 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
       (* Compiled engines draw through the instruction profiler (timing
          mode — a report is a diagnostic document) and estimate volume
          through the program's interpreted mirror; under vm-opt the
-         plan, and so the attribution rows, carry the rewrite tags. *)
+         plan, and so the ledger rows, carry the rewrite tags. *)
       let* e =
         Flight.start_engine ~profile_mode:Scdb_profile.Profile.Timing ~engine ~eps ~delta
           prepared
       in
       let plan = e.Flight.plan in
-      (* The progress bus collects per-node actuals for the attribution
-         table; armed only around the planned work (diagnostics below
-         are outside the plan and must not pollute the root's
-         actuals). *)
-      Plan_exec.arm ?overrun_factor plan;
+      (* The progress bus collects per-node actuals for the ledger;
+         armed only around the planned work (diagnostics below are
+         outside the plan and must not pollute the root's actuals). *)
+      Plan_exec.arm plan;
       if progress then Scdb_progress.Progress.start_ticker ();
       match
         Trace.span "report.sample" ~attrs:[ ("n", string_of_int samples) ] (fun () ->
@@ -60,7 +59,7 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                 | v -> Some v
                 | exception Observable.Estimation_failed _ -> None)
           in
-          let attribution = Plan_exec.attribution plan in
+          let ledger = Plan_exec.ledger ?profile:e.Flight.profile plan in
           Scdb_progress.Progress.stop ();
           let profile_json = Option.map (Scdb_profile.Profile.to_json ~plan) e.Flight.profile in
           let diag =
@@ -69,13 +68,13 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                 Diag_run.run ~chains ~samples_per_chain rng (Polytope.of_tuple ~dim tuple)
             | [] -> None
           in
-          Ok (relation, plan, attribution, pts, vol, diag, profile_json)
+          Ok (relation, plan, ledger, pts, vol, diag, profile_json)
     in
     (* Export after the root span closes so every duration is final. *)
     let out =
       match result with
       | Error e -> Error e
-      | Ok (relation, plan, attribution, pts, vol, diag, profile_json) ->
+      | Ok (relation, plan, ledger, pts, vol, diag, profile_json) ->
           let chrome = Trace.to_chrome_json () in
           let doc =
             Json.Obj
@@ -99,7 +98,7 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                 ("samples", Json.Arr (List.map (fun p -> Json.nums (Array.to_list p)) pts));
                 ("volume", Json.opt (fun v -> Json.Num v) vol);
                 ("plan", Scdb_plan.Plan.to_json plan);
-                ("cost_attribution", Plan_exec.attribution_json attribution);
+                ("cost_attribution", Plan_exec.to_json Plan_exec.cost_fields ledger);
                 (* The accuracy twin of cost_attribution: the (ε,δ)
                    grants each node received, the δ its spent work
                    actually bought, and the remaining slack — keyed by
@@ -109,9 +108,7 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                   Json.Obj
                     [
                       ("fingerprint", Json.Str (Relation.fingerprint relation));
-                      ( "error_budget",
-                        Plan_exec.budget_attribution_json
-                          (Plan_exec.budget_attribution plan attribution) );
+                      ("error_budget", Plan_exec.to_json Plan_exec.budget_fields ledger);
                     ] );
                 ("diagnostics", Json.opt Diag_run.to_json diag);
                 ("profile", Json.opt Fun.id profile_json);

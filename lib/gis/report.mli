@@ -8,17 +8,18 @@
 
     - the CLI-equivalent arguments (vars, formula, seed, ε, δ, …);
     - the drawn samples and the volume estimate;
-    - the cost-model plan ([spatialdb-plan/1], task [Report n]) and the
-      predicted-vs-actual cost attribution per plan node (absolute work
-      in steps + trials, and the actual/predicted ratio — [null] for
-      nodes that never ran);
+    - the cost-model plan ([spatialdb-plan/1], task [Report n]) and two
+      views of its per-node ledger ({!Plan_exec.ledger}): the
+      predicted-vs-actual cost attribution (absolute work in steps +
+      trials, and the actual/predicted ratio — [null] for nodes that
+      never ran) and the (ε,δ) error budget;
     - per-chain ESS, split-R̂ per coordinate and a convergence verdict;
     - the telemetry snapshot ([spatialdb-telemetry/2]);
     - the full Chrome trace (loadable in Perfetto as-is).
 
     The progress bus is armed around the planned work (sampling and the
     volume estimate); the diagnostics run outside it so they cannot
-    pollute the attribution.  The previous telemetry/trace enabled
+    pollute the ledger.  The previous telemetry/trace enabled
     states are restored on exit; the recorded spans and counters
     reflect only this run. *)
 
@@ -35,7 +36,6 @@ val generate :
   ?chains:int ->
   ?samples_per_chain:int ->
   ?progress:bool ->
-  ?overrun_factor:float ->
   ?engine:string ->
   vars:string list ->
   formula:string ->
@@ -45,11 +45,10 @@ val generate :
 (** Defaults: [eps = 0.2], [delta = 0.1], [samples = 10],
     [chains = Diag_run.default_chains],
     [samples_per_chain = Diag_run.default_samples_per_chain].
-    [progress] additionally runs the live stderr ticker;
-    [overrun_factor] tunes the budget watchdog (default 4).
+    [progress] additionally runs the live stderr ticker.
     [engine] is ["interp"] (default), ["vm"] or ["vm-opt"]; the
     compiled engines run the draws through the instruction profiler
     (timing mode) and embed the [spatialdb-profile/1] document under
     the report's ["profile"] key, with rewrite tags on the
-    attribution rows.
+    ledger rows.
     [Error reason] on parse errors or empty/unbounded relations. *)

@@ -318,7 +318,7 @@ let rec iter_node f n =
 
 let iter_nodes f t = iter_node f t.root
 
-let budget_rows t =
+let work_budgets t =
   let rows = Array.make t.node_count (0, "", 0.0) in
   iter_nodes (fun n -> rows.(n.id) <- (n.id, op_name n.op, t.budgets.(n.id))) t;
   rows

@@ -155,7 +155,7 @@ val finalize : gamma:float -> eps:float -> delta:float -> task:task -> node -> t
     volume estimates a union/intersection performs before its first
     draw. *)
 
-val budget_rows : t -> (int * string * float) array
+val work_budgets : t -> (int * string * float) array
 (** [(id, op_name, predicted_work)] per node, in id order — the feed
     for the progress bus. *)
 
@@ -174,9 +174,9 @@ val error_budget : t -> budget_grant array
     their parameters — a union's children are granted (ε/3, δ/4m) and
     its own acceptance phase (ε/3, δ/4) per Algorithm 1, intersections
     and differences halve ε with δ/4m / δ/4, projections split both by
-    3, boosting runs children at fixed confidence 3/4.  The audit layer
-    joins these grants with the runtime attribution actuals to report
-    consumed-vs-granted slack per node. *)
+    3, boosting runs children at fixed confidence 3/4.  The per-node
+    ledger ([Plan_exec.ledger]) joins these grants with the runtime
+    actuals to report consumed-vs-granted slack per node. *)
 
 (** {1 Serialization} *)
 

@@ -105,6 +105,8 @@ type node_row = {
   tags : string list;  (* the node's rewrite tags ([Vm.rewrite_tags]) *)
 }
 
+(* The profile/1 document's [nodes] rollup and trace events: the nodes
+   some instruction maps to, ascending id. *)
 let per_node t =
   let tbl : (int, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
@@ -135,16 +137,8 @@ let per_node t =
 
 let engine_name t = if Vm.optimized t.prog then "vm-opt" else "vm"
 
-let text_report ?plan t =
+let text_report t =
   let b = Buffer.create 1024 in
-  let op_of_node id =
-    match plan with
-    | None -> ""
-    | Some p -> (
-        match Plan.find_node p id with
-        | Some n -> " " ^ Plan.op_name n.Plan.op
-        | None -> "")
-  in
   Buffer.add_string b
     (Printf.sprintf "profile: engine %s, mode %s, %d draw(s), %d instruction(s) executed"
        (engine_name t) (mode_name t.mode) t.draws (total_count t));
@@ -167,17 +161,6 @@ let text_report ?plan t =
         (Printf.sprintf "  %-12s count %-10d%s\n" r.op_name r.op_count
            (if r.op_ns > 0.0 then Printf.sprintf " %12.0f ns" r.op_ns else "")))
     (per_opcode t);
-  Buffer.add_string b "per plan node:\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "  node %-3d%-12s instrs %-10d%s%s\n" r.node_id
-           (op_of_node r.node_id) r.instructions
-           (if r.node_ns > 0.0 then Printf.sprintf " %12.0f ns" r.node_ns else "")
-           (match r.tags with
-           | [] -> ""
-           | tags -> " [" ^ String.concat ", " tags ^ "]")))
-    (per_node t);
   Buffer.contents b
 
 (* Chrome trace-event block: one complete event per plan node laid out

@@ -2,10 +2,11 @@
 
     Wraps {!Scdb_vm.Vm}'s profiling cells and folds the raw per-pc
     counters through the compiler's symbolization table (pc → plan-node
-    id + rewrite tag) into the three views the tooling consumes: a
-    hot-pc table, a per-opcode histogram, and per-plan-node rows with
-    rewrite provenance (the actual side of predicted-vs-actual
-    attribution under [--engine vm|vm-opt]).
+    id + rewrite tag) into the views the tooling consumes: a hot-pc
+    table, a per-opcode histogram and, in the JSON document, a
+    per-plan-node rollup with rewrite provenance.  The per-pc rows
+    also feed the instruction columns of the per-node ledger
+    ([Plan_exec.ledger]) under [--engine vm|vm-opt].
 
     Two modes:
 
@@ -66,17 +67,6 @@ type opcode_row = { op_name : string; op_count : int; op_ns : float }
 val per_opcode : t -> opcode_row list
 (** Histogram over opcodes that executed, in opcode order. *)
 
-type node_row = {
-  node_id : int;
-  instructions : int;  (** instruction executions attributed to the node *)
-  node_ns : float;
-  tags : string list;  (** the node's rewrite tags, {!Scdb_vm.Vm.rewrite_tags} *)
-}
-
-val per_node : t -> node_row list
-(** Counts and ns folded through the symbolization table, by plan-node
-    id ascending. *)
-
 val total_count : t -> int
 val total_ns : t -> float
 
@@ -85,9 +75,10 @@ val engine_name : t -> string
 
 (** {1 Reports} *)
 
-val text_report : ?plan:Scdb_plan.Plan.t -> t -> string
-(** Human-readable table of the ten hottest pcs, per-opcode histogram
-    and per-node rows; [plan] adds operator names to node lines. *)
+val text_report : t -> string
+(** Human-readable table of the ten hottest pcs and the per-opcode
+    histogram; the per-node rows are the ledger's
+    ([Plan_exec.ledger ~profile]). *)
 
 val to_json : ?plan:Scdb_plan.Plan.t -> t -> Scdb_json.Json.t
 (** The [spatialdb-profile/1] document: full per-pc table, per-opcode

@@ -7,7 +7,6 @@ type state = {
   steps : float array;
   trials : float array;
   warned : bool array;
-  factor : float;
   started_at : float;
   mutable stack : int list;
 }
@@ -34,7 +33,11 @@ let active_count = Atomic.make 0
 let[@inline] active () = Atomic.get active_count > 0
 let overruns_c = Tel.Counter.make "progress.overruns"
 
-let start ?(overrun_factor = 4.0) ~rows () =
+(* The watchdog flags a node whose accrued work passes this multiple
+   of its predicted budget. *)
+let watchdog_factor = 4.0
+
+let start ~rows () =
   let n =
     Array.fold_left (fun acc (id, _, _) -> Stdlib.max acc (id + 1)) 0 rows
   in
@@ -46,7 +49,6 @@ let start ?(overrun_factor = 4.0) ~rows () =
       steps = Array.make n 0.0;
       trials = Array.make n 0.0;
       warned = Array.make n false;
-      factor = overrun_factor;
       started_at = Tel.Clock.now ();
       stack = [];
     }
@@ -93,7 +95,7 @@ let exit_path ids =
 let check_overrun st id =
   if (not st.warned.(id)) && st.budgets.(id) > 0.0 then begin
     let actual = st.steps.(id) +. st.trials.(id) in
-    if actual > st.factor *. st.budgets.(id) then begin
+    if actual > watchdog_factor *. st.budgets.(id) then begin
       st.warned.(id) <- true;
       Tel.Counter.incr overruns_c;
       if Log.would_log Log.Warn then
@@ -103,7 +105,7 @@ let check_overrun st id =
             Log.str "op" st.labels.(id);
             Log.float "predicted" st.budgets.(id);
             Log.float "actual" actual;
-            Log.float "factor" st.factor;
+            Log.float "factor" watchdog_factor;
           ]
     end
   end
@@ -247,7 +249,6 @@ module Bus = struct
                 steps = Array.copy s.steps;
                 trials = Array.copy s.trials;
                 warned = Array.copy s.warned;
-                factor = s.factor;
                 started_at = s.started_at;
                 stack = [];
               }
@@ -270,7 +271,6 @@ module Bus = struct
               steps = ext d.steps s.steps ( +. ) 0.0;
               trials = ext d.trials s.trials ( +. ) 0.0;
               warned = ext d.warned s.warned ( || ) false;
-              factor = d.factor;
               started_at = Float.min d.started_at s.started_at;
               stack = d.stack;
             }

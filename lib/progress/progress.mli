@@ -13,11 +13,11 @@
     - a {b watchdog} that fires once per node — a [plan.budget_overrun]
       warn-level log event and a [progress.overruns] telemetry tick —
       when the node's accrued work exceeds its predicted budget by a
-      configurable factor;
+      factor of 4;
     - a {b ticker} thread rendering a refreshing one-line percent/ETA
       display to stderr ([--progress]);
-    - post-run {b attribution}: {!rows} is the actual column of the
-      predicted-vs-actual table the report embeds.
+    - post-run {b attribution}: {!rows} is the work column of the
+      per-node ledger ([Plan_exec.ledger]).
 
     Disabled by default; every accrual on the disabled path is one load
     and a branch.  Accrual state lives in a {e bus}; each observability
@@ -31,12 +31,11 @@ val active : unit -> bool
     — the guard for hot call sites; accruals re-check that the calling
     domain's own bus is armed. *)
 
-val start : ?overrun_factor:float -> rows:(int * string * float) array -> unit -> unit
+val start : rows:(int * string * float) array -> unit -> unit
 (** Arm the bus for a run: [rows] is [(id, label, predicted_work)] per
-    plan node (from [Plan.budget_rows]), ids dense from 0.  Resets all
-    actuals and the overrun state.  [overrun_factor] (default [4.0])
-    sets the watchdog threshold: a node overruns when
-    [actual > factor · predicted] (nodes with zero predicted budget are
+    plan node (from [Plan.work_budgets]), ids dense from 0.  Resets all
+    actuals and the overrun state.  The watchdog flags a node when
+    [actual > 4 · predicted] (nodes with zero predicted budget are
     never flagged). *)
 
 val stop : unit -> unit

@@ -134,7 +134,7 @@ let with_stores_on f =
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let plan_rows plan = Plan.budget_rows plan
+let plan_rows plan = Plan.work_budgets plan
 
 (* Union of two overlapping boxes through the CLI's front door. *)
 let union_run engine =

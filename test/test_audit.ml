@@ -4,6 +4,7 @@
    domains-vs-seq differential), and whole-relation audits. *)
 
 module A = Scdb_audit.Audit
+module Plan_exec = Scdb_gis.Plan_exec
 module Rng = Scdb_rng.Rng
 module Tel = Scdb_telemetry.Telemetry
 module VE = Scdb_polytope.Volume_exact
@@ -255,15 +256,15 @@ let run_tests =
             Alcotest.(check string) "fingerprint" (Relation.fingerprint triangle)
               a.A.fingerprint;
             Alcotest.(check int) "all replicates hit" 3 a.A.cov.A.hits;
-            Alcotest.(check bool) "budget rows" true (Array.length a.A.budget > 0);
+            Alcotest.(check bool) "budget rows" true (Array.length a.A.ledger > 0);
             Array.iter
-              (fun (r : A.budget_row) ->
-                if r.A.b_op <> "guard" then begin
-                  Alcotest.(check bool) "eps grant finite" true (Float.is_finite r.A.b_eps);
+              (fun (r : Plan_exec.row) ->
+                if r.Plan_exec.op <> "guard" then begin
+                  Alcotest.(check bool) "eps grant finite" true (Float.is_finite r.Plan_exec.eps);
                   Alcotest.(check bool) "delta grant in (0,1)" true
-                    (r.A.b_delta > 0.0 && r.A.b_delta < 1.0)
+                    (r.Plan_exec.delta > 0.0 && r.Plan_exec.delta < 1.0)
                 end)
-              a.A.budget);
+              a.A.ledger);
     ts "audit documents are deterministic" (fun () ->
         let doc () =
           match A.run ~jobs:2 ~mode:A.Seq ~eps:0.2 ~delta:0.1 ~runs:2 ~seed:9 triangle with
@@ -306,7 +307,6 @@ let run_tests =
    estimate read through the mirror, whose leaf weights are exact. *)
 module Plan = Scdb_plan.Plan
 module Vm = Scdb_vm.Vm
-module Plan_exec = Scdb_gis.Plan_exec
 module Progress = Scdb_progress.Progress
 
 let gamma = Scdb_gis.Flight.gamma
@@ -347,13 +347,15 @@ let vm_opt_tests =
         Fun.protect ~finally:Progress.stop (fun () ->
             ignore (Vm.sample_many prog rng ~n:4);
             ignore (Scdb_core.Observable.volume (Vm.mirror prog) ~gamma rng ~eps:0.2 ~delta:0.1));
-        let rows = A.budget_rows plan (Plan_exec.attribution plan) in
-        let leaves = List.filter (fun (r : A.budget_row) -> r.A.b_op = "dfk") (Array.to_list rows) in
+        let rows = Plan_exec.ledger plan in
+        let leaves =
+          List.filter (fun (r : Plan_exec.row) -> r.Plan_exec.op = "dfk") (Array.to_list rows)
+        in
         Alcotest.(check int) "two leaves" 2 (List.length leaves);
         List.iter
-          (fun (r : A.budget_row) ->
-            Alcotest.(check (float 0.0)) "achieved delta" 0.0 r.A.b_delta_achieved;
-            Alcotest.(check (float 0.0)) "slack is the grant" r.A.b_delta r.A.b_slack)
+          (fun (r : Plan_exec.row) ->
+            Alcotest.(check (float 0.0)) "achieved delta" 0.0 (Plan_exec.delta_achieved r);
+            Alcotest.(check (float 0.0)) "slack is the grant" r.Plan_exec.delta (Plan_exec.slack r))
           leaves);
   ]
 

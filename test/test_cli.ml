@@ -139,7 +139,12 @@ let cmdline_tests =
         (* The status and Prometheus views are gone with their flags. *)
         List.iter
           (fun flag -> check flag 124 ("sample " ^ fig1 ^ " -n 1 " ^ flag))
-          [ "--live"; "--status-out F"; "--metrics-out F"; "--metrics-interval 1" ]);
+          [ "--live"; "--status-out F"; "--metrics-out F"; "--metrics-interval 1" ];
+        (* The watchdog factor is fixed at 4 on every command. *)
+        List.iter
+          (fun cmd ->
+            check (cmd ^ " --overrun-factor") 124 (cmd ^ " " ^ fig1 ^ " --overrun-factor 4"))
+          [ "sample"; "volume"; "report" ]);
     t "unknown subcommand exits 124" (fun () ->
         check "subcommand" 124 "frobnicate";
         check "status" 124 "status F");
@@ -233,6 +238,13 @@ let runtime_tests =
         let par = lines "--jobs 2 --jobs-mode domains" in
         Alcotest.(check (list int)) "two domains, whole lines in seq order" [ 0; 1; 2; 3 ]
           (List.map fst par));
+    t "sample --progress requires --jobs 1" (fun () ->
+        (* Concurrent jobs would each need their own ticker and table;
+           refused like --profile, --diag and --record. *)
+        Alcotest.(check (pair int string))
+          "exit and message"
+          (1, "spatialdb: --progress requires --jobs 1\n")
+          (run_stderr ("sample " ^ fig1_union ^ " -n 5 --jobs 2 --progress")));
   ]
 
 let profile_tests =
@@ -251,6 +263,18 @@ let profile_tests =
     t "report --engine vm-opt exits 0, interp rejects bogus engine" (fun () ->
         check "vm-opt" 0 ("report " ^ fig1 ^ " -n 2 --engine vm-opt -o /dev/null");
         check "bogus" 2 ("report " ^ fig1 ^ " -n 2 --engine bogus"));
+    t "sample --profile prints one per-node table" (fun () ->
+        (* The Fig. 1 union plans three nodes: one table header and one
+           line naming each node's operator. *)
+        let code, err =
+          run_stderr ("sample " ^ fig1_union ^ " -n 200 --seed 42 --engine vm-opt --profile")
+        in
+        Alcotest.(check int) "exit" 0 code;
+        let lines = List.map (String.split_on_char ' ') (String.split_on_char '\n' err) in
+        let count p = List.length (List.filter (List.exists p) lines) in
+        Alcotest.(check int) "one header" 1 (count (( = ) "predicted"));
+        Alcotest.(check int) "one union row" 1 (count (( = ) "union"));
+        Alcotest.(check int) "two dfk rows" 2 (count (( = ) "dfk")));
   ]
 
 let suites =

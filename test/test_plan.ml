@@ -235,20 +235,23 @@ let json_tests =
            leaf's δ still follows its work ratio. *)
         let module PE = Scdb_gis.Plan_exec in
         let plan = plan_of ~task:Plan.Volume (Plan.union_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ]) in
-        let row id op ratio = { PE.id; op; predicted = 1.0; actual = ratio; ratio; tags = [] } in
-        let rows =
-          PE.budget_attribution plan [| row 0 "union" 0.3; row 1 "dfk" 0.5; row 2 "dfk" Float.nan |]
+        let grants = Plan.error_budget plan in
+        let row id op actual =
+          let g = grants.(id) in
+          { PE.id; op; tags = []; predicted = 1.0; actual; eps = g.Plan.g_eps;
+            delta = g.Plan.g_delta; instructions = Float.nan; ns = Float.nan }
         in
+        let rows = [| row 0 "union" 0.3; row 1 "dfk" 0.5; row 2 "dfk" Float.nan |] in
         let r i = rows.(i) in
-        Alcotest.(check (float 0.0)) "union: granted" (r 0).PE.b_delta (r 0).PE.b_delta_achieved;
-        Alcotest.(check (float 0.0)) "union: zero slack" 0.0 (r 0).PE.b_slack;
+        Alcotest.(check (float 0.0)) "union: granted" (r 0).PE.delta (PE.delta_achieved (r 0));
+        Alcotest.(check (float 0.0)) "union: zero slack" 0.0 (PE.slack (r 0));
         Alcotest.(check (float 1e-15)) "dfk: work ratio"
-          (Cost.delta_at_work_ratio ~delta:(r 1).PE.b_delta ~ratio:0.5)
-          (r 1).PE.b_delta_achieved;
-        Alcotest.(check bool) "never ran: nan" true (Float.is_nan (r 2).PE.b_delta_achieved));
+          (Cost.delta_at_work_ratio ~delta:(r 1).PE.delta ~ratio:0.5)
+          (PE.delta_achieved (r 1));
+        Alcotest.(check bool) "never ran: nan" true (Float.is_nan (PE.delta_achieved (r 2))));
     t "budget rows cover every node exactly once" (fun () ->
         let plan = mixed_plan () in
-        let rows = Plan.budget_rows plan in
+        let rows = Plan.work_budgets plan in
         Alcotest.(check int) "row count" plan.Plan.node_count (Array.length rows);
         Array.iteri
           (fun i (id, name, w) ->

@@ -45,6 +45,10 @@ let compile_ok ?(optimize = false) ~task ~seed formula =
 
 let known_tags = [ Plan.rejection_box_substituted ]
 
+(* The ledger's instructions column, summed. *)
+let ledger_instructions rows =
+  Array.fold_left (fun a (r : Plan_exec.row) -> a + int_of_float r.Plan_exec.instructions) 0 rows
+
 (* ------------------------------------------------------------------ *)
 (* Symbolization                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -110,7 +114,7 @@ let counting_tests =
   [
     t "counting totals agree across the pc/opcode/node views" (fun () ->
         let n = 8 in
-        let _, prog, rng = compile_ok ~task:(Plan.Sample n) ~seed:21 fig1_union in
+        let plan, prog, rng = compile_ok ~task:(Plan.Sample n) ~seed:21 fig1_union in
         let profile = Profile.create prog in
         ignore (Profile.sample_many profile rng ~n);
         let total = Profile.total_count profile in
@@ -123,10 +127,7 @@ let counting_tests =
           List.fold_left (fun a (r : Profile.opcode_row) -> a + r.Profile.op_count) 0
             (Profile.per_opcode profile)
         in
-        let sum_node =
-          List.fold_left (fun a (r : Profile.node_row) -> a + r.Profile.instructions) 0
-            (Profile.per_node profile)
-        in
+        let sum_node = ledger_instructions (Plan_exec.ledger ~profile plan) in
         Alcotest.(check int) "pc view" total sum_pc;
         Alcotest.(check int) "opcode view" total sum_op;
         Alcotest.(check int) "node view" total sum_node;
@@ -196,7 +197,7 @@ let attribution_case k n () =
         Plan_exec.arm plan;
         let params = Params.make ~gamma:0.05 ~eps:0.2 ~delta:0.1 () in
         ignore (Observable.sample_many obs rng params ~n);
-        let rows = Plan_exec.attribution plan in
+        let rows = Plan_exec.ledger plan in
         Progress.stop ();
         rows
   in
@@ -204,13 +205,13 @@ let attribution_case k n () =
     let plan, prog, rng = compile_ok ~task ~seed formula in
     Plan_exec.arm plan;
     ignore (Vm.sample_many prog rng ~n);
-    let rows = Plan_exec.attribution plan in
+    let rows = Plan_exec.ledger plan in
     Progress.stop ();
     rows
   in
   Alcotest.(check int) "same node count" (Array.length interp_rows) (Array.length vm_rows);
   Array.iteri
-    (fun i (ir : Plan_exec.attribution_row) ->
+    (fun i (ir : Plan_exec.row) ->
       let vr = vm_rows.(i) in
       Alcotest.(check int) (Printf.sprintf "node %d id" i) ir.Plan_exec.id vr.Plan_exec.id;
       Alcotest.(check (float 0.0))
@@ -227,19 +228,49 @@ let attribution_tests =
         let plan, prog, rng = compile_ok ~task:(Plan.Sample 8) ~seed:31 fig1_union in
         Plan_exec.arm plan;
         ignore (Vm.sample_many prog rng ~n:8);
-        let rows = Plan_exec.attribution plan in
+        let rows = Plan_exec.ledger plan in
         Progress.stop ();
         let leaves =
           Array.to_list rows
-          |> List.filter (fun (r : Plan_exec.attribution_row) -> r.Plan_exec.op = "dfk")
+          |> List.filter (fun (r : Plan_exec.row) -> r.Plan_exec.op = "dfk")
         in
         Alcotest.(check int) "two leaves" 2 (List.length leaves);
         List.iter
-          (fun (r : Plan_exec.attribution_row) ->
+          (fun (r : Plan_exec.row) ->
             Alcotest.(check bool)
               (Printf.sprintf "leaf %d ran" r.Plan_exec.id)
               true (r.Plan_exec.actual > 0.0))
           leaves);
+    t "the ledger joins plan, bus and profile on a vm-opt union" (fun () ->
+        let n = 8 in
+        let plan, prog, rng =
+          compile_ok ~optimize:true ~task:(Plan.Sample n) ~seed:41 fig1_union
+        in
+        let profile = Profile.create prog in
+        Plan_exec.arm plan;
+        ignore (Profile.sample_many profile rng ~n);
+        let rows = Plan_exec.ledger ~profile plan in
+        let bus = Progress.rows () in
+        Progress.stop ();
+        let grants = Plan.error_budget plan in
+        let same what a b = Alcotest.(check bool) what true (Float.equal a b) in
+        Alcotest.(check int) "one row per node" plan.Plan.node_count (Array.length rows);
+        Alcotest.(check int) "instructions sum to the profile's total"
+          (Profile.total_count profile)
+          (ledger_instructions rows);
+        Array.iteri
+          (fun i (r : Plan_exec.row) ->
+            let what = Printf.sprintf "node %d %s" r.Plan_exec.id in
+            Alcotest.(check int) (what "id") i r.Plan_exec.id;
+            same (what "predicted = bus budget") bus.(i).Progress.budget r.Plan_exec.predicted;
+            same (what "actual = bus steps + trials") (Progress.row_work bus.(i))
+              r.Plan_exec.actual;
+            Alcotest.(check string) (what "op") grants.(i).Plan.g_op r.Plan_exec.op;
+            same (what "eps = grant") grants.(i).Plan.g_eps r.Plan_exec.eps;
+            same (what "delta = grant") grants.(i).Plan.g_delta r.Plan_exec.delta;
+            Alcotest.(check bool)
+              (what "no ns in counting mode") true (Float.is_nan r.Plan_exec.ns))
+          rows);
   ]
 
 (* ------------------------------------------------------------------ *)

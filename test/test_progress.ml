@@ -10,7 +10,7 @@ let t name f = Alcotest.test_case name `Quick f
 
 (* Arm the bus (and capture log/telemetry) for one test, restoring the
    global state after — the bus is process-global. *)
-let with_bus ?overrun_factor rows f =
+let with_bus rows f =
   let tel_was = Tel.enabled () in
   Tel.set_enabled true;
   Tel.reset ();
@@ -18,7 +18,7 @@ let with_bus ?overrun_factor rows f =
   Log.set_stderr false;
   Log.set_level Log.Warn;
   Log.reset ();
-  Progress.start ?overrun_factor ~rows ();
+  Progress.start ~rows ();
   Fun.protect
     ~finally:(fun () ->
       Progress.stop ();
@@ -53,13 +53,15 @@ let watchdog_tests =
                 Progress.add_steps 100);
             Alcotest.(check int) "still one overrun" 1 (Progress.overrun_count ())));
     t "factor is respected and zero-budget nodes never flag" (fun () ->
-        with_bus ~overrun_factor:50.0
+        (* The watchdog factor is 4: exactly 4x the budget is not an
+           overrun. *)
+        with_bus
           [| (0, "root", 10.0); (1, "free", 0.0) |]
           (fun () ->
-            Progress.with_node 0 (fun () -> Progress.add_steps 100);
+            Progress.with_node 0 (fun () -> Progress.add_steps 40);
+            Alcotest.(check int) "4x the budget does not flag" 0 (Progress.overrun_count ());
             Progress.with_node 1 (fun () -> Progress.add_steps 1_000_000);
-            Alcotest.(check int) "under 50x, zero budget ignored" 0
-              (Progress.overrun_count ())));
+            Alcotest.(check int) "zero budget ignored" 0 (Progress.overrun_count ())));
   ]
 
 (* A VM union of two boxes: its walks run under the leaf node ids 1 and

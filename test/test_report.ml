@@ -107,12 +107,12 @@ let report_tests =
         (* A node that ran with predicted work 0 has an infinite
            actual/predicted ratio; the error budget must still be valid
            JSON, with the ratio read back as null. *)
+        let module PE = Scdb_gis.Plan_exec in
         let row =
-          { Scdb_gis.Plan_exec.b_id = 0; b_op = "dfk"; b_eps = 0.1; b_delta = 0.05;
-            b_predicted = 0.0; b_actual = 12.0; b_ratio = Float.infinity;
-            b_delta_achieved = 0.05; b_slack = 0.0 }
+          { PE.id = 0; op = "dfk"; tags = []; predicted = 0.0; actual = 12.0; eps = 0.1;
+            delta = 0.05; instructions = Float.nan; ns = Float.nan }
         in
-        let text = J.to_string (Scdb_gis.Plan_exec.budget_attribution_json [| row |]) in
+        let text = J.to_string (PE.to_json PE.budget_fields [| row |]) in
         Alcotest.(check bool) "ratio is null" true
           (J.list (J.field "ratio" Fun.id) (J.parse text) = [ J.Null ]));
     t "parse errors surface as Error" (fun () ->
