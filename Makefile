@@ -2,6 +2,10 @@
 
 .PHONY: all build test bench perf trend check ci clean
 
+# The standard 6-simplex, the exact sampler's CI fixture.
+SIMPLEX6 = -v x1,x2,x3,x4,x5,x6 \
+  -f "x1 >= 0 and x2 >= 0 and x3 >= 0 and x4 >= 0 and x5 >= 0 and x6 >= 0 and x1 + x2 + x3 + x4 + x5 + x6 <= 1"
+
 all: build
 
 build:
@@ -61,7 +65,10 @@ check:
 # record's engine decides the plan, `--engine` only the executor), and
 # its `explain --format program` listing must name both Figure 1
 # leaves exact_weight (weights from the exact oracle, within the proven
-# Lasserre call bound).
+# Lasserre call bound).  The same round trip on the 6-simplex, whose
+# vm-opt leaf draws from its exact face lattice: its record replays
+# bit-for-bit on all three executors and its listing names the leaf
+# exact_sampler.
 # Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
 # embedded profile and tagged attribution rows must validate, a
 # `sample --engine vm-opt --profile=timing --profile-out` run whose
@@ -148,6 +155,14 @@ ci: check
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --engine vm-opt --format program > _build/explain_vmopt.txt
 	test "$$(grep -c '^; leaf n[0-9]* weight: exact_weight' _build/explain_vmopt.txt)" = 2
+	dune exec bin/spatialdb.exe -- sample $(SIMPLEX6) --seed 42 -n 20 --engine vm-opt \
+	  --record _build/ci_simplex6.flightrec.json > _build/ci_simplex6_samples.tsv
+	dune exec bin/spatialdb.exe -- replay --engine interp _build/ci_simplex6.flightrec.json
+	dune exec bin/spatialdb.exe -- replay --engine vm _build/ci_simplex6.flightrec.json
+	dune exec bin/spatialdb.exe -- replay --engine vm-opt _build/ci_simplex6.flightrec.json
+	dune exec bin/spatialdb.exe -- explain $(SIMPLEX6) -n 200 --engine vm-opt \
+	  --format program > _build/explain_simplex6.txt
+	grep -q '^; draws n0: exact_sampler' _build/explain_simplex6.txt
 	dune exec bin/spatialdb.exe -- report --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --engine vm-opt -o _build/report_vmopt.json

@@ -1,6 +1,9 @@
 module Trace = Scdb_trace.Trace
+module Tel = Scdb_telemetry.Telemetry
 
-type sampler = Grid_walk | Hit_and_run | Rejection_box
+let tel_lasserre = Tel.Counter.make "vm.lasserre_calls"
+
+type sampler = Grid_walk | Hit_and_run | Rejection_box | Exact_lattice
 
 type config = {
   sampler : sampler;
@@ -9,7 +12,9 @@ type config = {
 }
 
 let samplers = [ ("walk", Hit_and_run); ("grid", Grid_walk); ("rejection", Rejection_box) ]
-let sampler_name s = fst (List.find (fun (_, s') -> s' = s) samplers)
+let sampler_name = function
+  | Exact_lattice -> "exact"
+  | s -> fst (List.find (fun (_, s') -> s' = s) samplers)
 
 let default_config = { sampler = Grid_walk; volume_budget = Volume.Rigorous; walk_steps = None }
 
@@ -31,9 +36,28 @@ type prepared = {
   p_transform : Affine.t;
   p_r_sup : float;
   p_box : (Vec.t * Vec.t) option Lazy.t;
+  p_lattice : (Pyramid.t, Pyramid.decline) result Lazy.t;
+  p_exact_volume : float option Lazy.t;
 }
 
 exception Unbounded
+
+(* The Lasserre volume of a single-tuple relation.  A prepared piece was
+   rounded, so its tuple is non-empty and the feasibility LP has nothing
+   to decide. *)
+let exact_volume ~dim relation =
+  lazy
+    (match Option.map Relation.tuples relation with
+    | Some [ tuple ] ->
+        let calls = ref 0 in
+        let v =
+          match Volume_exact.volume_tuple ~calls ~nonempty:true ~dim tuple with
+          | q -> Some (Rational.to_float q)
+          | exception (Volume_exact.Unbounded | Invalid_argument _ | Division_by_zero) -> None
+        in
+        Tel.Counter.add tel_lasserre !calls;
+        v
+    | _ -> None)
 
 (* The piece, or why the rounding refused the body. *)
 let prepare_checked ?(config = default_config) ?relation rng poly =
@@ -53,6 +77,8 @@ let prepare_checked ?(config = default_config) ?relation rng poly =
           p_transform = rounded.Rounding.transform;
           p_r_sup = rounded.Rounding.r_sup;
           p_box = lazy (Polytope.bounding_box rounded.Rounding.rounded);
+          p_lattice = lazy (Pyramid.build rounded.Rounding.rounded);
+          p_exact_volume = exact_volume ~dim:(Polytope.dim poly) relation;
         }
 
 let prepare ?config ?relation rng poly =
@@ -74,7 +100,7 @@ let observe p =
       | None -> (
           match config.sampler with
           | Grid_walk -> Walk.default_steps ~dim ~eps
-          | Hit_and_run | Rejection_box -> Hit_and_run.default_steps ~dim)
+          | Hit_and_run | Rejection_box | Exact_lattice -> Hit_and_run.default_steps ~dim)
     in
     (* One chain of the batched kernel. *)
     let hit_and_run () =
@@ -107,6 +133,10 @@ let observe p =
               with
               | Some (x, _) -> x
               | None -> hit_and_run ()))
+      | Exact_lattice -> (
+          match Lazy.force p.p_lattice with
+          | Ok lattice -> Pyramid.sample lattice walk_rng
+          | Error _ -> hit_and_run ())
     in
     Some (Affine.apply_inverse transform point)
   in
@@ -117,7 +147,7 @@ let observe p =
     let sampler =
       match config.sampler with
       | Grid_walk -> Volume.Grid_walk
-      | Hit_and_run | Rejection_box -> Volume.Hit_and_run
+      | Hit_and_run | Rejection_box | Exact_lattice -> Volume.Hit_and_run
     in
     match
       Volume.estimate vol_rng ~eps ~delta ~sampler ~budget:config.volume_budget

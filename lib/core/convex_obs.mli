@@ -15,12 +15,19 @@ type sampler =
           body/box volume ratio).  Falls back to hit-and-run when the
           attempt budget is exhausted.  Volume estimation still runs
           the hit-and-run multi-phase scheme. *)
+  | Exact_lattice
+      (** exactly uniform draws from the rounded body's face lattice
+          ({!Scdb_sampling.Pyramid}); the optimizing pass's
+          [exact_sampler] route, with no CLI method name.  Falls back to
+          hit-and-run when the body has no lattice. *)
 
 val samplers : (string * sampler) list
-(** The method names a plan and the CLI give the samplers: [walk],
-    [grid], [rejection]. *)
+(** The method names the CLI gives the samplers: [walk], [grid],
+    [rejection]. *)
 
 val sampler_name : sampler -> string
+(** Its {!samplers} name; ["exact"] for [Exact_lattice], the method a
+    plan leaf takes on the exact route. *)
 
 type config = {
   sampler : sampler;
@@ -71,6 +78,15 @@ type prepared = private {
       (** the rounded body's bounding box: its LPs are solved once, on
           first use, by whichever of the optimizing pass, the VM or a
           rejection sampler asks first; rng-free *)
+  p_lattice : (Pyramid.t, Pyramid.decline) result Lazy.t;
+      (** the rounded body's face lattice, built on first use (the
+          optimizing pass prices the build first) and shared by both
+          executors; rng-free *)
+  p_exact_volume : float option Lazy.t;
+      (** the Lasserre volume of the piece's tuple in the original
+          frame, computed on first use ([vm.lasserre_calls] counts the
+          calls); [None] without a single-tuple relation or when the
+          exact call raises *)
 }
 
 val prepare :

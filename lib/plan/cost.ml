@@ -61,6 +61,36 @@ let lasserre_calls ~dim ~rows =
 
 let walk_steps_per_lasserre_call = 8.0
 
+let binomial n k =
+  if k < 0 || k > n then 0.0
+  else begin
+    let k = Stdlib.min k (n - k) and c = ref 1.0 in
+    for i = 1 to k do
+      c := !c *. float_of_int (n - k + i) /. float_of_int i
+    done;
+    Float.round !c
+  end
+
+let exact_sampler_faces ~dim ~rows =
+  if dim < 0 || rows < 0 then invalid_arg "Cost.exact_sampler_faces";
+  let total = ref 0.0 in
+  for j = 0 to dim do
+    total := !total +. binomial rows j
+  done;
+  !total
+
+let exact_sampler_face_cap = 4096.0
+let walk_steps_per_lattice_face = 16.0
+let walk_steps_per_exact_draw = 2.0
+
+let exact_sampler_build_steps ~dim ~rows =
+  (walk_steps_per_lattice_face *. exact_sampler_faces ~dim ~rows)
+  +. binomial rows dim
+
+let rejection_box_trials_exact ~box_volume ~body_volume =
+  if not (body_volume > 0.0 && box_volume > 0.0) then invalid_arg "Cost.rejection_box_trials_exact";
+  Float.max 1.0 (box_volume /. body_volume)
+
 let volume_phases ~dim ?aspect () =
   if dim = 0 then 0
   else begin

@@ -104,6 +104,53 @@ val walk_steps_per_lasserre_call : float
     [lasserre_calls · walk_steps_per_lasserre_call] is at most the
     leaf's DFK volume work in walk steps. *)
 
+(** {1 The exact leaf sampler}
+
+    The face-lattice sampler ([Scdb_sampling.Pyramid]) is priced by
+    its own counted bounds, not {!lasserre_calls}: that bound counts
+    Lasserre's recursion without memoisation (about 2.6e5 calls on the
+    8-simplex), while the lattice memoises each face once. *)
+
+val exact_sampler_faces : dim:int -> rows:int -> float
+(** [Σ_{j≤d} C(m,j)] for [m = rows]: an upper bound on the faces of a
+    [rows]-row body in dimension [dim], the body and its vertices
+    included.  A k-face F is [P ∩ {rows of S tight}] for any set S of
+    [d−k] independent rows tight on F (that set is a face of dimension
+    k containing F), so distinct faces have distinct sets of at most
+    [d] rows.  Exact on the simplex: 511 on the 8-simplex.  Its last
+    term, [C(m,d)], counts the square row systems the lattice solves
+    for vertices, so the face cap bounds those too.
+    @raise Invalid_argument on a negative argument. *)
+
+val exact_sampler_face_cap : float
+(** [4096]: the optimizing pass builds no lattice whose face bound is
+    larger; it keeps the leaf's walk or box instead. *)
+
+val walk_steps_per_lattice_face : float
+(** The fitted build cost of one lattice face in hit-and-run steps
+    (DESIGN.md §9 "Exact leaf draws" gives the fit: 2.9–4.3 µs a face
+    against 0.14–0.31 µs a step for d = 2..8). *)
+
+val walk_steps_per_exact_draw : float
+(** The fitted cost of one exact draw ([d] facet choices and [d]
+    radial moves) in hit-and-run steps: 0.2–0.7 µs against 0.14–0.31 µs
+    a step for d = 2..8. *)
+
+val exact_sampler_build_steps : dim:int -> rows:int -> float
+(** The lattice's build price in walk steps:
+    [walk_steps_per_lattice_face · exact_sampler_faces + C(m,d)] (a
+    vertex solve costs about one step).  The optimizing pass takes the
+    exact route when this plus [n · walk_steps_per_exact_draw]
+    undercuts the leaf's [n] draws by walk and by box, [n] its budgeted
+    draws. *)
+
+val rejection_box_trials_exact : box_volume:float -> body_volume:float -> float
+(** [max 1 (vol(box)/vol(body))]: the expected box trials per accepted
+    draw when the body's volume is known, both measured in the same
+    (the rounded) frame.  Replaces the {!rejection_box_trials} guess
+    where the optimizing pass knows the leaf's volume.
+    @raise Invalid_argument unless both volumes are positive. *)
+
 (** {1 Inversions}
 
     The audit layer ({!Scdb_audit} via [spatialdb audit] and the report

@@ -24,6 +24,8 @@ type op =
       samples_per_phase : int;
       constraints : int;
       lasserre_calls : float option;
+      box_trials : float option;
+      exact_build : float option;
     }
   | Grid_leaf of { cells : float }
   | Union_op of { trials : int; volume_trials : int }
@@ -44,6 +46,7 @@ type node = {
 }
 
 let exact_weight = "exact_weight"
+let exact_sampler = "exact_sampler"
 let rejection_box_substituted = "rejection_box_substituted"
 
 let op_name = function
@@ -69,18 +72,22 @@ type task = Sample of int | Volume | Report of int
    trial.  The child generator calls these trials trigger are charged
    to the children by the budget recursion, not here.  A dfk leaf
    tagged [exact_weight] prices its volume as its Lasserre bound in
-   walk steps. *)
+   walk steps.  A box leaf's trials are its exact acceptance where the
+   optimizing pass knew its volume; an exact-lattice draw is one trial. *)
 let exclusive ?(tags = []) op ~dim ~m =
   let f = float_of_int in
   match op with
-  | Dfk { method_; walk_steps; phases; samples_per_phase; constraints = _; lasserre_calls } ->
+  | Dfk { method_; walk_steps; phases; samples_per_phase; lasserre_calls; box_trials; _ } ->
       let s = f walk_steps in
       let per_sample =
         match method_ with
         | "grid" -> { draws = 3.0 *. s; mems = s; steps = s; trials = 0.0 }
         | "rejection" ->
-            let t = f (Cost.rejection_box_trials ~dim) in
+            let t =
+              match box_trials with Some t -> t | None -> f (Cost.rejection_box_trials ~dim)
+            in
             { draws = t *. f dim; mems = t; steps = 0.0; trials = t }
+        | "exact" -> { draws = 2.0 *. f dim; mems = 0.0; steps = 0.0; trials = 1.0 }
         | _ -> { draws = s *. f (dim + 1); mems = s; steps = s; trials = 0.0 }
       in
       let per_volume =
@@ -126,6 +133,15 @@ let weight_costs n =
       Some
         ( calls *. Cost.walk_steps_per_lasserre_call,
           float_of_int phases *. float_of_int samples_per_phase *. float_of_int walk_steps )
+  | _ -> None
+
+let draw_costs ~calls n =
+  match n.op with
+  | Dfk { walk_steps; box_trials; exact_build = Some build; _ } ->
+      Some
+        ( build +. (calls *. Cost.walk_steps_per_exact_draw),
+          calls *. float_of_int walk_steps,
+          Option.map (fun t -> calls *. t) box_trials )
   | _ -> None
 
 let sum_children f children = List.fold_left (fun acc c -> add_units acc (f c)) zero children
@@ -175,7 +191,17 @@ let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget (
     | None -> Cost.volume_samples_per_phase ~eps ~delta ~phases
   in
   node ~dim
-    (Dfk { method_; walk_steps; phases; samples_per_phase; constraints; lasserre_calls = None })
+    (Dfk
+       {
+         method_;
+         walk_steps;
+         phases;
+         samples_per_phase;
+         constraints;
+         lasserre_calls = None;
+         box_trials = None;
+         exact_build = None;
+       })
 
 let grid_leaf ~dim ~cells = node ~dim (Grid_leaf { cells })
 
@@ -284,33 +310,49 @@ let child_demands op ~m ~s ~v children =
       | [ c ] -> [ (c, s, float_of_int runs *. v) ]
       | cs -> List.map (fun c -> (c, 0.0, 0.0)) cs)
 
+let task_demand = function
+  | Sample n -> (float_of_int n, 0.0)
+  | Volume -> (0.0, 1.0)
+  | Report n -> (float_of_int n, 1.0)
+
+(* Visit every node with its demand: [s] generator calls and [v]
+   volume estimations for one run of [task]; returns [f]'s value at the
+   root, [f] given the sum of its children's values. *)
+let rec fold_demands f n ~s ~v =
+  let m = List.length n.children in
+  let below =
+    List.fold_left
+      (fun acc (c, s_c, v_c) -> acc +. fold_demands f c ~s:s_c ~v:v_c)
+      0.0
+      (child_demands n.op ~m ~s ~v n.children)
+  in
+  f n ~s ~v ~below
+
 let finalize ~gamma ~eps ~delta ~task node =
   let next = ref 0 in
   let root = number next node in
   let node_count = !next in
   let budgets = Array.make node_count 0.0 in
-  let rec fill n ~s ~v =
-    let m = List.length n.children in
-    let excl_s, excl_v = exclusive ~tags:n.tags n.op ~dim:n.dim ~m in
-    let own = (s *. work excl_s) +. (v *. work excl_v) in
-    let below =
-      List.fold_left
-        (fun acc (c, s_c, v_c) -> acc +. fill c ~s:s_c ~v:v_c)
-        0.0
-        (child_demands n.op ~m ~s ~v n.children)
-    in
-    let total = own +. below in
+  let fill n ~s ~v ~below =
+    let excl_s, excl_v = exclusive ~tags:n.tags n.op ~dim:n.dim ~m:(List.length n.children) in
+    let total = (s *. work excl_s) +. (v *. work excl_v) +. below in
     budgets.(n.id) <- total;
     total
   in
-  let s, v =
-    match task with
-    | Sample n -> (float_of_int n, 0.0)
-    | Volume -> (0.0, 1.0)
-    | Report n -> (float_of_int n, 1.0)
-  in
-  let total_work = fill root ~s ~v in
+  let s, v = task_demand task in
+  let total_work = fold_demands fill root ~s ~v in
   { gamma; eps; delta; task; root; node_count; budgets; total_work }
+
+let sample_calls t =
+  let calls = Array.make t.node_count 0.0 in
+  let s, v = task_demand t.task in
+  ignore
+    (fold_demands
+       (fun n ~s ~v:_ ~below:_ ->
+         calls.(n.id) <- s;
+         0.0)
+       t.root ~s ~v);
+  calls
 
 let rec iter_node f n =
   f n;
@@ -373,14 +415,19 @@ let schema = "spatialdb-plan/1"
 
 let attrs_of_op op =
   match op with
-  | Dfk { walk_steps; phases; samples_per_phase; constraints; lasserre_calls; _ } ->
+  | Dfk
+      { walk_steps; phases; samples_per_phase; constraints; lasserre_calls; box_trials; exact_build; _ }
+    ->
+      let opt name = Option.fold ~none:[] ~some:(fun c -> [ (name, c) ]) in
       [
         ("walk_steps", float_of_int walk_steps);
         ("phases", float_of_int phases);
         ("samples_per_phase", float_of_int samples_per_phase);
         ("constraints", float_of_int constraints);
       ]
-      @ Option.fold ~none:[] ~some:(fun c -> [ ("lasserre_calls", c) ]) lasserre_calls
+      @ opt "lasserre_calls" lasserre_calls
+      @ opt "box_trials" box_trials
+      @ opt "exact_build" exact_build
   | Grid_leaf { cells } -> [ ("cells", cells) ]
   | Union_op { trials; volume_trials } ->
       [ ("trials", float_of_int trials); ("volume_trials", float_of_int volume_trials) ]
@@ -419,12 +466,23 @@ let weight_route n =
       ((if List.mem exact_weight n.tags then exact_weight else "dfk"), exact, dfk))
     (weight_costs n)
 
+let draw_route ~calls n =
+  Option.map
+    (fun (exact, walk, box) ->
+      let route =
+        if List.mem exact_sampler n.tags then exact_sampler
+        else match n.op with Dfk { method_; _ } -> method_ | _ -> ""
+      in
+      (route, exact, walk, box))
+    (draw_costs ~calls n)
+
 let task_fields = function
   | Sample n -> ("sample", n)
   | Volume -> ("volume", 0)
   | Report n -> ("report", n)
 
 let to_json t =
+  let calls = sample_calls t in
   let rec node_json n =
     let method_ =
       match n.op with Dfk { method_; _ } -> [ ("method", Json.Str method_) ] | _ -> []
@@ -452,6 +510,20 @@ let to_json t =
               );
             ])
           (weight_route n)
+      @ Option.fold ~none:[]
+          ~some:(fun (route, exact, walk, box) ->
+            [
+              ( "draws",
+                Json.Obj
+                  ([
+                     ("route", Json.Str route);
+                     ("calls", Json.Num calls.(n.id));
+                     ("exact_steps", Json.Num exact);
+                     ("walk_steps", Json.Num walk);
+                   ]
+                  @ Option.fold ~none:[] ~some:(fun b -> [ ("box_steps", Json.Num b) ]) box) );
+            ])
+          (draw_route ~calls:calls.(n.id) n)
       @ [ ("children", Json.Arr (List.map node_json n.children)) ])
   in
   let task_name, n = task_fields t.task in
@@ -501,6 +573,8 @@ let of_json doc =
               samples_per_phase = a "samples_per_phase";
               constraints = a "constraints";
               lasserre_calls = Json.field "attrs" (Json.field_opt "lasserre_calls" Json.num) o;
+              box_trials = Json.field "attrs" (Json.field_opt "box_trials" Json.num) o;
+              exact_build = Json.field "attrs" (Json.field_opt "exact_build" Json.num) o;
             }
       | "grid" -> Grid_leaf { cells = Json.field "attrs" (Json.field "cells" Json.num) o }
       | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
@@ -553,6 +627,7 @@ let of_json doc =
 
 let to_text_tree t =
   let buf = Buffer.create 1024 in
+  let calls = sample_calls t in
   let task_name, n = task_fields t.task in
   Buffer.add_string buf
     (Printf.sprintf "plan %s (n=%d, γ=%g ε=%g δ=%g) — total predicted work %.3g\n" task_name n
@@ -572,11 +647,19 @@ let to_text_tree t =
             dfk
       | None -> ""
     in
+    let draws =
+      match draw_route ~calls:calls.(n.id) n with
+      | Some (route, exact, walk, box) ->
+          Printf.sprintf " draws=%s(%.3g calls: exact %.3g, walk %.3g%s steps)" route calls.(n.id)
+            exact walk
+            (match box with Some b -> Printf.sprintf ", box %.3g" b | None -> "")
+      | None -> ""
+    in
     Buffer.add_string buf
-      (Printf.sprintf "%s%s%s #%d dim=%d%s%s  sample=%.3g volume=%.3g budget=%.3g%s%s\n" prefix
+      (Printf.sprintf "%s%s%s #%d dim=%d%s%s  sample=%.3g volume=%.3g budget=%.3g%s%s%s\n" prefix
          branch (op_name n.op) n.id n.dim meth
          (if attrs = "" then "" else " [" ^ attrs ^ "]")
-         (work n.per_sample) (work n.per_volume) t.budgets.(n.id) weight
+         (work n.per_sample) (work n.per_volume) t.budgets.(n.id) weight draws
          (if n.tags = [] then "" else " tags=" ^ String.concat "," n.tags));
     let prefix' = prefix ^ if is_last then "   " else "│  " in
     let rec go = function

@@ -41,9 +41,19 @@ type op =
           (** the proven bound on the exact route's Lasserre calls
               ({!Cost.lasserre_calls}), where the optimizing pass
               priced that route; [None] elsewhere *)
+      box_trials : float option;
+          (** the box's exact trials per draw, [vol(box)/vol(body)] in the
+              rounded frame ({!Cost.rejection_box_trials_exact}), where the
+              optimizing pass knew the leaf's volume; [None] prices a box
+              at {!Cost.rejection_box_trials} *)
+      exact_build : float option;
+          (** the exact sampler's build price in walk steps
+              ({!Cost.exact_sampler_build_steps}), where the optimizing
+              pass built the leaf's lattice and priced that route *)
     }
-      (** Convex leaf: DFK lattice walk / hit-and-run / rejection-box
-          generator plus the multi-phase volume estimator. *)
+      (** Convex leaf: DFK lattice walk / hit-and-run / rejection-box /
+          exact-lattice generator plus the multi-phase volume
+          estimator. *)
   | Grid_leaf of { cells : float }
       (** Fixed-dimension γ-grid decomposition (Theorem 3.1). *)
   | Union_op of { trials : int; volume_trials : int }
@@ -66,13 +76,18 @@ type node = {
   children : node list;
   tags : string list;
       (** rewrites the optimizing pass applied to this node, sorted:
-          {!rejection_box_substituted}, {!exact_weight}; [[]] on a
-          plan as built *)
+          {!exact_sampler}, {!exact_weight},
+          {!rejection_box_substituted}; [[]] on a plan as built *)
 }
 
 val exact_weight : string
 (** ["exact_weight"]: the leaf's weight is its exact Lasserre volume,
     and its volume cost is its call bound in walk steps. *)
+
+val exact_sampler : string
+(** ["exact_sampler"]: the leaf draws from its face lattice (method
+    ["exact"]), one trial a draw; its build is priced in
+    [exact_build]. *)
 
 val rejection_box_substituted : string
 (** ["rejection_box_substituted"]: a hit-and-run leaf runs box
@@ -87,6 +102,15 @@ val weight_costs : node -> (float * float) option
 (** For a dfk leaf with [lasserre_calls]: the two prices of its
     weight in walk steps, [(calls · Cost.walk_steps_per_lasserre_call,
     phases · samples_per_phase · walk_steps)]. *)
+
+val draw_route : calls:float -> node -> (string * float * float * float option) option
+(** For a dfk leaf with [exact_build], the route it draws by
+    ({!exact_sampler} when tagged so, else its method) and the prices in
+    walk steps of its [calls] draws by each route: exact
+    [exact_build + calls · Cost.walk_steps_per_exact_draw], walk
+    [calls · walk_steps], and box [calls · box_trials] where
+    [box_trials] is known.  The optimizing pass takes the exact route
+    when its price is below both others. *)
 
 val op_name : op -> string
 (** ["dfk"], ["grid"], ["union"], ["inter"], ["diff"], ["project"],
@@ -154,6 +178,11 @@ val finalize : gamma:float -> eps:float -> delta:float -> task:task -> node -> t
     rooted there spends executing [task], including the one-time child
     volume estimates a union/intersection performs before its first
     draw. *)
+
+val sample_calls : t -> float array
+(** Per node, in id order: the generator calls one run of the task
+    makes on it, the demand {!finalize} budgets (a leaf's budgeted
+    draws). *)
 
 val work_budgets : t -> (int * string * float) array
 (** [(id, op_name, predicted_work)] per node, in id order — the feed

@@ -163,7 +163,7 @@ end
 (* Compiled pieces: one per convex leaf                                *)
 (* ------------------------------------------------------------------ *)
 
-type kind = K_hr | K_grid of Grid.t | K_rej of { rlo : Vec.t; rhi : Vec.t }
+type kind = K_hr | K_grid of Grid.t | K_rej of { rlo : Vec.t; rhi : Vec.t } | K_exact of Pyramid.t
 
 type piece = {
   prep : Convex_obs.prepared;
@@ -227,6 +227,7 @@ let walk_piece p rng =
         match Rejection.sample rng ~lo:rlo ~hi:rhi ~mem:p.pmem ~max_attempts:20_000 with
         | Some (x, _) -> x
         | None -> hr_draw p rng p.hr_steps)
+    | K_exact lattice -> Pyramid.sample lattice rng
   in
   Affine.apply_inverse p.prep.Convex_obs.p_transform point
 
@@ -264,13 +265,12 @@ let plan t = t.plan
 let code_words t = Array.length t.code
 let node_at t pc = t.dbg_node.(pc)
 
-(* The one rewrite that shapes instructions: a substituted leaf's walk
-   and membership code.  An exact weight is spent in the parent's
+(* The rewrites that shape instructions: a substituted or exact leaf's
+   walk and membership code.  An exact weight is spent in the parent's
    ensure, through the leaf's observable. *)
 let tag_at t pc =
-  if List.mem Plan.rejection_box_substituted t.node_tags.(t.dbg_node.(pc)) then
-    Some Plan.rejection_box_substituted
-  else None
+  let tags = t.node_tags.(t.dbg_node.(pc)) in
+  List.find_opt (fun tag -> List.mem tag tags) [ Plan.rejection_box_substituted; Plan.exact_sampler ]
 let opcode_at t pc = t.code.(pc)
 
 (* Packed membership evaluation, mirroring [Relation.mem_float
@@ -447,6 +447,7 @@ let kind_name = function
   | K_hr -> "hit-and-run"
   | K_grid _ -> "grid-walk"
   | K_rej _ -> "rejection-box"
+  | K_exact _ -> "exact-lattice"
 
 (* Pack a relation's membership test: [ntuples; per tuple: natoms; per
    atom: op, nterms, const-idx, (var, coeff-idx)×nterms], with the
@@ -519,7 +520,8 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
           match (cfg.Convex_obs.walk_steps, sampler) with
           | Some s, _ -> s
           | None, Convex_obs.Grid_walk -> Walk.default_steps ~dim:d ~eps
-          | None, (Convex_obs.Hit_and_run | Convex_obs.Rejection_box) -> hr_steps
+          | None, (Convex_obs.Hit_and_run | Convex_obs.Rejection_box | Convex_obs.Exact_lattice) ->
+              hr_steps
         in
         if cfg.Convex_obs.walk_steps = None && steps <> walk_steps then
           cerr "leaf %d (node %d): plan walk_steps %d <> cost model %d at eps %g" i n.Plan.id
@@ -532,6 +534,10 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
               match Lazy.force p.Convex_obs.p_box with
               | None -> K_hr
               | Some (lo, hi) -> K_rej { rlo = lo; rhi = hi })
+          | Convex_obs.Exact_lattice -> (
+              match Lazy.force p.Convex_obs.p_lattice with
+              | Ok lattice -> K_exact lattice
+              | Error _ -> K_hr)
         in
         make_piece p kind ~steps ~hr_steps
     | _ -> assert false
@@ -750,6 +756,17 @@ let compile_exn opt (plan : Plan.t) (prepared : Convex_obs.prepared array) =
                  (if exact <= dfk then "<=" else ">")
                  dfk)
         | _ -> ())
+      leaves;
+    let calls = Plan.sample_calls plan in
+    Array.iter
+      (fun (n : Plan.node) ->
+        match Plan.draw_route ~calls:calls.(n.Plan.id) n with
+        | Some (route, exact, walk, box) ->
+            Buffer.add_string b
+              (Printf.sprintf "; draws n%d: %s (%.0f call(s): exact %.0f, walk %.0f%s step(s))\n"
+                 n.Plan.id route calls.(n.Plan.id) exact walk
+                 (match box with Some x -> Printf.sprintf ", box %.0f" x | None -> ""))
+        | None -> ())
       leaves;
     List.iteri
       (fun i d -> Buffer.add_string b (Printf.sprintf "; weights w%d: %s\n" i d))

@@ -16,8 +16,8 @@
     it consumes the identical draw sequence and emits the identical
     sample stream, so flight records replay across executors.  The
     {e optimized} engine ([optimize:true]) is the same lowering of the
-    plan {!Rewrite.optimize} rewrote (box substitution and exact leaf
-    weights, tagged on the plan nodes); its stream differs from the
+    plan {!Rewrite.optimize} rewrote (exact leaf draws, box substitution
+    and exact leaf weights, tagged on the plan nodes); its stream differs from the
     unrewritten plan's, not from the interpreter's on the rewritten
     plan.
 
@@ -91,11 +91,13 @@ val mirror : t -> Observable.t
 
     The compiler records, for every code word, the plan-node id whose
     codegen emitted it.  Rewrite tags live on the plan nodes: an
-    instruction of a leaf tagged [rejection_box_substituted] carries
-    that tag ({!tag_at}); [exact_weight] shapes no instruction (the
-    weight is spent in the parent's [ensure]), so only {!rewrite_tags}
-    and {!disassemble}'s header, which names the route of every priced
-    leaf weight, show it.  {!disassemble} annotates each line with
+    instruction of a leaf tagged [rejection_box_substituted] or
+    [exact_sampler] carries that tag ({!tag_at}), and {!disassemble}'s
+    header names the draw route of every leaf the pass priced for the
+    exact sampler with its three prices; [exact_weight] shapes no
+    instruction (the weight is spent in the parent's [ensure]), so only
+    {!rewrite_tags} and the header, which names the route of every
+    priced leaf weight, show it.  {!disassemble} annotates each line with
     both; the profiler folds per-pc counts through this table into
     per-node attribution rows. *)
 
@@ -118,7 +120,8 @@ val node_at : t -> int -> int
 
 val tag_at : t -> int -> string option
 (** The rewrite that shaped the code word at [pc], if any:
-    [rejection_box_substituted] on a substituted leaf's code. *)
+    [rejection_box_substituted] on a substituted leaf's code,
+    [exact_sampler] on an exact-lattice leaf's. *)
 
 val rewrite_tags : t -> (int * string list) list
 (** Per plan-node id, the node's tags in the lowered plan (nodes

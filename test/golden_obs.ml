@@ -160,6 +160,28 @@ let union_run engine =
       ignore (e.Flight.draw rng 4);
       ignore (Observable.volume e.Flight.observable rng ~gamma ~eps ~delta))
 
+(* The 3-simplex under vm-opt, budgeted for enough draws that its face
+   lattice pays off: eight exact draws, one trial each. *)
+let simplex3_run () =
+  let relation =
+    match
+      Flight.parse_relation ~vars:[ "x"; "y"; "z" ] "x >= 0 and y >= 0 and z >= 0 and x + y + z <= 1"
+    with
+    | Ok r -> r
+    | Error m -> failwith m
+  in
+  let rng = Rng.create 13 in
+  let prepared =
+    Option.get
+      (Plan_exec.prepare ~config:cfg ~gamma ~eps ~delta ~task:(Plan.Sample 100) rng relation)
+  in
+  let e =
+    match Flight.start_engine ~engine:"vm-opt" ~eps ~delta prepared with
+    | Ok e -> e
+    | Error m -> failwith m
+  in
+  capture "simplex3.vm-opt" ~rows:(plan_rows e.Flight.plan) (fun () -> ignore (e.Flight.draw rng 8))
+
 let prepare_all seed polys =
   let rng = Rng.create seed in
   (rng, Array.of_list (List.map (fun p -> Option.get (Convex_obs.prepare ~config:cfg rng p)) polys))
@@ -316,6 +338,6 @@ let document () =
       let engines = [ "interp"; "vm"; "vm-opt" ] in
       let runs =
         List.map union_run engines
-        @ [ inter_run (); diff_run (); kernels (); starved (); starved_vm () ]
+        @ [ simplex3_run (); inter_run (); diff_run (); kernels (); starved (); starved_vm () ]
       in
       J.to_string (J.Obj [ ("schema", J.Str "spatialdb-instrumentation-golden/1"); ("runs", J.Obj runs) ]))

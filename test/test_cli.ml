@@ -277,6 +277,57 @@ let profile_tests =
         Alcotest.(check int) "two dfk rows" 2 (count (( = ) "dfk")));
   ]
 
+(* The standard d-simplex, spelled for the command line. *)
+let simplex d =
+  let vars = List.init d (fun i -> Printf.sprintf "x%d" (i + 1)) in
+  Printf.sprintf "-v %s -f \"%s and %s <= 1\"" (String.concat "," vars)
+    (String.concat " and " (List.map (fun v -> v ^ " >= 0") vars))
+    (String.concat " + " vars)
+
+let contains text pat =
+  let n = String.length text and k = String.length pat in
+  let rec go i = i + k <= n && (String.sub text i k = pat || go (i + 1)) in
+  go 0
+
+let exact_sampler_tests =
+  [
+    t "a vm-opt record of the 6-simplex replays bit-for-bit on every executor" (fun () ->
+        let record = Filename.temp_file "spatialdb_simplex6" ".flightrec.json" in
+        check "record" 0
+          ("sample " ^ simplex 6 ^ " -n 20 --seed 42 --engine vm-opt --record " ^ Filename.quote record);
+        List.iter
+          (fun engine ->
+            let code, out = run_stdout ("replay --engine " ^ engine ^ " " ^ Filename.quote record) in
+            Alcotest.(check int) engine 0 code;
+            Alcotest.(check bool) (engine ^ ": " ^ out) true (contains out "bit-for-bit"))
+          [ "interp"; "vm"; "vm-opt" ];
+        Sys.remove record);
+    t "explain --format program names the 6-simplex leaf exact_sampler" (fun () ->
+        let code, out =
+          run_stdout ("explain " ^ simplex 6 ^ " -n 200 --engine vm-opt --format program")
+        in
+        Alcotest.(check int) "exit" 0 code;
+        Alcotest.(check bool) out true (contains out "; draws n0: exact_sampler"));
+    t "the 8-simplex leaf spends the work its plan predicts" (fun () ->
+        let code, err =
+          run_stderr ("sample " ^ simplex 8 ^ " -n 200 --seed 42 --engine vm-opt --profile")
+        in
+        Alcotest.(check int) "exit" 0 code;
+        let row =
+          List.find_opt
+            (fun l -> match l with "0" :: "dfk" :: _ -> true | _ -> false)
+            (List.map
+               (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+               (String.split_on_char '\n' err))
+        in
+        match row with
+        | Some (_ :: _ :: _ :: _ :: ratio :: _) ->
+            let r = float_of_string ratio in
+            Alcotest.(check bool) (Printf.sprintf "leaf ratio %g in [0.9, 1.1]" r) true
+              (r >= 0.9 && r <= 1.1)
+        | _ -> Alcotest.fail ("no leaf row in:\n" ^ err));
+  ]
+
 let suites =
   [
     ("cli.success", success_tests);
@@ -284,4 +335,5 @@ let suites =
     ("cli.cmdline", cmdline_tests);
     ("cli.runtime", runtime_tests);
     ("cli.profile", profile_tests);
+    ("cli.exact_sampler", exact_sampler_tests);
   ]

@@ -486,12 +486,24 @@ let differential (d, shapes, seed, n) =
       (List.init plan.Plan.node_count Fun.id)
   in
   if node_tags <> Vm.rewrite_tags opt then QCheck.Test.fail_report "plan tags <> Vm.rewrite_tags";
+  (* A leaf boxes when it does not take the exact sampler and its box
+     trials a draw, exact where the pass measured the leaf's volume,
+     are at most its walk schedule. *)
   Plan.iter_nodes
     (fun (n : Plan.node) ->
       match n.Plan.op with
-      | Plan.Dfk _ when List.mem Plan.rejection_box_substituted n.Plan.tags <> (d <= 6) ->
-          QCheck.Test.fail_reportf "d = %d: box substitution %s" d
-            (if d <= 6 then "missing" else "unexpected")
+      | Plan.Dfk { box_trials; walk_steps; _ } ->
+          let trials =
+            Option.value box_trials
+              ~default:(float_of_int (Scdb_plan.Cost.rejection_box_trials ~dim:d))
+          in
+          let expected =
+            (not (List.mem Plan.exact_sampler n.Plan.tags)) && trials <= float_of_int walk_steps
+          in
+          if List.mem Plan.rejection_box_substituted n.Plan.tags <> expected then
+            QCheck.Test.fail_reportf "d = %d: box substitution %s (%g trials, %d steps)" d
+              (if expected then "missing" else "unexpected")
+              trials walk_steps
       | _ -> ())
     plan;
   true
@@ -507,11 +519,111 @@ let differential_tests =
          differential);
   ]
 
+(* Telemetry counters [f] moves, read after it returns. *)
+let counting names f =
+  let module Tel = Scdb_telemetry.Telemetry in
+  let was = Tel.enabled () in
+  Tel.set_enabled true;
+  Tel.reset ();
+  Fun.protect ~finally:(fun () -> Tel.set_enabled was) (fun () ->
+      let r = f () in
+      (r, List.map (fun n -> Option.value (Tel.counter_value n) ~default:0) names))
+
+let simplex_formula vars =
+  String.concat " /\\ " (List.map (fun v -> v ^ " >= 0") vars) ^ " /\\ " ^ String.concat " + " vars ^ " <= 1"
+
+let xs d = List.init d (fun i -> Printf.sprintf "x%d" (i + 1))
+
+let the_leaf (plan : Plan.t) =
+  match plan.Plan.root.Plan.op with
+  | Plan.Dfk d -> (plan.Plan.root, d.method_, d.box_trials, d.exact_build)
+  | _ -> Alcotest.fail "a one-tuple relation plans one leaf"
+
+let compile_task ~task ~seed relation =
+  match
+    Plan_exec.compiled_of_relation ~config:cfg ~optimize:true ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task
+      (Rng.create seed) relation
+  with
+  | Some (plan, Ok prog) -> (plan, prog)
+  | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
+  | None -> Alcotest.fail "relation should be compilable"
+
+let exact_sampler_tests =
+  [
+    t "a box leaf is priced at its exact acceptance, within 10% over 2000 draws" (fun () ->
+        (* Ten budgeted draws: the lattice's build does not pay off, so
+           the triangle keeps its box, priced by the lattice's volume. *)
+        let relation = parse [ "x"; "y" ] "x >= 0 /\\ y >= 0 /\\ x + y <= 1" in
+        let plan, prog = compile_task ~task:(Plan.Sample 10) ~seed:5 relation in
+        let leaf, _, box_trials, _ = the_leaf plan in
+        Alcotest.(check (list string)) "box" [ Plan.rejection_box_substituted ] leaf.Plan.tags;
+        let priced =
+          match box_trials with Some t -> t | None -> Alcotest.fail "box priced by its volume"
+        in
+        let _, counts =
+          counting [ "rejection.attempts"; "rejection.accepted" ] (fun () ->
+              Vm.sample_many prog (Rng.create 6) ~n:2000)
+        in
+        let measured =
+          match counts with
+          | [ attempts; accepted ] -> float_of_int attempts /. float_of_int accepted
+          | _ -> assert false
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "measured %.4f vs priced %.4f trials a draw" measured priced)
+          true
+          (Float.abs (measured -. priced) <= 0.1 *. priced));
+    t "the 6-simplex takes the exact sampler, one trial a draw, on both executors" (fun () ->
+        let vars = xs 6 in
+        let formula = simplex_formula vars in
+        let a = { (flight_args ~engine:"vm-opt" ~seed:12 ~n:40 formula) with Flight.vars } in
+        let o = run_ok a in
+        let leaf, method_, _, _ = the_leaf o.Flight.plan in
+        Alcotest.(check (list string)) "tagged" [ Plan.exact_sampler ] leaf.Plan.tags;
+        Alcotest.(check string) "method" "exact" method_;
+        (match Plan.draw_route ~calls:40.0 leaf with
+        | Some (_, exact, walk, Some box) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "exact %.0f < walk %.0f, box %.0f" exact walk box)
+              true
+              (exact < walk && exact < box)
+        | _ -> Alcotest.fail "all three routes priced");
+        Alcotest.(check (float 1e-9)) "one trial a draw" 40.0 o.Flight.plan.Plan.budgets.(0);
+        (match Flight.run ~executor:"interp" a with
+        | Ok i -> check_streams "interp on the rewritten plan" o.Flight.points i.Flight.points
+        | Error m -> Alcotest.fail m);
+        List.iter
+          (fun x -> Alcotest.(check bool) "member" true (Relation.mem_float ~slack:1e-9 o.Flight.relation x))
+          o.Flight.points);
+    t "a 12-cube keeps its walk, with one decline warning" (fun () ->
+        let vars = xs 12 in
+        let relation =
+          parse vars (String.concat " /\\ " (List.map (fun v -> Printf.sprintf "0 <= %s /\\ %s <= 1" v v) vars))
+        in
+        let (plan, prog), counts =
+          counting [ "vm.exact_declined" ] (fun () ->
+              compile_task ~task:(Plan.Sample 100) ~seed:4 relation)
+        in
+        let leaf, method_, _, exact_build = the_leaf plan in
+        Alcotest.(check (list int)) "one warning" [ 1 ] counts;
+        Alcotest.(check string) "walk" "walk" method_;
+        Alcotest.(check (list string)) "untagged" [] leaf.Plan.tags;
+        Alcotest.(check bool) "no lattice priced" true (exact_build = None);
+        Alcotest.(check bool) "explain shows the walk" true
+          (let s = Plan.to_text_tree plan in
+           let pat = "method=walk" in
+           let n = String.length s and k = String.length pat in
+           let rec go i = i + k <= n && (String.sub s i k = pat || go (i + 1)) in
+           go 0);
+        Alcotest.(check int) "draws" 2 (List.length (Vm.sample_many prog (Rng.create 1) ~n:2)));
+  ]
+
 let suites =
   [
     ("vm.mirror", mirror_tests);
     ("vm.opt", opt_tests);
     ("vm.exact_weight", exact_weight_tests);
+    ("vm.exact_sampler", exact_sampler_tests);
     ("vm.compile", compile_tests);
     ("vm.fixtures", fixture_tests @ replay_tests);
     ("vm.differential", differential_tests);
