@@ -452,51 +452,6 @@ let profile_overhead ~fast =
         t_ov )
 
 (* ------------------------------------------------------------------ *)
-(* Observability-context overhead                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The observability contexts' contract is that the contexted counter
-   hot path costs the same as the old global one: with only the
-   initial domain holding an installed registry, [with_registry]
-   swap the metric cell pointers in place, so a bump is the identical
-   load-compare-increment sequence either way.  Measured as paired-min
-   ns per enabled counter bump, global registry vs a context's
-   registry installed; gated at 1.10x under --check. *)
-let ctx_overhead ~fast =
-  let c = Tel.Counter.make "bench.ctx_overhead" in
-  let was = Tel.enabled () in
-  Tel.set_enabled true;
-  let reg = Tel.Registry.create () in
-  let n = if fast then 200_000 else 1_000_000 in
-  let plain () =
-    for _ = 1 to n do
-      Tel.Counter.incr c
-    done
-  in
-  let ctxed () =
-    Tel.with_registry reg (fun () ->
-        for _ = 1 to n do
-          Tel.Counter.incr c
-        done)
-  in
-  plain ();
-  ctxed ();
-  let rounds = if fast then 7 else 9 in
-  let mins = paired_min ~rounds [ (1, n, plain); (1, n, ctxed) ] in
-  Tel.set_enabled was;
-  let ov = mins.(1) /. mins.(0) in
-  Printf.printf
-    "\ncontexted counter bump (paired min): global %.3f ns, context installed %.3f ns (%.3fx)\n"
-    mins.(0) mins.(1) ov;
-  ( Json.Obj
-      [
-        ("global_ns_per_bump", Json.Num mins.(0));
-        ("ctx_ns_per_bump", Json.Num mins.(1));
-        ("ctx_overhead", Json.Num ov);
-      ],
-    ov )
-
-(* ------------------------------------------------------------------ *)
 (* Perf-trend ledger (--trend)                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -901,7 +856,6 @@ let run ~fast ~out ~check =
   let calibration = plan_calibration ~fast in
   let engine_json, vm_opt_speedup = engine_sweep ~fast in
   let overhead_json, timing_overhead = profile_overhead ~fast in
-  let ctx_json, ctx_ov = ctx_overhead ~fast in
   let diagnostics = diagnostics_block ~fast ~poly in
   let doc =
     Json.Obj
@@ -922,7 +876,6 @@ let run ~fast ~out ~check =
         ("plan_calibration", calibration);
         ("engine_sweep", engine_json);
         ("profile_overhead", overhead_json);
-        ("ctx_overhead", ctx_json);
         ("telemetry", telemetry);
         ("diagnostics", diagnostics);
       ]
@@ -977,20 +930,7 @@ let run ~fast ~out ~check =
       end
       else
         Printf.printf "timing-mode profiler overhead %.3fx on the strict VM (gate: <= 1.05x)\n"
-          timing_overhead;
-      (* Context gate: installing an observability context must not
-         slow the counter hot path — the sentinel-swap design makes
-         the contexted bump the same instruction sequence as the
-         global one, so anything past 1.10x means the fast path
-         regressed. *)
-      if ctx_ov > 1.10 then begin
-        Printf.printf
-          "FAIL: contexted counter bump %.3fx of the global path (gate: <= 1.10x)\n" ctx_ov;
-        exit 1
-      end
-      else
-        Printf.printf "contexted counter bump %.3fx of the global path (gate: <= 1.10x)\n"
-          ctx_ov)
+          timing_overhead)
     check
 
 let usage_fail fmt =

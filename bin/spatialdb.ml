@@ -20,7 +20,6 @@ module Tel = Scdb_telemetry.Telemetry
 module Log = Scdb_log.Log
 module Flightrec = Scdb_log.Flightrec
 module Flight = Scdb_gis.Flight
-module Obs = Scdb_obs.Obs
 module Json = Scdb_json.Json
 module FM = Scdb_qe.Fourier_motzkin
 module VE = Scdb_polytope.Volume_exact
@@ -78,26 +77,6 @@ let eps_arg =
 let delta_arg =
   let doc = "Failure probability delta in (0,1)." in
   checked (check_unit "--delta") Arg.(value & opt float 0.1 & info [ "delta" ] ~doc)
-
-(* --jobs and --jobs-mode, validated: the job count and its Obs mode. *)
-let jobs_term ~doc =
-  let jobs_arg = Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"K" ~doc) in
-  let mode_arg =
-    let doc =
-      "How to execute $(b,--jobs): $(b,domains) (one domain per job, concurrent — the \
-       default) or $(b,seq) (same contexts, one after another — the differential baseline)."
-    in
-    Arg.(value & opt string "domains" & info [ "jobs-mode" ] ~docv:"MODE" ~doc)
-  in
-  let make jobs mode =
-    check_positive "--jobs" jobs;
-    ( jobs,
-      match mode with
-      | "domains" -> Obs.Ctx.Domains
-      | "seq" -> Obs.Ctx.Seq
-      | m -> usage_die "jobs mode" m [ "domains"; "seq" ] )
-  in
-  Term.(const make $ jobs_arg $ mode_arg)
 
 let stats_arg =
   let doc =
@@ -284,7 +263,7 @@ let sample_cmd =
     Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
   in
   let run vars_s formula n seed eps delta method_ engine stats stats_out diag chains o record
-      record_anomaly progress profile_s profile_out (jobs, jobs_mode) =
+      record_anomaly progress profile_s profile_out =
     check_method method_;
     check_engine engine;
     let profile_mode = Option.map profile_mode_of_string profile_s in
@@ -300,7 +279,6 @@ let sample_cmd =
     let args =
       { Flight.vars = Flight.split_vars vars_s; formula; n; seed; eps; delta; method_; engine }
     in
-    let track = record <> None || record_anomaly <> None in
     let emit_points (outcome : Flight.outcome) =
       List.iter
         (fun p ->
@@ -308,27 +286,7 @@ let sample_cmd =
             (String.concat "\t" (List.map (Printf.sprintf "%.6f") (Array.to_list p))))
         outcome.Flight.points
     in
-    let outcome =
-      if jobs = 1 then
-        or_die (Flight.run ~track ~progress ?profile_mode args)
-      else begin
-        (* Contexted path: each job runs the whole query in its own
-           observability context (seed + job index), optionally on its
-           own domain, and the parent merges every context back into
-           the default one so the --stats dump sees the union. *)
-        if track then
-          or_die (Error "--record/--record-on-anomaly require --jobs 1 (one stream per record)");
-        if profile_mode <> None then or_die (Error "--profile requires --jobs 1");
-        if diag then or_die (Error "--diag requires --jobs 1");
-        if progress then or_die (Error "--progress requires --jobs 1");
-        let job i = Flight.run { args with Flight.seed = seed + i } in
-        let outcomes =
-          Array.map or_die (Obs.Ctx.run_jobs ~mode:jobs_mode ~name:(Printf.sprintf "job-%d") jobs job)
-        in
-        Array.iter emit_points outcomes;
-        exit 0
-      end
-    in
+    let outcome = or_die (Flight.run ~progress ?profile_mode args) in
     (match outcome.Flight.profile with
     | Some profile ->
         prerr_string (Scdb_profile.Profile.text_report profile);
@@ -379,21 +337,12 @@ let sample_cmd =
                 d.Diag_run.verdict.Scdb_diag.Diag.reason)
     end
   in
-  let jobs_term =
-    jobs_term
-      ~doc:
-        "Run $(docv) whole-query repetitions (seeds seed, seed+1, ...), each in its own \
-         observability context, and print all sample streams in job order.  Per-job streams \
-         depend only on the job's seed, so the merged counters are identical whichever \
-         $(b,--jobs-mode) executes them."
-  in
   let doc = "Draw almost uniform points from the relation (Definition 2.2 generator)." in
   Cmd.v (Cmd.info "sample" ~doc)
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
-      $ record_anomaly_arg $ progress_arg $ profile_arg $ profile_out_arg
-      $ jobs_term)
+      $ record_anomaly_arg $ progress_arg $ profile_arg $ profile_out_arg)
 
 (* ---------------- volume ---------------- *)
 
@@ -573,12 +522,21 @@ let audit_cmd =
     in
     checked (check_positive "--runs") Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N" ~doc)
   in
-  let jobs_term =
-    jobs_term
-      ~doc:
-        "Deal the replicates round-robin across $(docv) observability contexts.  Replicate \
-         streams depend only on their seed, so the estimates and the verdict are identical \
-         whichever $(b,--jobs-mode) executes them."
+  let jobs_arg =
+    let doc =
+      Printf.sprintf
+        "Deal the replicates round-robin across $(docv) domains (at most %d, the runtime's \
+         domain cap; surplus jobs beyond $(b,--runs) are not started).  Replicate streams \
+         depend only on their seed, so the estimates, the verdict and the telemetry counts \
+         are identical whatever $(docv) is."
+        A.max_jobs
+    in
+    checked
+      (fun k ->
+        check_range "--jobs"
+          ~range:(Printf.sprintf "in [1, %d]" A.max_jobs)
+          (k >= 1 && k <= A.max_jobs) (string_of_int k))
+      Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"K" ~doc)
   in
   let oracle_arg =
     let doc =
@@ -627,7 +585,7 @@ let audit_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the spatialdb-audit/1 JSON document to $(docv).")
   in
-  let run vars_s formula seed eps delta runs (jobs, mode) oracle confidence gamma walk_steps
+  let run vars_s formula seed eps delta runs jobs oracle confidence gamma walk_steps
       phase_samples out stats stats_out o =
     let oracle_v =
       match oracle with
@@ -641,7 +599,7 @@ let audit_cmd =
     let vars, relation = parse_relation vars_s formula in
     let a =
       or_die
-        (A.run ~gamma ~jobs ~mode ~confidence ~oracle:oracle_v ?walk_steps ?phase_samples
+        (A.run ~gamma ~jobs ~confidence ~oracle:oracle_v ?walk_steps ?phase_samples
            ~eps ~delta ~runs ~seed relation)
     in
     (match out with
@@ -661,7 +619,7 @@ let audit_cmd =
   in
   Cmd.v (Cmd.info "audit" ~doc)
     Term.(
-      const run $ vars_arg $ formula_arg $ seed_arg $ eps_arg $ delta_arg $ runs_arg $ jobs_term
+      const run $ vars_arg $ formula_arg $ seed_arg $ eps_arg $ delta_arg $ runs_arg $ jobs_arg
       $ oracle_arg $ confidence_arg $ gamma_arg $ walk_steps_arg
       $ phase_samples_arg $ out_arg $ stats_arg $ stats_out_arg $ obs_term)
 

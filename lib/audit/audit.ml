@@ -1,7 +1,6 @@
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Json = Scdb_json.Json
-module Obs = Scdb_obs.Obs
 module Plan = Scdb_plan.Plan
 module Cost = Scdb_plan.Cost
 module Plan_exec = Scdb_gis.Plan_exec
@@ -65,7 +64,9 @@ let reference_truth ?(gamma = Scdb_gis.Flight.gamma) ~eps ~delta ~seed relation 
 
 (* ---------------- coverage verification ---------------- *)
 
-type mode = Obs.Ctx.mode = Seq | Domains
+(* OCaml 5.1 runs at most 128 domains at once (Max_domains in
+   caml/domain.h, 64-bit), the main domain among them. *)
+let max_jobs = 127
 
 type coverage = {
   runs : int;
@@ -79,10 +80,10 @@ type coverage = {
   verdict : verdict;
 }
 
-let verify ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95) ~eps ~delta ~runs ~seed
-    ~truth estimate =
+let verify ?(jobs = 1) ?(confidence = 0.95) ~eps ~delta ~runs ~seed ~truth estimate =
   if runs < 1 then invalid_arg "Audit.verify: runs must be >= 1";
-  if jobs < 1 then invalid_arg "Audit.verify: jobs must be >= 1";
+  if jobs < 1 || jobs > max_jobs then
+    invalid_arg (Printf.sprintf "Audit.verify: jobs must lie in [1, %d]" max_jobs);
   if eps <= 0.0 || eps >= 1.0 || delta <= 0.0 || delta >= 1.0 then
     invalid_arg "Audit.verify: eps and delta must lie in (0,1)";
   if confidence <= 0.0 || confidence >= 1.0 then
@@ -112,26 +113,21 @@ let verify ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95) ~eps ~delta ~runs 
         Tel.Counter.incr tel_misses;
         false
   in
+  (* Job [j] of [k] runs replicates [j], [j + k], [j + 2k], … *)
+  let job k j () =
+    let h = ref 0 and i = ref j in
+    while !i < runs do
+      if replicate !i then incr h;
+      i := !i + k
+    done;
+    !h
+  in
+  let k = Stdlib.min jobs runs in
   let hits =
-    if jobs = 1 then begin
-      (* Uncontexted single-job path: everything lands in the ambient
-         context, exactly like a plain run. *)
-      let h = ref 0 in
-      for i = 0 to runs - 1 do
-        if replicate i then incr h
-      done;
-      !h
-    end
+    if k = 1 then job 1 0 ()
     else
-      Obs.Ctx.run_jobs ~mode ~name:(Printf.sprintf "audit-%d") jobs (fun j ->
-          let h = ref 0 in
-          let i = ref j in
-          while !i < runs do
-            if replicate !i then incr h;
-            i := !i + jobs
-          done;
-          !h)
-      |> Array.fold_left ( + ) 0
+      Array.init k (fun j -> Domain.spawn (job k j))
+      |> Array.fold_left (fun acc d -> acc + Domain.join d) 0
   in
   let cp_low, cp_high = clopper_pearson ~confidence ~hits ~runs () in
   let target = 1.0 -. delta in
@@ -180,9 +176,8 @@ let ledger_pass ~config ~gamma ~eps ~delta ~seed relation =
       Scdb_progress.Progress.stop ();
       rows
 
-let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confidence = 0.95)
-    ?(oracle = `Auto) ?max_tuples ?walk_steps ?phase_samples ~eps ~delta ~runs ~seed relation
-    =
+let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(confidence = 0.95) ?(oracle = `Auto)
+    ?max_tuples ?walk_steps ?phase_samples ~eps ~delta ~runs ~seed relation =
   if Relation.is_syntactically_empty relation then Error "relation is empty"
   else begin
     (* Fault injection for the regression demo: overriding the mixing
@@ -236,7 +231,7 @@ let run ?(gamma = Scdb_gis.Flight.gamma) ?(jobs = 1) ?(mode = Domains) ?(confide
         let estimate s = estimate_once ~config ~gamma ~eps ~delta relation s in
         let cov =
           Trace.span "audit.verify" ~attrs:[ ("runs", string_of_int runs) ] @@ fun () ->
-          verify ~jobs ~mode ~confidence ~eps ~delta ~runs ~seed ~truth estimate
+          verify ~jobs ~confidence ~eps ~delta ~runs ~seed ~truth estimate
         in
         let ledger = ledger_pass ~config ~gamma ~eps ~delta ~seed relation in
         Ok { fingerprint; oracle = used; truth; truth_exact; eps; delta; gamma; cov; ledger }

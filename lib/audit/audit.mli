@@ -7,8 +7,8 @@
     contract actually {e held}: it obtains ground truth from an exact
     oracle (Lasserre volumes with inclusion–exclusion over the DNF
     tuples) or a high-budget reference run, replays the estimator [N]
-    times on split seeds — optionally fanned across domains with one
-    {!Scdb_obs.Obs.Ctx} per job — and brackets the empirical
+    times on split seeds — optionally fanned across domains — and
+    brackets the empirical
     contract-hit fraction with an exact Clopper–Pearson interval, so
     "coverage ≥ 1−δ" is itself a statistically sound verdict rather
     than a point estimate.  Alongside coverage it reports the per-node
@@ -60,11 +60,9 @@ val reference_truth :
 
 (** {1 Coverage verification} *)
 
-type mode = Scdb_obs.Obs.Ctx.mode = Seq | Domains
-(** How replicate jobs execute ({!Scdb_obs.Obs.Ctx.run_jobs}): one
-    domain per job (concurrent) or sequentially in the same contexts.  Replicate [i] always runs on
-    seed [seed + i], so both modes produce bit-identical estimates and
-    the same verdict — the differential CI check. *)
+val max_jobs : int
+(** The most [jobs] {!verify} accepts: 127, the OCaml runtime's
+    128-domain cap less the main domain. *)
 
 type coverage = {
   runs : int;
@@ -80,7 +78,6 @@ type coverage = {
 
 val verify :
   ?jobs:int ->
-  ?mode:mode ->
   ?confidence:float ->
   eps:float ->
   delta:float ->
@@ -92,16 +89,17 @@ val verify :
 (** [verify ~eps ~delta ~runs ~seed ~truth estimate] replays
     [estimate (seed + i)] for [i = 0 … runs−1] and renders the
     coverage verdict.  With [jobs = K > 1] the replicates are dealt
-    round-robin to [K] observability contexts named [audit-0 …]
-    (spawned as domains under {!Domains}), each merged back into
-    {!Scdb_obs.Obs.Ctx.default} afterwards, so telemetry from a fanned
-    audit is exactly the telemetry of the sequential one.  Replicates
-    bump the [audit.replicates]/[audit.hits]/[audit.misses] counters
-    and the [audit.rel_error] histogram in whatever context they run
-    in.  A [None] or non-finite estimate counts as a miss (a declared
-    failure is a contract violation).
-    @raise Invalid_argument on non-positive [runs]/[jobs] or parameters
-    outside (0,1). *)
+    round-robin to [min K runs] spawned domains, joined before the
+    verdict.  Replicate [i] always runs on seed [seed + i], so the
+    estimates and the verdict do not depend on [jobs]; [estimate] must
+    therefore be safe to call from several domains at once.
+    Replicates bump the [audit.replicates]/[audit.hits]/[audit.misses]
+    counters and the [audit.rel_error] histogram, process-wide stores
+    every domain writes to, so their counts do not depend on [jobs]
+    either.  A [None] or non-finite estimate counts as a miss (a
+    declared failure is a contract violation).
+    @raise Invalid_argument on non-positive [runs], [jobs] outside
+    [[1, max_jobs]] or parameters outside (0,1). *)
 
 (** {1 Whole-relation audits} *)
 
@@ -120,7 +118,6 @@ type t = {
 val run :
   ?gamma:float ->
   ?jobs:int ->
-  ?mode:mode ->
   ?confidence:float ->
   ?oracle:[ `Exact | `Reference | `Auto ] ->
   ?max_tuples:int ->

@@ -106,7 +106,7 @@ let start_engine ?profile_mode ?executor ~engine ~eps ~delta prepared =
               profile;
             })
 
-let run ?(track = false) ?(progress = false) ?profile_mode ?executor a =
+let run ?(progress = false) ?profile_mode ?executor a =
   let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
   let* executor = check_engine (Option.value executor ~default:engine) in
@@ -116,10 +116,6 @@ let run ?(track = false) ?(progress = false) ?profile_mode ?executor a =
     else Ok ()
   in
   let* relation = parse_relation ~vars:a.vars a.formula in
-  if track then begin
-    Rng.Provenance.reset ();
-    Rng.Provenance.set_tracking true
-  end;
   let rng = Rng.create a.seed in
   let task = Scdb_plan.Plan.Sample a.n in
   (* Every engine shares the parse, the preprocessing rng draws and the
@@ -170,7 +166,7 @@ let to_flightrec a (o : outcome) =
       ];
     seed = a.seed;
     samples = o.points;
-    lineage = Rng.Provenance.snapshot ();
+    draws = Some (Rng.draw_count o.rng);
     telemetry = (if Tel.enabled () then Some (Tel.dump ~only_nonzero:true ()) else None);
     log_tail = List.map Scdb_json.Json.parse (Log.tail ());
   }
@@ -194,22 +190,18 @@ let args_of_flightrec (r : Flightrec.t) =
   let engine = Option.value ~default:"interp" (Flightrec.arg r "engine") in
   Ok { vars; formula; n; seed = r.Flightrec.seed; eps; delta; method_; engine }
 
-let total_draws lineage =
-  List.fold_left (fun acc (i : Rng.Provenance.info) -> acc + i.Rng.Provenance.draws) 0 lineage
-
 let replay ?engine (r : Flightrec.t) =
   let* a = args_of_flightrec r in
-  let* o = run ~track:true ?executor:engine a in
-  ignore o.rng;
+  let* o = run ?executor:engine a in
   let* n = Flightrec.compare_samples ~recorded:r.Flightrec.samples ~replayed:o.points in
-  (* The sample stream is the contract, but the draw totals are a
-     cheap second opinion: matching points with different draw counts
-     means some non-emitting code path changed. *)
-  let recorded = total_draws r.Flightrec.lineage in
-  let replayed = total_draws (Rng.Provenance.snapshot ()) in
-  if r.Flightrec.lineage <> [] && recorded <> replayed then
-    Error
-      (Printf.sprintf
-         "sample stream matches but total RNG draws differ: recorded %d, replayed %d" recorded
-         replayed)
-  else Ok n
+  (* The sample stream is the contract, but the draw count is a cheap
+     second opinion: matching points with a different draw count means
+     some non-emitting code path changed. *)
+  let replayed = Rng.draw_count o.rng in
+  match r.Flightrec.draws with
+  | Some recorded when recorded <> replayed ->
+      Error
+        (Printf.sprintf
+           "sample stream matches but total RNG draws differ: recorded %d, replayed %d"
+           recorded replayed)
+  | _ -> Ok n

@@ -124,43 +124,40 @@ type outcome = {
 }
 
 val run :
-  ?track:bool ->
   ?progress:bool ->
   ?profile_mode:Scdb_profile.Profile.mode ->
   ?executor:string ->
   args ->
   (outcome, string) result
-(** Parse, build the plan-tagged observable, draw [n] points into the
-    ambient observability stores (a caller that wants a context
-    installs it, e.g. with [Obs.Ctx.run_jobs]).  With [~track:true]
-    the RNG provenance registry is reset and enabled first, so the
-    lineage tree in {!to_flightrec} is complete and its ids are
-    reproducible.  With [~progress:true] the (ambient) progress bus is
-    armed with the plan's budgets and the stderr progress ticker runs
-    for the duration.  [executor] picks what runs the plan [a.engine]
-    chose (see {!start_engine}).  [profile_mode] (compiled executors
-    only — an [Error] under ["interp"]) attaches an instruction
-    profiler and arms the progress bus ticker-free, so the outcome
-    carries both the profile and a filled {!Plan_exec.ledger}.  None
-    of these options perturb the RNG stream, so replay is unaffected.
-    Emits [sample.run] / [sample.done] info events. *)
+(** Parse, build the plan-tagged observable and draw [n] points from
+    the run's one generator, [Rng.create a.seed] (the outcome's [rng]),
+    reporting into the process's observability stores.  With
+    [~progress:true] the progress bus is armed with the plan's budgets
+    and the stderr progress ticker runs for the duration.  [executor]
+    picks what runs the plan [a.engine] chose (see {!start_engine}).
+    [profile_mode] (compiled executors only — an [Error] under
+    ["interp"]) attaches an instruction profiler and arms the progress
+    bus ticker-free, so the outcome carries both the profile and a
+    filled {!Plan_exec.ledger}.  None of these options perturb the RNG
+    stream, so replay is unaffected.  Emits [sample.run] /
+    [sample.done] info events. *)
 
 val to_flightrec : args -> outcome -> Scdb_log.Flightrec.t
 (** Snapshot a finished run as a [spatialdb-flightrec/1] record
-    (current provenance registry, telemetry dump if collection is on,
-    and the log ring tail). *)
+    (the root generator's draw count, telemetry dump if collection is
+    on, and the log ring tail). *)
 
 val args_of_flightrec : Scdb_log.Flightrec.t -> (args, string) result
 (** Recover the run arguments from a record.  Fails on records written
     by a different subcommand or with missing/malformed arguments. *)
 
 val replay : ?engine:string -> Scdb_log.Flightrec.t -> (int, string) result
-(** Re-execute a record with provenance tracking and compare the
-    replayed stream bit-for-bit against the recorded one
-    ({!Scdb_log.Flightrec.compare_samples}), then cross-check total
-    RNG draw counts against the recorded lineage.  [Ok n] returns the
-    verified stream length; any divergence reports the first differing
-    sample, coordinate and both values.  The recorded engine decides
+(** Re-execute a record and compare the replayed stream bit-for-bit
+    against the recorded one ({!Scdb_log.Flightrec.compare_samples}),
+    then cross-check the generator's draw count against the recorded
+    one (when the record has one).  [Ok n] returns the verified stream
+    length; any divergence reports the first differing sample,
+    coordinate and both values.  The recorded engine decides
     the plan (whether {!Plan_exec.optimize} runs); [engine] only picks
     the executor — replaying an interpreter-recorded flight with
     [~engine:"vm"], or a ["vm-opt"] record with [~engine:"interp"], is

@@ -1,12 +1,11 @@
 module Json = Scdb_json.Json
-module Rng = Scdb_rng.Rng
 
 type t = {
   command : string;
   args : (string * string) list;
   seed : int;
   samples : float array list;
-  lineage : Rng.Provenance.info list;
+  draws : int option;
   telemetry : Json.t option;
   log_tail : Json.t list;
 }
@@ -31,13 +30,15 @@ let float_of_hex s =
   | _ -> float_of_string_opt s
 
 let to_json t =
-  let node (n : Rng.Provenance.info) =
+  (* A run has one generator; it is written as a one-node lineage so
+     the record format stays [spatialdb-flightrec/1]. *)
+  let node draws =
     Json.Obj
       [
-        ("id", Json.Int n.id);
-        ("parent", Json.Int n.parent);
-        ("op", Json.Str n.op);
-        ("draws", Json.Int n.draws);
+        ("id", Json.Int 0);
+        ("parent", Json.Int (-1));
+        ("op", Json.Str "create");
+        ("draws", Json.Int draws);
       ]
   in
   Json.to_string
@@ -51,7 +52,7 @@ let to_json t =
            Json.Arr
              (List.map (fun p -> Json.strs (List.map hex_of_float (Array.to_list p))) t.samples)
          );
-         ("rng", Json.Arr (List.map node t.lineage));
+         ("rng", Json.Arr (Option.to_list (Option.map node t.draws)));
          ("telemetry", Json.opt Fun.id t.telemetry);
          ("log_tail", Json.Arr t.log_tail);
        ])
@@ -62,21 +63,16 @@ let decode doc =
         match float_of_hex h with Some v -> v | None -> Json.fail "malformed hex float %S" h)
     | v -> Json.num v
   in
-  let node n =
-    {
-      Rng.Provenance.id = Json.field "id" Json.int n;
-      parent = Json.field "parent" Json.int n;
-      op = Json.field "op" Json.str n;
-      draws = Json.field "draws" Json.int n;
-    }
-  in
   Json.schema schema doc;
   {
     command = Json.field "command" Json.str doc;
     args = Json.field "args" (Json.obj Json.str) doc;
     seed = Json.field "seed" Json.int doc;
     samples = Json.field "samples" (Json.list (fun r -> Array.of_list (Json.list coord r))) doc;
-    lineage = Json.field "rng" (Json.list node) doc;
+    draws =
+      (match Json.field "rng" (Json.list (Json.field "draws" Json.int)) doc with
+      | [] -> None
+      | ds -> Some (List.fold_left ( + ) 0 ds));
     telemetry = Json.field_opt "telemetry" Fun.id doc;
     log_tail = Option.value ~default:[] (Json.field_opt "log_tail" (Json.list Fun.id) doc);
   }

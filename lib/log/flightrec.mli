@@ -5,8 +5,8 @@
     stream.  A flight record ([*.flightrec.json], schema
     [spatialdb-flightrec/1]) snapshots everything needed to do that:
     the command and its arguments, the seed, the sample stream the run
-    emitted (hex floats, bit-exact), the RNG lineage tree with final
-    draw counts, a telemetry snapshot and the last-N structured log
+    emitted (hex floats, bit-exact), the generator's final draw count,
+    a telemetry snapshot and the last-N structured log
     events.
 
     This module owns the format — building, writing, parsing and the
@@ -18,7 +18,10 @@ type t = {
   args : (string * string) list;  (** stringly argument map, e.g. [("vars", "x,y")] *)
   seed : int;
   samples : float array list;  (** the emitted sample stream, in order *)
-  lineage : Scdb_rng.Rng.Provenance.info list;
+  draws : int option;
+      (** raw draws of the run's one generator ({!Scdb_rng.Rng.draw_count});
+          written as a one-node ["rng"] lineage, decoded as the sum of
+          the nodes' draws; [None] when the record has no ["rng"] node *)
   telemetry : Scdb_json.Json.t option;  (** telemetry dump, if collection was on *)
   log_tail : Scdb_json.Json.t list;  (** last-N [spatialdb-log/1] events *)
 }

@@ -11,26 +11,12 @@ type state = {
   mutable stack : int list;
 }
 
-(* A bus: one run's accrual state.  Contexts own one each; the
-   pre-context global bus survives as the default every domain starts
-   with.  A bus is single-writer (the domain that armed it); the
-   global [active_count] is the one-load guard the kernels check, so a
-   process with no armed bus anywhere pays exactly the old disabled
-   cost. *)
-type bus = { mutable b_state : state option; mutable b_armed : bool }
-
-let make_bus () = { b_state = None; b_armed = false }
-let default_bus = make_bus ()
-let dls_bus : bus Domain.DLS.key = Domain.DLS.new_key (fun () -> default_bus)
-let cur () = Domain.DLS.get dls_bus
-
-let with_bus b f =
-  let prev = Domain.DLS.get dls_bus in
-  Domain.DLS.set dls_bus b;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set dls_bus prev) f
-
-let active_count = Atomic.make 0
-let[@inline] active () = Atomic.get active_count > 0
+(* The bus: the last run's accrual state, readable after [stop] until
+   the next [start].  [armed] is the one-load guard the kernels check.
+   The bus has one writer, the domain that armed it. *)
+let bus : state option ref = ref None
+let armed = Atomic.make false
+let[@inline] active () = Atomic.get armed
 let overruns_c = Tel.Counter.make "progress.overruns"
 
 (* The watchdog flags a node whose accrued work passes this multiple
@@ -58,17 +44,13 @@ let start ~rows () =
       st.labels.(id) <- label;
       st.budgets.(id) <- budget)
     rows;
-  let b = cur () in
-  b.b_state <- Some st;
-  if not b.b_armed then begin
-    b.b_armed <- true;
-    Atomic.incr active_count
-  end
+  bus := Some st;
+  Atomic.set armed true
 
-let armed_state b = if b.b_armed then b.b_state else None
+let armed_state () = if active () then !bus else None
 
 let with_node id f =
-  match armed_state (cur ()) with
+  match armed_state () with
   | Some st ->
       st.stack <- id :: st.stack;
       Fun.protect ~finally:(fun () ->
@@ -77,7 +59,7 @@ let with_node id f =
   | None -> f ()
 
 let enter_path ids =
-  match armed_state (cur ()) with
+  match armed_state () with
   | Some st ->
       for i = 0 to Array.length ids - 1 do
         st.stack <- Array.unsafe_get ids i :: st.stack
@@ -85,7 +67,7 @@ let enter_path ids =
   | None -> ()
 
 let exit_path ids =
-  match armed_state (cur ()) with
+  match armed_state () with
   | Some st ->
       for _ = 1 to Array.length ids do
         match st.stack with _ :: rest -> st.stack <- rest | [] -> ()
@@ -111,8 +93,8 @@ let check_overrun st id =
   end
 
 let accrue cell n =
-  if active () && n <> 0 then
-    match armed_state (cur ()) with
+  if n <> 0 then
+    match armed_state () with
     | None -> ()
     | Some st ->
         let v = float_of_int n in
@@ -162,30 +144,25 @@ let rows_of_state st =
         overrun = st.warned.(id);
       })
 
-let rows () = match (cur ()).b_state with None -> [||] | Some st -> rows_of_state st
+let rows () = match !bus with None -> [||] | Some st -> rows_of_state st
 
 let actual_work id =
-  match (cur ()).b_state with
+  match !bus with
   | Some st when id >= 0 && id < Array.length st.steps -> st.steps.(id) +. st.trials.(id)
   | _ -> 0.0
 
 let total_work () = actual_work 0
 
-(* A root-node column, [0.] when never started. *)
-let root column b =
-  match b.b_state with
-  | Some st when Array.length (column st) > 0 -> (column st).(0)
-  | _ -> 0.0
-
-let total_budget () = root (fun st -> st.budgets) (cur ())
+let total_budget () =
+  match !bus with Some st when Array.length st.budgets > 0 -> st.budgets.(0) | _ -> 0.0
 
 let overrun_count () =
-  match (cur ()).b_state with
+  match !bus with
   | None -> 0
   | Some st -> Array.fold_left (fun acc w -> if w then acc + 1 else acc) 0 st.warned
 
 let elapsed () =
-  match (cur ()).b_state with None -> 0.0 | Some st -> Tel.Clock.now () -. st.started_at
+  match !bus with None -> 0.0 | Some st -> Tel.Clock.now () -. st.started_at
 
 let eta () =
   let w = total_work () and b = total_budget () in
@@ -198,7 +175,7 @@ let eta () =
 let pct w b = if b <= 0.0 then 0.0 else Float.min 999.0 (100.0 *. w /. b)
 
 let render_line () =
-  match (cur ()).b_state with
+  match !bus with
   | None -> "[progress] inactive"
   | Some st ->
       let buf = Buffer.create 160 in
@@ -219,66 +196,6 @@ let render_line () =
       done;
       if n > shown then Buffer.add_string buf (Printf.sprintf " | +%d more" (n - shown));
       Buffer.contents buf
-
-(* -------------------------------------------------------------- *)
-(* Buses as values (observability contexts)                        *)
-(* -------------------------------------------------------------- *)
-
-module Bus = struct
-  type t = bus
-
-  let create () = make_bus ()
-  let rows b = match b.b_state with None -> [||] | Some st -> rows_of_state st
-  let trials = root (fun st -> st.trials)
-  let steps = root (fun st -> st.steps)
-
-  (* Merge: elementwise add of every accrual column *and* the budgets
-     (two runs over the same plan predict twice the work), [warned]
-     or-ed, earliest start kept.  If [dst] never armed a run it adopts
-     a copy of [src]'s state.  [src] is unchanged. *)
-  let merge_into ~dst src =
-    if dst != src then
-      match (src.b_state, dst.b_state) with
-      | None, _ -> ()
-      | Some s, None ->
-          dst.b_state <-
-            Some
-              {
-                labels = Array.copy s.labels;
-                budgets = Array.copy s.budgets;
-                steps = Array.copy s.steps;
-                trials = Array.copy s.trials;
-                warned = Array.copy s.warned;
-                started_at = s.started_at;
-                stack = [];
-              }
-      | Some s, Some d ->
-          let n = Stdlib.max (Array.length s.budgets) (Array.length d.budgets) in
-          let ext a b op zero =
-            Array.init n (fun i ->
-                let x = if i < Array.length a then a.(i) else zero in
-                let y = if i < Array.length b then b.(i) else zero in
-                op x y)
-          in
-          let merged =
-            {
-              labels =
-                Array.init n (fun i ->
-                    if i < Array.length d.labels && d.labels.(i) <> "?" then d.labels.(i)
-                    else if i < Array.length s.labels then s.labels.(i)
-                    else "?");
-              budgets = ext d.budgets s.budgets ( +. ) 0.0;
-              steps = ext d.steps s.steps ( +. ) 0.0;
-              trials = ext d.trials s.trials ( +. ) 0.0;
-              warned = ext d.warned s.warned ( || ) false;
-              started_at = Float.min d.started_at s.started_at;
-              stack = d.stack;
-            }
-          in
-          dst.b_state <- Some merged
-end
-
-let current_bus () = cur ()
 
 (* -------------------------------------------------------------- *)
 (* Ticker                                                          *)
@@ -311,8 +228,4 @@ let stop_ticker () =
 
 let stop () =
   stop_ticker ();
-  let b = cur () in
-  if b.b_armed then begin
-    b.b_armed <- false;
-    Atomic.decr active_count
-  end
+  Atomic.set armed false

@@ -20,16 +20,13 @@
       per-node ledger ([Plan_exec.ledger]).
 
     Disabled by default; every accrual on the disabled path is one load
-    and a branch.  Accrual state lives in a {e bus}; each observability
-    context owns one, the pre-context global bus survives as the
-    default every domain starts with, and a bus is single-writer (the
-    domain that armed it).  The ticker reads concurrently without
-    locks, which is benign for monotone float cells. *)
+    and a branch.  The bus has one writer, the domain that armed it;
+    the ticker reads concurrently without locks, which is benign for
+    monotone float cells. *)
 
 val active : unit -> bool
-(** One atomic load ([true] iff {e some} bus in the process is armed)
-    — the guard for hot call sites; accruals re-check that the calling
-    domain's own bus is armed. *)
+(** One atomic load ([true] iff the bus is armed) — the guard for hot
+    call sites. *)
 
 val start : rows:(int * string * float) array -> unit -> unit
 (** Arm the bus for a run: [rows] is [(id, label, predicted_work)] per
@@ -107,28 +104,3 @@ val start_ticker : ?interval:float -> unit -> unit
 
 val stop_ticker : unit -> unit
 (** Stop it and terminate the status line with a newline. *)
-
-(** {1 Buses as values (observability contexts)} *)
-
-module Bus : sig
-  type t
-
-  val create : unit -> t
-
-  val rows : t -> row array
-  val trials : t -> float
-  val steps : t -> float
-
-  val merge_into : dst:t -> t -> unit
-  (** Elementwise add of every accrual column {e and} the budgets (two
-      runs over the same plan predict twice the work); [warned] or-ed,
-      earliest start kept.  If [dst] never armed a run it adopts a copy
-      of [src]'s state.  [src] is unchanged. *)
-end
-
-val with_bus : Bus.t -> (unit -> 'a) -> 'a
-(** Install a bus as the calling domain's ambient accrual target for
-    the duration of the thunk (exception-safe; nests).  Same
-    domain/thread caveats as [Telemetry.with_registry]. *)
-
-val current_bus : unit -> Bus.t

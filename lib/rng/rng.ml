@@ -7,12 +7,10 @@
    so the generator core allocates only its boxed return.  The output
    stream is bit-identical to the record-based representation.
 
-   Stream provenance for the flight recorder rides alongside the state:
-   every generator carries a stable lineage id (assigned at
-   [create]/[split]/[copy]) and a per-handle draw counter bumped once
-   per raw [bits64] output.  The counter is a plain mutable [int]
-   field — one unboxed store per draw, no allocation — so the stream
-   position of any generator can be captured and compared during
+   Each generator carries a draw counter bumped once per raw [bits64]
+   output, for the flight recorder.  The counter is a plain mutable
+   [int] field — one unboxed store per draw, no allocation — so the
+   stream position of a generator can be captured and compared during
    replay.
 
    Every walk draws its directions from one source, the ziggurat fills
@@ -22,7 +20,7 @@
    allocating [unit_vector]/[in_ball], which build seeded geometry
    whose coordinates are pinned. *)
 
-type t = { state : Bytes.t; id : int; mutable draws : int }
+type t = { state : Bytes.t; mutable draws : int }
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -43,56 +41,7 @@ let of_splitmix state =
   set64 t 24 (splitmix64 state);
   t
 
-(* Lineage registry.  Ids are always assigned (one atomic fetch-add
-   per generator creation — atomic so ids stay globally unique when
-   concurrent domains create generators into their own contexts, which
-   makes provenance-table merges collision-free); the tree itself —
-   parent links plus the handle, so final draw counts can be read at
-   snapshot time — is only retained while tracking is on, keeping
-   long-running untracked workloads free of the strong references.
-
-   Retained nodes live in a per-context *table*: a Hashtbl keyed by id
-   (O(1) insert/lookup, replacing the old unbounded O(n) assoc list)
-   plus the creation-order id list snapshots iterate, capped at
-   [p_cap] retained nodes — registrations past the cap are counted in
-   [p_dropped] instead of retained, so a run that splits millions of
-   generators stays bounded.  Each domain resolves its ambient table
-   through domain-local state; the pre-context global registry
-   survives as the default table. *)
-let prov_next = Atomic.make 0
-
-type prov_node = { n_parent : int; n_op : string; n_gen : t }
-
-type prov_table = {
-  p_tbl : (int, prov_node) Hashtbl.t;
-  mutable p_ids : int list; (* retained ids, newest first *)
-  mutable p_cap : int;
-  mutable p_dropped : int;
-  mutable p_tracking : bool;
-}
-
-let default_prov_cap = 65_536
-
-let make_prov_table ?(cap = default_prov_cap) () =
-  { p_tbl = Hashtbl.create 64; p_ids = []; p_cap = Stdlib.max 0 cap; p_dropped = 0; p_tracking = false }
-
-let default_prov = make_prov_table ()
-let dls_prov : prov_table Domain.DLS.key = Domain.DLS.new_key (fun () -> default_prov)
-
-let register ~parent ~op state =
-  let id = Atomic.fetch_and_add prov_next 1 in
-  let g = { state; id; draws = 0 } in
-  let p = Domain.DLS.get dls_prov in
-  if p.p_tracking then begin
-    if Hashtbl.length p.p_tbl >= p.p_cap then p.p_dropped <- p.p_dropped + 1
-    else begin
-      Hashtbl.replace p.p_tbl id { n_parent = parent; n_op = op; n_gen = g };
-      p.p_ids <- id :: p.p_ids
-    end
-  end;
-  g
-
-let create seed = register ~parent:(-1) ~op:"create" (of_splitmix (ref (Int64.of_int seed)))
+let create seed = { state = of_splitmix (ref (Int64.of_int seed)); draws = 0 }
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -120,79 +69,9 @@ let[@inline always] bits64 t =
 
 let split t =
   (* Derive a child state by hashing fresh output through splitmix64. *)
-  register ~parent:t.id ~op:"split" (of_splitmix (ref (bits64 t)))
+  { state = of_splitmix (ref (bits64 t)); draws = 0 }
 
-let copy t = register ~parent:t.id ~op:"copy" (Bytes.copy t.state)
-let lineage t = t.id
 let draw_count t = t.draws
-
-module Provenance = struct
-  type info = { id : int; parent : int; op : string; draws : int }
-
-  let cur () = Domain.DLS.get dls_prov
-  let set_tracking b = (cur ()).p_tracking <- b
-
-  let clear_table p =
-    Hashtbl.reset p.p_tbl;
-    p.p_ids <- [];
-    p.p_dropped <- 0
-
-  let clear () = clear_table (cur ())
-
-  let reset () =
-    Atomic.set prov_next 0;
-    clear ()
-
-  let dropped () = (cur ()).p_dropped
-
-  let snapshot_table p =
-    List.rev_map
-      (fun id ->
-        let n = Hashtbl.find p.p_tbl id in
-        { id; parent = n.n_parent; op = n.n_op; draws = n.n_gen.draws })
-      p.p_ids
-
-  let snapshot () = snapshot_table (cur ())
-
-  module Table = struct
-    type t = prov_table
-
-    let create ?cap () = make_prov_table ?cap ()
-    let size p = Hashtbl.length p.p_tbl
-    let dropped p = p.p_dropped
-
-    (* Merge: append [src]'s retained nodes (creation order) into
-       [dst], bounded by [dst]'s cap.  Ids are globally unique (the
-       atomic id source), so no collisions; nodes whose parent is in
-       neither table after the merge are re-rooted to -1 so the merged
-       lineage is still a forest. *)
-    let merge_into ~dst src =
-      if dst != src then begin
-        let present id = Hashtbl.mem dst.p_tbl id || Hashtbl.mem src.p_tbl id in
-        List.iter
-          (fun id ->
-            let n = Hashtbl.find src.p_tbl id in
-            if Hashtbl.length dst.p_tbl >= dst.p_cap then dst.p_dropped <- dst.p_dropped + 1
-            else begin
-              let n =
-                if n.n_parent >= 0 && not (present n.n_parent) then { n with n_parent = -1 }
-                else n
-              in
-              Hashtbl.replace dst.p_tbl id n;
-              dst.p_ids <- id :: dst.p_ids
-            end)
-          (List.rev src.p_ids);
-        dst.p_dropped <- dst.p_dropped + src.p_dropped
-      end
-  end
-
-  let with_table (p : Table.t) f =
-    let prev = Domain.DLS.get dls_prov in
-    Domain.DLS.set dls_prov p;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set dls_prov prev) f
-
-  let current_table () = cur ()
-end
 
 let[@inline always] float t =
   (* Top 53 bits scaled to [0,1). *)

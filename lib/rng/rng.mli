@@ -13,92 +13,9 @@ val split : t -> t
 (** Child generator whose stream is independent of the parent's
     subsequent outputs. *)
 
-val copy : t -> t
-
-(** {1 Stream provenance}
-
-    Every generator carries a stable lineage id (assigned at
-    {!create}/{!split}/{!copy} from a process-global counter) and a
-    draw counter bumped once per raw 64-bit output.  Together they give
-    the flight recorder a cheap, replayable description of which
-    streams a run consumed and how far each was advanced. *)
-
-val lineage : t -> int
-(** Lineage id of this generator (unique within the process since the
-    last {!Provenance.reset}). *)
-
 val draw_count : t -> int
-(** Raw 64-bit draws made through this handle since its creation
-    (copies start at 0). *)
-
-module Provenance : sig
-  type info = { id : int; parent : int; op : string; draws : int }
-  (** One lineage-tree node: [parent] is [-1] for roots, [op] is
-      ["create"], ["split"] or ["copy"], [draws] the handle's current
-      draw count. *)
-
-  val set_tracking : bool -> unit
-  (** Enable retention of the lineage tree in the calling domain's
-      ambient table (off by default: tracking holds a reference to
-      every registered generator, which a long-running untracked
-      workload should not pay).  Retention is bounded: past the
-      table's cap (default 65536 nodes) registrations are counted in
-      {!dropped} instead of retained. *)
-
-  val reset : unit -> unit
-  (** Drop the ambient table's recorded tree and restart lineage ids
-      at 0, so a replay reproduces the original ids.  (The id source
-      is process-global and atomic; resetting it mid-run with other
-      domains creating generators would hand out duplicate ids, so
-      replays are single-context by construction.) *)
-
-  val clear : unit -> unit
-  (** Drop the ambient table's retained nodes and dropped count
-      without touching the id source. *)
-
-  val dropped : unit -> int
-  (** Registrations not retained because the ambient table was at
-      cap. *)
-
-  val snapshot : unit -> info list
-  (** All generators registered in the ambient table since the last
-      {!reset}/{!clear} while tracking was on, in creation order (ids
-      ascending). *)
-
-  (** {2 Tables (observability contexts)}
-
-      Retained lineage lives in a {e table}; contexts own one each and
-      the pre-context global registry survives as the default table
-      every domain starts with.  Ids come from one process-global
-      atomic source, so tables merge without collisions. *)
-
-  module Table : sig
-    type t
-
-    val create : ?cap:int -> unit -> t
-    (** Fresh table (tracking off) retaining at most [cap] nodes
-        (default 65536). *)
-
-    val size : t -> int
-    (** Retained nodes — bounded by the cap whatever the workload. *)
-
-    val dropped : t -> int
-
-    val merge_into : dst:t -> t -> unit
-    (** Append [src]'s retained nodes in creation order into [dst],
-        bounded by [dst]'s cap ([dst.dropped] also absorbs [src]'s
-        dropped count).  Nodes whose parent is in neither table are
-        re-rooted to [-1], so the merged lineage is still a forest.
-        [src] is unchanged. *)
-  end
-
-  val with_table : Table.t -> (unit -> 'a) -> 'a
-  (** Install a table as the calling domain's ambient lineage store
-      for the duration of the thunk (exception-safe; nests).  Same
-      domain/thread caveats as [Telemetry.with_registry]. *)
-
-  val current_table : unit -> Table.t
-end
+(** Raw 64-bit draws made through this handle since its creation — the
+    flight recorder's stream position. *)
 
 (** {1 Scalar draws} *)
 

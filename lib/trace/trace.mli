@@ -9,7 +9,10 @@
 
     Discipline matches [Telemetry]: disabled by default, and the
     disabled path of {!span}/{!start} is one mutable load and a branch
-    with no allocation, no clock read.  Timestamps come from the
+    with no allocation, no clock read.  There is one span store per
+    process, and spans record only on the main domain: on any other
+    domain {!span} runs its body unrecorded and {!current_id} is
+    [-1].  Timestamps come from the
     monotonic clock ({!Scdb_telemetry.Telemetry.Clock}).
 
     Export targets: Chrome trace-event JSON ({!to_chrome_json}, loads
@@ -23,16 +26,12 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val reset : unit -> unit
-(** Drop the ambient forest's recorded spans and restart its clock
-    origin. *)
+(** Drop the recorded spans and restart the clock origin. *)
 
 val set_span_limit : int -> unit
-(** Soft cap on the ambient forest's recorded spans (default 200000):
-    once reached, new spans run their body unrecorded, so tight
-    sampling loops cannot make the trace unbounded.  [reset] does not
-    change the limit. *)
-
-
+(** Soft cap on recorded spans (default 200000): once reached, new
+    spans run their body unrecorded, so tight sampling loops cannot
+    make the trace unbounded.  [reset] does not change the limit. *)
 
 val span : ?attrs:(string * string) list -> ?counters:string list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] inside a span.  The span is closed even when
@@ -51,7 +50,7 @@ val finish : ?attrs:(string * string) list -> int -> unit
 
 val current_id : unit -> int
 (** Id of the innermost open span, or [-1] when none is open (or
-    tracing is disabled).  One load and a match, no allocation — the
+    tracing is disabled, or the caller is not the main domain).  One load and a match, no allocation — the
     structured logger stamps every event with it. *)
 
 val add_attr : string -> string -> unit
@@ -72,45 +71,6 @@ type view = {
   v_dur_us : float;  (** ≥ 0; still-open spans report elapsed-so-far *)
   v_attrs : (string * string) list;
 }
-
-(** {1 Forests (observability contexts)}
-
-    Spans land in a {e forest} — the span store plus the open-span
-    stack, the per-forest monotonic epoch (stamped at creation and by
-    {!reset}, so a context born late in a long-lived process exports
-    timestamps relative to its own birth) and the span cap.  The
-    pre-context global store survives as the default forest every
-    domain starts with.  Forests are single-writer: the one domain
-    that currently has the forest installed. *)
-
-module Forest : sig
-  type t
-
-  val create : unit -> t
-  (** Fresh empty forest; its epoch is stamped now. *)
-
-  val epoch : t -> float
-
-  val merge_into : ?name:string -> dst:t -> t -> unit
-  (** Splice [src]'s spans into [dst] under a fresh synthetic root
-      span (named [name], default ["merged"], carrying a ["spans"]
-      attribute): ids shift past [dst]'s id space, [src]'s roots
-      re-parent onto the synthetic root, depths grow by one.  Span
-      timestamps are absolute monotonic seconds, so they re-base onto
-      [dst]'s epoch exactly.  [src] is unchanged; merging a forest
-      into itself is a no-op. *)
-
-  val spans : t -> view list
-  (** Like {!val:spans} but for an explicit forest (timestamps relative
-      to {e its} epoch). *)
-end
-
-val with_forest : Forest.t -> (unit -> 'a) -> 'a
-(** Install a forest as the calling domain's ambient span store for the
-    duration of the thunk (exception-safe; nests).  Same domain/thread
-    caveats as [Telemetry.with_registry]. *)
-
-val current_forest : unit -> Forest.t
 
 val spans : unit -> view list
 (** All recorded spans in creation order (so [v_ts_us] is

@@ -1,7 +1,7 @@
 (* The instrumentation golden document: fixed-seed runs of every
-   instrumented sampler, each in its own observability context with
-   telemetry, tracing, debug-level logging and a progress bus on, reduced
-   to what the samplers report.  Per workload it keeps
+   instrumented sampler, each on freshly reset stores with telemetry,
+   tracing, debug-level logging and the progress bus on, reduced to what
+   the samplers report.  Per workload it keeps
 
    - the nonzero counters and the histogram observation counts,
    - every log event with its level, span id and fields,
@@ -12,7 +12,6 @@
    byte-stable across runs and machines; [test_obs.ml] compares it with
    [fixtures/instrumentation.golden.json]. *)
 
-module Obs = Scdb_obs.Obs
 module Tel = Scdb_telemetry.Telemetry
 module Trace = Scdb_trace.Trace
 module Log = Scdb_log.Log
@@ -39,17 +38,17 @@ let params = Params.make ~gamma ~eps ~delta ()
 (* Capture                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let counters reg =
-  match J.field "counters" Fun.id (Tel.dump ~only_nonzero:true ~reg ()) with
+let counters () =
+  match J.field "counters" Fun.id (Tel.dump ~only_nonzero:true ()) with
   | J.Obj kvs -> J.Obj kvs
   | _ -> J.Obj []
 
-let histogram_counts reg =
-  match J.field "histograms" Fun.id (Tel.dump ~only_nonzero:true ~reg ()) with
+let histogram_counts () =
+  match J.field "histograms" Fun.id (Tel.dump ~only_nonzero:true ()) with
   | J.Obj kvs -> J.Obj (List.map (fun (k, h) -> (k, J.Int (J.field "count" J.int h))) kvs)
   | _ -> J.Obj []
 
-let events sink =
+let events () =
   J.Arr
     (List.map
        (fun line ->
@@ -61,12 +60,12 @@ let events sink =
              ("span", J.field "span" Fun.id e);
              ("fields", J.field "fields" Fun.id e);
            ])
-       (Log.Sink.tail sink))
+       (Log.tail ()))
 
 (* One line per span, "depth:name k=v …"; a run of identical lines
    (a kernel span per trial) collapses to one line with an " xN"
    suffix. *)
-let spans forest =
+let spans () =
   let line (v : Trace.view) =
     String.concat " "
       (Printf.sprintf "%d:%s" v.Trace.v_depth v.Trace.v_name
@@ -84,11 +83,11 @@ let spans forest =
         match run with
         | Some (l', n) when l' = l -> (acc, Some (l, n + 1))
         | _ -> (flush acc run, Some (l, 1)))
-      ([], None) (Trace.Forest.spans forest)
+      ([], None) (Trace.spans ())
   in
   J.Arr (List.rev (flush acc run))
 
-let progress bus =
+let progress () =
   J.Arr
     (Array.to_list
        (Array.map
@@ -96,23 +95,26 @@ let progress bus =
             J.Str
               (Printf.sprintf "#%d %s steps=%.0f trials=%.0f" r.Progress.id r.Progress.label
                  r.Progress.steps r.Progress.trials))
-          (Progress.Bus.rows bus)))
+          (Progress.rows ())))
 
-(* Run [f] in a fresh context with every store on.  [rows] arms the
-   context's progress bus (a plan's budget rows, or one root row). *)
+(* Run [f] on freshly reset stores, every one on.  [rows] arms the
+   progress bus (a plan's budget rows, or one root row); the log ring
+   is sized to keep every event. *)
 let capture name ?(rows = [| (0, "root", 0.0) |]) f =
-  let ctx = Obs.Ctx.create ~name ~ring_capacity:100_000 () in
-  Obs.Ctx.run ctx (fun () ->
-      Progress.start ~rows ();
-      Fun.protect ~finally:Progress.stop f);
+  Tel.reset ();
+  Trace.reset ();
+  Log.set_ring_capacity 100_000;
+  Log.reset ();
+  Progress.start ~rows ();
+  Fun.protect ~finally:Progress.stop f;
   ( name,
     J.Obj
       [
-        ("counters", counters (Obs.Ctx.registry ctx));
-        ("histograms", histogram_counts (Obs.Ctx.registry ctx));
-        ("events", events (Obs.Ctx.sink ctx));
-        ("spans", spans (Obs.Ctx.forest ctx));
-        ("progress", progress (Obs.Ctx.bus ctx));
+        ("counters", counters ());
+        ("histograms", histogram_counts ());
+        ("events", events ());
+        ("spans", spans ());
+        ("progress", progress ());
       ] )
 
 let with_stores_on f =
@@ -127,7 +129,8 @@ let with_stores_on f =
       Tel.set_enabled tel;
       Trace.set_enabled tr;
       Log.set_enabled lg;
-      Log.set_level lvl)
+      Log.set_level lvl;
+      Log.set_ring_capacity 256)
     f
 
 (* ------------------------------------------------------------------ *)

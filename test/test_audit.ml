@@ -209,23 +209,30 @@ let verify_tests =
           true
           (funded.A.verdict <> A.Fail));
     t "domains and seq replicates agree bit for bit" (fun () ->
-        let run mode = A.verify ~jobs:3 ~mode ~eps:0.1 ~delta:0.1 ~runs:10 ~seed:11 ~truth:1.0 toy_estimate in
-        let d = run A.Domains and s = run A.Seq in
+        (* --jobs 3 deals the replicates to three domains, --jobs 1
+           runs them in order on the calling one. *)
+        let run jobs = A.verify ~jobs ~eps:0.1 ~delta:0.1 ~runs:10 ~seed:11 ~truth:1.0 toy_estimate in
+        let d = run 3 and s = run 1 in
         Alcotest.(check (array (float 0.0))) "estimates" s.A.estimates d.A.estimates;
         Alcotest.(check int) "hits" s.A.hits d.A.hits;
         Alcotest.(check bool) "verdict" true (s.A.verdict = d.A.verdict));
-    t "jobs fan-out merges telemetry into the default context" (fun () ->
+    t "jobs fan-out merges telemetry into the shared counters" (fun () ->
+        (* Two domains bump the process-wide counters at once; more
+           jobs than replicates start only as many domains as there
+           are replicates. *)
         let was = Tel.enabled () in
         Tel.set_enabled true;
-        Tel.reset ();
         Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
-        ignore
-          (A.verify ~jobs:2 ~mode:A.Seq ~eps:0.1 ~delta:0.1 ~runs:6 ~seed:3 ~truth:1.0
-             toy_estimate);
-        Alcotest.(check (option int)) "replicates" (Some 6)
-          (Tel.counter_value "audit.replicates");
-        let v name = Option.value ~default:0 (Tel.counter_value name) in
-        Alcotest.(check int) "hits+misses" 6 (v "audit.hits" + v "audit.misses"));
+        List.iter
+          (fun jobs ->
+            Tel.reset ();
+            ignore (A.verify ~jobs ~eps:0.1 ~delta:0.1 ~runs:6 ~seed:3 ~truth:1.0 toy_estimate);
+            let v name = Option.value ~default:0 (Tel.counter_value name) in
+            Alcotest.(check int) (Printf.sprintf "replicates, jobs %d" jobs) 6
+              (v "audit.replicates");
+            Alcotest.(check int) (Printf.sprintf "hits+misses, jobs %d" jobs) 6
+              (v "audit.hits" + v "audit.misses"))
+          [ 2; 100 ]);
     t "rejects invalid arguments" (fun () ->
         List.iter
           (fun f ->
@@ -237,6 +244,9 @@ let verify_tests =
             (fun () -> A.verify ~eps:0.1 ~delta:0.1 ~runs:0 ~seed:1 ~truth:1.0 toy_estimate);
             (fun () ->
               A.verify ~jobs:0 ~eps:0.1 ~delta:0.1 ~runs:4 ~seed:1 ~truth:1.0 toy_estimate);
+            (fun () ->
+              A.verify ~jobs:(A.max_jobs + 1) ~eps:0.1 ~delta:0.1 ~runs:4 ~seed:1 ~truth:1.0
+                toy_estimate);
             (fun () -> A.verify ~eps:1.5 ~delta:0.1 ~runs:4 ~seed:1 ~truth:1.0 toy_estimate);
             (fun () -> A.verify ~eps:0.1 ~delta:0.1 ~runs:4 ~seed:1 ~truth:0.0 toy_estimate);
           ]);
@@ -267,7 +277,7 @@ let run_tests =
               a.A.ledger);
     ts "audit documents are deterministic" (fun () ->
         let doc () =
-          match A.run ~jobs:2 ~mode:A.Seq ~eps:0.2 ~delta:0.1 ~runs:2 ~seed:9 triangle with
+          match A.run ~jobs:2 ~eps:0.2 ~delta:0.1 ~runs:2 ~seed:9 triangle with
           | Error e -> Alcotest.failf "audit failed: %s" e
           | Ok a ->
               A.to_json ~vars:[ "x"; "y" ] ~formula:"triangle" ~seed:9 ~jobs:2

@@ -118,8 +118,13 @@ let usage_tests =
         check "report --chains 0" 2 ("report " ^ fig1 ^ " -n 1 --chains 0");
         check "audit --runs 0" 2 ("audit " ^ fig1 ^ " --oracle exact --runs 0");
         check "reconstruct -n 0" 2 ("reconstruct " ^ fig1 ^ " -n 0");
-        check "sample --jobs 0" 2 ("sample " ^ fig1 ^ " -n 1 --jobs 0");
         check "audit --jobs 0" 2 ("audit " ^ fig1 ^ " --oracle exact --runs 2 --jobs 0"));
+    t "audit --jobs above the runtime's domain cap exits 2" (fun () ->
+        (* Refused while parsing the flags, before any domain starts. *)
+        Alcotest.(check (pair int string))
+          "exit and message"
+          (2, "spatialdb: --jobs must be in [1, 127] (got 1000)\n")
+          (run_stderr ("audit " ^ fig1 ^ " --oracle exact --runs 2 --jobs 1000")));
     t "audit confidence and gamma outside (0,1) exit 2" (fun () ->
         let audit = "audit " ^ fig1_union ^ " --oracle exact --runs 2 " in
         check "confidence 1.5" 2 (audit ^ "--confidence 1.5");
@@ -140,6 +145,16 @@ let cmdline_tests =
         List.iter
           (fun flag -> check flag 124 ("sample " ^ fig1 ^ " -n 1 " ^ flag))
           [ "--live"; "--status-out F"; "--metrics-out F"; "--metrics-interval 1" ];
+        (* Whole-query repetitions and job modes are gone; only audit
+           deals replicates to domains. *)
+        List.iter
+          (fun args -> check args 124 args)
+          [
+            "sample " ^ fig1 ^ " -n 1 --jobs 2";
+            "sample " ^ fig1 ^ " -n 5 --jobs 2 --progress";
+            "sample " ^ fig1 ^ " -n 1 --jobs-mode seq";
+            "audit " ^ fig1 ^ " --oracle exact --runs 2 --jobs 2 --jobs-mode seq";
+          ];
         (* The watchdog factor is fixed at 4 on every command. *)
         List.iter
           (fun cmd ->
@@ -209,42 +224,40 @@ let runtime_tests =
             Alcotest.(check int) ("points on " ^ tail) 3
               (List.length (List.filter (( <> ) "") (String.split_on_char '\n' out))))
           [ "(0 <= x and x <= 1 and y = 0)"; "(y = 0 and x >= 5)" ]);
-    t "contexted runs write their log events to the parent's outputs" (fun () ->
-        let lines extra =
-          let log = Filename.temp_file "spatialdb_log" ".jsonl" in
+    t "audit on two domains equals audit on one" (fun () ->
+        (* The replicates of two domains and of one write the same
+           estimates, verdict, counters and histogram counts. *)
+        let audit jobs =
+          let out = Filename.temp_file "spatialdb_audit" ".json" in
+          let stats = Filename.temp_file "spatialdb_stats" ".json" in
           let code =
             run
-              (Printf.sprintf "sample %s -n 3 --log-level info --log-out %s %s" fig1_union
-                 (Filename.quote log) extra)
+              (Printf.sprintf "audit %s --seed 42 --runs 6 --jobs %d --oracle exact --out %s \
+                               --stats-out %s"
+                 fig1_union jobs (Filename.quote out) (Filename.quote stats))
           in
-          let events =
-            In_channel.with_open_text log In_channel.input_all
-            |> String.split_on_char '\n'
-            |> List.filter (( <> ) "")
-            |> List.map (fun l ->
-                   let doc = J.parse l in
-                   (J.field "seq" J.int doc, J.field "event" J.str doc))
-          in
-          Sys.remove log;
-          Alcotest.(check int) (extra ^ " exits 0") 0 code;
-          events
+          Alcotest.(check int) (Printf.sprintf "--jobs %d exits 0" jobs) 0 code;
+          let doc = J.of_file out Fun.id and dump = J.of_file stats Fun.id in
+          Sys.remove out;
+          Sys.remove stats;
+          match (doc, dump) with
+          | Ok doc, Ok dump ->
+              let histogram_counts =
+                J.field "histograms" (J.obj (J.field "count" J.int)) dump
+              in
+              ( J.field "estimates" (J.list J.num) doc,
+                J.field "verdict" J.str doc,
+                J.field "counters" (J.obj J.int) dump,
+                histogram_counts )
+          | Error m, _ | _, Error m -> Alcotest.failf "unreadable output: %s" m
         in
-        let plain = [ (0, "sample.run"); (1, "sample.done") ] in
-        Alcotest.(check (list (pair int string))) "plain run" plain (lines "");
-        Alcotest.(check (list (pair int string)))
-          "two sequential jobs, one sequence"
-          [ (0, "sample.run"); (1, "sample.done"); (2, "sample.run"); (3, "sample.done") ]
-          (lines "--jobs 2 --jobs-mode seq");
-        let par = lines "--jobs 2 --jobs-mode domains" in
-        Alcotest.(check (list int)) "two domains, whole lines in seq order" [ 0; 1; 2; 3 ]
-          (List.map fst par));
-    t "sample --progress requires --jobs 1" (fun () ->
-        (* Concurrent jobs would each need their own ticker and table;
-           refused like --profile, --diag and --record. *)
-        Alcotest.(check (pair int string))
-          "exit and message"
-          (1, "spatialdb: --progress requires --jobs 1\n")
-          (run_stderr ("sample " ^ fig1_union ^ " -n 5 --jobs 2 --progress")));
+        let e1, v1, c1, h1 = audit 1 and e2, v2, c2, h2 = audit 2 in
+        Alcotest.(check (list (float 0.0))) "estimates" e1 e2;
+        Alcotest.(check string) "verdict" v1 v2;
+        Alcotest.(check (list (pair string int))) "counters" c1 c2;
+        Alcotest.(check (list (pair string int))) "histogram counts" h1 h2;
+        Alcotest.(check (option int)) "replicates counted" (Some 6)
+          (List.assoc_opt "audit.replicates" c2));
   ]
 
 let profile_tests =

@@ -1,6 +1,6 @@
 (* Tests for the flight recorder: bit-exact record/replay on the
    Figure 1 triangle, hex-float round-tripping, divergence reporting on
-   corrupted records, and RNG provenance capture. *)
+   corrupted records, and the generator's draw count. *)
 
 module Flight = Scdb_gis.Flight
 module Flightrec = Scdb_log.Flightrec
@@ -23,16 +23,12 @@ let args =
     engine = "interp";
   }
 
-let run_ok ?track a =
-  match Flight.run ?track a with
+let run_ok a =
+  match Flight.run a with
   | Ok o -> o
   | Error m -> Alcotest.failf "Flight.run failed: %s" m
 
-let record () =
-  let o = run_ok ~track:true args in
-  let r = Flight.to_flightrec args o in
-  Rng.Provenance.set_tracking false;
-  r
+let record () = Flight.to_flightrec args (run_ok args)
 
 let contains s sub =
   let n = String.length s and k = String.length sub in
@@ -57,8 +53,7 @@ let tests =
             Alcotest.(check int) "seed" r.Flightrec.seed r'.Flightrec.seed;
             Alcotest.(check (option string)) "formula" (Flightrec.arg r "formula")
               (Flightrec.arg r' "formula");
-            Alcotest.(check int) "lineage nodes" (List.length r.Flightrec.lineage)
-              (List.length r'.Flightrec.lineage);
+            Alcotest.(check (option int)) "draws" r.Flightrec.draws r'.Flightrec.draws;
             (match
                Flightrec.compare_samples ~recorded:r.Flightrec.samples
                  ~replayed:r'.Flightrec.samples
@@ -73,7 +68,7 @@ let tests =
             args = [];
             seed = 0;
             samples = [ weird ];
-            lineage = [];
+            draws = None;
             telemetry = None;
             log_tail = [];
           }
@@ -91,8 +86,7 @@ let tests =
         let r = record () in
         (match Flight.replay r with
         | Ok n -> Alcotest.(check int) "verified length" 5 n
-        | Error m -> Alcotest.failf "replay failed: %s" m);
-        Rng.Provenance.set_tracking false);
+        | Error m -> Alcotest.failf "replay failed: %s" m));
     ts "corrupted record diverges with the first differing draw" (fun () ->
         let r = record () in
         let samples =
@@ -109,17 +103,21 @@ let tests =
             Alcotest.(check bool)
               (Printf.sprintf "message names the divergence: %s" m)
               true
-              (contains m "first divergence at sample 0, coordinate 0"));
-        Rng.Provenance.set_tracking false);
+              (contains m "first divergence at sample 0, coordinate 0")));
     ts "provenance captures the root generator and its draws" (fun () ->
-        let r = record () in
-        match r.Flightrec.lineage with
-        | [] -> Alcotest.fail "no lineage captured"
-        | root :: _ ->
-            Alcotest.(check int) "root id" 0 root.Rng.Provenance.id;
-            Alcotest.(check int) "root parent" (-1) root.Rng.Provenance.parent;
-            Alcotest.(check string) "root op" "create" root.Rng.Provenance.op;
-            Alcotest.(check bool) "draws counted" true (root.Rng.Provenance.draws > 0));
+        let o = run_ok args in
+        let r = Flight.to_flightrec args o in
+        Alcotest.(check (option int)) "the run's draws" (Some (Rng.draw_count o.Flight.rng))
+          r.Flightrec.draws;
+        Alcotest.(check bool) "draws counted" true (Option.get r.Flightrec.draws > 0);
+        (* Written as the one-node lineage earlier records carried. *)
+        let module J = Scdb_json.Json in
+        match J.field "rng" (J.list Fun.id) (J.parse (Flightrec.to_json r)) with
+        | [ root ] ->
+            Alcotest.(check int) "root id" 0 (J.field "id" J.int root);
+            Alcotest.(check int) "root parent" (-1) (J.field "parent" J.int root);
+            Alcotest.(check string) "root op" "create" (J.field "op" J.str root)
+        | nodes -> Alcotest.failf "expected one rng node, got %d" (List.length nodes));
     t "replay rejects records from other commands" (fun () ->
         let r =
           {
@@ -127,7 +125,7 @@ let tests =
             args = [];
             seed = 1;
             samples = [];
-            lineage = [];
+            draws = None;
             telemetry = None;
             log_tail = [];
           }

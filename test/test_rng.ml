@@ -34,11 +34,6 @@ let tests =
           if Rng.bits64 parent = Rng.bits64 child then incr same
         done;
         Alcotest.(check bool) "independent" true (!same < 4));
-    t "copy preserves stream" (fun () ->
-        let a = Rng.create 5 in
-        ignore (Rng.bits64 a);
-        let b = Rng.copy a in
-        Alcotest.(check int64) "equal next" (Rng.bits64 a) (Rng.bits64 b));
     t "draw counter counts every primitive draw" (fun () ->
         let g = Rng.create 3 in
         Alcotest.(check int) "fresh" 0 (Rng.draw_count g);
@@ -48,32 +43,6 @@ let tests =
         Alcotest.(check bool) "counted" true (before >= 2);
         ignore (Rng.unit_vector g 4);
         Alcotest.(check bool) "derived draws count too" true (Rng.draw_count g > before));
-    t "provenance registry records the lineage tree" (fun () ->
-        Rng.Provenance.reset ();
-        Rng.Provenance.set_tracking true;
-        Fun.protect
-          ~finally:(fun () ->
-            Rng.Provenance.set_tracking false;
-            Rng.Provenance.reset ())
-        @@ fun () ->
-        let a = Rng.create 17 in
-        let b = Rng.split a in
-        let c = Rng.copy b in
-        ignore (Rng.bits64 c);
-        let nodes = Rng.Provenance.snapshot () in
-        Alcotest.(check int) "three generators" 3 (List.length nodes);
-        (match nodes with
-        | [ na; nb; nc ] ->
-            Alcotest.(check string) "ops in creation order" "create/split/copy"
-              (String.concat "/"
-                 [ na.Rng.Provenance.op; nb.Rng.Provenance.op; nc.Rng.Provenance.op ]);
-            Alcotest.(check int) "root has no parent" (-1) na.Rng.Provenance.parent;
-            Alcotest.(check int) "split's parent is root" (Rng.lineage a)
-              nb.Rng.Provenance.parent;
-            Alcotest.(check int) "copy's parent is the split" (Rng.lineage b)
-              nc.Rng.Provenance.parent;
-            Alcotest.(check int) "draws attributed to the copy" 1 nc.Rng.Provenance.draws
-        | _ -> Alcotest.fail "unexpected snapshot shape"));
     t "float in range with correct mean" (fun () ->
         let rng = Rng.create 11 in
         let n = 50_000 in

@@ -163,18 +163,17 @@ let chernoff_tests =
            reach [chernoff.samples] and the progress bus alike. *)
         let module Tel = Scdb_telemetry.Telemetry in
         let module Progress = Scdb_progress.Progress in
-        let reg = Tel.Registry.create () and bus = Progress.Bus.create () in
         let was = Tel.enabled () in
         Tel.set_enabled true;
         Fun.protect ~finally:(fun () -> Tel.set_enabled was) @@ fun () ->
-        Tel.with_registry reg @@ fun () ->
-        Progress.with_bus bus @@ fun () ->
+        Tel.reset ();
         Progress.start ~rows:[| (0, "root", 0.0) |] ();
         Fun.protect ~finally:Progress.stop @@ fun () ->
         ignore (Ch.median_of_means (Rng.create 9) ~blocks:9 ~block_size:200 Rng.float);
         Alcotest.(check (option int)) "chernoff.samples" (Some 1800)
-          (Tel.counter_value ~reg "chernoff.samples");
-        Alcotest.(check (float 0.0)) "progress trials" 1800.0 (Progress.Bus.trials bus));
+          (Tel.counter_value "chernoff.samples");
+        Alcotest.(check (float 0.0)) "progress trials" 1800.0
+          (Progress.rows ()).(0).Progress.trials);
     t "invalid parameters rejected" (fun () ->
         List.iter
           (fun f -> try ignore (f ()); Alcotest.fail "expected Invalid_argument" with Invalid_argument _ -> ())
@@ -564,7 +563,7 @@ let kernel_tests =
 
 (* Everything a phase walk leaves behind besides its result: counter
    totals, the phase-ratio histogram, progress steps and warnings, each
-   read from stores private to one run. *)
+   read from stores reset before the run. *)
 type footprint = {
   counters : (string * int option) list;
   ratio_hist : int * float;
@@ -577,21 +576,19 @@ let observed f =
   let module Tel = Scdb_telemetry.Telemetry in
   let module Log = Scdb_log.Log in
   let module Progress = Scdb_progress.Progress in
-  let reg = Tel.Registry.create () in
-  let sink = Log.Sink.create () in
-  let bus = Progress.Bus.create () in
   let tel_was = Tel.enabled () and log_was = Log.enabled () and level_was = Log.level () in
   Tel.set_enabled true;
   Log.set_enabled true;
   Log.set_level Log.Warn;
+  Log.set_stderr false;
   Fun.protect ~finally:(fun () ->
       Tel.set_enabled tel_was;
       Log.set_enabled log_was;
       Log.set_level level_was)
   @@ fun () ->
-  Tel.with_registry reg @@ fun () ->
-  Log.with_sink sink @@ fun () ->
-  Progress.with_bus bus @@ fun () ->
+  Tel.reset ();
+  Log.set_ring_capacity 256;
+  Log.reset ();
   Progress.start ~rows:[| (0, "root", 0.0) |] ();
   let r = Fun.protect ~finally:Progress.stop f in
   let names =
@@ -607,14 +604,13 @@ let observed f =
   in
   ( r,
     {
-      counters = List.map (fun n -> (n, Tel.counter_value ~reg n)) names;
+      counters = List.map (fun n -> (n, Tel.counter_value n)) names;
       ratio_hist =
         (let h = Tel.Histogram.make "volume.phase_ratio" in
          (Tel.Histogram.count h, Tel.Histogram.sum h));
-      progress_steps = Progress.Bus.steps bus;
-      warns = Log.Sink.warn_count sink;
-      stuck_warns =
-        List.length (List.filter (contains "hit_and_run.stuck") (Log.Sink.tail sink));
+      progress_steps = (Progress.rows ()).(0).Progress.steps;
+      warns = Log.warn_count ();
+      stuck_warns = List.length (List.filter (contains "hit_and_run.stuck") (Log.tail ()));
     } )
 
 let fig1_tuples =

@@ -377,8 +377,7 @@ let fixture_tests =
         let r = read_fixture "incremental_k1.flightrec.json" in
         (match Flight.replay ~engine:"vm" r with
         | Ok n -> Alcotest.(check int) "samples reproduced" 6 n
-        | Error m -> Alcotest.failf "vm replay diverged: %s" m);
-        Rng.Provenance.set_tracking false);
+        | Error m -> Alcotest.failf "vm replay diverged: %s" m));
     ts "union fixture replays through both engines" (fun () ->
         let r = read_fixture "union_k3.flightrec.json" in
         (match Flight.replay r with
@@ -386,8 +385,7 @@ let fixture_tests =
         | Error m -> Alcotest.failf "interp replay diverged: %s" m);
         (match Flight.replay ~engine:"vm" r with
         | Ok n -> Alcotest.(check int) "vm samples" 6 n
-        | Error m -> Alcotest.failf "vm replay diverged: %s" m);
-        Rng.Provenance.set_tracking false);
+        | Error m -> Alcotest.failf "vm replay diverged: %s" m));
   ]
 
 let replay_tests =
@@ -395,7 +393,7 @@ let replay_tests =
     ts "a vm-opt record of the Figure 1 union replays on every executor" (fun () ->
         let a = flight_args ~engine:"vm-opt" ~seed:42 ~n:20 fig1_union in
         let o =
-          match Flight.run ~track:true a with
+          match Flight.run a with
           | Ok o -> o
           | Error m -> Alcotest.failf "vm-opt run failed: %s" m
         in
@@ -405,8 +403,7 @@ let replay_tests =
             match Flight.replay ~engine r with
             | Ok n -> Alcotest.(check int) (engine ^ " samples") 20 n
             | Error m -> Alcotest.failf "%s replay diverged: %s" engine m)
-          Flight.engines;
-        Rng.Provenance.set_tracking false);
+          Flight.engines);
   ]
 
 (* The differential oracle of the optimizing pass: random unions of 1–4
