@@ -151,7 +151,6 @@ let cmdline_tests =
           (fun args -> check args 124 args)
           [
             "sample " ^ fig1 ^ " -n 1 --jobs 2";
-            "sample " ^ fig1 ^ " -n 5 --jobs 2 --progress";
             "sample " ^ fig1 ^ " -n 1 --jobs-mode seq";
             "audit " ^ fig1 ^ " --oracle exact --runs 2 --jobs 2 --jobs-mode seq";
           ];
@@ -160,6 +159,12 @@ let cmdline_tests =
           (fun cmd ->
             check (cmd ^ " --overrun-factor") 124 (cmd ^ " " ^ fig1 ^ " --overrun-factor 4"))
           [ "sample"; "volume"; "report" ]);
+    t "sample --jobs with --progress exits 124" (fun () ->
+        (* With whole-query repetitions gone, --jobs is unknown to
+           sample, so the clash with --progress is a malformed command
+           line rather than a refused combination. *)
+        check "--jobs 2 --progress" 124 ("sample " ^ fig1_union ^ " -n 5 --jobs 2 --progress");
+        check "--progress alone" 0 ("sample " ^ fig1_union ^ " -n 5 --progress"));
     t "unknown subcommand exits 124" (fun () ->
         check "subcommand" 124 "frobnicate";
         check "status" 124 "status F");
@@ -224,6 +229,25 @@ let runtime_tests =
             Alcotest.(check int) ("points on " ^ tail) 3
               (List.length (List.filter (( <> ) "") (String.split_on_char '\n' out))))
           [ "(0 <= x and x <= 1 and y = 0)"; "(y = 0 and x >= 5)" ]);
+    t "sample writes its log events to --log-out in seq order" (fun () ->
+        let log = Filename.temp_file "spatialdb_log" ".jsonl" in
+        let code =
+          run
+            (Printf.sprintf "sample %s -n 3 --log-level info --log-out %s" fig1_union
+               (Filename.quote log))
+        in
+        let events =
+          In_channel.with_open_text log In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (( <> ) "")
+          |> List.map (fun l ->
+                 let doc = J.parse l in
+                 (J.field "seq" J.int doc, J.field "event" J.str doc))
+        in
+        Sys.remove log;
+        Alcotest.(check int) "exit" 0 code;
+        Alcotest.(check (list (pair int string)))
+          "events" [ (0, "sample.run"); (1, "sample.done") ] events);
     t "audit on two domains equals audit on one" (fun () ->
         (* The replicates of two domains and of one write the same
            estimates, verdict, counters and histogram counts. *)

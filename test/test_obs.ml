@@ -226,11 +226,31 @@ let log_tests =
           (List.map seq_of_line (Log.tail ())));
     t "two domains share one sink without tearing lines" (fun () ->
         with_log 64 @@ fun () ->
+        let writer tag () =
+          for i = 1 to 100 do
+            Log.info ("test.dom." ^ tag) [ Log.int "i" i; Log.str "t" tag ]
+          done
+        in
+        on_two_domains (writer "a") (writer "b");
+        let tail = Log.tail () in
+        Alcotest.(check int) "the last event is the 200th" 199
+          (seq_of_line (List.nth tail (List.length tail - 1)));
+        Alcotest.(check int) "ring full" 64 (List.length tail);
+        (* Whole-line interleaving: every ring entry is valid JSON with
+           the expected shape. *)
+        List.iter
+          (fun line ->
+            match J.field "event" J.str (J.parse line) with
+            | "test.dom.a" | "test.dom.b" -> ()
+            | _ -> Alcotest.fail ("unexpected event in: " ^ line))
+          tail);
+    t "two domains write one file in one seq order" (fun () ->
+        with_log 8 @@ fun () ->
         let file = Filename.temp_file "spatialdb_obs" ".jsonl" in
         Log.open_file file;
         let writer tag () =
           for i = 1 to 100 do
-            Log.info ("test.dom." ^ tag) [ Log.int "i" i; Log.str "t" tag ]
+            Log.info ("test.out." ^ tag) [ Log.int "i" i ]
           done
         in
         on_two_domains (writer "a") (writer "b");
@@ -243,16 +263,12 @@ let log_tests =
         Sys.remove file;
         Alcotest.(check (list int)) "one sequence, in file order" (List.init 200 Fun.id)
           (List.map seq_of_line lines);
-        let tail = Log.tail () in
-        Alcotest.(check int) "ring full" 64 (List.length tail);
-        (* Whole-line interleaving: every ring entry is valid JSON with
-           the expected shape. *)
-        List.iter
-          (fun line ->
-            match J.field "event" J.str (J.parse line) with
-            | "test.dom.a" | "test.dom.b" -> ()
-            | _ -> Alcotest.fail ("unexpected event in: " ^ line))
-          tail);
+        let count tag =
+          List.length
+            (List.filter (fun l -> J.field "event" J.str (J.parse l) = "test.out." ^ tag) lines)
+        in
+        Alcotest.(check (pair int int)) "each domain's events reach the file" (100, 100)
+          (count "a", count "b"));
   ]
 
 (* The instrumentation golden fixture: every counter, histogram count,
