@@ -36,6 +36,9 @@ trend:
 # Each observability store is one process-wide instance and the audit's
 # replicate jobs are the only parallel work, so domain-local state
 # anywhere in lib/, or a domain spawned outside lib/audit, fails it.
+# Every relation reaches its per-tuple pieces through Plan_exec, so a
+# Convex_obs.prepare_tuples call anywhere else in lib/ or bin/, which
+# would be a second copy of the composition, fails it too.
 check:
 	dune build
 	@if grep -rnE 'Progress\.add_(steps|trials)|Log\.warn\b' lib/sampling lib/core lib/vm; then \
@@ -47,6 +50,8 @@ check:
 	  echo "make check: one store per process, no domain-local state in lib/" >&2; exit 1; fi
 	@if grep -rn 'Domain\.spawn' lib bin | grep -v '^lib/audit/'; then \
 	  echo "make check: only lib/audit spawns domains" >&2; exit 1; fi
+	@if grep -rn 'Convex_obs\.prepare_tuples' lib bin | grep -v '^lib/gis/plan_exec\.ml:'; then \
+	  echo "make check: per-tuple pieces come from Plan_exec, not Convex_obs.prepare_tuples" >&2; exit 1; fi
 	dune build @bench
 	dune runtest
 

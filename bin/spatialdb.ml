@@ -72,11 +72,11 @@ let seed_arg =
 
 let eps_arg =
   let doc = "Relative accuracy parameter epsilon in (0,1)." in
-  checked (check_unit "--eps") Arg.(value & opt float 0.2 & info [ "eps" ] ~doc)
+  checked (check_unit "--eps") Arg.(value & opt float Flight.default_eps & info [ "eps" ] ~doc)
 
 let delta_arg =
   let doc = "Failure probability delta in (0,1)." in
-  checked (check_unit "--delta") Arg.(value & opt float 0.1 & info [ "delta" ] ~doc)
+  checked (check_unit "--delta") Arg.(value & opt float Flight.default_delta & info [ "delta" ] ~doc)
 
 let stats_arg =
   let doc =
@@ -425,9 +425,8 @@ let reconstruct_cmd =
     if List.length vars <> 2 then or_die (Error "reconstruct prints polygons: exactly 2 variables required");
     let rng = Rng.create seed in
     let pieces =
-      match Convex_obs.prepare_tuples ~config:Convex_obs.practical_config rng relation with
-      | kept -> List.map (fun (_, p) -> Convex_obs.observe p) kept
-      | exception Convex_obs.Unbounded -> or_die (Error Flight.unbounded_relation)
+      try Scdb_gis.Plan_exec.observe_tuples rng relation
+      with Convex_obs.Unbounded -> or_die (Error Flight.unbounded_relation)
     in
     if pieces = [] then or_die (Error "no full-dimensional convex piece to reconstruct");
     let r = Reconstruct.union_estimate rng pieces ~n in

@@ -17,11 +17,13 @@ let symbolic inst ~free_dim q =
   let f = FM.eliminate (unfold inst q) in
   Relation.of_formula ~dim:free_dim f
 
-let observable_of_relation ?config rng r =
-  match List.map (fun (_, p) -> Convex_obs.observe p) (Convex_obs.prepare_tuples ?config rng r) with
-  | [] -> None
-  | [ one ] -> Some one
-  | many -> Some (Union.union many)
+(* One convex piece through the plan pipeline: the optimizing pass
+   prices every leaf for an exact weight and an exact or box sampler.
+   [--eps]/[--delta]'s defaults only price the routes. *)
+let observable_of_relation ?(config = Convex_obs.default_config) rng r =
+  Plan_exec.prepare ~config ~gamma:Flight.gamma ~eps:Flight.default_eps
+    ~delta:Flight.default_delta ~task:Scdb_plan.Plan.Volume rng r
+  |> Option.map (fun p -> Plan_exec.observe (Plan_exec.optimize p))
 
 (* ------------------------------------------------------------------ *)
 (* Normalization of queries into disjuncts of                          *)
@@ -86,102 +88,86 @@ let project_tuples rng ~free_dim r =
     (fun tuple -> Project.project rng (Polytope.of_tuple ~dim:(Relation.dim r) tuple) ~keep)
     (Relation.tuples r)
 
-let compile_piece ?config ?poly_degree rng inst ~free_dim piece =
-  (* Rename the piece's quantified variables to free_dim, free_dim+1, … *)
-  let evars = piece.evars in
-  let ambient = free_dim + List.length evars in
-  let renaming =
-    let table = Hashtbl.create 8 in
-    List.iteri (fun k v -> Hashtbl.add table v (free_dim + k)) evars;
-    fun i ->
-      match Hashtbl.find_opt table i with
-      | Some j -> j
-      | None ->
-          if i < free_dim then i
-          else raise (Unsupported (Printf.sprintf "variable x%d is neither free nor quantified" i))
+(* The piece's positive conjunction over the free coordinates followed
+   by its quantified variables, renamed to free_dim, free_dim+1, …, and
+   that renaming. *)
+let piece_relation inst ~free_dim piece =
+  let table = Hashtbl.create 8 in
+  List.iteri (fun k v -> Hashtbl.add table v (free_dim + k)) piece.evars;
+  let renaming i =
+    match Hashtbl.find_opt table i with
+    | Some j -> j
+    | None ->
+        if i < free_dim then i
+        else raise (Unsupported (Printf.sprintf "variable x%d is neither free nor quantified" i))
   in
-  let pos_formula =
-    Formula.rename (Formula.conj (List.map (unfold inst) piece.pos)) renaming
-  in
+  let pos_formula = Formula.rename (Formula.conj (List.map (unfold inst) piece.pos)) renaming in
   if not (Formula.is_quantifier_free pos_formula) then
     raise (Unsupported "nested quantifier inside a piece body");
-  let pos_relation = Relation.of_formula ~dim:ambient pos_formula in
-  match piece.neg with
-  | [] when evars = [] -> (
-      match observable_of_relation ?config rng pos_relation with
-      | Some o -> o
-      | None -> raise (Unsupported "piece is empty or unbounded"))
-  | [] ->
+  (Relation.of_formula ~dim:(free_dim + List.length piece.evars) pos_formula, renaming)
+
+let compile_piece ?config ?poly_degree rng inst ~free_dim piece =
+  let pos_relation, renaming = piece_relation inst ~free_dim piece in
+  let positive () =
+    match observable_of_relation ?config rng pos_relation with
+    | Some o -> o
+    | None -> raise (Unsupported "piece is empty or unbounded")
+  in
+  match (piece.neg, piece.evars) with
+  | [], [] -> positive ()
+  | [], _ -> (
       (* Positive existential piece: the union of the projected tuples. *)
-      (match project_tuples rng ~free_dim pos_relation with
+      match project_tuples rng ~free_dim pos_relation with
       | [] -> raise (Unsupported "no projectable tuple (empty or unbounded piece)")
       | [ one ] -> one
       | many -> Union.union many)
-  | negs ->
-      if evars <> [] then
-        raise (Unsupported "difference under an existential quantifier");
-      let guard_formula =
-        Formula.rename (Formula.disj (List.map (fun g -> match g with Query.Not r -> unfold inst r | _ -> assert false) negs)) renaming
+  | _, _ :: _ -> raise (Unsupported "difference under an existential quantifier")
+  | negs, [] ->
+      let guard = function Query.Not r -> unfold inst r | _ -> assert false in
+      let guard_relation =
+        Relation.of_formula ~dim:free_dim
+          (Formula.rename (Formula.disj (List.map guard negs)) renaming)
       in
-      let guard_relation = Relation.of_formula ~dim:free_dim guard_formula in
-      (match observable_of_relation ?config rng pos_relation with
-      | None -> raise (Unsupported "piece is empty or unbounded")
-      | Some pos_obs -> Diff.diff ?poly_degree pos_obs (membership_only guard_relation))
+      let pos_obs = positive () in
+      Diff.diff ?poly_degree pos_obs (membership_only guard_relation)
+
+(* Run [f] over the normalized pieces of a well-formed query, with
+   every refusal as an [Error]. *)
+let with_pieces inst q f =
+  match Query.well_formed (Instance.schema inst) q with
+  | Error e -> Error e
+  | Ok () -> (
+      try f (pieces_of (push_not q)) with
+      | Unsupported msg -> Error msg
+      | Observable.Estimation_failed msg -> Error msg
+      | Convex_obs.Unbounded -> Error Flight.unbounded_relation)
 
 let compile ?config ?poly_degree rng inst ~free_dim q =
   Scdb_trace.Trace.span "eval.compile"
     ~attrs:[ ("free_dim", string_of_int free_dim) ]
   @@ fun () ->
-  match Query.well_formed (Instance.schema inst) q with
-  | Error e -> Error e
-  | Ok () -> (
-      try
-        let pieces = pieces_of (push_not q) in
-        if pieces = [] then Error "query normalizes to the empty disjunction"
-        else begin
-          let compiled = List.map (compile_piece ?config ?poly_degree rng inst ~free_dim) pieces in
-          match compiled with [ one ] -> Ok one | many -> Ok (Union.union many)
-        end
-      with
-      | Unsupported msg -> Error msg
-      | Observable.Estimation_failed msg -> Error msg
-      | Convex_obs.Unbounded -> Error Flight.unbounded_relation)
+  with_pieces inst q (function
+    | [] -> Error "query normalizes to the empty disjunction"
+    | pieces -> (
+        match List.map (compile_piece ?config ?poly_degree rng inst ~free_dim) pieces with
+        | [ one ] -> Ok one
+        | many -> Ok (Union.union many)))
 
-let reconstruct ?config ?(samples_per_piece = 150) rng inst ~free_dim q =
+let reconstruct ?(config = Convex_obs.default_config) ?(samples_per_piece = 150) rng inst
+    ~free_dim q =
   if not (Query.is_positive_existential q) then
     Error "reconstruction requires a positive existential query (Theorem 4.4)"
-  else begin
-    match Query.well_formed (Instance.schema inst) q with
-    | Error e -> Error e
-    | Ok () -> (
-        try
-          let pieces = pieces_of (push_not q) in
-          (* One observable per piece, then one hull per piece
-             (Algorithm 5): pieces must stay separate so each hull
-             covers a convex set. *)
-          let piece_observables =
-            List.concat_map
-              (fun piece ->
-                (* Split multi-tuple pieces further: one hull per tuple. *)
-                let evars = piece.evars in
-                let ambient = free_dim + List.length evars in
-                let renaming =
-                  let table = Hashtbl.create 8 in
-                  List.iteri (fun k v -> Hashtbl.add table v (free_dim + k)) evars;
-                  fun i -> match Hashtbl.find_opt table i with Some j -> j | None -> i
-                in
-                let f = Formula.rename (Formula.conj (List.map (unfold inst) piece.pos)) renaming in
-                let r = Relation.of_formula ~dim:ambient f in
-                if evars = [] then
-                  Convex_obs.prepare_tuples ?config rng r
-                  |> List.map (fun (_, p) -> Convex_obs.observe p)
-                else project_tuples rng ~free_dim r)
-              pieces
-          in
-          if piece_observables = [] then Error "no non-empty convex piece to reconstruct"
-          else Ok (Reconstruct.union_estimate rng piece_observables ~n:samples_per_piece)
-        with
-        | Unsupported msg -> Error msg
-        | Observable.Estimation_failed msg -> Error msg
-        | Convex_obs.Unbounded -> Error Flight.unbounded_relation)
-  end
+  else
+    with_pieces inst q (fun pieces ->
+        (* One hull per convex tuple (Algorithm 5): tuples stay
+           separate so each hull covers a convex set. *)
+        let piece_observables =
+          List.concat_map
+            (fun piece ->
+              let r, _ = piece_relation inst ~free_dim piece in
+              if piece.evars = [] then Plan_exec.observe_tuples ~config rng r
+              else project_tuples rng ~free_dim r)
+            pieces
+        in
+        if piece_observables = [] then Error "no non-empty convex piece to reconstruct"
+        else Ok (Reconstruct.union_estimate rng piece_observables ~n:samples_per_piece))

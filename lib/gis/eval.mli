@@ -10,7 +10,9 @@
       paper's generators — union for [∨], intersection for [∧],
       difference for guarded [¬], fiber-compensated projection for
       [∃] — giving sampling and volume estimation without any symbolic
-      blowup. *)
+      blowup.  Each quantifier-free convex piece is built by
+      {!observable_of_relation}, through the same plan pipeline
+      [--engine vm-opt] runs. *)
 
 val unfold : Instance.t -> Query.t -> Formula.t
 (** Replace every relation atom by its instance definition (variables
@@ -22,10 +24,15 @@ val symbolic : Instance.t -> free_dim:int -> Query.t -> Relation.t
 
 val observable_of_relation :
   ?config:Convex_obs.config -> Rng.t -> Relation.t -> Observable.t option
-(** Union of per-tuple DFK observables over
-    {!Convex_obs.prepare_tuples} — the preparation {!Plan_exec.prepare}
-    runs, without plan tags (empty / lower-dimensional tuples are
-    dropped); [None] when nothing full-dimensional remains. *)
+(** {!Plan_exec.prepare} for task [Volume] (ε, δ from
+    {!Flight.default_eps}, {!Flight.default_delta}; they only price the
+    routes), then {!Plan_exec.optimize} and {!Plan_exec.observe}: each
+    leaf takes the exact-weight, exact-lattice or rejection-box route
+    the one cost model picks, so the volume of a one-tuple 2-D relation
+    is its exact area.  Default config {!Convex_obs.default_config}.
+    [None] when no tuple is full-dimensional.
+    @raise Convex_obs.Unbounded if a tuple is full-dimensional and
+    unbounded. *)
 
 val compile :
   ?config:Convex_obs.config ->
@@ -51,4 +58,6 @@ val reconstruct :
   Query.t ->
   (Reconstruct.t, string) result
 (** Algorithm 5: reconstruct a positive existential query as a union of
-    convex hulls, one per compiled piece. *)
+    convex hulls, one per convex tuple of each piece: quantifier-free
+    tuples from {!Plan_exec.observe_tuples} (default config
+    {!Convex_obs.default_config}), quantified ones projected. *)

@@ -30,6 +30,11 @@ let ( let* ) = Result.bind
    so it lives here rather than in bin/. *)
 let gamma = 0.05
 
+(* The CLI's [--eps]/[--delta] defaults, which also price the GIS
+   evaluator's plans. *)
+let default_eps = 0.2
+let default_delta = 0.1
+
 let methods = List.map fst Convex_obs.samplers
 let engines = [ "interp"; "vm"; "vm-opt" ]
 

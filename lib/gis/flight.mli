@@ -29,6 +29,12 @@ val gamma : float
 (** The CLI's fixed grid parameter (0.05): replay and the cost model
     must reproduce it exactly, so it lives here rather than in bin/. *)
 
+val default_eps : float
+(** The CLI's [--eps] default (0.2); {!Eval} prices its plans with it. *)
+
+val default_delta : float
+(** The CLI's [--delta] default (0.1); {!Eval} prices its plans with it. *)
+
 (** {2 The front door}
 
     The one vocabulary and parser every entry point ([sample],

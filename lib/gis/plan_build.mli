@@ -40,7 +40,7 @@ val node_of_relation :
 (** {!node_of_tuples} over the relation's viable tuples (non-empty,
     bounded, full-dimensional): [None] when there is none.
     @raise Convex_obs.Unbounded if a tuple is full-dimensional and
-    unbounded, as {!Convex_obs.prepare_tuples} does. *)
+    unbounded, as {!Plan_exec.prepare} does. *)
 
 val of_relation :
   ?config:Convex_obs.config ->

@@ -13,6 +13,9 @@ let prepare ?(config = Convex_obs.practical_config) ~gamma ~eps ~delta ~task rng
   |> Option.map (fun node ->
          { plan = Plan.finalize ~gamma ~eps ~delta ~task node; pieces = List.map snd kept })
 
+let observe_tuples ?(config = Convex_obs.practical_config) rng r =
+  List.map (fun (_, p) -> Convex_obs.observe p) (Convex_obs.prepare_tuples ~config rng r)
+
 let observe { plan; pieces } =
   (Scdb_vm.Rewrite.observables plan (Array.of_list pieces)).(plan.Plan.root.Plan.id)
 

@@ -32,13 +32,21 @@ val prepare :
   Rng.t ->
   Relation.t ->
   prepared option
-(** Relation → per-tuple well-rounding ({!Convex_obs.prepare_tuples},
-    the only rng-consuming stage) → plan ({!Plan_build.node_of_tuples}
-    over the tuples that survived), finalised for [task].  [None] when
-    no tuple survives (every tuple empty or lower-dimensional).  Default
-    config is {!Convex_obs.practical_config}.
+(** Relation → per-tuple well-rounding ({!Convex_obs.prepare_relation}
+    on each tuple, one shared rng: the only rng-consuming stage) → plan
+    ({!Plan_build.node_of_tuples} over the tuples that survived),
+    finalised for [task].  [None] when no tuple survives (every tuple
+    empty or lower-dimensional).  Default config is
+    {!Convex_obs.practical_config}.
     @raise Convex_obs.Unbounded if a tuple is full-dimensional and
     unbounded; so do the two [*_of_relation] wrappers below. *)
+
+val observe_tuples : ?config:Convex_obs.config -> Rng.t -> Relation.t -> Observable.t list
+(** One untagged DFK observable per surviving tuple, in tuple order,
+    from the same per-tuple preparation {!prepare} runs (same rng
+    stream), with no plan: what Algorithm 5 reconstructs one hull from
+    each.  Default config is {!Convex_obs.practical_config}.
+    @raise Convex_obs.Unbounded as {!prepare} does. *)
 
 val observe : prepared -> Observable.t
 (** The interpreter: the root of {!Scdb_vm.Rewrite.observables} — one

@@ -5,6 +5,7 @@ open Scdb_gis
 module VE = Scdb_polytope.Volume_exact
 module Rng = Scdb_rng.Rng
 module Q = Rational
+module Tel = Scdb_telemetry.Telemetry
 
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
@@ -189,6 +190,119 @@ let eval_tests =
         let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y) /\\ ~S(x, y)" in
         Alcotest.(check bool) "error" true
           (Result.is_error (Eval.reconstruct rng inst2 ~free_dim:2 query)));
+    t "one-piece 2-D query: the exact weight answers the volume" (fun () ->
+        (* The plan pipeline prices the leaf's Lasserre volume below its
+           multi-phase walk, so the answer is the exact area and no
+           volume phase runs. *)
+        let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y) /\\ x + 2*y <= 2" in
+        let exact = Q.to_float (VE.volume_relation (Eval.symbolic inst2 ~free_dim:2 query)) in
+        let was = Tel.enabled () in
+        Tel.set_enabled true;
+        Tel.reset ();
+        Fun.protect ~finally:(fun () -> Tel.set_enabled was) (fun () ->
+            let rng = Rng.create 51 in
+            match Eval.compile rng inst2 ~free_dim:2 query with
+            | Error e -> Alcotest.fail e
+            | Ok o ->
+                let v = Scdb_core.Observable.volume o rng ~eps:0.2 ~delta:0.1 in
+                Alcotest.(check (float 1e-9)) "area" exact v;
+                Alcotest.(check int) "volume.phases" 0
+                  (Option.value (Tel.counter_value "volume.phases") ~default:0)));
+    ts "Parcels /\\ ~Lakes: box and lattice draws stay uniform on γ-cells" (fun () ->
+        (* The two triangles' leaves draw from their face lattices, the
+           two boxes' from their bounding boxes, and Diff rejects the
+           lake.  Every point is dry, and Pearson's statistic over
+           γ-cells (exact expected masses; cells under 5 expected points
+           pooled) stays below the 99.9% χ² quantile. *)
+        let rel text =
+          match Flight.parse_relation ~vars:[ "x"; "y" ] text with
+          | Ok r -> r
+          | Error m -> Alcotest.fail m
+        in
+        let parcels =
+          rel
+            "x <= 3*y /\\ y <= 3*x /\\ x + y <= 4 \\/ y >= 0 /\\ x + 4*y <= 6 /\\ y <= 2*x - 7 \\/ \
+             0 <= x /\\ x <= 3 /\\ 3.5 <= y /\\ y <= 6 \\/ 3.5 <= x /\\ x <= 6 /\\ 3.5 <= y /\\ y <= 6"
+        and lakes = rel "2 <= x /\\ x <= 4.5 /\\ 1 <= y /\\ y <= 5" in
+        let inst =
+          Instance.set (Instance.set (Instance.create Synth.land_use_schema) "Parcels" parcels) "Lakes" lakes
+        in
+        let extent = 6.0 in
+        let seed = 52 and n = 3000 and gamma = 1.0 in
+        let routes =
+          match
+            Plan_exec.prepare ~config:cfg ~gamma:Flight.gamma ~eps:Flight.default_eps
+              ~delta:Flight.default_delta ~task:Scdb_plan.Plan.Volume (Rng.create seed) parcels
+          with
+          | None -> Alcotest.fail "no parcel survived"
+          | Some p ->
+              let tags = ref [] in
+              Scdb_plan.Plan.iter_nodes
+                (fun node -> tags := node.Scdb_plan.Plan.tags @ !tags)
+                (Plan_exec.optimize p).Plan_exec.plan;
+              !tags
+        in
+        List.iter
+          (fun route -> Alcotest.(check bool) route true (List.mem route routes))
+          Scdb_plan.Plan.[ exact_sampler; rejection_box_substituted ];
+        let query =
+          Query.parse ~schema:Synth.land_use_schema ~vars:[ "x"; "y" ] "Parcels(x, y) /\\ ~Lakes(x, y)"
+        in
+        let rng = Rng.create seed in
+        let points =
+          match Eval.compile ~config:cfg rng inst ~free_dim:2 query with
+          | Error e -> Alcotest.fail e
+          | Ok o ->
+              Scdb_core.Observable.sample_many o rng
+                (Scdb_core.Params.make ~gamma:0.05 ~eps:0.2 ~delta:0.1 ())
+                ~n
+        in
+        List.iter
+          (fun x ->
+            Alcotest.(check bool) "dry" true
+              (Relation.mem_float parcels x && not (Relation.mem_float lakes x)))
+          points;
+        let k = int_of_float (extent /. gamma) in
+        let area r = Q.to_float (VE.volume_relation r) in
+        let cell i j =
+          let g = Q.of_float gamma in
+          Relation.box
+            [| Q.mul (q i) g; Q.mul (q j) g |]
+            [| Q.mul (q (i + 1)) g; Q.mul (q (j + 1)) g |]
+        in
+        let dry c = area (Relation.inter parcels c) -. area (Relation.inter (Relation.inter parcels lakes) c) in
+        let masses = Array.init (k * k) (fun c -> dry (cell (c / k) (c mod k))) in
+        let total = Array.fold_left ( +. ) 0.0 masses in
+        let observed = Array.make (k * k) 0 in
+        List.iter
+          (fun x ->
+            let idx v = Stdlib.min (k - 1) (Stdlib.max 0 (int_of_float (v /. gamma))) in
+            let c = (idx x.(0) * k) + idx x.(1) in
+            observed.(c) <- observed.(c) + 1)
+          points;
+        let pooled_o = ref 0 and pooled_e = ref 0.0 and stat = ref 0.0 and df = ref (-1) in
+        let add o e =
+          let d = float_of_int o -. e in
+          stat := !stat +. (d *. d /. e);
+          incr df
+        in
+        Array.iteri
+          (fun c m ->
+            let e = float_of_int n *. m /. total in
+            if e >= 5.0 then add observed.(c) e
+            else begin
+              pooled_o := !pooled_o + observed.(c);
+              pooled_e := !pooled_e +. e
+            end)
+          masses;
+        if !pooled_e > 0.0 then add !pooled_o !pooled_e;
+        (* Wilson–Hilferty 99.9% quantile of χ²(df). *)
+        let df = float_of_int !df in
+        let h = 2.0 /. (9.0 *. df) in
+        let bound = df *. ((1.0 -. h +. (3.0902 *. sqrt h)) ** 3.0) in
+        Alcotest.(check bool)
+          (Printf.sprintf "chi2 = %.2f < %.2f (df %.0f)" !stat bound df)
+          true (!stat < bound));
   ]
 
 let aggregate_tests =

@@ -75,19 +75,20 @@ let union_case ~seed ~k ~n =
     (Printf.sprintf "union K=%d draw counts" k)
     (Rng.draw_count oi.Flight.rng) (Rng.draw_count ov.Flight.rng)
 
-(* One preparation pipeline: the untagged GIS evaluator and the
-   plan-tagged interpreter consume the same prepared pieces, so from one
-   seed they draw the same points with the same number of rng draws
-   (tagging never touches the stream); and EXPLAIN's static plan is the
-   plan [Plan_exec.prepare] builds over the pieces that survived. *)
+(* One plan pipeline: the GIS evaluator builds each convex piece as
+   [prepare ~task:Volume |> optimize |> observe] at the CLI's default
+   (γ, ε, δ), so from one seed it draws the same points with the same
+   number of rng draws as that pipeline run by hand; and EXPLAIN's
+   static plan is the plan [Plan_exec.prepare] builds over the pieces
+   that survived. *)
 let pipeline_case (label, vars, formula) =
   let relation =
     match Flight.parse_relation ~vars formula with
     | Ok r -> r
     | Error m -> Alcotest.failf "%s: %s" label m
   in
-  let eps = 0.2 and delta = 0.1 and gamma = 0.05 and n = 3 and seed = 17 in
-  let task = Plan.Sample n in
+  let gamma = Flight.gamma and eps = Flight.default_eps and delta = Flight.default_delta in
+  let n = 3 and seed = 17 and task = Plan.Volume in
   let params = Params.make ~gamma ~eps ~delta () in
   let rng_e = Rng.create seed in
   let pts_e =
@@ -101,7 +102,8 @@ let pipeline_case (label, vars, formula) =
     | Some p -> p
     | None -> Alcotest.failf "%s: prepare found no piece" label
   in
-  let pts_p = Observable.sample_many (Plan_exec.observe prepared) rng_p params ~n in
+  let optimized = Plan_exec.observe (Plan_exec.optimize prepared) in
+  let pts_p = Observable.sample_many optimized rng_p params ~n in
   check_streams (label ^ " streams") pts_e pts_p;
   Alcotest.(check int) (label ^ " draw counts") (Rng.draw_count rng_e) (Rng.draw_count rng_p);
   match Scdb_gis.Plan_build.of_relation ~config:cfg ~gamma ~eps ~delta ~task relation with
