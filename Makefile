@@ -28,11 +28,12 @@ trend:
 	dune exec bench/regress.exe -- --trend
 
 # Tier-1 gate: full build, benches compile, tests pass.  The samplers
-# (lib/sampling, lib/core, lib/vm) report through Scdb_obs.Probe, so a
-# direct progress accrual or warn event there, which could drift from
-# its counter, fails the gate.  Every walk draws its directions from
-# the ziggurat fills (Rng.*_fast), so a polar draw in the samplers, the
-# kernel or the VM, which would fork the walk stream, fails it too.
+# and the optimizing pass (lib/sampling, lib/core, lib/vm) report
+# through Scdb_obs.Probe, so a direct progress accrual or warn event
+# there, which could drift from its counter, fails the gate.  Every
+# walk draws its directions from the ziggurat fills (Rng.*_fast), so a
+# polar draw in the samplers, the kernel or lib/vm, which would fork
+# the walk stream, fails it too.
 # Each observability store is one process-wide instance and the audit's
 # replicate jobs are the only parallel work, so domain-local state
 # anywhere in lib/, or a domain spawned outside lib/audit, fails it.
@@ -68,27 +69,18 @@ check:
 # recorded sample run with structured logging, the log validated and
 # the flight record replayed bit-for-bit.  A second recorded run drives the batched multi-chain
 # kernel (`--diag --chains 4`) through its own record -> replay round
-# trip.  Finally a compiled-engine smoke: an interpreter-recorded
-# union run is replayed through the strict VM (`--engine vm`), which
-# must reproduce the recorded sample stream bit-for-bit, and an
-# optimized-VM run (`--engine vm-opt`, rewritten plan so a different
-# stream by design) goes through its own record -> replay round trip
-# and replays bit-for-bit on the interpreter and the plain VM too (the
-# record's engine decides the plan, `--engine` only the executor), and
-# its `explain --format program` listing must name both Figure 1
-# leaves exact_weight (weights from the exact oracle, within the proven
+# trip.  Finally a vm-opt smoke: a run on the rewritten plan
+# (`--engine vm-opt`, a different stream by design) of the Figure 1
+# union goes through its own record -> replay round trip, and its
+# `explain --format json` plan must name both leaves' weight route
+# exact_weight (weights from the exact oracle, within the proven
 # Lasserre call bound).  The same round trip on the 6-simplex, whose
 # vm-opt leaf draws from its exact face lattice: its record replays
-# bit-for-bit on all three executors and its listing names the leaf
-# exact_sampler.
-# Last, the profiler smoke: a `spatialdb report --engine vm-opt` whose
-# embedded profile and tagged attribution rows must validate, a
-# `sample --engine vm-opt --profile=timing --profile-out` run whose
-# spatialdb-profile/1 document must validate and whose stderr must hold
-# the per-plan-node table's three rows (union, dfk, dfk), a profiled+recorded
-# sample run whose flight record must
-# still replay bit-for-bit (profiling never touches the RNG stream),
-# and `regress --trend` over the committed BENCH trajectory.
+# bit-for-bit and its plan names the leaf's draw route exact_sampler.
+# Then `spatialdb report --engine vm-opt` must validate, with both leaf
+# rows of its cost attribution tagged exact_weight and
+# rejection_box_substituted, and `regress --trend` runs over the
+# committed BENCH trajectory.
 # Finally the accuracy-contract smoke: `spatialdb audit` of the
 # Figure 1 union against the exact oracle (40 replicates over 2
 # domains), its spatialdb-audit/1 document validated and gated against
@@ -108,9 +100,8 @@ check:
 # [0, (10^400+1)/10^400] x [0,1] has an exact volume whose parts both
 # overflow a float; `volume --mode exact` must still print its value,
 # and `sample` must run on it (its float rows are scaled into range).
-# Last, the committed flight-record fixtures replay through the CLI on
-# both the interpreter and the strict VM, so a stale fixture fails here
-# as well as in the test suite.
+# Last, the committed flight-record fixtures replay through the CLI, so
+# a stale fixture fails here as well as in the test suite.
 # Finally every experiment E1-E14 runs once in fast mode, so an
 # experiment that raises fails here instead of going unnoticed.
 # Throwaway artifacts go to _build/.
@@ -151,42 +142,30 @@ ci: check
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 5 \
 	  --record _build/ci_union.flightrec.json > _build/ci_union_samples.tsv
-	dune exec bin/spatialdb.exe -- replay --engine vm _build/ci_union.flightrec.json
+	dune exec bin/spatialdb.exe -- replay _build/ci_union.flightrec.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 -n 5 --engine vm-opt \
 	  --record _build/ci_vmopt.flightrec.json > _build/ci_vmopt_samples.tsv
 	dune exec bin/spatialdb.exe -- replay _build/ci_vmopt.flightrec.json
-	dune exec bin/spatialdb.exe -- replay --engine interp _build/ci_vmopt.flightrec.json
-	dune exec bin/spatialdb.exe -- replay --engine vm _build/ci_vmopt.flightrec.json
 	dune exec bin/spatialdb.exe -- explain --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --engine vm-opt --format program > _build/explain_vmopt.txt
-	test "$$(grep -c '^; leaf n[0-9]* weight: exact_weight' _build/explain_vmopt.txt)" = 2
+	  --engine vm-opt --format json > _build/explain_vmopt.json
+	test "$$(tr -d ' \n' < _build/explain_vmopt.json \
+	  | grep -o '"weight":{"route":"exact_weight"' | wc -l)" = 2
 	dune exec bin/spatialdb.exe -- sample $(SIMPLEX6) --seed 42 -n 20 --engine vm-opt \
 	  --record _build/ci_simplex6.flightrec.json > _build/ci_simplex6_samples.tsv
-	dune exec bin/spatialdb.exe -- replay --engine interp _build/ci_simplex6.flightrec.json
-	dune exec bin/spatialdb.exe -- replay --engine vm _build/ci_simplex6.flightrec.json
-	dune exec bin/spatialdb.exe -- replay --engine vm-opt _build/ci_simplex6.flightrec.json
+	dune exec bin/spatialdb.exe -- replay _build/ci_simplex6.flightrec.json
 	dune exec bin/spatialdb.exe -- explain $(SIMPLEX6) -n 200 --engine vm-opt \
-	  --format program > _build/explain_simplex6.txt
-	grep -q '^; draws n0: exact_sampler' _build/explain_simplex6.txt
+	  --format json > _build/explain_simplex6.json
+	tr -d ' \n' < _build/explain_simplex6.json | grep -q '"draws":{"route":"exact_sampler"'
 	dune exec bin/spatialdb.exe -- report --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
 	  --seed 42 --engine vm-opt -o _build/report_vmopt.json
-	dune exec bench/validate_profile.exe -- --report _build/report_vmopt.json
-	dune exec bin/spatialdb.exe -- sample --vars x,y \
-	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 -n 20 --engine vm-opt --profile=timing \
-	  --profile-out _build/profile_smoke.json > /dev/null 2> _build/profile_smoke.err
-	dune exec bench/validate_profile.exe -- --profile _build/profile_smoke.json
-	test "$$(grep -E '^ +[0-9]+  (union|dfk) ' _build/profile_smoke.err \
-	  | awk '{print $$2}' | paste -sd,)" = union,dfk,dfk
-	dune exec bin/spatialdb.exe -- sample --vars x,y \
-	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
-	  --seed 42 -n 5 --engine vm --profile=counting \
-	  --record _build/ci_profiled.flightrec.json > /dev/null 2> /dev/null
-	dune exec bin/spatialdb.exe -- replay _build/ci_profiled.flightrec.json
+	dune exec bench/validate_report.exe -- _build/report_vmopt.json
+	test "$$(tr -d ' \n' < _build/report_vmopt.json \
+	  | grep -o '"op":"dfk","predicted":[^}]*"tags":\["exact_weight","rejection_box_substituted"\]' \
+	  | wc -l)" = 2
 	dune exec bench/regress.exe -- --trend
 	dune exec bin/spatialdb.exe -- audit --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \
@@ -224,9 +203,7 @@ ci: check
 	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
 	  --seed 42 -n 5 > /dev/null
 	dune exec bin/spatialdb.exe -- replay test/fixtures/union_k3.flightrec.json
-	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/union_k3.flightrec.json
 	dune exec bin/spatialdb.exe -- replay test/fixtures/incremental_k1.flightrec.json
-	dune exec bin/spatialdb.exe -- replay --engine vm test/fixtures/incremental_k1.flightrec.json
 	dune exec bench/main.exe -- --fast e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 > _build/experiments.txt
 
 clean:

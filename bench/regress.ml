@@ -277,21 +277,6 @@ let telemetry_snapshot ~poly ~grid ~centre =
       done;
       ignore (Observable.volume u rng ~eps:0.3 ~delta:0.2)
   | _ -> ());
-  (* Compiled-engine exercise: strict-VM draws on the same two-box
-     union, so the per-instruction vm.op.* counters ride along in the
-     snapshot next to the sampler counters they explain. *)
-  (let rng = Rng.create 8_2026 in
-   let vars = [ "x"; "y" ] in
-   let formula =
-     "(0 <= x /\\ x <= 1 /\\ 0 <= y /\\ y <= 1) \\/ (2 <= x /\\ x <= 3 /\\ 0 <= y /\\ y <= 1)"
-   in
-   let relation = Relation.of_formula ~dim:2 (Parser.parse ~vars formula) in
-   match
-     Scdb_gis.Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config ~gamma:0.05
-       ~eps:0.3 ~delta:0.2 ~task:(Scdb_plan.Plan.Sample 64) rng relation
-   with
-   | Some (_, Ok prog) -> ignore (Scdb_vm.Vm.sample_many prog rng ~n:64)
-   | _ -> ());
   let json = Tel.dump ~only_nonzero:true () in
   Tel.set_enabled false;
   json
@@ -338,15 +323,14 @@ let plan_calibration ~fast =
 (* Engine comparison                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* End-to-end draws/sec on the Figure 1 two-piece union, per execution
-   engine: the observable interpreter, the strict VM (bit-exact mirror)
-   and the optimized VM (cost-based plan rewrites).  Construction and
-   the one-time Karp–Luby weight estimation are warmed out of the
-   measurement — the gate is about the per-draw hot path.  Timed with
-   [paired_min]: scheduler noise only adds time. *)
+(* End-to-end draws/sec on the Figure 1 two-piece union, per engine:
+   the interpreter on the plan as built and on the plan the cost-based
+   pass rewrote (vm-opt).  Construction and the one-time Karp–Luby
+   weight estimation are warmed out of the measurement — the gate is
+   about the per-draw hot path.  Timed with [paired_min]: scheduler
+   noise only adds time. *)
 let engine_sweep ~fast =
   let module Plan_exec = Scdb_gis.Plan_exec in
-  let module Vm = Scdb_vm.Vm in
   let vars = [ "x"; "y" ] in
   let formula =
     "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
@@ -356,100 +340,36 @@ let engine_sweep ~fast =
   let config = Convex_obs.practical_config in
   let task = Scdb_plan.Plan.Sample 1 in
   let params = Params.make ~gamma ~eps ~delta () in
-  let interp =
+  let engine optimize =
     let rng = Rng.create 13_2026 in
-    match Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task rng relation with
+    match Plan_exec.prepare ~config ~gamma ~eps ~delta ~task rng relation with
     | None -> failwith "engine sweep: union fixture is empty"
-    | Some (_, obs) -> fun () -> ignore (Observable.sample_exn obs rng params)
+    | Some p ->
+        let obs = Plan_exec.observe (if optimize then Plan_exec.optimize p else p) in
+        fun () -> ignore (Observable.sample_exn obs rng params)
   in
-  let compiled optimize =
-    let rng = Rng.create 13_2026 in
-    match
-      Plan_exec.compiled_of_relation ~config ~optimize ~gamma ~eps ~delta ~task rng relation
-    with
-    | None -> failwith "engine sweep: union fixture is empty"
-    | Some (_, Error m) -> failwith ("engine sweep: union fixture does not compile: " ^ m)
-    | Some (_, Ok prog) -> fun () -> ignore (Vm.sample_one prog rng)
-  in
-  let vm = compiled false and vm_opt = compiled true in
-  let draws = List.map (fun (_, d) -> d) [ ("interp", interp); ("vm", vm); ("vm-opt", vm_opt) ] in
-  (* Warm: first draw runs the cached volume estimation / prologues. *)
+  let draws = [ engine false; engine true ] in
+  (* Warm: first draw runs the cached volume estimation. *)
   List.iter (fun d -> d ()) draws;
   let rounds = if fast then 7 else 9 in
   let per_round = if fast then 200 else 600 in
   let mins = paired_min ~rounds (List.map (fun d -> (per_round, 1, d)) draws) in
-  let interp_ns = mins.(0) and vm_ns = mins.(1) and vm_opt_ns = mins.(2) in
+  let interp_ns = mins.(0) and vm_opt_ns = mins.(1) in
   Printf.printf "\nend-to-end union draws/sec per engine (paired min):\n";
   List.iteri
     (fun i name ->
       Printf.printf "  %-8s %10.1f ns/draw  %12.0f draws/sec  %5.2fx vs interp\n" name mins.(i)
         (1e9 /. mins.(i)) (interp_ns /. mins.(i)))
-    [ "interp"; "vm"; "vm-opt" ];
+    [ "interp"; "vm-opt" ];
   let json =
     Json.Obj
       [
         ("interp_ns_per_draw", Json.Num interp_ns);
-        ("vm_ns_per_draw", Json.Num vm_ns);
         ("vm_opt_ns_per_draw", Json.Num vm_opt_ns);
-        ("vm_speedup", Json.Num (interp_ns /. vm_ns));
         ("vm_opt_speedup", Json.Num (interp_ns /. vm_opt_ns));
       ]
   in
   (json, interp_ns /. vm_opt_ns)
-
-(* ------------------------------------------------------------------ *)
-(* Profiler overhead                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The instruction profiler's contract is "cheap enough to leave on":
-   counting mode is allocation-free array bumps, timing mode reads the
-   monotonic clock only around the kernel opcodes (walk, ensure,
-   member).  Measured on the strict VM over the Figure 1 union — the
-   walk-bound engine whose ~10 us draws are what a profiled production
-   run actually executes; under --check the timing overhead is gated at
-   5%.  Timed with [paired_min]. *)
-let profile_overhead ~fast =
-  let module Plan_exec = Scdb_gis.Plan_exec in
-  let module Vm = Scdb_vm.Vm in
-  let module Profile = Scdb_profile.Profile in
-  let vars = [ "x"; "y" ] in
-  let formula =
-    "(x >= 0 /\\ y >= 0 /\\ x + y <= 1) \\/ (x >= 2 /\\ x <= 3 /\\ y >= 0 /\\ y <= 1)"
-  in
-  let relation = Relation.of_formula ~dim:2 (Parser.parse ~vars formula) in
-  let rng = Rng.create 17_2026 in
-  match
-    Plan_exec.compiled_of_relation ~config:Convex_obs.practical_config ~gamma:0.05 ~eps:0.3
-      ~delta:0.2 ~task:(Scdb_plan.Plan.Sample 1) rng relation
-  with
-  | None | Some (_, Error _) -> (Json.Null, 1.0)
-  | Some (_, Ok prog) ->
-      let counting = Profile.create ~mode:Profile.Counting prog in
-      let timing = Profile.create ~mode:Profile.Timing prog in
-      let plain () = ignore (Vm.sample_one prog rng) in
-      let count () = ignore (Profile.sample_one counting rng) in
-      let time () = ignore (Profile.sample_one timing rng) in
-      (* Warm: the first draw runs the cached weight estimation. *)
-      plain ();
-      let rounds = if fast then 7 else 9 in
-      let per_round = if fast then 150 else 400 in
-      let mins =
-        paired_min ~rounds [ (per_round, 1, plain); (per_round, 1, count); (per_round, 1, time) ]
-      in
-      let c_ov = mins.(1) /. mins.(0) and t_ov = mins.(2) /. mins.(0) in
-      Printf.printf
-        "\nprofiler overhead on the strict VM (paired min): unprofiled %.1f ns/draw, counting \
-         %.1f (%.3fx), timing %.1f (%.3fx)\n"
-        mins.(0) mins.(1) c_ov mins.(2) t_ov;
-      ( Json.Obj
-          [
-            ("unprofiled_ns_per_draw", Json.Num mins.(0));
-            ("counting_ns_per_draw", Json.Num mins.(1));
-            ("timing_ns_per_draw", Json.Num mins.(2));
-            ("counting_overhead", Json.Num c_ov);
-            ("timing_overhead", Json.Num t_ov);
-          ],
-        t_ov )
 
 (* ------------------------------------------------------------------ *)
 (* Perf-trend ledger (--trend)                                         *)
@@ -855,7 +775,6 @@ let run ~fast ~out ~check =
   let telemetry = telemetry_snapshot ~poly ~grid ~centre in
   let calibration = plan_calibration ~fast in
   let engine_json, vm_opt_speedup = engine_sweep ~fast in
-  let overhead_json, timing_overhead = profile_overhead ~fast in
   let diagnostics = diagnostics_block ~fast ~poly in
   let doc =
     Json.Obj
@@ -875,7 +794,6 @@ let run ~fast ~out ~check =
         ("batch_sweep", batch_sweep_json);
         ("plan_calibration", calibration);
         ("engine_sweep", engine_json);
-        ("profile_overhead", overhead_json);
         ("telemetry", telemetry);
         ("diagnostics", diagnostics);
       ]
@@ -903,11 +821,9 @@ let run ~fast ~out ~check =
         Printf.printf
           "batched K16 draws/sec %.2fx of K1 on the direction-bound fixture (gate: >= 2x)\n"
           batch_speedup_k16;
-      (* Compiled-engine gate: the optimized VM must hold >= 2x end-to-end
-         draws/sec over the interpreter on the union fixture.  The strict
-         VM is informational only — it mirrors the interpreter's RNG
-         stream instruction for instruction, so its win is dispatch
-         overhead, not algorithmic. *)
+      (* Rewrite gate: the interpreter on the rewritten plan must hold
+         >= 2x end-to-end draws/sec over the plan as built on the union
+         fixture. *)
       if vm_opt_speedup < 2.0 then begin
         Printf.printf
           "FAIL: vm-opt draws/sec only %.2fx of interp on the union fixture (gate: >= 2x)\n"
@@ -916,21 +832,7 @@ let run ~fast ~out ~check =
       end
       else
         Printf.printf "vm-opt draws/sec %.2fx of interp on the union fixture (gate: >= 2x)\n"
-          vm_opt_speedup;
-      (* Profiler gate: timing mode must stay within 5% of the
-         unprofiled strict VM on the union fixture, so leaving the
-         profiler attached to a diagnostic run never distorts what it
-         measures.  Counting mode is strictly cheaper and rides along
-         uninstrumented. *)
-      if timing_overhead > 1.05 then begin
-        Printf.printf
-          "FAIL: timing-mode profiler overhead %.3fx on the strict VM (gate: <= 1.05x)\n"
-          timing_overhead;
-        exit 1
-      end
-      else
-        Printf.printf "timing-mode profiler overhead %.3fx on the strict VM (gate: <= 1.05x)\n"
-          timing_overhead)
+          vm_opt_speedup)
     check
 
 let usage_fail fmt =

@@ -8,7 +8,7 @@
      report       one traced run as a self-contained JSON report
      audit        empirical check of the (eps,delta) volume contract
      replay       re-execute a flight record bit-for-bit
-     explain      the costed query plan (or its compiled program)
+     explain      the costed query plan
 
    Formulas use the FO+LIN syntax of Scdb_constr.Parser, e.g.
      spatialdb volume -v x,y -f "0 <= x <= 2 /\\ 0 <= y <= 1 /\\ x + y <= 2.5"
@@ -122,12 +122,11 @@ let check_engine e =
 
 let engine_arg =
   let doc =
-    "Execution engine: $(b,interp) (the observable-combinator interpreter, the default), \
-     $(b,vm) (plans compiled to the flat kernel VM; bit-identical rng stream and sample \
-     stream to the interpreter) or $(b,vm-opt) (the VM on the plan rewritten by the \
-     cost-based pass — box rejection for cheap leaves, exact leaf weights — same \
-     distribution, a stream of its own that replays bit-for-bit on every executor, \
-     typically the fastest)."
+    "Execution engine: $(b,interp) (the observable-combinator interpreter on the plan as \
+     built, the default) or $(b,vm-opt) (the interpreter on the plan rewritten by the \
+     cost-based pass — exact leaf draws, box rejection for cheap leaves, exact leaf weights \
+     — same distribution, a stream of its own that replays bit-for-bit, typically the \
+     fastest)."
   in
   Arg.(value & opt string "interp" & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
@@ -140,16 +139,7 @@ let progress_arg =
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
-let print_ledger ?profile plan =
-  prerr_string Scdb_gis.Plan_exec.(to_text (ledger ?profile plan))
-
-let profile_modes = [ "counting"; "timing" ]
-
-let profile_mode_of_string s =
-  match s with
-  | "counting" -> Scdb_profile.Profile.Counting
-  | "timing" -> Scdb_profile.Profile.Timing
-  | m -> usage_die "profile mode" m profile_modes
+let print_ledger plan = prerr_string Scdb_gis.Plan_exec.(to_text (ledger plan))
 
 (* ---------------- observability flags ---------------- *)
 
@@ -241,32 +231,10 @@ let sample_cmd =
     in
     Arg.(value & opt (some string) None & info [ "record-on-anomaly" ] ~docv:"FILE" ~doc)
   in
-  let profile_arg =
-    let doc =
-      "Attach the instruction profiler to the run (compiled engines only): $(b,counting) \
-       (exact per-pc/per-opcode execution counts, allocation-free) or $(b,timing) (counts \
-       plus monotonic-clock nanosecond buckets on the kernel opcodes; the default when the \
-       flag is given bare).  Prints the hot-pc and per-opcode tables and the per-plan-node \
-       table, with the instruction counts, to stderr.  Profiling never perturbs the RNG \
-       stream."
-    in
-    Arg.(
-      value
-      & opt (some string) None ~vopt:(Some "timing")
-      & info [ "profile" ] ~docv:"MODE" ~doc)
-  in
-  let profile_out_arg =
-    let doc =
-      "With $(b,--profile), additionally write the full spatialdb-profile/1 JSON document \
-       (hot pcs, opcode histogram, per-node rollup, Chrome trace events) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
-  in
   let run vars_s formula n seed eps delta method_ engine stats stats_out diag chains o record
-      record_anomaly progress profile_s profile_out =
+      record_anomaly progress =
     check_method method_;
     check_engine engine;
-    let profile_mode = Option.map profile_mode_of_string profile_s in
     enable_stats ?stats_out stats;
     setup_obs o;
     (* Anomaly detection rides on the warn/error counters, so make sure
@@ -286,17 +254,8 @@ let sample_cmd =
             (String.concat "\t" (List.map (Printf.sprintf "%.6f") (Array.to_list p))))
         outcome.Flight.points
     in
-    let outcome = or_die (Flight.run ~progress ?profile_mode args) in
-    (match outcome.Flight.profile with
-    | Some profile ->
-        prerr_string (Scdb_profile.Profile.text_report profile);
-        print_ledger ~profile outcome.Flight.plan;
-        (match profile_out with
-        | Some path ->
-            write_file path
-              (Json.to_string (Scdb_profile.Profile.to_json ~plan:outcome.Flight.plan profile))
-        | None -> ())
-    | None -> if progress then print_ledger outcome.Flight.plan);
+    let outcome = or_die (Flight.run ~progress args) in
+    if progress then print_ledger outcome.Flight.plan;
     let relation = outcome.Flight.relation and rng = outcome.Flight.rng in
     emit_points outcome;
     (match record with
@@ -342,7 +301,7 @@ let sample_cmd =
     Term.(
       const run $ vars_arg $ formula_arg $ n_arg $ seed_arg $ eps_arg $ delta_arg $ method_arg
       $ engine_arg $ stats_arg $ stats_out_arg $ diag_arg $ chains_arg $ obs_term $ record_arg
-      $ record_anomaly_arg $ progress_arg $ profile_arg $ profile_out_arg)
+      $ record_anomaly_arg $ progress_arg)
 
 (* ---------------- volume ---------------- *)
 
@@ -631,22 +590,10 @@ let replay_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Flight record ($(b,*.flightrec.json)) to replay.")
   in
-  let engine_override_arg =
-    let doc =
-      "Replay on the executor $(docv) ($(b,interp), $(b,vm) or $(b,vm-opt)) instead of the \
-       one recorded in the file.  The recorded engine still decides the plan: a $(b,vm-opt) \
-       record replays its rewritten plan on whichever executor is named.  Replaying an \
-       interpreter-recorded flight with $(b,--engine vm), or a $(b,vm-opt) record with \
-       $(b,--engine interp), is the differential check that the compiled engine mirrors the \
-       interpreter bit-for-bit."
-    in
-    Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let run file engine o =
+  let run file o =
     setup_obs o;
-    Option.iter check_engine engine;
     let r = or_die (Flightrec.read file) in
-    match Flight.replay ?engine r with
+    match Flight.replay r with
     | Ok n ->
         Printf.printf "replay OK: %d sample(s) reproduced bit-for-bit (seed %d)\n" n
           r.Flightrec.seed
@@ -656,9 +603,11 @@ let replay_cmd =
   in
   let doc =
     "Re-execute a flight record and verify the emitted sample stream is bit-identical to the \
-     recorded one (diverging loudly with the first differing draw if not)."
+     recorded one (diverging loudly with the first differing draw if not).  The recorded \
+     engine decides the plan; a record of the retired $(b,vm) engine replays on the \
+     interpreter, whose stream it drew."
   in
-  Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ engine_override_arg $ obs_term)
+  Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ file_arg $ obs_term)
 
 (* ---------------- explain ---------------- *)
 
@@ -673,11 +622,10 @@ let explain_cmd =
     Arg.(value & opt string "walk" & info [ "method" ] ~docv:"METHOD" ~doc)
   in
   let format_arg =
-    let doc = "Output format: $(b,tree) (indented text, the default), $(b,json) (the \
-               spatialdb-plan/1 document) or $(b,program) (the plan lowered to the kernel VM: \
-               piece table, weight/trial slots and the instruction listing).  Under \
-               $(b,--engine vm-opt) every format shows the rewritten plan, each priced leaf \
-               with its weight route and both costs." in
+    let doc = "Output format: $(b,tree) (indented text, the default) or $(b,json) (the \
+               spatialdb-plan/1 document).  Under $(b,--engine vm-opt) both show the \
+               rewritten plan, each priced leaf with its weight and draw routes and their \
+               costs." in
     Arg.(value & opt string "tree" & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let task_arg =
@@ -688,8 +636,7 @@ let explain_cmd =
   let run vars_s formula n seed eps delta method_ engine format task_s =
     check_method method_;
     check_engine engine;
-    if not (List.mem format [ "tree"; "json"; "program" ]) then
-      usage_die "format" format [ "tree"; "json"; "program" ];
+    if not (List.mem format [ "tree"; "json" ]) then usage_die "format" format [ "tree"; "json" ];
     let task =
       match task_s with
       | "sample" -> Scdb_plan.Plan.Sample n
@@ -705,20 +652,16 @@ let explain_cmd =
         | "json" -> Json.to_string (Scdb_plan.Plan.to_json plan)
         | _ -> Scdb_plan.Plan.to_text_tree plan)
     in
-    (* Lowering and the optimizing pass need the prepared pieces (the
-       rng-consuming rounding half), so they take the seed the run
-       would use. *)
-    let prepared task =
-      or_die (Flight.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed) relation)
-    in
-    match format with
-    | "program" -> (
-        let task = match task with Scdb_plan.Plan.Volume -> Scdb_plan.Plan.Sample n | t -> t in
-        match Scdb_gis.Plan_exec.compile ~optimize:(engine = "vm-opt") (prepared task) with
-        | Error m -> or_die (Error ("plan does not compile: " ^ m))
-        | Ok prog -> print_string (Scdb_vm.Vm.disassemble prog))
-    | _ when engine = "vm-opt" -> print_plan (Scdb_gis.Plan_exec.optimize (prepared task)).plan
-    | _ -> (
+    (* The optimizing pass needs the prepared pieces (the rng-consuming
+       rounding half), so it takes the seed the run would use. *)
+    if engine = "vm-opt" then
+      print_plan
+        (Scdb_gis.Plan_exec.optimize
+           (or_die
+              (Flight.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed)
+                 relation)))
+          .plan
+    else (
         match Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation with
         | Some plan -> print_plan plan
         | None -> or_die (Error Flight.empty_relation)

@@ -2,7 +2,7 @@
 
     Every estimate the pipeline emits promises the paper's contract
     [Pr(|est − truth| ≤ ε·truth) ≥ 1 − δ].  The perf side of the
-    observability stack (profiler, BENCH trend ledger, live status) can
+    observability stack (per-node ledger, BENCH trend ledger) can
     prove how {e fast} a run was; this module proves whether the
     contract actually {e held}: it obtains ground truth from an exact
     oracle (Lasserre volumes with inclusion–exclusion over the DNF

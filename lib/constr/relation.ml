@@ -29,6 +29,74 @@ let size r = List.fold_left (fun acc t -> acc + List.length t) 0 r.tuples
 let mem r x = List.exists (fun t -> Dnf.tuple_holds t x) r.tuples
 let mem_float ?slack r x = List.exists (fun t -> Dnf.tuple_holds_float ?slack t x) r.tuples
 
+(* The membership test lowered once: every atom's {!Term.float_row} in
+   flat arrays, tuple by tuple.  [tuple_start.(t)] and [row_start.(a)]
+   index the first atom of tuple [t] and the first term of atom [a];
+   each array has one extra closing entry. *)
+type lowered = {
+  slack : float;
+  tuple_start : int array;
+  op : int array;  (* per atom: 0 [<=], 1 [<], 2 [=] *)
+  const : float array;  (* per atom *)
+  row_start : int array;
+  var : int array;  (* per term *)
+  coeff : float array;  (* per term *)
+}
+
+let lower ?(slack = 0.0) r =
+  let atoms = List.concat r.tuples in
+  let rows = List.map (fun (a : Atom.t) -> Term.float_row a.Atom.term) atoms in
+  let starts lengths =
+    let s = Array.make (List.length lengths + 1) 0 in
+    List.iteri (fun i n -> s.(i + 1) <- s.(i) + n) lengths;
+    s
+  in
+  let terms = List.concat_map fst rows in
+  {
+    slack;
+    tuple_start = starts (List.map List.length r.tuples);
+    op =
+      Array.of_list
+        (List.map (fun (a : Atom.t) -> match a.Atom.op with Atom.Le -> 0 | Atom.Lt -> 1 | Atom.Eq -> 2) atoms);
+    const = Array.of_list (List.map snd rows);
+    row_start = starts (List.map (fun (ws, _) -> List.length ws) rows);
+    var = Array.of_list (List.map fst terms);
+    coeff = Array.of_list (List.map snd terms);
+  }
+
+(* [mem_float]'s arithmetic: per atom the constant, then coefficient ·
+   coordinate in ascending variable order; the first tuple whose atoms
+   all hold accepts. *)
+let mem_lowered l x =
+  let slack = l.slack and ntuples = Array.length l.tuple_start - 1 in
+  let found = ref false and t = ref 0 in
+  while (not !found) && !t < ntuples do
+    let a = ref (Array.unsafe_get l.tuple_start !t) in
+    let last = Array.unsafe_get l.tuple_start (!t + 1) in
+    let holds = ref true in
+    while !holds && !a < last do
+      let atom = !a in
+      let acc = ref (Array.unsafe_get l.const atom) in
+      for k = Array.unsafe_get l.row_start atom to Array.unsafe_get l.row_start (atom + 1) - 1 do
+        acc := !acc +. (Array.unsafe_get l.coeff k *. x.(Array.unsafe_get l.var k))
+      done;
+      let v = !acc in
+      holds :=
+        (match Array.unsafe_get l.op atom with
+        | 0 -> v <= slack
+        | 1 -> v < slack
+        | _ -> Float.abs v <= slack);
+      incr a
+    done;
+    if !holds then found := true;
+    incr t
+  done;
+  !found
+
+let mem_fn ?slack r =
+  let l = lazy (lower ?slack r) in
+  fun x -> mem_lowered (Lazy.force l) x
+
 let union a b =
   if a.dim <> b.dim then invalid_arg "Relation.union: dimension mismatch";
   { dim = a.dim; tuples = a.tuples @ b.tuples }

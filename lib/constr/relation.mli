@@ -23,6 +23,33 @@ val size : t -> int
 
 val mem : t -> Rational.t array -> bool
 val mem_float : ?slack:float -> t -> Vec.t -> bool
+(** Float membership of the {!Term.eval_float} images, an atom holding
+    when its value is at most [slack] (below it for [<], within it in
+    absolute value for [=]); [slack] defaults to [0].  Converts every
+    coefficient on every call: the per-call form, and the reference
+    {!lower} is tested against. *)
+
+(** {1 Lowered membership}
+
+    The membership test of a relation whose oracle is built once and
+    called many times (a generator's first-index test, a guard): every
+    atom's {!Term.float_row} is taken once, into flat arrays. *)
+
+type lowered
+
+val lower : ?slack:float -> t -> lowered
+(** Lower every atom of every tuple; [slack] as in {!mem_float}. *)
+
+val mem_lowered : lowered -> Vec.t -> bool
+(** [mem_float ?slack r x], bit for bit, for [lower ?slack r]: the same
+    rows accumulated in the same order (a term whose every part is in
+    float range keeps its bits, and {!Term.eval_float} itself falls back
+    to the scaled {!Term.float_row} otherwise).  Allocates nothing. *)
+
+val mem_fn : ?slack:float -> t -> Vec.t -> bool
+(** [mem_fn ?slack r] is {!mem_lowered} on [lower ?slack r], lowered on
+    the first call (a generator whose membership nobody asks for pays
+    nothing). *)
 
 val union : t -> t -> t
 (** @raise Invalid_argument on dimension mismatch. *)

@@ -42,8 +42,8 @@ val eval : t -> Rational.t array -> Rational.t
 val float_row : t -> (int * float) list * float
 (** The float image of the term: its non-zero coefficients in
     ascending variable order, and its constant.  The one exact→float
-    lowering ({!eval_float}, {!to_float_row} and the VM's packed
-    membership rows all use it).  When a coefficient or the constant
+    lowering ({!eval_float}, {!to_float_row} and {!Relation.lower} all
+    use it).  When a coefficient or the constant
     lies beyond the float range, the whole term is first scaled exactly
     by a power of two that brings its largest part near 1 — which keeps
     the meaning of [t ≤ 0], [t < 0] and [t = 0]; a term in range keeps

@@ -23,10 +23,8 @@ let practical_config =
 
 (* A prepared piece is the rng-consuming half of generator construction
    (the well-rounding preprocessing), split from the closure-building
-   half so the plan→kernel compiler can reuse the exact same
-   preprocessing draws and then build either an interpreted observable
-   ([observe]) or a compiled program (Scdb_vm) over the same rounded
-   body. *)
+   half ([observe]) so the optimizing pass can price and rewrite a plan
+   over the same rounded bodies the run then draws from. *)
 type prepared = {
   p_dim : int;
   p_config : config;
@@ -92,51 +90,46 @@ let observe p =
   let body = p.p_body in
   let transform = p.p_transform in
   let r_sup = p.p_r_sup in
+  let body_mem x = Polytope.mem body x in
+  let hr_steps =
+    match config.walk_steps with Some s -> s | None -> Hit_and_run.default_steps ~dim
+  in
+  (* One chain of the batched kernel. *)
+  let hit_and_run walk_rng =
+    (Hit_and_run.sample_polytope_batch [| walk_rng |] body ~starts:[| Vec.create dim |]
+       ~steps:hr_steps).(0)
+  in
+  (* A point of the rounded body, mapped back through the rounding
+     transform. *)
   let sample walk_rng params =
-    let gamma = Params.gamma params and eps = Params.eps params in
-    let steps =
-      match config.walk_steps with
-      | Some s -> s
-      | None -> (
-          match config.sampler with
-          | Grid_walk -> Walk.default_steps ~dim ~eps
-          | Hit_and_run | Rejection_box | Exact_lattice -> Hit_and_run.default_steps ~dim)
-    in
-    (* One chain of the batched kernel. *)
-    let hit_and_run () =
-      (Hit_and_run.sample_polytope_batch [| walk_rng |] body ~starts:[| Vec.create dim |] ~steps)
-        .(0)
-    in
-    (* Walk on the γ-grid of the rounded body (where DFK mixing
-       applies), then map the vertex back through the rounding
-       transform. *)
     let point =
       match config.sampler with
       | Grid_walk ->
-          let grid = Grid.step_for ~gamma ~dim ~scale:r_sup in
-          Walk.sample walk_rng ~grid
-            ~mem:(fun x -> Polytope.mem body x)
-            ~start:(Vec.create dim) ~steps
-      | Hit_and_run -> hit_and_run ()
+          (* Walk on the γ-grid of the rounded body, where DFK mixing
+             applies. *)
+          let steps =
+            match config.walk_steps with
+            | Some s -> s
+            | None -> Walk.default_steps ~dim ~eps:(Params.eps params)
+          in
+          let grid = Grid.step_for ~gamma:(Params.gamma params) ~dim ~scale:r_sup in
+          Walk.sample walk_rng ~grid ~mem:body_mem ~start:(Vec.create dim) ~steps
+      | Hit_and_run -> hit_and_run walk_rng
       | Rejection_box -> (
           (* Exactly uniform; the right tool in low dimension where
              the body fills a decent fraction of its bounding box.
              Falls back to hit-and-run if the budget runs dry, so
              the generator never fails outright. *)
           match Lazy.force p.p_box with
-          | None -> hit_and_run ()
+          | None -> hit_and_run walk_rng
           | Some (lo, hi) -> (
-              match
-                Rejection.sample walk_rng ~lo ~hi
-                  ~mem:(fun x -> Polytope.mem body x)
-                  ~max_attempts:20_000
-              with
-              | Some (x, _) -> x
-              | None -> hit_and_run ()))
+              match Rejection.sample walk_rng ~lo ~hi ~mem:body_mem ~max_attempts:20_000 with
+              | Some x -> x
+              | None -> hit_and_run walk_rng))
       | Exact_lattice -> (
           match Lazy.force p.p_lattice with
           | Ok lattice -> Pyramid.sample lattice walk_rng
-          | Error _ -> hit_and_run ())
+          | Error _ -> hit_and_run walk_rng)
     in
     Some (Affine.apply_inverse transform point)
   in
@@ -158,7 +151,7 @@ let observe p =
   in
   let mem =
     match p.p_relation with
-    | Some r -> fun x -> Relation.mem_float ~slack:1e-9 r x
+    | Some r -> Relation.mem_fn ~slack:1e-9 r
     | None -> fun x -> Polytope.mem ~slack:1e-9 p.p_original x
   in
   Observable.make ?relation:p.p_relation ~dim ~mem ~sample ~volume ()

@@ -62,7 +62,7 @@ val of_polytope :
     [prepare] runs only the first and returns the preprocessed piece;
     [observe] builds the interpreted observable from it.
     [of_polytope rng p = Option.map observe (prepare rng p)] — same rng
-    draw sequence — and the plan→kernel compiler ({!Scdb_vm}) consumes
+    draw sequence — and the optimizing pass ({!Scdb_vm.Rewrite}) reads
     prepared pieces directly, so both engines share identical
     preprocessing streams. *)
 
@@ -76,8 +76,8 @@ type prepared = private {
   p_r_sup : float;  (** enclosing-ball radius of the rounded body *)
   p_box : (Vec.t * Vec.t) option Lazy.t;
       (** the rounded body's bounding box: its LPs are solved once, on
-          first use, by whichever of the optimizing pass, the VM or a
-          rejection sampler asks first; rng-free *)
+          first use, by whichever of the optimizing pass or a rejection
+          sampler asks first; rng-free *)
   p_lattice : (Pyramid.t, Pyramid.decline) result Lazy.t;
       (** the rounded body's face lattice, built on first use (the
           optimizing pass prices the build first) and shared by both
@@ -107,7 +107,7 @@ val prepare_tuples : ?config:config -> Rng.t -> Relation.t -> (Dnf.tuple * prepa
     tuple order, one shared rng: the tuples that survive paired with
     their pieces.  Measure-zero tuples (empty or lower-dimensional) are
     dropped.  The per-tuple loop every relation-level generator
-    (interpreter, VM, GIS evaluator) is built from.
+    (both engines, the GIS evaluator) is built from.
     @raise Unbounded if a tuple is full-dimensional and unbounded. *)
 
 val with_sampler : sampler -> prepared -> prepared
@@ -115,5 +115,7 @@ val with_sampler : sampler -> prepared -> prepared
     preprocessing.  How a plan's per-leaf method reaches the piece. *)
 
 val observe : prepared -> Observable.t
-(** Build the interpreted observable over a prepared piece.  Pure — no
+(** Build the interpreted observable over a prepared piece: its body
+    oracle and hit-and-run schedule are made once here, and its
+    membership test is {!Relation.mem_fn} (slack [1e-9]).  Pure — no
     rng draws. *)

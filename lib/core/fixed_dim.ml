@@ -35,7 +35,7 @@ let observable ?(max_cells = 2_000_000) r =
         in
         Some
           (Observable.make ~relation:r ~dim
-             ~mem:(fun x -> Relation.mem_float ~slack:1e-9 r x)
+             ~mem:(Relation.mem_fn ~slack:1e-9 r)
              ~sample ~volume ())
   end
 

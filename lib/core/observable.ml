@@ -26,29 +26,47 @@ let volume t ?gamma rng ~eps ~delta =
   let gamma = match gamma with Some g -> g | None -> Params.gamma Params.default in
   t.volume rng ~gamma ~eps ~delta
 
-let sample_exn t rng params =
-  let attempts = Stdlib.max 4 (int_of_float (ceil (20.0 *. log (1.0 /. Params.delta params)))) in
-  let rec go n =
-    if n = 0 then begin
+let retries params = Stdlib.max 4 (int_of_float (ceil (20.0 *. log (1.0 /. Params.delta params))))
+
+(* [sample_exn] with its retry count worked out by the caller. *)
+let sample_retrying t rng params attempts =
+  let left = ref attempts and point = ref None in
+  while Option.is_none !point && !left > 0 do
+    point := t.sample rng params;
+    decr left
+  done;
+  match !point with
+  | Some x -> x
+  | None ->
       let module Log = Scdb_log.Log in
       if Log.would_log Log.Error then
-        Log.error "observable.sample_failed"
-          [ Log.int "attempts" attempts; Log.int "dim" t.dim ];
+        Log.error "observable.sample_failed" [ Log.int "attempts" attempts; Log.int "dim" t.dim ];
       raise (Estimation_failed "generator failed on every retry")
-    end
-    else match t.sample rng params with Some x -> x | None -> go (n - 1)
-  in
-  go attempts
 
-let sample_many t rng params ~n = List.init n (fun _ -> sample_exn t rng params)
+let sample_exn t rng params = sample_retrying t rng params (retries params)
+
+let sample_many t rng params ~n =
+  let attempts = retries params in
+  List.init n (fun _ -> sample_retrying t rng params attempts)
 
 let tag id t =
-  let on_node f = Scdb_progress.Progress.with_node id f in
-  {
-    t with
-    sample = (fun rng params -> on_node (fun () -> t.sample rng params));
-    volume = (fun rng ~gamma ~eps ~delta -> on_node (fun () -> t.volume rng ~gamma ~eps ~delta));
-  }
+  let module Progress = Scdb_progress.Progress in
+  let node = [| id |] in
+  let sample rng params =
+    Progress.enter_path node;
+    match t.sample rng params with
+    | x ->
+        Progress.exit_path node;
+        x
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Progress.exit_path node;
+        Printexc.raise_with_backtrace e bt
+  in
+  let volume rng ~gamma ~eps ~delta =
+    Progress.with_node id (fun () -> t.volume rng ~gamma ~eps ~delta)
+  in
+  { t with sample; volume }
 
 let with_cached_volume t =
   let cache : (float * float * float, float) Hashtbl.t = Hashtbl.create 4 in

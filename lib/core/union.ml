@@ -26,6 +26,17 @@ let zero_acceptance =
 (* Shared with the static cost model: see [Scdb_plan.Cost]. *)
 let trials_for ~m ~delta = Scdb_plan.Cost.union_trials ~m ~delta
 
+(* What a draw at one (γ,ε,δ) needs: the child weights at the ε/3,
+   δ/(4m) grant, whether they are all zero, the children's parameters
+   and the trial budget. *)
+type draw_setup = {
+  params : Params.t;
+  mu : float array;
+  empty : bool;
+  child : Params.t;
+  trials : int;
+}
+
 let union children =
   if children = [] then invalid_arg "Union.union: empty list";
   let dim = Observable.dim (List.hd children) in
@@ -43,51 +54,76 @@ let union children =
       (Observable.relation children.(0))
       (Array.sub children 1 (m - 1))
   in
-  let mem x = Array.exists (fun c -> Observable.mem c x) children in
-  (* j(x): index of the first operand containing x. *)
-  let first_index x =
-    let rec go i = if i >= m then None else if Observable.mem children.(i) x then Some i else go (i + 1) in
-    go 0
+  let mem x =
+    let i = ref 0 in
+    while !i < m && not (Observable.mem children.(!i) x) do
+      incr i
+    done;
+    !i < m
+  in
+  (* j(x) = j: no operand before j contains x, and j does. *)
+  let first_index_is x j =
+    let i = ref 0 in
+    while !i < j && not (Observable.mem children.(!i) x) do
+      incr i
+    done;
+    !i = j && Observable.mem children.(j) x
   in
   let volumes rng ~gamma ~eps ~delta =
     Array.map (fun c -> Observable.volume c rng ~gamma ~eps ~delta) children
   in
-  let sample rng params =
-    Trace.span "union.sample"
-      ~counters:
-        [ "union.trials"; "union.first_index_miss"; "union.child_failures"; "union.exhausted" ]
-    @@ fun () ->
+  (* The draw setup of the last parameters seen; a draw under any other
+     parameters value works its own out again (the children's weights
+     come from their volume caches then). *)
+  let last = ref None in
+  let setup rng params =
+    match !last with
+    | Some s when s.params == params -> s
+    | _ ->
+        let gamma = Params.gamma params and delta = Params.delta params in
+        let eps3, sub_delta = Scdb_plan.Cost.child_grant ~m ~eps:(Params.eps params) ~delta in
+        let mu = volumes rng ~gamma ~eps:eps3 ~delta:sub_delta in
+        let s =
+          {
+            params;
+            mu;
+            empty = Array.for_all (fun v -> v <= 0.0) mu;
+            child = Params.third_eps params;
+            trials = trials_for ~m ~delta;
+          }
+        in
+        last := Some s;
+        s
+  in
+  let draw rng params =
     Tel.Counter.incr tel_samples;
     Trace.add_attr_int "operands" m;
-    let gamma = Params.gamma params in
-    let delta = Params.delta params in
-    let eps3, sub_delta = Scdb_plan.Cost.child_grant ~m ~eps:(Params.eps params) ~delta in
-    let mu = volumes rng ~gamma ~eps:eps3 ~delta:sub_delta in
-    if Array.for_all (fun v -> v <= 0.0) mu then None
+    let s = setup rng params in
+    if s.empty then None
     else begin
-    let trials = trials_for ~m ~delta in
-    let rec attempt k =
-      if k = 0 then begin
-        Probe.warn2 exhausted trials m;
-        None
-      end
-      else begin
+      let mu = s.mu and trials = s.trials in
+      let left = ref trials and point = ref None in
+      while Option.is_none !point && !left > 0 do
         Probe.trials trial 1;
         let j = Rng.categorical rng mu in
-        match Observable.sample children.(j) rng (Params.third_eps params) with
-        | None ->
-            Tel.Counter.incr tel_child_failures;
-            attempt (k - 1)
-        | Some x ->
-            if first_index x = Some j then Some x
-            else begin
-              Tel.Counter.incr tel_first_index_miss;
-              attempt (k - 1)
-            end
-      end
-    in
-    attempt trials
+        (match Observable.sample children.(j) rng s.child with
+        | None -> Tel.Counter.incr tel_child_failures
+        | Some x as drawn ->
+            if first_index_is x j then point := drawn
+            else Tel.Counter.incr tel_first_index_miss);
+        decr left
+      done;
+      if Option.is_none !point then Probe.warn2 exhausted trials m;
+      !point
     end
+  in
+  let sample rng params =
+    if Trace.enabled () then
+      Trace.span "union.sample"
+        ~counters:
+          [ "union.trials"; "union.first_index_miss"; "union.child_failures"; "union.exhausted" ]
+        (fun () -> draw rng params)
+    else draw rng params
   in
   let volume rng ~gamma ~eps ~delta =
     (* Karp–Luby estimator: μ(∪) = (Σ μ̂ᵢ) · P[trial accepted].  The
@@ -114,7 +150,7 @@ let union children =
         let j = Rng.categorical r mu in
         match Observable.sample children.(j) r params with
         | None -> false
-        | Some x -> first_index x = Some j
+        | Some x -> first_index_is x j
       in
       let { Chernoff.trials = n; hits = accepted; estimate } =
         Chernoff.estimate_fraction_stopping rng ~eps:eps3 ~delta:(delta /. 4.0)

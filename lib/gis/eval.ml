@@ -74,7 +74,7 @@ let rec pieces_of (q : Query.t) : piece list =
    {!Diff.diff}, which never samples or measures it. *)
 let membership_only r =
   Observable.make ~relation:r ~dim:(Relation.dim r)
-    ~mem:(fun x -> Relation.mem_float ~slack:1e-9 r x)
+    ~mem:(Relation.mem_fn ~slack:1e-9 r)
     ~sample:(fun _ _ -> None)
     ~volume:(fun _ ~gamma:_ ~eps:_ ~delta:_ ->
       raise (Observable.Estimation_failed "membership-only observable"))

@@ -20,8 +20,6 @@ type outcome = {
   relation : Relation.t;
   rng : Rng.t;
   plan : Scdb_plan.Plan.t;
-  program : Scdb_vm.Vm.t option;
-  profile : Scdb_profile.Profile.t option;
 }
 
 let ( let* ) = Result.bind
@@ -36,7 +34,7 @@ let default_eps = 0.2
 let default_delta = 0.1
 
 let methods = List.map fst Convex_obs.samplers
-let engines = [ "interp"; "vm"; "vm-opt" ]
+let engines = [ "interp"; "vm-opt" ]
 
 let config_of_method m =
   match List.assoc_opt m Convex_obs.samplers with
@@ -77,63 +75,31 @@ type engine = {
   plan : Scdb_plan.Plan.t;
   draw : Rng.t -> int -> Vec.t list;
   observable : Observable.t;
-  program : Scdb_vm.Vm.t option;
-  profile : Scdb_profile.Profile.t option;
 }
 
-let start_engine ?profile_mode ?executor ~engine ~eps ~delta prepared =
-  let optimize = engine = "vm-opt" in
-  match Option.value executor ~default:engine with
-  | "interp" ->
-      let prepared = if optimize then Plan_exec.optimize prepared else prepared in
-      let obs = Plan_exec.observe prepared in
-      let params = Params.make ~gamma ~eps ~delta () in
-      let draw rng n = Observable.sample_many obs rng params ~n in
-      Ok { plan = prepared.Plan_exec.plan; draw; observable = obs; program = None; profile = None }
-  | _ -> (
-      match Plan_exec.compile ~optimize prepared with
-      | Error m -> Error ("plan does not compile: " ^ m)
-      | Ok prog ->
-          let profile =
-            Option.map (fun mode -> Scdb_profile.Profile.create ~mode prog) profile_mode
-          in
-          let draw =
-            match profile with
-            | None -> fun rng n -> Scdb_vm.Vm.sample_many prog rng ~n
-            | Some pr -> fun rng n -> Scdb_profile.Profile.sample_many pr rng ~n
-          in
-          Ok
-            {
-              plan = Scdb_vm.Vm.plan prog;
-              draw;
-              observable = Scdb_vm.Vm.mirror prog;
-              program = Some prog;
-              profile;
-            })
+let start_engine ~engine ~eps ~delta prepared =
+  let prepared = if engine = "vm-opt" then Plan_exec.optimize prepared else prepared in
+  let obs = Plan_exec.observe prepared in
+  let params = Params.make ~gamma ~eps ~delta () in
+  let draw rng n = Observable.sample_many obs rng params ~n in
+  { plan = prepared.Plan_exec.plan; draw; observable = obs }
 
-let run ?(progress = false) ?profile_mode ?executor a =
+let run ?(progress = false) a =
   let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
-  let* executor = check_engine (Option.value executor ~default:engine) in
-  let* () =
-    if profile_mode <> None && executor = "interp" then
-      Error "profiling requires a compiled engine (--engine vm or vm-opt)"
-    else Ok ()
-  in
   let* relation = parse_relation ~vars:a.vars a.formula in
   let rng = Rng.create a.seed in
   let task = Scdb_plan.Plan.Sample a.n in
   (* Every engine shares the parse, the preprocessing rng draws and the
      plan; they differ only in how the n draws are executed. *)
   let* prepared = prepare ~config ~gamma ~eps:a.eps ~delta:a.delta ~task rng relation in
-  let* e = start_engine ?profile_mode ~executor ~engine ~eps:a.eps ~delta:a.delta prepared in
+  let e = start_engine ~engine ~eps:a.eps ~delta:a.delta prepared in
   let plan = e.plan in
-  (* Profiled runs arm the bus even without --progress so the ledger's
-     work column is filled; only --progress runs the stderr ticker. *)
-  let armed = progress || e.profile <> None in
-  if armed then Plan_exec.arm plan;
-  if progress then Scdb_progress.Progress.start_ticker ();
-  let finish_progress () = if armed then Scdb_progress.Progress.stop () in
+  if progress then begin
+    Plan_exec.arm plan;
+    Scdb_progress.Progress.start_ticker ()
+  end;
+  let finish_progress () = if progress then Scdb_progress.Progress.stop () in
   if Log.would_log Log.Info then
     Log.info "sample.run"
       [
@@ -151,7 +117,7 @@ let run ?(progress = false) ?profile_mode ?executor a =
       if Log.would_log Log.Info then
         Log.info "sample.done"
           [ Log.int "points" (List.length points); Log.int "draws" (Rng.draw_count rng) ];
-      Ok { points; relation; rng; plan; program = e.program; profile = e.profile }
+      Ok { points; relation; rng; plan }
   | exception Observable.Estimation_failed m ->
       finish_progress ();
       Error m
@@ -192,12 +158,16 @@ let args_of_flightrec (r : Flightrec.t) =
   let* delta = Option.to_result ~none:"malformed delta" (float_of_string_opt delta_s) in
   let vars = split_vars vars_s in
   let method_ = Option.value ~default:"walk" (Flightrec.arg r "method") in
-  let engine = Option.value ~default:"interp" (Flightrec.arg r "engine") in
+  (* A strict-VM record is an interpreter stream: the compiled engine
+     drew the interpreter's stream on the unrewritten plan. *)
+  let engine =
+    match Flightrec.arg r "engine" with None | Some "vm" -> "interp" | Some e -> e
+  in
   Ok { vars; formula; n; seed = r.Flightrec.seed; eps; delta; method_; engine }
 
-let replay ?engine (r : Flightrec.t) =
+let replay (r : Flightrec.t) =
   let* a = args_of_flightrec r in
-  let* o = run ?executor:engine a in
+  let* o = run a in
   let* n = Flightrec.compare_samples ~recorded:r.Flightrec.samples ~replayed:o.points in
   (* The sample stream is the contract, but the draw count is a cheap
      second opinion: matching points with a different draw count means

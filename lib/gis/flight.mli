@@ -18,11 +18,9 @@ type args = {
   delta : float;
   method_ : string;  (** ["walk"], ["grid"] or ["rejection"] *)
   engine : string;
-      (** ["interp"] (the observable interpreter), ["vm"] (the compiled
-          engine — same rng stream as the interpreter) or ["vm-opt"]
-          (the VM on the plan {!Plan_exec.optimize} rewrote; same
-          distribution, a different stream, which replays on every
-          executor) *)
+      (** ["interp"] (the observable interpreter on the plan as built)
+          or ["vm-opt"] (the interpreter on the plan {!Plan_exec.optimize}
+          rewrote; same distribution, a stream of its own) *)
 }
 
 val gamma : float
@@ -44,7 +42,7 @@ val methods : string list
 (** The per-piece samplers: [walk], [grid], [rejection]. *)
 
 val engines : string list
-(** [interp], [vm], [vm-opt]. *)
+(** [interp], [vm-opt]. *)
 
 val config_of_method : string -> (Convex_obs.config, string) result
 (** {!Convex_obs.practical_config} with the named sampler;
@@ -91,30 +89,14 @@ val parse_relation : vars:string list -> string -> (Relation.t, string) result
 type engine = {
   plan : Scdb_plan.Plan.t;  (** the plan that runs: rewritten under ["vm-opt"] *)
   draw : Rng.t -> int -> Vec.t list;  (** [draw rng n]: the next [n] points *)
-  observable : Observable.t;
-      (** what volume estimates run on: the tagged interpreter tree, or
-          the compiled program's interpreted mirror *)
-  program : Scdb_vm.Vm.t option;  (** the compiled program, under [vm] and [vm-opt] *)
-  profile : Scdb_profile.Profile.t option;  (** the profiler [draw] runs under, if any *)
+  observable : Observable.t;  (** the tagged interpreter tree volume estimates run on *)
 }
 (** A prepared relation bound to one execution engine. *)
 
-val start_engine :
-  ?profile_mode:Scdb_profile.Profile.mode ->
-  ?executor:string ->
-  engine:string ->
-  eps:float ->
-  delta:float ->
-  Plan_exec.prepared ->
-  (engine, string) result
-(** Bind a prepared relation to an engine from {!engines}.  [engine]
-    decides the plan: ["vm-opt"] runs {!Plan_exec.optimize} first.
-    [executor] (default [engine]) decides what runs it: ["interp"]
-    draws through {!Plan_exec.observe}, ["vm"] and ["vm-opt"] through
-    {!Plan_exec.compile}, under an instruction profiler when
-    [profile_mode] is given (ignored under ["interp"]).  On one plan
-    every executor draws the same stream.  Draws no rng.  [Error] when
-    the plan does not compile. *)
+val start_engine : engine:string -> eps:float -> delta:float -> Plan_exec.prepared -> engine
+(** Bind a prepared relation to an engine from {!engines}: ["vm-opt"]
+    runs {!Plan_exec.optimize} first, and both draw through
+    {!Plan_exec.observe} at ({!gamma}, [eps], [delta]).  Draws no rng. *)
 
 type outcome = {
   points : Vec.t list;  (** the emitted sample stream, in order *)
@@ -125,28 +107,16 @@ type outcome = {
           rewritten plan under ["vm-opt"], tags included); with
           [~progress:true] its per-node ledger is readable via
           {!Plan_exec.ledger} after the run *)
-  program : Scdb_vm.Vm.t option;  (** the compiled program, under a VM executor *)
-  profile : Scdb_profile.Profile.t option;  (** filled when [profile_mode] was given *)
 }
 
-val run :
-  ?progress:bool ->
-  ?profile_mode:Scdb_profile.Profile.mode ->
-  ?executor:string ->
-  args ->
-  (outcome, string) result
+val run : ?progress:bool -> args -> (outcome, string) result
 (** Parse, build the plan-tagged observable and draw [n] points from
     the run's one generator, [Rng.create a.seed] (the outcome's [rng]),
     reporting into the process's observability stores.  With
     [~progress:true] the progress bus is armed with the plan's budgets
-    and the stderr progress ticker runs for the duration.  [executor]
-    picks what runs the plan [a.engine] chose (see {!start_engine}).
-    [profile_mode] (compiled executors only — an [Error] under
-    ["interp"]) attaches an instruction profiler and arms the progress
-    bus ticker-free, so the outcome carries both the profile and a
-    filled {!Plan_exec.ledger}.  None of these options perturb the RNG
-    stream, so replay is unaffected.  Emits [sample.run] /
-    [sample.done] info events. *)
+    and the stderr progress ticker runs for the duration; it does not
+    perturb the RNG stream, so replay is unaffected.  Emits
+    [sample.run] / [sample.done] info events. *)
 
 val to_flightrec : args -> outcome -> Scdb_log.Flightrec.t
 (** Snapshot a finished run as a [spatialdb-flightrec/1] record
@@ -155,17 +125,15 @@ val to_flightrec : args -> outcome -> Scdb_log.Flightrec.t
 
 val args_of_flightrec : Scdb_log.Flightrec.t -> (args, string) result
 (** Recover the run arguments from a record.  Fails on records written
-    by a different subcommand or with missing/malformed arguments. *)
+    by a different subcommand or with missing/malformed arguments.  A
+    record whose engine reads ["vm"] (the retired strict VM, which drew
+    the interpreter's stream) recovers as ["interp"]. *)
 
-val replay : ?engine:string -> Scdb_log.Flightrec.t -> (int, string) result
+val replay : Scdb_log.Flightrec.t -> (int, string) result
 (** Re-execute a record and compare the replayed stream bit-for-bit
     against the recorded one ({!Scdb_log.Flightrec.compare_samples}),
     then cross-check the generator's draw count against the recorded
     one (when the record has one).  [Ok n] returns the verified stream
     length; any divergence reports the first differing sample,
-    coordinate and both values.  The recorded engine decides
-    the plan (whether {!Plan_exec.optimize} runs); [engine] only picks
-    the executor — replaying an interpreter-recorded flight with
-    [~engine:"vm"], or a ["vm-opt"] record with [~engine:"interp"], is
-    the differential test that the compiled engine is a bit-exact
-    mirror of the interpreter. *)
+    coordinate and both values.  The recorded engine decides the plan
+    (whether {!Plan_exec.optimize} runs). *)

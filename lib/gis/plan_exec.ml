@@ -22,18 +22,14 @@ let observe { plan; pieces } =
 let optimize { plan; pieces } =
   { plan = Scdb_vm.Rewrite.optimize plan (Array.of_list pieces); pieces }
 
-let compile ?(optimize = false) { plan; pieces } =
-  Scdb_vm.Vm.compile ~optimize ~plan ~pieces:(Array.of_list pieces) ()
-
 let observable_of_relation ?config ~gamma ~eps ~delta ~task rng r =
   prepare ?config ~gamma ~eps ~delta ~task rng r |> Option.map (fun p -> (p.plan, observe p))
 
-let compiled_of_relation ?config ?optimize ~gamma ~eps ~delta ~task rng r =
+let compiled_of_relation ?config ?optimize:(rewrite = false) ~gamma ~eps ~delta ~task rng r =
   prepare ?config ~gamma ~eps ~delta ~task rng r
   |> Option.map (fun p ->
-         match compile ?optimize p with
-         | Ok prog -> (Scdb_vm.Vm.plan prog, Ok prog)
-         | Error _ as e -> (p.plan, e))
+         let { plan; pieces } = if rewrite then optimize p else p in
+         (plan, Scdb_vm.Vm.compile ~plan ~pieces:(Array.of_list pieces) ()))
 
 let arm plan = Progress.start ~rows:(Plan.work_budgets plan) ()
 
@@ -45,28 +41,14 @@ type row = {
   actual : float;
   eps : float;
   delta : float;
-  instructions : float;
-  ns : float;
 }
 
-let ledger ?profile plan =
+let ledger plan =
   let n = plan.Plan.node_count in
   let nodes = Array.make n plan.Plan.root in
   Plan.iter_nodes (fun (node : Plan.node) -> nodes.(node.Plan.id) <- node) plan;
   let actuals = Progress.rows () in
   let grants = Plan.error_budget plan in
-  let instructions = Array.make n Float.nan and ns = Array.make n Float.nan in
-  Option.iter
-    (fun p ->
-      let timed = Scdb_profile.Profile.mode p = Scdb_profile.Profile.Timing in
-      Array.fill instructions 0 n 0.0;
-      if timed then Array.fill ns 0 n 0.0;
-      Array.iter
-        (fun (r : Scdb_profile.Profile.pc_row) ->
-          instructions.(r.node) <- instructions.(r.node) +. float_of_int r.count;
-          if timed then ns.(r.node) <- ns.(r.node) +. r.ns)
-        (Scdb_profile.Profile.pc_rows p))
-    profile;
   Array.init n (fun id ->
       let node = nodes.(id) in
       {
@@ -77,8 +59,6 @@ let ledger ?profile plan =
         actual = (if id < Array.length actuals then Progress.row_work actuals.(id) else 0.0);
         eps = grants.(id).Plan.g_eps;
         delta = grants.(id).Plan.g_delta;
-        instructions = instructions.(id);
-        ns = ns.(id);
       })
 
 let ratio r =
@@ -140,8 +120,6 @@ let columns =
     ("delta", false, fun r -> num "%.3g" r.delta);
     ("achieved", false, fun r -> num "%.3g" (delta_achieved r));
     ("slack", false, fun r -> num "%.3g" (slack r));
-    ("instrs", false, fun r -> num "%.0f" r.instructions);
-    ("ns", false, fun r -> num "%.0f" r.ns);
     ("rewrites", true, fun r -> if r.tags = [] then None else Some (String.concat "," r.tags));
   ]
 

@@ -4,9 +4,8 @@
     {!prepare} runs a relation through the one preparation pipeline
     and returns the plan with the prepared pieces it covers;
     {!optimize} rewrites the plan over the same pieces; the
-    interpreter ({!observe}) and the VM ({!compile}) consume either
-    value, so every executor starts from identical preprocessing draws
-    and runs the same plan.  {!observe} wraps every
+    interpreter ({!observe}) runs either value, so both engines start
+    from identical preprocessing draws.  {!observe} wraps every
     observable so its sample/volume calls run inside
     [Progress.with_node] with the plan-node id — the accrued actuals
     land on exactly the node whose budget predicted them.  The wrapper
@@ -56,14 +55,7 @@ val observe : prepared -> Observable.t
 
 val optimize : prepared -> prepared
 (** {!Scdb_vm.Rewrite.optimize} over the prepared pieces: the plan
-    [--engine vm-opt] runs, on any executor.  Draws no rng. *)
-
-val compile : ?optimize:bool -> prepared -> (Scdb_vm.Vm.t, string) result
-(** The compiled engine: lower the plan and pieces through
-    {!Scdb_vm.Vm.compile} — the same rng and sample stream as
-    {!observe} on the same plan; [optimize:true] lowers the
-    {!optimize}d plan.  [Error _] when the plan has a shape the
-    compiler refuses. *)
+    [--engine vm-opt] runs.  Draws no rng. *)
 
 val observable_of_relation :
   ?config:Convex_obs.config ->
@@ -86,8 +78,8 @@ val compiled_of_relation :
   Rng.t ->
   Relation.t ->
   (Scdb_plan.Plan.t * (Scdb_vm.Vm.t, string) result) option
-(** {!prepare} then {!compile}, paired with the plan the program
-    lowers (the rewritten one under [optimize:true]). *)
+(** {!prepare}, then {!optimize} under [optimize:true], then
+    {!Scdb_vm.Vm.compile} on the result, paired with its plan. *)
 
 val arm : Scdb_plan.Plan.t -> unit
 (** [Progress.start] with the plan's work budgets. *)
@@ -95,10 +87,9 @@ val arm : Scdb_plan.Plan.t -> unit
 (** {1 The per-node ledger}
 
     One row per plan node answers "where did this node's work and
-    error budget go": the plan's prediction and (ε,δ) grant, the work
-    the progress bus accrued, and under a compiled engine the
-    profiler's instruction counts.  Every per-node table and JSON
-    block renders from these rows. *)
+    error budget go": the plan's prediction and (ε,δ) grant and the
+    work the progress bus accrued.  Every per-node table and JSON block
+    renders from these rows. *)
 
 type row = {
   id : int;
@@ -108,15 +99,12 @@ type row = {
   actual : float;  (** accrued steps + trials; [0] when the node never ran *)
   eps : float;  (** granted ε of the node's own estimation phase; [nan] for guards *)
   delta : float;  (** granted δ ({!Scdb_plan.Plan.error_budget}); [nan] for guards *)
-  instructions : float;  (** VM instruction executions; [nan] without a profile *)
-  ns : float;  (** profiled VM ns; [nan] unless the profile is in timing mode *)
 }
 
-val ledger : ?profile:Scdb_profile.Profile.t -> Scdb_plan.Plan.t -> row array
+val ledger : Scdb_plan.Plan.t -> row array
 (** Join the plan's budgets, tags and grants with the progress bus's
-    accrued actuals and, given a profile of the plan's program, its
-    per-pc counts folded by node; in node-id order.  Call after the
-    run, before the next [Progress.start]. *)
+    accrued actuals, in node-id order.  Call after the run, before the
+    next [Progress.start]. *)
 
 val ratio : row -> float
 (** [actual/predicted]; [nan] when the node never ran, [infinity] when
@@ -149,5 +137,4 @@ val to_json : field list -> row array -> Scdb_json.Json.t
 
 val to_text : row array -> string
 (** Fixed-width table for terminals, leaving out every column no row
-    fills (grants on guards, instructions without a profile, ns
-    outside timing mode, rewrites on an untagged plan). *)
+    fills (grants on guards, rewrites on an untagged plan). *)

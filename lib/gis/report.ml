@@ -31,14 +31,9 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
         Flight.prepare ~config:Convex_obs.practical_config ~gamma:Flight.gamma ~eps ~delta ~task
           rng relation
       in
-      (* Compiled engines draw through the instruction profiler (timing
-         mode — a report is a diagnostic document) and estimate volume
-         through the program's interpreted mirror; under vm-opt the
-         plan, and so the ledger rows, carry the rewrite tags. *)
-      let* e =
-        Flight.start_engine ~profile_mode:Scdb_profile.Profile.Timing ~engine ~eps ~delta
-          prepared
-      in
+      (* Under vm-opt the plan, and so the ledger rows, carry the
+         rewrite tags. *)
+      let e = Flight.start_engine ~engine ~eps ~delta prepared in
       let plan = e.Flight.plan in
       (* The progress bus collects per-node actuals for the ledger;
          armed only around the planned work (diagnostics below are
@@ -59,22 +54,21 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                 | v -> Some v
                 | exception Observable.Estimation_failed _ -> None)
           in
-          let ledger = Plan_exec.ledger ?profile:e.Flight.profile plan in
+          let ledger = Plan_exec.ledger plan in
           Scdb_progress.Progress.stop ();
-          let profile_json = Option.map (Scdb_profile.Profile.to_json ~plan) e.Flight.profile in
           let diag =
             match Relation.tuples relation with
             | tuple :: _ ->
                 Diag_run.run ~chains ~samples_per_chain rng (Polytope.of_tuple ~dim tuple)
             | [] -> None
           in
-          Ok (relation, plan, ledger, pts, vol, diag, profile_json)
+          Ok (relation, plan, ledger, pts, vol, diag)
     in
     (* Export after the root span closes so every duration is final. *)
     let out =
       match result with
       | Error e -> Error e
-      | Ok (relation, plan, ledger, pts, vol, diag, profile_json) ->
+      | Ok (relation, plan, ledger, pts, vol, diag) ->
           let chrome = Trace.to_chrome_json () in
           let doc =
             Json.Obj
@@ -111,7 +105,6 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
                       ("error_budget", Plan_exec.to_json Plan_exec.budget_fields ledger);
                     ] );
                 ("diagnostics", Json.opt Diag_run.to_json diag);
-                ("profile", Json.opt Fun.id profile_json);
                 ("span_count", Json.Int (Trace.count ()));
                 ("telemetry", Tel.dump ~only_nonzero:true ());
                 ("trace", chrome);

@@ -46,9 +46,6 @@ val generate :
     [chains = Diag_run.default_chains],
     [samples_per_chain = Diag_run.default_samples_per_chain].
     [progress] additionally runs the live stderr ticker.
-    [engine] is ["interp"] (default), ["vm"] or ["vm-opt"]; the
-    compiled engines run the draws through the instruction profiler
-    (timing mode) and embed the [spatialdb-profile/1] document under
-    the report's ["profile"] key, with rewrite tags on the
-    ledger rows.
+    [engine] is ["interp"] (default) or ["vm-opt"], whose ledger rows
+    carry the rewrite tags.
     [Error reason] on parse errors or empty/unbounded relations. *)

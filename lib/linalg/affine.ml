@@ -21,7 +21,23 @@ let scaling factors =
   end
 
 let apply t x = Vec.add (Mat.mul_vec t.mat x) t.offset
-let apply_inverse t y = Mat.mul_vec t.inv_mat (Vec.sub y t.offset)
+(* [inv_mat · (y − offset)] with [Mat.mul_vec]'s and [Vec.sub]'s
+   arithmetic, into one fresh vector. *)
+let apply_inverse t y =
+  let inv = t.inv_mat and off = t.offset in
+  let d = Vec.dim off in
+  if Vec.dim y <> d then invalid_arg "Affine.apply_inverse: dimension mismatch";
+  let x = Vec.create (Array.length inv) in
+  for i = 0 to Array.length inv - 1 do
+    let row = Array.unsafe_get inv i in
+    if Vec.dim row <> d then invalid_arg "Affine.apply_inverse: dimension mismatch";
+    let s = ref 0.0 in
+    for k = 0 to d - 1 do
+      s := !s +. (Array.unsafe_get row k *. (Array.unsafe_get y k -. Array.unsafe_get off k))
+    done;
+    x.(i) <- !s
+  done;
+  x
 
 let compose f g =
   {

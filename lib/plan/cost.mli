@@ -48,7 +48,7 @@ val child_grant : m:int -> eps:float -> delta:float -> float * float
 (** Algorithm 1's sub-contract for the [m] operands of a union (and of
     an intersection's sample path): [(ε/3, δ/(4m))], the accuracy each
     operand's volume estimate is requested at.  The runtime
-    combinators, the VM and the plan builder all call this, so the
+    combinators and the plan builder both call this, so the
     grant a plan advertises is the grant the executor uses. *)
 
 val rejection_budget : dim:int -> poly_degree:int -> delta:float -> int
@@ -100,7 +100,7 @@ val walk_steps_per_lasserre_call : float
 (** The fitted exchange rate between the two routes to a leaf's
     weight: the wall time of one Lasserre call over the wall time of
     one DFK hit-and-run phase step (DESIGN.md §7 gives the fit).  The
-    optimized VM takes a leaf's weight exactly when
+    optimizing pass takes a leaf's weight exactly when
     [lasserre_calls · walk_steps_per_lasserre_call] is at most the
     leaf's DFK volume work in walk steps. *)
 

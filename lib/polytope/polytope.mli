@@ -86,8 +86,8 @@ val line_intersection : t -> Vec.t -> Vec.t -> (float * float) option
 
     {!Kernel.Batch} is the one cached-product kernel the polytope
     walks run on: hit-and-run, the lattice walk, the batched ball walk,
-    the volume estimator's phases and the VM's draws, at K = 1 chain or
-    many.
+    the volume estimator's phases and the generators' draws, at K = 1
+    chain or many.
     Each chain tracks a moving point [x] together with the per-row
     products [⟨a_i, x⟩] (the [A·x] cache).  After a chord step
     [x ← x + t·d] the cache is updated as [A·x ← A·x + t·(A·d)] —

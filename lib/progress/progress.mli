@@ -46,8 +46,8 @@ val with_node : int -> (unit -> 'a) -> 'a
 val enter_path : int array -> unit
 (** Push a whole ancestor path (ids in any order — accrual is a set
     walk) onto the attribution stack without a closure.  Callers that
-    cannot afford {!with_node}'s [Fun.protect] (the VM's inner loop)
-    pair this with {!exit_path}; the array must be the same one.  No-op
+    cannot afford {!with_node}'s closure and [Fun.protect] (a tagged
+    observable's draw) pair this with {!exit_path}; the array must be the same one.  No-op
     when the bus is inactive. *)
 
 val exit_path : int array -> unit

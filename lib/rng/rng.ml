@@ -15,8 +15,7 @@
 
    Every walk draws its directions from one source, the ziggurat fills
    ([unit_vector_slice_fast] and friends), so a chain walks the same
-   stream at any chain count, and the strict VM the same as the
-   interpreter.  The polar [gaussian] survives only behind the
+   stream at any chain count.  The polar [gaussian] survives only behind the
    allocating [unit_vector]/[in_ball], which build seeded geometry
    whose coordinates are pinned. *)
 
@@ -204,8 +203,7 @@ let[@inline always] gaussian_fast t =
   !res
 
 (* Direction fills on the ziggurat: the one direction source of every
-   polytope walk (hit-and-run, ball walk, the DFK phase walk, the VM's
-   hit-and-run).  Draw every deviate, storing it and accumulating the
+   polytope walk (hit-and-run, ball walk, the DFK phase walk).  Draw every deviate, storing it and accumulating the
    squared norm in the same pass (index order), then normalise; a
    near-zero norm redraws the whole vector.  The slice forms write
    [buf.(off) .. buf.(off + len - 1)] so the batched kernel stages each
@@ -275,7 +273,12 @@ let in_ball t d =
   let r = ball_radius t d in
   Vec.scale r dir
 
-let in_box t lo hi = Vec.init (Vec.dim lo) (fun i -> uniform t lo.(i) hi.(i))
+let in_box t lo hi =
+  let x = Vec.create (Vec.dim lo) in
+  for i = 0 to Vec.dim lo - 1 do
+    x.(i) <- uniform t lo.(i) hi.(i)
+  done;
+  x
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
@@ -290,7 +293,11 @@ let pick t a =
   a.(int t (Array.length a))
 
 let categorical t weights =
-  let total = Array.fold_left ( +. ) 0.0 weights in
+  let total = ref 0.0 in
+  for i = 0 to Array.length weights - 1 do
+    total := !total +. weights.(i)
+  done;
+  let total = !total in
   if total <= 0.0 then invalid_arg "Rng.categorical: zero total weight";
   let x = float t *. total in
   (* Fallback for when the scan below runs off the end without firing:
@@ -300,16 +307,13 @@ let categorical t weights =
      *positive-weight* index instead — always well-defined since
      [total > 0]. *)
   let fallback = ref 0 in
-  Array.iteri (fun i w -> if w > 0.0 then fallback := i) weights;
-  let acc = ref 0.0 and chosen = ref !fallback in
-  (try
-     Array.iteri
-       (fun i w ->
-         acc := !acc +. w;
-         if x < !acc then begin
-           chosen := i;
-           raise Exit
-         end)
-       weights
-   with Exit -> ());
-  !chosen
+  for i = 0 to Array.length weights - 1 do
+    if weights.(i) > 0.0 then fallback := i
+  done;
+  let acc = ref 0.0 and chosen = ref (-1) and i = ref 0 in
+  while !chosen < 0 && !i < Array.length weights do
+    acc := !acc +. weights.(!i);
+    if x < !acc then chosen := !i;
+    incr i
+  done;
+  if !chosen < 0 then !fallback else !chosen

@@ -31,43 +31,35 @@ type stats = { attempts : int; accepted : int }
 
 let acceptance_rate s = if s.attempts = 0 then 0.0 else float_of_int s.accepted /. float_of_int s.attempts
 
-let record s =
-  Probe.trials trial s.attempts;
-  Tel.Counter.add tel_accepted s.accepted;
-  if s.attempts > 0 then begin
-    let rate = acceptance_rate s in
+let record ~attempts ~accepted =
+  Probe.trials trial attempts;
+  Tel.Counter.add tel_accepted accepted;
+  if attempts > 0 then begin
+    let rate = float_of_int accepted /. float_of_int attempts in
     Tel.Histogram.observe tel_rate rate;
-    if s.attempts >= 1000 && rate < 0.01 then Probe.warn3 collapse s.attempts s.accepted rate
+    if attempts >= 1000 && rate < 0.01 then Probe.warn3 collapse attempts accepted rate
   end
 
 let sample rng ~lo ~hi ~mem ~max_attempts =
   let sp = Probe.enter sample_phase in
-  let rec go n =
-    if n >= max_attempts then begin
-      record { attempts = n; accepted = 0 };
-      Probe.warn2 exhausted n max_attempts;
-      Probe.leave1 sample_phase sp n;
-      None
-    end
-    else begin
-      let x = Rng.in_box rng lo hi in
-      if mem x then begin
-        record { attempts = n + 1; accepted = 1 };
-        Probe.leave1 sample_phase sp (n + 1);
-        Some (x, n + 1)
-      end
-      else go (n + 1)
-    end
-  in
-  go 0
+  let n = ref 0 and point = ref None in
+  while Option.is_none !point && !n < max_attempts do
+    let x = Rng.in_box rng lo hi in
+    incr n;
+    if mem x then point := Some x
+  done;
+  let n = !n in
+  record ~attempts:n ~accepted:(if Option.is_some !point then 1 else 0);
+  if Option.is_none !point then Probe.warn2 exhausted n max_attempts;
+  Probe.leave1 sample_phase sp n;
+  !point
 
 let sample_many rng ~lo ~hi ~mem ~count ~max_attempts =
   let rec go acc accepted attempts =
     if accepted >= count || attempts >= max_attempts then begin
       if accepted < count then Probe.warn4 exhausted_many attempts max_attempts accepted count;
-      let s = { attempts; accepted } in
-      record s;
-      (List.rev acc, s)
+      record ~attempts ~accepted;
+      (List.rev acc, { attempts; accepted })
     end
     else begin
       let x = Rng.in_box rng lo hi in

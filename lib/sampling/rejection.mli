@@ -8,9 +8,10 @@
 type stats = { attempts : int; accepted : int }
 
 val sample :
-  Rng.t -> lo:Vec.t -> hi:Vec.t -> mem:(Vec.t -> bool) -> max_attempts:int -> (Vec.t * int) option
-(** One accepted point with the number of attempts used, or [None] if
-    the budget is exhausted. *)
+  Rng.t -> lo:Vec.t -> hi:Vec.t -> mem:(Vec.t -> bool) -> max_attempts:int -> Vec.t option
+(** One accepted point, or [None] if the budget is exhausted; the
+    attempts it spent go to the [rejection.attempts] counter and the
+    [rejection.sample] span. *)
 
 val sample_many :
   Rng.t -> lo:Vec.t -> hi:Vec.t -> mem:(Vec.t -> bool) -> count:int -> max_attempts:int ->

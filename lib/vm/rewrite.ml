@@ -155,6 +155,10 @@ let observables (plan : Plan.t) (pieces : Convex_obs.prepared array) =
     let obs =
       match n.Plan.op with
       | Plan.Dfk { method_; _ } -> (
+          if !next >= Array.length pieces then
+            invalid_arg
+              (Printf.sprintf "piece count mismatch: %d piece(s) for a plan with more leaves"
+                 (Array.length pieces));
           let p = pieces.(!next) in
           incr next;
           let obs = Convex_obs.observe (Convex_obs.with_sampler (sampler_of_method method_) p) in
@@ -167,4 +171,8 @@ let observables (plan : Plan.t) (pieces : Convex_obs.prepared array) =
     obs
   in
   ignore (build plan.Plan.root);
+  if !next <> Array.length pieces then
+    invalid_arg
+      (Printf.sprintf "piece count mismatch: %d piece(s) for a plan with %d leaves"
+         (Array.length pieces) !next);
   Array.map Option.get built

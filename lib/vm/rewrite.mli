@@ -32,10 +32,8 @@
       ([phases × samples_per_phase × walk_steps]); its volume column
       then holds the Lasserre bound in steps.
 
-    Every executor runs the plan it is handed through {!observables}
-    (the interpreter directly, the VM for its weight prologues), so the
-    interpreter on a rewritten plan and the VM on the same plan draw
-    the same stream. *)
+    The interpreter runs the plan it is handed through {!observables},
+    rewritten or not. *)
 
 val optimize : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Scdb_plan.Plan.t
 (** The rewritten plan over the same pieces (given in preorder leaf
@@ -61,4 +59,5 @@ val observables : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Observable.t 
     exact call raise, it falls back to its DFK estimate on the rng it
     is handed.
     Draws no rng.
-    @raise Invalid_argument on any other operator. *)
+    @raise Invalid_argument on any other operator, or when the pieces
+    are not one per leaf. *)

@@ -20,7 +20,6 @@ module J = Scdb_json.Json
 module P = Scdb_polytope.Polytope
 module Rng = Scdb_rng.Rng
 module Plan = Scdb_plan.Plan
-module Vm = Scdb_vm.Vm
 module Flight = Scdb_gis.Flight
 module Plan_exec = Scdb_gis.Plan_exec
 open Scdb_core
@@ -154,11 +153,7 @@ let union_run engine =
     Option.get
       (Plan_exec.prepare ~config:cfg ~gamma ~eps ~delta ~task:(Plan.Sample 4) rng relation)
   in
-  let e =
-    match Flight.start_engine ~engine ~eps ~delta prepared with
-    | Ok e -> e
-    | Error m -> failwith m
-  in
+  let e = Flight.start_engine ~engine ~eps ~delta prepared in
   capture ("union." ^ engine) ~rows:(plan_rows prepared.Plan_exec.plan) (fun () ->
       ignore (e.Flight.draw rng 4);
       ignore (Observable.volume e.Flight.observable rng ~gamma ~eps ~delta))
@@ -178,11 +173,7 @@ let simplex3_run () =
     Option.get
       (Plan_exec.prepare ~config:cfg ~gamma ~eps ~delta ~task:(Plan.Sample 100) rng relation)
   in
-  let e =
-    match Flight.start_engine ~engine:"vm-opt" ~eps ~delta prepared with
-    | Ok e -> e
-    | Error m -> failwith m
-  in
+  let e = Flight.start_engine ~engine:"vm-opt" ~eps ~delta prepared in
   capture "simplex3.vm-opt" ~rows:(plan_rows e.Flight.plan) (fun () -> ignore (e.Flight.draw rng 8))
 
 let prepare_all seed polys =
@@ -193,8 +184,7 @@ let leaf ~eps ~delta p =
   Plan.dfk ~eps ~delta ~dim:(P.dim p) ~method_:"walk" ~constraints:(P.num_constraints p)
     ~volume_budget:2000 ()
 
-(* Hand-built binary plans, run by the observable algebra (the VM
-   lowers no intersection or difference). *)
+(* Hand-built binary plans, run by the observable algebra. *)
 let binary_run name ~seed ~polys ~plan ~interp =
   let rng, preps = prepare_all seed polys in
   let plan = Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample 3) plan in
@@ -311,36 +301,10 @@ let starved () =
            (Array.init 2 (fun i -> Rng.create (70 + i)))
            triangle ~starts:(Array.make 2 [| 0.2; 0.2 |]) ~steps:20 ~radius:50.0 ()))
 
-(* A compiled union whose membership oracle rejects every draw (each
-   piece is paired with a relation away from its body): the VM's
-   exhaust handler and its failed root. *)
-let starved_vm () =
-  let rng = Rng.create 8 in
-  let far =
-    match Flight.parse_relation ~vars:[ "x"; "y" ] "x >= 10 and x <= 11 and y >= 0 and y <= 1" with
-    | Ok r -> r
-    | Error m -> failwith m
-  in
-  let boxes = [ box2 0.0 1.0 0.0 1.0; box2 2.0 3.0 0.0 1.0 ] in
-  let preps =
-    Array.of_list
-      (List.map (fun p -> Option.get (Convex_obs.prepare ~config:cfg ~relation:far rng p)) boxes)
-  in
-  let plan =
-    Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample 1)
-      (Plan.union_ ~eps ~delta (List.map (leaf ~eps:(eps /. 3.0) ~delta:(delta /. 8.0)) boxes))
-  in
-  match Vm.compile ~plan ~pieces:preps () with
-  | Ok prog ->
-      capture "starved.vm" ~rows:(plan_rows plan) (fun () ->
-          try ignore (Vm.sample_one prog rng) with Observable.Estimation_failed _ -> ())
-  | Error m -> failwith m
-
 let document () =
   with_stores_on (fun () ->
-      let engines = [ "interp"; "vm"; "vm-opt" ] in
       let runs =
-        List.map union_run engines
-        @ [ simplex3_run (); inter_run (); diff_run (); kernels (); starved (); starved_vm () ]
+        List.map union_run Flight.engines
+        @ [ simplex3_run (); inter_run (); diff_run (); kernels (); starved () ]
       in
       J.to_string (J.Obj [ ("schema", J.Str "spatialdb-instrumentation-golden/1"); ("runs", J.Obj runs) ]))

@@ -313,29 +313,30 @@ let run_tests =
         | Ok _ -> Alcotest.fail "expected an error");
   ]
 
-(* The optimized VM's volumes: a fresh program per replicate, its
-   estimate read through the mirror, whose leaf weights are exact. *)
+(* vm-opt's volumes: a fresh rewritten tree per replicate, whose leaf
+   weights are exact. *)
 module Plan = Scdb_plan.Plan
-module Vm = Scdb_vm.Vm
 module Progress = Scdb_progress.Progress
 
 let gamma = Scdb_gis.Flight.gamma
 
-let compile_opt rng relation =
+(* The interpreter tree of the rewritten plan. *)
+let observe_opt rng relation =
   match
-    Plan_exec.compiled_of_relation ~config:Scdb_core.Convex_obs.practical_config ~optimize:true ~gamma
-      ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 4) rng relation
+    Plan_exec.prepare ~config:Scdb_core.Convex_obs.practical_config ~gamma ~eps:0.2 ~delta:0.1
+      ~task:(Plan.Sample 4) rng relation
   with
-  | Some (plan, Ok prog) -> (plan, prog)
-  | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
-  | None -> Alcotest.fail "relation should be compilable"
+  | Some p ->
+      let p = Plan_exec.optimize p in
+      (p.Plan_exec.plan, Plan_exec.observe p)
+  | None -> Alcotest.fail "relation should be preparable"
 
 let vm_opt_audit relation =
   let truth = Q.to_float (Option.get (A.exact_truth relation)) in
   let estimate seed =
     let rng = Rng.create seed in
-    let _, prog = compile_opt rng relation in
-    Some (Scdb_core.Observable.volume (Vm.mirror prog) ~gamma rng ~eps:0.2 ~delta:0.1)
+    let _, obs = observe_opt rng relation in
+    Some (Scdb_core.Observable.volume obs ~gamma rng ~eps:0.2 ~delta:0.1)
   in
   let cov = A.verify ~eps:0.2 ~delta:0.1 ~runs:40 ~seed:42 ~truth estimate in
   Alcotest.(check string)
@@ -352,11 +353,14 @@ let vm_opt_tests =
     ts "vm-opt volumes pass on three overlapping boxes" (fun () -> vm_opt_audit three_boxes);
     t "exact-weight leaves keep their whole grant as slack" (fun () ->
         let rng = Rng.create 42 in
-        let plan, prog = compile_opt rng union_fig1 in
+        let plan, obs = observe_opt rng union_fig1 in
         Plan_exec.arm plan;
         Fun.protect ~finally:Progress.stop (fun () ->
-            ignore (Vm.sample_many prog rng ~n:4);
-            ignore (Scdb_core.Observable.volume (Vm.mirror prog) ~gamma rng ~eps:0.2 ~delta:0.1));
+            ignore
+              (Scdb_core.Observable.sample_many obs rng
+                 (Scdb_core.Params.make ~gamma ~eps:0.2 ~delta:0.1 ())
+                 ~n:4);
+            ignore (Scdb_core.Observable.volume obs ~gamma rng ~eps:0.2 ~delta:0.1));
         let rows = Plan_exec.ledger plan in
         let leaves =
           List.filter (fun (r : Plan_exec.row) -> r.Plan_exec.op = "dfk") (Array.to_list rows)

@@ -87,13 +87,21 @@ let usage_tests =
         check "method" 2 ("sample " ^ fig1 ^ " --method bogus"));
     t "unknown explain format/task exit 2" (fun () ->
         check "format" 2 ("explain " ^ fig1 ^ " --format bogus");
+        check "program" 2 ("explain " ^ fig1 ^ " --format program");
         check "task" 2 ("explain " ^ fig1 ^ " --task bogus"));
     t "unknown report format exits 2" (fun () ->
         check "format" 2 ("report " ^ fig1 ^ " --format bogus"));
     t "unknown log level exits 2" (fun () ->
         check "level" 2 ("sample " ^ fig1 ^ " -n 1 --log-level bogus"));
-    t "unknown profile mode exits 2" (fun () ->
-        check "sample" 2 ("sample " ^ fig1 ^ " -n 1 --engine vm --profile=bogus"));
+    t "the retired vm engine exits 2, naming interp and vm-opt" (fun () ->
+        List.iter
+          (fun cmd ->
+            let code, err = run_stderr (cmd ^ " " ^ fig1 ^ " --engine vm") in
+            Alcotest.(check (pair int string))
+              cmd
+              (2, "spatialdb: unknown engine \"vm\" (expected one of: interp, vm-opt)\n")
+              (code, err))
+          [ "sample -n 1"; "report -n 1"; "explain" ]);
     t "audit rejects starved fault-injection budgets" (fun () ->
         let audit = "audit " ^ fig1_union ^ " --oracle exact --runs 2 " in
         check "phase-samples 0" 2 (audit ^ "--phase-samples 0");
@@ -177,8 +185,6 @@ let runtime_tests =
         check "parse" 1 "explain -v x -f \"x >= nonsense\"");
     t "empty relation exits 1" (fun () ->
         check "empty" 1 "sample -v x -f \"x >= 1 /\\ x <= 0\" -n 1");
-    t "sample --profile under interp exits 1" (fun () ->
-        check "interp" 1 ("sample " ^ fig1 ^ " -n 1 --profile"));
     t "explain refuses a lower-dimensional relation as sample does" (fun () ->
         let segment = "-v x,y -f \"0 <= x <= 1 /\\ y = 0\"" in
         let sample = run_stderr ("sample " ^ segment ^ " -n 1") in
@@ -284,30 +290,35 @@ let runtime_tests =
           (List.assoc_opt "audit.replicates" c2));
   ]
 
+(* The profiler flags are unknown options; the per-plan-node table
+   comes from --progress. *)
 let profile_tests =
   [
-    t "profile exits 0 and writes a document" (fun () ->
-        let out = Filename.temp_file "spatialdb_profile" ".json" in
-        check "run" 0
-          ("sample " ^ fig1 ^ " -n 2 --engine vm-opt --profile --profile-out "
-          ^ Filename.quote out);
-        let doc = J.of_file out (J.schema "spatialdb-profile/1") in
-        Sys.remove out;
-        Alcotest.(check (result unit string)) "spatialdb-profile/1 document" (Ok ()) doc);
-    t "sample --profile exits 0 under both compiled engines" (fun () ->
-        check "vm" 0 ("sample " ^ fig1 ^ " -n 2 --engine vm --profile=counting");
-        check "vm-opt" 0 ("sample " ^ fig1 ^ " -n 2 --engine vm-opt --profile"));
+    t "--profile-out and replay --engine exit 124" (fun () ->
+        check "profile-out" 124 ("sample " ^ fig1 ^ " -n 2 --profile-out /dev/null");
+        check "replay --engine" 124 "replay --engine interp record.flightrec.json");
+    t "sample --profile is an unknown option under both engines" (fun () ->
+        check "interp" 124 ("sample " ^ fig1 ^ " -n 2 --profile");
+        check "vm-opt" 124 ("sample " ^ fig1 ^ " -n 2 --engine vm-opt --profile=counting"));
     t "report --engine vm-opt exits 0, interp rejects bogus engine" (fun () ->
         check "vm-opt" 0 ("report " ^ fig1 ^ " -n 2 --engine vm-opt -o /dev/null");
         check "bogus" 2 ("report " ^ fig1 ^ " -n 2 --engine bogus"));
-    t "sample --profile prints one per-node table" (fun () ->
+    t "sample --profile prints only an error (exit 124); --progress prints the one per-node table"
+      (fun () ->
+        Alcotest.(check int) "--profile" 124
+          (fst (run_stderr ("sample " ^ fig1_union ^ " -n 200 --seed 42 --engine vm-opt --profile")));
         (* The Fig. 1 union plans three nodes: one table header and one
-           line naming each node's operator. *)
+           line naming each node's operator (the ticker's own line,
+           which names them too, ends with a carriage return). *)
         let code, err =
-          run_stderr ("sample " ^ fig1_union ^ " -n 200 --seed 42 --engine vm-opt --profile")
+          run_stderr ("sample " ^ fig1_union ^ " -n 200 --seed 42 --engine vm-opt --progress")
         in
         Alcotest.(check int) "exit" 0 code;
-        let lines = List.map (String.split_on_char ' ') (String.split_on_char '\n' err) in
+        let lines =
+          List.filter_map
+            (fun l -> if String.contains l '\r' then None else Some (String.split_on_char ' ' l))
+            (String.split_on_char '\n' err)
+        in
         let count p = List.length (List.filter (List.exists p) lines) in
         Alcotest.(check int) "one header" 1 (count (( = ) "predicted"));
         Alcotest.(check int) "one union row" 1 (count (( = ) "union"));
@@ -328,26 +339,27 @@ let contains text pat =
 
 let exact_sampler_tests =
   [
-    t "a vm-opt record of the 6-simplex replays bit-for-bit on every executor" (fun () ->
+    t "a vm-opt record of the 6-simplex replays bit-for-bit" (fun () ->
         let record = Filename.temp_file "spatialdb_simplex6" ".flightrec.json" in
         check "record" 0
           ("sample " ^ simplex 6 ^ " -n 20 --seed 42 --engine vm-opt --record " ^ Filename.quote record);
-        List.iter
-          (fun engine ->
-            let code, out = run_stdout ("replay --engine " ^ engine ^ " " ^ Filename.quote record) in
-            Alcotest.(check int) engine 0 code;
-            Alcotest.(check bool) (engine ^ ": " ^ out) true (contains out "bit-for-bit"))
-          [ "interp"; "vm"; "vm-opt" ];
-        Sys.remove record);
-    t "explain --format program names the 6-simplex leaf exact_sampler" (fun () ->
+        let code, out = run_stdout ("replay " ^ Filename.quote record) in
+        Sys.remove record;
+        Alcotest.(check int) "replay" 0 code;
+        Alcotest.(check bool) out true (contains out "bit-for-bit"));
+    t "explain --format program now exits 2; --format json names the 6-simplex leaf exact_sampler"
+      (fun () ->
+        check "program" 2 ("explain " ^ simplex 6 ^ " -n 200 --engine vm-opt --format program");
         let code, out =
-          run_stdout ("explain " ^ simplex 6 ^ " -n 200 --engine vm-opt --format program")
+          run_stdout ("explain " ^ simplex 6 ^ " -n 200 --engine vm-opt --format json")
         in
         Alcotest.(check int) "exit" 0 code;
-        Alcotest.(check bool) out true (contains out "; draws n0: exact_sampler"));
+        match J.field "root" (J.field "draws" (J.field "route" J.str)) (J.parse out) with
+        | route -> Alcotest.(check string) "draw route" "exact_sampler" route
+        | exception _ -> Alcotest.fail ("no draw route in:\n" ^ out));
     t "the 8-simplex leaf spends the work its plan predicts" (fun () ->
         let code, err =
-          run_stderr ("sample " ^ simplex 8 ^ " -n 200 --seed 42 --engine vm-opt --profile")
+          run_stderr ("sample " ^ simplex 8 ^ " -n 200 --seed 42 --engine vm-opt --progress")
         in
         Alcotest.(check int) "exit" 0 code;
         let row =

@@ -441,6 +441,89 @@ let parser_tests =
         with Lexer.Lex_error (_, pos) -> Alcotest.(check int) "position" 5 pos);
   ]
 
+(* The lowered membership test against [Relation.mem_float], on random
+   DNF relations over small, big and beyond-float-range rationals, at
+   points in a box and points put on an atom's facet (where the last
+   bit of the accumulation decides the answer). *)
+let lowered_gen =
+  let open QCheck.Gen in
+  let big = Q.of_string "123456789012345678901234567" in
+  let huge = Q.of_string ("1" ^ String.make 400 '0') in
+  let coeff =
+    let* num = int_range (-9) 9 and* den = int_range 1 9 in
+    let small = qi num den in
+    frequency
+      [
+        (2, return Q.zero);
+        (5, return small);
+        (2, return (Q.mul small (Q.div big (Q.of_int 7))));
+        (1, return (Q.mul small huge));
+      ]
+  in
+  let* dim = int_range 1 3 in
+  let atom =
+    let* coeffs = list_repeat dim coeff and* constant = coeff in
+    let* op = oneofl [ Atom.Le; Atom.Lt; Atom.Eq ] in
+    return (Term.make (List.mapi (fun i c -> (i, c)) coeffs) constant, op)
+  in
+  let* tuples = list_size (int_range 1 3) (list_size (int_range 1 4) atom) in
+  let* slack = oneofl [ 0.0; 1e-9 ] in
+  let* box_points = list_size (int_range 1 6) (array_repeat dim (float_range (-2.0) 2.0)) in
+  (* On the facet of an atom: solve its float row for its first
+     variable, the other coordinates random. *)
+  let* facet_points =
+    list_size (int_range 1 6)
+      (let* tuple = oneofl tuples in
+       let* term, _ = oneofl tuple in
+       let* x = array_repeat dim (float_range (-2.0) 2.0) in
+       match Term.float_row term with
+       | (j, w) :: rest, c when w <> 0.0 ->
+           let s = List.fold_left (fun acc (i, wi) -> acc +. (wi *. x.(i))) c rest in
+           x.(j) <- -.s /. w;
+           return x
+       | _ -> return x)
+  in
+  return (dim, tuples, slack, box_points @ facet_points)
+
+let lowered_print (dim, tuples, slack, points) =
+  Printf.sprintf "dim %d, slack %g, tuples [%s], points [%s]" dim slack
+    (String.concat "; "
+       (List.map
+          (fun tuple ->
+            String.concat " /\\ "
+              (List.map (fun (term, op) -> Format.asprintf "%a" Atom.pp (Atom.make term op)) tuple))
+          tuples))
+    (String.concat "; "
+       (List.map (fun x -> String.concat "," (List.map (Printf.sprintf "%h") (Array.to_list x))) points))
+
+let lowered_tests =
+  [
+    qt ~count:500 "lowered membership agrees with mem_float bit for bit"
+      (QCheck.make ~print:lowered_print lowered_gen)
+      (fun (dim, tuples, slack, points) ->
+        let r =
+          Relation.make ~dim (List.map (List.map (fun (term, op) -> Atom.make term op)) tuples)
+        in
+        let lowered = Relation.lower ~slack r in
+        List.for_all
+          (fun x -> Relation.mem_lowered lowered x = Relation.mem_float ~slack r x)
+          points);
+    t "the 10^400 box's scaled rows, at and around its far facet" (fun () ->
+        let r =
+          Parser.parse_relation ~vars:[ "x"; "y" ]
+            (Printf.sprintf "0 <= x and 1%s*x <= 1%s1 and 0 <= y and y <= 1"
+               (String.make 400 '0') (String.make 399 '0'))
+        in
+        let lowered = Relation.lower r in
+        List.iter
+          (fun x0 ->
+            let x = [| x0; 0.5 |] in
+            Alcotest.(check bool) (Printf.sprintf "x = %h" x0) (Relation.mem_float r x)
+              (Relation.mem_lowered lowered x))
+          [ 0.0; 0.5; 1.0; Float.succ 1.0; 1.5; -0.0; Float.pred 0.0 ];
+        Alcotest.(check bool) "x = 1 is a member" true (Relation.mem_lowered lowered [| 1.0; 0.5 |]));
+  ]
+
 let suites =
   [
     ("constr.term", term_tests);
@@ -448,5 +531,6 @@ let suites =
     ("constr.formula", formula_tests);
     ("constr.dnf", dnf_tests);
     ("constr.relation", relation_tests);
+    ("constr.lowered", lowered_tests);
     ("constr.parser", parser_tests);
   ]

@@ -29,7 +29,7 @@ let () =
          Test_vm.suites;
          Test_progress.suites;
          Test_obs.suites;
-         Test_profile.suites;
+         Test_ledger.suites;
          Test_audit.suites;
          Test_cli.suites;
        ])

@@ -239,7 +239,7 @@ let json_tests =
         let row id op actual =
           let g = grants.(id) in
           { PE.id; op; tags = []; predicted = 1.0; actual; eps = g.Plan.g_eps;
-            delta = g.Plan.g_delta; instructions = Float.nan; ns = Float.nan }
+            delta = g.Plan.g_delta }
         in
         let rows = [| row 0 "union" 0.3; row 1 "dfk" 0.5; row 2 "dfk" Float.nan |] in
         let r i = rows.(i) in

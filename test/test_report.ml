@@ -110,7 +110,7 @@ let report_tests =
         let module PE = Scdb_gis.Plan_exec in
         let row =
           { PE.id = 0; op = "dfk"; tags = []; predicted = 0.0; actual = 12.0; eps = 0.1;
-            delta = 0.05; instructions = Float.nan; ns = Float.nan }
+            delta = 0.05 }
         in
         let text = J.to_string (PE.to_json PE.budget_fields [| row |]) in
         Alcotest.(check bool) "ratio is null" true

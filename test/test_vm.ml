@@ -1,8 +1,8 @@
-(* Differential tests for the plan→kernel VM: on one plan the VM must be
-   a bit-exact mirror of the observable interpreter (same rng stream,
-   same sample stream), the optimizing pass must tag and run the same
-   on both, and committed flight records must replay through every
-   executor. *)
+(* Tests for the optimizing pass and its engine: the [Vm] facade the
+   end-to-end benchmark drives must draw the interpreter's stream on
+   the same plan, the rewrites must tag and price what they claim, the
+   interpreter's warm draw loop must stay near allocation-free, and
+   committed flight records (strict-VM ones included) must replay. *)
 
 open Scdb_core
 module P = Scdb_polytope.Polytope
@@ -66,14 +66,32 @@ let read_fixture name =
 let box2 x0 x1 y0 y1 =
   P.box [| x0; y0 |] [| x1; y1 |]
 
+(* [Flight.run]'s stream against the [Vm] facade's on the plan as
+   built (or rewritten, under vm-opt), from the same seed. *)
+let facade_case ~what (a : Flight.args) =
+  let oi = run_ok a in
+  let relation =
+    match Flight.parse_relation ~vars:a.Flight.vars a.Flight.formula with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  let config = Result.get_ok (Flight.config_of_method a.Flight.method_) in
+  let rng = Rng.create a.Flight.seed in
+  match
+    Plan_exec.compiled_of_relation ~config ~optimize:(a.Flight.engine = "vm-opt")
+      ~gamma:Flight.gamma ~eps:a.Flight.eps ~delta:a.Flight.delta ~task:(Plan.Sample a.Flight.n)
+      rng relation
+  with
+  | Some (_, Ok prog) ->
+      check_streams (what ^ " streams") oi.Flight.points (Vm.sample_many prog rng ~n:a.Flight.n);
+      Alcotest.(check int) (what ^ " draw counts") (Rng.draw_count oi.Flight.rng) (Rng.draw_count rng)
+  | Some (_, Error m) -> Alcotest.failf "%s: compile failed: %s" what m
+  | None -> Alcotest.failf "%s: nothing prepared" what
+
 let union_case ~seed ~k ~n =
   let formula = boxes_formula (Rng.create (1000 + k)) k in
-  let oi = run_ok (flight_args ~seed ~n formula) in
-  let ov = run_ok (flight_args ~engine:"vm" ~seed ~n formula) in
-  check_streams (Printf.sprintf "union K=%d streams" k) oi.Flight.points ov.Flight.points;
-  Alcotest.(check int)
-    (Printf.sprintf "union K=%d draw counts" k)
-    (Rng.draw_count oi.Flight.rng) (Rng.draw_count ov.Flight.rng)
+  facade_case ~what:(Printf.sprintf "union K=%d" k) (flight_args ~seed ~n formula);
+  facade_case ~what:(Printf.sprintf "vm-opt union K=%d" k) (flight_args ~engine:"vm-opt" ~seed ~n formula)
 
 (* One plan pipeline: the GIS evaluator builds each convex piece as
    [prepare ~task:Volume |> optimize |> observe] at the CLI's default
@@ -132,20 +150,11 @@ let mirror_tests =
         List.iter (fun k -> union_case ~seed:(40 + k) ~k ~n:3) [ 1; 4; 16 ]);
     ts "grid-method union mirrors the interpreter" (fun () ->
         let formula = boxes_formula (Rng.create 77) 3 in
-        let a = { (flight_args ~seed:5 ~n:3 formula) with Flight.method_ = "grid" } in
-        let oi = run_ok a in
-        let ov = run_ok { a with Flight.engine = "vm" } in
-        check_streams "grid streams" oi.Flight.points ov.Flight.points;
-        Alcotest.(check int) "grid draw counts" (Rng.draw_count oi.Flight.rng)
-          (Rng.draw_count ov.Flight.rng));
+        facade_case ~what:"grid" { (flight_args ~seed:5 ~n:3 formula) with Flight.method_ = "grid" });
     ts "rejection-method union mirrors the interpreter" (fun () ->
         let formula = boxes_formula (Rng.create 78) 2 in
-        let a = { (flight_args ~seed:6 ~n:3 formula) with Flight.method_ = "rejection" } in
-        let oi = run_ok a in
-        let ov = run_ok { a with Flight.engine = "vm" } in
-        check_streams "rejection streams" oi.Flight.points ov.Flight.points;
-        Alcotest.(check int) "rejection draw counts" (Rng.draw_count oi.Flight.rng)
-          (Rng.draw_count ov.Flight.rng));
+        facade_case ~what:"rejection"
+          { (flight_args ~seed:6 ~n:3 formula) with Flight.method_ = "rejection" });
     ts "one pipeline: Eval and Plan_exec streams agree, explain plans what runs" (fun () ->
         List.iter pipeline_case pipeline_fixtures);
   ]
@@ -172,14 +181,13 @@ let opt_tests =
           Plan_exec.compiled_of_relation ~config:cfg ~optimize:true ~gamma:0.05 ~eps:0.2
             ~delta:0.1 ~task:(Plan.Sample 4) rng relation
         with
-        | Some (_, Ok prog) ->
-            Alcotest.(check bool) "optimized" true (Vm.optimized prog);
-            Alcotest.(check bool) "listing mentions rejection-box" true
-              (let s = Vm.disassemble prog in
-               let n = String.length s and pat = "rejection-box" in
-               let k = String.length pat in
-               let rec go i = i + k <= n && (String.sub s i k = pat || go (i + 1)) in
-               go 0)
+        | Some (plan, Ok _) -> (
+            match plan.Plan.root.Plan.op with
+            | Plan.Dfk { method_; _ } ->
+                Alcotest.(check string) "method" "rejection" method_;
+                Alcotest.(check (list string)) "tags" [ Plan.rejection_box_substituted ]
+                  plan.Plan.root.Plan.tags
+            | _ -> Alcotest.fail "a triangle plans one leaf")
         | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
         | None -> Alcotest.fail "relation should be compilable");
   ]
@@ -217,10 +225,10 @@ let compile_opt ?(config = cfg) ?(optimize = true) ~seed relation =
 
 let leaf_ids (plan : Plan.t) = List.map (fun (c : Plan.node) -> c.Plan.id) plan.Plan.root.Plan.children
 
-let exact_ids prog =
+let exact_ids (plan : Plan.t) =
   List.filter_map
-    (fun (id, tags) -> if List.mem Plan.exact_weight tags then Some id else None)
-    (Vm.rewrite_tags prog)
+    (fun (c : Plan.node) -> if List.mem Plan.exact_weight c.Plan.tags then Some c.Plan.id else None)
+    plan.Plan.root.Plan.children
 
 (* Σ over the leaves of the proven call bound of each leaf's tuple. *)
 let call_bound relation =
@@ -248,50 +256,46 @@ let exact_weight_tests =
         let compiled = ref None in
         let at_compile = lasserre_calls (fun () -> compiled := Some (compile_opt ~seed:7 relation)) in
         let plan, prog = Option.get !compiled in
-        Alcotest.(check (list int)) "both leaves tagged" (leaf_ids plan) (exact_ids prog);
+        Alcotest.(check (list int)) "both leaves tagged" (leaf_ids plan) (exact_ids plan);
         Alcotest.(check int) "no call before a weight is needed" 0 at_compile;
         let calls = lasserre_calls (fun () -> ignore (Vm.sample_many prog (Rng.create 70) ~n:4)) in
         Alcotest.(check bool)
           (Printf.sprintf "0 < %d calls <= bound %g" calls (call_bound relation))
           true
           (calls > 0 && float_of_int calls <= call_bound relation);
-        let _, strict = compile_opt ~optimize:false ~seed:7 relation in
-        Alcotest.(check (list int)) "strict vm stays on DFK" [] (exact_ids strict));
+        let strict, _ = compile_opt ~optimize:false ~seed:7 relation in
+        Alcotest.(check (list int)) "the plan as built stays on DFK" [] (exact_ids strict));
     ts "the 9 parcel leaves take exact weights" (fun () ->
         let relation = parcels () in
         let plan, prog = compile_opt ~seed:8 relation in
         Alcotest.(check int) "nine leaves" 9 (List.length (leaf_ids plan));
-        Alcotest.(check (list int)) "every leaf tagged" (leaf_ids plan) (exact_ids prog);
+        Alcotest.(check (list int)) "every leaf tagged" (leaf_ids plan) (exact_ids plan);
         let calls = lasserre_calls (fun () -> ignore (Vm.sample_many prog (Rng.create 80) ~n:2)) in
         Alcotest.(check bool) "calls within the bound" true
           (float_of_int calls <= call_bound relation));
     ts "a 10-simplex leaf keeps its DFK weight and makes no Lasserre call" (fun () ->
         let relation = simplices10 () in
         Alcotest.(check (float 1.0)) "bound" 28_671_512.0 (call_bound relation /. 2.0);
-        let _, prog = compile_opt ~seed:9 relation in
-        Alcotest.(check (list int)) "untagged at the shipped budget" [] (exact_ids prog);
+        let plan, _ = compile_opt ~seed:9 relation in
+        Alcotest.(check (list int)) "untagged at the shipped budget" [] (exact_ids plan);
         (* A small phase budget keeps the DFK weights quick to run. *)
         let small = { cfg with Convex_obs.volume_budget = Scdb_sampling.Volume.Practical 10 } in
-        let _, prog = compile_opt ~config:small ~seed:9 relation in
-        Alcotest.(check (list int)) "untagged" [] (exact_ids prog);
+        let plan, prog = compile_opt ~config:small ~seed:9 relation in
+        Alcotest.(check (list int)) "untagged" [] (exact_ids plan);
         Alcotest.(check int) "no Lasserre call" 0
           (lasserre_calls (fun () -> ignore (Vm.sample_many prog (Rng.create 90) ~n:1))));
-    t "explain --format program names the route of every leaf weight" (fun () ->
-        let _, prog = compile_opt ~seed:7 (parse [ "x"; "y" ] fig1_union) in
-        let lines =
-          List.filter
-            (fun l -> String.length l > 6 && String.sub l 0 6 = "; leaf")
-            (String.split_on_char '\n' (Vm.disassemble prog))
+    t "explain --format program now gone: the plan JSON names the route of every leaf weight"
+      (fun () ->
+        let plan, _ = compile_opt ~seed:7 (parse [ "x"; "y" ] fig1_union) in
+        let leaves =
+          Scdb_json.Json.field "root"
+            (Scdb_json.Json.field "children"
+               (Scdb_json.Json.list
+                  (Scdb_json.Json.field "weight" (Scdb_json.Json.field "route" Scdb_json.Json.str))))
+            (Plan.to_json plan)
         in
-        Alcotest.(check int) "one line per leaf" 2 (List.length lines);
-        List.iter
-          (fun l ->
-            Alcotest.(check bool) l true
-              (let pat = "exact_weight" in
-               let n = String.length l and k = String.length pat in
-               let rec go i = i + k <= n && (String.sub l i k = pat || go (i + 1)) in
-               go 0))
-          lines);
+        Alcotest.(check (list string)) "one exact route per leaf"
+          [ Plan.exact_weight; Plan.exact_weight ] leaves);
     t "exact_weight tags only leaves whose volume the plan reads" (fun () ->
         let tags ~task formula =
           match
@@ -337,26 +341,6 @@ let compile_tests =
         match Vm.compile ~plan ~pieces:[| prep |] () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a task error");
-    t "instruction_count and disassembly agree" (fun () ->
-        let rng = Rng.create 12 in
-        let relation = Relation.unit_cube 2 in
-        match
-          Plan_exec.compiled_of_relation ~config:cfg ~gamma:0.05 ~eps:0.2 ~delta:0.1
-            ~task:(Plan.Sample 1) rng relation
-        with
-        | Some (_, Ok prog) ->
-            let listing = Vm.disassemble prog in
-            let lines =
-              List.filter
-                (fun l -> String.length l > 0 && l.[0] <> ';')
-                (String.split_on_char '\n' listing)
-            in
-            Alcotest.(check int) "one line per instruction" (Vm.instruction_count prog)
-              (List.length lines);
-            Alcotest.(check int) "dim" 2 (Vm.dim prog);
-            Alcotest.(check bool) "strict by default" false (Vm.optimized prog)
-        | Some (_, Error m) -> Alcotest.failf "compile failed: %s" m
-        | None -> Alcotest.fail "unit cube should be compilable");
     t "intersection and difference plans are refused" (fun () ->
         let rng = Rng.create 13 in
         let prep () = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
@@ -373,48 +357,44 @@ let compile_tests =
           ]);
   ]
 
+(* The record with its engine argument set to [engine]. *)
+let with_engine engine (r : Flightrec.t) =
+  { r with Flightrec.args = ("engine", engine) :: List.remove_assoc "engine" r.Flightrec.args }
+
+let replays what ~n r =
+  match Flight.replay r with
+  | Ok got -> Alcotest.(check int) (what ^ " samples") n got
+  | Error m -> Alcotest.failf "%s replay diverged: %s" what m
+
+(* A strict-VM record drew the interpreter's stream, so it replays on
+   the interpreter. *)
 let fixture_tests =
   [
-    ts "pre-batching fixture replays through the vm engine" (fun () ->
+    ts "pre-batching fixture replays, also as a vm-engine record" (fun () ->
         let r = read_fixture "incremental_k1.flightrec.json" in
-        (match Flight.replay ~engine:"vm" r with
-        | Ok n -> Alcotest.(check int) "samples reproduced" 6 n
-        | Error m -> Alcotest.failf "vm replay diverged: %s" m));
-    ts "union fixture replays through both engines" (fun () ->
+        replays "interp" ~n:6 r;
+        replays "vm record" ~n:6 (with_engine "vm" r));
+    ts "union fixture replays through both engine names" (fun () ->
         let r = read_fixture "union_k3.flightrec.json" in
-        (match Flight.replay r with
-        | Ok n -> Alcotest.(check int) "interp samples" 6 n
-        | Error m -> Alcotest.failf "interp replay diverged: %s" m);
-        (match Flight.replay ~engine:"vm" r with
-        | Ok n -> Alcotest.(check int) "vm samples" 6 n
-        | Error m -> Alcotest.failf "vm replay diverged: %s" m));
+        replays "interp" ~n:6 r;
+        replays "vm record" ~n:6 (with_engine "vm" r));
   ]
 
 let replay_tests =
   [
-    ts "a vm-opt record of the Figure 1 union replays on every executor" (fun () ->
+    ts "a vm-opt record of the Figure 1 union replays bit-for-bit" (fun () ->
         let a = flight_args ~engine:"vm-opt" ~seed:42 ~n:20 fig1_union in
-        let o =
-          match Flight.run a with
-          | Ok o -> o
-          | Error m -> Alcotest.failf "vm-opt run failed: %s" m
-        in
-        let r = Flight.to_flightrec a o in
-        List.iter
-          (fun engine ->
-            match Flight.replay ~engine r with
-            | Ok n -> Alcotest.(check int) (engine ^ " samples") 20 n
-            | Error m -> Alcotest.failf "%s replay diverged: %s" engine m)
-          Flight.engines);
+        replays "vm-opt" ~n:20 (Flight.to_flightrec a (run_ok a)));
   ]
 
 (* The differential oracle of the optimizing pass: random unions of 1–4
    boxes and simplices in d = 2..8, where box substitution fires up to
    d = 6 and the exact route both fires and declines (a 10-sample phase
    budget keeps the declined DFK weights quick).  The interpreter and
-   the VM on the rewritten plan, and [Vm.compile ~optimize:true] on the
-   plan as built, draw the same points with the same number of rng
-   draws, and the VM's tags are the plan's. *)
+   the [Vm] facade on the rewritten plan, and [Vm.compile
+   ~optimize:true] on the plan as built, draw the same points with the
+   same number of rng draws, every drawn point is a member, and a leaf
+   is tagged box-substituted exactly when its price says so. *)
 let shapes_gen =
   QCheck.Gen.(
     let* d = int_range 2 8 in
@@ -478,13 +458,11 @@ let differential (d, shapes, seed, n) =
     QCheck.Test.fail_reportf "rng draws: interp %d, vm %d, vm-opt %d" (Rng.draw_count rng_i)
       (Rng.draw_count rng_v) (Rng.draw_count rng_o);
   let plan = rewritten.Plan_exec.plan in
-  let node_tags =
-    List.filter_map
-      (fun id ->
-        match (Option.get (Plan.find_node plan id)).Plan.tags with [] -> None | t -> Some (id, t))
-      (List.init plan.Plan.node_count Fun.id)
-  in
-  if node_tags <> Vm.rewrite_tags opt then QCheck.Test.fail_report "plan tags <> Vm.rewrite_tags";
+  List.iter
+    (fun x ->
+      if not (Relation.mem_float ~slack:1e-6 relation x) then
+        QCheck.Test.fail_report "a drawn point is not a member")
+    pts_i;
   (* A leaf boxes when it does not take the exact sampler and its box
      trials a draw, exact where the pass measured the leaf's volume,
      are at most its walk schedule. *)
@@ -588,9 +566,7 @@ let exact_sampler_tests =
               (exact < walk && exact < box)
         | _ -> Alcotest.fail "all three routes priced");
         Alcotest.(check (float 1e-9)) "one trial a draw" 40.0 o.Flight.plan.Plan.budgets.(0);
-        (match Flight.run ~executor:"interp" a with
-        | Ok i -> check_streams "interp on the rewritten plan" o.Flight.points i.Flight.points
-        | Error m -> Alcotest.fail m);
+        facade_case ~what:"6-simplex" a;
         List.iter
           (fun x -> Alcotest.(check bool) "member" true (Relation.mem_float ~slack:1e-9 o.Flight.relation x))
           o.Flight.points);
@@ -617,6 +593,41 @@ let exact_sampler_tests =
         Alcotest.(check int) "draws" 2 (List.length (Vm.sample_many prog (Rng.create 1) ~n:2)));
   ]
 
+(* Minor words per warm draw of the interpreter on the rewritten plan:
+   the weights, the child parameters and the trial budget are worked out
+   once, membership runs on lowered rows, and what is left is the drawn
+   points, their options and the list cell. *)
+let words_per_draw formula =
+  let n = 2000 and gamma = 0.05 and eps = 0.2 and delta = 0.1 in
+  let rng = Rng.create 42 in
+  let p =
+    match
+      Plan_exec.prepare ~config:cfg ~gamma ~eps ~delta ~task:(Plan.Sample n) rng
+        (parse [ "x"; "y" ] formula)
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "relation should be preparable"
+  in
+  let obs = Plan_exec.observe (Plan_exec.optimize p) in
+  let params = Params.make ~gamma ~eps ~delta () in
+  ignore (Observable.sample_many obs rng params ~n:1);
+  let w0 = Gc.minor_words () in
+  ignore (Observable.sample_many obs rng params ~n);
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let three_boxes =
+  "(0 <= x /\\ x <= 2 /\\ 0 <= y /\\ y <= 1) \\/ (1 <= x /\\ x <= 3 /\\ 0 <= y /\\ y <= 1) \\/ \
+   (0.5 <= x /\\ x <= 2.5 /\\ 0.5 <= y /\\ y <= 1.5)"
+
+let alloc_tests =
+  List.map
+    (fun (what, formula, bound) ->
+      t (Printf.sprintf "a warm vm-opt draw on the %s allocates at most %g words" what bound)
+        (fun () ->
+          let w = words_per_draw formula in
+          Alcotest.(check bool) (Printf.sprintf "%.1f words a draw" w) true (w <= bound)))
+    [ ("Figure 1 union", fig1_union, 24.0); ("three-box union", three_boxes, 32.0) ]
+
 let suites =
   [
     ("vm.mirror", mirror_tests);
@@ -626,4 +637,5 @@ let suites =
     ("vm.compile", compile_tests);
     ("vm.fixtures", fixture_tests @ replay_tests);
     ("vm.differential", differential_tests);
+    ("vm.alloc", alloc_tests);
   ]
