@@ -67,9 +67,11 @@ check:
 # a union whose segment tuple the run drops as lower-dimensional),
 # then an observability smoke: a
 # recorded sample run with structured logging, the log validated and
-# the flight record replayed bit-for-bit.  A second recorded run drives the batched multi-chain
-# kernel (`--diag --chains 4`) through its own record -> replay round
-# trip.  Finally a vm-opt smoke: a run on the rewritten plan
+# the flight record replayed bit-for-bit.  A second run adds `--diag
+# --chains 4`: the batched multi-chain convergence check on the first
+# piece must print the verdict "diag: converged" to stderr.  (Its
+# record is written before the check runs, so its replay covers the
+# same stream as the plain run's.)  Finally a vm-opt smoke: a run on the rewritten plan
 # (`--engine vm-opt`, a different stream by design) of the Figure 1
 # union goes through its own record -> replay round trip, and its
 # `explain --format json` plan must name both leaves' weight route
@@ -136,7 +138,9 @@ ci: check
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "x >= 0 and y >= 0 and x + y <= 1" --seed 42 -n 5 \
 	  --diag --chains 4 \
-	  --record _build/ci_batch.flightrec.json > _build/ci_batch_samples.tsv
+	  --record _build/ci_batch.flightrec.json > _build/ci_batch_samples.tsv \
+	  2> _build/ci_batch_diag.txt
+	grep -q '^diag: converged' _build/ci_batch_diag.txt
 	dune exec bin/spatialdb.exe -- replay _build/ci_batch.flightrec.json
 	dune exec bin/spatialdb.exe -- sample --vars x,y \
 	  --formula "(x >= 0 and y >= 0 and x + y <= 1) or (x >= 2 and x <= 3 and y >= 0 and y <= 1)" \

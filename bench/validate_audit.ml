@@ -87,10 +87,8 @@ let validate doc =
     J.fail "verdict %S inconsistent with bracket [%g, %g] and target %g (expected %S)" verdict
       cp_low cp_high target expected;
   let grant_row row =
-    if J.field "op" J.str row <> "guard" then begin
-      in_unit "eps" (J.field "eps" J.num row);
-      in_unit "delta" (J.field "delta" J.num row)
-    end
+    in_unit "eps" (J.field "eps" J.num row);
+    in_unit "delta" (J.field "delta" J.num row)
   in
   if J.field "error_budget" (J.list grant_row) doc = [] then J.fail "error_budget is empty";
   (fp, verdict, coverage, target, runs, hits)

@@ -56,11 +56,9 @@ let check ~require_converged doc =
   if n_nodes = 0 then J.fail "cost_attribution is empty";
   (* Audit block: fingerprint + per-node error budget. *)
   let grant_row row =
-    if J.field "op" J.str row <> "guard" then begin
-      let e = J.field "eps" J.num row and d = J.field "delta" J.num row in
-      if e <= 0.0 || e >= 1.0 then J.fail "eps is %g (need (0,1))" e;
-      if d <= 0.0 || d >= 1.0 then J.fail "delta is %g (need (0,1))" d
-    end
+    let e = J.field "eps" J.num row and d = J.field "delta" J.num row in
+    if e <= 0.0 || e >= 1.0 then J.fail "eps is %g (need (0,1))" e;
+    if d <= 0.0 || d >= 1.0 then J.fail "delta is %g (need (0,1))" d
   in
   let audit a =
     let fp = J.field "fingerprint" J.str a in

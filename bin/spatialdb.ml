@@ -43,6 +43,7 @@ let check_range flag ~range ok got =
   end
 
 let check_positive flag n = check_range flag ~range:">= 1" (n >= 1) (string_of_int n)
+let check_nonnegative flag n = check_range flag ~range:">= 0" (n >= 0) (string_of_int n)
 let check_at_least_one flag = Option.iter (check_positive flag)
 
 let check_unit flag x =
@@ -183,6 +184,11 @@ let setup_obs o =
         at_exit Log.close_file
   end
 
+(* [-n]/[--samples]: how many points a run draws or a plan is
+   budgeted for; [0] is allowed. *)
+let samples_arg doc =
+  checked (check_nonnegative "-n") Arg.(value & opt int 10 & info [ "n"; "samples" ] ~doc)
+
 let parse_relation vars_s formula =
   let vars = Flight.split_vars vars_s in
   (vars, or_die (Flight.parse_relation ~vars formula))
@@ -190,9 +196,7 @@ let parse_relation vars_s formula =
 (* ---------------- sample ---------------- *)
 
 let sample_cmd =
-  let n_arg =
-    Arg.(value & opt int 10 & info [ "n"; "samples" ] ~doc:"Number of points to draw.")
-  in
+  let n_arg = samples_arg "Number of points to draw." in
   let method_arg =
     let doc =
       "Per-piece sampler: $(b,walk) (hit-and-run on the rounded body, the default), $(b,grid) \
@@ -404,9 +408,7 @@ let reconstruct_cmd =
 (* ---------------- report ---------------- *)
 
 let report_cmd =
-  let n_arg =
-    Arg.(value & opt int 10 & info [ "n"; "samples" ] ~doc:"Number of points to draw.")
-  in
+  let n_arg = samples_arg "Number of points to draw." in
   let chains_arg =
     checked (check_positive "--chains")
       Arg.(value & opt int 4 & info [ "chains" ] ~doc:"Chains for the convergence check.")
@@ -612,11 +614,7 @@ let replay_cmd =
 (* ---------------- explain ---------------- *)
 
 let explain_cmd =
-  let n_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "n"; "samples" ] ~doc:"Points the plan is budgeted for (sample/report tasks).")
-  in
+  let n_arg = samples_arg "Points the plan is budgeted for (sample/report tasks)." in
   let method_arg =
     let doc = "Per-piece sampler the plan is costed for: $(b,walk), $(b,grid) or $(b,rejection)." in
     Arg.(value & opt string "walk" & info [ "method" ] ~docv:"METHOD" ~doc)

@@ -55,11 +55,18 @@ let prepare ?config ~gamma ~eps ~delta ~task rng relation =
   | exception Convex_obs.Unbounded -> Error unbounded_relation
 
 let parse_formula ~vars text =
-  Trace.span "formula.parse" @@ fun () ->
-  match Parser.parse ~vars text with
-  | f -> Ok f
-  | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-  | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m)
+  let rec duplicate = function
+    | [] -> None
+    | v :: rest -> if List.mem v rest then Some v else duplicate rest
+  in
+  match duplicate vars with
+  | Some v -> Error (Printf.sprintf "duplicate variable %s in --vars" v)
+  | None -> (
+      Trace.span "formula.parse" @@ fun () ->
+      match Parser.parse ~vars text with
+      | f -> Ok f
+      | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
+      | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m))
 
 let parse_relation ~vars text =
   if vars = [] then Error "no variables given"
@@ -85,6 +92,7 @@ let start_engine ~engine ~eps ~delta prepared =
   { plan = prepared.Plan_exec.plan; draw; observable = obs }
 
 let run ?(progress = false) a =
+  let* () = if a.n < 0 then Error (Printf.sprintf "n must be >= 0 (got %d)" a.n) else Ok () in
   let* config = config_of_method a.method_ in
   let* engine = check_engine a.engine in
   let* relation = parse_relation ~vars:a.vars a.formula in
@@ -153,7 +161,9 @@ let args_of_flightrec (r : Flightrec.t) =
   let* n_s = req "n" in
   let* eps_s = req "eps" in
   let* delta_s = req "delta" in
-  let* n = Option.to_result ~none:"malformed n" (int_of_string_opt n_s) in
+  let* n =
+    match int_of_string_opt n_s with Some n when n >= 0 -> Ok n | _ -> Error "malformed n"
+  in
   let* eps = Option.to_result ~none:"malformed eps" (float_of_string_opt eps_s) in
   let* delta = Option.to_result ~none:"malformed delta" (float_of_string_opt delta_s) in
   let vars = split_vars vars_s in

@@ -77,7 +77,9 @@ val prepare :
 
 val parse_formula : vars:string list -> string -> (Formula.t, string) result
 (** Parse FO+LIN source over [vars] inside a [formula.parse] trace
-    span; parse and lex errors become [Error] messages. *)
+    span; parse and lex errors become [Error] messages, and so does a
+    name [vars] repeats ([Error "duplicate variable x in --vars"]),
+    which would leave a coordinate unconstrained. *)
 
 val parse_relation : vars:string list -> string -> (Relation.t, string) result
 (** {!parse_formula}, quantifier elimination (inside a [qe.eliminate]
@@ -112,7 +114,8 @@ type outcome = {
 val run : ?progress:bool -> args -> (outcome, string) result
 (** Parse, build the plan-tagged observable and draw [n] points from
     the run's one generator, [Rng.create a.seed] (the outcome's [rng]),
-    reporting into the process's observability stores.  With
+    reporting into the process's observability stores; [Error] for a
+    negative [n].  With
     [~progress:true] the progress bus is armed with the plan's budgets
     and the stderr progress ticker runs for the duration; it does not
     perturb the RNG stream, so replay is unaffected.  Emits
@@ -125,7 +128,8 @@ val to_flightrec : args -> outcome -> Scdb_log.Flightrec.t
 
 val args_of_flightrec : Scdb_log.Flightrec.t -> (args, string) result
 (** Recover the run arguments from a record.  Fails on records written
-    by a different subcommand or with missing/malformed arguments.  A
+    by a different subcommand or with missing/malformed arguments (a
+    negative [n] is malformed).  A
     record whose engine reads ["vm"] (the retired strict VM, which drew
     the interpreter's stream) recovers as ["interp"]. *)
 

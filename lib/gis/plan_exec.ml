@@ -67,15 +67,13 @@ let ratio r =
   else Float.infinity
 
 let delta_achieved r =
-  if Float.is_nan r.delta then Float.nan
-  else
-    match r.op with
-    (* A stopping rule's δ does not depend on how many trials it ran:
-       it holds the granted δ whenever the node ran. *)
-    | "union" | "inter" | "diff" -> if Float.is_nan (ratio r) then Float.nan else r.delta
-    (* An exact weight risks nothing: the whole grant is slack. *)
-    | "dfk" when List.mem Plan.exact_weight r.tags -> 0.0
-    | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:r.delta ~ratio:(ratio r)
+  match r.op with
+  (* A stopping rule's δ does not depend on how many trials it ran: it
+     holds the granted δ whenever the node ran. *)
+  | "union" -> if Float.is_nan (ratio r) then Float.nan else r.delta
+  (* An exact weight risks nothing: the whole grant is slack. *)
+  | "dfk" when List.mem Plan.exact_weight r.tags -> 0.0
+  | _ -> Scdb_plan.Cost.delta_at_work_ratio ~delta:r.delta ~ratio:(ratio r)
 
 let slack r = r.delta -. delta_achieved r
 

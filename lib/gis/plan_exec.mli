@@ -97,8 +97,8 @@ type row = {
   tags : string list;  (** the plan node's rewrite tags *)
   predicted : float;  (** the plan's inclusive work budget (steps + trials) *)
   actual : float;  (** accrued steps + trials; [0] when the node never ran *)
-  eps : float;  (** granted ε of the node's own estimation phase; [nan] for guards *)
-  delta : float;  (** granted δ ({!Scdb_plan.Plan.error_budget}); [nan] for guards *)
+  eps : float;  (** granted ε of the node's own estimation phase *)
+  delta : float;  (** granted δ ({!Scdb_plan.Plan.error_budget}) *)
 }
 
 val ledger : Scdb_plan.Plan.t -> row array
@@ -112,9 +112,9 @@ val ratio : row -> float
 
 val delta_achieved : row -> float
 (** The δ the node's spent work actually buys at its granted ε, via
-    {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for union,
-    intersection and difference nodes, whose stopping rule holds it at
-    any trial count; [0] for a dfk leaf tagged [exact_weight], which
+    {!Scdb_plan.Cost.delta_at_work_ratio}; the granted δ for a union,
+    whose stopping rule holds it at any trial count; [0] for a dfk leaf
+    tagged [exact_weight], which
     leaves its whole grant as slack; [nan] when it never ran. *)
 
 val slack : row -> float
@@ -137,4 +137,5 @@ val to_json : field list -> row array -> Scdb_json.Json.t
 
 val to_text : row array -> string
 (** Fixed-width table for terminals, leaving out every column no row
-    fills (grants on guards, rewrites on an untagged plan). *)
+    fills (ratios and achieved δ on a plan that never ran, rewrites
+    on an untagged plan). *)

@@ -12,6 +12,7 @@ let generate ?(eps = 0.2) ?(delta = 0.1) ?(samples = 10)
     ?(samples_per_chain = Diag_run.default_samples_per_chain) ?(progress = false)
     ?(engine = "interp") ~vars ~formula ~seed () =
   if vars = [] then Error "no variables given"
+  else if samples < 0 then Error (Printf.sprintf "samples must be >= 0 (got %d)" samples)
   else
     let* engine = Flight.check_engine engine in
     let tel_was = Tel.enabled () and trace_was = Trace.enabled () in

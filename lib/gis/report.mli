@@ -48,4 +48,5 @@ val generate :
     [progress] additionally runs the live stderr ticker.
     [engine] is ["interp"] (default) or ["vm-opt"], whose ledger rows
     carry the rewrite tags.
-    [Error reason] on parse errors or empty/unbounded relations. *)
+    [Error reason] on a negative [samples], parse errors or
+    empty/unbounded relations. *)

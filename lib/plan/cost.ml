@@ -102,15 +102,6 @@ let volume_phases ~dim ?aspect () =
     else int_of_float (ceil (d *. Float.log2 aspect))
   end
 
-let achieved_delta_additive ~eps ~samples =
-  if eps <= 0.0 || samples < 0 then invalid_arg "Cost.achieved_delta_additive";
-  Float.min 1.0 (2.0 *. exp (-2.0 *. float_of_int samples *. eps *. eps))
-
-let achieved_delta_ratio ~eps ~p_lower ~samples =
-  if eps <= 0.0 || p_lower <= 0.0 || samples < 0 then
-    invalid_arg "Cost.achieved_delta_ratio";
-  Float.min 1.0 (2.0 *. exp (-.float_of_int samples *. eps *. eps *. p_lower /. 3.0))
-
 let delta_at_work_ratio ~delta ~ratio =
   if delta <= 0.0 || delta >= 1.0 then invalid_arg "Cost.delta_at_work_ratio";
   if Float.is_nan ratio then Float.nan

@@ -156,18 +156,7 @@ val rejection_box_trials_exact : box_volume:float -> body_volume:float -> float
     The audit layer ({!Scdb_audit} via [spatialdb audit] and the report
     error-budget block) asks the converse question: given the samples a
     node {e actually} spent, what failure probability did it achieve at
-    its granted [ε]?  These invert the bound forms above, clamped to
-    [(0, 1]]. *)
-
-val achieved_delta_additive : eps:float -> samples:int -> float
-(** Invert {!samples_for_additive}: [min 1 (2·exp(−2·n·ε²))] — the
-    Hoeffding failure probability [n] draws actually buy at additive
-    accuracy [ε].  @raise Invalid_argument unless [eps > 0] and
-    [samples >= 0]. *)
-
-val achieved_delta_ratio : eps:float -> p_lower:float -> samples:int -> float
-(** Invert {!samples_for_ratio}: [min 1 (2·exp(−n·ε²·p_lower/3))].
-    @raise Invalid_argument unless all arguments are admissible. *)
+    its granted [ε]? *)
 
 val delta_at_work_ratio : delta:float -> ratio:float -> float
 (** Failure probability a node achieved when it spent [ratio] times its

@@ -27,13 +27,7 @@ type op =
       box_trials : float option;
       exact_build : float option;
     }
-  | Grid_leaf of { cells : float }
   | Union_op of { trials : int; volume_trials : int }
-  | Inter_op of { poly_degree : int; budget : int; volume_trials : int }
-  | Diff_op of { poly_degree : int; budget : int; volume_trials : int }
-  | Project_op of { keep : int; trials : int; pilot : int; volume_trials : int }
-  | Boost_op of { runs : int }
-  | Guard
 
 type node = {
   id : int;
@@ -49,15 +43,7 @@ let exact_weight = "exact_weight"
 let exact_sampler = "exact_sampler"
 let rejection_box_substituted = "rejection_box_substituted"
 
-let op_name = function
-  | Dfk _ -> "dfk"
-  | Grid_leaf _ -> "grid"
-  | Union_op _ -> "union"
-  | Inter_op _ -> "inter"
-  | Diff_op _ -> "diff"
-  | Project_op _ -> "project"
-  | Boost_op _ -> "boost"
-  | Guard -> "guard"
+let op_name = function Dfk _ -> "dfk" | Union_op _ -> "union"
 
 type task = Sample of int | Volume | Report of int
 
@@ -67,10 +53,9 @@ type task = Sample of int | Volume | Report of int
 
 (* [m] is the child count; the estimates mirror the combinators:
    Union draws one categorical index per trial and re-tests first_index
-   against all m operands, Inter tests all m memberships per trial,
-   Diff tests the single guard, Project pays one acceptance draw per
-   trial.  The child generator calls these trials trigger are charged
-   to the children by the budget recursion, not here.  A dfk leaf
+   against all m operands.  The child generator calls these trials
+   trigger are charged to the children by the budget recursion, not
+   here.  A dfk leaf
    tagged [exact_weight] prices its volume as its Lasserre bound in
    walk steps.  A box leaf's trials are its exact acceptance where the
    optimizing pass knew its volume; an exact-lattice draw is one trial. *)
@@ -104,28 +89,10 @@ let exclusive ?(tags = []) op ~dim ~m =
             { draws = n *. s *. draws_per_step; mems = n *. s; steps = n *. s; trials = 0.0 }
       in
       (per_sample, per_volume)
-  | Grid_leaf { cells } ->
-      (* Sampling from a built decomposition is one categorical draw;
-         building it scans every candidate cell once (a membership test
-         per cell), amortized over the run. *)
-      ({ zero with draws = 1.0 }, { zero with mems = cells })
   | Union_op { trials; volume_trials } ->
       let t = f trials and n = f volume_trials in
       ( { draws = t; mems = t *. f m; steps = 0.0; trials = t },
         { draws = n; mems = n *. f m; steps = 0.0; trials = n } )
-  | Inter_op { budget; volume_trials; _ } ->
-      let b = f budget and n = f volume_trials in
-      ( { draws = 0.0; mems = b *. f m; steps = 0.0; trials = b },
-        { draws = 0.0; mems = n *. f m; steps = 0.0; trials = n } )
-  | Diff_op { budget; volume_trials; _ } ->
-      let b = f budget and n = f volume_trials in
-      ( { draws = 0.0; mems = b; steps = 0.0; trials = b },
-        { draws = 0.0; mems = n; steps = 0.0; trials = n } )
-  | Project_op { trials; volume_trials; _ } ->
-      let t = f trials and n = f volume_trials in
-      ( { draws = t; mems = t; steps = 0.0; trials = t },
-        { draws = 0.0; mems = 0.0; steps = 0.0; trials = n } )
-  | Boost_op _ | Guard -> (zero, zero)
 
 let weight_costs n =
   match n.op with
@@ -147,27 +114,22 @@ let draw_costs ~calls n =
 let sum_children f children = List.fold_left (fun acc c -> add_units acc (f c)) zero children
 
 (* Inclusive cost from the node's own op and tags plus its children's
-   inclusive costs: a combinator that makes [s] child generator calls
-   per call of its own and [v] per volume estimate spreads them over
-   the operands it fans out to. *)
+   inclusive costs: a union that makes [trials] child generator calls
+   per call of its own and [volume_trials] per volume estimate spreads
+   them over its operands. *)
 let reprice n =
-  let fm = float_of_int (Stdlib.max 1 (List.length n.children)) in
-  let excl_s, excl_v = exclusive ~tags:n.tags n.op ~dim:n.dim ~m:(List.length n.children) in
-  let fan s v cs =
-    let sum_ps = sum_children (fun c -> c.per_sample) cs in
-    let sum_pv = sum_children (fun c -> c.per_volume) cs in
-    ( add_units excl_s (scale_units s sum_ps),
-      add_units excl_v (add_units (scale_units v sum_ps) sum_pv) )
-  in
-  let f = float_of_int in
+  let m = List.length n.children in
+  let excl_s, excl_v = exclusive ~tags:n.tags n.op ~dim:n.dim ~m in
   let per_sample, per_volume =
-    match (n.op, n.children) with
-    | Union_op { trials; volume_trials }, cs -> fan (f trials /. fm) (f volume_trials /. fm) cs
-    | Inter_op { budget; volume_trials; _ }, cs -> fan (f budget /. fm) (f volume_trials /. fm) cs
-    | Diff_op { budget; volume_trials; _ }, a :: _ -> fan (f budget) (f volume_trials) [ a ]
-    | Project_op { trials; volume_trials; _ }, [ c ] -> fan (f trials) (f volume_trials) [ c ]
-    | Boost_op { runs }, [ c ] -> (c.per_sample, scale_units (f runs) c.per_volume)
-    | _ -> (excl_s, excl_v)
+    match n.op with
+    | Dfk _ -> (excl_s, excl_v)
+    | Union_op { trials; volume_trials } ->
+        let fm = float_of_int (Stdlib.max 1 m) in
+        let sum_ps = sum_children (fun c -> c.per_sample) n.children in
+        let sum_pv = sum_children (fun c -> c.per_volume) n.children in
+        ( add_units excl_s (scale_units (float_of_int trials /. fm) sum_ps),
+          add_units excl_v
+            (add_units (scale_units (float_of_int volume_trials /. fm) sum_ps) sum_pv) )
   in
   { n with per_sample; per_volume }
 
@@ -203,8 +165,6 @@ let dfk ~eps ~delta ~dim ?(method_ = "walk") ?(constraints = 0) ?volume_budget (
          exact_build = None;
        })
 
-let grid_leaf ~dim ~cells = node ~dim (Grid_leaf { cells })
-
 let union_ ~eps ~delta children =
   if children = [] then invalid_arg "Plan.union_: empty list";
   let m = List.length children in
@@ -213,44 +173,6 @@ let union_ ~eps ~delta children =
     Cost.stopping_trials ~eps:(eps /. 3.0) ~delta:(delta /. 4.0) ~p_lower:(1.0 /. float_of_int m)
   in
   node ~children ~dim:(List.hd children).dim (Union_op { trials; volume_trials })
-
-let fraction_trials ~eps ~delta ~dim ~poly_degree =
-  Stdlib.min Cost.fraction_trials_cap
-    (Cost.stopping_trials ~eps:(eps /. 2.0) ~delta:(delta /. 4.0)
-       ~p_lower:(Cost.poly_floor ~dim ~poly_degree))
-
-let inter_ ?(poly_degree = 3) ~eps ~delta children =
-  if children = [] then invalid_arg "Plan.inter_: empty list";
-  let dim = (List.hd children).dim in
-  let budget = Cost.rejection_budget ~dim ~poly_degree ~delta in
-  let volume_trials = fraction_trials ~eps ~delta ~dim ~poly_degree in
-  node ~children ~dim (Inter_op { poly_degree; budget; volume_trials })
-
-let diff_ ?(poly_degree = 3) ~eps ~delta a b =
-  let dim = a.dim in
-  let budget = Cost.rejection_budget ~dim ~poly_degree ~delta in
-  let volume_trials = fraction_trials ~eps ~delta ~dim ~poly_degree in
-  node ~children:[ a; b ] ~dim (Diff_op { poly_degree; budget; volume_trials })
-
-let project_ ~eps ~delta ~keep child =
-  (* The runtime's retry budget is calibrated by a 32-draw pilot; the
-     static stand-in assumes acceptance 1/4 (the c/4 deflation of the
-     pilot quantile), giving 2/(1/4)·ln(1/δ) trials clamped to the
-     runtime's own [64, 50000] window. *)
-  let trials =
-    Stdlib.min 50_000
-      (Stdlib.max 64 (int_of_float (ceil (8.0 *. log (1.0 /. delta)))))
-  in
-  let pilot = 32 in
-  let blocks = Stdlib.max 3 (int_of_float (ceil (4.0 *. log (2.0 /. delta)))) in
-  let block_size = Stdlib.max 16 (int_of_float (ceil (9.0 /. (eps *. eps)))) in
-  let volume_trials = blocks * block_size in
-  node ~children:[ child ] ~dim:keep (Project_op { keep; trials; pilot; volume_trials })
-
-let boost_ ~delta child =
-  node ~children:[ child ] ~dim:child.dim (Boost_op { runs = Cost.boost_runs ~delta })
-
-let guard ~dim = node ~dim Guard
 
 (* ------------------------------------------------------------------ *)
 (* Finalized plans: preorder ids and per-run budgets                   *)
@@ -275,40 +197,18 @@ let rec number next n =
 
 (* Demand on each child given a demand of [s] generator calls and [v]
    volume estimations on the node.  The one-time child volume estimates
-   a combinator performs (operand weights, smallest-operand selection)
-   appear as a volume demand of 1 per child whenever the node runs. *)
+   a union performs (its operand weights) appear as a volume demand of
+   1 per child whenever the node runs. *)
 let child_demands op ~m ~s ~v children =
-  let executed = s > 0.0 || v > 0.0 in
-  let once = if executed then 1.0 else 0.0 in
-  let fm = float_of_int (Stdlib.max 1 m) in
   match op with
-  | Dfk _ | Grid_leaf _ | Guard -> []
+  | Dfk _ -> []
   | Union_op { trials; volume_trials } ->
-      let calls = ((float_of_int trials *. s) +. (float_of_int volume_trials *. v)) /. fm in
+      let once = if s > 0.0 || v > 0.0 then 1.0 else 0.0 in
+      let calls =
+        ((float_of_int trials *. s) +. (float_of_int volume_trials *. v))
+        /. float_of_int (Stdlib.max 1 m)
+      in
       List.map (fun c -> (c, calls, once)) children
-  | Inter_op { budget; volume_trials; _ } ->
-      let calls = ((float_of_int budget *. s) +. (float_of_int volume_trials *. v)) /. fm in
-      List.map (fun c -> (c, calls, once)) children
-  | Diff_op { budget; volume_trials; _ } -> (
-      match children with
-      | [ a; g ] ->
-          let calls = (float_of_int budget *. s) +. (float_of_int volume_trials *. v) in
-          [ (a, calls, once); (g, 0.0, 0.0) ]
-      | cs -> List.map (fun c -> (c, 0.0, 0.0)) cs)
-  | Project_op { trials; pilot; volume_trials; _ } -> (
-      match children with
-      | [ c ] ->
-          let calls =
-            (float_of_int trials *. s)
-            +. (float_of_int volume_trials *. v)
-            +. (float_of_int pilot *. once)
-          in
-          [ (c, calls, v) ]
-      | cs -> List.map (fun c -> (c, 0.0, 0.0)) cs)
-  | Boost_op { runs } -> (
-      match children with
-      | [ c ] -> [ (c, s, float_of_int runs *. v) ]
-      | cs -> List.map (fun c -> (c, 0.0, 0.0)) cs)
 
 let task_demand = function
   | Sample n -> (float_of_int n, 0.0)
@@ -372,31 +272,21 @@ let find_node t id =
 
 type budget_grant = { g_id : int; g_op : string; g_eps : float; g_delta : float }
 
-(* The volume-path (ε,δ) splits, mirroring how the runtime combinators
-   thread their accuracy parameters down (Union.volume, Inter.volume,
-   Diff.volume, Project, Boost in lib/core): the grant of a node is
-   the contract its own estimation phase must satisfy, the children's
-   grants are the sub-contracts it hands them.  Guards are
-   membership-only and carry no grant (nan). *)
+(* The volume-path (ε,δ) splits, mirroring how Union.volume threads
+   its accuracy parameters down: the grant of a node is the contract
+   its own estimation phase must satisfy, the children's grants are
+   the sub-contracts it hands them. *)
 let error_budget t =
   let rows = ref [] in
   let rec go node eps delta =
     let m = List.length node.children in
     let (self_eps, self_delta), child_grant =
       match node.op with
-      | Dfk _ | Grid_leaf _ -> ((eps, delta), (eps, delta))
+      | Dfk _ -> ((eps, delta), (eps, delta))
       | Union_op _ ->
           (* Algorithm 1: child volumes at ε/3, δ/(4m); the node's own
              acceptance-fraction phase at ε/3, δ/4. *)
           ((eps /. 3.0, delta /. 4.0), Cost.child_grant ~m ~eps ~delta)
-      | Inter_op _ ->
-          ((eps /. 2.0, delta /. 4.0), (eps /. 2.0, delta /. float_of_int (4 * m)))
-      | Diff_op _ -> ((eps /. 2.0, delta /. 4.0), (eps /. 2.0, delta /. 4.0))
-      | Project_op _ -> ((eps /. 3.0, delta /. 3.0), (eps /. 3.0, delta /. 3.0))
-      | Boost_op _ ->
-          (* Median boosting: each run is only 3/4-confident. *)
-          ((eps, delta), (eps, 0.25))
-      | Guard -> ((Float.nan, Float.nan), (Float.nan, Float.nan))
     in
     rows := { g_id = node.id; g_op = op_name node.op; g_eps = self_eps; g_delta = self_delta } :: !rows;
     let ce, cd = child_grant in
@@ -428,25 +318,8 @@ let attrs_of_op op =
       @ opt "lasserre_calls" lasserre_calls
       @ opt "box_trials" box_trials
       @ opt "exact_build" exact_build
-  | Grid_leaf { cells } -> [ ("cells", cells) ]
   | Union_op { trials; volume_trials } ->
       [ ("trials", float_of_int trials); ("volume_trials", float_of_int volume_trials) ]
-  | Inter_op { poly_degree; budget; volume_trials }
-  | Diff_op { poly_degree; budget; volume_trials } ->
-      [
-        ("poly_degree", float_of_int poly_degree);
-        ("budget", float_of_int budget);
-        ("volume_trials", float_of_int volume_trials);
-      ]
-  | Project_op { keep; trials; pilot; volume_trials } ->
-      [
-        ("keep", float_of_int keep);
-        ("trials", float_of_int trials);
-        ("pilot", float_of_int pilot);
-        ("volume_trials", float_of_int volume_trials);
-      ]
-  | Boost_op { runs } -> [ ("runs", float_of_int runs) ]
-  | Guard -> []
 
 let units_json u =
   Json.Obj
@@ -576,19 +449,7 @@ let of_json doc =
               box_trials = Json.field "attrs" (Json.field_opt "box_trials" Json.num) o;
               exact_build = Json.field "attrs" (Json.field_opt "exact_build" Json.num) o;
             }
-      | "grid" -> Grid_leaf { cells = Json.field "attrs" (Json.field "cells" Json.num) o }
       | "union" -> Union_op { trials = a "trials"; volume_trials = a "volume_trials" }
-      | "inter" ->
-          Inter_op
-            { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
-      | "diff" ->
-          Diff_op
-            { poly_degree = a "poly_degree"; budget = a "budget"; volume_trials = a "volume_trials" }
-      | "project" ->
-          Project_op
-            { keep = a "keep"; trials = a "trials"; pilot = a "pilot"; volume_trials = a "volume_trials" }
-      | "boost" -> Boost_op { runs = a "runs" }
-      | "guard" -> Guard
       | other -> Json.fail "unknown op %S" other
     in
     {

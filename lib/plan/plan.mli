@@ -1,9 +1,7 @@
 (** Static query plans with paper-derived cost estimates.
 
-    A plan is a tree mirroring the {!Scdb_core.Observable} combinator
-    algebra — convex/DFK leaves, fixed-dimension grid leaves, union,
-    intersection, difference, projection, confidence boosting and
-    membership-only guards — where every node carries an {e a-priori}
+    A plan is the tree the executor runs: convex/DFK leaves under at
+    most one Karp–Luby union, where every node carries an {e a-priori}
     cost estimate (predicted rng draws, membership tests, walk steps
     and rejection trials) computed from the (γ,ε,δ) parameters with the
     formulas of {!Cost}.  Nothing is sampled to build a plan: it is the
@@ -54,18 +52,8 @@ type op =
       (** Convex leaf: DFK lattice walk / hit-and-run / rejection-box /
           exact-lattice generator plus the multi-phase volume
           estimator. *)
-  | Grid_leaf of { cells : float }
-      (** Fixed-dimension γ-grid decomposition (Theorem 3.1). *)
   | Union_op of { trials : int; volume_trials : int }
       (** Karp–Luby union (Theorem 4.1). *)
-  | Inter_op of { poly_degree : int; budget : int; volume_trials : int }
-      (** Rejection intersection (Proposition 4.1). *)
-  | Diff_op of { poly_degree : int; budget : int; volume_trials : int }
-      (** Guarded difference (Corollary 4.3). *)
-  | Project_op of { keep : int; trials : int; pilot : int; volume_trials : int }
-      (** Fiber-compensated projection (Theorem 4.3 / Algorithm 2). *)
-  | Boost_op of { runs : int }  (** median confidence boosting *)
-  | Guard  (** membership-only subtrahend: never sampled, never measured *)
 
 type node = {
   id : int;  (** preorder index, assigned by {!finalize}; [-1] before *)
@@ -113,8 +101,7 @@ val draw_route : calls:float -> node -> (string * float * float * float option) 
     when its price is below both others. *)
 
 val op_name : op -> string
-(** ["dfk"], ["grid"], ["union"], ["inter"], ["diff"], ["project"],
-    ["boost"], ["guard"]. *)
+(** ["dfk"], ["union"]. *)
 
 (** What the plan is budgeted for. *)
 type task =
@@ -126,9 +113,9 @@ type task =
 
     Each constructor computes the node's inclusive cost estimate from
     its children and the {!Cost} formulas.  The caller passes the
-    {e sub-call} accuracy parameters the runtime would use (e.g. a
-    union's children are built at [ε/3], per Algorithm 1), mirroring
-    how the combinators thread [Params.third_eps] down. *)
+    {e sub-call} accuracy parameters the runtime would use (a union's
+    children are built at [ε/3], per Algorithm 1), mirroring how
+    {!Scdb_core.Union} threads [Params.third_eps] down. *)
 
 val dfk :
   eps:float ->
@@ -146,16 +133,8 @@ val dfk :
     (the CLI's practical budget); omitted, the rigorous
     {!Cost.volume_samples_per_phase} sizing applies. *)
 
-val grid_leaf : dim:int -> cells:float -> node
-
 val union_ : eps:float -> delta:float -> node list -> node
 (** @raise Invalid_argument on an empty list. *)
-
-val inter_ : ?poly_degree:int -> eps:float -> delta:float -> node list -> node
-val diff_ : ?poly_degree:int -> eps:float -> delta:float -> node -> node -> node
-val project_ : eps:float -> delta:float -> keep:int -> node -> node
-val boost_ : delta:float -> node -> node
-val guard : dim:int -> node
 
 (** {1 Finalized plans} *)
 
@@ -176,8 +155,7 @@ val finalize : gamma:float -> eps:float -> delta:float -> task:task -> node -> t
 (** Assign preorder ids and compute the per-run budget of every node:
     the expected number of work units (walk steps + trials) the subtree
     rooted there spends executing [task], including the one-time child
-    volume estimates a union/intersection performs before its first
-    draw. *)
+    volume estimates a union performs before its first draw. *)
 
 val sample_calls : t -> float array
 (** Per node, in id order: the generator calls one run of the task
@@ -195,15 +173,14 @@ val find_node : t -> int -> node option
 
 type budget_grant = { g_id : int; g_op : string; g_eps : float; g_delta : float }
 (** The (ε,δ) sub-contract granted to one plan node on the volume
-    path.  [nan] for membership-only guards. *)
+    path. *)
 
 val error_budget : t -> budget_grant array
 (** Per-node granted accuracy budgets, in id order: the plan's (ε,δ)
-    recursively split exactly the way the runtime combinators thread
-    their parameters — a union's children are granted (ε/3, δ/4m) and
-    its own acceptance phase (ε/3, δ/4) per Algorithm 1, intersections
-    and differences halve ε with δ/4m / δ/4, projections split both by
-    3, boosting runs children at fixed confidence 3/4.  The per-node
+    recursively split exactly the way the union combinator threads its
+    parameters — a union's children are granted (ε/3, δ/4m) and its
+    own acceptance phase (ε/3, δ/4) per Algorithm 1, a leaf keeps the
+    grant it is handed.  The per-node
     ledger ([Plan_exec.ledger]) joins these grants with the runtime
     actuals to report consumed-vs-granted slack per node. *)
 

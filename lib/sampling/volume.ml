@@ -88,10 +88,7 @@ let estimate rng ?(eps = 0.25) ?(delta = 0.25) ?(sampler = Hit_and_run) ?(budget
         let r0 = rounded.Rounding.r_inf and rq = rounded.Rounding.r_sup in
         (* Radii rᵢ = r₀·2^{i/d} until the enclosing ball is covered:
            each K_{i-1} ⊇ shrunk copy of K_i, so the ratio is ≥ 1/2. *)
-        let q =
-          if rq <= r0 then 0
-          else int_of_float (ceil (float_of_int d *. (log (rq /. r0) /. log 2.0)))
-        in
+        let q = Scdb_plan.Cost.volume_phases ~dim:d ~aspect:(rq /. r0) () in
         let radius i = r0 *. (2.0 ** (float_of_int i /. float_of_int d)) in
         let samples_per_phase =
           match budget with

@@ -29,23 +29,34 @@ let box_volume (lo, hi) =
   Array.iteri (fun i l -> v := !v *. (hi.(i) -. l)) lo;
   !v
 
+(* The piece of each dfk leaf: leaves take [pieces] in preorder, one
+   each, and there must be exactly as many pieces as leaves. *)
+let leaf_piece (plan : Plan.t) (pieces : Convex_obs.prepared array) =
+  let by_id = Array.make plan.Plan.node_count None in
+  let leaves = ref 0 in
+  Plan.iter_nodes
+    (fun n ->
+      match n.Plan.op with
+      | Plan.Dfk _ ->
+          if !leaves < Array.length pieces then by_id.(n.Plan.id) <- Some pieces.(!leaves);
+          incr leaves
+      | Plan.Union_op _ -> ())
+    plan;
+  if !leaves <> Array.length pieces then
+    invalid_arg
+      (Printf.sprintf "piece count mismatch: %d piece(s) for a plan with %d leaves"
+         (Array.length pieces) !leaves);
+  fun (n : Plan.node) -> Option.get by_id.(n.Plan.id)
+
 let optimize (plan : Plan.t) (pieces : Convex_obs.prepared array) =
   let calls = Plan.sample_calls plan in
-  let next = ref 0 in
-  let piece () =
-    if !next >= Array.length pieces then
-      invalid_arg
-        (Printf.sprintf "piece count mismatch: %d piece(s) for a plan with more leaves"
-           (Array.length pieces));
-    incr next;
-    pieces.(!next - 1)
-  in
+  let piece = leaf_piece plan pieces in
   (* [read]: something reads this subtree's volume — a union's weights,
      or the task's own volume phase. *)
   let rec go ~read (n : Plan.node) =
     match n.Plan.op with
     | Plan.Dfk d ->
-        let p = piece () in
+        let p = piece n in
         let dim = n.Plan.dim and draws = calls.(n.Plan.id) in
         let lasserre_calls =
           if not read then None
@@ -129,7 +140,6 @@ let optimize (plan : Plan.t) (pieces : Convex_obs.prepared array) =
           }
     | Plan.Union_op _ ->
         Plan.reprice { n with Plan.children = List.map (go ~read:true) n.Plan.children }
-    | _ -> Plan.reprice { n with Plan.children = List.map (go ~read) n.Plan.children }
   in
   let read = match plan.Plan.task with Plan.Sample _ -> false | Plan.Volume | Plan.Report _ -> true in
   let root = go ~read plan.Plan.root in
@@ -149,30 +159,20 @@ let exact_weight (p : Convex_obs.prepared) (obs : Observable.t) =
   }
 
 let observables (plan : Plan.t) (pieces : Convex_obs.prepared array) =
+  let piece = leaf_piece plan pieces in
   let built = Array.make plan.Plan.node_count None in
-  let next = ref 0 in
   let rec build (n : Plan.node) =
     let obs =
       match n.Plan.op with
-      | Plan.Dfk { method_; _ } -> (
-          if !next >= Array.length pieces then
-            invalid_arg
-              (Printf.sprintf "piece count mismatch: %d piece(s) for a plan with more leaves"
-                 (Array.length pieces));
-          let p = pieces.(!next) in
-          incr next;
+      | Plan.Dfk { method_; _ } ->
+          let p = piece n in
           let obs = Convex_obs.observe (Convex_obs.with_sampler (sampler_of_method method_) p) in
-          if List.mem Plan.exact_weight n.Plan.tags then exact_weight p obs else obs)
+          if List.mem Plan.exact_weight n.Plan.tags then exact_weight p obs else obs
       | Plan.Union_op _ -> Union.union (List.map build n.Plan.children)
-      | op -> invalid_arg (Printf.sprintf "no observable for plan operator %S" (Plan.op_name op))
     in
     let obs = Observable.tag n.Plan.id obs in
     built.(n.Plan.id) <- Some obs;
     obs
   in
   ignore (build plan.Plan.root);
-  if !next <> Array.length pieces then
-    invalid_arg
-      (Printf.sprintf "piece count mismatch: %d piece(s) for a plan with %d leaves"
-         (Array.length pieces) !next);
   Array.map Option.get built

@@ -38,7 +38,7 @@
 val optimize : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Scdb_plan.Plan.t
 (** The rewritten plan over the same pieces (given in preorder leaf
     order), refinalised for the same task.
-    @raise Invalid_argument when there are fewer pieces than leaves. *)
+    @raise Invalid_argument when the pieces are not one per leaf. *)
 
 val hr_steps : Convex_obs.prepared -> int
 (** The hit-and-run schedule a piece walks: its config's override, or
@@ -59,5 +59,4 @@ val observables : Scdb_plan.Plan.t -> Convex_obs.prepared array -> Observable.t 
     exact call raise, it falls back to its DFK estimate on the rng it
     is handed.
     Draws no rng.
-    @raise Invalid_argument on any other operator, or when the pieces
-    are not one per leaf. *)
+    @raise Invalid_argument when the pieces are not one per leaf. *)

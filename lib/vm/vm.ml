@@ -6,8 +6,8 @@ let compile ?(optimize = false) ~(plan : Plan.t) ~pieces () =
   match plan.Plan.task with
   | Plan.Volume -> Error "only sampling plans run here"
   | Plan.Sample _ | Plan.Report _ -> (
-      let plan = if optimize then Rewrite.optimize plan pieces else plan in
       match
+        let plan = if optimize then Rewrite.optimize plan pieces else plan in
         {
           root = (Rewrite.observables plan pieces).(plan.Plan.root.Plan.id);
           params = Params.make ~gamma:plan.Plan.gamma ~eps:plan.Plan.eps ~delta:plan.Plan.delta ();

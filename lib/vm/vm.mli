@@ -16,8 +16,8 @@ val compile :
 (** Bind [plan] to its prepared convex pieces, given in preorder leaf
     order (the order {!Scdb_gis.Plan_exec} constructs them in); with
     [optimize:true], [Rewrite.optimize plan pieces] instead.  [Error]
-    for a task other than [Sample] or [Report], an operator other than
-    dfk and union, or a piece count that is not the plan's leaf count. *)
+    for a task other than [Sample] or [Report], or a piece count that
+    is not the plan's leaf count. *)
 
 val sample_many : t -> Rng.t -> n:int -> Vec.t list
 (** {!Observable.sample_many} on the plan's root at the plan's

@@ -180,33 +180,26 @@ let prepare_all seed polys =
   let rng = Rng.create seed in
   (rng, Array.of_list (List.map (fun p -> Option.get (Convex_obs.prepare ~config:cfg rng p)) polys))
 
-let leaf ~eps ~delta p =
-  Plan.dfk ~eps ~delta ~dim:(P.dim p) ~method_:"walk" ~constraints:(P.num_constraints p)
-    ~volume_budget:2000 ()
-
-(* Hand-built binary plans, run by the observable algebra. *)
-let binary_run name ~seed ~polys ~plan ~interp =
+(* Binary algebra runs: no plan holds an intersection or difference
+   node, so the progress bus is armed with the operator's row and one
+   row per operand, unbudgeted. *)
+let binary_run name ~seed ~polys ~interp =
   let rng, preps = prepare_all seed polys in
-  let plan = Plan.finalize ~gamma ~eps ~delta ~task:(Plan.Sample 3) plan in
   let obs = interp (Array.map Convex_obs.observe preps) in
-  capture (name ^ ".interp") ~rows:(plan_rows plan) (fun () ->
+  capture (name ^ ".interp")
+    ~rows:[| (0, name, 0.0); (1, "dfk", 0.0); (2, "dfk", 0.0) |]
+    (fun () ->
       ignore (Observable.sample_many obs rng params ~n:3);
       ignore (Observable.volume obs rng ~gamma ~eps ~delta))
 
 let inter_run () =
-  let polys = [ box2 0.0 2.0 0.0 1.0; box2 1.0 3.0 0.0 1.0 ] in
-  let sub_eps = eps /. 3.0 and sub_delta = delta /. 8.0 in
-  binary_run "inter" ~seed:51 ~polys
-    ~plan:(Plan.inter_ ~eps ~delta (List.map (leaf ~eps:sub_eps ~delta:sub_delta) polys))
+  binary_run "inter" ~seed:51
+    ~polys:[ box2 0.0 2.0 0.0 1.0; box2 1.0 3.0 0.0 1.0 ]
     ~interp:(fun o -> Inter.inter (Array.to_list o))
 
 let diff_run () =
-  let polys = [ box2 0.0 3.0 0.0 1.0; box2 2.0 5.0 (-1.0) 2.0 ] in
-  binary_run "diff" ~seed:61 ~polys
-    ~plan:
-      (match List.map (leaf ~eps:(eps /. 3.0) ~delta:0.1) polys with
-      | [ a; b ] -> Plan.diff_ ~eps ~delta a b
-      | _ -> assert false)
+  binary_run "diff" ~seed:61
+    ~polys:[ box2 0.0 3.0 0.0 1.0; box2 2.0 5.0 (-1.0) 2.0 ]
     ~interp:(fun o -> Diff.diff o.(0) o.(1))
 
 let kernels () =

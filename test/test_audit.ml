@@ -269,11 +269,9 @@ let run_tests =
             Alcotest.(check bool) "budget rows" true (Array.length a.A.ledger > 0);
             Array.iter
               (fun (r : Plan_exec.row) ->
-                if r.Plan_exec.op <> "guard" then begin
-                  Alcotest.(check bool) "eps grant finite" true (Float.is_finite r.Plan_exec.eps);
-                  Alcotest.(check bool) "delta grant in (0,1)" true
-                    (r.Plan_exec.delta > 0.0 && r.Plan_exec.delta < 1.0)
-                end)
+                Alcotest.(check bool) "eps grant finite" true (Float.is_finite r.Plan_exec.eps);
+                Alcotest.(check bool) "delta grant in (0,1)" true
+                  (r.Plan_exec.delta > 0.0 && r.Plan_exec.delta < 1.0))
               a.A.ledger);
     ts "audit documents are deterministic" (fun () ->
         let doc () =

@@ -127,6 +127,16 @@ let usage_tests =
         check "audit --runs 0" 2 ("audit " ^ fig1 ^ " --oracle exact --runs 0");
         check "reconstruct -n 0" 2 ("reconstruct " ^ fig1 ^ " -n 0");
         check "audit --jobs 0" 2 ("audit " ^ fig1 ^ " --oracle exact --runs 2 --jobs 0"));
+    t "negative sample counts exit 2, zero runs" (fun () ->
+        List.iter
+          (fun (cmd, n) ->
+            Alcotest.(check (pair int string))
+              (cmd ^ " -n " ^ n)
+              (2, Printf.sprintf "spatialdb: -n must be >= 0 (got %s)\n" n)
+              (run_stderr (Printf.sprintf "%s %s --samples=%s" cmd fig1 n)))
+          [ ("sample", "-3"); ("report", "-1"); ("explain", "-5") ];
+        check "sample -n 0" 0 ("sample " ^ fig1 ^ " -n 0");
+        check "explain -n 0" 0 ("explain " ^ fig1 ^ " -n 0"));
     t "audit --jobs above the runtime's domain cap exits 2" (fun () ->
         (* Refused while parsing the flags, before any domain starts. *)
         Alcotest.(check (pair int string))
@@ -185,6 +195,11 @@ let runtime_tests =
         check "parse" 1 "explain -v x -f \"x >= nonsense\"");
     t "empty relation exits 1" (fun () ->
         check "empty" 1 "sample -v x -f \"x >= 1 /\\ x <= 0\" -n 1");
+    t "duplicate --vars names exit 1 naming the variable" (fun () ->
+        Alcotest.(check (pair int string))
+          "exit and message"
+          (1, "spatialdb: duplicate variable x in --vars\n")
+          (run_stderr "sample -v x,x -f \"x >= 0 and x <= 1\""));
     t "explain refuses a lower-dimensional relation as sample does" (fun () ->
         let segment = "-v x,y -f \"0 <= x <= 1 /\\ y = 0\"" in
         let sample = run_stderr ("sample " ^ segment ^ " -n 1") in

@@ -133,6 +133,15 @@ let tests =
         match Flight.replay r with
         | Ok _ -> Alcotest.fail "replayed a volume record"
         | Error m -> Alcotest.(check bool) "explains" true (contains m "only \"sample\""));
+    t "a negative sample count is an error, recorded or not" (fun () ->
+        (match Flight.run { args with Flight.n = -2 } with
+        | Ok _ -> Alcotest.fail "ran with n = -2"
+        | Error _ -> ());
+        let r = record () in
+        let r = { r with Flightrec.args = ("n", "-2") :: List.remove_assoc "n" r.Flightrec.args } in
+        match Flight.replay r with
+        | Ok _ -> Alcotest.fail "replayed a record with n = -2"
+        | Error m -> Alcotest.(check string) "malformed" "malformed n" m);
     ts "committed pre-batching record still replays bit-exactly" (fun () ->
         (* Fixture first recorded by the incremental single-chain
            kernel before the batched SoA kernel landed, and re-recorded

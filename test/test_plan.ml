@@ -9,6 +9,7 @@ module J = Scdb_json.Json
 module Chernoff = Scdb_sampling.Chernoff
 module HR = Scdb_sampling.Hit_and_run
 module W = Scdb_sampling.Walk
+module Volume = Scdb_sampling.Volume
 module Union = Scdb_core.Union
 module Inter = Scdb_core.Inter
 module Boost = Scdb_core.Boost
@@ -59,32 +60,20 @@ let equality_tests =
             Alcotest.(check int) "union" (2 * volume_trials)
               (cap ~eps:(eps /. 3.0) ~delta:(delta /. 4.0) ~p_floor:0.5)
         | _ -> Alcotest.fail "root is not a union");
-        match
-          (plan_of ~task:Plan.Volume (Plan.inter_ ~eps ~delta [ leaf (); leaf () ])).Plan.root.Plan.op
-        with
-        | Plan.Inter_op { volume_trials; poly_degree; _ } ->
-            Alcotest.(check int) "inter" (2 * volume_trials)
-              (cap ~eps:(eps /. 2.0) ~delta:(delta /. 4.0)
-                 ~p_floor:(Cost.poly_floor ~dim:2 ~poly_degree))
-        | _ -> Alcotest.fail "root is not an intersection");
-    t "intersection budget: runtime = Cost = plan attribute" (fun () ->
+        (* An intersection's fraction at its polynomial acceptance
+           floor, at the formula level. *)
+        let p_lower = Cost.poly_floor ~dim:2 ~poly_degree:3 in
+        Alcotest.(check int) "inter"
+          (2 * Cost.stopping_trials ~eps:(eps /. 2.0) ~delta:(delta /. 4.0) ~p_lower)
+          (cap ~eps:(eps /. 2.0) ~delta:(delta /. 4.0) ~p_floor:p_lower));
+    t "intersection budget: runtime = Cost" (fun () ->
         List.iter
           (fun (dim, k, delta) ->
             Alcotest.(check int)
               (Printf.sprintf "dim=%d k=%d delta=%g" dim k delta)
               (Cost.rejection_budget ~dim ~poly_degree:k ~delta)
               (Inter.budget_for ~dim ~poly_degree:k ~delta))
-          [ (1, 1, 0.1); (2, 1, 0.1); (3, 2, 0.05); (6, 2, 0.01) ];
-        let plan =
-          plan_of ~task:(Plan.Sample 1)
-            (Plan.inter_ ~poly_degree:1 ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ])
-        in
-        match plan.Plan.root.Plan.op with
-        | Plan.Inter_op { budget; _ } ->
-            Alcotest.(check int) "plan inter budget"
-              (Inter.budget_for ~dim:2 ~poly_degree:1 ~delta:0.1)
-              budget
-        | _ -> Alcotest.fail "root is not an intersection");
+          [ (1, 1, 0.1); (2, 1, 0.1); (3, 2, 0.05); (6, 2, 0.01) ]);
     t "chernoff sizing: runtime = Cost" (fun () ->
         List.iter
           (fun (eps, delta) ->
@@ -97,24 +86,37 @@ let equality_tests =
               (Cost.samples_for_ratio ~eps ~delta ~p_lower:0.25)
               (Chernoff.samples_for_ratio ~eps ~delta ~p_lower:0.25))
           [ (0.3, 0.2); (0.1, 0.1); (0.05, 0.01) ]);
-    t "boost runs: runtime = Cost = plan attribute" (fun () ->
+    t "boost runs: runtime = Cost" (fun () ->
         List.iter
           (fun delta ->
             let n = Boost.runs_for ~delta in
             Alcotest.(check int) (Printf.sprintf "delta=%g" delta) (Cost.boost_runs ~delta) n;
             Alcotest.(check bool) "odd" true (n land 1 = 1))
-          [ 0.2; 0.1; 0.01; 0.001 ];
-        let plan = plan_of ~task:Plan.Volume (Plan.boost_ ~delta:0.1 (leaf ())) in
-        match plan.Plan.root.Plan.op with
-        | Plan.Boost_op { runs } ->
-            Alcotest.(check int) "plan boost runs" (Boost.runs_for ~delta:0.1) runs
-        | _ -> Alcotest.fail "root is not a boost");
+          [ 0.2; 0.1; 0.01; 0.001 ]);
     t "volume phases pinned for d = 1..10" (fun () ->
         (* ⌈d·log₂ max(2, d^1.5)⌉; d = 2 is 3, where a log-quotient
            rounding once made it 4. *)
         Alcotest.(check (list int))
           "phases" [ 1; 3; 8; 12; 18; 24; 30; 36; 43; 50 ]
           (List.init 10 (fun i -> Cost.volume_phases ~dim:(i + 1) ())));
+    t "volume phases: runtime = Cost" (fun () ->
+        (* The estimator's phase count is the Cost formula at the
+           rounding's aspect ratio, on the bodies and seeds whose
+           streams the phase-walk tests pin (a small budget: the count
+           is fixed by the rounding, before any phase samples). *)
+        let bodies = Test_sampling.phase_bodies () in
+        List.iter
+          (fun (name, seed, _, _) ->
+            let body = List.assoc name bodies in
+            match Volume.estimate (Scdb_rng.Rng.create seed) ~budget:(Volume.Practical 2) body with
+            | Some r ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s seed %d" name seed)
+                  (Cost.volume_phases ~dim:(Scdb_polytope.Polytope.dim body)
+                     ~aspect:r.Volume.rounding_ratio ())
+                  r.Volume.phases
+            | None -> Alcotest.failf "%s seed %d: estimation failed" name seed)
+          Test_sampling.pinned_estimates);
     t "walk schedules: runtime = Cost = plan attribute" (fun () ->
         for dim = 1 to 8 do
           Alcotest.(check int)
@@ -182,12 +184,13 @@ let monotonicity_tests =
 
 (* ---------------- JSON round trip ---------------- *)
 
+(* A union over a leaf of every sampling method. *)
 let mixed_plan () =
-  let a = leaf () and b = leaf ~dim:2 () in
-  let g = Plan.grid_leaf ~dim:2 ~cells:400.0 in
-  let u = Plan.union_ ~eps:0.2 ~delta:0.025 [ a; b; g ] in
-  let d = Plan.diff_ ~eps:0.2 ~delta:0.1 u (Plan.guard ~dim:2) in
-  plan_of ~task:(Plan.Report 10) d
+  let leaf method_ =
+    Plan.dfk ~eps:0.2 ~delta:0.025 ~dim:2 ~method_ ~constraints:3 ~volume_budget:2000 ()
+  in
+  plan_of ~task:(Plan.Report 10)
+    (Plan.union_ ~eps:0.2 ~delta:0.1 [ leaf "walk"; leaf "grid"; leaf "rejection" ])
 
 let json_tests =
   [
@@ -230,9 +233,9 @@ let json_tests =
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted a document without a root");
     t "stopping-rule nodes hold their granted delta" (fun () ->
-        (* Union, intersection and difference fractions run a stopping
-           rule, whose δ does not depend on the trials it ran; a dfk
-           leaf's δ still follows its work ratio. *)
+        (* A union's fraction runs a stopping rule, whose δ does not
+           depend on the trials it ran; a dfk leaf's δ still follows its
+           work ratio. *)
         let module PE = Scdb_gis.Plan_exec in
         let plan = plan_of ~task:Plan.Volume (Plan.union_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ]) in
         let grants = Plan.error_budget plan in

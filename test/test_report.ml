@@ -119,6 +119,10 @@ let report_tests =
         match Report.generate ~vars:[ "x" ] ~formula:"x >=" ~seed:1 () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a parse error");
+    t "a negative sample count surfaces as Error" (fun () ->
+        match Report.generate ~vars:[ "x"; "y" ] ~formula:fig1 ~seed:1 ~samples:(-1) () with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "expected a sample-count error");
     t "report restores the global enabled flags" (fun () ->
         let tel = Scdb_telemetry.Telemetry.enabled () in
         let trace = Scdb_trace.Trace.enabled () in

@@ -322,15 +322,24 @@ let exact_weight_tests =
 let compile_tests =
   [
     t "piece-count mismatch is refused" (fun () ->
+        (* Surplus and missing pieces, on the plan as built and through
+           the optimizing pass. *)
         let rng = Rng.create 10 in
         let prep = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
-        let plan =
-          Plan.finalize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 1)
-            (Plan.dfk ~eps:0.2 ~delta:0.1 ~dim:2 ~method_:"walk" ~volume_budget:2000 ())
-        in
-        match Vm.compile ~plan ~pieces:[| prep; prep |] () with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "expected a piece-count error");
+        let leaf () = Plan.dfk ~eps:0.2 ~delta:0.1 ~dim:2 ~method_:"walk" ~volume_budget:2000 () in
+        let finalize = Plan.finalize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 1) in
+        List.iter
+          (fun (what, plan, pieces) ->
+            List.iter
+              (fun optimize ->
+                match Vm.compile ~optimize ~plan ~pieces () with
+                | Error _ -> ()
+                | Ok _ -> Alcotest.failf "expected a piece-count error (%s, optimize=%b)" what optimize)
+              [ false; true ])
+          [
+            ("surplus", finalize (leaf ()), [| prep; prep |]);
+            ("missing", finalize (Plan.union_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ]), [| prep |]);
+          ]);
     t "volume tasks are refused" (fun () ->
         let rng = Rng.create 11 in
         let prep = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
@@ -341,20 +350,6 @@ let compile_tests =
         match Vm.compile ~plan ~pieces:[| prep |] () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a task error");
-    t "intersection and difference plans are refused" (fun () ->
-        let rng = Rng.create 13 in
-        let prep () = Option.get (Convex_obs.prepare ~config:cfg rng (box2 0.0 1.0 0.0 1.0)) in
-        let leaf () = Plan.dfk ~eps:0.2 ~delta:0.1 ~dim:2 ~method_:"walk" ~volume_budget:2000 () in
-        List.iter
-          (fun (what, root) ->
-            let plan = Plan.finalize ~gamma:0.05 ~eps:0.2 ~delta:0.1 ~task:(Plan.Sample 1) root in
-            match Vm.compile ~optimize:true ~plan ~pieces:[| prep (); prep () |] () with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.failf "expected %s to be refused" what)
-          [
-            ("inter", Plan.inter_ ~eps:0.2 ~delta:0.1 [ leaf (); leaf () ]);
-            ("diff", Plan.diff_ ~eps:0.2 ~delta:0.1 (leaf ()) (leaf ()));
-          ]);
   ]
 
 (* The record with its engine argument set to [engine]. *)
