@@ -40,6 +40,9 @@ trend:
 # Every relation reaches its per-tuple pieces through Plan_exec, so a
 # Convex_obs.prepare_tuples call anywhere else in lib/ or bin/, which
 # would be a second copy of the composition, fails it too.
+# GIS projections take their source from the plan pipeline through
+# Project.of_source, so a Project.project call in lib/gis/ or bin/,
+# which would build a second, private DFK source, fails it too.
 check:
 	dune build
 	@if grep -rnE 'Progress\.add_(steps|trials)|Log\.warn\b' lib/sampling lib/core lib/vm; then \
@@ -53,6 +56,8 @@ check:
 	  echo "make check: only lib/audit spawns domains" >&2; exit 1; fi
 	@if grep -rn 'Convex_obs\.prepare_tuples' lib bin | grep -v '^lib/gis/plan_exec\.ml:'; then \
 	  echo "make check: per-tuple pieces come from Plan_exec, not Convex_obs.prepare_tuples" >&2; exit 1; fi
+	@if grep -rn 'Project\.project\b' lib/gis bin; then \
+	  echo "make check: GIS projections take their source from the plan pipeline (Project.of_source), not Project.project" >&2; exit 1; fi
 	dune build @bench
 	dune runtest
 

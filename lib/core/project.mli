@@ -22,6 +22,25 @@ type fiber_volume =
   | Exact  (** Lasserre recursion on the fiber (cost exponential in d−e; fine for small fibers) *)
   | Estimated of int  (** multi-phase estimator with a per-phase sample budget *)
 
+val of_source :
+  ?fiber_volume:fiber_volume ->
+  ?pilot_samples:int ->
+  Rng.t ->
+  Observable.t ->
+  Polytope.t ->
+  keep:int list ->
+  Observable.t option
+(** Observable for [π_keep(S)], drawing and measuring [S] through
+    [source], an observable of the polytope [S].  Default fiber
+    volumes: [Exact] when [d − e <= 4], else [Estimated 600].
+    [pilot_samples] (default 32) sizes the pre-pass that sets the
+    acceptance constant [c]: the 5% quantile of the observed fiber
+    volumes, divided by 4.  The volume asks [source] for its own at ε/3, δ/3
+    and scales it by the mean of 1/h over source draws.  [None] when
+    no pilot draw lands on a fiber of positive volume.
+    @raise Invalid_argument if [keep] is empty, out of range, or the
+    full coordinate set, or if [source] and [S] differ in dimension. *)
+
 val project :
   ?fiber_volume:fiber_volume ->
   ?pilot_samples:int ->
@@ -29,13 +48,11 @@ val project :
   Polytope.t ->
   keep:int list ->
   Observable.t option
-(** Observable for [π_keep(S)].  Default fiber volumes: [Exact] when
-    [d − e <= 4], else [Estimated 600].  [pilot_samples] (default 32)
-    sizes the pre-pass that sets the acceptance constant [c]: the 5%
-    quantile of the observed fiber volumes, divided by 4.  [None] when
-    [S] is empty or unbounded.
-    @raise Invalid_argument if [keep] is empty, out of range, or the
-    full coordinate set. *)
+(** {!of_source} over the polytope's own DFK observable
+    ({!Convex_obs.of_polytope} under {!Convex_obs.practical_config},
+    on the same rng).  [None] when [S] is empty, lower-dimensional or
+    unbounded.
+    @raise Invalid_argument as {!of_source}. *)
 
 val fiber : Polytope.t -> keep:int list -> Vec.t -> Polytope.t
 (** The fiber polytope [H_S(y)] in the eliminated coordinates. *)

@@ -81,11 +81,17 @@ let membership_only r =
     ()
 
 (* π onto the free coordinates of each convex tuple that projects
-   (π distributes over ∪). *)
-let project_tuples rng ~free_dim r =
-  let keep = List.init free_dim Fun.id in
+   (π distributes over ∪).  Each tuple's source is the one-tuple
+   relation's plan-pipeline observable, so it gets the exact weight
+   and box or lattice draws the cost model picks; an unbounded tuple
+   raises [Convex_obs.Unbounded]. *)
+let project_tuples ?config rng ~free_dim r =
+  let keep = List.init free_dim Fun.id and dim = Relation.dim r in
   List.filter_map
-    (fun tuple -> Project.project rng (Polytope.of_tuple ~dim:(Relation.dim r) tuple) ~keep)
+    (fun tuple ->
+      Option.bind
+        (observable_of_relation ?config rng (Relation.make ~dim [ tuple ]))
+        (fun source -> Project.of_source rng source (Polytope.of_tuple ~dim tuple) ~keep))
     (Relation.tuples r)
 
 (* The piece's positive conjunction over the free coordinates followed
@@ -111,14 +117,14 @@ let compile_piece ?config ?poly_degree rng inst ~free_dim piece =
   let positive () =
     match observable_of_relation ?config rng pos_relation with
     | Some o -> o
-    | None -> raise (Unsupported "piece is empty or unbounded")
+    | None -> raise (Unsupported "piece is empty or lower-dimensional")
   in
   match (piece.neg, piece.evars) with
   | [], [] -> positive ()
   | [], _ -> (
       (* Positive existential piece: the union of the projected tuples. *)
-      match project_tuples rng ~free_dim pos_relation with
-      | [] -> raise (Unsupported "no projectable tuple (empty or unbounded piece)")
+      match project_tuples ?config rng ~free_dim pos_relation with
+      | [] -> raise (Unsupported "no projectable tuple (empty piece)")
       | [ one ] -> one
       | many -> Union.union many)
   | _, _ :: _ -> raise (Unsupported "difference under an existential quantifier")
@@ -166,7 +172,7 @@ let reconstruct ?(config = Convex_obs.default_config) ?(samples_per_piece = 150)
             (fun piece ->
               let r, _ = piece_relation inst ~free_dim piece in
               if piece.evars = [] then Plan_exec.observe_tuples ~config rng r
-              else project_tuples rng ~free_dim r)
+              else project_tuples ~config rng ~free_dim r)
             pieces
         in
         if piece_observables = [] then Error "no non-empty convex piece to reconstruct"

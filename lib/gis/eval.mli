@@ -10,7 +10,8 @@
       paper's generators — union for [∨], intersection for [∧],
       difference for guarded [¬], fiber-compensated projection for
       [∃] — giving sampling and volume estimation without any symbolic
-      blowup.  Each quantifier-free convex piece is built by
+      blowup.  Each quantifier-free convex piece, and each projected
+      tuple's source ({!Project.of_source}), is built by
       {!observable_of_relation}, through the same plan pipeline
       [--engine vm-opt] runs. *)
 
@@ -47,7 +48,8 @@ val compile :
     not mention the quantified variables and pieces with quantifiers
     must be purely positive (the paper's Theorem 4.4 fragment plus
     guarded difference).  Returns [Error reason] outside the
-    fragment. *)
+    fragment, and [Error "relation is unbounded"] when a piece, with
+    or without quantifiers, has a full-dimensional unbounded tuple. *)
 
 val reconstruct :
   ?config:Convex_obs.config ->
@@ -59,5 +61,7 @@ val reconstruct :
   (Reconstruct.t, string) result
 (** Algorithm 5: reconstruct a positive existential query as a union of
     convex hulls, one per convex tuple of each piece: quantifier-free
-    tuples from {!Plan_exec.observe_tuples} (default config
-    {!Convex_obs.default_config}), quantified ones projected. *)
+    tuples from {!Plan_exec.observe_tuples}, quantified ones projected
+    from a {!observable_of_relation} source, both under [config]
+    (default {!Convex_obs.default_config}).  Unbounded tuples are
+    refused as in {!compile}. *)

@@ -208,6 +208,54 @@ let eval_tests =
                 Alcotest.(check (float 1e-9)) "area" exact v;
                 Alcotest.(check int) "volume.phases" 0
                   (Option.value (Tel.counter_value "volume.phases") ~default:0)));
+    t "an unbounded tuple under exists is refused, not dropped" (fun () ->
+        (* R = unit cube ∪ {x ≥ 2, 0 ≤ y, z ≤ 1}: the second tuple has
+           infinite measure, so neither its shadow nor the union of
+           both shadows has a uniform generator or a finite volume. *)
+        let schema = Schema.of_list [ ("R", 3) ] in
+        let slab =
+          match
+            Flight.parse_relation ~vars:[ "x"; "y"; "z" ]
+              "x >= 2 /\\ 0 <= y /\\ y <= 1 /\\ 0 <= z /\\ z <= 1"
+          with
+          | Ok r -> r
+          | Error m -> Alcotest.fail m
+        in
+        let inst = Instance.set (Instance.create schema) "R" (Relation.union (Relation.unit_cube 3) slab) in
+        let query = Query.parse ~schema ~vars:[ "x"; "y" ] "exists z. R(x, y, z)" in
+        let unbounded = Error Flight.unbounded_relation in
+        Alcotest.(check (result reject string)) "compile" unbounded
+          (Result.map ignore (Eval.compile (Rng.create 53) inst ~free_dim:2 query));
+        Alcotest.(check (result reject string)) "reconstruct" unbounded
+          (Result.map ignore (Eval.reconstruct (Rng.create 53) inst ~free_dim:2 query)));
+    t "terrain projection: the source's exact weight answers its volume" (fun () ->
+        (* Each prism's source is a plan-pipeline leaf: its volume is a
+           Lasserre call, so no multi-phase estimate runs, and the
+           projection's volume is the source's exact volume times the
+           fiber-compensated mean.  The counts are deterministic. *)
+        let inst = Synth.land_use_instance (Rng.create 50) ~extent:9.0 in
+        let query =
+          Query.parse ~schema:Synth.land_use_schema ~vars:[ "x"; "y" ]
+            "exists z. Terrain(x, y, z) /\\ z >= 1 /\\ x <= 3 /\\ y <= 6"
+        in
+        let exact = VE.float_volume_relation (Eval.symbolic inst ~free_dim:2 query) in
+        let counter name = Option.value (Tel.counter_value name) ~default:0 in
+        let eps = 0.1 in
+        let was = Tel.enabled () in
+        Tel.set_enabled true;
+        Tel.reset ();
+        Fun.protect ~finally:(fun () -> Tel.set_enabled was) (fun () ->
+            let rng = Rng.create 54 in
+            match Eval.compile ~config:cfg rng inst ~free_dim:2 query with
+            | Error e -> Alcotest.fail e
+            | Ok o ->
+                let v = Scdb_core.Observable.volume o rng ~eps ~delta:0.1 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "exact=%.4f approx=%.4f" exact v)
+                  true
+                  (Float.abs (v -. exact) <= eps *. exact);
+                Alcotest.(check int) "volume.estimates" 0 (counter "volume.estimates");
+                Alcotest.(check bool) "vm.lasserre_calls" true (counter "vm.lasserre_calls" > 0)));
     ts "Parcels /\\ ~Lakes: box and lattice draws stay uniform on γ-cells" (fun () ->
         (* The two triangles' leaves draw from their face lattices, the
            two boxes' from their bounding boxes, and Diff rejects the
