@@ -43,6 +43,9 @@ trend:
 # GIS projections take their source from the plan pipeline through
 # Project.of_source, so a Project.project call in lib/gis/ or bin/,
 # which would build a second, private DFK source, fails it too.
+# Every FO+LIN text goes through the one parser in lib/constr, so a
+# Lexer. use in lib/ or bin/ outside lib/constr/, which would be a
+# second parser over its tokens, fails it too.
 check:
 	dune build
 	@if grep -rnE 'Progress\.add_(steps|trials)|Log\.warn\b' lib/sampling lib/core lib/vm; then \
@@ -58,6 +61,8 @@ check:
 	  echo "make check: per-tuple pieces come from Plan_exec, not Convex_obs.prepare_tuples" >&2; exit 1; fi
 	@if grep -rn 'Project\.project\b' lib/gis bin; then \
 	  echo "make check: GIS projections take their source from the plan pipeline (Project.of_source), not Project.project" >&2; exit 1; fi
+	@if grep -rn 'Lexer\.' lib bin | grep -v '^lib/constr/'; then \
+	  echo "make check: FO+LIN text parses through Scdb_constr.Parser, not over Lexer tokens" >&2; exit 1; fi
 	dune build @bench
 	dune runtest
 

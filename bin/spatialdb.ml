@@ -644,30 +644,26 @@ let explain_cmd =
     in
     let _, relation = parse_relation vars_s formula in
     let config = or_die (Flight.config_of_method method_) in
-    let print_plan plan =
-      print_string
-        (match format with
-        | "json" -> Json.to_string (Scdb_plan.Plan.to_json plan)
-        | _ -> Scdb_plan.Plan.to_text_tree plan)
+    (* The run's own preparation on the run's seed: the rounding's
+       preprocessing draws decide which pieces survive, so the plan is
+       the one the run executes. *)
+    let prepared =
+      or_die (Flight.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed) relation)
     in
-    (* The optimizing pass needs the prepared pieces (the rng-consuming
-       rounding half), so it takes the seed the run would use. *)
-    if engine = "vm-opt" then
-      print_plan
-        (Scdb_gis.Plan_exec.optimize
-           (or_die
-              (Flight.prepare ~config ~gamma:Flight.gamma ~eps ~delta ~task (Rng.create seed)
-                 relation)))
-          .plan
-    else (
-        match Scdb_gis.Plan_build.of_relation ~config ~gamma:Flight.gamma ~eps ~delta ~task relation with
-        | Some plan -> print_plan plan
-        | None -> or_die (Error Flight.empty_relation)
-        | exception Convex_obs.Unbounded -> or_die (Error Flight.unbounded_relation))
+    let plan =
+      (if engine = "vm-opt" then Scdb_gis.Plan_exec.optimize prepared else prepared)
+        .Scdb_gis.Plan_exec.plan
+    in
+    print_string
+      (match format with
+      | "json" -> Json.to_string (Scdb_plan.Plan.to_json plan)
+      | _ -> Scdb_plan.Plan.to_text_tree plan)
   in
   let doc =
     "Show the query plan and its paper-derived cost estimates (predicted walk steps, trials, \
-     rng draws, membership tests and per-node work budgets) without sampling anything."
+     rng draws, membership tests and per-node work budgets).  The plan is the one the run \
+     executes: it draws the rounding's preprocessing points on $(b,--seed), as the run does, \
+     and no generator sample."
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(

@@ -1,6 +1,28 @@
 exception Parse_error of string
+exception Lex_error = Lexer.Lex_error
 
-type state = { mutable tokens : Lexer.token list; mutable next_var : int }
+type 'f connectives = {
+  atom : Atom.t -> 'f;
+  conj : 'f list -> 'f;
+  disj : 'f list -> 'f;
+  neg : 'f -> 'f;
+  exists : int list -> 'f -> 'f;
+  forall : int list -> 'f -> 'f;
+  relation : (string -> int list -> 'f) option;
+}
+
+let formula =
+  {
+    atom = Formula.atom;
+    conj = Formula.conj;
+    disj = Formula.disj;
+    neg = Formula.neg;
+    exists = Formula.exists;
+    forall = Formula.forall;
+    relation = None;
+  }
+
+type 'f state = { mutable tokens : Lexer.token list; mutable next_var : int; c : 'f connectives }
 
 let peek st = match st.tokens with [] -> Lexer.EOF | t :: _ -> t
 
@@ -22,6 +44,11 @@ let lookup env name =
   match List.assoc_opt name env with
   | Some i -> i
   | None -> raise (Parse_error (Printf.sprintf "unknown variable %S" name))
+
+(* With a relation hook, uppercase identifiers name relations, never
+   variables. *)
+let is_relation st name =
+  Option.is_some st.c.relation && name <> "" && name.[0] >= 'A' && name.[0] <= 'Z'
 
 (* --- expressions ------------------------------------------------------ *)
 
@@ -67,7 +94,7 @@ and parse_factor st env =
   | Lexer.NUM q ->
       advance st;
       Term.const q
-  | Lexer.IDENT name ->
+  | Lexer.IDENT name when not (is_relation st name) ->
       advance st;
       Term.var (lookup env name)
   | Lexer.MINUS ->
@@ -91,14 +118,14 @@ let relop_of_token = function
   | Lexer.NEQ -> Some `Neq
   | _ -> None
 
-let apply_relop op lhs rhs =
+let apply_relop c op lhs rhs =
   match op with
-  | `Le -> Formula.atom (Atom.le lhs rhs)
-  | `Lt -> Formula.atom (Atom.lt lhs rhs)
-  | `Ge -> Formula.atom (Atom.ge lhs rhs)
-  | `Gt -> Formula.atom (Atom.gt lhs rhs)
-  | `Eq -> Formula.atom (Atom.eq lhs rhs)
-  | `Neq -> Formula.neg (Formula.atom (Atom.eq lhs rhs))
+  | `Le -> c.atom (Atom.le lhs rhs)
+  | `Lt -> c.atom (Atom.lt lhs rhs)
+  | `Ge -> c.atom (Atom.ge lhs rhs)
+  | `Gt -> c.atom (Atom.gt lhs rhs)
+  | `Eq -> c.atom (Atom.eq lhs rhs)
+  | `Neq -> c.neg (c.atom (Atom.eq lhs rhs))
 
 let rec parse_formula st env =
   match peek st with
@@ -107,7 +134,7 @@ let rec parse_formula st env =
       advance st;
       let rec names acc =
         match peek st with
-        | Lexer.IDENT n ->
+        | Lexer.IDENT n when not (is_relation st n) ->
             advance st;
             if peek st = Lexer.COMMA then advance st;
             names (n :: acc)
@@ -119,8 +146,7 @@ let rec parse_formula st env =
       let indices = List.map (fun _ -> let i = st.next_var in st.next_var <- st.next_var + 1; i) ns in
       let env' = List.rev_append (List.combine ns indices) env in
       let body = parse_formula st env' in
-      if quantifier = Lexer.EXISTS then Formula.exists indices body
-      else Formula.forall indices body
+      if quantifier = Lexer.EXISTS then st.c.exists indices body else st.c.forall indices body
   | _ -> parse_implication st env
 
 and parse_implication st env =
@@ -128,7 +154,7 @@ and parse_implication st env =
   if peek st = Lexer.IMPLIES then begin
     advance st;
     let rhs = parse_formula st env in
-    Formula.implies lhs rhs
+    st.c.disj [ st.c.neg lhs; rhs ]
   end
   else lhs
 
@@ -139,7 +165,7 @@ and parse_disjunction st env =
       advance st;
       loop (parse_conjunction st env :: acc)
     end
-    else Formula.disj (List.rev acc)
+    else st.c.disj (List.rev acc)
   in
   loop [ first ]
 
@@ -150,7 +176,7 @@ and parse_conjunction st env =
       advance st;
       loop (parse_unary st env :: acc)
     end
-    else Formula.conj (List.rev acc)
+    else st.c.conj (List.rev acc)
   in
   loop [ first ]
 
@@ -158,14 +184,28 @@ and parse_unary st env =
   match peek st with
   | Lexer.NOT ->
       advance st;
-      Formula.neg (parse_unary st env)
+      st.c.neg (parse_unary st env)
   | Lexer.TRUE ->
       advance st;
-      Formula.tru
+      st.c.conj []
   | Lexer.FALSE ->
       advance st;
-      Formula.fls
+      st.c.disj []
   | Lexer.EXISTS | Lexer.FORALL -> parse_formula st env
+  | Lexer.IDENT name when is_relation st name ->
+      advance st;
+      expect st Lexer.LPAREN;
+      let rec args () =
+        match peek st with
+        | Lexer.IDENT n when not (is_relation st n) ->
+            advance st;
+            let i = lookup env n in
+            if peek st = Lexer.COMMA then (advance st; i :: args ()) else [ i ]
+        | _ -> fail_at st (Printf.sprintf "expected a variable name in %s(...)" name)
+      in
+      let arguments = args () in
+      expect st Lexer.RPAREN;
+      Option.get st.c.relation name arguments
   | Lexer.LPAREN ->
       (* Could be a parenthesized formula or a parenthesized expression
          starting an atom: backtrack on failure. *)
@@ -193,21 +233,29 @@ and parse_atom st env =
       (* Chains: e1 op e2 op e3 ... become conjunctions of adjacent pairs. *)
       let rec chain acc lhs =
         match relop_of_token (peek st) with
-        | None -> Formula.conj (List.rev acc)
+        | None -> st.c.conj (List.rev acc)
         | Some op ->
             advance st;
             let rhs = parse_expr st env in
-            chain (apply_relop op lhs rhs :: acc) rhs
+            chain (apply_relop st.c op lhs rhs :: acc) rhs
       in
       chain [] lhs
 
-let parse ~vars input =
+let parse_with c ~vars input =
+  let rec check_distinct = function
+    | v :: rest when List.mem v rest -> raise (Parse_error (Printf.sprintf "duplicate variable %s" v))
+    | _ :: rest -> check_distinct rest
+    | [] -> ()
+  in
+  check_distinct vars;
   let tokens = Lexer.tokenize input in
   let env = List.mapi (fun i n -> (n, i)) vars in
-  let st = { tokens; next_var = List.length vars } in
+  let st = { tokens; next_var = List.length vars; c } in
   let f = parse_formula st (List.rev env) in
   expect st Lexer.EOF;
   f
+
+let parse ~vars input = parse_with formula ~vars input
 
 let parse_relation ~vars input =
   let f = parse ~vars input in

@@ -20,8 +20,8 @@ let symbolic inst ~free_dim q =
 (* One convex piece through the plan pipeline: the optimizing pass
    prices every leaf for an exact weight and an exact or box sampler.
    [--eps]/[--delta]'s defaults only price the routes. *)
-let observable_of_relation ?(config = Convex_obs.default_config) rng r =
-  Plan_exec.prepare ~config ~gamma:Flight.gamma ~eps:Flight.default_eps
+let observable_of_relation ?config rng r =
+  Plan_exec.prepare ?config ~gamma:Flight.gamma ~eps:Flight.default_eps
     ~delta:Flight.default_delta ~task:Scdb_plan.Plan.Volume rng r
   |> Option.map (fun p -> Plan_exec.observe (Plan_exec.optimize p))
 
@@ -159,8 +159,7 @@ let compile ?config ?poly_degree rng inst ~free_dim q =
         | [ one ] -> Ok one
         | many -> Ok (Union.union many)))
 
-let reconstruct ?(config = Convex_obs.default_config) ?(samples_per_piece = 150) rng inst
-    ~free_dim q =
+let reconstruct ?config ?(samples_per_piece = 150) rng inst ~free_dim q =
   if not (Query.is_positive_existential q) then
     Error "reconstruction requires a positive existential query (Theorem 4.4)"
   else
@@ -171,8 +170,8 @@ let reconstruct ?(config = Convex_obs.default_config) ?(samples_per_piece = 150)
           List.concat_map
             (fun piece ->
               let r, _ = piece_relation inst ~free_dim piece in
-              if piece.evars = [] then Plan_exec.observe_tuples ~config rng r
-              else project_tuples ~config rng ~free_dim r)
+              if piece.evars = [] then Plan_exec.observe_tuples ?config rng r
+              else project_tuples ?config rng ~free_dim r)
             pieces
         in
         if piece_observables = [] then Error "no non-empty convex piece to reconstruct"

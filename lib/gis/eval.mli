@@ -30,8 +30,9 @@ val observable_of_relation :
     routes), then {!Plan_exec.optimize} and {!Plan_exec.observe}: each
     leaf takes the exact-weight, exact-lattice or rejection-box route
     the one cost model picks, so the volume of a one-tuple 2-D relation
-    is its exact area.  Default config {!Convex_obs.default_config}.
-    [None] when no tuple is full-dimensional.
+    is its exact area.  Default config is {!Plan_exec.prepare}'s,
+    {!Convex_obs.practical_config}.  [None] when no tuple is
+    full-dimensional.
     @raise Convex_obs.Unbounded if a tuple is full-dimensional and
     unbounded. *)
 
@@ -63,5 +64,5 @@ val reconstruct :
     convex hulls, one per convex tuple of each piece: quantifier-free
     tuples from {!Plan_exec.observe_tuples}, quantified ones projected
     from a {!observable_of_relation} source, both under [config]
-    (default {!Convex_obs.default_config}).  Unbounded tuples are
-    refused as in {!compile}. *)
+    (default {!Convex_obs.practical_config}, as {!Plan_exec}'s).
+    Unbounded tuples are refused as in {!compile}. *)

@@ -66,7 +66,7 @@ let parse_formula ~vars text =
       match Parser.parse ~vars text with
       | f -> Ok f
       | exception Parser.Parse_error m -> Error ("parse error: " ^ m)
-      | exception Lexer.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m))
+      | exception Parser.Lex_error (m, pos) -> Error (Printf.sprintf "lex error at %d: %s" pos m))
 
 let parse_relation ~vars text =
   if vars = [] then Error "no variables given"

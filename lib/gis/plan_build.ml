@@ -1,5 +1,4 @@
 module Plan = Scdb_plan.Plan
-module Polytope = Scdb_polytope.Polytope
 module Volume = Scdb_sampling.Volume
 
 let leaf_node ?(config = Convex_obs.practical_config) ~eps ~delta ~dim tuple =
@@ -16,16 +15,3 @@ let node_of_tuples ?(config = Convex_obs.practical_config) ~eps ~delta ~dim = fu
       let sub_eps, sub_delta = Scdb_plan.Cost.child_grant ~m:(List.length many) ~eps ~delta in
       let children = List.map (leaf_node ~config ~eps:sub_eps ~delta:sub_delta ~dim) many in
       Some (Plan.union_ ~eps ~delta children)
-
-let viable ~dim tuple =
-  match Scdb_sampling.Rounding.inscribed_ball (Polytope.of_tuple ~dim tuple) with
-  | Ok _ -> true
-  | Error (Scdb_sampling.Rounding.Empty | Scdb_sampling.Rounding.Flat) -> false
-  | Error Scdb_sampling.Rounding.Unbounded -> raise Convex_obs.Unbounded
-
-let node_of_relation ?config ~eps ~delta r =
-  let dim = Relation.dim r in
-  node_of_tuples ?config ~eps ~delta ~dim (List.filter (viable ~dim) (Relation.tuples r))
-
-let of_relation ?config ~gamma ~eps ~delta ~task r =
-  Option.map (Plan.finalize ~gamma ~eps ~delta ~task) (node_of_relation ?config ~eps ~delta r)

@@ -69,218 +69,22 @@ let well_formed schema q =
   in
   go q
 
-(* ---------------------------------------------------------------- *)
-(* Parser: the Scdb_constr grammar plus relation atoms Name(x,y).    *)
-(* ---------------------------------------------------------------- *)
-
-open Scdb_constr
-
-exception Err = Parser.Parse_error
-
-type pstate = { mutable tokens : Lexer.token list; mutable next_var : int; schema : Schema.t }
-
-let peek st = match st.tokens with [] -> Lexer.EOF | t :: _ -> t
-let advance st = match st.tokens with [] -> () | _ :: rest -> st.tokens <- rest
-
-let expect st token =
-  if peek st = token then advance st
-  else raise (Err (Format.asprintf "expected %a but found %a" Lexer.pp_token token Lexer.pp_token (peek st)))
-
-let lookup env name =
-  match List.assoc_opt name env with
-  | Some i -> i
-  | None -> raise (Err (Printf.sprintf "unknown variable %S" name))
-
-let is_relation_name name = name <> "" && name.[0] >= 'A' && name.[0] <= 'Z'
-
-(* Linear expressions (same grammar as Scdb_constr.Parser). *)
-let rec parse_expr st env =
-  let negated = peek st = Lexer.MINUS in
-  if negated then advance st;
-  let first = parse_term st env in
-  let first = if negated then Term.neg first else first in
-  let rec loop acc =
-    match peek st with
-    | Lexer.PLUS ->
-        advance st;
-        loop (Term.add acc (parse_term st env))
-    | Lexer.MINUS ->
-        advance st;
-        loop (Term.sub acc (parse_term st env))
-    | _ -> acc
-  in
-  loop first
-
-and parse_term st env =
-  let first = parse_factor st env in
-  let rec loop acc =
-    match peek st with
-    | Lexer.STAR ->
-        advance st;
-        let rhs = parse_factor st env in
-        if Term.is_const acc then loop (Term.scale (Term.constant acc) rhs)
-        else if Term.is_const rhs then loop (Term.scale (Term.constant rhs) acc)
-        else raise (Err "non-linear product of two variables")
-    | Lexer.SLASH ->
-        advance st;
-        let rhs = parse_factor st env in
-        if not (Term.is_const rhs) then raise (Err "division by a variable")
-        else if Rational.is_zero (Term.constant rhs) then raise (Err "division by zero")
-        else loop (Term.scale (Rational.inv (Term.constant rhs)) acc)
-    | _ -> acc
-  in
-  loop first
-
-and parse_factor st env =
-  match peek st with
-  | Lexer.NUM q ->
-      advance st;
-      Term.const q
-  | Lexer.IDENT name when not (is_relation_name name) ->
-      advance st;
-      Term.var (lookup env name)
-  | Lexer.MINUS ->
-      advance st;
-      Term.neg (parse_factor st env)
-  | Lexer.LPAREN ->
-      advance st;
-      let e = parse_expr st env in
-      expect st Lexer.RPAREN;
-      e
-  | t -> raise (Err (Format.asprintf "expected an arithmetic factor, found %a" Lexer.pp_token t))
-
-let relop_of_token = function
-  | Lexer.LE -> Some `Le
-  | Lexer.LT -> Some `Lt
-  | Lexer.GE -> Some `Ge
-  | Lexer.GT -> Some `Gt
-  | Lexer.EQ -> Some `Eq
-  | _ -> None
-
-let apply_relop op lhs rhs =
-  match op with
-  | `Le -> Constr (Atom.le lhs rhs)
-  | `Lt -> Constr (Atom.lt lhs rhs)
-  | `Ge -> Constr (Atom.ge lhs rhs)
-  | `Gt -> Constr (Atom.gt lhs rhs)
-  | `Eq -> Constr (Atom.eq lhs rhs)
-
-let rec parse_query st env =
-  match peek st with
-  | Lexer.EXISTS ->
-      advance st;
-      let rec names acc =
-        match peek st with
-        | Lexer.IDENT n when not (is_relation_name n) ->
-            advance st;
-            if peek st = Lexer.COMMA then advance st;
-            names (n :: acc)
-        | _ -> List.rev acc
-      in
-      let ns = names [] in
-      if ns = [] then raise (Err "expected variable names after 'exists'");
-      expect st Lexer.DOT;
-      let indices =
-        List.map
-          (fun _ ->
-            let i = st.next_var in
-            st.next_var <- st.next_var + 1;
-            i)
-          ns
-      in
-      let env' = List.rev_append (List.combine ns indices) env in
-      exists indices (parse_query st env')
-  | _ -> parse_disjunction st env
-
-and parse_disjunction st env =
-  let first = parse_conjunction st env in
-  let rec loop acc =
-    if peek st = Lexer.OR then begin
-      advance st;
-      loop (parse_conjunction st env :: acc)
-    end
-    else match List.rev acc with [ q ] -> q | qs -> Or qs
-  in
-  loop [ first ]
-
-and parse_conjunction st env =
-  let first = parse_unary st env in
-  let rec loop acc =
-    if peek st = Lexer.AND then begin
-      advance st;
-      loop (parse_unary st env :: acc)
-    end
-    else match List.rev acc with [ q ] -> q | qs -> And qs
-  in
-  loop [ first ]
-
-and parse_unary st env =
-  match peek st with
-  | Lexer.NOT ->
-      advance st;
-      neg (parse_unary st env)
-  | Lexer.EXISTS -> parse_query st env
-  | Lexer.IDENT name when is_relation_name name ->
-      advance st;
-      expect st Lexer.LPAREN;
-      let rec args acc =
-        match peek st with
-        | Lexer.IDENT n when not (is_relation_name n) ->
-            advance st;
-            let acc = lookup env n :: acc in
-            if peek st = Lexer.COMMA then begin
-              advance st;
-              args acc
-            end
-            else List.rev acc
-        | t -> raise (Err (Format.asprintf "expected a variable name in %s(...), found %a" name Lexer.pp_token t))
-      in
-      let arguments = args [] in
-      expect st Lexer.RPAREN;
-      (match Schema.arity st.schema name with
-      | None -> raise (Err (Printf.sprintf "unknown relation %s" name))
-      | Some a when a <> List.length arguments ->
-          raise (Err (Printf.sprintf "%s expects %d arguments, got %d" name a (List.length arguments)))
-      | Some _ -> ());
-      Rel (name, arguments)
-  | Lexer.LPAREN ->
-      let saved = st.tokens in
-      (try
-         advance st;
-         let q = parse_query st env in
-         expect st Lexer.RPAREN;
-         match relop_of_token (peek st) with
-         | Some _ ->
-             st.tokens <- saved;
-             parse_atom st env
-         | None -> q
-       with Err _ ->
-         st.tokens <- saved;
-         parse_atom st env)
-  | _ -> parse_atom st env
-
-and parse_atom st env =
-  let lhs = parse_expr st env in
-  match relop_of_token (peek st) with
-  | None -> raise (Err "expected a comparison operator")
-  | Some _ ->
-      let rec chain acc lhs =
-        match relop_of_token (peek st) with
-        | None -> conj (List.rev acc)
-        | Some op ->
-            advance st;
-            let rhs = parse_expr st env in
-            chain (apply_relop op lhs rhs :: acc) rhs
-      in
-      chain [] lhs
-
 let parse ~schema ~vars input =
-  let tokens = Lexer.tokenize input in
-  let env = List.mapi (fun i n -> (n, i)) vars in
-  let st = { tokens; next_var = List.length vars; schema } in
-  let q = parse_query st (List.rev env) in
-  expect st Lexer.EOF;
-  q
+  let relation name args =
+    let q = Rel (name, args) in
+    match well_formed schema q with Ok () -> q | Error m -> raise (Parser.Parse_error m)
+  in
+  Parser.parse_with
+    {
+      atom = constr;
+      conj;
+      disj;
+      neg;
+      exists;
+      forall = (fun vs q -> neg (exists vs (neg q)));
+      relation = Some relation;
+    }
+    ~vars input
 
 let rec pp fmt = function
   | Rel (name, args) ->

@@ -33,9 +33,15 @@ val well_formed : Schema.t -> t -> (unit, string) result
 (** Arity check of every relation atom against the schema. *)
 
 val parse : schema:Schema.t -> vars:string list -> string -> t
-(** Text syntax: the FO+LIN grammar of {!Scdb_constr.Parser} extended
-    with relation atoms [Name(x, y, …)] whose arguments are variable
-    names.  Relation names must start with an uppercase letter.
-    @raise Scdb_constr.Parser.Parse_error on syntax or arity errors. *)
+(** Text syntax: the one FO+LIN grammar of {!Scdb_constr.Parser} with
+    its relation-atom alternative [Name(x, y, …)] (arguments are
+    variable names) turned on.  Identifiers starting with an uppercase letter
+    are reserved for relation names; a name repeated in [vars] is
+    refused.  [true] is [conj []], [false] is [disj []], [a -> b] is
+    [disj [neg a; b]] and [forall vs. q] is [neg (exists vs (neg q))],
+    which {!Eval.compile} refuses as a negated existential.
+    @raise Scdb_constr.Parser.Parse_error on syntax or arity errors and
+    unknown relation names.
+    @raise Scdb_constr.Parser.Lex_error on bad characters. *)
 
 val pp : Format.formatter -> t -> unit

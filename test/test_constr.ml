@@ -434,6 +434,11 @@ let parser_tests =
            as part of the literal *)
         let f = Parser.parse ~vars:[] "exists z. 1.5 <= z /\\ z <= 2" in
         Alcotest.(check bool) "parses" true (not (Formula.is_quantifier_free f)));
+    t "a variable named twice is refused, naming it" (fun () ->
+        match Parser.parse ~vars:[ "x"; "x" ] "x <= 1" with
+        | f -> Alcotest.failf "expected Parse_error, got %a" Formula.pp f
+        | exception Parser.Parse_error m ->
+            Alcotest.(check string) "message" "duplicate variable x" m);
     t "lexer errors carry position" (fun () ->
         try
           ignore (formula_of_string "x <= #")

@@ -9,6 +9,7 @@ module Tel = Scdb_telemetry.Telemetry
 
 let t name f = Alcotest.test_case name `Quick f
 let ts name f = Alcotest.test_case name `Slow f
+let qt ?(count = 200) name arb prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
 let q = Q.of_int
 let cfg = Scdb_core.Convex_obs.practical_config
@@ -58,6 +59,96 @@ let inst2 =
   let i = Instance.set i "S" (Relation.box [| q 1; q 0 |] [| q 3; q 1 |]) in
   Instance.set i "T" (Relation.box [| q 0 |] [| q 1 |])
 
+(* Every query text of the tests, benchmarks and examples with its
+   [Query.pp] text: the queries they run must not change under them. *)
+let pinned_queries =
+  let schema3 = Schema.of_list [ ("R", 3) ] and lu = Synth.land_use_schema in
+  let xy = [ "x"; "y" ] in
+  [
+    (schema2, xy, "R(x, y) /\\ S(x, y)", "(R(x0, x1) /\\ S(x0, x1))");
+    (schema2, xy, "R(x, y) /\\ x + y <= 1", "(R(x0, x1) /\\ x0 + x1 - 1 <= 0)");
+    (schema2, xy, "R(x, y) /\\ ~S(x, y)", "(R(x0, x1) /\\ ~S(x0, x1))");
+    (schema2, [ "x" ], "exists y. R(x, y)", "exists x1. R(x0, x1)");
+    (schema2, [ "x" ], "R(x)", "error: R expects 2 arguments, got 1");
+    (schema2, [ "x" ], "Zzz(x)", "error: unknown relation Zzz");
+    (schema2, xy, "R(x, y)", "R(x0, x1)");
+    (schema2, xy, "R(y, x)", "R(x1, x0)");
+    (schema2, [ "x" ], "exists y. R(x, y) /\\ y <= 1/2", "exists x1. (R(x0, x1) /\\ x1 - 1/2 <= 0)");
+    (schema2, xy, "R(x, y) \\/ S(x, y)", "(R(x0, x1) \\/ S(x0, x1))");
+    (schema2, [ "x" ], "exists y. R(x, y) /\\ ~S(x, y)", "exists x1. (R(x0, x1) /\\ ~S(x0, x1))");
+    (schema2, xy, "R(x, y) /\\ x + 2*y <= 2", "(R(x0, x1) /\\ x0 + 2*x1 - 2 <= 0)");
+    (schema3, xy, "exists z. R(x, y, z)", "exists x2. R(x0, x1, x2)");
+    ( lu,
+      xy,
+      "exists z. Terrain(x, y, z) /\\ z >= 1 /\\ x <= 3 /\\ y <= 6",
+      "exists x2. (Terrain(x0, x1, x2) /\\ -x2 + 1 <= 0 /\\ x0 - 3 <= 0 /\\ x1 - 6 <= 0)" );
+    (lu, xy, "Parcels(x, y) /\\ ~Lakes(x, y)", "(Parcels(x0, x1) /\\ ~Lakes(x0, x1))");
+    (lu, xy, "Parcels(x, y) \\/ Roads(x, y)", "(Parcels(x0, x1) \\/ Roads(x0, x1))");
+    (lu, xy, "exists z. Terrain(x, y, z) /\\ z >= 1", "exists x2. (Terrain(x0, x1, x2) /\\ -x2 + 1 <= 0)");
+    (lu, xy, "Parcels(x, y) /\\ Lakes(x, y)", "(Parcels(x0, x1) /\\ Lakes(x0, x1))");
+    (lu, xy, "Parcels(x, y)", "Parcels(x0, x1)");
+    (lu, xy, "Lakes(x, y)", "Lakes(x0, x1)");
+    (lu, [ "x"; "y"; "z" ], "Terrain(x, y, z) /\\ Lakes(x, y)", "(Terrain(x0, x1, x2) /\\ Lakes(x0, x1))");
+  ]
+
+(* Quantifier- and relation-free FO+LIN text over x and y: nested
+   connectives, parentheses around formulas and expressions, chains and
+   <>. *)
+let arbitrary_lin_text =
+  let open QCheck.Gen in
+  let small = int_range 1 4 in
+  let operand =
+    oneof
+      [
+        oneofl [ "x"; "y" ];
+        map string_of_int (int_range 0 3);
+        map2 (Printf.sprintf "%d*%s") small (oneofl [ "x"; "y" ]);
+        map2 (Printf.sprintf "%s/%d") (oneofl [ "x"; "y" ]) small;
+      ]
+  in
+  let expr =
+    fix (fun self depth ->
+        if depth = 0 then operand
+        else
+          frequency
+            [
+              (3, operand);
+              (2, map3 (Printf.sprintf "%s %s %s") (self (depth - 1)) (oneofl [ "+"; "-" ]) operand);
+              (1, map (Printf.sprintf "(%s)") (self (depth - 1)));
+              (1, map (Printf.sprintf "-%s") operand);
+            ])
+  in
+  let relop = oneofl [ "<="; "<"; ">="; ">"; "="; "<>" ] in
+  let atom =
+    frequency
+      [
+        (3, map3 (Printf.sprintf "%s %s %s") (expr 2) relop (expr 2));
+        ( 1,
+          map3
+            (fun a (o1, b) (o2, c) -> Printf.sprintf "%s %s %s %s %s" a o1 b o2 c)
+            (expr 1) (pair relop (expr 1)) (pair relop (expr 1)) );
+      ]
+  in
+  let formula =
+    fix (fun self depth ->
+        if depth = 0 then atom
+        else
+          frequency
+            [
+              (2, atom);
+              (2, map2 (Printf.sprintf "%s /\\ %s") (self (depth - 1)) (self (depth - 1)));
+              (2, map2 (Printf.sprintf "%s \\/ %s") (self (depth - 1)) (self (depth - 1)));
+              (1, map (Printf.sprintf "~%s") (self (depth - 1)));
+              (1, map (Printf.sprintf "(%s)") (self (depth - 1)));
+            ])
+  in
+  QCheck.make ~print:Fun.id (formula 3)
+
+(* Rational points on and off the lines the generated atoms draw. *)
+let lin_points =
+  let vals = [ Q.of_int (-2); Q.of_ints (-1) 2; Q.zero; Q.of_ints 1 3; Q.one; Q.of_ints 3 2; Q.of_int 2 ] in
+  List.concat_map (fun a -> List.map (fun b -> [| a; b |]) vals) vals
+
 let query_tests =
   [
     t "parse relation atoms" (fun () ->
@@ -87,6 +178,33 @@ let query_tests =
     t "well_formed double-checks programmatic queries" (fun () ->
         let bad = Query.rel "R" [ 0 ] in
         Alcotest.(check bool) "error" true (Result.is_error (Query.well_formed schema2 bad)));
+    t "a variable named twice is refused, naming it" (fun () ->
+        match Query.parse ~schema:schema2 ~vars:[ "x"; "x" ] "R(x, x)" with
+        | q -> Alcotest.failf "expected Parse_error, got %a" Query.pp q
+        | exception Parser.Parse_error m ->
+            Alcotest.(check string) "message" "duplicate variable x" m);
+    t "every corpus query prints its pinned text" (fun () ->
+        List.iter
+          (fun (schema, vars, text, expected) ->
+            let printed =
+              match Query.parse ~schema ~vars text with
+              | q -> Format.asprintf "%a" Query.pp q
+              | exception Parser.Parse_error m -> "error: " ^ m
+            in
+            Alcotest.(check string) text expected printed)
+          pinned_queries);
+    t "the shared grammar: <>, ->, true and forall" (fun () ->
+        let pp text = Format.asprintf "%a" Query.pp (Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] text) in
+        Alcotest.(check string) "<>" "(R(x0, x1) /\\ ~x0 - 1 = 0)" (pp "R(x, y) /\\ x <> 1");
+        Alcotest.(check string) "->" "(~R(x0, x1) \\/ S(x0, x1))" (pp "R(x, y) -> S(x, y)");
+        Alcotest.(check string) "true" "(() /\\ R(x0, x1))" (pp "true /\\ R(x, y)");
+        Alcotest.(check string) "forall" "~exists x2. ~R(x0, x2)" (pp "forall z. R(x, z)"));
+    qt "quantifier- and relation-free text: Query.parse and Parser.parse agree" arbitrary_lin_text
+      (fun text ->
+        let vars = [ "x"; "y" ] in
+        let f = Parser.parse ~vars text in
+        let g = Eval.unfold inst2 (Query.parse ~schema:schema2 ~vars text) in
+        List.for_all (fun p -> Formula.eval f p = Formula.eval g p) lin_points);
   ]
 
 let eval_tests =
@@ -171,6 +289,23 @@ let eval_tests =
         let query = Query.neg (Query.exists [ 1 ] (Query.neg (Query.rel "R" [ 0; 1 ]))) in
         Alcotest.(check bool) "error" true
           (Result.is_error (Eval.compile ~config:cfg rng inst2 ~free_dim:1 query)));
+    t "a parsed forall is refused as a negated existential" (fun () ->
+        let query = Query.parse ~schema:schema2 ~vars:[ "x" ] "forall z. R(x, z)" in
+        Alcotest.(check (result reject string)) "compile"
+          (Error "negated existential (universal quantification)")
+          (Result.map ignore (Eval.compile ~config:cfg (Rng.create 0) inst2 ~free_dim:1 query)));
+    t "R(x, y) /\\ x <> 1 compiles to the symbolic volume" (fun () ->
+        let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y) /\\ x <> 1" in
+        let exact = Q.to_float (VE.volume_relation (Eval.symbolic inst2 ~free_dim:2 query)) in
+        let rng = Rng.create 44 and eps = 0.2 in
+        match Eval.compile ~config:cfg rng inst2 ~free_dim:2 query with
+        | Error e -> Alcotest.fail e
+        | Ok o ->
+            let v = Scdb_core.Observable.volume o rng ~eps ~delta:0.1 in
+            Alcotest.(check bool)
+              (Printf.sprintf "exact=%.4f approx=%.4f" exact v)
+              true
+              (Float.abs (v -. exact) <= eps *. exact));
     ts "reconstruction of a positive existential query" (fun () ->
         let rng = Rng.create 43 in
         let query = Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] "R(x, y) \\/ S(x, y)" in
@@ -244,18 +379,25 @@ let eval_tests =
         let was = Tel.enabled () in
         Tel.set_enabled true;
         Tel.reset ();
+        let volume ?config () =
+          let rng = Rng.create 54 in
+          match Eval.compile ?config rng inst ~free_dim:2 query with
+          | Error e -> Alcotest.fail e
+          | Ok o -> Scdb_core.Observable.volume o rng ~eps ~delta:0.1
+        in
         Fun.protect ~finally:(fun () -> Tel.set_enabled was) (fun () ->
-            let rng = Rng.create 54 in
-            match Eval.compile ~config:cfg rng inst ~free_dim:2 query with
-            | Error e -> Alcotest.fail e
-            | Ok o ->
-                let v = Scdb_core.Observable.volume o rng ~eps ~delta:0.1 in
-                Alcotest.(check bool)
-                  (Printf.sprintf "exact=%.4f approx=%.4f" exact v)
-                  true
-                  (Float.abs (v -. exact) <= eps *. exact);
-                Alcotest.(check int) "volume.estimates" 0 (counter "volume.estimates");
-                Alcotest.(check bool) "vm.lasserre_calls" true (counter "vm.lasserre_calls" > 0)));
+            let v = volume ~config:cfg () in
+            Alcotest.(check bool)
+              (Printf.sprintf "exact=%.4f approx=%.4f" exact v)
+              true
+              (Float.abs (v -. exact) <= eps *. exact);
+            Alcotest.(check int) "volume.estimates" 0 (counter "volume.estimates");
+            Alcotest.(check bool) "vm.lasserre_calls" true (counter "vm.lasserre_calls" > 0);
+            (* Without a config Eval runs Plan_exec's default, the
+               practical config: no grid-walk step. *)
+            Tel.reset ();
+            ignore (volume ());
+            Alcotest.(check int) "walk.steps without a config" 0 (counter "walk.steps")));
     ts "Parcels /\\ ~Lakes: box and lattice draws stay uniform on γ-cells" (fun () ->
         (* The two triangles' leaves draw from their face lattices, the
            two boxes' from their bounding boxes, and Diff rejects the

@@ -96,9 +96,9 @@ let union_case ~seed ~k ~n =
 (* One plan pipeline: the GIS evaluator builds each convex piece as
    [prepare ~task:Volume |> optimize |> observe] at the CLI's default
    (γ, ε, δ), so from one seed it draws the same points with the same
-   number of rng draws as that pipeline run by hand; and EXPLAIN's
-   static plan is the plan [Plan_exec.prepare] builds over the pieces
-   that survived. *)
+   number of rng draws as that pipeline run by hand; and [spatialdb
+   explain] on the same seed prints the plan [Plan_exec.prepare] builds
+   over the pieces that survived. *)
 let pipeline_case (label, vars, formula) =
   let relation =
     match Flight.parse_relation ~vars formula with
@@ -124,12 +124,15 @@ let pipeline_case (label, vars, formula) =
   let pts_p = Observable.sample_many optimized rng_p params ~n in
   check_streams (label ^ " streams") pts_e pts_p;
   Alcotest.(check int) (label ^ " draw counts") (Rng.draw_count rng_e) (Rng.draw_count rng_p);
-  match Scdb_gis.Plan_build.of_relation ~config:cfg ~gamma ~eps ~delta ~task relation with
-  | Some plan ->
-      Alcotest.(check string) (label ^ " explain plan = prepared plan")
-        (Scdb_json.Json.to_string (Plan.to_json prepared.Plan_exec.plan))
-        (Scdb_json.Json.to_string (Plan.to_json plan))
-  | None -> Alcotest.failf "%s: explain found no viable tuple" label
+  let code, explained =
+    Test_cli.run_stdout
+      (Printf.sprintf "explain -v %s -f %s --seed %d --task volume --format json"
+         (String.concat "," vars) (Filename.quote formula) seed)
+  in
+  Alcotest.(check int) (label ^ " explain exits 0") 0 code;
+  Alcotest.(check string) (label ^ " explain plan = prepared plan")
+    (Scdb_json.Json.to_string (Plan.to_json prepared.Plan_exec.plan))
+    explained
 
 let fig1 = "x >= 0 /\\ y >= 0 /\\ x + y <= 1"
 
