@@ -2,6 +2,11 @@
 
 .PHONY: all build test bench perf trend check ci clean
 
+# Library modules that only tests name, each kept for the reason given
+# (make check fails on any other):
+#   Exact_mat: the exact determinant test_linalg checks Mat.det against.
+LIB_TEST_ONLY = Exact_mat
+
 # The standard 6-simplex, the exact sampler's CI fixture.
 SIMPLEX6 = -v x1,x2,x3,x4,x5,x6 \
   -f "x1 >= 0 and x2 >= 0 and x3 >= 0 and x4 >= 0 and x5 >= 0 and x6 >= 0 and x1 + x2 + x3 + x4 + x5 + x6 <= 1"
@@ -46,6 +51,11 @@ trend:
 # Every FO+LIN text goes through the one parser in lib/constr, so a
 # Lexer. use in lib/ or bin/ outside lib/constr/, which would be a
 # second parser over its tokens, fails it too.
+# Every lib/ module serves the CLI, an experiment, a validator, the
+# e2e benchmark, an example or another lib/ module, so a lib/*/m.ml
+# whose module name no .ml/.mli in bin/, bench/, examples/ or another
+# lib/ module names, which only tests would reach, fails it too,
+# unless LIB_TEST_ONLY lists it.
 check:
 	dune build
 	@if grep -rnE 'Progress\.add_(steps|trials)|Log\.warn\b' lib/sampling lib/core lib/vm; then \
@@ -63,6 +73,13 @@ check:
 	  echo "make check: GIS projections take their source from the plan pipeline (Project.of_source), not Project.project" >&2; exit 1; fi
 	@if grep -rn 'Lexer\.' lib bin | grep -v '^lib/constr/'; then \
 	  echo "make check: FO+LIN text parses through Scdb_constr.Parser, not over Lexer tokens" >&2; exit 1; fi
+	@bad=; for f in lib/*/*.ml; do \
+	  m=$$(basename $$f .ml | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
+	  case " $(LIB_TEST_ONLY) " in *" $$m "*) continue;; esac; \
+	  grep -rlw --include='*.ml' --include='*.mli' "$$m" bin bench examples lib \
+	    | grep -qvx -e "$$f" -e "$${f}i" || { echo "$$f: $$m"; bad=1; }; \
+	done; if [ -n "$$bad" ]; then \
+	  echo "make check: a lib/ module only tests reach; give it a caller, delete it or list it in LIB_TEST_ONLY" >&2; exit 1; fi
 	dune build @bench
 	dune runtest
 

@@ -309,6 +309,11 @@ let sample_cmd =
 
 (* ---------------- volume ---------------- *)
 
+(* A volume in (0, 10^-3) prints with 6 significant digits, which fixed
+   decimals would round to zeros; the rest keep the mode's decimals. *)
+let print_volume ~decimals v =
+  if v > 0.0 && v < 1e-3 then Printf.printf "%.6g\n" v else Printf.printf "%.*f\n" decimals v
+
 let volume_cmd =
   let mode_arg =
     let doc = "One of: exact (Lasserre + inclusion-exclusion), grid:GAMMA (fixed-dimension decomposition), sampling (DFK estimators)." in
@@ -322,7 +327,7 @@ let volume_cmd =
     match mode with
     | "exact" -> (
         match VE.float_volume_relation relation with
-        | v -> Printf.printf "%.9f\n" v
+        | v -> print_volume ~decimals:9 v
         | exception VE.Unbounded -> or_die (Error Flight.unbounded_relation)
         | exception Invalid_argument m -> or_die (Error m))
     | "sampling" -> (
@@ -342,7 +347,7 @@ let volume_cmd =
               Scdb_progress.Progress.stop ();
               print_ledger plan
             end;
-            Printf.printf "%.6f\n" v
+            print_volume ~decimals:6 v
         | exception Observable.Estimation_failed m ->
             if progress then Scdb_progress.Progress.stop ();
             or_die (Error m))
@@ -353,7 +358,7 @@ let volume_cmd =
           (Float.is_finite gamma && gamma > 0.0)
           g;
         match GV.build ~gamma relation with
-        | Some g -> Printf.printf "%.6f\n" (GV.volume g)
+        | Some g -> print_volume ~decimals:6 (GV.volume g)
         | None -> or_die (Error "relation is empty or unbounded"))
     | m -> usage_die "mode" m [ "exact"; "sampling"; "grid:GAMMA" ]
   in
@@ -389,7 +394,7 @@ let reconstruct_cmd =
     let rng = Rng.create seed in
     let pieces =
       try Scdb_gis.Plan_exec.observe_tuples rng relation
-      with Convex_obs.Unbounded -> or_die (Error Flight.unbounded_relation)
+      with VE.Unbounded -> or_die (Error Flight.unbounded_relation)
     in
     if pieces = [] then or_die (Error "no full-dimensional convex piece to reconstruct");
     let r = Reconstruct.union_estimate rng pieces ~n in

@@ -42,7 +42,7 @@ let estimate_once ~config ~gamma ~eps ~delta relation s =
     Plan_exec.observable_of_relation ~config ~gamma ~eps ~delta ~task:Plan.Volume rng
       relation
   with
-  | None | (exception Convex_obs.Unbounded) -> None
+  | None | (exception VE.Unbounded) -> None
   | Some (_plan, obs) -> (
       match Observable.volume obs ~gamma rng ~eps ~delta with
       | v -> Some v
@@ -284,6 +284,11 @@ let to_text a =
   add
     (Printf.sprintf "audit: %d/%d replicates within eps=%g of truth (coverage %.4f)\n"
        a.cov.hits a.cov.runs a.eps a.cov.coverage);
+  let refused = Array.fold_left (fun n v -> if Float.is_nan v then n + 1 else n) 0 a.cov.estimates in
+  if refused > 0 then
+    add
+      (Printf.sprintf "audit: %d/%d replicates refused by the estimator (counted as misses)\n"
+         refused a.cov.runs);
   add
     (Printf.sprintf
        "audit: %.0f%% Clopper-Pearson interval [%.4f, %.4f], contract target %.4f\n"

@@ -155,4 +155,6 @@ val to_json :
 
 val to_text : t -> string
 (** Human summary: truth, coverage with its bracket, verdict, and the
-    per-node ledger table. *)
+    per-node ledger table.  When k of n replicates returned no estimate
+    it says so in one line, ["audit: k/n replicates refused by the
+    estimator (counted as misses)"]. *)

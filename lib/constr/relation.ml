@@ -24,7 +24,6 @@ let of_formula ~dim f =
 let to_formula r = Dnf.to_formula r.tuples
 let dim r = r.dim
 let tuples r = r.tuples
-let size r = List.fold_left (fun acc t -> acc + List.length t) 0 r.tuples
 
 let mem r x = List.exists (fun t -> Dnf.tuple_holds t x) r.tuples
 let mem_float ?slack r x = List.exists (fun t -> Dnf.tuple_holds_float ?slack t x) r.tuples

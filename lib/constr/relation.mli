@@ -18,9 +18,6 @@ val to_formula : t -> Formula.t
 val dim : t -> int
 val tuples : t -> Dnf.tuple list
 
-val size : t -> int
-(** Description size: total number of atoms. *)
-
 val mem : t -> Rational.t array -> bool
 val mem_float : ?slack:float -> t -> Vec.t -> bool
 (** Float membership of the {!Term.eval_float} images, an atom holding

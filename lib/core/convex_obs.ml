@@ -38,8 +38,6 @@ type prepared = {
   p_exact_volume : float option Lazy.t;
 }
 
-exception Unbounded
-
 (* The Lasserre volume of a single-tuple relation.  A prepared piece was
    rounded, so its tuple is non-empty and the feasibility LP has nothing
    to decide. *)
@@ -179,5 +177,5 @@ let prepare_tuples ?config rng relation =
       match prepare_checked ?config ~relation rng (Polytope.of_tuple ~dim tuple) with
       | Ok p -> Some (tuple, p)
       | Error (Rounding.Empty | Rounding.Flat) -> None
-      | Error Rounding.Unbounded -> raise Unbounded)
+      | Error Rounding.Unbounded -> raise Volume_exact.Unbounded)
     (Relation.tuples relation)

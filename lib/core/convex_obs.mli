@@ -98,17 +98,14 @@ val prepare_relation : ?config:config -> Rng.t -> Relation.t -> prepared option
 (** [prepare] for a single-tuple relation, mirroring {!make}.
     @raise Invalid_argument if the relation has more than one tuple. *)
 
-exception Unbounded
-(** A relation with a full-dimensional unbounded tuple: its measure is
-    infinite, so it has no uniform generator and no finite volume. *)
-
 val prepare_tuples : ?config:config -> Rng.t -> Relation.t -> (Dnf.tuple * prepared) list
 (** {!prepare_relation} on each generalized tuple of a relation, in
     tuple order, one shared rng: the tuples that survive paired with
     their pieces.  Measure-zero tuples (empty or lower-dimensional) are
     dropped.  The per-tuple loop every relation-level generator
     (both engines, the GIS evaluator) is built from.
-    @raise Unbounded if a tuple is full-dimensional and unbounded. *)
+    @raise Volume_exact.Unbounded if a tuple is full-dimensional and
+    unbounded: the relation's measure is infinite. *)
 
 val with_sampler : sampler -> prepared -> prepared
 (** The same rounded piece under another sampler: no rng, no new

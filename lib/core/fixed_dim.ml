@@ -38,5 +38,3 @@ let observable ?(max_cells = 2_000_000) r =
              ~mem:(Relation.mem_fn ~slack:1e-9 r)
              ~sample ~volume ())
   end
-
-let exact_volume r = Volume_exact.volume_relation r

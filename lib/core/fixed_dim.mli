@@ -13,11 +13,7 @@ val observable : ?max_cells:int -> Relation.t -> Observable.t option
     or unbounded.  Decompositions are cached per γ.  The generator uses
     γ from its {!Params.t}; the volume estimator uses γ = ε (their
     roles coincide here: resolution is the only error source).
-    [max_cells] (default [2_000_000]) bounds each decomposition;
-    exceeding it raises [Invalid_argument] — that blowup in growing
-    dimension is the point of Section 3's fixed-dimension hypothesis. *)
-
-val exact_volume : Relation.t -> Rational.t
-(** The exact polynomial-time fixed-dimension volume (Lemma 3.1's role,
-    implemented by the Lasserre recursion + inclusion–exclusion).
-    @raise Scdb_polytope.Volume_exact.Unbounded on unbounded input. *)
+    [max_cells] (default [2_000_000]) bounds each decomposition: a γ
+    finer than the budget allows is coarsened to fit it, so accuracy,
+    not memory, gives way in growing dimension — the blowup that is the
+    point of Section 3's fixed-dimension hypothesis. *)

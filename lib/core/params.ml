@@ -17,8 +17,5 @@ let eps t = t.eps
 let delta t = t.delta
 
 let third_eps t = { t with eps = t.eps /. 3.0 }
-let with_delta t delta =
-  check "delta" delta;
-  { t with delta }
 
 let pp fmt t = Format.fprintf fmt "(γ=%g, ε=%g, δ=%g)" t.gamma t.eps t.delta

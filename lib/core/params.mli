@@ -21,6 +21,4 @@ val third_eps : t -> t
 (** [ε := ε/3] — the sub-call parameter of Algorithms 1 and 2, so three
     compounding approximations stay within [(1+ε)]. *)
 
-val with_delta : t -> float -> t
-
 val pp : Format.formatter -> t -> unit

@@ -84,7 +84,7 @@ let membership_only r =
    (π distributes over ∪).  Each tuple's source is the one-tuple
    relation's plan-pipeline observable, so it gets the exact weight
    and box or lattice draws the cost model picks; an unbounded tuple
-   raises [Convex_obs.Unbounded]. *)
+   raises [Volume_exact.Unbounded]. *)
 let project_tuples ?config rng ~free_dim r =
   let keep = List.init free_dim Fun.id and dim = Relation.dim r in
   List.filter_map
@@ -146,7 +146,7 @@ let with_pieces inst q f =
       try f (pieces_of (push_not q)) with
       | Unsupported msg -> Error msg
       | Observable.Estimation_failed msg -> Error msg
-      | Convex_obs.Unbounded -> Error Flight.unbounded_relation)
+      | Scdb_polytope.Volume_exact.Unbounded -> Error Flight.unbounded_relation)
 
 let compile ?config ?poly_degree rng inst ~free_dim q =
   Scdb_trace.Trace.span "eval.compile"

@@ -33,8 +33,8 @@ val observable_of_relation :
     is its exact area.  Default config is {!Plan_exec.prepare}'s,
     {!Convex_obs.practical_config}.  [None] when no tuple is
     full-dimensional.
-    @raise Convex_obs.Unbounded if a tuple is full-dimensional and
-    unbounded. *)
+    @raise Scdb_polytope.Volume_exact.Unbounded if a tuple is
+    full-dimensional and unbounded. *)
 
 val compile :
   ?config:Convex_obs.config ->

@@ -52,7 +52,7 @@ let prepare ?config ~gamma ~eps ~delta ~task rng relation =
   match Plan_exec.prepare ?config ~gamma ~eps ~delta ~task rng relation with
   | Some p -> Ok p
   | None -> Error empty_relation
-  | exception Convex_obs.Unbounded -> Error unbounded_relation
+  | exception Scdb_polytope.Volume_exact.Unbounded -> Error unbounded_relation
 
 let parse_formula ~vars text =
   let rec duplicate = function

@@ -60,7 +60,7 @@ val empty_relation : string
 
 val unbounded_relation : string
 (** The error every entry point reports for a relation of infinite
-    measure ({!Convex_obs.Unbounded}). *)
+    measure ({!Scdb_polytope.Volume_exact.Unbounded}). *)
 
 val prepare :
   ?config:Convex_obs.config ->

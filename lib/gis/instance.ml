@@ -25,4 +25,3 @@ let get_exn t name =
 
 let names t = List.map fst (SMap.bindings t.relations)
 
-let total_size t = SMap.fold (fun _ r acc -> acc + Relation.size r) t.relations 0

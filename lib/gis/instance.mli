@@ -17,5 +17,3 @@ val get_exn : t -> string -> Relation.t
 val names : t -> string list
 (** Names that have been populated. *)
 
-val total_size : t -> int
-(** Sum of the description sizes of all populated relations. *)

@@ -37,15 +37,16 @@ val prepare :
     finalised for [task].  [None] when no tuple survives (every tuple
     empty or lower-dimensional).  Default config is
     {!Convex_obs.practical_config}.
-    @raise Convex_obs.Unbounded if a tuple is full-dimensional and
-    unbounded; so do the two [*_of_relation] wrappers below. *)
+    @raise Scdb_polytope.Volume_exact.Unbounded if a tuple is
+    full-dimensional and unbounded; so do the two [*_of_relation]
+    wrappers below. *)
 
 val observe_tuples : ?config:Convex_obs.config -> Rng.t -> Relation.t -> Observable.t list
 (** One untagged DFK observable per surviving tuple, in tuple order,
     from the same per-tuple preparation {!prepare} runs (same rng
     stream), with no plan: what Algorithm 5 reconstructs one hull from
     each.  Default config is {!Convex_obs.practical_config}.
-    @raise Convex_obs.Unbounded as {!prepare} does. *)
+    @raise Scdb_polytope.Volume_exact.Unbounded as {!prepare} does. *)
 
 val observe : prepared -> Observable.t
 (** The interpreter: the root of {!Scdb_vm.Rewrite.observables} — one

@@ -90,6 +90,8 @@ let rec pp fmt = function
   | Rel (name, args) ->
       Format.fprintf fmt "%s(%s)" name (String.concat ", " (List.map (Printf.sprintf "x%d") args))
   | Constr a -> Atom.pp fmt a
+  | And [] -> Format.pp_print_string fmt "true"
+  | Or [] -> Format.pp_print_string fmt "false"
   | And qs ->
       Format.fprintf fmt "(%a)"
         (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f " /\\ ") pp)

@@ -14,7 +14,6 @@ let of_points pts =
   { pts = Array.map Vec.copy pts; dim; polygon }
 
 let dim t = t.dim
-let num_points t = Array.length t.pts
 let points t = Array.map Vec.copy t.pts
 
 let mem t x =

@@ -12,7 +12,6 @@ val of_points : Vec.t array -> t
 (** @raise Invalid_argument on an empty array or mixed dimensions. *)
 
 val dim : t -> int
-val num_points : t -> int
 val points : t -> Vec.t array
 
 val mem : t -> Vec.t -> bool

@@ -2,84 +2,10 @@ open Scdb_num
 
 type t = Rational.t array array
 
-let create r c = Array.make_matrix r c Rational.zero
-let init r c f = Array.init r (fun i -> Array.init c (fun j -> f i j))
-let identity n = init n n (fun i j -> if i = j then Rational.one else Rational.zero)
-let dims m = (Array.length m, if Array.length m = 0 then 0 else Array.length m.(0))
-let copy m = Array.map Array.copy m
-
-let of_int_rows rows =
-  Array.of_list (List.map (fun row -> Array.of_list (List.map Rational.of_int row)) rows)
-
-let transpose m =
-  let r, c = dims m in
-  init c r (fun i j -> m.(j).(i))
-
-let mul a b =
-  let ra, ca = dims a and rb, cb = dims b in
-  if ca <> rb then invalid_arg "Exact_mat.mul: dimension mismatch";
-  init ra cb (fun i j ->
-      let s = ref Rational.zero in
-      for k = 0 to ca - 1 do
-        s := Rational.add !s (Rational.mul a.(i).(k) b.(k).(j))
-      done;
-      !s)
-
-let mul_vec a v =
-  let ra, ca = dims a in
-  if ca <> Array.length v then invalid_arg "Exact_mat.mul_vec: dimension mismatch";
-  Array.init ra (fun i ->
-      let s = ref Rational.zero in
-      for k = 0 to ca - 1 do
-        s := Rational.add !s (Rational.mul a.(i).(k) v.(k))
-      done;
-      !s)
-
-(* Gauss-Jordan to reduced row-echelon form; returns pivot columns. *)
-let rref m =
-  let a = copy m in
-  let r, c = dims a in
-  let pivots = ref [] in
-  let row = ref 0 in
-  for col = 0 to c - 1 do
-    if !row < r then begin
-      (* Find a non-zero pivot in this column at or below [row]. *)
-      let p = ref (-1) in
-      (try
-         for i = !row to r - 1 do
-           if not (Rational.is_zero a.(i).(col)) then begin
-             p := i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !p >= 0 then begin
-        let tmp = a.(!row) in
-        a.(!row) <- a.(!p);
-        a.(!p) <- tmp;
-        let inv_pivot = Rational.inv a.(!row).(col) in
-        a.(!row) <- Array.map (fun x -> Rational.mul x inv_pivot) a.(!row);
-        for i = 0 to r - 1 do
-          if i <> !row && not (Rational.is_zero a.(i).(col)) then begin
-            let f = a.(i).(col) in
-            for j = 0 to c - 1 do
-              a.(i).(j) <- Rational.sub a.(i).(j) (Rational.mul f a.(!row).(j))
-            done
-          end
-        done;
-        pivots := col :: !pivots;
-        incr row
-      end
-    end
-  done;
-  (a, List.rev !pivots)
-
-let rank m = List.length (snd (rref m))
-
 let det m =
-  let n, c = dims m in
-  if n <> c then invalid_arg "Exact_mat.det: not square";
-  let a = copy m in
+  let n = Array.length m in
+  if Array.exists (fun row -> Array.length row <> n) m then invalid_arg "Exact_mat.det: not square";
+  let a = Array.map Array.copy m in
   let sign = ref Rational.one in
   let result = ref Rational.one in
   (try
@@ -116,31 +42,3 @@ let det m =
      done
    with Exit -> ());
   Rational.mul !sign !result
-
-let solve m b =
-  let n, c = dims m in
-  if n <> c || n <> Array.length b then invalid_arg "Exact_mat.solve: dimension mismatch";
-  let aug = init n (c + 1) (fun i j -> if j < c then m.(i).(j) else b.(i)) in
-  let reduced, pivots = rref aug in
-  if List.length pivots <> n || List.mem c pivots then None
-  else Some (Array.init n (fun i -> reduced.(i).(c)))
-
-let inv m =
-  let n, c = dims m in
-  if n <> c then invalid_arg "Exact_mat.inv: not square";
-  let aug = init n (2 * n) (fun i j -> if j < n then m.(i).(j) else if j - n = i then Rational.one else Rational.zero) in
-  let reduced, pivots = rref aug in
-  if List.length pivots <> n || List.exists (fun p -> p >= n) pivots then None
-  else Some (init n n (fun i j -> reduced.(i).(n + j)))
-
-let equal a b =
-  let ra, ca = dims a and rb, cb = dims b in
-  ra = rb && ca = cb && Array.for_all2 (Array.for_all2 Rational.equal) a b
-
-let pp fmt m =
-  Array.iter
-    (fun row ->
-      Format.fprintf fmt "@[[%a]@]@."
-        (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f " ") Rational.pp)
-        (Array.to_list row))
-    m

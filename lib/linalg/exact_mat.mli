@@ -1,38 +1,12 @@
-(** Exact rational matrices (Gaussian elimination over {!Scdb_num.Rational}).
+(** Exact rational determinants (Gaussian elimination over
+    {!Scdb_num.Rational}).
 
-    Used where floating point would change the geometry: rank tests in
-    quantifier elimination, exact feasibility certificates, and
-    ground-truth volumes of simplices. *)
+    A test reference: no product code calls it.  The linalg tests
+    check the float {!Mat.det} against it on random integer matrices. *)
 
 open Scdb_num
 
 type t = Rational.t array array
 
-val create : int -> int -> t
-(** All-zero matrix. *)
-
-val init : int -> int -> (int -> int -> Rational.t) -> t
-val identity : int -> t
-val dims : t -> int * int
-val copy : t -> t
-val of_int_rows : int list list -> t
-val transpose : t -> t
-
-val mul : t -> t -> t
-val mul_vec : t -> Rational.t array -> Rational.t array
-
-val rank : t -> int
-
 val det : t -> Rational.t
 (** @raise Invalid_argument if not square. *)
-
-val solve : t -> Rational.t array -> Rational.t array option
-(** Exact solution of [A x = b] for square non-singular [A]. *)
-
-val inv : t -> t option
-
-val rref : t -> t * int list
-(** Reduced row-echelon form and the list of pivot column indices. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -163,7 +163,6 @@ let solve_upper_triangular u b =
   done;
   x
 
-let frobenius m = sqrt (Array.fold_left (fun acc row -> acc +. Vec.norm2 row) 0.0 m)
 
 let equal_eps eps a b =
   let ra, ca = dims a and rb, cb = dims b in

@@ -42,8 +42,6 @@ val solve_lower_triangular : t -> Vec.t -> Vec.t
 
 val solve_upper_triangular : t -> Vec.t -> Vec.t
 
-val frobenius : t -> float
-
 val equal_eps : float -> t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

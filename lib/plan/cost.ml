@@ -30,12 +30,6 @@ let rejection_budget ~dim ~poly_degree ~delta =
 let poly_floor ~dim ~poly_degree =
   1.0 /. (Float.max 2.0 (float_of_int dim) ** float_of_int poly_degree)
 
-let boost_runs ~delta =
-  if delta <= 0.0 || delta >= 1.0 then invalid_arg "Cost.boost_runs";
-  let n = int_of_float (ceil (18.0 *. log (1.0 /. delta))) in
-  let n = Stdlib.max 1 n in
-  if n mod 2 = 0 then n + 1 else n
-
 let hit_and_run_steps ~dim =
   let d = float_of_int dim in
   int_of_float (Float.max 60.0 (12.0 *. d *. log (d +. 2.0) *. log (d +. 2.0)))

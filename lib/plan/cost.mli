@@ -7,7 +7,7 @@
     multi-phase sample sizing of the volume estimator, the stopping
     rule of volume fractions, and the Chernoff/Hoeffding sample counts
     underneath them all.  The runtime
-    ({!Scdb_sampling.Chernoff}, [Union], [Inter], [Diff], [Boost], the
+    ({!Scdb_sampling.Chernoff}, [Union], [Inter], [Diff], the
     walk schedules) and the static cost model ({!Plan}) both call this
     module, so a query plan's predicted budget and the budget the
     executor actually spends come from literally the same formula —
@@ -61,12 +61,6 @@ val poly_floor : dim:int -> poly_degree:int -> float
 (** The acceptance-probability floor [1/(max 2 d)^k] of the same
     promise — the [p_lower] the volume estimators feed to
     {!samples_for_ratio}. *)
-
-val boost_runs : delta:float -> int
-(** Median-boosting repetition count: the smallest odd [n ≥ 18·ln(1/δ)]
-    such that the median of [n] 3/4-confident runs fails with
-    probability at most [δ].
-    @raise Invalid_argument unless [delta] lies in (0,1). *)
 
 val hit_and_run_steps : dim:int -> int
 (** The practical hit-and-run schedule [max 60 ⌈12·d·ln²(d+2)⌉] used by

@@ -46,8 +46,6 @@ let shoelace vs =
 
 let area p = shoelace (vertices p)
 
-let area_of_tuple tuple = area (Polytope.of_tuple ~dim:2 tuple)
-
 let perimeter p =
   match vertices p with
   | [] -> 0.0
@@ -87,4 +85,3 @@ let centroid p =
         else Some [| !cx /. (3.0 *. !signed); !cy /. (3.0 *. !signed) |]
   end
 
-let contains_polygon p points = List.for_all (Polytope.mem ~slack:1e-7 p) points

@@ -13,13 +13,8 @@ val vertices : Polytope.t -> Vec.t list
 val area : Polytope.t -> float
 (** Shoelace area of the vertex polygon. *)
 
-val area_of_tuple : Dnf.tuple -> float
-(** Area of a 2-D generalized tuple. *)
-
 val perimeter : Polytope.t -> float
 
 val centroid : Polytope.t -> Vec.t option
 (** Area centroid; [None] for empty/degenerate polygons. *)
 
-val contains_polygon : Polytope.t -> Vec.t list -> bool
-(** Do all listed points lie inside (with a small slack)? *)

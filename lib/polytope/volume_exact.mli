@@ -11,6 +11,10 @@
     test and experiment. *)
 
 exception Unbounded
+(** A non-empty unbounded polyhedron: its measure is infinite.  The one
+    refusal of a relation of infinite measure, which has no uniform
+    generator and no finite volume: the exact volumes here and the
+    per-tuple preparation in [Scdb_core.Convex_obs] both raise it. *)
 
 val volume_system :
   ?calls:int ref ->

@@ -302,6 +302,24 @@ let run_tests =
         | Error e -> Alcotest.(check bool) "mentions reference" true
             (String.length e > 0)
         | Ok _ -> Alcotest.fail "expected an error");
+    t "refused replicates are named in the text summary" (fun () ->
+        (* A slab 10^12 times thinner than wide: every replicate's
+           estimator refuses it, so every one is a miss. *)
+        let slab =
+          Parser.parse_relation ~vars:[ "x"; "y" ] "x >= 0 /\\ y >= 0 /\\ x + 1000000000000*y <= 1"
+        in
+        let lines a = String.split_on_char '\n' (A.to_text a) in
+        let refused = "audit: 40/40 replicates refused by the estimator (counted as misses)" in
+        (match A.run ~eps:0.2 ~delta:0.1 ~runs:40 ~seed:42 slab with
+        | Error e -> Alcotest.failf "audit failed to run: %s" e
+        | Ok a ->
+            Alcotest.(check bool) "verdict" true (a.A.cov.A.verdict = A.Fail);
+            Alcotest.(check bool) refused true (List.mem refused (lines a)));
+        match A.run ~eps:0.2 ~delta:0.1 ~runs:2 ~seed:42 triangle with
+        | Error e -> Alcotest.failf "audit failed to run: %s" e
+        | Ok a ->
+            Alcotest.(check bool) "no refusal line" false
+              (List.exists (String.ends_with ~suffix:"(counted as misses)") (lines a)));
     t "zero-volume relations are rejected" (fun () ->
         let line =
           Relation.make ~dim:2 [ [ Atom.eq (Term.var 0) Term.zero ] ]

@@ -69,6 +69,21 @@ let success_tests =
         in
         Alcotest.(check int) "exit" 0 code;
         Alcotest.(check string) "volume" "1.000000000\n" out);
+    t "volume prints a volume below 10^-3 with 6 significant digits" (fun () ->
+        (* Area 5e-9: six fixed decimals would print 0.000000. *)
+        let tiny = "volume -v x,y -f \"x >= 0 /\\ y >= 0 /\\ x + y <= 0.0001\" --seed 1 " in
+        let value mode =
+          let code, out = run_stdout (tiny ^ mode) in
+          Alcotest.(check int) (mode ^ " exit") 0 code;
+          out
+        in
+        Alcotest.(check string) "exact" "5e-09\n" (value "--mode exact");
+        List.iter
+          (fun mode ->
+            let v = float_of_string (String.trim (value mode)) in
+            Alcotest.(check bool) (Printf.sprintf "%s: %g within 10%% of 5e-9" mode v) true
+              (Float.abs (v -. 5e-9) <= 5e-10))
+          [ "--mode sampling --eps 0.3"; "--mode grid:0.00001" ]);
     t "sample and volume run on a box with over-range coefficients" (fun () ->
         (* The same box: its float rows are scaled into range. *)
         let f =

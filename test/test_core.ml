@@ -97,7 +97,7 @@ let convex_tests =
     t "prepare_tuples refuses a union with an unbounded tuple" (fun () ->
         let box = Relation.unit_cube 2 in
         let half = Relation.halfspace ~dim:2 (Term.var 0) in
-        Alcotest.check_raises "unbounded" Convex_obs.Unbounded (fun () ->
+        Alcotest.check_raises "unbounded" VE.Unbounded (fun () ->
             ignore (Convex_obs.prepare_tuples (Rng.create 0) (Relation.union box half)));
         let segment = Parser.parse_relation ~vars:[ "x"; "y" ] "0 <= x /\\ x <= 1 /\\ y = 0" in
         Alcotest.(check int) "flat tuple dropped" 1
@@ -408,8 +408,13 @@ let fixed_dim_tests =
         Alcotest.(check bool) "1:2 split" true
           (Float.abs ((float_of_int !low /. float_of_int n) -. (1.0 /. 3.0)) < 0.06));
     t "exact volume matches" (fun () ->
+        (* The grid count against the exact Lasserre volume, 3. *)
         let r = Relation.union (Relation.box [| q 0 |] [| q 1 |]) (Relation.box [| q 3 |] [| q 5 |]) in
-        Alcotest.(check string) "3" "3" (Q.to_string (Fixed_dim.exact_volume r)));
+        let exact = Q.to_float (VE.volume_relation r) in
+        let o = Option.get (Fixed_dim.observable r) in
+        let v = Observable.volume o (Rng.create 33) ~eps:0.02 ~delta:0.1 in
+        Alcotest.(check bool) (Printf.sprintf "grid %g vs exact %g" v exact) true
+          (Float.abs (v -. exact) <= 0.02 *. exact));
     t "empty gives none" (fun () ->
         let r = Parser.parse_relation ~vars:[ "x" ] "x <= 0 /\\ x >= 1" in
         Alcotest.(check bool) "none" true (Option.is_none (Fixed_dim.observable r)));
@@ -550,31 +555,6 @@ let failure_mode_tests =
           if (Observable.sample_exn u rng params).(0) > 2.0 then saw_right := true
         done;
         Alcotest.(check bool) "union generator reaches both" true !saw_right);
-    ts "median boosting reduces estimator spread" (fun () ->
-        let rng = Rng.create 81 in
-        let r = Relation.unit_cube 2 in
-        (* deliberately noisy base estimator: tiny budget *)
-        let noisy =
-          Option.get
-            (Convex_obs.make
-               ~config:{ Convex_obs.practical_config with Convex_obs.volume_budget = Scdb_sampling.Volume.Practical 60 }
-               rng r)
-        in
-        let boosted = Boost.boost_observable noisy in
-        let spread obs n =
-          let vals = List.init n (fun _ -> Observable.volume obs rng ~eps:0.3 ~delta:0.2) in
-          let mn = List.fold_left Float.min infinity vals
-          and mx = List.fold_left Float.max neg_infinity vals in
-          mx -. mn
-        in
-        let s_base = spread noisy 9 and s_boost = spread boosted 5 in
-        Alcotest.(check bool)
-          (Printf.sprintf "spread %.3f -> %.3f" s_base s_boost)
-          true
-          (s_boost <= s_base +. 1e-9));
-    t "runs_for is odd and grows with confidence" (fun () ->
-        Alcotest.(check bool) "odd" true (Boost.runs_for ~delta:0.2 mod 2 = 1);
-        Alcotest.(check bool) "monotone" true (Boost.runs_for ~delta:0.01 > Boost.runs_for ~delta:0.2));
   ]
 
 let suites =

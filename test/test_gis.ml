@@ -197,8 +197,16 @@ let query_tests =
         let pp text = Format.asprintf "%a" Query.pp (Query.parse ~schema:schema2 ~vars:[ "x"; "y" ] text) in
         Alcotest.(check string) "<>" "(R(x0, x1) /\\ ~x0 - 1 = 0)" (pp "R(x, y) /\\ x <> 1");
         Alcotest.(check string) "->" "(~R(x0, x1) \\/ S(x0, x1))" (pp "R(x, y) -> S(x, y)");
-        Alcotest.(check string) "true" "(() /\\ R(x0, x1))" (pp "true /\\ R(x, y)");
+        Alcotest.(check string) "true" "(true /\\ R(x0, x1))" (pp "true /\\ R(x, y)");
         Alcotest.(check string) "forall" "~exists x2. ~R(x0, x2)" (pp "forall z. R(x, z)"));
+    t "true and false print as themselves and parse back" (fun () ->
+        List.iter
+          (fun text ->
+            let q = Query.parse ~schema:schema2 ~vars:[] text in
+            let printed = Format.asprintf "%a" Query.pp q in
+            Alcotest.(check string) text text printed;
+            Alcotest.(check bool) (text ^ " parses back") true (Query.parse ~schema:schema2 ~vars:[] printed = q))
+          [ "true"; "false" ]);
     qt "quantifier- and relation-free text: Query.parse and Parser.parse agree" arbitrary_lin_text
       (fun text ->
         let vars = [ "x"; "y" ] in
@@ -651,45 +659,6 @@ let svg_tests =
   ]
 
 
-let wkt_tests =
-  [
-    t "export square and re-import" (fun () ->
-        let r = Relation.box [| q 0; q 0 |] [| q 2; q 1 |] in
-        let wkt = Wkt.of_relation r in
-        Alcotest.(check bool) "POLYGON" true (String.length wkt >= 7 && String.sub wkt 0 7 = "POLYGON");
-        match Wkt.to_relation wkt with
-        | Error e -> Alcotest.fail e
-        | Ok r' ->
-            List.iter
-              (fun (a, b) ->
-                let x = [| Q.of_ints a 2; Q.of_ints b 2 |] in
-                Alcotest.(check bool) "same membership" (Relation.mem r x) (Relation.mem r' x))
-              [ (1, 1); (3, 1); (5, 1); (-1, 0); (4, 3) ]);
-    t "multipolygon round trip" (fun () ->
-        let r =
-          Relation.union
-            (Relation.box [| q 0; q 0 |] [| q 1; q 1 |])
-            (Relation.box [| q 3; q 0 |] [| q 4; q 1 |])
-        in
-        let wkt = Wkt.of_relation r in
-        Alcotest.(check bool) "MULTI" true (String.sub wkt 0 12 = "MULTIPOLYGON");
-        match Wkt.to_relation wkt with
-        | Error e -> Alcotest.fail e
-        | Ok r' -> Alcotest.(check int) "two tuples" 2 (List.length (Relation.tuples r')));
-    t "empty relation" (fun () ->
-        Alcotest.(check string) "empty" "POLYGON EMPTY" (Wkt.of_relation (Relation.make ~dim:2 []));
-        match Wkt.to_relation "POLYGON EMPTY" with
-        | Ok r -> Alcotest.(check bool) "empty back" true (Relation.is_syntactically_empty r)
-        | Error e -> Alcotest.fail e);
-    t "non-convex ring rejected" (fun () ->
-        let wkt = "POLYGON ((0 0, 4 0, 4 4, 2 1, 0 4, 0 0))" in
-        Alcotest.(check bool) "error" true (Result.is_error (Wkt.to_relation wkt)));
-    t "garbage rejected" (fun () ->
-        List.iter
-          (fun s -> Alcotest.(check bool) s true (Result.is_error (Wkt.to_relation s)))
-          [ "CIRCLE (0 0, 1)"; "POLYGON ((0 0, 1 1))"; "POLYGON ((0 0, 1 0, 0 1, 0 0"; "" ]);
-  ]
-
 let suites =
   [
     ("gis.schema", schema_tests);
@@ -699,5 +668,4 @@ let suites =
     ("gis.aggregate", aggregate_tests);
     ("gis.synth", synth_tests);
     ("gis.svg", svg_tests);
-    ("gis.wkt", wkt_tests);
   ]

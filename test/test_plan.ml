@@ -12,7 +12,6 @@ module W = Scdb_sampling.Walk
 module Volume = Scdb_sampling.Volume
 module Union = Scdb_core.Union
 module Inter = Scdb_core.Inter
-module Boost = Scdb_core.Boost
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -86,13 +85,6 @@ let equality_tests =
               (Cost.samples_for_ratio ~eps ~delta ~p_lower:0.25)
               (Chernoff.samples_for_ratio ~eps ~delta ~p_lower:0.25))
           [ (0.3, 0.2); (0.1, 0.1); (0.05, 0.01) ]);
-    t "boost runs: runtime = Cost" (fun () ->
-        List.iter
-          (fun delta ->
-            let n = Boost.runs_for ~delta in
-            Alcotest.(check int) (Printf.sprintf "delta=%g" delta) (Cost.boost_runs ~delta) n;
-            Alcotest.(check bool) "odd" true (n land 1 = 1))
-          [ 0.2; 0.1; 0.01; 0.001 ]);
     t "volume phases pinned for d = 1..10" (fun () ->
         (* ⌈d·log₂ max(2, d^1.5)⌉; d = 2 is 3, where a log-quotient
            rounding once made it 4. *)
