@@ -1,9 +1,13 @@
 (** Exact volume of bounded polyhedra and generalized relations.
 
-    Lasserre's recursion over exact rationals: the d-volume of
-    [{A x <= b}] is [1/d · Σᵢ bᵢ/|a_{i,k}| · vol(facet i)] once facet
-    [i] is parametrized by solving its hyperplane for coordinate [k]
-    (the Euclidean norms cancel, keeping everything rational).
+    Lasserre's recursion: the d-volume of [{A x <= b}] is
+    [1/d · Σᵢ bᵢ/|a_{i,k}| · vol(facet i)] once facet [i] is
+    parametrized by solving its hyperplane for coordinate [k] (the
+    Euclidean norms cancel, keeping everything rational).  Every term is
+    unchanged when a row and its right-hand side are scaled by a
+    positive number, so the recursion runs on integer rows: each row's
+    denominators are cleared once, each substitution is fraction-free,
+    and the only rationals are the facet terms and the 1-D lengths.
 
     Exponential in the dimension and polynomial for fixed dimension —
     exactly the role the Bieri–Nef sweep-plane algorithm plays in the
@@ -43,6 +47,13 @@ val volume_system :
     same either way, since the recursion returns 0 on an empty system
     itself; with big-rational rows the LP is most of a call's cost.
     @raise Unbounded if the polyhedron is non-empty and unbounded. *)
+
+val volume_integer_system :
+  ?calls:int ref -> ?nonempty:bool -> dim:int -> Bigint.t array array -> Bigint.t array -> Rational.t
+(** {!volume_system} on integer rows, which the recursion runs on:
+    {!volume_system} clears its rows' denominators and calls this.
+    The same answer, [calls] count and exceptions as {!volume_system}
+    on the same rows read as rationals. *)
 
 val tuple_rows : Dnf.tuple -> int
 (** Rows of the system {!volume_tuple} builds from a tuple: one per

@@ -387,6 +387,66 @@ let project_tests =
           ]
           (List.map (fun p -> List.map (Printf.sprintf "%h") (Array.to_list p)) points);
         Alcotest.(check int) "draws" 57163 (Rng.draw_count rng));
+    t "the integer fiber oracle equals the rational composition bit for bit" (fun () ->
+        (* The composition the oracle replaces: the float fiber, each
+           coefficient rounded to 2^-20 as a rational, then the exact
+           volume of that rational system. *)
+        let quantize x = Q.of_float (Float.round (x *. 1048576.0) /. 1048576.0) in
+        let composed poly ~keep y =
+          let f = Project.fiber poly ~keep y in
+          let a = Array.map (Array.map quantize) f.P.a and b = Array.map quantize f.P.b in
+          match VE.volume_system ~dim:(P.dim f) a b with
+          | v -> Ok (Int64.bits_of_float (Q.to_float v))
+          | exception VE.Unbounded -> Error "unbounded fiber"
+        in
+        let oracle poly ~keep y =
+          match Project.fiber_volume_of ~fiber_volume:Project.Exact (Rng.create 0) poly ~keep y with
+          | v -> Ok (Int64.bits_of_float v)
+          | exception Observable.Estimation_failed m -> Error m
+        in
+        let same poly ~keep y =
+          let expected = composed poly ~keep y in
+          Alcotest.(check (result int64 string)) "fiber volume" expected (oracle poly ~keep y);
+          expected
+        in
+        (* A random polytope in R^3 with 53-bit coefficients, cut to
+           [-1,1]^3: keeping two coordinates leaves 1-D fibers, keeping
+           one leaves 2-D fibers.  The points spill past the shadow. *)
+        let rng = Rng.create 5 in
+        let cuts = Array.init 7 (fun _ -> Array.init 3 (fun _ -> Rng.uniform rng (-1.0) 1.0)) in
+        let box = P.box (Array.make 3 (-1.0)) (Array.make 3 1.0) in
+        let poly =
+          P.make ~dim:3 (Array.append cuts box.P.a)
+            (Array.append (Array.init 7 (fun _ -> Rng.uniform rng 0.2 1.0)) box.P.b)
+        in
+        List.iter
+          (fun keep ->
+            let volumes =
+              List.init 300 (fun _ ->
+                  same poly ~keep (Array.init (List.length keep) (fun _ -> Rng.uniform rng (-1.5) 1.5)))
+            in
+            let zero = Ok (Int64.bits_of_float 0.0) in
+            Alcotest.(check bool) "some y outside the shadow" true (List.mem zero volumes);
+            Alcotest.(check bool) "some y inside" true (List.exists (fun v -> v <> zero) volumes))
+          [ [ 0; 1 ]; [ 0 ] ];
+        (* x kept, z the fiber: the row x + 1e-7·z <= -0.5 has a slope
+           that quantizes to 0 and, at x = 0, a negative right-hand
+           side, so the fiber is empty. *)
+        let slab =
+          P.make ~dim:2 [| [| 0.; 1. |]; [| 0.; -1. |]; [| 1.; 1e-7 |]; [| -1.; 0. |] |] [| 1.; 0.; -0.5; 1. |]
+        in
+        Alcotest.(check (result int64 string))
+          "quantized-away slope" (Ok (Int64.bits_of_float 0.0)) (same slab ~keep:[ 0 ] [| 0.0 |]);
+        (* Fibers with no upper bound on z, of codim 1 and 2. *)
+        let open_above dim =
+          P.make ~dim
+            (Array.init (dim + 1) (fun i -> Array.init dim (fun j -> if i = j then -1.0 else if i = dim && j = 0 then 1.0 else 0.0)))
+            (Array.init (dim + 1) (fun i -> if i = dim then 1.0 else 0.0))
+        in
+        Alcotest.(check (result int64 string))
+          "unbounded, codim 1" (Error "unbounded fiber") (same (open_above 2) ~keep:[ 0 ] [| 0.5 |]);
+        Alcotest.(check (result int64 string))
+          "unbounded, codim 2" (Error "unbounded fiber") (same (open_above 3) ~keep:[ 0 ] [| 0.5 |]));
   ]
 
 let fixed_dim_tests =

@@ -279,14 +279,41 @@ let same_answer f g =
    unbounded, flat, duplicate and constant rows all turn up. *)
 let small_coeff = QCheck.Gen.(frequency [ (1, return 0); (2, int_range (-2) 2) ])
 
+(* One coefficient kind per system: small integers; dyadic 53-bit
+   values, as [Rational.of_float] makes them from parsed and sampled
+   floats; or non-dyadic fractions such as 1/3 and 7/5, as
+   Fourier–Motzkin combinations make them. *)
+let coeff_kinds =
+  QCheck.Gen.(
+    frequencyl
+      [
+        (3, map q small_coeff);
+        (1, frequency [ (1, return Q.zero); (2, map Q.of_float (float_range (-2.0) 2.0)) ]);
+        (1, frequency [ (1, return Q.zero); (2, map2 Q.of_ints (int_range (-7) 7) (oneofl [ 1; 3; 5; 7 ])) ]);
+      ])
+
 let arbitrary_system =
   let gen =
     QCheck.Gen.(
       let* dim = 0 -- 4 in
       let* rows = 0 -- 8 in
-      let* a = array_repeat rows (array_repeat dim (map q small_coeff)) in
-      let* b = array_repeat rows (map q (int_range (-3) 3)) in
-      return (dim, a, b))
+      let* coeff = coeff_kinds in
+      let* a = array_repeat rows (array_repeat dim coeff) in
+      let* b = array_repeat rows (oneof [ map q (int_range (-3) 3); coeff ]) in
+      (* Copies of some rows: exact duplicates, or scaled by a positive
+         factor, each with its right-hand side scaled alike or moved, so
+         the tightest-rhs choice between parallel rows is exercised. *)
+      let* copies =
+        if rows = 0 then return []
+        else
+          list_size (0 -- 3)
+            (triple (0 -- (rows - 1))
+               (oneofl [ Q.one; q 2; Q.of_ints 7 5; Q.of_ints 1 3; Q.of_float 0x1p-20 ])
+               (oneofl [ Q.zero; Q.zero; Q.one; Q.of_ints (-1) 3 ]))
+      in
+      let extra_a = List.map (fun (i, s, _) -> Array.map (Q.mul s) a.(i)) copies in
+      let extra_b = List.map (fun (i, s, shift) -> Q.add (Q.mul s b.(i)) shift) copies in
+      return (dim, Array.append a (Array.of_list extra_a), Array.append b (Array.of_list extra_b)))
   in
   let print (dim, a, b) =
     Printf.sprintf "dim %d: %s" dim
@@ -331,6 +358,33 @@ let arbitrary_union =
   in
   QCheck.make ~print:Relation.to_text gen
 
+(* The exact volume and Lasserre call count of each parcel of
+   [Synth.parcel_grid (Rng.create 7)] and of its elevation prism, as
+   the rational recursion computed them before the recursion moved to
+   integer rows.  An exact volume is a unique rational, so the strings
+   are the contract; the counts pin the recursion's shape. *)
+let parcel_grid_pins =
+  [
+    ("parcel", "449990320962464413215547183011064959623048767836668747760277896229629832532290585277085023488289065793137509522269088694527876706422683499759576494594415670919850008085817089435120207536422433104714041709327505657/1285285002245646551070949485749554006341764016021957445623326668888438758150208665280208396793629885935251620979033013477105090763940998164083444891323389987026288559820885266121339658660136923988069815767795761152", 12);
+    ("prism", "449990320962464413215547183011064959623048767836668747760277896229629832532290585277085023488289065793137509522269088694527876706422683499759576494594415670919850008085817089435120207536422433104714041709327505657/856856668163764367380632990499702670894509344014638297082217779258959172100139110186805597862419923956834413986022008984736727175960665442722296594215593324684192373213923510747559772440091282658713210511863840768", 80);
+    ("parcel", "62686803142048350540149831366721501077955416328010612895417464750322818296955872686639241066421403252919308950655118696653665433166082377075252651148524684811163416204957256203856622257819/129903071247043670700619044223295968615585961827213215164260854026254185877218360383718158657009716089863868433871434840721646547664730497732323634998657302921674929699545832032289280753664", 11);
+    ("prism", "62686803142048350540149831366721501077955416328010612895417464750322818296955872686639241066421403252919308950655118696653665433166082377075252651148524684811163416204957256203856622257819/64951535623521835350309522111647984307792980913606607582130427013127092938609180191859079328504858044931934216935717420360823273832365248866161817499328651460837464849772916016144640376832", 73);
+    ("parcel", "96510559448337234156889444064197937276471742727515702636294807006205639544366121475934672258738517559059292474044077694243566657548306545748419326699896866259045924714849066808605005238125985008921711830889982401832649/207860086292837382603309190294744472755480786021249599666989798258776973676083168267870104245333815165840896095207353339410962782713163933247191577701045357945317600811752343223500703670257287296487287390980684078120960", 11);
+    ("prism", "96510559448337234156889444064197937276471742727515702636294807006205639544366121475934672258738517559059292474044077694243566657548306545748419326699896866259045924714849066808605005238125985008921711830889982401832649/83144034517134953041323676117897789102192314408499839866795919303510789470433267307148041698133526066336358438082941335764385113085265573298876631080418143178127040324700937289400281468102914918594914956392273631248384", 73);
+    ("parcel", "427114202101720208688284732778810052085184805150538278821862149461854378658493759448904172879614097235246653093192868020673133578029015010546711864944432128436053426906731474942471078183918260826096175554734085003893302/1325482632373522759228968519520157021065883889539575942647584861595097541746946656271385787327642127006678023131849435397847908858926054412029520728035816428234663549430658152382792526915683962511041485818773715755429229", 12);
+    ("prism", "427114202101720208688284732778810052085184805150538278821862149461854378658493759448904172879614097235246653093192868020673133578029015010546711864944432128436053426906731474942471078183918260826096175554734085003893302/441827544124507586409656173173385673688627963179858647549194953865032513915648885423795262442547375668892674377283145132615969619642018137343173576011938809411554516476886050794264175638561320837013828606257905251809743", 80);
+    ("parcel", "4549498125902244712346555342712993556053691295429252741131200273781835725170130363726828726533592560700039748545475731402381659049595240418395428858593192615224656524356650264115725058003/10087077447158018375521863508644054001263231983161299633792593115376744082781378673840029145552346385599947597548673683074770688200349408842682523630329209379595857780732169772107722391552", 12);
+    ("prism", "4549498125902244712346555342712993556053691295429252741131200273781835725170130363726828726533592560700039748545475731402381659049595240418395428858593192615224656524356650264115725058003/6724718298105345583681242339096036000842154655440866422528395410251162721854252449226686097034897590399965065032449122049847125466899605895121682420219472919730571853821446514738481594368", 80);
+    ("parcel", "16608382590244743146029038170761892551896492884698686488206774178896551963160977029832085533005208387404983296107491704914257/36453745435703179907346828985326971385705267859703378966044416727097240035863490555936145062506933675423440834273405137059840", 12);
+    ("prism", "16608382590244743146029038170761892551896492884698686488206774178896551963160977029832085533005208387404983296107491704914257/18226872717851589953673414492663485692852633929851689483022208363548620017931745277968072531253466837711720417136702568529920", 80);
+    ("parcel", "1372499001227016831334624917787806156498898745608986352908751316280019757603895266105959757501867593462939441971150525215613098287859958544813414695340249343/3529251749248033472712749724630768561628082032090572940782944964534275006840200031584380709711995278868987261618022428759898917167150452569251003940156211200", 12);
+    ("prism", "1372499001227016831334624917787806156498898745608986352908751316280019757603895266105959757501867593462939441971150525215613098287859958544813414695340249343/1411700699699213389085099889852307424651232812836229176313177985813710002736080012633752283884798111547594904647208971503959566866860181027700401576062484480", 80);
+    ("parcel", "12455945860914942898577488528220540104118707774497519440747026246757183519076437864330187185076820623278496752946183259271901479212329727490788812170194541/33452731024392357057362722471281597263061716762412270811348462434324632641107707755380553397002583308964520071885741215183779973808631552489464637696245760", 11);
+    ("prism", "12455945860914942898577488528220540104118707774497519440747026246757183519076437864330187185076820623278496752946183259271901479212329727490788812170194541/11150910341464119019120907490427199087687238920804090270449487478108210880369235918460184465667527769654840023961913738394593324602877184163154879232081920", 73);
+    ("parcel", "1002399387216035105589038937007617852921473236479654927492274239166183268186004854000357736599554022509752263683698105312552957497892245479079712196724537201127634081687098512835418188330861883457427585121250641486881520845/2569788253162047068598301891696747668135750603084969650817113902395578069629556633393698071394325840582214789777223639143005075608562904745581437462677480419084867104046851468669234932769323975173227505452759139944903999488", 12);
+    ("prism", "3007198161648105316767116811022853558764419709438964782476822717498549804558014562001073209798662067529256791051094315937658872493676736437239136590173611603382902245061295538506254564992585650372282755363751924460644562535/5139576506324094137196603783393495336271501206169939301634227804791156139259113266787396142788651681164429579554447278286010151217125809491162874925354960838169734208093702937338469865538647950346455010905518279889807998976", 80);
+  ]
+
 let oracle_tests =
   [
     qt ~count:1000 "volume_system matches the LP-gated reference" arbitrary_system
@@ -372,6 +426,26 @@ let oracle_tests =
         let calls = ref 0 in
         (try ignore (VE.volume_system ~calls ~nonempty:true ~dim a b) with VE.Unbounded -> ());
         float_of_int !calls <= Scdb_plan.Cost.lasserre_calls ~dim ~rows:(Array.length a));
+    t "parcel-grid volumes and call counts are pinned" (fun () ->
+        let parcels =
+          Scdb_gis.Synth.parcel_grid (Rng.create 7) ~rows:3 ~cols:3 ~cell:1.0 ~jitter:0.05
+        in
+        let actual =
+          List.concat
+            (List.mapi
+               (fun k parcel ->
+                 let prism =
+                   Scdb_gis.Synth.elevation_prism ~base:parcel ~height:(Q.of_ints (3 + (k mod 4)) 2)
+                 in
+                 List.map
+                   (fun (kind, r) ->
+                     let calls = ref 0 in
+                     let v = VE.volume_tuple ~calls ~dim:(Relation.dim r) (List.hd (Relation.tuples r)) in
+                     (kind, Q.to_string v, !calls))
+                   [ ("parcel", parcel); ("prism", prism) ])
+               parcels)
+        in
+        Alcotest.(check (list (triple string string int))) "pins" parcel_grid_pins actual);
     t "Cost.lasserre_calls is tight on simplices" (fun () ->
         (* No row of a simplex is redundant or parallel to another, so
            every recursion keeps all of them. *)
