@@ -11,14 +11,16 @@ LIB_TEST_ONLY = Exact_mat
 SIMPLEX6 = -v x1,x2,x3,x4,x5,x6 \
   -f "x1 >= 0 and x2 >= 0 and x3 >= 0 and x4 >= 0 and x5 >= 0 and x6 >= 0 and x1 + x2 + x3 + x4 + x5 + x6 <= 1"
 
-# The 2-D shadow of the 4-D cross-polytope |x| + |y| + |z1| + |z2| <= 1,
-# exact area 2: Fourier-Motzkin eliminates z1 and z2 before the exact
-# volume's integer recursion runs on what it leaves.
+# The 2-D shadow of the scaled 4-D cross-polytope
+# |x|/3 + |y|/5 + |z1|/7 + |z2| <= 1, the rhombus |x|/3 + |y|/5 <= 1 of
+# exact area 30.  Fourier-Motzkin eliminates z1 and z2 and leaves the
+# non-dyadic rows +-8/147 x +- 8/245 y - 8/49 <= 0, on which the exact
+# volume's integer recursion then runs.
 CROSS2 = -v x,y -f "exists z1 z2. \
-  x + y + z1 + z2 <= 1 and x + y + z1 - z2 <= 1 and x + y - z1 + z2 <= 1 and x + y - z1 - z2 <= 1 and \
-  x - y + z1 + z2 <= 1 and x - y + z1 - z2 <= 1 and x - y - z1 + z2 <= 1 and x - y - z1 - z2 <= 1 and \
-  -x + y + z1 + z2 <= 1 and -x + y + z1 - z2 <= 1 and -x + y - z1 + z2 <= 1 and -x + y - z1 - z2 <= 1 and \
-  -x - y + z1 + z2 <= 1 and -x - y + z1 - z2 <= 1 and -x - y - z1 + z2 <= 1 and -x - y - z1 - z2 <= 1"
+  x/3 + y/5 + z1/7 + z2 <= 1 and x/3 + y/5 + z1/7 - z2 <= 1 and x/3 + y/5 - z1/7 + z2 <= 1 and x/3 + y/5 - z1/7 - z2 <= 1 and \
+  x/3 - y/5 + z1/7 + z2 <= 1 and x/3 - y/5 + z1/7 - z2 <= 1 and x/3 - y/5 - z1/7 + z2 <= 1 and x/3 - y/5 - z1/7 - z2 <= 1 and \
+  -x/3 + y/5 + z1/7 + z2 <= 1 and -x/3 + y/5 + z1/7 - z2 <= 1 and -x/3 + y/5 - z1/7 + z2 <= 1 and -x/3 + y/5 - z1/7 - z2 <= 1 and \
+  -x/3 - y/5 + z1/7 + z2 <= 1 and -x/3 - y/5 + z1/7 - z2 <= 1 and -x/3 - y/5 - z1/7 + z2 <= 1 and -x/3 - y/5 - z1/7 - z2 <= 1"
 
 all: build
 
@@ -242,7 +244,8 @@ ci: check
 	dune exec bin/spatialdb.exe -- sample -v x,y \
 	  -f "0 <= x and 1$$(printf '%0400d' 0)*x <= 1$$(printf '%0399d' 0)1 and 0 <= y and y <= 1" \
 	  --seed 42 -n 5 > /dev/null
-	test "$$(dune exec bin/spatialdb.exe -- volume $(CROSS2) --mode exact)" = 2.000000000
+	dune exec bin/spatialdb.exe -- qe $(CROSS2) | grep -q "8/245\*y"
+	test "$$(dune exec bin/spatialdb.exe -- volume $(CROSS2) --mode exact)" = 30.000000000
 	dune exec bin/spatialdb.exe -- replay test/fixtures/union_k3.flightrec.json
 	dune exec bin/spatialdb.exe -- replay test/fixtures/incremental_k1.flightrec.json
 	dune exec bench/main.exe -- --fast e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 > _build/experiments.txt

@@ -100,37 +100,14 @@ let of_source ?fiber_volume ?(pilot_samples = 32) rng source poly ~keep =
         (plo, pstep)
   in
   let cell y i = int_of_float (Float.floor ((y.(i) -. proj_lo.(i)) /. proj_step.(i))) in
-  (* A cell's key packs its indices, offset by 16, into 7 bits each: a
-     point of the bounding box has indices in [0, cells].  A cell
-     outside that range, or any cell once e > 8, is interned under a
-     negative key instead. *)
-  let interned : (int list, int) Hashtbl.t = Hashtbl.create 1 in
-  let key y =
-    let rec pack i acc =
-      if i < 0 then acc
-      else
-        let c = cell y i + 16 in
-        if c < 0 || c > 127 then -1 else pack (i - 1) ((acc lsl 7) lor c)
-    in
-    let k = if e <= 8 then pack (e - 1) 0 else -1 in
-    if k >= 0 then k
-    else
-      let idx = List.init e (cell y) in
-      match Hashtbl.find_opt interned idx with
-      | Some k -> k
-      | None ->
-          let k = -1 - Hashtbl.length interned in
-          Hashtbl.add interned idx k;
-          k
-  in
   let oracle = fiber_oracle mode rng poly ~keep in
-  let cache : (int, float) Hashtbl.t = Hashtbl.create 256 in
+  let cache : (int list, float) Hashtbl.t = Hashtbl.create 256 in
   let h y =
-    let key = key y in
+    let key = List.init e (cell y) in
     match Hashtbl.find_opt cache key with
     | Some v -> v
     | None ->
-        let centre = Vec.init e (fun i -> proj_lo.(i) +. ((float_of_int (cell y i) +. 0.5) *. proj_step.(i))) in
+        let centre = Vec.init e (fun i -> proj_lo.(i) +. ((float_of_int (List.nth key i) +. 0.5) *. proj_step.(i))) in
         let v = oracle centre in
         let v = if Float.is_finite v && v > 0.0 then v else 0.0 in
         Hashtbl.replace cache key v;
